@@ -77,6 +77,7 @@ from pseudospin.twospin import (
     Isomorphism,
     RegimeReport,
     TransitionResult,
+    TransitionSeries,
     TwoSpinParams,
     build_free,
     build_interaction,
@@ -90,6 +91,7 @@ from pseudospin.twospin import (
     hermitian_counterpart,
     paper_isomorphism,
     transition_probability,
+    transition_series,
 )
 from pseudospin.verify import GROUPS, CheckResult, GroupResult, run_groups
 

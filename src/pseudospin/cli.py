@@ -42,18 +42,15 @@ from .formats import (
     write_csv,
 )
 from .grassmann import AlgebraSpec, star_involution
-from .pseudoherm import Metric, eta_inner
 from .quantize import tensor_realization, quantize
 from .twospin import (
-    REGIME_TOL,
     GilbertParams,
     TwoSpinParams,
     build_total,
     closed_spectrum,
     evolve,
     gilbert_fields,
-    paper_isomorphism,
-    transition_probability,
+    transition_series,
 )
 from .verify import GROUPS, run_groups
 
@@ -403,37 +400,32 @@ def cmd_evolve(config: RunConfig) -> int:
         raise CliError(f"bad state vector file: {exc}") from exc
     if xi.shape != (4,) or zeta.shape != (4,):
         raise CliError("state vectors must have four components")
-    hamiltonian = build_total(params)
     times = np.linspace(v["t_start"], v["t_end"], v["t_steps"])
-    rows = []
     if report.pseudo_hermitian:
         try:
-            scale = 1.0 + abs(params.f3) + abs(params.g3) + 2.0 * abs(params.exchange)
-            if abs(params.f_minus.imag) <= REGIME_TOL * scale:
-                rho = Metric.identity(4)
-            else:
-                rho = paper_isomorphism(params).rho
-            for t in times:
-                result = transition_probability(xi, zeta, params, float(t))
-                evolved = evolve(hamiltonian, float(t), zeta)
-                norm = float(np.sqrt(eta_inner(evolved, evolved, rho).real))
-                rows.append([
-                    float(t), result.amplitude.real, result.amplitude.imag,
-                    result.probability, norm,
-                ])
+            series = transition_series(xi, zeta, params, times)
         except (ValueError, RuntimeError) as exc:
             raise CliError(str(exc)) from exc
+        rows = [
+            [t, amplitude.real, amplitude.imag, probability, norm]
+            for t, amplitude, probability, norm in zip(
+                times.tolist(),
+                series.amplitudes.tolist(),
+                series.probabilities.tolist(),
+                series.rho_norms.tolist(),
+            )
+        ]
     else:
         if not v["allow_dissipative"]:
             raise CliError(
                 "parameters violate the pseudo-hermiticity conditions; "
                 "pass --allow-dissipative for canonical-norm output"
             )
-        for t in times:
-            evolved = evolve(hamiltonian, float(t), zeta)
+        rows = []
+        for t, evolved in zip(times.tolist(), evolve(build_total(params), times, zeta)):
             amplitude = complex(np.vdot(xi, evolved))
             rows.append([
-                float(t), amplitude.real, amplitude.imag,
+                t, amplitude.real, amplitude.imag,
                 float("nan"), float(np.linalg.norm(evolved)),
             ])
     _emit(config, EVOLVE_COLUMNS, rows)

@@ -37,6 +37,13 @@ ROUTE_TOL = 1e-9
 EVOLVE_COND_CAP = 1e8
 
 _IDENTITY2 = np.eye(2, dtype=complex)
+# Kronecker products of the Pauli matrices, built once: sigma_i (x) sigma_j
+# for the exchange term, and I (x) sigma_i / sigma_i (x) I for the fields.
+_PAULI_KRON = tuple(
+    tuple(np.kron(PAULI[i], PAULI[j]) for j in range(3)) for i in range(3)
+)
+_I_SIGMA = tuple(np.kron(_IDENTITY2, sigma) for sigma in PAULI)
+_SIGMA_I = tuple(np.kron(sigma, _IDENTITY2) for sigma in PAULI)
 
 
 @dataclass(frozen=True)
@@ -164,6 +171,29 @@ class TransitionResult:
 
 
 @dataclass(frozen=True)
+class TransitionSeries:
+    """Transition amplitudes over a time grid for one parameter set.
+
+    Each array holds one entry per evaluation time, in the order the times
+    were given.
+
+    Attributes:
+        amplitudes: Deformed inner product of the target with the evolved
+            source state.
+        probabilities: Squared amplitude over the deformed norms of both
+            states.
+        route_gaps: Absolute difference between the direct metric
+            evaluation and the hermitian-counterpart evaluation.
+        rho_norms: Deformed norm of the evolved source state.
+    """
+
+    amplitudes: np.ndarray
+    probabilities: np.ndarray
+    route_gaps: np.ndarray
+    rho_norms: np.ndarray
+
+
+@dataclass(frozen=True)
 class CanonicalLimitReport:
     """Convergence record along a halving-damping sequence.
 
@@ -188,11 +218,21 @@ class CanonicalLimitReport:
     passed: bool
 
 
-def _sigma_dot(field: np.ndarray) -> OperatorMatrix:
+def _field_vector(field: np.ndarray) -> np.ndarray:
     field = np.asarray(field, dtype=complex)
     if field.shape != (3,):
         raise ValueError("field must be a 3-vector")
+    return field
+
+
+def _sigma_dot(field: np.ndarray) -> OperatorMatrix:
+    field = _field_vector(field)
     return field[0] * PAULI[0] + field[1] * PAULI[1] + field[2] * PAULI[2]
+
+
+def _tolerance_scale(params: TwoSpinParams) -> float:
+    """Magnitude scale of the model that the regime tolerances multiply."""
+    return 1.0 + abs(params.f3) + abs(params.g3) + 2.0 * abs(params.exchange)
 
 
 def build_single_spin(field: np.ndarray, hbar: float = 1.0) -> OperatorMatrix:
@@ -222,9 +262,11 @@ def build_free(f_field: np.ndarray, g_field: np.ndarray) -> OperatorMatrix:
     Returns:
         The 4x4 matrix (1/4)[sigma.F (x) I + I (x) sigma.G].
     """
+    f = _field_vector(f_field)
+    g = _field_vector(g_field)
     return 0.25 * (
-        np.kron(_IDENTITY2, _sigma_dot(f_field))
-        + np.kron(_sigma_dot(g_field), _IDENTITY2)
+        (f[0] * _I_SIGMA[0] + f[1] * _I_SIGMA[1] + f[2] * _I_SIGMA[2])
+        + (g[0] * _SIGMA_I[0] + g[1] * _SIGMA_I[1] + g[2] * _SIGMA_I[2])
     )
 
 
@@ -252,9 +294,7 @@ def build_interaction(exchange: np.ndarray) -> OperatorMatrix:
     for i in range(3):
         for j in range(3):
             if exchange[i, j] != 0.0:
-                total += exchange[i, j] * (
-                    np.kron(PAULI[j], PAULI[i]) + np.kron(PAULI[i], PAULI[j])
-                )
+                total += exchange[i, j] * (_PAULI_KRON[j][i] + _PAULI_KRON[i][j])
     return total / 8.0
 
 
@@ -269,9 +309,7 @@ def build_total(params: TwoSpinParams) -> OperatorMatrix:
         J sum_i sigma_i (x) sigma_i]; diagonal corners (+-f_plus + J)/4,
         middle block [[-f_minus - J, 2J], [2J, f_minus - J]]/4.
     """
-    free = build_free(
-        np.array([0.0, 0.0, params.f3]), np.array([0.0, 0.0, params.g3])
-    )
+    free = 0.25 * (params.f3 * _I_SIGMA[2] + params.g3 * _SIGMA_I[2])
     return free + build_interaction(params.exchange * np.eye(3))
 
 
@@ -297,7 +335,7 @@ def closed_spectrum(params: TwoSpinParams, tol: float = REGIME_TOL) -> RegimeRep
     j = params.exchange
     discriminant = 4.0 * j * j + f_minus * f_minus
     root = np.sqrt(complex(discriminant))
-    scale = 1.0 + abs(params.f3) + abs(params.g3) + 2.0 * abs(j)
+    scale = _tolerance_scale(params)
     margin = float(discriminant.real)
     pseudo = (
         abs(f_plus.imag) <= tol * scale
@@ -426,7 +464,7 @@ def paper_isomorphism(
         RuntimeError: If a verified postcondition fails numerically.
     """
     report = _require_regime(params, tol)
-    scale = 1.0 + abs(params.f3) + abs(params.g3) + 2.0 * abs(params.exchange)
+    scale = _tolerance_scale(params)
     if abs(report.f_minus.real) > tol * scale:
         raise ValueError(
             "isomorphism construction requires a purely imaginary field "
@@ -452,36 +490,133 @@ def paper_isomorphism(
 
 
 def evolve(
-    hamiltonian: OperatorMatrix, t: float, psi0: StateVector
+    hamiltonian: OperatorMatrix, t: float | np.ndarray, psi0: StateVector
 ) -> StateVector:
-    """Apply exp(-i H t) to a state.
+    """Apply exp(-i H t) to a state at one time or along a time grid.
 
     Uses the eigendecomposition when the eigenvector matrix is well
     conditioned (exact dissipative decay rates), falling back to
-    scaling-and-squaring near defective points.
+    scaling-and-squaring near defective points.  The decomposition, its
+    condition number and the eigenbasis coefficients of ``psi0`` are
+    computed once per call, so a whole time grid costs one ``eig``; each
+    time then applies ``vectors @ (exp(-i values t) * coeffs)``, giving
+    the same bits as a separate call at that time.
 
     Args:
         hamiltonian: Generator matrix.
-        t: Evolution time.
+        t: Evolution time, or a 1-D array of times.
         psi0: Initial state.
 
     Returns:
-        The evolved state vector.
+        The evolved state vector, shape ``(dim,)`` for a scalar ``t``;
+        for an array of times, shape ``(len(t), dim)`` with one evolved
+        state per row.
 
     Raises:
-        ValueError: If shapes disagree.
+        ValueError: If shapes disagree or ``t`` has more than one axis.
     """
     hamiltonian = np.asarray(hamiltonian, dtype=complex)
     psi0 = np.asarray(psi0, dtype=complex)
     dim = hamiltonian.shape[0]
     if hamiltonian.shape != (dim, dim) or psi0.shape != (dim,):
         raise ValueError("state dimension must match the Hamiltonian")
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ValueError("times must be a scalar or a 1-D array")
+    grid = times.ravel().tolist()
+    evolved = np.empty((len(grid), dim), dtype=complex)
     values, vectors = np.linalg.eig(hamiltonian)
     cond = np.linalg.cond(vectors)
     if np.isfinite(cond) and cond <= EVOLVE_COND_CAP:
-        phases = np.exp(-1j * values * t)
-        return vectors @ (phases * np.linalg.solve(vectors, psi0))
-    return expm(-1j * t * hamiltonian) @ psi0
+        coeffs = np.linalg.solve(vectors, psi0)
+        for k, tk in enumerate(grid):
+            evolved[k] = vectors @ (np.exp(-1j * values * tk) * coeffs)
+    else:
+        for k, tk in enumerate(grid):
+            evolved[k] = expm(-1j * tk * hamiltonian) @ psi0
+    return evolved[0] if times.ndim == 0 else evolved
+
+
+def transition_series(
+    xi: StateVector,
+    zeta: StateVector,
+    params: TwoSpinParams,
+    times: np.ndarray,
+    tol: float = REGIME_TOL,
+) -> TransitionSeries:
+    """Transition amplitudes under metric-unitary evolution along a time grid.
+
+    The amplitude is the deformed product of ``xi`` with the evolved
+    ``zeta``.  It is evaluated twice at every time: directly with the
+    metric, and canonically in the hermitian counterpart frame after
+    mapping both states through the isomorphism; the routes must agree.
+    The regime check, the Hamiltonian, the verified isomorphism and the
+    counterpart are built once for the whole grid, and each route's
+    evolution diagonalizes once.
+
+    Args:
+        xi: Target state.
+        zeta: Source state.
+        params: Model parameters satisfying the reality conditions.
+        times: 1-D array of evolution times.
+        tol: Regime tolerance band.
+
+    Returns:
+        A :class:`TransitionSeries` with, per time, the amplitude, the
+        normalized probability, the gap between the two evaluation routes
+        and the deformed norm of the evolved source state.
+
+    Raises:
+        ValueError: If the reality conditions fail, the parameters sit at
+            the exceptional point on the dissipative branch, a state is
+            null, or ``times`` is not 1-D.
+        RuntimeError: If the two evaluation routes disagree at any time.
+    """
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError("times must be a 1-D array")
+    report = _require_regime(params, tol)
+    scale = _tolerance_scale(params)
+    hamiltonian = build_total(params)
+    if abs(report.f_minus.imag) <= tol * scale:
+        u = np.eye(4, dtype=complex)
+        rho = Metric.identity(4)
+        partner = hamiltonian
+    else:
+        u, rho = paper_isomorphism(params, tol)
+        partner = hermitian_counterpart(params, tol).matrix
+    xi = np.asarray(xi, dtype=complex)
+    zeta = np.asarray(zeta, dtype=complex)
+    norm_xi = eta_inner(xi, xi, rho).real
+    norm_zeta = eta_inner(zeta, zeta, rho).real
+    if norm_xi <= 0.0 or norm_zeta <= 0.0:
+        raise ValueError("states must have positive deformed norm")
+    evolved = evolve(hamiltonian, times, zeta)
+    u_inv = np.linalg.inv(u)
+    bra = u_inv @ xi
+    partner_evolved = evolve(partner, times, u_inv @ zeta)
+    amplitudes = np.empty(times.size, dtype=complex)
+    probabilities = np.empty(times.size)
+    route_gaps = np.empty(times.size)
+    rho_norms = np.empty(times.size)
+    for k in range(times.size):
+        amplitude = eta_inner(xi, evolved[k], rho)
+        canonical = complex(np.vdot(bra, partner_evolved[k]))
+        route_gap = abs(amplitude - canonical)
+        if route_gap > ROUTE_TOL * scale * (1.0 + abs(amplitude)):
+            raise RuntimeError(
+                f"evaluation routes disagree by {route_gap:.3e} at t={times[k]:.6g}"
+            )
+        amplitudes[k] = amplitude
+        probabilities[k] = abs(amplitude) ** 2 / (norm_xi * norm_zeta)
+        route_gaps[k] = route_gap
+        rho_norms[k] = np.sqrt(eta_inner(evolved[k], evolved[k], rho).real)
+    return TransitionSeries(
+        amplitudes=amplitudes,
+        probabilities=probabilities,
+        route_gaps=route_gaps,
+        rho_norms=rho_norms,
+    )
 
 
 def transition_probability(
@@ -491,12 +626,10 @@ def transition_probability(
     t: float,
     tol: float = REGIME_TOL,
 ) -> TransitionResult:
-    """Transition amplitude and probability under metric-unitary evolution.
+    """Transition amplitude and probability at one time.
 
-    The amplitude is the deformed product of ``xi`` with the evolved
-    ``zeta``.  It is evaluated twice: directly with the metric, and
-    canonically in the hermitian counterpart frame after mapping both
-    states through the isomorphism; the routes must agree.
+    A one-time :func:`transition_series`: the same two evaluation routes
+    and the same checks.
 
     Args:
         xi: Target state.
@@ -515,37 +648,11 @@ def transition_probability(
             null.
         RuntimeError: If the two evaluation routes disagree.
     """
-    report = _require_regime(params, tol)
-    scale = 1.0 + abs(params.f3) + abs(params.g3) + 2.0 * abs(params.exchange)
-    hamiltonian = build_total(params)
-    if abs(report.f_minus.imag) <= tol * scale:
-        u = np.eye(4, dtype=complex)
-        rho = Metric.identity(4)
-        partner = hamiltonian
-    else:
-        u, rho = paper_isomorphism(params, tol)
-        partner = hermitian_counterpart(params, tol).matrix
-    xi = np.asarray(xi, dtype=complex)
-    zeta = np.asarray(zeta, dtype=complex)
-    norm_xi = eta_inner(xi, xi, rho).real
-    norm_zeta = eta_inner(zeta, zeta, rho).real
-    if norm_xi <= 0.0 or norm_zeta <= 0.0:
-        raise ValueError("states must have positive deformed norm")
-    amplitude = eta_inner(xi, evolve(hamiltonian, t, zeta), rho)
-    u_inv = np.linalg.inv(u)
-    canonical = complex(
-        np.vdot(u_inv @ xi, evolve(partner, t, u_inv @ zeta))
-    )
-    route_gap = abs(amplitude - canonical)
-    if route_gap > ROUTE_TOL * scale * (1.0 + abs(amplitude)):
-        raise RuntimeError(
-            f"evaluation routes disagree by {route_gap:.3e}"
-        )
-    probability = abs(amplitude) ** 2 / (norm_xi * norm_zeta)
+    series = transition_series(xi, zeta, params, np.array([t], dtype=float), tol)
     return TransitionResult(
-        amplitude=complex(amplitude),
-        probability=float(probability),
-        route_gap=float(route_gap),
+        amplitude=complex(series.amplitudes[0]),
+        probability=float(series.probabilities[0]),
+        route_gap=float(series.route_gaps[0]),
     )
 
 
@@ -577,7 +684,7 @@ def canonical_limit_check(
     if steps < 1:
         raise ValueError("at least one step is required")
     report = _require_regime(params, tol)
-    scale = 1.0 + abs(params.f3) + abs(params.g3) + 2.0 * abs(params.exchange)
+    scale = _tolerance_scale(params)
     if abs(report.f_minus.real) > tol * scale:
         raise ValueError(
             "canonical limit requires a purely imaginary field difference"

@@ -456,8 +456,7 @@ def check_twospin(seed: int = 0, perturb: float = 0.0) -> GroupResult:
     psi = rng.normal(size=4) + 1j * rng.normal(size=4)
     base = eta_inner(psi, psi, rho).real
     worst = 0.0
-    for t in np.linspace(0.0, 100.0, 101):
-        evolved = evolve(hamiltonian, float(t), psi)
+    for evolved in evolve(hamiltonian, np.linspace(0.0, 100.0, 101), psi):
         worst = max(worst, abs(eta_inner(evolved, evolved, rho).real - base) / base)
     checks.append(CheckResult("deformed norm conserved over [0, 100]", worst, 1e-9))
 

@@ -7,6 +7,7 @@ spectrum, interaction builder, deformed inner product).
 """
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -300,6 +301,37 @@ def test_evolve_dissipative_reports_canonical_norms(capsys):
     norms = [float(row["rho_norm"]) for row in rows]
     assert all(b > a for a, b in zip(norms, norms[1:]))
     assert norms[-1] > 100.0 * norms[0]
+
+
+# SHA-256 of the evolve CSV, pinned so that performance work cannot change
+# output bytes silently.  Recorded with numpy 2.4.6 and its bundled
+# OpenBLAS on x86_64; a different LAPACK build may move last bits.
+EVOLVE_GOLDEN = {
+    "dissipative": (
+        ["--J", "1", "--B", "1.5", "--alpha1", "0.5", "--alpha2", "-0.5",
+         "--t-start", "0", "--t-end", "20", "--t-steps", "201"],
+        "977c30c65d84a24c4ab85b09f6ac48668b9a0a648dd2f40b73e3ab6107406425",
+    ),
+    "undamped": (
+        ["--J", "0.8", "--B", "1.3", "--alpha1", "0", "--alpha2", "0",
+         "--t-start", "0", "--t-end", "20", "--t-steps", "201"],
+        "0dec4b43fcf4d1002822b47e5be2244f4a16db5f4ebf6513f7ee8b9c2651faf4",
+    ),
+    "beyond_b_max": (
+        ["--J", "1", "--B", "4", "--alpha1", "1", "--alpha2", "-1",
+         "--t-start", "0", "--t-end", "10", "--t-steps", "101",
+         "--allow-dissipative"],
+        "fd6e84e4d0ec8d5aac29b68bc7b9dc3a4b26c11fb4691680e087b30754c30cf8",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EVOLVE_GOLDEN))
+def test_evolve_csv_golden_bytes(capsys, case):
+    args, digest = EVOLVE_GOLDEN[case]
+    code, out, _ = run(capsys, "evolve", *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_evolve_rejects_reversed_time_range(capsys):

@@ -12,7 +12,8 @@ import pytest
 
 from pseudospin.grassmann import AlgebraSpec, GrassmannElement
 from pseudospin.pseudoherm import Metric, diagnose, eta_inner, is_rho_hermitian
-from pseudospin.quantize import quantize, tensor_realization
+from pseudospin import twospin
+from pseudospin.quantize import PAULI, quantize, tensor_realization
 from pseudospin.twospin import (
     CanonicalLimitReport,
     GilbertParams,
@@ -29,6 +30,7 @@ from pseudospin.twospin import (
     hermitian_counterpart,
     paper_isomorphism,
     transition_probability,
+    transition_series,
 )
 
 ATOL = 1e-12
@@ -152,6 +154,42 @@ def test_interaction_builder_symmetrization_and_validation():
         build_interaction(np.eye(2))
     with pytest.raises(ValueError):
         build_interaction(1j * np.eye(3))
+
+
+def test_build_total_bytes_match_kron_construction():
+    # The precomputed Kronecker factors give the same bytes, signed zeros
+    # included, as building every product per call.
+    eye = np.eye(2, dtype=complex)
+
+    def sigma_dot(field):
+        return field[0] * PAULI[0] + field[1] * PAULI[1] + field[2] * PAULI[2]
+
+    def kron_total(params):
+        f_dot = sigma_dot(np.array([0.0, 0.0, params.f3], dtype=complex))
+        g_dot = sigma_dot(np.array([0.0, 0.0, params.g3], dtype=complex))
+        free = 0.25 * (np.kron(eye, f_dot) + np.kron(g_dot, eye))
+        coupling = params.exchange * np.eye(3)
+        exchange = np.zeros((4, 4), dtype=complex)
+        for i in range(3):
+            for j in range(3):
+                if coupling[i, j] != 0.0:
+                    exchange += coupling[i, j] * (
+                        np.kron(PAULI[j], PAULI[i]) + np.kron(PAULI[i], PAULI[j])
+                    )
+        return free + exchange / 8.0
+
+    rng = np.random.default_rng(4)
+    specials = [0.0, -0.0, 1.0, -2.5, 1e-8]
+    for _ in range(200):
+        parts = [
+            float(rng.choice(specials)) if rng.uniform() < 0.5 else float(rng.normal())
+            for _ in range(5)
+        ]
+        params = TwoSpinParams(
+            f3=complex(parts[0], parts[1]), g3=complex(parts[2], parts[3]),
+            exchange=parts[4],
+        )
+        assert build_total(params).tobytes() == kron_total(params).tobytes()
 
 
 def test_build_total_block_structure():
@@ -432,6 +470,71 @@ def test_evolve_defective_fallback_and_dissipation():
     norms = [np.linalg.norm(evolve(beyond, t, psi)) for t in (0.0, 5.0, 10.0)]
     assert norms[1] > norms[0] * 10.0
     assert norms[2] > norms[1] * 10.0
+
+
+def test_evolve_time_array_matches_scalar_calls():
+    rng = np.random.default_rng(14)
+    psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+    times = np.linspace(-3.0, 12.0, 37)
+    b_max = damping_threshold(1.0, 0.5)
+    for params in (toy_params(1.0, 0.5), toy_params(b_max, 0.5)):
+        hamiltonian = build_total(params)
+        evolved = evolve(hamiltonian, times, psi)
+        assert evolved.shape == (times.size, 4)
+        for k, t in enumerate(times):
+            single = evolve(hamiltonian, float(t), psi)
+            assert single.shape == (4,)
+            assert np.array_equal(evolved[k], single)
+    assert evolve(hamiltonian, np.array([]), psi).shape == (0, 4)
+    with pytest.raises(ValueError):
+        evolve(hamiltonian, np.ones((2, 2)), psi)
+
+
+def test_transition_series_matches_pointwise_calls():
+    rng = np.random.default_rng(15)
+    times = np.linspace(0.0, 20.0, 41)
+    undamped = TwoSpinParams(f3=0.9, g3=0.4, exchange=0.7)
+    for params in (toy_params(1.0, 0.5), undamped):
+        xi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        zeta = rng.normal(size=4) + 1j * rng.normal(size=4)
+        series = transition_series(xi, zeta, params, times)
+        rho = (
+            paper_isomorphism(params).rho
+            if params is not undamped
+            else Metric.identity(4)
+        )
+        hamiltonian = build_total(params)
+        assert series.amplitudes.shape == times.shape
+        for k, t in enumerate(times):
+            result = transition_probability(xi, zeta, params, float(t))
+            assert series.amplitudes[k] == result.amplitude
+            assert series.probabilities[k] == result.probability
+            assert series.route_gaps[k] == result.route_gap
+            evolved = evolve(hamiltonian, float(t), zeta)
+            assert series.rho_norms[k] == np.sqrt(eta_inner(evolved, evolved, rho).real)
+
+
+def test_transition_series_checks_route_at_every_time(monkeypatch):
+    params = toy_params(1.0, 0.5)
+    rng = np.random.default_rng(16)
+    xi = rng.normal(size=4) + 1j * rng.normal(size=4)
+    zeta = rng.normal(size=4) + 1j * rng.normal(size=4)
+    times = np.linspace(0.0, 30.0, 61)
+    series = transition_series(xi, zeta, params, times)
+    scale = 1.0 + abs(params.f3) + abs(params.g3) + 2.0 * abs(params.exchange)
+    ratios = series.route_gaps / (scale * (1.0 + np.abs(series.amplitudes)))
+    worst, runner_up = np.sort(ratios)[-1], np.sort(ratios)[-2]
+    assert worst > runner_up
+    # Only the worst time breaks the tightened tolerance.
+    monkeypatch.setattr(twospin, "ROUTE_TOL", 0.5 * (worst + runner_up))
+    with pytest.raises(RuntimeError, match="routes disagree"):
+        transition_series(xi, zeta, params, times)
+    keep = np.arange(times.size) != int(np.argmax(ratios))
+    transition_series(xi, zeta, params, times[keep])
+    with pytest.raises(ValueError):
+        transition_series(np.zeros(4), zeta, params, times)
+    with pytest.raises(ValueError):
+        transition_series(xi, zeta, params, np.ones((2, 2)))
 
 
 def test_transition_probability_toy_model():
