@@ -13,6 +13,7 @@ generator annihilates its term.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence, TypeAlias
 
 import numpy as np
@@ -338,34 +339,30 @@ def multiply(f: GrassmannElement, g: GrassmannElement) -> GrassmannElement:
     return GrassmannElement(f.algebra, table)
 
 
-def right_derivative(f: GrassmannElement, gen: Generator) -> GrassmannElement:
-    """Right-acting derivative with respect to a single generator.
-
-    The generator is moved to the right end of each monomial (one sign flip
-    per same-family generator it passes) and removed.
-    """
-    f.algebra.validate_generator(gen)
-    table: dict[Monomial, complex] = {}
+def _derivatives(
+    f: GrassmannElement, right: bool
+) -> dict[Generator, dict[Monomial, complex]]:
+    """Right (or left) derivative terms of ``f`` by each generator it has."""
+    out: dict[Generator, dict[Monomial, complex]] = {}
     for mono, coeff in f.terms.items():
-        if gen not in mono:
-            continue
-        pos = mono.index(gen)
-        hops = sum(1 for other in mono[pos + 1 :] if other.family == gen.family)
-        table[mono[:pos] + mono[pos + 1 :]] = coeff * (-1) ** hops
-    return GrassmannElement(f.algebra, table)
+        for pos, gen in enumerate(mono):
+            # Move gen to the right (left) end, one flip per same-family hop.
+            passed = mono[pos + 1 :] if right else mono[:pos]
+            hops = sum(1 for other in passed if other.family == gen.family)
+            out.setdefault(gen, {})[mono[:pos] + mono[pos + 1 :]] = coeff * (-1) ** hops
+    return out
+
+
+def right_derivative(f: GrassmannElement, gen: Generator) -> GrassmannElement:
+    """Right-acting derivative with respect to a single generator."""
+    f.algebra.validate_generator(gen)
+    return GrassmannElement(f.algebra, _derivatives(f, right=True).get(gen, {}))
 
 
 def left_derivative(f: GrassmannElement, gen: Generator) -> GrassmannElement:
     """Left-acting derivative: the generator moves to the left end instead."""
     f.algebra.validate_generator(gen)
-    table: dict[Monomial, complex] = {}
-    for mono, coeff in f.terms.items():
-        if gen not in mono:
-            continue
-        pos = mono.index(gen)
-        hops = sum(1 for other in mono[:pos] if other.family == gen.family)
-        table[mono[:pos] + mono[pos + 1 :]] = coeff * (-1) ** hops
-    return GrassmannElement(f.algebra, table)
+    return GrassmannElement(f.algebra, _derivatives(f, right=False).get(gen, {}))
 
 
 def star_involution(f: GrassmannElement) -> GrassmannElement:
@@ -460,81 +457,95 @@ def commutation_factor(pf: Sequence[int], pg: Sequence[int]) -> int:
     return sign
 
 
+#: Generator -> ((generator, scalar bracket), ...), nonzero entries only.
+_BracketTable: TypeAlias = dict[Generator, tuple[tuple[Generator, complex], ...]]
+
+
+def _bracket_table(
+    algebra: AlgebraSpec, constraints: Sequence[GrassmannElement]
+) -> _BracketTable:
+    """Canonical table omega_P, minus A C^-1 B when constraints are given."""
+    if not algebra.momenta_attached:
+        raise ValueError("brackets need an algebra with momenta")
+    gens = list(algebra.coordinates()) + list(algebra.momenta())
+    n = algebra.total_coordinates
+    omega = np.zeros((2 * n, 2 * n), dtype=complex)
+    omega[:n, n:] = omega[n:, :n] = np.eye(n)
+    if constraints:
+        # Row k of u holds the coefficients of phi_k = sum_c u_kc z_c.
+        u = np.zeros((len(constraints), 2 * n), dtype=complex)
+        for k, phi in enumerate(constraints):
+            if phi.algebra != algebra:
+                raise ValueError(f"constraint {k} lives in a different algebra")
+            for mono, coeff in phi.terms.items():
+                if len(mono) != 1:
+                    raise ValueError(f"constraint {k} is not linear in the generators")
+                u[k, gens.index(mono[0])] = coeff
+        a = omega @ u.T
+        b = u @ omega
+        c = u @ a
+        if np.linalg.matrix_rank(c) < len(constraints):
+            raise ValueError("constraint bracket matrix C is singular")
+        omega = omega - a @ np.linalg.solve(c, b)
+    return {
+        gens[i]: tuple((gens[j], complex(omega[i, j])) for j in np.flatnonzero(omega[i]))
+        for i in range(2 * n)
+    }
+
+
+@lru_cache(maxsize=None)
+def _canonical_tables(algebra: AlgebraSpec) -> tuple[_BracketTable, _BracketTable]:
+    """Poisson table and the Dirac table of :func:`canonical_constraints`."""
+    dirac = _bracket_table(algebra, canonical_constraints(algebra))
+    return _bracket_table(algebra, ()), dirac
+
+
+def _table_bracket(
+    f: GrassmannElement, g: GrassmannElement, table: _BracketTable
+) -> GrassmannElement:
+    """sum_(a,b) d_R f/dz_a . table_ab . d_L g/dz_b, visiting only entries
+    whose row generator occurs in ``f`` and column generator in ``g``."""
+    _check_same_algebra(f, g)
+    left = _derivatives(g, right=False)
+    terms = [
+        (mono_f + mono_g, weight * coeff_f * coeff_g)
+        for a, df in _derivatives(f, right=True).items()
+        for b, weight in table[a] if b in left
+        for mono_f, coeff_f in df.items()
+        for mono_g, coeff_g in left[b].items()
+    ]
+    return GrassmannElement.from_terms(f.algebra, terms)
+
+
 def graded_poisson(f: GrassmannElement, g: GrassmannElement) -> GrassmannElement:
     """Graded Poisson bracket for odd coordinates and momenta.
 
-    For family-wise homogeneous arguments the bracket sums over every
-    (coordinate, momentum) pair of every family:
+        {f, g} = sum_(a,b) d_R f/dz_a . omega_ab . d_L g/dz_b
 
-        {f, g} = sum_i [ d_R f/dxi_i . d_L g/dpi_i
-                         - eps(f, g) d_R g/dxi_i . d_L f/dpi_i ]
-
-    where d_R and d_L are the right- and left-acting derivatives and eps is
-    the family-wise commutation factor of :func:`commutation_factor` (one
-    sign per family in which both arguments are odd).  This pairing is the
-    one that gives {xi_i, pi_j} = delta_ij, is graded antisymmetric, and
-    obeys the graded Leibniz rule in both slots; a single total parity or a
-    same-side derivative pairing breaks Leibniz on mixed monomials.
-    Arguments of mixed family parity are split into homogeneous components
-    and the bracket extends bilinearly.
+    over the generators z, with d_R and d_L the right- and left-acting
+    derivatives and omega the canonical table {xi_i, pi_i} = {pi_i, xi_i}
+    = 1, zero elsewhere, built once per algebra.  The bracket is graded
+    antisymmetric with the family-wise :func:`commutation_factor` and obeys
+    the graded Leibniz rule in both slots; it is bilinear, so arguments of
+    mixed parity need no splitting.
     """
-    _check_same_algebra(f, g)
-    algebra = f.algebra
-    if not algebra.momenta_attached:
-        raise ValueError("Poisson bracket needs an algebra with momenta")
-    result = GrassmannElement.zero(algebra)
-    for pf, f_part in family_components(f).items():
-        for pg, g_part in family_components(g).items():
-            sign = commutation_factor(pf, pg)
-            for coord in algebra.coordinates():
-                mom = Generator(coord.family, True, coord.index)
-                term = multiply(
-                    right_derivative(f_part, coord), left_derivative(g_part, mom)
-                )
-                result = result + term
-                term = multiply(
-                    right_derivative(g_part, coord), left_derivative(f_part, mom)
-                )
-                result = result - sign * term
-    return result
+    return _table_bracket(f, g, _canonical_tables(f.algebra)[0])
 
 
 def canonical_constraints(algebra: AlgebraSpec) -> tuple[GrassmannElement, ...]:
     """Second-class constraints pi_i - (i/2) xi_i, family-major order.
 
-    Their mutual Poisson brackets form the constant invertible matrix
-    -i times the identity, which drives :func:`dirac_bracket`.
+    Being linear, they give C = {phi_i, phi_j} = -i times the identity and
+    the constant Dirac table of :func:`dirac_bracket`.
     """
     if not algebra.momenta_attached:
         raise ValueError("constraints need an algebra with momenta")
-    constraints = []
-    for coord in algebra.coordinates():
-        mom = Generator(coord.family, True, coord.index)
-        constraints.append(
-            GrassmannElement.from_terms(
-                algebra, [((mom,), 1.0), ((coord,), -0.5j)]
-            )
+    return tuple(
+        GrassmannElement.from_terms(
+            algebra, [((coord._replace(momentum=True),), 1.0), ((coord,), -0.5j)]
         )
-    return tuple(constraints)
-
-
-def _scalar_part_strict(f: GrassmannElement) -> complex:
-    if any(mono for mono in f.terms):
-        raise ValueError("expected a pure scalar bracket")
-    return f.scalar_part
-
-
-_CANONICAL_CINV: dict[AlgebraSpec, np.ndarray] = {}
-
-
-def _constraint_inverse(
-    algebra: AlgebraSpec, constraints: Sequence[GrassmannElement]
-) -> np.ndarray:
-    matrix = np.empty((len(constraints), len(constraints)), dtype=complex)
-    for i, phi_i in enumerate(constraints):
-        for j, phi_j in enumerate(constraints):
-            matrix[i, j] = _scalar_part_strict(graded_poisson(phi_i, phi_j))
-    return np.linalg.inv(matrix)
+        for coord in algebra.coordinates()
+    )
 
 
 def dirac_bracket(
@@ -542,33 +553,22 @@ def dirac_bracket(
     g: GrassmannElement,
     constraints: Sequence[GrassmannElement] | None = None,
 ) -> GrassmannElement:
-    """Dirac bracket induced by second-class constraints.
+    """Dirac bracket induced by linear second-class constraints phi_k.
 
-        {f, g}_D = {f, g} - {f, phi_i} (C^-1)_ij {phi_j, g}
+    It is :func:`graded_poisson` with the table omega_D = omega_P - A C^-1 B,
+    where A_ak = {z_a, phi_k}, B_kb = {phi_k, z_b} and C_kl = {phi_k, phi_l}
+    are scalar Poisson brackets; this equals {f, g} - {f, phi_k} (C^-1)_kl
+    {phi_l, g}.  For the default :func:`canonical_constraints` the table,
+    built once per algebra, is {xi_i, xi_j}_D = -i delta_ij, {xi_i, pi_j}_D
+    = delta_ij / 2, {pi_i, pi_j}_D = i delta_ij / 4, cross-family entries
+    zero.  Explicit constraints get their table derived on each call.
 
-    where C_ij = {phi_i, phi_j} must be an invertible scalar matrix.  With
-    the default constraints of :func:`canonical_constraints` the generator
-    table is {xi_i, xi_j}_D = -i delta_ij, {xi_i, pi_j}_D = delta_ij / 2,
-    {pi_i, pi_j}_D = i delta_ij / 4, all cross-family brackets zero.
+    Raises:
+        ValueError: If an explicit constraint lives in another algebra or is
+            not linear in the generators, or if C is singular.
     """
-    _check_same_algebra(f, g)
-    algebra = f.algebra
     if constraints is None:
-        constraints = canonical_constraints(algebra)
-        cinv = _CANONICAL_CINV.get(algebra)
-        if cinv is None:
-            cinv = _constraint_inverse(algebra, constraints)
-            _CANONICAL_CINV[algebra] = cinv
+        table = _canonical_tables(f.algebra)[1]
     else:
-        constraints = tuple(constraints)
-        cinv = _constraint_inverse(algebra, constraints)
-    result = graded_poisson(f, g)
-    left = [graded_poisson(f, phi) for phi in constraints]
-    right = [graded_poisson(phi, g) for phi in constraints]
-    for i in range(len(constraints)):
-        for j in range(len(constraints)):
-            weight = cinv[i, j]
-            if weight == 0:
-                continue
-            result = result - weight * multiply(left[i], right[j])
-    return result
+        table = _bracket_table(f.algebra, tuple(constraints))
+    return _table_bracket(f, g, table)

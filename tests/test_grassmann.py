@@ -19,6 +19,7 @@ from pseudospin.grassmann import (
     canonicalize,
     commutation_factor,
     dirac_bracket,
+    family_components,
     graded_poisson,
     is_plus_real,
     left_derivative,
@@ -417,3 +418,152 @@ def test_dirac_with_explicit_constraints_matches_default():
     f = elem(XI[0], XI[1])
     g = elem(PI[1])
     assert dirac_bracket(f, g, phis).terms == dirac_bracket(f, g).terms
+
+
+# ---------------------------------------------------------------------------
+# reference brackets without the generator table: Poisson from derivative
+# pairs per family component, Dirac from 1 + 2k Poisson brackets for k
+# constraints
+
+
+def reference_poisson(f, g):
+    """sum_i [dR f/dxi_i . dL g/dpi_i - eps dR g/dxi_i . dL f/dpi_i] per component."""
+    algebra = f.algebra
+    result = GrassmannElement.zero(algebra)
+    for pf, f_part in family_components(f).items():
+        for pg, g_part in family_components(g).items():
+            sign = commutation_factor(pf, pg)
+            for coord in algebra.coordinates():
+                mom = Generator(coord.family, True, coord.index)
+                term = multiply(
+                    right_derivative(f_part, coord), left_derivative(g_part, mom)
+                )
+                result = result + term
+                term = multiply(
+                    right_derivative(g_part, coord), left_derivative(f_part, mom)
+                )
+                result = result - sign * term
+    return result
+
+
+def reference_dirac(f, g, constraints=None):
+    """{f, g} - {f, phi_i} (C^-1)_ij {phi_j, g} with C_ij = {phi_i, phi_j}."""
+    if constraints is None:
+        constraints = canonical_constraints(f.algebra)
+    matrix = np.empty((len(constraints), len(constraints)), dtype=complex)
+    for i, phi_i in enumerate(constraints):
+        for j, phi_j in enumerate(constraints):
+            bracket = reference_poisson(phi_i, phi_j)
+            assert all(not mono for mono in bracket.terms)
+            matrix[i, j] = bracket.scalar_part
+    cinv = np.linalg.inv(matrix)
+    result = reference_poisson(f, g)
+    left = [reference_poisson(f, phi) for phi in constraints]
+    right = [reference_poisson(phi, g) for phi in constraints]
+    for i in range(len(constraints)):
+        for j in range(len(constraints)):
+            weight = cinv[i, j]
+            if weight == 0:
+                continue
+            result = result - weight * multiply(left[i], right[j])
+    return result
+
+
+ORACLE_ALGEBRAS = [
+    AlgebraSpec(sizes, momenta_attached=True) for sizes in ((3,), (3, 3), (2, 4), (1, 2, 3))
+]
+ORACLE_IDS = [str(alg.family_sizes) for alg in ORACLE_ALGEBRAS]
+
+
+def generators_of(algebra):
+    return list(algebra.coordinates()) + list(algebra.momenta())
+
+
+def mixed_elements(algebra):
+    """Up to four terms of degree at most four, any family parities."""
+    word = st.lists(st.sampled_from(generators_of(algebra)), max_size=4, unique=True)
+    return st.lists(st.tuples(word, gaussian_ints), min_size=1, max_size=4).map(
+        lambda terms: GrassmannElement.from_terms(algebra, terms)
+    )
+
+
+def random_mixed_element(rng, algebra):
+    gens = generators_of(algebra)
+    terms = []
+    for _ in range(int(rng.integers(1, 5))):
+        picks = rng.choice(len(gens), size=int(rng.integers(0, 5)), replace=False)
+        terms.append(([gens[int(k)] for k in picks], complex(*rng.normal(size=2))))
+    return GrassmannElement.from_terms(algebra, terms)
+
+
+@pytest.mark.parametrize("algebra", ORACLE_ALGEBRAS, ids=ORACLE_IDS)
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_table_brackets_match_reference_exactly(algebra, data):
+    # Gaussian-integer coefficients keep every float operation exact, so the
+    # different summation order of the table kernel cannot show.
+    f = data.draw(mixed_elements(algebra))
+    g = data.draw(mixed_elements(algebra))
+    assert graded_poisson(f, g).terms == reference_poisson(f, g).terms
+    assert dirac_bracket(f, g).terms == reference_dirac(f, g).terms
+
+
+@pytest.mark.parametrize("algebra", ORACLE_ALGEBRAS, ids=ORACLE_IDS)
+def test_table_brackets_match_reference_with_float_coefficients(algebra):
+    # With general coefficients only the summation order differs: allow a
+    # few ulps of the largest product that can enter a coefficient.
+    rng = np.random.default_rng(2024)
+    eps = np.finfo(float).eps
+    for _ in range(40):
+        f = random_mixed_element(rng, algebra)
+        g = random_mixed_element(rng, algebra)
+        scale = sum(map(abs, f.terms.values())) * sum(map(abs, g.terms.values()))
+        tol = 64 * eps * max(scale, 1.0)
+        assert graded_poisson(f, g).allclose(reference_poisson(f, g), tol)
+        assert dirac_bracket(f, g).allclose(reference_dirac(f, g), tol)
+
+
+def test_explicit_constraints_reject_nonlinear_terms():
+    phis = list(canonical_constraints(ALG))
+    for extra in (elem(XI[0], XI[1]), GrassmannElement.unit(ALG)):
+        bent = phis[:2] + [phis[2] + extra] + phis[3:]
+        with pytest.raises(ValueError, match="constraint 2 is not linear"):
+            dirac_bracket(elem(XI[0]), elem(PI[0]), bent)
+
+
+def test_explicit_constraints_reject_another_algebra():
+    other = AlgebraSpec((3,), momenta_attached=True)
+    with pytest.raises(ValueError, match="different algebra"):
+        dirac_bracket(elem(XI[0]), elem(PI[0]), canonical_constraints(other))
+
+
+def test_explicit_constraints_reject_singular_bracket_matrix():
+    phis = canonical_constraints(ALG)
+    # A repeated constraint makes C rank deficient; a lone coordinate is
+    # first class ({xi1, xi1} = 0), so its C is the zero matrix.
+    for constraints in ((phis[0], phis[0]), (elem(XI[0]),)):
+        with pytest.raises(ValueError, match="singular"):
+            dirac_bracket(elem(XI[0]), elem(PI[0]), constraints)
+
+
+@settings(deadline=None, max_examples=30)
+@given(elements, elements)
+def test_dirac_unchanged_by_rescaled_constraints(f, g):
+    doubled = [2 * phi for phi in canonical_constraints(ALG)]
+    assert dirac_bracket(f, g, doubled).terms == dirac_bracket(f, g).terms
+
+
+@settings(deadline=None, max_examples=30)
+@given(elements, elements)
+def test_dirac_unchanged_by_recombined_constraints(f, g):
+    # phi'_i = M_ij phi_j spans the same constraint surface, so A C^-1 B and
+    # the bracket are unchanged up to rounding.
+    rng = np.random.default_rng(11)
+    mix = np.eye(6) + 0.3 * rng.normal(size=(6, 6))
+    assert np.linalg.cond(mix) < 10
+    phis = canonical_constraints(ALG)
+    recombined = [
+        sum((mix[i, j] * phi for j, phi in enumerate(phis)), GrassmannElement.zero(ALG))
+        for i in range(6)
+    ]
+    assert dirac_bracket(f, g, recombined).allclose(dirac_bracket(f, g), 1e-12)
