@@ -28,9 +28,9 @@ import argparse
 import json
 import sys
 from collections.abc import Callable, Mapping
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, TextIO
+from typing import Any
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -53,8 +53,6 @@ from .twospin import (
     transition_series,
 )
 from .verify import GROUPS, run_groups
-
-SWEEP_WORKER_CAP = 4
 
 SWEEP_COLUMNS = [
     "B", "alpha1", "alpha2", "J",
@@ -251,6 +249,19 @@ def _load_json(path: str) -> Any:
         raise CliError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _typed(key: str, value: Any, default: Any) -> Any:
+    """Check and convert a config-file number to the type of its ``default``."""
+    if isinstance(default, bool) or not isinstance(default, (int, float)):
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise CliError(f"{key} must be a number, not {value!r}")
+    if isinstance(default, float):
+        return float(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise CliError(f"{key} must be an integer, not {value!r}")
+    return int(value)
+
+
 def make_config(subcommand: str, provided: Mapping[str, Any]) -> RunConfig:
     """Merge defaults, config-file values, and flag values into a RunConfig.
 
@@ -260,7 +271,7 @@ def make_config(subcommand: str, provided: Mapping[str, Any]) -> RunConfig:
             an optional "config" entry naming a JSON file to merge beneath.
 
     Raises:
-        CliError: On unknown config keys or invariant violations.
+        CliError: On unknown or mistyped config keys, or invariant violations.
     """
     provided = dict(provided)
     defaults = _DEFAULTS[subcommand]
@@ -273,6 +284,7 @@ def make_config(subcommand: str, provided: Mapping[str, Any]) -> RunConfig:
         unknown = sorted(set(file_values) - set(defaults))
         if unknown:
             raise CliError(f"unknown config keys: {unknown}")
+        file_values = {k: _typed(k, v, defaults[k]) for k, v in file_values.items()}
     merged = {**defaults, **file_values, **provided}
     return RunConfig(subcommand=subcommand, values=merged)
 
@@ -291,35 +303,30 @@ def _params_from(config: RunConfig, b=None, alphas=None, j=None) -> TwoSpinParam
         raise CliError(str(exc)) from exc
 
 
-def _emit(config: RunConfig, header: list[str], rows: list[list]) -> None:
-    out = config["out"]
-    if config["format"] == "json":
-        payload = [
+def _emit(config: RunConfig, payload: Any, header: list[str] | None = None) -> None:
+    """Write rows under ``header`` per ``--format``, else ``payload`` as JSON."""
+    if header is not None and config["format"] == "json":
+        header, payload = None, [
             {key: ("nan" if isinstance(v, float) and np.isnan(v) else v)
              for key, v in zip(header, row)}
-            for row in rows
+            for row in payload
         ]
-        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-        if out is None:
-            sys.stdout.write(text)
+    out = config["out"]
+    with (
+        nullcontext(sys.stdout) if out is None
+        else open(out, "w", encoding="utf-8", newline="")
+    ) as handle:
+        if header is None:
+            handle.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
         else:
-            with open(out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        return
-    if out is None:
-        write_csv(sys.stdout, header, rows)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            write_csv(handle, header, rows)
+            write_csv(handle, header, payload)
 
 
 def _scaled(values: list[float], factor: float) -> list[float]:
     return [factor * value for value in values]
 
 
-def _regime_row(config: RunConfig, b, alphas, j) -> list:
-    params = _params_from(config, b=b, alphas=alphas, j=j)
-    report = closed_spectrum(params)
+def _regime_row(config: RunConfig, b, alphas, j, report) -> list:
     energies = []
     for value in report.eigenvalues:
         energies.extend((value.real, value.imag))
@@ -344,7 +351,7 @@ def cmd_spectrum(config: RunConfig) -> int:
     discrepancy = float(np.max(np.abs(closed - matched)))
 
     row = _regime_row(
-        config, config["b"], (config["alpha1"], config["alpha2"]), config["j"]
+        config, config["b"], (config["alpha1"], config["alpha2"]), config["j"], report
     )
     tail = []
     for value in matched:
@@ -352,7 +359,7 @@ def cmd_spectrum(config: RunConfig) -> int:
     tail.append(discrepancy)
     if config["paper_units"]:
         tail = _scaled(tail, 4.0)
-    _emit(config, SPECTRUM_COLUMNS, [row + tail])
+    _emit(config, [row + tail], SPECTRUM_COLUMNS)
     return 0 if discrepancy <= config["tol"] else 2
 
 
@@ -371,12 +378,14 @@ def cmd_regime_sweep(config: RunConfig) -> int:
         j_grid = [float(x) for x in np.linspace(v["j_start"], v["j_end"], v["j_steps"])]
     else:
         j_grid = [v["j"]]
-    points = [
-        (b, alphas, j) for b in b_grid for alphas in alpha_grid for j in j_grid
+    rows = [
+        _regime_row(
+            config, b, alphas, j,
+            closed_spectrum(_params_from(config, b=b, alphas=alphas, j=j)),
+        )
+        for b in b_grid for alphas in alpha_grid for j in j_grid
     ]
-    with ThreadPoolExecutor(max_workers=SWEEP_WORKER_CAP) as pool:
-        rows = list(pool.map(lambda p: _regime_row(config, *p), points))
-    _emit(config, SWEEP_COLUMNS, rows)
+    _emit(config, rows, SWEEP_COLUMNS)
     return 0
 
 
@@ -386,15 +395,10 @@ def cmd_evolve(config: RunConfig) -> int:
     params = _params_from(config)
     report = closed_spectrum(params)
     try:
-        xi = (
-            vector_from_json(_load_json(v["xi"]))
-            if v["xi"] is not None
-            else np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
-        )
-        zeta = (
-            vector_from_json(_load_json(v["zeta"]))
-            if v["zeta"] is not None
-            else np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
+        xi, zeta = (
+            np.array([0.0, 1.0, 0.0, 0.0], dtype=complex) if v[key] is None
+            else vector_from_json(_load_json(v[key]))
+            for key in ("xi", "zeta")
         )
     except ValueError as exc:
         raise CliError(f"bad state vector file: {exc}") from exc
@@ -428,7 +432,7 @@ def cmd_evolve(config: RunConfig) -> int:
                 t, amplitude.real, amplitude.imag,
                 float("nan"), float(np.linalg.norm(evolved)),
             ])
-    _emit(config, EVOLVE_COLUMNS, rows)
+    _emit(config, rows, EVOLVE_COLUMNS)
     return 0
 
 
@@ -458,7 +462,7 @@ def cmd_quantize(config: RunConfig) -> int:
                     f"element families {list(families)}"
                 )
         if "hbar" in decl:
-            hbar = float(decl["hbar"])
+            hbar = _typed("realization hbar", decl["hbar"], 1.0)
             if not hbar > 0.0:
                 raise CliError("hbar must be positive")
     realization = tensor_realization(AlgebraSpec(families), hbar=hbar)
@@ -483,12 +487,7 @@ def cmd_quantize(config: RunConfig) -> int:
         "hbar": hbar,
         "matrix": matrix_to_json(matrix),
     }
-    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    if v["out"] is None:
-        sys.stdout.write(text)
-    else:
-        with open(v["out"], "w", encoding="utf-8") as handle:
-            handle.write(text)
+    _emit(config, payload)
     return status
 
 
@@ -531,8 +530,7 @@ def cmd_verify(config: RunConfig) -> int:
         ],
     }
     if v["out"] is not None:
-        with open(v["out"], "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(summary, indent=2, allow_nan=False) + "\n")
+        _emit(config, summary)
     return 0 if summary["passed"] else 2
 
 

@@ -219,6 +219,43 @@ def test_sweep_rejects_unknown_config_key(tmp_path, capsys):
     assert "unknown config keys" in err
 
 
+def test_sweep_config_values_are_typed_like_their_flags(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"j": 1, "b_steps": 2}))
+    code, from_file, _ = run(capsys, "regime-sweep", "--config", str(config))
+    assert code == 0
+    code, from_flags, _ = run(capsys, "regime-sweep", "--J", "1", "--b-steps", "2")
+    assert code == 0
+    assert from_file == from_flags
+    assert [r["J"] for r in parse_csv(from_file)] == ["1.0", "1.0"]
+
+
+@pytest.mark.parametrize("values, key", [
+    ({"b_steps": 2.5}, "b_steps"),
+    ({"tol": "x"}, "tol"),
+    ({"seed": 1.5}, "seed"),
+    ({"b_end": True}, "b_end"),
+    ({"j_steps": None}, "j_steps"),
+])
+def test_sweep_config_rejects_mistyped_values(tmp_path, capsys, values, key):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(values))
+    code, out, err = run(capsys, "regime-sweep", "--config", str(config))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("pseudospin: error:")
+    assert key in err
+
+
+def test_sweep_nonpositive_field_is_a_typed_error(capsys):
+    code, out, err = run(
+        capsys, "regime-sweep", "--b-start", "-1", "--b-end", "1", "--b-steps", "3",
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "pseudospin: error: field amplitude must be positive\n"
+
+
 # ---------------------------------------------------------------------------
 # evolve
 
@@ -334,6 +371,82 @@ def test_evolve_csv_golden_bytes(capsys, case):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# SHA-256 of sweep and spectrum output, pinned like EVOLVE_GOLDEN.  The B
+# range of the first case straddles B_max = 2.5.
+SWEEP_STRADDLE = [
+    "regime-sweep", "--J", "1", "--alpha1", "0.5", "--alpha2", "-0.5",
+    "--b-start", "2", "--b-end", "3", "--b-steps", "21",
+]
+SWEEP_STRADDLE_DIGEST = (
+    "414cf85d12f8ee0130a9e16dde4302029a6b6a12e2b61878c5c5aa972713b97d"
+)
+STDOUT_GOLDEN = {
+    "sweep_b_straddles_b_max": (SWEEP_STRADDLE, SWEEP_STRADDLE_DIGEST),
+    "sweep_b_alpha_j_grid_json": (
+        ["regime-sweep", "--b-start", "0.5", "--b-end", "3", "--b-steps", "4",
+         "--alpha-start", "0.1", "--alpha-end", "0.9", "--alpha-steps", "3",
+         "--j-start", "0.5", "--j-end", "1.5", "--j-steps", "3",
+         "--format", "json"],
+        "55a6e2bb862aa6b835c8520f4badd7b904d662840d204cacf70f9da50930c59b",
+    ),
+    "sweep_paper_units": (
+        ["regime-sweep", *TOY, "--paper-units",
+         "--b-start", "0.5", "--b-end", "3", "--b-steps", "11"],
+        "eb67d76b7a9e82c74284677eb1a0993644386a3ba4859f718f1e6ebb2a41824b",
+    ),
+    "spectrum_csv": (
+        ["spectrum", *TOY],
+        "ff5a7376146eaf0eae469ba4cf4a4ac3298c2f24fb367737a2567c0c004f013f",
+    ),
+    "spectrum_json": (
+        ["spectrum", "--J", "0.8", "--B", "1.3", "--alpha1", "0.4",
+         "--alpha2", "-0.4", "--format", "json"],
+        "de9c03ac4470f0c9617f191f72af4a8cf48ae73d79618804aaec0c163d221920",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STDOUT_GOLDEN))
+def test_sweep_and_spectrum_golden_bytes(capsys, case):
+    args, digest = STDOUT_GOLDEN[case]
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+HEISENBERG_ELEMENT = {
+    "algebra": {"families": [3, 3]},
+    "terms": [
+        {"mono": [f"xi{i}", f"chi{i}"], "re": 0.8, "im": 0.0} for i in (1, 2, 3)
+    ],
+}
+OUT_FILE_GOLDEN = {
+    "quantize_file": (
+        ["quantize-file", "--element", "{element}",
+         "--realization", "{realization}", "--check"],
+        "2ac216f82f43bc4b497b43e288cfec80a78f7f1d72b722c1fe7f47ebfe0a622d",
+    ),
+    "regime_sweep": (SWEEP_STRADDLE, SWEEP_STRADDLE_DIGEST),
+    "verify_clifford": (
+        ["verify", "--group", "clifford"],
+        "b62ba6cd93d3bbd879021a7bb4394cad33f74cdc3a7f506387f139307a2766b5",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_FILE_GOLDEN))
+def test_out_file_golden_bytes(tmp_path, capsys, case):
+    args, digest = OUT_FILE_GOLDEN[case]
+    element = write_element(tmp_path / "heis.json", HEISENBERG_ELEMENT)
+    realization = tmp_path / "realization.json"
+    realization.write_text(json.dumps({"families": [3, 3], "hbar": 0.5}))
+    out = tmp_path / "out"
+    args = [arg.format(element=element, realization=realization) for arg in args]
+    assert main([*args, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_evolve_rejects_reversed_time_range(capsys):
     code, _, err = run(
         capsys, "evolve", *TOY, "--t-start", "5", "--t-end", "1",
@@ -415,6 +528,20 @@ def test_quantize_realization_mismatch(tmp_path, capsys):
     )
     assert code == 1
     assert "do not match" in err
+
+
+@pytest.mark.parametrize("hbar", ["x", None, True, [1]])
+def test_quantize_rejects_non_numeric_realization_hbar(tmp_path, capsys, hbar):
+    element = write_element(tmp_path / "e.json", HEISENBERG_ELEMENT)
+    realization = tmp_path / "r.json"
+    realization.write_text(json.dumps({"hbar": hbar}))
+    code, out, err = run(
+        capsys, "quantize-file", "--element", element, "--realization", str(realization)
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("pseudospin: error:")
+    assert "hbar" in err
 
 
 def test_quantize_check_notes_non_real_input(tmp_path, capsys):
