@@ -29,7 +29,6 @@ import json
 import sys
 from collections.abc import Callable, Mapping
 from contextlib import nullcontext
-from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -67,74 +66,71 @@ SPECTRUM_COLUMNS = SWEEP_COLUMNS + [
 ]
 EVOLVE_COLUMNS = ["t", "re_amp", "im_amp", "probability", "rho_norm"]
 
-_COMMON_DEFAULTS: dict[str, Any] = {
-    "j": 1.0,
-    "b": 1.0,
-    "alpha1": 0.0,
-    "alpha2": 0.0,
-    "hbar": 1.0,
-    "tol": 1e-9,
-    "seed": 0,
-    "paper_units": False,
-    "out": None,
-    "format": "csv",
+# Every option of every subcommand, once: ``key -> (default, help)``.  The
+# flag, its type and the check on a config-file value all follow from the
+# default: float, int, bool (a switch), a string, or None for a path.
+# ``config`` is the one option a config file may not set.
+_Options = dict[str, tuple[Any, str | None]]
+_COMMON: _Options = {
+    "j": (1.0, "exchange coupling"),
+    "b": (1.0, "applied field amplitude"),
+    "alpha1": (0.0, "damping of the first spin"),
+    "alpha2": (0.0, "damping of the second spin"),
+    "hbar": (1.0, "quantization scale"),
+    "tol": (1e-9, "agreement tolerance"),
+    "seed": (0, "seed for randomized checks"),
+    "paper_units": (False, "report eigenvalue columns times 4"),
+    "out": (None, "output path (default stdout)"),
+    "format": ("csv", "output format"),
+    "config": (None, "JSON config file; flags override it"),
 }
 
-_DEFAULTS: dict[str, dict[str, Any]] = {
-    "spectrum": {**_COMMON_DEFAULTS},
-    "regime-sweep": {
-        **_COMMON_DEFAULTS,
-        "b_start": 0.5, "b_end": 3.0, "b_steps": 11,
-        "alpha_start": 0.0, "alpha_end": 0.0, "alpha_steps": 0,
-        "j_start": 0.0, "j_end": 0.0, "j_steps": 0,
-    },
-    "evolve": {
-        **_COMMON_DEFAULTS,
-        "t_start": 0.0, "t_end": 10.0, "t_steps": 101,
-        "xi": None, "zeta": None, "allow_dissipative": False,
-    },
-    "quantize-file": {
-        **_COMMON_DEFAULTS,
-        "element": None, "realization": None, "check": False,
-    },
-    "verify": {**_COMMON_DEFAULTS, "group": None, "perturb": 0.0},
+_SUBCOMMANDS: dict[str, tuple[str, _Options]] = {
+    "spectrum": ("closed-form vs numerical eigenvalues for one parameter set", {}),
+    "regime-sweep": ("pseudo-hermiticity map over a parameter grid", {
+        "b_start": (0.5, None),
+        "b_end": (3.0, None),
+        "b_steps": (11, None),
+        "alpha_start": (0.0, None),
+        "alpha_end": (0.0, None),
+        "alpha_steps": (
+            0, "grid over (alpha, -alpha) pairs; 0 keeps --alpha1/--alpha2 fixed"
+        ),
+        "j_start": (0.0, None),
+        "j_end": (0.0, None),
+        "j_steps": (0, "grid over J; 0 keeps --J fixed"),
+    }),
+    "evolve": ("transition amplitude and deformed norm over a time grid", {
+        "t_start": (0.0, None),
+        "t_end": (10.0, None),
+        "t_steps": (101, None),
+        "xi": (None, "bra state vector JSON path"),
+        "zeta": (None, "ket state vector JSON path"),
+        "allow_dissipative": (
+            False, "run outside the pseudo-hermitian regime (canonical norms)"
+        ),
+    }),
+    "quantize-file": ("quantize a Grassmann element read from JSON", {
+        "element": (None, "Grassmann element JSON path"),
+        "realization": (
+            None, 'realization JSON path ({"families": [...], "hbar": ...})'
+        ),
+        "check": (False, "verify hermiticity of the output for star-real input"),
+    }),
+    "verify": ("run the seeded invariant suites", {
+        "group": (None, "restrict to this group (repeatable)"),
+        "perturb": (0.0, "fault-injection bias; nonzero must produce a failure"),
+    }),
+}
+
+_CHOICES: dict[str, tuple[str, ...]] = {
+    "format": ("csv", "json"),
+    "group": tuple(sorted(GROUPS)),
 }
 
 
 class CliError(Exception):
     """Input or validation failure mapped to exit code 1."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated, fully merged configuration for one subcommand run.
-
-    Attributes:
-        subcommand: Subcommand name.
-        values: Merged defaults, config-file entries, and flags.
-    """
-
-    subcommand: str
-    values: Mapping[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        v = self.values
-        if not v.get("tol", 1.0) > 0.0:
-            raise CliError("tolerance must be positive")
-        if not v.get("hbar", 1.0) > 0.0:
-            raise CliError("hbar must be positive")
-        for key in ("b_steps", "t_steps"):
-            if key in v and int(v[key]) < 1:
-                raise CliError(f"{key} must be at least 1")
-        for key in ("alpha_steps", "j_steps"):
-            if key in v and int(v[key]) < 0:
-                raise CliError(f"{key} must be nonnegative")
-        for start, end in (("t_start", "t_end"),):
-            if start in v and not v[end] >= v[start]:
-                raise CliError(f"{end} must not precede {start}")
-
-    def __getitem__(self, key: str) -> Any:
-        return self.values[key]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -145,97 +141,33 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _add_options(parser: argparse.ArgumentParser, options: _Options) -> None:
+    for key, (default, help_text) in options.items():
+        flag = "--" + (key.upper() if key in ("j", "b") else key.replace("_", "-"))
+        if isinstance(default, bool):
+            kind = {"action": "store_true"}
+        else:
+            kind = {
+                "action": "append" if key == "group" else "store",
+                "type": str if default is None else type(default),
+                "choices": _CHOICES.get(key),
+            }
+        parser.add_argument(flag, dest=key, help=help_text, **kind)
+
+
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    common.add_argument("--J", dest="j", type=float, help="exchange coupling")
-    common.add_argument("--B", dest="b", type=float, help="applied field amplitude")
-    common.add_argument("--alpha1", type=float, help="damping of the first spin")
-    common.add_argument("--alpha2", type=float, help="damping of the second spin")
-    common.add_argument("--hbar", type=float, help="quantization scale")
-    common.add_argument("--tol", type=float, help="agreement tolerance")
-    common.add_argument("--seed", type=int, help="seed for randomized checks")
-    common.add_argument(
-        "--paper-units", action="store_true",
-        help="report eigenvalue columns times 4",
-    )
-    common.add_argument("--out", help="output path (default stdout)")
-    common.add_argument("--format", choices=("csv", "json"), help="output format")
-    common.add_argument("--config", help="JSON config file; flags override it")
-
+    _add_options(common, _COMMON)
     parser = _Parser(prog="pseudospin", description=__doc__.split("\n\n")[0])
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    subs.add_parser(
-        "spectrum", parents=[common],
-        help="closed-form vs numerical eigenvalues for one parameter set",
-        argument_default=argparse.SUPPRESS,
-    )
-
-    sweep = subs.add_parser(
-        "regime-sweep", parents=[common],
-        help="pseudo-hermiticity map over a parameter grid",
-        argument_default=argparse.SUPPRESS,
-    )
-    sweep.add_argument("--b-start", dest="b_start", type=float)
-    sweep.add_argument("--b-end", dest="b_end", type=float)
-    sweep.add_argument("--b-steps", dest="b_steps", type=int)
-    sweep.add_argument("--alpha-start", dest="alpha_start", type=float)
-    sweep.add_argument("--alpha-end", dest="alpha_end", type=float)
-    sweep.add_argument(
-        "--alpha-steps", dest="alpha_steps", type=int,
-        help="grid over (alpha, -alpha) pairs; 0 keeps --alpha1/--alpha2 fixed",
-    )
-    sweep.add_argument("--j-start", dest="j_start", type=float)
-    sweep.add_argument("--j-end", dest="j_end", type=float)
-    sweep.add_argument(
-        "--j-steps", dest="j_steps", type=int,
-        help="grid over J; 0 keeps --J fixed",
-    )
-
-    evolve_parser = subs.add_parser(
-        "evolve", parents=[common],
-        help="transition amplitude and deformed norm over a time grid",
-        argument_default=argparse.SUPPRESS,
-    )
-    evolve_parser.add_argument("--t-start", dest="t_start", type=float)
-    evolve_parser.add_argument("--t-end", dest="t_end", type=float)
-    evolve_parser.add_argument("--t-steps", dest="t_steps", type=int)
-    evolve_parser.add_argument("--xi", help="bra state vector JSON path")
-    evolve_parser.add_argument("--zeta", help="ket state vector JSON path")
-    evolve_parser.add_argument(
-        "--allow-dissipative", dest="allow_dissipative", action="store_true",
-        help="run outside the pseudo-hermitian regime (canonical norms)",
-    )
-
-    quant = subs.add_parser(
-        "quantize-file", parents=[common],
-        help="quantize a Grassmann element read from JSON",
-        argument_default=argparse.SUPPRESS,
-    )
-    quant.add_argument("--element", help="Grassmann element JSON path")
-    quant.add_argument(
-        "--realization",
-        help='realization JSON path ({"families": [...], "hbar": ...})',
-    )
-    quant.add_argument(
-        "--check", action="store_true",
-        help="verify hermiticity of the output for star-real input",
-    )
-
-    verify_parser = subs.add_parser(
-        "verify", parents=[common],
-        help="run the seeded invariant suites",
-        argument_default=argparse.SUPPRESS,
-    )
-    verify_parser.add_argument(
-        "--group", action="append", choices=sorted(GROUPS),
-        help="restrict to this group (repeatable)",
-    )
-    verify_parser.add_argument(
-        "--perturb", type=float,
-        help="fault-injection bias; nonzero must produce a failure",
-    )
-
+    for name, (help_text, options) in _SUBCOMMANDS.items():
+        _add_options(
+            subs.add_parser(
+                name, parents=[common], help=help_text,
+                argument_default=argparse.SUPPRESS,
+            ),
+            options,
+        )
     return parser
 
 
@@ -250,46 +182,89 @@ def _load_json(path: str) -> Any:
 
 
 def _typed(key: str, value: Any, default: Any) -> Any:
-    """Check and convert a config-file number to the type of its ``default``."""
-    if isinstance(default, bool) or not isinstance(default, (int, float)):
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise CliError(f"{key} must be a number, not {value!r}")
-    if isinstance(default, float):
-        return float(value)
-    if isinstance(value, float) and not value.is_integer():
-        raise CliError(f"{key} must be an integer, not {value!r}")
-    return int(value)
+    """Check ``value`` against the kind of its option's ``default``.
+
+    Numbers take the default's type; a float must be finite.  Paths (a None
+    default) are strings or null, and ``format`` and ``group`` must come
+    from their choices.
+    """
+    choices = _CHOICES.get(key)
+    if key == "group":
+        if value is None or (
+            isinstance(value, list) and all(name in choices for name in value)
+        ):
+            return value
+        expected = f"null or a list of names from {list(choices)}"
+    elif isinstance(default, bool):
+        if isinstance(value, bool):
+            return value
+        expected = "true or false"
+    elif choices is not None:
+        if value in choices:
+            return value
+        expected = f"one of {list(choices)}"
+    elif default is None:
+        if value is None or isinstance(value, str):
+            return value
+        expected = "a path string"
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        expected = "a number"
+    elif isinstance(default, float):
+        if abs(value) <= sys.float_info.max:  # finite, and no overflow for big ints
+            return float(value)
+        expected = "finite"
+    elif isinstance(value, float) and not value.is_integer():
+        expected = "an integer"
+    else:
+        return int(value)
+    raise CliError(f"{key} must be {expected}, not {value!r}")
 
 
-def make_config(subcommand: str, provided: Mapping[str, Any]) -> RunConfig:
-    """Merge defaults, config-file values, and flag values into a RunConfig.
+def make_config(subcommand: str, provided: Mapping[str, Any]) -> dict[str, Any]:
+    """Merge defaults, config-file values, and flag values, then check them.
 
     Args:
-        subcommand: Subcommand name, a key of the defaults table.
+        subcommand: Subcommand name, a key of ``_SUBCOMMANDS``.
         provided: Values given on the command line (flag dest names), with
             an optional "config" entry naming a JSON file to merge beneath.
 
+    Returns:
+        Every option of the subcommand, keyed by its dest name.
+
     Raises:
-        CliError: On unknown or mistyped config keys, or invariant violations.
+        CliError: On unknown or mistyped values, or invariant violations.
     """
-    provided = dict(provided)
-    defaults = _DEFAULTS[subcommand]
+    options = {**_COMMON, **_SUBCOMMANDS[subcommand][1]}
     file_values: dict[str, Any] = {}
-    config_path = provided.pop("config", None)
-    if config_path is not None:
-        file_values = _load_json(config_path)
+    if provided.get("config") is not None:
+        file_values = _load_json(provided["config"])
         if not isinstance(file_values, dict):
             raise CliError("config file must hold a JSON object")
-        unknown = sorted(set(file_values) - set(defaults))
+        unknown = sorted(k for k in file_values if k not in options or k == "config")
         if unknown:
             raise CliError(f"unknown config keys: {unknown}")
-        file_values = {k: _typed(k, v, defaults[k]) for k, v in file_values.items()}
-    merged = {**defaults, **file_values, **provided}
-    return RunConfig(subcommand=subcommand, values=merged)
+    v = {key: default for key, (default, _) in options.items()}
+    for source in (file_values, provided):
+        for key, value in source.items():
+            v[key] = _typed(key, value, options[key][0])
+    if not v["tol"] > 0.0:
+        raise CliError("tolerance must be positive")
+    if not v["hbar"] > 0.0:
+        raise CliError("hbar must be positive")
+    for key in ("b_steps", "t_steps"):
+        if key in v and v[key] < 1:
+            raise CliError(f"{key} must be at least 1")
+    for key in ("alpha_steps", "j_steps"):
+        if key in v and v[key] < 0:
+            raise CliError(f"{key} must be nonnegative")
+    if "t_start" in v and not v["t_end"] >= v["t_start"]:
+        raise CliError("t_end must not precede t_start")
+    return v
 
 
-def _params_from(config: RunConfig, b=None, alphas=None, j=None) -> TwoSpinParams:
+def _params_from(
+    config: Mapping[str, Any], b=None, alphas=None, j=None
+) -> TwoSpinParams:
     amplitude = config["b"] if b is None else b
     alpha1, alpha2 = (
         (config["alpha1"], config["alpha2"]) if alphas is None else alphas
@@ -303,7 +278,9 @@ def _params_from(config: RunConfig, b=None, alphas=None, j=None) -> TwoSpinParam
         raise CliError(str(exc)) from exc
 
 
-def _emit(config: RunConfig, payload: Any, header: list[str] | None = None) -> None:
+def _emit(
+    config: Mapping[str, Any], payload: Any, header: list[str] | None = None
+) -> None:
     """Write rows under ``header`` per ``--format``, else ``payload`` as JSON."""
     if header is not None and config["format"] == "json":
         header, payload = None, [
@@ -326,7 +303,7 @@ def _scaled(values: list[float], factor: float) -> list[float]:
     return [factor * value for value in values]
 
 
-def _regime_row(config: RunConfig, b, alphas, j, report) -> list:
+def _regime_row(config: Mapping[str, Any], b, alphas, j, report) -> list:
     energies = []
     for value in report.eigenvalues:
         energies.extend((value.real, value.imag))
@@ -339,7 +316,7 @@ def _regime_row(config: RunConfig, b, alphas, j, report) -> list:
     )
 
 
-def cmd_spectrum(config: RunConfig) -> int:
+def cmd_spectrum(config: Mapping[str, Any]) -> int:
     """Closed-form spectrum next to the eigensolver, with max discrepancy."""
     params = _params_from(config)
     report = closed_spectrum(params)
@@ -363,48 +340,48 @@ def cmd_spectrum(config: RunConfig) -> int:
     return 0 if discrepancy <= config["tol"] else 2
 
 
-def cmd_regime_sweep(config: RunConfig) -> int:
+def _grid(config: Mapping[str, Any], name: str) -> list[float]:
+    """The ``{name}_start .. {name}_end`` grid of ``{name}_steps`` floats."""
+    return [
+        float(x) for x in np.linspace(
+            config[f"{name}_start"], config[f"{name}_end"], config[f"{name}_steps"]
+        )
+    ]
+
+
+def cmd_regime_sweep(config: Mapping[str, Any]) -> int:
     """Regime map over the requested grid, rows in grid order."""
-    v = config.values
-    b_grid = [float(x) for x in np.linspace(v["b_start"], v["b_end"], v["b_steps"])]
-    if v["alpha_steps"] >= 1:
-        alpha_grid = [
-            (float(a), float(-a))
-            for a in np.linspace(v["alpha_start"], v["alpha_end"], v["alpha_steps"])
-        ]
+    if config["alpha_steps"] >= 1:
+        alpha_grid = [(a, -a) for a in _grid(config, "alpha")]
     else:
-        alpha_grid = [(v["alpha1"], v["alpha2"])]
-    if v["j_steps"] >= 1:
-        j_grid = [float(x) for x in np.linspace(v["j_start"], v["j_end"], v["j_steps"])]
-    else:
-        j_grid = [v["j"]]
+        alpha_grid = [(config["alpha1"], config["alpha2"])]
+    j_grid = _grid(config, "j") if config["j_steps"] >= 1 else [config["j"]]
     rows = [
         _regime_row(
             config, b, alphas, j,
             closed_spectrum(_params_from(config, b=b, alphas=alphas, j=j)),
         )
-        for b in b_grid for alphas in alpha_grid for j in j_grid
+        for b in _grid(config, "b") for alphas in alpha_grid for j in j_grid
     ]
     _emit(config, rows, SWEEP_COLUMNS)
     return 0
 
 
-def cmd_evolve(config: RunConfig) -> int:
+def cmd_evolve(config: Mapping[str, Any]) -> int:
     """Amplitude, probability, and deformed norm over the time grid."""
-    v = config.values
     params = _params_from(config)
     report = closed_spectrum(params)
     try:
         xi, zeta = (
-            np.array([0.0, 1.0, 0.0, 0.0], dtype=complex) if v[key] is None
-            else vector_from_json(_load_json(v[key]))
+            np.array([0.0, 1.0, 0.0, 0.0], dtype=complex) if config[key] is None
+            else vector_from_json(_load_json(config[key]))
             for key in ("xi", "zeta")
         )
     except ValueError as exc:
         raise CliError(f"bad state vector file: {exc}") from exc
     if xi.shape != (4,) or zeta.shape != (4,):
         raise CliError("state vectors must have four components")
-    times = np.linspace(v["t_start"], v["t_end"], v["t_steps"])
+    times = np.linspace(config["t_start"], config["t_end"], config["t_steps"])
     if report.pseudo_hermitian:
         try:
             series = transition_series(xi, zeta, params, times)
@@ -420,7 +397,7 @@ def cmd_evolve(config: RunConfig) -> int:
             )
         ]
     else:
-        if not v["allow_dissipative"]:
+        if not config["allow_dissipative"]:
             raise CliError(
                 "parameters violate the pseudo-hermiticity conditions; "
                 "pass --allow-dissipative for canonical-norm output"
@@ -436,19 +413,18 @@ def cmd_evolve(config: RunConfig) -> int:
     return 0
 
 
-def cmd_quantize(config: RunConfig) -> int:
+def cmd_quantize(config: Mapping[str, Any]) -> int:
     """Quantize an element file; optionally check hermiticity for real input."""
-    v = config.values
-    if v["element"] is None:
+    if config["element"] is None:
         raise CliError("quantize-file requires --element")
     try:
-        element = element_from_json(_load_json(v["element"]))
+        element = element_from_json(_load_json(config["element"]))
     except ValueError as exc:
         raise CliError(f"bad element file: {exc}") from exc
-    hbar = v["hbar"]
+    hbar = config["hbar"]
     families = element.algebra.family_sizes
-    if v["realization"] is not None:
-        decl = _load_json(v["realization"])
+    if config["realization"] is not None:
+        decl = _load_json(config["realization"])
         if not isinstance(decl, dict) or not set(decl) <= {"families", "hbar"}:
             raise CliError('realization file must hold {"families", "hbar"}')
         if "families" in decl:
@@ -469,7 +445,7 @@ def cmd_quantize(config: RunConfig) -> int:
     matrix = quantize(element, realization)
 
     status = 0
-    if v["check"]:
+    if config["check"]:
         star_real = star_involution(element).allclose(element, tol=1e-12)
         if star_real:
             gap = float(np.max(np.abs(matrix - matrix.conj().T)))
@@ -491,12 +467,11 @@ def cmd_quantize(config: RunConfig) -> int:
     return status
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(config: Mapping[str, Any]) -> int:
     """Run invariant groups; print one line per group, JSON summary on request."""
-    v = config.values
-    names = v["group"]
+    names = config["group"]
     try:
-        results = run_groups(names, seed=v["seed"], perturb=v["perturb"])
+        results = run_groups(names, seed=config["seed"], perturb=config["perturb"])
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     for result in results:
@@ -510,7 +485,7 @@ def cmd_verify(config: RunConfig) -> int:
                     f"violation {check.violation:.3e} exceeds {check.limit:.3e}"
                 )
     summary = {
-        "seed": v["seed"],
+        "seed": config["seed"],
         "passed": all(r.passed for r in results),
         "groups": [
             {
@@ -529,12 +504,12 @@ def cmd_verify(config: RunConfig) -> int:
             for r in results
         ],
     }
-    if v["out"] is not None:
+    if config["out"] is not None:
         _emit(config, summary)
     return 0 if summary["passed"] else 2
 
 
-_HANDLERS: dict[str, Callable[[RunConfig], int]] = {
+_HANDLERS: dict[str, Callable[[Mapping[str, Any]], int]] = {
     "spectrum": cmd_spectrum,
     "regime-sweep": cmd_regime_sweep,
     "evolve": cmd_evolve,

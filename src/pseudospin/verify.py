@@ -15,6 +15,7 @@ value must produce a located failure) and defaults to zero.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm
 
 from .canon import (
     pushforward_field,
@@ -50,11 +51,6 @@ from .twospin import (
     hermitian_counterpart,
     paper_isomorphism,
 )
-
-try:
-    from scipy.linalg import expm
-except ImportError:  # pragma: no cover
-    expm = None
 
 
 @dataclass(frozen=True)

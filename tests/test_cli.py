@@ -6,6 +6,7 @@ point.  Numerical expectations reuse the model-layer oracles (closed-form
 spectrum, interaction builder, deformed inner product).
 """
 
+import argparse
 import csv
 import hashlib
 import io
@@ -17,7 +18,13 @@ import sys
 import numpy as np
 import pytest
 
-from pseudospin.cli import EVOLVE_COLUMNS, SPECTRUM_COLUMNS, SWEEP_COLUMNS, main
+from pseudospin.cli import (
+    EVOLVE_COLUMNS,
+    SPECTRUM_COLUMNS,
+    SWEEP_COLUMNS,
+    _build_parser,
+    main,
+)
 from pseudospin.formats import vector_to_json
 from pseudospin.pseudoherm import eta_inner
 from pseudospin.twospin import (
@@ -245,6 +252,84 @@ def test_sweep_config_rejects_mistyped_values(tmp_path, capsys, values, key):
     assert out == ""
     assert err.startswith("pseudospin: error:")
     assert key in err
+
+
+# Config-file values of the wrong kind for their option, one list per
+# subcommand.  quantize-file cases run with a valid element file unless
+# they override "element".
+MISTYPED_CONFIG = {
+    "spectrum": [
+        ({"paper_units": "no"}, "paper_units"),
+        ({"j": math.nan}, "j"),
+    ],
+    "regime-sweep": [
+        ({"format": "xml"}, "format"),
+        ({"out": 2}, "out"),
+        ({"paper_units": 1}, "paper_units"),
+    ],
+    "evolve": [
+        ({"b": 4.0, "alpha1": 1.0, "alpha2": -1.0, "allow_dissipative": "false"},
+         "allow_dissipative"),
+        ({"xi": 0}, "xi"),
+    ],
+    "quantize-file": [
+        ({"check": "no"}, "check"),
+        ({"element": 0}, "element"),
+    ],
+    "verify": [
+        ({"group": 5}, "group"),
+        ({"group": "clifford"}, "group"),
+        ({"group": ["clifford", 3]}, "group"),
+    ],
+}
+
+
+@pytest.mark.parametrize("subcommand, values, key", [
+    (subcommand, values, key)
+    for subcommand, cases in MISTYPED_CONFIG.items()
+    for values, key in cases
+])
+def test_config_rejects_values_of_the_wrong_kind(
+    tmp_path, capsys, subcommand, values, key
+):
+    if subcommand == "quantize-file":
+        element = write_element(tmp_path / "e.json", HEISENBERG_ELEMENT)
+        values = {"element": element, **values}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(values))
+    code, out, err = run(capsys, subcommand, "--config", str(config))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"pseudospin: error: {key} ")
+
+
+@pytest.mark.parametrize("args, key", [
+    (["spectrum", "--J", "nan"], "j"),
+    (["spectrum", "--alpha1", "inf"], "alpha1"),
+    (["regime-sweep", "--J", "nan"], "j"),
+    (["evolve", "--t-end", "inf"], "t_end"),
+])
+def test_non_finite_flags_are_rejected(capsys, args, key):
+    code, out, err = run(capsys, *args)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"pseudospin: error: {key} must be finite")
+
+
+@pytest.mark.parametrize("source", ["flag", "realization file"])
+def test_quantize_rejects_non_finite_hbar(tmp_path, capsys, source):
+    element = write_element(tmp_path / "e.json", HEISENBERG_ELEMENT)
+    realization = tmp_path / "r.json"
+    realization.write_text(json.dumps({"hbar": math.inf}))
+    extra = (
+        ["--hbar", "inf"] if source == "flag"
+        else ["--realization", str(realization)]
+    )
+    code, out, err = run(capsys, "quantize-file", "--element", element, *extra)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("pseudospin: error:")
+    assert "hbar must be finite" in err
 
 
 def test_sweep_nonpositive_field_is_a_typed_error(capsys):
@@ -617,6 +702,96 @@ def test_verify_summary_json(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # parser plumbing
+
+
+# Every flag of every subcommand as (option strings, dest, action kind,
+# choices, help), pinned so that rebuilding the parser cannot add, drop or
+# reword a flag unnoticed.
+_COMMON_FLAGS = [
+    (("--B",), "b", "_StoreAction", None, "applied field amplitude"),
+    (("--J",), "j", "_StoreAction", None, "exchange coupling"),
+    (("--alpha1",), "alpha1", "_StoreAction", None, "damping of the first spin"),
+    (("--alpha2",), "alpha2", "_StoreAction", None, "damping of the second spin"),
+    (("--config",), "config", "_StoreAction", None,
+     "JSON config file; flags override it"),
+    (("--format",), "format", "_StoreAction", ("csv", "json"), "output format"),
+    (("--hbar",), "hbar", "_StoreAction", None, "quantization scale"),
+    (("--out",), "out", "_StoreAction", None, "output path (default stdout)"),
+    (("--paper-units",), "paper_units", "_StoreTrueAction", None,
+     "report eigenvalue columns times 4"),
+    (("--seed",), "seed", "_StoreAction", None, "seed for randomized checks"),
+    (("--tol",), "tol", "_StoreAction", None, "agreement tolerance"),
+    (("-h", "--help"), "help", "_HelpAction", None, "show this help message and exit"),
+]
+FLAG_SURFACE = {
+    "spectrum": [],
+    "regime-sweep": [
+        (("--alpha-end",), "alpha_end", "_StoreAction", None, None),
+        (("--alpha-start",), "alpha_start", "_StoreAction", None, None),
+        (("--alpha-steps",), "alpha_steps", "_StoreAction", None,
+         "grid over (alpha, -alpha) pairs; 0 keeps --alpha1/--alpha2 fixed"),
+        (("--b-end",), "b_end", "_StoreAction", None, None),
+        (("--b-start",), "b_start", "_StoreAction", None, None),
+        (("--b-steps",), "b_steps", "_StoreAction", None, None),
+        (("--j-end",), "j_end", "_StoreAction", None, None),
+        (("--j-start",), "j_start", "_StoreAction", None, None),
+        (("--j-steps",), "j_steps", "_StoreAction", None,
+         "grid over J; 0 keeps --J fixed"),
+    ],
+    "evolve": [
+        (("--allow-dissipative",), "allow_dissipative", "_StoreTrueAction", None,
+         "run outside the pseudo-hermitian regime (canonical norms)"),
+        (("--t-end",), "t_end", "_StoreAction", None, None),
+        (("--t-start",), "t_start", "_StoreAction", None, None),
+        (("--t-steps",), "t_steps", "_StoreAction", None, None),
+        (("--xi",), "xi", "_StoreAction", None, "bra state vector JSON path"),
+        (("--zeta",), "zeta", "_StoreAction", None, "ket state vector JSON path"),
+    ],
+    "quantize-file": [
+        (("--check",), "check", "_StoreTrueAction", None,
+         "verify hermiticity of the output for star-real input"),
+        (("--element",), "element", "_StoreAction", None,
+         "Grassmann element JSON path"),
+        (("--realization",), "realization", "_StoreAction", None,
+         'realization JSON path ({"families": [...], "hbar": ...})'),
+    ],
+    "verify": [
+        (("--group",), "group", "_AppendAction",
+         ("canon", "clifford", "correspondence", "grassmann", "pseudoherm",
+          "quantize", "twospin"),
+         "restrict to this group (repeatable)"),
+        (("--perturb",), "perturb", "_StoreAction", None,
+         "fault-injection bias; nonzero must produce a failure"),
+    ],
+}
+
+
+def _subparsers():
+    (action,) = [
+        a for a in _build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    return action.choices
+
+
+def test_flag_surface_is_pinned():
+    subparsers = _subparsers()
+    assert list(subparsers) == list(FLAG_SURFACE)
+    for name, extra in FLAG_SURFACE.items():
+        surface = sorted(
+            (tuple(a.option_strings), a.dest, type(a).__name__,
+             None if a.choices is None else tuple(a.choices), a.help)
+            for a in subparsers[name]._actions
+        )
+        assert surface == sorted(_COMMON_FLAGS + extra), name
+
+
+@pytest.mark.parametrize("subcommand", sorted(FLAG_SURFACE))
+def test_help_exits_zero(capsys, subcommand):
+    with pytest.raises(SystemExit) as excinfo:
+        main([subcommand, "--help"])
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: pseudospin {subcommand}")
 
 
 def test_unknown_flag_exits_one():
