@@ -15,7 +15,7 @@ from typing import Sequence, TypeAlias
 import numpy as np
 import scipy.linalg
 
-from pseudospin.grassmann import AlgebraSpec, GrassmannElement
+from pseudospin.grassmann import GrassmannElement, _accumulate, _bits
 
 __all__ = [
     "BlockDecomposition",
@@ -166,25 +166,31 @@ def transform_coefficients(
     n = algebra.family_sizes[0]
     if lam.n != n:
         raise ValueError(f"transformation dimension {lam.n} does not match {n}")
-    by_degree: dict[int, dict[tuple[int, ...], complex]] = {}
-    for mono, coeff in f.terms.items():
-        if any(gen.momentum for gen in mono):
+    # In a single family, coordinate xi_i is bit i and momenta lie above bit n.
+    by_degree: dict[int, dict[int, complex]] = {}
+    for mask, coeff in f.by_mask.items():
+        if mask >> n:
             raise ValueError("coefficient transport acts on coordinate monomials")
-        indices = tuple(gen.index for gen in mono)
-        by_degree.setdefault(len(mono), {})[indices] = coeff
-    terms = []
-    for degree, table in by_degree.items():
+        by_degree.setdefault(mask.bit_count(), {})[mask] = coeff
+    table: dict[int, complex] = {}
+    for degree, sources in by_degree.items():
         if degree == 0:
-            terms.append(((), table[()]))
+            _accumulate(table, 0, complex(sources[0]))
             continue
-        for target in combinations(range(n), degree):
+        targets = list(combinations(range(n), degree))
+        rows = np.array(targets)
+        cols = np.array([list(_bits(mask)) for mask in sources])
+        # minors[t, s] = det(Lambda[targets[t], sources[s]]), one batched call.
+        minors = np.linalg.det(
+            lam.entries[rows[:, None, :, None], cols[None, :, None, :]]
+        )
+        for target, row in zip(targets, minors):
             value = 0.0 + 0.0j
-            for source, coeff in table.items():
-                value += np.linalg.det(lam.entries[np.ix_(target, source)]) * coeff
+            for minor, coeff in zip(row, sources.values()):
+                value += minor * coeff
             if value != 0:
-                gens = tuple(algebra.coordinate(0, i) for i in target)
-                terms.append((gens, value))
-    return GrassmannElement.from_terms(algebra, terms)
+                _accumulate(table, sum(1 << i for i in target), complex(value))
+    return GrassmannElement(algebra, table)
 
 
 @dataclass(frozen=True)

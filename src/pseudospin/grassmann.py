@@ -10,11 +10,27 @@ equality.
 Canonical monomial order sorts generators by (family, coordinate before
 momentum, index).  Reordering signs are tracked automatically and a repeated
 generator annihilates its term.
+
+Internally a monomial is one integer bitmask over a layout fixed per
+:class:`AlgebraSpec` (the bitmap basis blades of Dorst, Fontijne & Mann,
+*Geometric Algebra for Computer Science*, 2007).  Bit order is the canonical
+order, so for families of sizes (n_0, n_1, ...) with momenta attached, family
+f occupies one contiguous block: its coordinates xi_0..xi_{n_f - 1}, then its
+momenta pi_0..pi_{n_f - 1}; without momenta the block holds the coordinates
+only and bit b is the family-major coordinate index.  A canonical monomial is
+the OR of its generators' bits, read low to high.  Two monomials share a
+generator, and their product vanishes, when ``m_f & m_g`` is nonzero.  The
+sign of the product ``m_f * m_g`` is the parity of its same-family
+inversions, ``sum(popcount(m_f & hi[b]) for b in bits(m_g))``, where
+``hi[b]`` masks the bits above b inside b's family; cross-family swaps are
+free.  Generators are validated once, where words of :class:`Generator`
+enter (``from_terms``, ``from_generator``, ``coefficient``), and the
+Generator-keyed :attr:`GrassmannElement.terms` is a view built on demand.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Sequence, TypeAlias
+from typing import Callable, Iterator, NamedTuple, Sequence, TypeAlias
 
 import numpy as np
 
@@ -129,6 +145,159 @@ class AlgebraSpec:
             raise ValueError("algebra carries no momentum generators")
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Set bit positions of ``mask``, low to high."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _product_sign(mask_f: int, mask_g: int, flip: dict[int, int]) -> int:
+    """Sign of the product of canonical monomials ``mask_f * mask_g``."""
+    return -1 if (mask_f & flip[mask_g]).bit_count() & 1 else 1
+
+
+def _accumulate(table: dict[int, complex], mask: int, value: complex) -> None:
+    """Add ``value`` to the coefficient of ``mask``, dropping exact zeros."""
+    value = table.get(mask, 0.0) + value
+    if value == 0:
+        table.pop(mask, None)
+    else:
+        table[mask] = value
+
+
+class _MaskMemo(dict):
+    """Mask-keyed table filled on first lookup from ``build(mask)``."""
+
+    def __init__(self, build: Callable[[int], object]) -> None:
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, mask: int):
+        value = self[mask] = self._build(mask)
+        return value
+
+
+class _Layout:
+    """Bit layout of one algebra (see the module docstring).
+
+    Attributes:
+        gens: Generator at each bit.
+        bit: Generator -> bit.
+        hi, lo: Per bit, the mask of the higher (lower) bits of its family.
+        family_masks: Per family, the mask of its bits.
+        momentum_mask: Mask of every momentum bit.
+        merged: Coordinate bit -> family-major coordinate index.
+        flip: mask m -> XOR of ``hi[b]`` over the bits b of m, so that
+            ``popcount(m_f & flip[m_g])`` has the parity of the inversions
+            of ``m_f * m_g``.
+        right_splits, left_splits: mask -> ((bit, mask without it, sign),
+            ...), the sign of moving that generator to the right (left) end.
+        parities: mask -> per-family degree parities.
+        monomials: mask -> canonical Generator tuple.
+        reduced: mask -> (coordinate mask, sign, momentum count) after
+            pi_i -> xi_i in place, or None when a coordinate repeats.
+    """
+
+    def __init__(self, algebra: AlgebraSpec) -> None:
+        self.algebra = algebra
+        self.gens = tuple(sorted([*algebra.coordinates(), *algebra.momenta()]))
+        self.bit = {gen: b for b, gen in enumerate(self.gens)}
+        family_masks = [0] * len(algebra.family_sizes)
+        for b, gen in enumerate(self.gens):
+            family_masks[gen.family] |= 1 << b
+        self.family_masks = tuple(family_masks)
+        below = [(1 << b) - 1 for b in range(len(self.gens))]
+        self.hi = tuple(
+            family_masks[gen.family] & ~below[b] & ~(1 << b)
+            for b, gen in enumerate(self.gens)
+        )
+        self.lo = tuple(
+            family_masks[gen.family] & below[b] for b, gen in enumerate(self.gens)
+        )
+        self.momentum_mask = sum(
+            1 << b for b, gen in enumerate(self.gens) if gen.momentum
+        )
+        self.merged = {self.bit[gen]: i for i, gen in enumerate(algebra.coordinates())}
+        self.flip = _MaskMemo(self._flip)
+        self.right_splits = _MaskMemo(lambda mask: self._splits(mask, self.hi))
+        self.left_splits = _MaskMemo(lambda mask: self._splits(mask, self.lo))
+        self.parities = _MaskMemo(self._parities)
+        self.monomials = _MaskMemo(
+            lambda mask: tuple(self.gens[b] for b in _bits(mask))
+        )
+        self.reduced = _MaskMemo(self._reduced)
+
+    def word(self, generators: Sequence[Generator]) -> tuple[int, int] | None:
+        """(mask, sign) of a generator word, or None when one repeats.
+
+        Every generator is validated against the algebra first.
+        """
+        bits = []
+        for gen in generators:
+            b = self.bit.get(gen)
+            if b is None:
+                self.algebra.validate_generator(gen)
+                raise ValueError(f"unknown generator {gen!r}")
+            bits.append(b)
+        mask = odd = 0
+        for b in bits:
+            if mask >> b & 1:
+                return None
+            odd ^= (mask & self.hi[b]).bit_count() & 1
+            mask |= 1 << b
+        return mask, -1 if odd else 1
+
+    def _flip(self, mask: int) -> int:
+        out = 0
+        for b in _bits(mask):
+            out ^= self.hi[b]
+        return out
+
+    @staticmethod
+    def _splits(mask: int, passed: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
+        return tuple(
+            (b, mask ^ 1 << b, -1 if (mask & passed[b]).bit_count() & 1 else 1)
+            for b in _bits(mask)
+        )
+
+    def _parities(self, mask: int) -> tuple[int, ...]:
+        return tuple((mask & fm).bit_count() & 1 for fm in self.family_masks)
+
+    def _reduced(self, mask: int) -> tuple[int, int, int] | None:
+        # Momentum bits sit n_f above their coordinates within family f.
+        momenta = mask & self.momentum_mask
+        moved = 0
+        for b in _bits(momenta):
+            gen = self.gens[b]
+            moved |= 1 << (b - self.algebra.family_sizes[gen.family])
+        coords = mask ^ momenta
+        if coords & moved:
+            return None
+        sign = _product_sign(coords, moved, self.flip)
+        return coords | moved, sign, momenta.bit_count()
+
+
+def _layout(algebra: AlgebraSpec) -> _Layout:
+    # Keyed by the spec's fields: equal specs built apart share one layout
+    # without the dataclass-generated __hash__ and __eq__ on every lookup.
+    return _layout_for(algebra.family_sizes, algebra.momenta_attached)
+
+
+@lru_cache(maxsize=None)
+def _layout_for(family_sizes: tuple[int, ...], momenta_attached: bool) -> _Layout:
+    return _Layout(AlgebraSpec(family_sizes, momenta_attached))
+
+
+def _spanning_algebra(generators: Sequence[Generator]) -> AlgebraSpec:
+    """Smallest algebra holding every generator of a word."""
+    sizes = [1] * (max((gen.family for gen in generators), default=0) + 1)
+    for gen in generators:
+        sizes[gen.family] = max(sizes[gen.family], gen.index + 1)
+    return AlgebraSpec(tuple(sizes), any(gen.momentum for gen in generators))
+
+
 def canonicalize(
     generators: Sequence[Generator],
     coefficient: complex,
@@ -143,34 +312,30 @@ def canonicalize(
     Args:
         generators: Generator word in any order.
         coefficient: Coefficient multiplying the word.
-        algebra: Optional algebra used to validate the generators.
+        algebra: Algebra used to validate the generators; by default the
+            smallest one holding the word.
     """
     gens = tuple(generators)
-    if algebra is not None:
-        for gen in gens:
-            algebra.validate_generator(gen)
-    sign = 1
-    for p in range(len(gens)):
-        for q in range(p + 1, len(gens)):
-            a, b = gens[p], gens[q]
-            if a == b:
-                return None
-            if a.family == b.family and a > b:
-                sign = -sign
-    return tuple(sorted(gens)), sign * complex(coefficient)
+    layout = _layout(algebra if algebra is not None else _spanning_algebra(gens))
+    term = layout.word(gens)
+    if term is None:
+        return None
+    mask, sign = term
+    return layout.monomials[mask], sign * complex(coefficient)
 
 
 @dataclass
 class GrassmannElement:
     """Element of a Grassmann algebra in canonical form.
 
-    The ``terms`` mapping sends canonical monomials (the empty tuple is the
-    unit) to complex coefficients.  Construct through the classmethods, which
-    canonicalize on entry; treat instances as immutable.
+    ``by_mask`` sends canonical monomials, as bitmasks of the algebra's
+    layout (0 is the unit), to complex coefficients; ``terms`` is the same
+    table keyed by Generator tuples.  Construct through the classmethods,
+    which canonicalize on entry; treat instances as immutable.
     """
 
     algebra: AlgebraSpec
-    terms: dict[Monomial, complex]
+    by_mask: dict[int, complex]
 
     @classmethod
     def zero(cls, algebra: AlgebraSpec) -> "GrassmannElement":
@@ -193,39 +358,41 @@ class GrassmannElement:
         terms: Sequence[tuple[Sequence[Generator], complex]],
     ) -> "GrassmannElement":
         """Build an element from (generator word, coefficient) pairs."""
-        table: dict[Monomial, complex] = {}
+        layout = _layout(algebra)
+        table: dict[int, complex] = {}
         for gens, coefficient in terms:
-            term = canonicalize(gens, coefficient, algebra)
-            if term is None:
-                continue
-            mono, coeff = term
-            value = table.get(mono, 0.0) + coeff
-            if value == 0:
-                table.pop(mono, None)
-            else:
-                table[mono] = value
+            term = layout.word(gens)
+            if term is not None:
+                mask, sign = term
+                _accumulate(table, mask, sign * complex(coefficient))
         return cls(algebra, table)
+
+    @property
+    def terms(self) -> dict[Monomial, complex]:
+        """Coefficients keyed by canonical Generator tuples (the unit is ())."""
+        monomials = _layout(self.algebra).monomials
+        return {monomials[mask]: coeff for mask, coeff in self.by_mask.items()}
 
     def coefficient(self, generators: Sequence[Generator]) -> complex:
         """Coefficient of a generator word (sign-adjusted if unordered)."""
-        term = canonicalize(generators, 1.0, self.algebra)
+        term = _layout(self.algebra).word(generators)
         if term is None:
             return 0.0
-        mono, sign = term
-        return sign * self.terms.get(mono, 0.0)
+        mask, sign = term
+        return complex(sign) * self.by_mask.get(mask, 0.0)
 
     @property
     def scalar_part(self) -> complex:
-        return self.terms.get((), 0.0)
+        return self.by_mask.get(0, 0.0)
 
     @property
     def max_degree(self) -> int:
-        return max((len(mono) for mono in self.terms), default=0)
+        return max(map(int.bit_count, self.by_mask), default=0)
 
     @property
     def parity(self) -> int:
         """0 for even, 1 for odd; raises on elements of mixed parity."""
-        parities = {len(mono) % 2 for mono in self.terms}
+        parities = {mask.bit_count() & 1 for mask in self.by_mask}
         if not parities:
             return 0
         if len(parities) > 1:
@@ -235,7 +402,8 @@ class GrassmannElement:
     @property
     def family_parity(self) -> tuple[int, ...]:
         """Per-family degree parities; raises when monomials disagree."""
-        vectors = {_mono_family_parity(mono, self.algebra) for mono in self.terms}
+        parities = _layout(self.algebra).parities
+        vectors = {parities[mask] for mask in self.by_mask}
         if not vectors:
             return tuple(0 for _ in self.algebra.family_sizes)
         if len(vectors) > 1:
@@ -243,25 +411,22 @@ class GrassmannElement:
         return vectors.pop()
 
     def is_zero(self, tol: float = 0.0) -> bool:
-        return all(abs(c) <= tol for c in self.terms.values())
+        return all(abs(c) <= tol for c in self.by_mask.values())
 
     def allclose(self, other: "GrassmannElement", tol: float = COEFF_TOL) -> bool:
         if self.algebra != other.algebra:
             return False
-        keys = set(self.terms) | set(other.terms)
+        keys = set(self.by_mask) | set(other.by_mask)
         return all(
-            abs(self.terms.get(k, 0.0) - other.terms.get(k, 0.0)) <= tol for k in keys
+            abs(self.by_mask.get(k, 0.0) - other.by_mask.get(k, 0.0)) <= tol
+            for k in keys
         )
 
     def __add__(self, other: "GrassmannElement") -> "GrassmannElement":
         _check_same_algebra(self, other)
-        table = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            value = table.get(mono, 0.0) + coeff
-            if value == 0:
-                table.pop(mono, None)
-            else:
-                table[mono] = value
+        table = dict(self.by_mask)
+        for mask, coeff in other.by_mask.items():
+            _accumulate(table, mask, coeff)
         return GrassmannElement(self.algebra, table)
 
     def __sub__(self, other: "GrassmannElement") -> "GrassmannElement":
@@ -269,7 +434,7 @@ class GrassmannElement:
 
     def __neg__(self) -> "GrassmannElement":
         return GrassmannElement(
-            self.algebra, {mono: -coeff for mono, coeff in self.terms.items()}
+            self.algebra, {mask: -coeff for mask, coeff in self.by_mask.items()}
         )
 
     def __mul__(self, other):
@@ -288,21 +453,22 @@ class GrassmannElement:
         if factor == 0:
             return GrassmannElement.zero(self.algebra)
         return GrassmannElement(
-            self.algebra, {mono: factor * coeff for mono, coeff in self.terms.items()}
+            self.algebra, {mask: factor * coeff for mask, coeff in self.by_mask.items()}
         )
 
     def __str__(self) -> str:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         parts = []
-        for mono in sorted(self.terms, key=lambda m: (len(m), m)):
+        for mono in sorted(terms, key=lambda m: (len(m), m)):
             word = "*".join(gen.name for gen in mono) or "1"
-            parts.append(f"({self.terms[mono]})*{word}")
+            parts.append(f"({terms[mono]})*{word}")
         return " + ".join(parts)
 
 
 def _check_same_algebra(f: GrassmannElement, g: GrassmannElement) -> None:
-    if f.algebra != g.algebra:
+    if f.algebra is not g.algebra and f.algebra != g.algebra:
         raise ValueError("elements live in different algebras")
 
 
@@ -313,56 +479,48 @@ def multiply(f: GrassmannElement, g: GrassmannElement) -> GrassmannElement:
     and squares vanish; the result is returned in canonical form.
     """
     _check_same_algebra(f, g)
-    table: dict[Monomial, complex] = {}
-    for mono_f, coeff_f in f.terms.items():
-        for mono_g, coeff_g in g.terms.items():
-            sign = 1
-            zero = False
-            # Both factors are canonical, so only cross inversions count.
-            for a in mono_f:
-                for b in mono_g:
-                    if a == b:
-                        zero = True
-                        break
-                    if a.family == b.family and a > b:
-                        sign = -sign
-                if zero:
-                    break
-            if zero:
+    flip = _layout(f.algebra).flip
+    table: dict[int, complex] = {}
+    for mask_f, coeff_f in f.by_mask.items():
+        for mask_g, coeff_g in g.by_mask.items():
+            if mask_f & mask_g:
                 continue
-            mono = tuple(sorted(mono_f + mono_g))
-            value = table.get(mono, 0.0) + sign * coeff_f * coeff_g
-            if value == 0:
-                table.pop(mono, None)
-            else:
-                table[mono] = value
+            sign = _product_sign(mask_f, mask_g, flip)
+            _accumulate(table, mask_f | mask_g, sign * coeff_f * coeff_g)
     return GrassmannElement(f.algebra, table)
 
 
 def _derivatives(
-    f: GrassmannElement, right: bool
-) -> dict[Generator, dict[Monomial, complex]]:
-    """Right (or left) derivative terms of ``f`` by each generator it has."""
-    out: dict[Generator, dict[Monomial, complex]] = {}
-    for mono, coeff in f.terms.items():
-        for pos, gen in enumerate(mono):
-            # Move gen to the right (left) end, one flip per same-family hop.
-            passed = mono[pos + 1 :] if right else mono[:pos]
-            hops = sum(1 for other in passed if other.family == gen.family)
-            out.setdefault(gen, {})[mono[:pos] + mono[pos + 1 :]] = coeff * (-1) ** hops
+    f: GrassmannElement, splits: dict[int, tuple[tuple[int, int, int], ...]]
+) -> dict[int, dict[int, complex]]:
+    """Derivative terms of ``f`` by each generator bit it has.
+
+    ``splits`` is the layout's ``right_splits`` or ``left_splits``: each
+    generator moves to the right (left) end, one flip per same-family hop.
+    """
+    out: dict[int, dict[int, complex]] = {}
+    for mask, coeff in f.by_mask.items():
+        for b, rest, sign in splits[mask]:
+            out.setdefault(b, {})[rest] = coeff * sign
     return out
+
+
+def _derivative(f: GrassmannElement, gen: Generator, right: bool) -> GrassmannElement:
+    layout = _layout(f.algebra)
+    mask, _ = layout.word((gen,))
+    splits = layout.right_splits if right else layout.left_splits
+    derivatives = _derivatives(f, splits)
+    return GrassmannElement(f.algebra, derivatives.get(mask.bit_length() - 1, {}))
 
 
 def right_derivative(f: GrassmannElement, gen: Generator) -> GrassmannElement:
     """Right-acting derivative with respect to a single generator."""
-    f.algebra.validate_generator(gen)
-    return GrassmannElement(f.algebra, _derivatives(f, right=True).get(gen, {}))
+    return _derivative(f, gen, right=True)
 
 
 def left_derivative(f: GrassmannElement, gen: Generator) -> GrassmannElement:
     """Left-acting derivative: the generator moves to the left end instead."""
-    f.algebra.validate_generator(gen)
-    return GrassmannElement(f.algebra, _derivatives(f, right=False).get(gen, {}))
+    return _derivative(f, gen, right=False)
 
 
 def star_involution(f: GrassmannElement) -> GrassmannElement:
@@ -371,10 +529,12 @@ def star_involution(f: GrassmannElement) -> GrassmannElement:
     Generators are star-fixed, so a degree-k same-family block picks up the
     reversal sign (-1)**(k(k-1)/2).
     """
-    terms = [
-        (tuple(reversed(mono)), np.conj(coeff)) for mono, coeff in f.terms.items()
-    ]
-    return GrassmannElement.from_terms(f.algebra, terms)
+    flip = _layout(f.algebra).flip
+    table: dict[int, complex] = {}
+    for mask, coeff in f.by_mask.items():
+        # Reversal inverts every same-family pair: the sign of mask * mask.
+        _accumulate(table, mask, _product_sign(mask, mask, flip) * coeff.conjugate())
+    return GrassmannElement(f.algebra, table)
 
 
 def plus_involution(f: GrassmannElement, rho: np.ndarray) -> GrassmannElement:
@@ -390,29 +550,27 @@ def plus_involution(f: GrassmannElement, rho: np.ndarray) -> GrassmannElement:
             built from the transformation as Lambda Lambda^dagger.
     """
     algebra = f.algebra
+    layout = _layout(algebra)
     n = algebra.total_coordinates
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (n, n):
         raise ValueError(f"rho must have shape ({n}, {n})")
+    bits = {i: b for b, i in layout.merged.items()}
     images = []
-    for gen in algebra.coordinates():
-        col = algebra.merged_index(gen)
-        images.append(
-            GrassmannElement.from_terms(
-                algebra,
-                [
-                    ((other,), rho[algebra.merged_index(other), col])
-                    for other in algebra.coordinates()
-                ],
-            )
-        )
+    for column in rho.T.tolist():
+        image: dict[int, complex] = {}
+        for row, entry in enumerate(column):
+            _accumulate(image, 1 << bits[row], entry)
+        images.append(GrassmannElement(algebra, image))
     result = GrassmannElement.zero(algebra)
-    for mono, coeff in f.terms.items():
-        if any(gen.momentum for gen in mono):
+    for mask, coeff in f.by_mask.items():
+        if mask & layout.momentum_mask:
             raise ValueError("plus involution is defined on coordinate monomials")
-        acc = GrassmannElement.unit(algebra, np.conj(coeff))
-        for gen in reversed(mono):
-            acc = multiply(acc, images[algebra.merged_index(gen)])
+        unit: dict[int, complex] = {}
+        _accumulate(unit, 0, coeff.conjugate())
+        acc = GrassmannElement(algebra, unit)
+        for b in reversed(list(_bits(mask))):
+            acc = multiply(acc, images[layout.merged[b]])
         result = result + acc
     return result
 
@@ -424,21 +582,14 @@ def is_plus_real(
     return plus_involution(f, rho).allclose(f, tol)
 
 
-def _mono_family_parity(mono: Monomial, algebra: AlgebraSpec) -> tuple[int, ...]:
-    counts = [0] * len(algebra.family_sizes)
-    for gen in mono:
-        counts[gen.family] += 1
-    return tuple(c % 2 for c in counts)
-
-
 def family_components(
     f: GrassmannElement,
 ) -> dict[tuple[int, ...], GrassmannElement]:
     """Split an element into its family-parity homogeneous pieces."""
-    pieces: dict[tuple[int, ...], dict[Monomial, complex]] = {}
-    for mono, coeff in f.terms.items():
-        key = _mono_family_parity(mono, f.algebra)
-        pieces.setdefault(key, {})[mono] = coeff
+    parities = _layout(f.algebra).parities
+    pieces: dict[tuple[int, ...], dict[int, complex]] = {}
+    for mask, coeff in f.by_mask.items():
+        pieces.setdefault(parities[mask], {})[mask] = coeff
     return {
         key: GrassmannElement(f.algebra, table) for key, table in pieces.items()
     }
@@ -457,8 +608,9 @@ def commutation_factor(pf: Sequence[int], pg: Sequence[int]) -> int:
     return sign
 
 
-#: Generator -> ((generator, scalar bracket), ...), nonzero entries only.
-_BracketTable: TypeAlias = dict[Generator, tuple[tuple[Generator, complex], ...]]
+#: Row per generator bit: ((column bit, scalar bracket), ...), nonzero
+#: entries only, columns in coordinates-then-momenta order.
+_BracketTable: TypeAlias = tuple[tuple[tuple[int, complex], ...], ...]
 
 
 def _bracket_table(
@@ -467,7 +619,8 @@ def _bracket_table(
     """Canonical table omega_P, minus A C^-1 B when constraints are given."""
     if not algebra.momenta_attached:
         raise ValueError("brackets need an algebra with momenta")
-    gens = list(algebra.coordinates()) + list(algebra.momenta())
+    layout = _layout(algebra)
+    bits = [layout.bit[gen] for gen in [*algebra.coordinates(), *algebra.momenta()]]
     n = algebra.total_coordinates
     omega = np.zeros((2 * n, 2 * n), dtype=complex)
     omega[:n, n:] = omega[n:, :n] = np.eye(n)
@@ -477,20 +630,22 @@ def _bracket_table(
         for k, phi in enumerate(constraints):
             if phi.algebra != algebra:
                 raise ValueError(f"constraint {k} lives in a different algebra")
-            for mono, coeff in phi.terms.items():
-                if len(mono) != 1:
+            for mask, coeff in phi.by_mask.items():
+                if mask.bit_count() != 1:
                     raise ValueError(f"constraint {k} is not linear in the generators")
-                u[k, gens.index(mono[0])] = coeff
+                u[k, bits.index(mask.bit_length() - 1)] = coeff
         a = omega @ u.T
         b = u @ omega
         c = u @ a
         if np.linalg.matrix_rank(c) < len(constraints):
             raise ValueError("constraint bracket matrix C is singular")
         omega = omega - a @ np.linalg.solve(c, b)
-    return {
-        gens[i]: tuple((gens[j], complex(omega[i, j])) for j in np.flatnonzero(omega[i]))
-        for i in range(2 * n)
-    }
+    rows: list[tuple[tuple[int, complex], ...]] = [()] * (2 * n)
+    for i in range(2 * n):
+        rows[bits[i]] = tuple(
+            (bits[j], complex(omega[i, j])) for j in np.flatnonzero(omega[i])
+        )
+    return tuple(rows)
 
 
 @lru_cache(maxsize=None)
@@ -506,15 +661,23 @@ def _table_bracket(
     """sum_(a,b) d_R f/dz_a . table_ab . d_L g/dz_b, visiting only entries
     whose row generator occurs in ``f`` and column generator in ``g``."""
     _check_same_algebra(f, g)
-    left = _derivatives(g, right=False)
-    terms = [
-        (mono_f + mono_g, weight * coeff_f * coeff_g)
-        for a, df in _derivatives(f, right=True).items()
-        for b, weight in table[a] if b in left
-        for mono_f, coeff_f in df.items()
-        for mono_g, coeff_g in left[b].items()
-    ]
-    return GrassmannElement.from_terms(f.algebra, terms)
+    layout = _layout(f.algebra)
+    flip = layout.flip
+    left = _derivatives(g, layout.left_splits)
+    out: dict[int, complex] = {}
+    for a, df in _derivatives(f, layout.right_splits).items():
+        for b, weight in table[a]:
+            dg = left.get(b)
+            if dg is None:
+                continue
+            for mask_f, coeff_f in df.items():
+                scaled = weight * coeff_f
+                for mask_g, coeff_g in dg.items():
+                    if mask_f & mask_g:
+                        continue
+                    sign = _product_sign(mask_f, mask_g, flip)
+                    _accumulate(out, mask_f | mask_g, sign * (scaled * coeff_g))
+    return GrassmannElement(f.algebra, out)
 
 
 def graded_poisson(f: GrassmannElement, g: GrassmannElement) -> GrassmannElement:

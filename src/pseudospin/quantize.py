@@ -10,9 +10,10 @@ generators the graded symmetrization of the images collapses to the plain
 ordered product, which is what :func:`quantize` evaluates.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from functools import reduce
-from typing import Sequence, TypeAlias
+from typing import TypeAlias
 
 import numpy as np
 
@@ -20,9 +21,12 @@ from pseudospin.grassmann import (
     AlgebraSpec,
     Generator,
     GrassmannElement,
+    _accumulate,
+    _bits,
+    _layout,
+    _Layout,
     commutation_factor,
     dirac_bracket,
-    family_components,
 )
 
 __all__ = [
@@ -61,14 +65,38 @@ class Realization:
         hbar: Scale entering the anticommutation relations.
         dim: Dimension of the representation space.
         gens: Generator images in family-major order, read-only.
+
+    Raises:
+        ValueError: If the image count differs from the algebra's
+            coordinate count, an image is not ``dim x dim``, or ``hbar`` is
+            not finite and positive.
     """
 
     algebra: AlgebraSpec
     hbar: float
     dim: int
     gens: tuple[np.ndarray, ...]
+    # Keyed by the element algebra's layout (masks differ with and without
+    # momenta): monomial mask -> ordered product of its generator images,
+    # filled by quantize on first use.
+    _images: dict[_Layout, dict[int, np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
+        if len(self.gens) != self.algebra.total_coordinates:
+            raise ValueError(
+                f"expected {self.algebra.total_coordinates} generator images,"
+                f" got {len(self.gens)}"
+            )
+        for gen in self.gens:
+            if np.shape(gen) != (self.dim, self.dim):
+                raise ValueError(
+                    f"generator image of shape {np.shape(gen)} does not match"
+                    f" dim {self.dim}"
+                )
+        if not (math.isfinite(self.hbar) and self.hbar > 0):
+            raise ValueError("hbar must be finite and positive")
         for gen in self.gens:
             gen.setflags(write=False)
 
@@ -134,6 +162,20 @@ def pauli_realization(hbar: float = 1.0) -> Realization:
     return tensor_realization(AlgebraSpec((3,)), hbar)
 
 
+def _reduced_terms(terms: dict[int, complex], layout: _Layout) -> dict[int, complex]:
+    table: dict[int, complex] = {}
+    reduced = layout.reduced
+    for mask, coeff in terms.items():
+        move = reduced[mask]
+        if move is None:
+            continue
+        target, sign, momenta = move
+        for _ in range(momenta):
+            coeff = coeff * 0.5j
+        _accumulate(table, target, sign * complex(coeff))
+    return table
+
+
 def constraint_reduce(f: GrassmannElement) -> GrassmannElement:
     """Eliminate momenta through the second-class constraints.
 
@@ -141,17 +183,7 @@ def constraint_reduce(f: GrassmannElement) -> GrassmannElement:
     produced by the substitution annihilate, which is exactly the
     antisymmetrization the symmetrized operator product would perform.
     """
-    terms = []
-    for mono, coeff in f.terms.items():
-        word = []
-        for gen in mono:
-            if gen.momentum:
-                coeff = coeff * 0.5j
-                word.append(Generator(gen.family, False, gen.index))
-            else:
-                word.append(gen)
-        terms.append((tuple(word), coeff))
-    return GrassmannElement.from_terms(f.algebra, terms)
+    return GrassmannElement(f.algebra, _reduced_terms(f.by_mask, _layout(f.algebra)))
 
 
 def quantize(f: GrassmannElement, realization: Realization) -> OperatorMatrix:
@@ -159,7 +191,8 @@ def quantize(f: GrassmannElement, realization: Realization) -> OperatorMatrix:
 
     Momenta are constraint-reduced first; each canonical monomial then maps
     to the ordered product of its generator images and the unit maps to the
-    identity.
+    identity.  Products are kept per realization, so each monomial's image
+    is multiplied out once.
 
     Raises:
         ValueError: If the element's family sizes do not match the
@@ -167,12 +200,22 @@ def quantize(f: GrassmannElement, realization: Realization) -> OperatorMatrix:
     """
     if f.algebra.family_sizes != realization.algebra.family_sizes:
         raise ValueError("element and realization have different family sizes")
-    reduced = constraint_reduce(f)
+    return _quantize(f.by_mask, _layout(f.algebra), realization)
+
+
+def _quantize(
+    terms: dict[int, complex], layout: _Layout, realization: Realization
+) -> OperatorMatrix:
+    images = realization._images.setdefault(layout, {})
     out = np.zeros((realization.dim, realization.dim), dtype=complex)
-    identity = np.eye(realization.dim, dtype=complex)
-    for mono, coeff in reduced.terms.items():
-        factors = [realization.matrix_for(gen) for gen in mono]
-        out += coeff * reduce(np.matmul, factors, identity)
+    for mask, coeff in _reduced_terms(terms, layout).items():
+        image = images.get(mask)
+        if image is None:
+            identity = np.eye(realization.dim, dtype=complex)
+            factors = [realization.gens[layout.merged[b]] for b in _bits(mask)]
+            image = images[mask] = reduce(np.matmul, factors, identity)
+            image.setflags(write=False)
+        out += coeff * image
     return out
 
 
@@ -248,18 +291,27 @@ def correspondence_check(
     still reported outside it.
     """
     bracket = quantize(dirac_bracket(f, g), realization)
+    layout = _layout(f.algebra)
+    q_f = _quantized_components(f, layout, realization)
+    q_g = _quantized_components(g, layout, realization)
     commutator = np.zeros((realization.dim, realization.dim), dtype=complex)
-    for pf, f_part in family_components(f).items():
-        qf = quantize(f_part, realization)
-        for pg, g_part in family_components(g).items():
-            qg = quantize(g_part, realization)
+    for pf, qf in q_f:
+        for pg, qg in q_g:
             sign = commutation_factor(pf, pg)
             commutator += qf @ qg - sign * qg @ qf
-    residual = float(
-        np.max(np.abs(commutator - 1j * realization.hbar * bracket))
-    )
+    residual = float(np.abs(commutator - 1j * realization.hbar * bracket).max())
     supported = f.max_degree <= 2 and g.max_degree <= 2
     return CorrespondenceReport(residual, residual <= tol, supported)
+
+
+def _quantized_components(
+    f: GrassmannElement, layout: _Layout, realization: Realization
+) -> list[tuple[tuple[int, ...], OperatorMatrix]]:
+    """(family parities, matrix) of each homogeneous piece of ``f``."""
+    pieces: dict[tuple[int, ...], dict[int, complex]] = {}
+    for mask, coeff in f.by_mask.items():
+        pieces.setdefault(layout.parities[mask], {})[mask] = coeff
+    return [(key, _quantize(part, layout, realization)) for key, part in pieces.items()]
 
 
 def similarity_transport(

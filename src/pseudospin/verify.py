@@ -94,11 +94,11 @@ def _inject(checks: list[CheckResult], perturb: float) -> tuple[CheckResult, ...
 
 
 def _element_diff(left: GrassmannElement, right: GrassmannElement) -> float:
-    keys = set(left.terms) | set(right.terms)
+    keys = set(left.by_mask) | set(right.by_mask)
     if not keys:
         return 0.0
     return max(
-        abs(left.terms.get(key, 0.0) - right.terms.get(key, 0.0)) for key in keys
+        abs(left.by_mask.get(key, 0.0) - right.by_mask.get(key, 0.0)) for key in keys
     )
 
 

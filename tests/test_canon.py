@@ -1,5 +1,6 @@
 """Tests for complex orthogonal transformations and transport maps."""
 
+import grassmann_oracle as oracle
 import numpy as np
 import pytest
 
@@ -155,6 +156,25 @@ def test_transform_matches_substitution_oracle():
         lam = random_orthogonal(3, seed=500 + trial)
         f = random_element(rng)
         assert transform_coefficients(f, lam).allclose(substitute(f, lam), 1e-10)
+
+
+@pytest.mark.parametrize(
+    "n, momenta", [(1, False), (2, True), (3, False), (4, True), (6, False)]
+)
+def test_transform_matches_tuple_reference_exactly(n, momenta):
+    # One batched det call per degree gives the bits of one det call per minor.
+    rng = np.random.default_rng(16 + n)
+    alg = AlgebraSpec((n,), momenta_attached=momenta)
+    coords = list(alg.coordinates())
+    for trial in range(40):
+        lam = random_orthogonal(n, seed=3000 + trial)
+        terms = []
+        for _ in range(int(rng.integers(1, 6))):
+            picks = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+            terms.append(([coords[int(k)] for k in picks], complex(*rng.normal(size=2))))
+        f = GrassmannElement.from_terms(alg, terms)
+        expect = oracle.transform_coefficients(alg, oracle.from_terms(alg, terms), lam)
+        assert oracle.exact(transform_coefficients(f, lam).terms) == oracle.exact(expect)
 
 
 def test_transform_is_group_action():

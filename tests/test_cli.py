@@ -806,6 +806,21 @@ def test_missing_subcommand_exits_one():
     assert excinfo.value.code == 1
 
 
+def test_import_builds_no_layout_bracket_table_or_image_table():
+    # Layouts, bracket tables and image tables are filled on first use, so
+    # importing the CLI (the benchmark's setup_s) builds none of them.
+    code = (
+        "import gc, pseudospin.cli\n"
+        "from pseudospin.grassmann import _canonical_tables, _layout_for\n"
+        "from pseudospin.quantize import Realization\n"
+        "assert _layout_for.cache_info().currsize == 0\n"
+        "assert _canonical_tables.cache_info().currsize == 0\n"
+        "assert not [o for o in gc.get_objects() if isinstance(o, Realization)]\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
 def test_module_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "pseudospin.cli", "spectrum", *TOY],

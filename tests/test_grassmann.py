@@ -6,6 +6,7 @@ float operation involved is exact and equality can be tested without
 tolerances.
 """
 
+import grassmann_oracle as oracle
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -567,3 +568,69 @@ def test_dirac_unchanged_by_recombined_constraints(f, g):
         for i in range(6)
     ]
     assert dirac_bracket(f, g, recombined).allclose(dirac_bracket(f, g), 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the bitmask core against the tuple-keyed reference it replaced: same keys
+# in the same order and the same coefficient bits
+
+
+@pytest.mark.parametrize("algebra", oracle.ALGEBRAS, ids=oracle.ALGEBRA_IDS)
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_bitmask_core_matches_tuple_reference(algebra, data):
+    terms_f = data.draw(oracle.word_terms(algebra))
+    terms_g = data.draw(oracle.word_terms(algebra))
+    f = GrassmannElement.from_terms(algebra, terms_f)
+    g = GrassmannElement.from_terms(algebra, terms_g)
+    ref_f = oracle.from_terms(algebra, terms_f)
+    ref_g = oracle.from_terms(algebra, terms_g)
+    assert oracle.exact(f.terms) == oracle.exact(ref_f)
+    assert oracle.exact(g.terms) == oracle.exact(ref_g)
+    for word, coeff in terms_f:
+        assert oracle.exact_term(canonicalize(word, coeff, algebra)) == oracle.exact_term(
+            oracle.canonicalize(word, coeff, algebra)
+        )
+        expect = oracle.coefficient(algebra, ref_f, word)
+        assert repr(f.coefficient(word)) == repr(expect)
+    expect = oracle.multiply(ref_f, ref_g)
+    assert oracle.exact(multiply(f, g).terms) == oracle.exact(expect)
+    assert oracle.exact((f + g).terms) == oracle.exact(oracle.add(ref_f, ref_g))
+    expect = oracle.star_involution(algebra, ref_f)
+    assert oracle.exact(star_involution(f).terms) == oracle.exact(expect)
+    parts = family_components(f)
+    expect = oracle.family_components(algebra, ref_f)
+    assert list(parts) == list(expect)
+    for key, part in parts.items():
+        assert oracle.exact(part.terms) == oracle.exact(expect[key])
+    for right, derivative in ((True, right_derivative), (False, left_derivative)):
+        expect = oracle.derivatives(ref_f, right)
+        for gen in oracle.generators_of(algebra):
+            got = derivative(f, gen).terms
+            assert oracle.exact(got) == oracle.exact(expect.get(gen, {}))
+
+
+@pytest.mark.parametrize("algebra", oracle.ALGEBRAS[::2], ids=oracle.ALGEBRA_IDS[::2])
+def test_plus_involution_matches_tuple_reference(algebra):
+    rng = np.random.default_rng(7)
+    n = algebra.total_coordinates
+    coords = list(algebra.coordinates())
+    for _ in range(20):
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        rho = a @ a.conj().T
+        terms = [
+            (
+                [coords[int(k)] for k in rng.choice(n, size=int(rng.integers(0, 4)))],
+                complex(*rng.normal(size=2)),
+            )
+            for _ in range(3)
+        ]
+        f = GrassmannElement.from_terms(algebra, terms)
+        expect = oracle.plus_involution(algebra, oracle.from_terms(algebra, terms), rho)
+        assert oracle.exact(plus_involution(f, rho).terms) == oracle.exact(expect)
+
+
+def test_canonicalize_without_algebra_spans_the_word():
+    word = [Generator(2, True, 4), Generator(0, False, 1), Generator(2, False, 0)]
+    assert canonicalize(word, 2.0) == oracle.canonicalize(word, 2.0)
+    assert canonicalize(word + word[:1], 1.0) is None

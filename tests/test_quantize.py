@@ -8,8 +8,11 @@ with the Dirac bracket is swept over every low-degree monomial pair.
 import itertools
 import math
 
+import grassmann_oracle as oracle
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudospin.grassmann import (
     AlgebraSpec,
@@ -113,6 +116,26 @@ def test_realization_validation():
         real.matrix_for(carrier.momentum(0, 0))
 
 
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        (dict(gens=(np.eye(2, dtype=complex),)), "expected 3 generator images, got 1"),
+        (dict(dim=4), "does not match dim 4"),
+        (dict(hbar=-1.0), "hbar"),
+        (dict(hbar=0.0), "hbar"),
+        (dict(hbar=math.nan), "hbar"),
+        (dict(hbar=math.inf), "hbar"),
+    ],
+    ids=["image count", "image shape", "negative", "zero", "nan", "inf"],
+)
+def test_realization_validates_on_construction(bad, match):
+    paulis = tuple(np.array(p) for p in PAULI)
+    fields = dict(algebra=AlgebraSpec((3,)), hbar=1.0, dim=2, gens=paulis)
+    Realization(**fields)
+    with pytest.raises(ValueError, match=match):
+        Realization(**{**fields, **bad})
+
+
 def test_constraint_reduce_known_values():
     # pi_i -> (i/2) xi_i inside the algebra; nilpotency kills xi_1 pi_1.
     assert constraint_reduce(elem(XI[0], PI[0])).terms == {}
@@ -121,6 +144,25 @@ def test_constraint_reduce_known_values():
     # Coordinates pass through untouched.
     f = elem(XI[0], CHI[1], c=2.0 - 1.0j)
     assert constraint_reduce(f).terms == f.terms
+
+
+@pytest.mark.parametrize("algebra", oracle.ALGEBRAS, ids=oracle.ALGEBRA_IDS)
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_reduce_and_quantize_match_tuple_reference(algebra, data):
+    terms = data.draw(oracle.word_terms(algebra, max_degree=7))
+    hbar = data.draw(st.sampled_from([0.5, 1.0, 2.0]))
+    f = GrassmannElement.from_terms(algebra, terms)
+    ref_f = oracle.from_terms(algebra, terms)
+    assert oracle.exact(constraint_reduce(f).terms) == oracle.exact(
+        oracle.constraint_reduce(algebra, ref_f)
+    )
+    real = tensor_realization(algebra, hbar=hbar)
+    expect = oracle.quantize(algebra, ref_f, real).tobytes()
+    # Twice: the first call fills the realization's image table, the second
+    # reads it back.
+    assert quantize(f, real).tobytes() == expect
+    assert quantize(f, real).tobytes() == expect
 
 
 def test_quantize_monomials_and_linearity():
@@ -197,6 +239,31 @@ def test_correspondence_sweep_at_multiple_hbar():
                 report = correspondence_check(f, g, real)
                 assert report.supported
                 assert report.residual <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [(1,), (2,), (3,), (4,), (5,), (2, 2), (1, 3), (2, 4), (1, 2, 3)],
+    ids=str,
+)
+def test_correspondence_on_every_low_degree_pair(sizes):
+    # Every unit, generator and degree-2 monomial against every other one.
+    algebra = AlgebraSpec(sizes, momenta_attached=True)
+    gens = list(algebra.coordinates()) + list(algebra.momenta())
+    monomials = [GrassmannElement.unit(algebra)]
+    monomials += [GrassmannElement.from_generator(algebra, g) for g in gens]
+    monomials += [
+        GrassmannElement.from_terms(algebra, [(pair, 1.0)])
+        for pair in itertools.combinations(gens, 2)
+    ]
+    real = tensor_realization(AlgebraSpec(sizes), hbar=1.0)
+    worst = 0.0
+    for f in monomials:
+        for g in monomials:
+            report = correspondence_check(f, g, real)
+            assert report.supported
+            worst = max(worst, report.residual)
+    assert worst <= 1e-12
 
 
 def test_correspondence_flags_high_degree_unsupported():
