@@ -7,12 +7,14 @@ Subcommands:
     quantize-file  Quantize a Grassmann element read from JSON.
     verify         Run the seeded invariant suites.
 
-Configuration comes from flags, optionally seeded by a JSON config file
-(``--config``) whose keys are the flag names with underscores; flags given
-on the command line override file values.  Numeric output is deterministic:
-identical configuration and seed produce byte-identical CSV/JSON.  Exit
-codes: 0 success, 1 validation or input error, 2 verification or agreement
-failure.
+Each subcommand accepts only the options its handler reads, plus ``--out``
+and ``--config``; any other flag is a usage error.  Configuration comes
+from flags, optionally seeded by a JSON config file (``--config``) whose
+keys are the subcommand's flag names with underscores; an unknown key is
+an input error, and flags given on the command line override file values.
+Numeric output is deterministic: identical configuration and seed produce
+byte-identical CSV/JSON.  Exit codes: 0 success, 1 validation, input or
+usage error, 2 verification or agreement failure.
 
 Column layout follows the model layer: sweep rows are ``B, alpha1, alpha2,
 J, ReE1p, ImE1p, ReE1m, ImE1m, ReE2p, ImE2p, ReE2m, ImE2m,
@@ -71,7 +73,7 @@ EVOLVE_COLUMNS = ["t", "re_amp", "im_amp", "probability", "rho_norm"]
 # default: float, int, bool (a switch), a string, or None for a path.
 # ``config`` is the one option a config file may not set.
 _Options = dict[str, tuple[Any, str | None]]
-_COMMON: _Options = {
+_OPTIONS: _Options = {
     "j": (1.0, "exchange coupling"),
     "b": (1.0, "applied field amplitude"),
     "alpha1": (0.0, "damping of the first spin"),
@@ -80,48 +82,68 @@ _COMMON: _Options = {
     "tol": (1e-9, "agreement tolerance"),
     "seed": (0, "seed for randomized checks"),
     "paper_units": (False, "report eigenvalue columns times 4"),
-    "out": (None, "output path (default stdout)"),
     "format": ("csv", "output format"),
+    "b_start": (0.5, None),
+    "b_end": (3.0, None),
+    "b_steps": (11, None),
+    "alpha_start": (0.0, None),
+    "alpha_end": (0.0, None),
+    "alpha_steps": (
+        0, "grid over (alpha, -alpha) pairs; 0 keeps --alpha1/--alpha2 fixed"
+    ),
+    "j_start": (0.0, None),
+    "j_end": (0.0, None),
+    "j_steps": (0, "grid over J; 0 keeps --J fixed"),
+    "t_start": (0.0, None),
+    "t_end": (10.0, None),
+    "t_steps": (101, None),
+    "xi": (None, "bra state vector JSON path"),
+    "zeta": (None, "ket state vector JSON path"),
+    "allow_dissipative": (
+        False, "run outside the pseudo-hermitian regime (canonical norms)"
+    ),
+    "element": (None, "Grassmann element JSON path"),
+    "realization": (
+        None, 'realization JSON path ({"families": [...], "hbar": ...})'
+    ),
+    "check": (False, "verify hermiticity of the output for star-real input"),
+    "group": (None, "restrict to this group (repeatable)"),
+    "perturb": (0.0, "fault-injection bias; nonzero must produce a failure"),
+    "out": (None, "output path (default stdout)"),
     "config": (None, "JSON config file; flags override it"),
 }
 
-_SUBCOMMANDS: dict[str, tuple[str, _Options]] = {
-    "spectrum": ("closed-form vs numerical eigenvalues for one parameter set", {}),
-    "regime-sweep": ("pseudo-hermiticity map over a parameter grid", {
-        "b_start": (0.5, None),
-        "b_end": (3.0, None),
-        "b_steps": (11, None),
-        "alpha_start": (0.0, None),
-        "alpha_end": (0.0, None),
-        "alpha_steps": (
-            0, "grid over (alpha, -alpha) pairs; 0 keeps --alpha1/--alpha2 fixed"
-        ),
-        "j_start": (0.0, None),
-        "j_end": (0.0, None),
-        "j_steps": (0, "grid over J; 0 keeps --J fixed"),
-    }),
-    "evolve": ("transition amplitude and deformed norm over a time grid", {
-        "t_start": (0.0, None),
-        "t_end": (10.0, None),
-        "t_steps": (101, None),
-        "xi": (None, "bra state vector JSON path"),
-        "zeta": (None, "ket state vector JSON path"),
-        "allow_dissipative": (
-            False, "run outside the pseudo-hermitian regime (canonical norms)"
-        ),
-    }),
-    "quantize-file": ("quantize a Grassmann element read from JSON", {
-        "element": (None, "Grassmann element JSON path"),
-        "realization": (
-            None, 'realization JSON path ({"families": [...], "hbar": ...})'
-        ),
-        "check": (False, "verify hermiticity of the output for star-real input"),
-    }),
-    "verify": ("run the seeded invariant suites", {
-        "group": (None, "restrict to this group (repeatable)"),
-        "perturb": (0.0, "fault-injection bias; nonzero must produce a failure"),
-    }),
+# Each subcommand's help and the options its handler reads; every
+# subcommand also takes ``out`` and ``config``.
+_SUBCOMMANDS: dict[str, tuple[str, tuple[str, ...]]] = {
+    "spectrum": (
+        "closed-form vs numerical eigenvalues for one parameter set",
+        ("j", "b", "alpha1", "alpha2", "tol", "paper_units", "format"),
+    ),
+    "regime-sweep": (
+        "pseudo-hermiticity map over a parameter grid",
+        ("j", "alpha1", "alpha2", "paper_units", "format",
+         "b_start", "b_end", "b_steps", "alpha_start", "alpha_end", "alpha_steps",
+         "j_start", "j_end", "j_steps"),
+    ),
+    "evolve": (
+        "transition amplitude and deformed norm over a time grid",
+        ("j", "b", "alpha1", "alpha2", "format",
+         "t_start", "t_end", "t_steps", "xi", "zeta", "allow_dissipative"),
+    ),
+    "quantize-file": (
+        "quantize a Grassmann element read from JSON",
+        ("hbar", "tol", "element", "realization", "check"),
+    ),
+    "verify": ("run the seeded invariant suites", ("seed", "group", "perturb")),
 }
+
+
+def _options(subcommand: str) -> _Options:
+    """The options ``subcommand`` accepts, in declaration order."""
+    keys = (*_SUBCOMMANDS[subcommand][1], "out", "config")
+    return {key: _OPTIONS[key] for key in keys}
+
 
 _CHOICES: dict[str, tuple[str, ...]] = {
     "format": ("csv", "json"),
@@ -156,18 +178,11 @@ def _add_options(parser: argparse.ArgumentParser, options: _Options) -> None:
 
 
 def _build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    _add_options(common, _COMMON)
     parser = _Parser(prog="pseudospin", description=__doc__.split("\n\n")[0])
     subs = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (help_text, options) in _SUBCOMMANDS.items():
-        _add_options(
-            subs.add_parser(
-                name, parents=[common], help=help_text,
-                argument_default=argparse.SUPPRESS,
-            ),
-            options,
-        )
+    for name, (help_text, _) in _SUBCOMMANDS.items():
+        sub = subs.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        _add_options(sub, _options(name))
     return parser
 
 
@@ -234,7 +249,7 @@ def make_config(subcommand: str, provided: Mapping[str, Any]) -> dict[str, Any]:
     Raises:
         CliError: On unknown or mistyped values, or invariant violations.
     """
-    options = {**_COMMON, **_SUBCOMMANDS[subcommand][1]}
+    options = _options(subcommand)
     file_values: dict[str, Any] = {}
     if provided.get("config") is not None:
         file_values = _load_json(provided["config"])
@@ -247,9 +262,9 @@ def make_config(subcommand: str, provided: Mapping[str, Any]) -> dict[str, Any]:
     for source in (file_values, provided):
         for key, value in source.items():
             v[key] = _typed(key, value, options[key][0])
-    if not v["tol"] > 0.0:
+    if "tol" in v and not v["tol"] > 0.0:
         raise CliError("tolerance must be positive")
-    if not v["hbar"] > 0.0:
+    if "hbar" in v and not v["hbar"] > 0.0:
         raise CliError("hbar must be positive")
     for key in ("b_steps", "t_steps"):
         if key in v and v[key] < 1:

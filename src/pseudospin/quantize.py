@@ -27,6 +27,7 @@ from pseudospin.grassmann import (
     _Layout,
     commutation_factor,
     dirac_bracket,
+    family_components,
 )
 
 __all__ = [
@@ -56,9 +57,11 @@ for _sigma in PAULI:
     _sigma.setflags(write=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Realization:
     """Matrix images of the coordinate generators.
+
+    Instances compare and hash by identity: each holds its own image table.
 
     Attributes:
         algebra: Coordinate-only algebra the images represent.
@@ -80,7 +83,7 @@ class Realization:
     # momenta): monomial mask -> ordered product of its generator images,
     # filled by quantize on first use.
     _images: dict[_Layout, dict[int, np.ndarray]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
+        default_factory=dict, init=False, repr=False
     )
 
     def __post_init__(self) -> None:
@@ -200,15 +203,10 @@ def quantize(f: GrassmannElement, realization: Realization) -> OperatorMatrix:
     """
     if f.algebra.family_sizes != realization.algebra.family_sizes:
         raise ValueError("element and realization have different family sizes")
-    return _quantize(f.by_mask, _layout(f.algebra), realization)
-
-
-def _quantize(
-    terms: dict[int, complex], layout: _Layout, realization: Realization
-) -> OperatorMatrix:
+    layout = _layout(f.algebra)
     images = realization._images.setdefault(layout, {})
     out = np.zeros((realization.dim, realization.dim), dtype=complex)
-    for mask, coeff in _reduced_terms(terms, layout).items():
+    for mask, coeff in _reduced_terms(f.by_mask, layout).items():
         image = images.get(mask)
         if image is None:
             identity = np.eye(realization.dim, dtype=complex)
@@ -291,9 +289,8 @@ def correspondence_check(
     still reported outside it.
     """
     bracket = quantize(dirac_bracket(f, g), realization)
-    layout = _layout(f.algebra)
-    q_f = _quantized_components(f, layout, realization)
-    q_g = _quantized_components(g, layout, realization)
+    q_f = [(p, quantize(part, realization)) for p, part in family_components(f).items()]
+    q_g = [(p, quantize(part, realization)) for p, part in family_components(g).items()]
     commutator = np.zeros((realization.dim, realization.dim), dtype=complex)
     for pf, qf in q_f:
         for pg, qg in q_g:
@@ -302,16 +299,6 @@ def correspondence_check(
     residual = float(np.abs(commutator - 1j * realization.hbar * bracket).max())
     supported = f.max_degree <= 2 and g.max_degree <= 2
     return CorrespondenceReport(residual, residual <= tol, supported)
-
-
-def _quantized_components(
-    f: GrassmannElement, layout: _Layout, realization: Realization
-) -> list[tuple[tuple[int, ...], OperatorMatrix]]:
-    """(family parities, matrix) of each homogeneous piece of ``f``."""
-    pieces: dict[tuple[int, ...], dict[int, complex]] = {}
-    for mask, coeff in f.by_mask.items():
-        pieces.setdefault(layout.parities[mask], {})[mask] = coeff
-    return [(key, _quantize(part, layout, realization)) for key, part in pieces.items()]
 
 
 def similarity_transport(

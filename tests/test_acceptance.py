@@ -322,7 +322,7 @@ def test_criterion_10_metric_construction_oracle():
 def test_criterion_11_sweep_determinism(tmp_path):
     args = [
         "regime-sweep", "--J", "1", "--alpha1", "0.5", "--alpha2", "-0.5",
-        "--b-start", "0.5", "--b-end", "4.0", "--b-steps", "36", "--seed", "11",
+        "--b-start", "0.5", "--b-end", "4.0", "--b-steps", "36",
     ]
     first, second = tmp_path / "first.csv", tmp_path / "second.csv"
     assert main(args + ["--out", str(first)]) == 0

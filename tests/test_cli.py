@@ -14,10 +14,12 @@ import json
 import math
 import subprocess
 import sys
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
 
+from pseudospin import cli
 from pseudospin.cli import (
     EVOLVE_COLUMNS,
     SPECTRUM_COLUMNS,
@@ -193,7 +195,7 @@ def test_sweep_j_grid(capsys):
 def test_sweep_deterministic_bytes(tmp_path, capsys):
     args = [
         "regime-sweep", "--J", "1", "--alpha1", "0.3", "--alpha2", "-0.3",
-        "--b-start", "0.5", "--b-end", "4.0", "--b-steps", "29", "--seed", "7",
+        "--b-start", "0.5", "--b-end", "4.0", "--b-steps", "29",
     ]
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(args + ["--out", str(first)]) == 0
@@ -239,8 +241,8 @@ def test_sweep_config_values_are_typed_like_their_flags(tmp_path, capsys):
 
 @pytest.mark.parametrize("values, key", [
     ({"b_steps": 2.5}, "b_steps"),
-    ({"tol": "x"}, "tol"),
-    ({"seed": 1.5}, "seed"),
+    ({"alpha_start": "x"}, "alpha_start"),
+    ({"alpha_steps": 1.5}, "alpha_steps"),
     ({"b_end": True}, "b_end"),
     ({"j_steps": None}, "j_steps"),
 ])
@@ -280,15 +282,20 @@ MISTYPED_CONFIG = {
         ({"group": 5}, "group"),
         ({"group": "clifford"}, "group"),
         ({"group": ["clifford", 3]}, "group"),
+        ({"seed": 1.5}, "seed"),
     ],
 }
+
+
+# Appended after the table so that the ids of the cases above stay stable.
+MISTYPED_CONFIG_LATER = [("spectrum", {"tol": "x"}, "tol")]
 
 
 @pytest.mark.parametrize("subcommand, values, key", [
     (subcommand, values, key)
     for subcommand, cases in MISTYPED_CONFIG.items()
     for values, key in cases
-])
+] + MISTYPED_CONFIG_LATER)
 def test_config_rejects_values_of_the_wrong_kind(
     tmp_path, capsys, subcommand, values, key
 ):
@@ -475,8 +482,8 @@ STDOUT_GOLDEN = {
         "55a6e2bb862aa6b835c8520f4badd7b904d662840d204cacf70f9da50930c59b",
     ),
     "sweep_paper_units": (
-        ["regime-sweep", *TOY, "--paper-units",
-         "--b-start", "0.5", "--b-end", "3", "--b-steps", "11"],
+        ["regime-sweep", "--J", "1", "--alpha1", "1", "--alpha2", "-1",
+         "--paper-units", "--b-start", "0.5", "--b-end", "3", "--b-steps", "11"],
         "eb67d76b7a9e82c74284677eb1a0993644386a3ba4859f718f1e6ebb2a41824b",
     ),
     "spectrum_csv": (
@@ -704,10 +711,9 @@ def test_verify_summary_json(tmp_path, capsys):
 # parser plumbing
 
 
-# Every flag of every subcommand as (option strings, dest, action kind,
-# choices, help), pinned so that rebuilding the parser cannot add, drop or
-# reword a flag unnoticed.
-_COMMON_FLAGS = [
+# Every flag as (option strings, dest, action kind, choices, help), pinned
+# so that rebuilding the parser cannot add, drop or reword a flag unnoticed.
+_FLAGS = {flag[1]: flag for flag in [
     (("--B",), "b", "_StoreAction", None, "applied field amplitude"),
     (("--J",), "j", "_StoreAction", None, "exchange coupling"),
     (("--alpha1",), "alpha1", "_StoreAction", None, "damping of the first spin"),
@@ -722,47 +728,52 @@ _COMMON_FLAGS = [
     (("--seed",), "seed", "_StoreAction", None, "seed for randomized checks"),
     (("--tol",), "tol", "_StoreAction", None, "agreement tolerance"),
     (("-h", "--help"), "help", "_HelpAction", None, "show this help message and exit"),
-]
+    (("--alpha-end",), "alpha_end", "_StoreAction", None, None),
+    (("--alpha-start",), "alpha_start", "_StoreAction", None, None),
+    (("--alpha-steps",), "alpha_steps", "_StoreAction", None,
+     "grid over (alpha, -alpha) pairs; 0 keeps --alpha1/--alpha2 fixed"),
+    (("--b-end",), "b_end", "_StoreAction", None, None),
+    (("--b-start",), "b_start", "_StoreAction", None, None),
+    (("--b-steps",), "b_steps", "_StoreAction", None, None),
+    (("--j-end",), "j_end", "_StoreAction", None, None),
+    (("--j-start",), "j_start", "_StoreAction", None, None),
+    (("--j-steps",), "j_steps", "_StoreAction", None,
+     "grid over J; 0 keeps --J fixed"),
+    (("--allow-dissipative",), "allow_dissipative", "_StoreTrueAction", None,
+     "run outside the pseudo-hermitian regime (canonical norms)"),
+    (("--t-end",), "t_end", "_StoreAction", None, None),
+    (("--t-start",), "t_start", "_StoreAction", None, None),
+    (("--t-steps",), "t_steps", "_StoreAction", None, None),
+    (("--xi",), "xi", "_StoreAction", None, "bra state vector JSON path"),
+    (("--zeta",), "zeta", "_StoreAction", None, "ket state vector JSON path"),
+    (("--check",), "check", "_StoreTrueAction", None,
+     "verify hermiticity of the output for star-real input"),
+    (("--element",), "element", "_StoreAction", None,
+     "Grassmann element JSON path"),
+    (("--realization",), "realization", "_StoreAction", None,
+     'realization JSON path ({"families": [...], "hbar": ...})'),
+    (("--group",), "group", "_AppendAction",
+     ("canon", "clifford", "correspondence", "grassmann", "pseudoherm",
+      "quantize", "twospin"),
+     "restrict to this group (repeatable)"),
+    (("--perturb",), "perturb", "_StoreAction", None,
+     "fault-injection bias; nonzero must produce a failure"),
+]}
+_COMMON_FLAGS = ("help", "out", "config")
+# The options each subcommand's handler reads, besides the common flags.
 FLAG_SURFACE = {
-    "spectrum": [],
-    "regime-sweep": [
-        (("--alpha-end",), "alpha_end", "_StoreAction", None, None),
-        (("--alpha-start",), "alpha_start", "_StoreAction", None, None),
-        (("--alpha-steps",), "alpha_steps", "_StoreAction", None,
-         "grid over (alpha, -alpha) pairs; 0 keeps --alpha1/--alpha2 fixed"),
-        (("--b-end",), "b_end", "_StoreAction", None, None),
-        (("--b-start",), "b_start", "_StoreAction", None, None),
-        (("--b-steps",), "b_steps", "_StoreAction", None, None),
-        (("--j-end",), "j_end", "_StoreAction", None, None),
-        (("--j-start",), "j_start", "_StoreAction", None, None),
-        (("--j-steps",), "j_steps", "_StoreAction", None,
-         "grid over J; 0 keeps --J fixed"),
-    ],
-    "evolve": [
-        (("--allow-dissipative",), "allow_dissipative", "_StoreTrueAction", None,
-         "run outside the pseudo-hermitian regime (canonical norms)"),
-        (("--t-end",), "t_end", "_StoreAction", None, None),
-        (("--t-start",), "t_start", "_StoreAction", None, None),
-        (("--t-steps",), "t_steps", "_StoreAction", None, None),
-        (("--xi",), "xi", "_StoreAction", None, "bra state vector JSON path"),
-        (("--zeta",), "zeta", "_StoreAction", None, "ket state vector JSON path"),
-    ],
-    "quantize-file": [
-        (("--check",), "check", "_StoreTrueAction", None,
-         "verify hermiticity of the output for star-real input"),
-        (("--element",), "element", "_StoreAction", None,
-         "Grassmann element JSON path"),
-        (("--realization",), "realization", "_StoreAction", None,
-         'realization JSON path ({"families": [...], "hbar": ...})'),
-    ],
-    "verify": [
-        (("--group",), "group", "_AppendAction",
-         ("canon", "clifford", "correspondence", "grassmann", "pseudoherm",
-          "quantize", "twospin"),
-         "restrict to this group (repeatable)"),
-        (("--perturb",), "perturb", "_StoreAction", None,
-         "fault-injection bias; nonzero must produce a failure"),
-    ],
+    "spectrum": ("j", "b", "alpha1", "alpha2", "tol", "paper_units", "format"),
+    "regime-sweep": (
+        "j", "alpha1", "alpha2", "paper_units", "format",
+        "b_start", "b_end", "b_steps", "alpha_start", "alpha_end", "alpha_steps",
+        "j_start", "j_end", "j_steps",
+    ),
+    "evolve": (
+        "j", "b", "alpha1", "alpha2", "format",
+        "t_start", "t_end", "t_steps", "xi", "zeta", "allow_dissipative",
+    ),
+    "quantize-file": ("hbar", "tol", "element", "realization", "check"),
+    "verify": ("seed", "group", "perturb"),
 }
 
 
@@ -777,13 +788,116 @@ def _subparsers():
 def test_flag_surface_is_pinned():
     subparsers = _subparsers()
     assert list(subparsers) == list(FLAG_SURFACE)
-    for name, extra in FLAG_SURFACE.items():
+    for name, keys in FLAG_SURFACE.items():
         surface = sorted(
             (tuple(a.option_strings), a.dest, type(a).__name__,
              None if a.choices is None else tuple(a.choices), a.help)
             for a in subparsers[name]._actions
         )
-        assert surface == sorted(_COMMON_FLAGS + extra), name
+        assert surface == sorted(_FLAGS[key] for key in keys + _COMMON_FLAGS), name
+
+
+class _ReadRecorder(Mapping):
+    """A configuration that records every key its reader looks up."""
+
+    def __init__(self, values, reads):
+        self._values, self._reads = values, reads
+
+    def __getitem__(self, key):
+        self._reads.add(key)
+        return self._values[key]
+
+    def __iter__(self):
+        return iter(self._values)
+
+    def __len__(self):
+        return len(self._values)
+
+
+# Enough invocations to take every branch that reads an option: both sides
+# of alpha_steps and j_steps, a dissipative evolve, --check on a star-real
+# element, and --out.
+READ_EVERY_OPTION = [
+    ["spectrum", "--out", "{out}"],
+    ["regime-sweep", "--b-steps", "2"],
+    ["regime-sweep", "--b-steps", "1", "--alpha-steps", "2", "--j-steps", "2"],
+    ["evolve", "--t-steps", "2"],
+    ["evolve", "--B", "4", "--alpha1", "1", "--alpha2", "-1", "--t-steps", "2",
+     "--allow-dissipative"],
+    ["quantize-file", "--element", "{element}", "--check"],
+    ["verify", "--group", "clifford", "--out", "{out}"],
+]
+
+
+def test_each_subcommand_reads_every_option_it_accepts(tmp_path, capsys, monkeypatch):
+    element = write_element(tmp_path / "heis.json", HEISENBERG_ELEMENT)
+    declared, reads = {}, {name: set() for name in FLAG_SURFACE}
+    make_config = cli.make_config
+
+    def recording_make_config(subcommand, provided):
+        config = make_config(subcommand, provided)
+        declared[subcommand] = set(config)
+        return _ReadRecorder(config, reads[subcommand])
+
+    monkeypatch.setattr(cli, "make_config", recording_make_config)
+    for args in READ_EVERY_OPTION:
+        args = [arg.format(element=element, out=tmp_path / "out") for arg in args]
+        assert main(args) == 0, args
+    capsys.readouterr()
+    for name, keys in FLAG_SURFACE.items():
+        assert declared[name] == {*keys, "out", "config"}, name
+        assert reads[name] == declared[name] - {"config"}, name
+
+
+# Options each subcommand does not read, with a value that would be valid
+# where the option is read.
+IGNORED_OPTIONS = {
+    "spectrum": ("hbar", "seed"),
+    "regime-sweep": ("b", "hbar", "tol", "seed"),
+    "evolve": ("hbar", "tol", "seed", "paper_units"),
+    "quantize-file": ("j", "b", "alpha1", "alpha2", "seed", "paper_units", "format"),
+    "verify": ("j", "b", "alpha1", "alpha2", "hbar", "tol", "paper_units", "format"),
+}
+IGNORED_VALUES = {
+    "j": 1.0, "b": 1.0, "alpha1": 0.0, "alpha2": 0.0, "hbar": 1.0, "tol": 1e-9,
+    "seed": 0, "paper_units": True, "format": "csv",
+}
+# Arguments that make each subcommand succeed quickly on their own.
+VALID_ARGS = {
+    "spectrum": [],
+    "regime-sweep": ["--b-steps", "1"],
+    "evolve": ["--t-steps", "2"],
+    "quantize-file": ["--element", "{element}"],
+    "verify": ["--group", "clifford"],
+}
+
+
+@pytest.mark.parametrize("source", ["flag", "config file"])
+@pytest.mark.parametrize("subcommand, key", [
+    (subcommand, key)
+    for subcommand, keys in IGNORED_OPTIONS.items()
+    for key in keys
+])
+def test_options_a_subcommand_does_not_read_are_rejected(
+    tmp_path, capsys, subcommand, key, source
+):
+    element = write_element(tmp_path / "heis.json", HEISENBERG_ELEMENT)
+    args = [subcommand, *(arg.format(element=element) for arg in VALID_ARGS[subcommand])]
+    value = IGNORED_VALUES[key]
+    if source == "flag":
+        flag = _FLAGS[key][0][0]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*args, flag] if value is True else [*args, flag, str(value)])
+        code, message = excinfo.value.code, "unrecognized arguments"
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        code = main([*args, "--config", str(config)])
+        message = f"unknown config keys: [{key!r}]"
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert message in err
 
 
 @pytest.mark.parametrize("subcommand", sorted(FLAG_SURFACE))

@@ -136,6 +136,15 @@ def test_realization_validates_on_construction(bad, match):
         Realization(**{**fields, **bad})
 
 
+def test_realizations_compare_and_hash_by_identity():
+    # Each realization owns its image table, so two built alike stay distinct.
+    first = tensor_realization(AlgebraSpec((3,)))
+    second = tensor_realization(AlgebraSpec((3,)))
+    assert (first == second) is False
+    assert first == first
+    assert len({first, second, first}) == 2
+
+
 def test_constraint_reduce_known_values():
     # pi_i -> (i/2) xi_i inside the algebra; nilpotency kills xi_1 pi_1.
     assert constraint_reduce(elem(XI[0], PI[0])).terms == {}
