@@ -58,27 +58,29 @@ class ComplexOrthogonal:
         self.entries.setflags(write=False)
 
 
-def verify_orthogonal(matrix: np.ndarray, tol: float = ORTHO_TOL) -> ComplexOrthogonal:
+def verify_orthogonal(matrix: np.ndarray) -> ComplexOrthogonal:
     """Validate ``matrix Lambda^T = I`` and wrap the result.
 
     Args:
         matrix: Square complex matrix.
-        tol: Max-norm tolerance on the orthogonality residual.
 
     Returns:
         The validated matrix with its determinant snapped to +1 or -1.
 
     Raises:
         ValueError: If the matrix is not square, the residual exceeds
-            ``tol``, or the determinant is not within 1e-8 of +1 or -1.
+            ``ORTHO_TOL``, or the determinant is not within ``DET_TOL`` of
+            +1 or -1.
     """
     entries = np.array(matrix, dtype=complex)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ValueError("expected a square matrix")
     n = entries.shape[0]
     residual = np.max(np.abs(entries @ entries.T - np.eye(n)))
-    if residual > tol:
-        raise ValueError(f"orthogonality residual {residual:.3e} exceeds {tol:.1e}")
+    if residual > ORTHO_TOL:
+        raise ValueError(
+            f"orthogonality residual {residual:.3e} exceeds {ORTHO_TOL:.1e}"
+        )
     det = np.linalg.det(entries)
     if abs(det - 1.0) <= DET_TOL:
         snapped = 1.0
@@ -214,13 +216,13 @@ class BlockDecomposition:
 
 
 def block_decompose(
-    lam: ComplexOrthogonal, sizes: tuple[int, int] = (3, 3), tol: float = ORTHO_TOL
+    lam: ComplexOrthogonal, sizes: tuple[int, int] = (3, 3)
 ) -> BlockDecomposition:
     """Split a transformation into family blocks and check the relations.
 
     Raises:
         ValueError: If the sizes do not tile the matrix or any of the four
-            block orthogonality relations is violated beyond ``tol``.
+            block orthogonality relations is violated beyond ``ORTHO_TOL``.
     """
     n1, n2 = sizes
     if n1 + n2 != lam.n:
@@ -236,7 +238,7 @@ def block_decompose(
         blocks.s_prime @ blocks.r.T + blocks.s @ blocks.r_prime.T,
     )
     worst = max(np.max(np.abs(rel)) for rel in relations)
-    if worst > tol:
+    if worst > ORTHO_TOL:
         raise ValueError(f"block orthogonality violated by {worst:.3e}")
     return blocks
 

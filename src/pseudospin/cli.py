@@ -461,7 +461,7 @@ def cmd_quantize(config: Mapping[str, Any]) -> int:
 
     status = 0
     if config["check"]:
-        star_real = star_involution(element).allclose(element, tol=1e-12)
+        star_real = star_involution(element).allclose(element)
         if star_real:
             gap = float(np.max(np.abs(matrix - matrix.conj().T)))
             if gap > config["tol"]:

@@ -410,8 +410,8 @@ class GrassmannElement:
             raise ValueError("element is not homogeneous family-wise")
         return vectors.pop()
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return all(abs(c) <= tol for c in self.by_mask.values())
+    def is_zero(self) -> bool:
+        return all(c == 0 for c in self.by_mask.values())
 
     def allclose(self, other: "GrassmannElement", tol: float = COEFF_TOL) -> bool:
         if self.algebra != other.algebra:

@@ -75,9 +75,9 @@ class Diagnosis:
     Attributes:
         spectrum: Eigenvalues sorted by (real, imaginary) part.
         spectrum_real: Whether every eigenvalue satisfies
-            ``|Im| <= tol * (1 + |lambda|)``.
+            ``|Im| <= REALITY_TOL * (1 + |lambda|)``.
         diagonalizable: Whether the eigenvector matrix is numerically
-            invertible (condition number within the cap) and the constructed
+            invertible (condition number within ``COND_CAP``) and the constructed
             metric verified internally.
         metric: A metric rendering the operator hermitian; present exactly
             when ``spectrum_real and diagonalizable``.
@@ -179,14 +179,13 @@ def metric_from_isomorphism(u: OperatorMatrix, eta: Metric | None = None) -> Met
     return Metric(0.5 * (rho + rho.conj().T))
 
 
-def diagnose(
-    a: OperatorMatrix, tol: float = REALITY_TOL, cond_cap: float = COND_CAP
-) -> Diagnosis:
+def diagnose(a: OperatorMatrix) -> Diagnosis:
     """Decide whether an operator admits a positive metric, and build one.
 
     The spectrum is computed first; the operator is metric-compatible
-    exactly when every eigenvalue is real (within ``tol * (1 + |lambda|)``)
-    and the eigenvector matrix ``s`` is numerically invertible.  In that
+    exactly when every eigenvalue is real (within
+    ``REALITY_TOL * (1 + |lambda|)``) and the eigenvector matrix ``s`` is
+    numerically invertible (condition number at most ``COND_CAP``).  In that
     case the eigenvector columns are scaled to unit norm, so the construction
     is reproducible, and the metric ``(s s^dag)^-1`` is returned after an
     internal verification that it actually renders the operator hermitian.
@@ -197,8 +196,6 @@ def diagnose(
 
     Args:
         a: Operator matrix to classify.
-        tol: Relative reality threshold for eigenvalues.
-        cond_cap: Condition-number cap on the eigenvector matrix.
 
     Returns:
         A :class:`Diagnosis`; the metric is present exactly when
@@ -213,29 +210,26 @@ def diagnose(
     vectors = vectors[:, order]
     spectrum = tuple(complex(v) for v in values)
     spectrum_real = bool(
-        all(abs(v.imag) <= tol * (1.0 + abs(v)) for v in spectrum)
+        all(abs(v.imag) <= REALITY_TOL * (1.0 + abs(v)) for v in spectrum)
     )
     cond = float(np.linalg.cond(vectors))
-    diagonalizable = bool(np.isfinite(cond) and cond <= cond_cap)
+    diagonalizable = bool(np.isfinite(cond) and cond <= COND_CAP)
     if not (spectrum_real and diagonalizable):
         return Diagnosis(spectrum, spectrum_real, diagonalizable, None)
     vectors = vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
     gram = vectors @ vectors.conj().T
     rho = np.linalg.inv(gram)
-    rho = 0.5 * (rho + rho.conj().T)
-    residual = float(np.max(np.abs(rho @ a - a.conj().T @ rho)))
-    if residual > METRIC_RESIDUAL_TOL * (1.0 + float(np.max(np.abs(a)))):
-        return Diagnosis(spectrum, spectrum_real, False, None)
     try:
-        metric = Metric(rho)
+        metric = Metric(0.5 * (rho + rho.conj().T))
     except ValueError:
+        return Diagnosis(spectrum, spectrum_real, False, None)
+    residual_tol = METRIC_RESIDUAL_TOL * (1.0 + float(np.max(np.abs(a))))
+    if not is_rho_hermitian(a, metric, tol=residual_tol):
         return Diagnosis(spectrum, spectrum_real, False, None)
     return Diagnosis(spectrum, spectrum_real, True, metric)
 
 
-def verify_rho_preserving(
-    s: OperatorMatrix, rho: Metric, tol: float = PRESERVATION_TOL
-) -> bool:
+def verify_rho_preserving(s: OperatorMatrix, rho: Metric) -> bool:
     """Check that a transformation preserves the metric, ``s^dag rho s == rho``.
 
     Metric-preserving maps play the role unitaries play for the canonical
@@ -245,10 +239,9 @@ def verify_rho_preserving(
     Args:
         s: Transformation matrix.
         rho: Metric that should be preserved.
-        tol: Entrywise tolerance.
 
     Returns:
-        True iff ``max |s^dag rho s - rho| <= tol``.
+        True iff ``max |s^dag rho s - rho| <= PRESERVATION_TOL``.
 
     Raises:
         ValueError: If dimensions disagree.
@@ -257,4 +250,4 @@ def verify_rho_preserving(
     if s.shape != (rho.dim, rho.dim):
         raise ValueError("transformation dimension must match the metric")
     deviation = np.max(np.abs(s.conj().T @ rho.matrix @ s - rho.matrix))
-    return bool(deviation <= tol)
+    return bool(deviation <= PRESERVATION_TOL)

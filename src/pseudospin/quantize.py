@@ -46,7 +46,7 @@ __all__ = [
 OperatorMatrix: TypeAlias = np.ndarray
 
 RELATION_TOL = 1e-12
-COND_CAP = 1e12
+TRANSPORT_COND_CAP = 1e12
 
 PAULI = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -236,11 +236,12 @@ class RelationReport:
     passed: bool
 
 
-def check_relations(realization: Realization, tol: float = RELATION_TOL) -> RelationReport:
+def check_relations(realization: Realization) -> RelationReport:
     """Check the quantum algebra over all generator pairs.
 
     Same-family pairs must close on ``hbar delta_ij`` under the
-    anticommutator; cross-family pairs must commute.
+    anticommutator; cross-family pairs must commute.  Each residual must
+    stay within ``RELATION_TOL``.
     """
     algebra = realization.algebra
     coords = list(algebra.coordinates())
@@ -258,8 +259,8 @@ def check_relations(realization: Realization, tol: float = RELATION_TOL) -> Rela
                 residual = np.max(np.abs(qa @ qb - qb @ qa))
             residual = float(residual)
             worst = max(worst, residual)
-            checks.append(RelationCheck(a, b, residual, residual <= tol))
-    return RelationReport(tuple(checks), worst, worst <= tol)
+            checks.append(RelationCheck(a, b, residual, residual <= RELATION_TOL))
+    return RelationReport(tuple(checks), worst, worst <= RELATION_TOL)
 
 
 @dataclass(frozen=True)
@@ -272,10 +273,7 @@ class CorrespondenceReport:
 
 
 def correspondence_check(
-    f: GrassmannElement,
-    g: GrassmannElement,
-    realization: Realization,
-    tol: float = RELATION_TOL,
+    f: GrassmannElement, g: GrassmannElement, realization: Realization
 ) -> CorrespondenceReport:
     """Compare ``[Q(f), Q(g)]`` against ``i hbar Q({f, g}_D)``.
 
@@ -284,7 +282,8 @@ def correspondence_check(
     elements are odd, so cross-family generator pairs use the plain
     commutator and same-family ones the anticommutator.  Mixed elements are
     split into homogeneous components and the commutator extends
-    bilinearly.  ``supported`` is True when both elements have degree at
+    bilinearly.  The check passes when the residual is within
+    ``RELATION_TOL``.  ``supported`` is True when both elements have degree at
     most two, the range where the correspondence is exact; the residual is
     still reported outside it.
     """
@@ -298,12 +297,10 @@ def correspondence_check(
             commutator += qf @ qg - sign * qg @ qf
     residual = float(np.abs(commutator - 1j * realization.hbar * bracket).max())
     supported = f.max_degree <= 2 and g.max_degree <= 2
-    return CorrespondenceReport(residual, residual <= tol, supported)
+    return CorrespondenceReport(residual, residual <= RELATION_TOL, supported)
 
 
-def similarity_transport(
-    realization: Realization, u: np.ndarray, cond_cap: float = COND_CAP
-) -> Realization:
+def similarity_transport(realization: Realization, u: np.ndarray) -> Realization:
     """Conjugate every generator image by an invertible matrix.
 
     Products, sums and hence all algebra relations transport verbatim, so
@@ -311,13 +308,13 @@ def similarity_transport(
 
     Raises:
         ValueError: If ``u`` has the wrong shape or its condition number
-            exceeds ``cond_cap``.
+            exceeds ``TRANSPORT_COND_CAP``.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (realization.dim, realization.dim):
         raise ValueError(f"u must have shape ({realization.dim}, {realization.dim})")
     cond = np.linalg.cond(u)
-    if not np.isfinite(cond) or cond > cond_cap:
+    if not np.isfinite(cond) or cond > TRANSPORT_COND_CAP:
         raise ValueError(f"transformation is too ill-conditioned (cond={cond:.3e})")
     uinv = np.linalg.inv(u)
     gens = tuple(u @ gen @ uinv for gen in realization.gens)

@@ -10,10 +10,15 @@ directly and through the counterpart.
 Matrices are built exactly as the quantization of the classical model
 produces them, carrying an overall 1/4; spectra are reported for those
 matrices (callers wanting the bare field-unit eigenvalues multiply by 4).
-All regime logic is scale-invariant, so the prefactor never affects the
-pseudo-hermitian classification.
+The regime is decided from the fields and the coupling, not from the
+matrices, so the prefactor never affects the pseudo-hermitian
+classification.  The tolerance band is relative to the model's magnitude
+but has an absolute floor of 1 (see ``_tolerance_scale``), so the
+classification is scale-invariant only for parameters of order one and
+larger; rescaling small parameters can flip it.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, TypeAlias
 
@@ -21,6 +26,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from .pseudoherm import (
+    COND_CAP,
+    METRIC_RESIDUAL_TOL,
     Metric,
     eta_inner,
     is_rho_hermitian,
@@ -32,9 +39,7 @@ OperatorMatrix: TypeAlias = np.ndarray
 StateVector: TypeAlias = np.ndarray
 
 REGIME_TOL = 1e-9
-ISOMORPHISM_TOL = 1e-10
 ROUTE_TOL = 1e-9
-EVOLVE_COND_CAP = 1e8
 
 _IDENTITY2 = np.eye(2, dtype=complex)
 # Kronecker products of the Pauli matrices, built once: sigma_i (x) sigma_j
@@ -66,6 +71,14 @@ class TwoSpinParams:
         if isinstance(self.exchange, complex):
             raise ValueError("exchange coupling must be real")
         object.__setattr__(self, "exchange", float(self.exchange))
+        # A finite squared scale bounds |4 J^2 + f_minus^2| and rules out NaN;
+        # float ** and complex abs raise OverflowError where * would give inf.
+        try:
+            finite = math.isfinite(_tolerance_scale(self) ** 2)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"parameters overflow the closed form: {self}")
 
     @property
     def f_plus(self) -> complex:
@@ -313,18 +326,17 @@ def build_total(params: TwoSpinParams) -> OperatorMatrix:
     return free + build_interaction(params.exchange * np.eye(3))
 
 
-def closed_spectrum(params: TwoSpinParams, tol: float = REGIME_TOL) -> RegimeReport:
+def closed_spectrum(params: TwoSpinParams) -> RegimeReport:
     """Evaluate the closed-form spectrum and classify the regime.
 
     The reality conditions are: f_plus real, f_minus^2 real, and
-    4 J^2 + f_minus^2 positive.  Each is tested inside a relative band of
-    width ``tol`` so the exact threshold point (margin zero in floats)
-    still classifies as pseudo-hermitian; crossing the threshold flips the
-    flag.
+    4 J^2 + f_minus^2 positive.  Each is tested inside a band of relative
+    width ``REGIME_TOL`` so the exact threshold point (margin zero in
+    floats) still classifies as pseudo-hermitian; crossing the threshold
+    flips the flag.
 
     Args:
         params: Model parameters.
-        tol: Relative width of the tolerance band.
 
     Returns:
         A :class:`RegimeReport` with all four eigenvalues of the built
@@ -338,9 +350,9 @@ def closed_spectrum(params: TwoSpinParams, tol: float = REGIME_TOL) -> RegimeRep
     scale = _tolerance_scale(params)
     margin = float(discriminant.real)
     pseudo = (
-        abs(f_plus.imag) <= tol * scale
-        and abs(discriminant.imag) <= tol * scale * scale
-        and margin >= -tol * scale * scale
+        abs(f_plus.imag) <= REGIME_TOL * scale
+        and abs(discriminant.imag) <= REGIME_TOL * scale * scale
+        and margin >= -REGIME_TOL * scale * scale
     )
     return RegimeReport(
         f_plus=f_plus,
@@ -395,8 +407,8 @@ def damping_threshold(exchange: float, alpha: float) -> float:
     return exchange * (alpha * alpha + 1.0) / abs(alpha)
 
 
-def _require_regime(params: TwoSpinParams, tol: float) -> RegimeReport:
-    report = closed_spectrum(params, tol)
+def _require_regime(params: TwoSpinParams) -> RegimeReport:
+    report = closed_spectrum(params)
     if not report.pseudo_hermitian:
         raise ValueError(
             "parameters violate the reality conditions "
@@ -406,9 +418,7 @@ def _require_regime(params: TwoSpinParams, tol: float) -> RegimeReport:
     return report
 
 
-def hermitian_counterpart(
-    params: TwoSpinParams, tol: float = REGIME_TOL
-) -> HermitianCounterpart:
+def hermitian_counterpart(params: TwoSpinParams) -> HermitianCounterpart:
     """Build the hermitian system sharing the deformed block structure.
 
     The counterpart carries real z-fields b3 = (f_plus + Re f_minus)/2 and
@@ -419,7 +429,6 @@ def hermitian_counterpart(
 
     Args:
         params: Model parameters satisfying the reality conditions.
-        tol: Regime tolerance band.
 
     Returns:
         A :class:`HermitianCounterpart` with the matrix and its fields.
@@ -427,7 +436,7 @@ def hermitian_counterpart(
     Raises:
         ValueError: If the reality conditions fail.
     """
-    report = _require_regime(params, tol)
+    report = _require_regime(params)
     root = float(np.sqrt(max(report.threshold_margin, 0.0)))
     b3 = (report.f_plus.real + report.f_minus.real) / 2.0
     c3 = (report.f_plus.real - report.f_minus.real) / 2.0
@@ -438,9 +447,7 @@ def hermitian_counterpart(
     return HermitianCounterpart(matrix=matrix, b3=b3, c3=c3, j_tilde=j_tilde)
 
 
-def paper_isomorphism(
-    params: TwoSpinParams, tol: float = REGIME_TOL
-) -> Isomorphism:
+def paper_isomorphism(params: TwoSpinParams) -> Isomorphism:
     """Construct the explicit isomorphism onto the hermitian counterpart.
 
     Valid on the dissipative branch (f_minus purely imaginary) away from
@@ -452,7 +459,6 @@ def paper_isomorphism(
 
     Args:
         params: Model parameters on the dissipative branch.
-        tol: Regime tolerance band.
 
     Returns:
         An :class:`Isomorphism` pair (u, rho).
@@ -463,16 +469,16 @@ def paper_isomorphism(
             at the exceptional point.
         RuntimeError: If a verified postcondition fails numerically.
     """
-    report = _require_regime(params, tol)
+    report = _require_regime(params)
     scale = _tolerance_scale(params)
-    if abs(report.f_minus.real) > tol * scale:
+    if abs(report.f_minus.real) > REGIME_TOL * scale:
         raise ValueError(
             "isomorphism construction requires a purely imaginary field "
             f"difference, got f_minus={report.f_minus}"
         )
     if params.exchange == 0.0:
         raise ValueError("isomorphism construction requires a nonzero coupling")
-    if report.threshold_margin <= tol * scale * scale:
+    if report.threshold_margin <= REGIME_TOL * scale * scale:
         raise ValueError("parameters sit at the exceptional point; no metric exists")
     j = params.exchange
     root = float(np.sqrt(report.threshold_margin))
@@ -482,9 +488,9 @@ def paper_isomorphism(
     rho = metric_from_isomorphism(u)
     hamiltonian = build_total(params)
     conjugated = np.linalg.solve(u, hamiltonian @ u)
-    if np.max(np.abs(conjugated - conjugated.conj().T)) > ISOMORPHISM_TOL * scale:
+    if np.max(np.abs(conjugated - conjugated.conj().T)) > METRIC_RESIDUAL_TOL * scale:
         raise RuntimeError("conjugated Hamiltonian failed the hermiticity check")
-    if not is_rho_hermitian(hamiltonian, rho, tol=ISOMORPHISM_TOL * scale):
+    if not is_rho_hermitian(hamiltonian, rho, tol=METRIC_RESIDUAL_TOL * scale):
         raise RuntimeError("constructed metric failed to hermitize the Hamiltonian")
     return Isomorphism(u=u, rho=rho)
 
@@ -527,7 +533,7 @@ def evolve(
     evolved = np.empty((len(grid), dim), dtype=complex)
     values, vectors = np.linalg.eig(hamiltonian)
     cond = np.linalg.cond(vectors)
-    if np.isfinite(cond) and cond <= EVOLVE_COND_CAP:
+    if np.isfinite(cond) and cond <= COND_CAP:
         coeffs = np.linalg.solve(vectors, psi0)
         for k, tk in enumerate(grid):
             evolved[k] = vectors @ (np.exp(-1j * values * tk) * coeffs)
@@ -538,11 +544,7 @@ def evolve(
 
 
 def transition_series(
-    xi: StateVector,
-    zeta: StateVector,
-    params: TwoSpinParams,
-    times: np.ndarray,
-    tol: float = REGIME_TOL,
+    xi: StateVector, zeta: StateVector, params: TwoSpinParams, times: np.ndarray
 ) -> TransitionSeries:
     """Transition amplitudes under metric-unitary evolution along a time grid.
 
@@ -559,7 +561,6 @@ def transition_series(
         zeta: Source state.
         params: Model parameters satisfying the reality conditions.
         times: 1-D array of evolution times.
-        tol: Regime tolerance band.
 
     Returns:
         A :class:`TransitionSeries` with, per time, the amplitude, the
@@ -575,16 +576,16 @@ def transition_series(
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError("times must be a 1-D array")
-    report = _require_regime(params, tol)
+    report = _require_regime(params)
     scale = _tolerance_scale(params)
     hamiltonian = build_total(params)
-    if abs(report.f_minus.imag) <= tol * scale:
+    if abs(report.f_minus.imag) <= REGIME_TOL * scale:
         u = np.eye(4, dtype=complex)
         rho = Metric.identity(4)
         partner = hamiltonian
     else:
-        u, rho = paper_isomorphism(params, tol)
-        partner = hermitian_counterpart(params, tol).matrix
+        u, rho = paper_isomorphism(params)
+        partner = hermitian_counterpart(params).matrix
     xi = np.asarray(xi, dtype=complex)
     zeta = np.asarray(zeta, dtype=complex)
     norm_xi = eta_inner(xi, xi, rho).real
@@ -620,11 +621,7 @@ def transition_series(
 
 
 def transition_probability(
-    xi: StateVector,
-    zeta: StateVector,
-    params: TwoSpinParams,
-    t: float,
-    tol: float = REGIME_TOL,
+    xi: StateVector, zeta: StateVector, params: TwoSpinParams, t: float
 ) -> TransitionResult:
     """Transition amplitude and probability at one time.
 
@@ -636,7 +633,6 @@ def transition_probability(
         zeta: Source state.
         params: Model parameters satisfying the reality conditions.
         t: Evolution time.
-        tol: Regime tolerance band.
 
     Returns:
         A :class:`TransitionResult` with the amplitude, the normalized
@@ -648,7 +644,7 @@ def transition_probability(
             null.
         RuntimeError: If the two evaluation routes disagree.
     """
-    series = transition_series(xi, zeta, params, np.array([t], dtype=float), tol)
+    series = transition_series(xi, zeta, params, np.array([t], dtype=float))
     return TransitionResult(
         amplitude=complex(series.amplitudes[0]),
         probability=float(series.probabilities[0]),
@@ -657,7 +653,7 @@ def transition_probability(
 
 
 def canonical_limit_check(
-    params: TwoSpinParams, steps: int = 8, tol: float = REGIME_TOL
+    params: TwoSpinParams, steps: int = 8
 ) -> CanonicalLimitReport:
     """Follow the undamped limit along a halving-damping sequence.
 
@@ -671,7 +667,6 @@ def canonical_limit_check(
     Args:
         params: Model parameters with purely imaginary field difference.
         steps: Number of damping values to visit.
-        tol: Regime tolerance band.
 
     Returns:
         A :class:`CanonicalLimitReport`; ``passed`` summarizes the
@@ -683,9 +678,9 @@ def canonical_limit_check(
     """
     if steps < 1:
         raise ValueError("at least one step is required")
-    report = _require_regime(params, tol)
+    report = _require_regime(params)
     scale = _tolerance_scale(params)
-    if abs(report.f_minus.real) > tol * scale:
+    if abs(report.f_minus.real) > REGIME_TOL * scale:
         raise ValueError(
             "canonical limit requires a purely imaginary field difference"
         )
@@ -706,20 +701,20 @@ def canonical_limit_check(
             exchange=params.exchange,
         )
         hamiltonian = build_total(step)
-        counterpart = hermitian_counterpart(step, tol).matrix
+        counterpart = hermitian_counterpart(step).matrix
         det_h = complex(np.linalg.det(hamiltonian))
         det_r = complex(np.linalg.det(counterpart))
         det_gaps.append(abs(det_h - det_r) / (1.0 + abs(det_h)))
         if alpha == 0.0 or params.exchange == 0.0:
             u = np.eye(4, dtype=complex)
         else:
-            u = paper_isomorphism(step, tol).u
+            u = paper_isomorphism(step).u
         alphas.append(alpha)
         u_distances.append(float(np.max(np.abs(u - np.eye(4)))))
         counterpart_gaps.append(float(np.max(np.abs(counterpart - limit))))
     monotone = all(
-        u_distances[k + 1] <= u_distances[k] + tol
-        and counterpart_gaps[k + 1] <= counterpart_gaps[k] + tol
+        u_distances[k + 1] <= u_distances[k] + REGIME_TOL
+        and counterpart_gaps[k + 1] <= counterpart_gaps[k] + REGIME_TOL
         for k in range(steps - 1)
     )
     dets_ok = all(gap <= 1e-9 for gap in det_gaps)

@@ -4,8 +4,9 @@ Each group re-derives a family of structural facts (algebra laws, Clifford
 relations, bracket correspondence, transport covariance, metric
 construction, model spectra) on random draws from a caller-provided seed and
 reports the worst measured violation against the documented limit.  The
-groups back the command-line ``verify`` subcommand; the test suite runs the
-same checks through the acceptance module at full sample counts.
+groups back the command-line ``verify`` subcommand.  The acceptance tests
+re-derive the same claims independently, with their own code and full
+sample counts; they do not call these groups.
 
 The ``perturb`` knob biases each group's first measured residual by a known
 amount.  It exists purely to exercise the failure-reporting path (a nonzero

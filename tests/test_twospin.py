@@ -246,6 +246,26 @@ def test_params_validation():
         GilbertParams(amplitude=-1.0, alpha1=0.0, alpha2=0.0)
 
 
+@pytest.mark.parametrize("f3, g3, exchange", [
+    (1.0, 1.0, 1e200),
+    (1e200j, 0.0, 1.0),
+    (1e154, 1e154, 1e154),
+    (complex(1e308, 1e308), 0.0, 0.0),
+    (complex(float("nan"), 0.0), 1.0, 1.0),
+    (1.0, 1.0, float("inf")),
+])
+def test_params_reject_overflowing_closed_form(f3, g3, exchange):
+    with pytest.raises(ValueError, match="overflow the closed form"):
+        TwoSpinParams(f3=f3, g3=g3, exchange=exchange)
+
+
+def test_params_just_below_overflow_keep_a_finite_spectrum():
+    params = TwoSpinParams(f3=1e153, g3=-1e153, exchange=1e153)
+    report = closed_spectrum(params)
+    assert all(np.isfinite(v) for v in report.eigenvalues)
+    assert np.isfinite(report.threshold_margin)
+
+
 # ---------------------------------------------------------------------------
 # spectrum and regime
 
@@ -323,6 +343,20 @@ def test_regime_flips_at_threshold():
     assert not above.pseudo_hermitian
     assert max(abs(v.imag) for v in below.eigenvalues) <= 1e-10
     assert max(abs(v.imag) for v in above.eigenvalues) > 0.0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the regime band has an absolute floor of 1, so small parameters "
+    "are classified against an absolute tolerance",
+)
+def test_regime_flag_is_scale_invariant():
+    flags = []
+    for scale in (1.0, 1e-8):
+        f3, g3 = gilbert_fields(GilbertParams(scale, 0.5, -0.4))
+        params = TwoSpinParams(f3=f3, g3=g3, exchange=scale)
+        flags.append(closed_spectrum(params).pseudo_hermitian)
+    assert flags[0] == flags[1]
 
 
 def test_imaginary_parts_grow_beyond_threshold():
