@@ -21,7 +21,7 @@ from pseudospin import (
     gilbert_fields,
     hermitian_counterpart,
     paper_isomorphism,
-    transition_probability,
+    transition_series,
 )
 
 
@@ -68,10 +68,10 @@ print()
 print("== a transition amplitude, evaluated along both routes ==")
 xi = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
 zeta = np.array([0.0, 0.0, 1.0, 0.0], dtype=complex)
-result = transition_probability(xi, zeta, params, 3.0)
-print("amplitude   =", result.amplitude)
-print("probability =", result.probability)
-print("route gap   =", result.route_gap, " (direct vs counterpart evaluation)")
+series = transition_series(xi, zeta, params, np.array([3.0]))
+print("amplitude   =", complex(series.amplitudes[0]))
+print("probability =", float(series.probabilities[0]))
+print("route gap   =", float(series.route_gaps[0]), " (direct vs counterpart evaluation)")
 
 print()
 print("== beyond the threshold the canonical norm blows up ==")

@@ -38,7 +38,6 @@ from pseudospin.grassmann import (
     Generator,
     GrassmannElement,
     canonical_constraints,
-    canonicalize,
     commutation_factor,
     dirac_bracket,
     graded_poisson,
@@ -76,7 +75,6 @@ from pseudospin.twospin import (
     HermitianCounterpart,
     Isomorphism,
     RegimeReport,
-    TransitionResult,
     TransitionSeries,
     TwoSpinParams,
     build_free,
@@ -90,7 +88,6 @@ from pseudospin.twospin import (
     gilbert_fields,
     hermitian_counterpart,
     paper_isomorphism,
-    transition_probability,
     transition_series,
 )
 from pseudospin.verify import GROUPS, CheckResult, GroupResult, run_groups

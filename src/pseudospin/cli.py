@@ -103,9 +103,6 @@ _OPTIONS: _Options = {
         False, "run outside the pseudo-hermitian regime (canonical norms)"
     ),
     "element": (None, "Grassmann element JSON path"),
-    "realization": (
-        None, 'realization JSON path ({"families": [...], "hbar": ...})'
-    ),
     "check": (False, "verify hermiticity of the output for star-real input"),
     "group": (None, "restrict to this group (repeatable)"),
     "perturb": (0.0, "fault-injection bias; nonzero must produce a failure"),
@@ -133,7 +130,7 @@ _SUBCOMMANDS: dict[str, tuple[str, tuple[str, ...]]] = {
     ),
     "quantize-file": (
         "quantize a Grassmann element read from JSON",
-        ("hbar", "tol", "element", "realization", "check"),
+        ("hbar", "tol", "element", "check"),
     ),
     "verify": ("run the seeded invariant suites", ("seed", "group", "perturb")),
 }
@@ -437,27 +434,8 @@ def cmd_quantize(config: Mapping[str, Any]) -> int:
     except ValueError as exc:
         raise CliError(f"bad element file: {exc}") from exc
     hbar = config["hbar"]
-    families = element.algebra.family_sizes
-    if config["realization"] is not None:
-        decl = _load_json(config["realization"])
-        if not isinstance(decl, dict) or not set(decl) <= {"families", "hbar"}:
-            raise CliError('realization file must hold {"families", "hbar"}')
-        if "families" in decl:
-            try:
-                declared = tuple(int(n) for n in decl["families"])
-            except (TypeError, ValueError) as exc:
-                raise CliError("realization families must be integers") from exc
-            if declared != families:
-                raise CliError(
-                    f"realization families {list(declared)} do not match "
-                    f"element families {list(families)}"
-                )
-        if "hbar" in decl:
-            hbar = _typed("realization hbar", decl["hbar"], 1.0)
-            if not hbar > 0.0:
-                raise CliError("hbar must be positive")
-    realization = tensor_realization(AlgebraSpec(families), hbar=hbar)
-    matrix = quantize(element, realization)
+    algebra = AlgebraSpec(element.algebra.family_sizes)
+    matrix = quantize(element, tensor_realization(algebra, hbar=hbar))
 
     status = 0
     if config["check"]:

@@ -12,17 +12,12 @@ repeated runs byte-identical across platforms.
 """
 
 import csv
-import re
 from typing import IO, Any, Iterable, Sequence
 
 import numpy as np
 
-from .grassmann import AlgebraSpec, Generator, GrassmannElement
+from .grassmann import AlgebraSpec, GrassmannElement
 from .pseudoherm import Diagnosis
-
-_TOKEN_PATTERN = re.compile(r"^(xi|pi|chi|varpi)([1-9][0-9]*)$")
-_FAMILY_KIND = {"xi": (0, False), "pi": (0, True), "chi": (1, False), "varpi": (1, True)}
-
 
 def complex_to_json(value: complex) -> dict[str, float]:
     """Encode a complex number as a {"re", "im"} pair."""
@@ -115,23 +110,6 @@ def algebra_from_json(data: Any) -> AlgebraSpec:
     return AlgebraSpec(tuple(families), momenta_attached=momenta)
 
 
-def _parse_token(token: Any, algebra: AlgebraSpec) -> Generator:
-    if not isinstance(token, str):
-        raise ValueError(f"generator token must be a string, got {token!r}")
-    match = _TOKEN_PATTERN.match(token)
-    if match is None:
-        raise ValueError(f"unknown generator token {token!r}")
-    family, momentum = _FAMILY_KIND[match.group(1)]
-    index = int(match.group(2)) - 1
-    if family >= len(algebra.family_sizes):
-        raise ValueError(f"token {token!r} names a family the algebra lacks")
-    if index >= algebra.family_sizes[family]:
-        raise ValueError(f"token {token!r} exceeds the family size")
-    if momentum and not algebra.momenta_attached:
-        raise ValueError(f"token {token!r} requires a momentum-carrying algebra")
-    return Generator(family, momentum, index)
-
-
 def element_to_json(element: GrassmannElement) -> dict[str, Any]:
     """Encode a Grassmann element with terms in canonical order."""
     terms = []
@@ -154,21 +132,32 @@ def element_from_json(data: Any) -> GrassmannElement:
     out-of-order input is an error, not a request to sort.
 
     Raises:
-        ValueError: On schema violations, unknown tokens, out-of-range
-            indices, repeated generators, or non-canonical order.
+        ValueError: On schema violations, tokens that name no generator of
+            the algebra (see :attr:`Generator.name`), repeated generators,
+            or non-canonical order.
     """
     if not isinstance(data, dict) or set(data) != {"algebra", "terms"}:
         raise ValueError("element must carry exactly the keys algebra and terms")
     algebra = algebra_from_json(data["algebra"])
     if not isinstance(data["terms"], list):
         raise ValueError("terms must be a list")
+    generators_of = sorted([*algebra.coordinates(), *algebra.momenta()])
+    by_name = {gen.name: gen for gen in generators_of}
     terms = []
     for entry in data["terms"]:
         if not isinstance(entry, dict) or set(entry) != {"mono", "re", "im"}:
             raise ValueError(f"term must carry mono, re, im keys, got {entry!r}")
         if not isinstance(entry["mono"], list):
             raise ValueError("mono must be a list of generator tokens")
-        generators = [_parse_token(token, algebra) for token in entry["mono"]]
+        generators = []
+        for token in entry["mono"]:
+            gen = by_name.get(token) if isinstance(token, str) else None
+            if gen is None:
+                raise ValueError(
+                    f"unknown generator token {token!r}; the algebra has "
+                    f"{', '.join(by_name)}"
+                )
+            generators.append(gen)
         for left, right in zip(generators, generators[1:]):
             if left >= right:
                 raise ValueError(

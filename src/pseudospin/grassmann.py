@@ -40,7 +40,6 @@ __all__ = [
     "GrassmannElement",
     "Monomial",
     "canonical_constraints",
-    "canonicalize",
     "commutation_factor",
     "dirac_bracket",
     "family_components",
@@ -290,40 +289,6 @@ def _layout_for(family_sizes: tuple[int, ...], momenta_attached: bool) -> _Layou
     return _Layout(AlgebraSpec(family_sizes, momenta_attached))
 
 
-def _spanning_algebra(generators: Sequence[Generator]) -> AlgebraSpec:
-    """Smallest algebra holding every generator of a word."""
-    sizes = [1] * (max((gen.family for gen in generators), default=0) + 1)
-    for gen in generators:
-        sizes[gen.family] = max(sizes[gen.family], gen.index + 1)
-    return AlgebraSpec(tuple(sizes), any(gen.momentum for gen in generators))
-
-
-def canonicalize(
-    generators: Sequence[Generator],
-    coefficient: complex,
-    algebra: AlgebraSpec | None = None,
-) -> tuple[Monomial, complex] | None:
-    """Bring a generator word into canonical order.
-
-    Counts the same-family inversions of the word (cross-family swaps are
-    free) and sorts.  Returns the (monomial, signed coefficient) pair, or
-    None when a generator repeats and the term vanishes.
-
-    Args:
-        generators: Generator word in any order.
-        coefficient: Coefficient multiplying the word.
-        algebra: Algebra used to validate the generators; by default the
-            smallest one holding the word.
-    """
-    gens = tuple(generators)
-    layout = _layout(algebra if algebra is not None else _spanning_algebra(gens))
-    term = layout.word(gens)
-    if term is None:
-        return None
-    mask, sign = term
-    return layout.monomials[mask], sign * complex(coefficient)
-
-
 @dataclass
 class GrassmannElement:
     """Element of a Grassmann algebra in canonical form.
@@ -331,7 +296,7 @@ class GrassmannElement:
     ``by_mask`` sends canonical monomials, as bitmasks of the algebra's
     layout (0 is the unit), to complex coefficients; ``terms`` is the same
     table keyed by Generator tuples.  Construct through the classmethods,
-    which canonicalize on entry; treat instances as immutable.
+    which bring words into canonical order on entry; treat instances as immutable.
     """
 
     algebra: AlgebraSpec
@@ -613,10 +578,19 @@ def commutation_factor(pf: Sequence[int], pg: Sequence[int]) -> int:
 _BracketTable: TypeAlias = tuple[tuple[tuple[int, complex], ...], ...]
 
 
-def _bracket_table(
-    algebra: AlgebraSpec, constraints: Sequence[GrassmannElement]
-) -> _BracketTable:
-    """Canonical table omega_P, minus A C^-1 B when constraints are given."""
+def _rows(omega: np.ndarray, bits: list[int]) -> _BracketTable:
+    """Table rows keyed by generator bit, from a coordinates-then-momenta
+    matrix."""
+    rows: list[tuple[tuple[int, complex], ...]] = [()] * len(bits)
+    for i, row in enumerate(omega):
+        rows[bits[i]] = tuple((bits[j], complex(row[j])) for j in np.flatnonzero(row))
+    return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _canonical_tables(algebra: AlgebraSpec) -> tuple[_BracketTable, _BracketTable]:
+    """Poisson table omega_P and Dirac table omega_P - A C^-1 B of
+    :func:`canonical_constraints`."""
     if not algebra.momenta_attached:
         raise ValueError("brackets need an algebra with momenta")
     layout = _layout(algebra)
@@ -624,35 +598,15 @@ def _bracket_table(
     n = algebra.total_coordinates
     omega = np.zeros((2 * n, 2 * n), dtype=complex)
     omega[:n, n:] = omega[n:, :n] = np.eye(n)
-    if constraints:
-        # Row k of u holds the coefficients of phi_k = sum_c u_kc z_c.
-        u = np.zeros((len(constraints), 2 * n), dtype=complex)
-        for k, phi in enumerate(constraints):
-            if phi.algebra != algebra:
-                raise ValueError(f"constraint {k} lives in a different algebra")
-            for mask, coeff in phi.by_mask.items():
-                if mask.bit_count() != 1:
-                    raise ValueError(f"constraint {k} is not linear in the generators")
-                u[k, bits.index(mask.bit_length() - 1)] = coeff
-        a = omega @ u.T
-        b = u @ omega
-        c = u @ a
-        if np.linalg.matrix_rank(c) < len(constraints):
-            raise ValueError("constraint bracket matrix C is singular")
-        omega = omega - a @ np.linalg.solve(c, b)
-    rows: list[tuple[tuple[int, complex], ...]] = [()] * (2 * n)
-    for i in range(2 * n):
-        rows[bits[i]] = tuple(
-            (bits[j], complex(omega[i, j])) for j in np.flatnonzero(omega[i])
-        )
-    return tuple(rows)
-
-
-@lru_cache(maxsize=None)
-def _canonical_tables(algebra: AlgebraSpec) -> tuple[_BracketTable, _BracketTable]:
-    """Poisson table and the Dirac table of :func:`canonical_constraints`."""
-    dirac = _bracket_table(algebra, canonical_constraints(algebra))
-    return _bracket_table(algebra, ()), dirac
+    # Row k of u holds the coefficients of phi_k = sum_c u_kc z_c.
+    u = np.zeros((n, 2 * n), dtype=complex)
+    for k, phi in enumerate(canonical_constraints(algebra)):
+        for mask, coeff in phi.by_mask.items():
+            u[k, bits.index(mask.bit_length() - 1)] = coeff
+    a = omega @ u.T
+    b = u @ omega
+    c = u @ a
+    return _rows(omega, bits), _rows(omega - a @ np.linalg.solve(c, b), bits)
 
 
 def _table_bracket(
@@ -711,27 +665,14 @@ def canonical_constraints(algebra: AlgebraSpec) -> tuple[GrassmannElement, ...]:
     )
 
 
-def dirac_bracket(
-    f: GrassmannElement,
-    g: GrassmannElement,
-    constraints: Sequence[GrassmannElement] | None = None,
-) -> GrassmannElement:
-    """Dirac bracket induced by linear second-class constraints phi_k.
+def dirac_bracket(f: GrassmannElement, g: GrassmannElement) -> GrassmannElement:
+    """Dirac bracket induced by the second-class :func:`canonical_constraints`.
 
     It is :func:`graded_poisson` with the table omega_D = omega_P - A C^-1 B,
     where A_ak = {z_a, phi_k}, B_kb = {phi_k, z_b} and C_kl = {phi_k, phi_l}
     are scalar Poisson brackets; this equals {f, g} - {f, phi_k} (C^-1)_kl
-    {phi_l, g}.  For the default :func:`canonical_constraints` the table,
-    built once per algebra, is {xi_i, xi_j}_D = -i delta_ij, {xi_i, pi_j}_D
-    = delta_ij / 2, {pi_i, pi_j}_D = i delta_ij / 4, cross-family entries
-    zero.  Explicit constraints get their table derived on each call.
-
-    Raises:
-        ValueError: If an explicit constraint lives in another algebra or is
-            not linear in the generators, or if C is singular.
+    {phi_l, g}.  The table, built once per algebra, is {xi_i, xi_j}_D =
+    -i delta_ij, {xi_i, pi_j}_D = delta_ij / 2, {pi_i, pi_j}_D = i delta_ij / 4,
+    cross-family entries zero.
     """
-    if constraints is None:
-        table = _canonical_tables(f.algebra)[1]
-    else:
-        table = _bracket_table(f.algebra, tuple(constraints))
-    return _table_bracket(f, g, table)
+    return _table_bracket(f, g, _canonical_tables(f.algebra)[1])

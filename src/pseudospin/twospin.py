@@ -19,6 +19,7 @@ larger; rescaling small parameters can flip it.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, TypeAlias
 
@@ -40,6 +41,7 @@ StateVector: TypeAlias = np.ndarray
 
 REGIME_TOL = 1e-9
 ROUTE_TOL = 1e-9
+_SPLIT_FLOOR = math.sqrt(sys.float_info.min)
 
 _IDENTITY2 = np.eye(2, dtype=complex)
 # Kronecker products of the Pauli matrices, built once: sigma_i (x) sigma_j
@@ -79,6 +81,11 @@ class TwoSpinParams:
             finite = False
         if not finite:
             raise ValueError(f"parameters overflow the closed form: {self}")
+        # A nonzero splitting this small squares to a subnormal or zero, and
+        # 4 J^2 + f_minus^2 would read as the exceptional point.
+        split = max(2.0 * abs(self.exchange), abs(self.f_minus))
+        if 0.0 < split < _SPLIT_FLOOR:
+            raise ValueError(f"parameters underflow the closed form: {self}")
 
     @property
     def f_plus(self) -> complex:
@@ -156,31 +163,14 @@ class HermitianCounterpart:
         matrix: The 4x4 hermitian Hamiltonian.
         b3: Real z-field on the first spin.
         c3: Real z-field on the second spin.
-        j_tilde: Anisotropic exchange triple (s/2, s/2, J).
+        j_tilde: Anisotropic exchange triple (s/2, s/2, J), s with the sign
+            of J.
     """
 
     matrix: OperatorMatrix
     b3: float
     c3: float
     j_tilde: tuple[float, float, float]
-
-
-@dataclass(frozen=True)
-class TransitionResult:
-    """Transition amplitude between states under metric-unitary evolution.
-
-    Attributes:
-        amplitude: Deformed inner product of the target with the evolved
-            source state.
-        probability: Squared amplitude over the deformed norms of both
-            states.
-        route_gap: Absolute difference between the direct metric evaluation
-            and the hermitian-counterpart evaluation of the amplitude.
-    """
-
-    amplitude: complex
-    probability: float
-    route_gap: float
 
 
 @dataclass(frozen=True)
@@ -329,11 +319,12 @@ def build_total(params: TwoSpinParams) -> OperatorMatrix:
 def closed_spectrum(params: TwoSpinParams) -> RegimeReport:
     """Evaluate the closed-form spectrum and classify the regime.
 
-    The reality conditions are: f_plus real, f_minus^2 real, and
-    4 J^2 + f_minus^2 positive.  Each is tested inside a band of relative
-    width ``REGIME_TOL`` so the exact threshold point (margin zero in
-    floats) still classifies as pseudo-hermitian; crossing the threshold
-    flips the flag.
+    The reality conditions are: f_plus real, f_minus real or purely
+    imaginary (f_minus^2 real), and 4 J^2 + f_minus^2 positive.  Each is
+    tested inside a band of relative width ``REGIME_TOL``, the one the
+    branch tests of :func:`paper_isomorphism` and :func:`transition_series`
+    use, so the exact threshold point (margin zero in floats) still
+    classifies as pseudo-hermitian; crossing the threshold flips the flag.
 
     Args:
         params: Model parameters.
@@ -351,7 +342,7 @@ def closed_spectrum(params: TwoSpinParams) -> RegimeReport:
     margin = float(discriminant.real)
     pseudo = (
         abs(f_plus.imag) <= REGIME_TOL * scale
-        and abs(discriminant.imag) <= REGIME_TOL * scale * scale
+        and min(abs(f_minus.real), abs(f_minus.imag)) <= REGIME_TOL * scale
         and margin >= -REGIME_TOL * scale * scale
     )
     return RegimeReport(
@@ -423,9 +414,10 @@ def hermitian_counterpart(params: TwoSpinParams) -> HermitianCounterpart:
 
     The counterpart carries real z-fields b3 = (f_plus + Re f_minus)/2 and
     c3 = (f_plus - Re f_minus)/2 and the anisotropic exchange
-    (s/2, s/2, J) with s = sqrt(4 J^2 + f_minus^2).  On the dissipative
-    branch (f_minus purely imaginary) it is similar to the deformed
-    Hamiltonian and shares its spectrum.
+    (s/2, s/2, J) with s = sqrt(4 J^2 + f_minus^2) taken with the sign of
+    J, so that it tends to the undamped Hamiltonian as the damping
+    vanishes.  On the dissipative branch (f_minus purely imaginary) it is
+    similar to the deformed Hamiltonian and shares its spectrum.
 
     Args:
         params: Model parameters satisfying the reality conditions.
@@ -437,7 +429,9 @@ def hermitian_counterpart(params: TwoSpinParams) -> HermitianCounterpart:
         ValueError: If the reality conditions fail.
     """
     report = _require_regime(params)
-    root = float(np.sqrt(max(report.threshold_margin, 0.0)))
+    root = math.copysign(
+        float(np.sqrt(max(report.threshold_margin, 0.0))), params.exchange
+    )
     b3 = (report.f_plus.real + report.f_minus.real) / 2.0
     c3 = (report.f_plus.real - report.f_minus.real) / 2.0
     j_tilde = (root / 2.0, root / 2.0, params.exchange)
@@ -452,7 +446,8 @@ def paper_isomorphism(params: TwoSpinParams) -> Isomorphism:
 
     Valid on the dissipative branch (f_minus purely imaginary) away from
     the exceptional point.  The map differs from the identity only in the
-    middle block [[s/(2J), -f_minus/(2J)], [0, 1]]; the metric is the
+    middle block [[s/(2J), -f_minus/(2J)], [0, 1]], with s as in
+    :func:`hermitian_counterpart`, so s/(2J) > 0; the metric is the
     inverse Gram matrix of the map, and both postconditions (the conjugated
     Hamiltonian is hermitian, the metric hermitizes the original) are
     verified before returning.
@@ -481,7 +476,7 @@ def paper_isomorphism(params: TwoSpinParams) -> Isomorphism:
     if report.threshold_margin <= REGIME_TOL * scale * scale:
         raise ValueError("parameters sit at the exceptional point; no metric exists")
     j = params.exchange
-    root = float(np.sqrt(report.threshold_margin))
+    root = math.copysign(float(np.sqrt(report.threshold_margin)), j)
     u = np.eye(4, dtype=complex)
     u[1, 1] = root / (2.0 * j)
     u[1, 2] = -report.f_minus / (2.0 * j)
@@ -617,38 +612,6 @@ def transition_series(
         probabilities=probabilities,
         route_gaps=route_gaps,
         rho_norms=rho_norms,
-    )
-
-
-def transition_probability(
-    xi: StateVector, zeta: StateVector, params: TwoSpinParams, t: float
-) -> TransitionResult:
-    """Transition amplitude and probability at one time.
-
-    A one-time :func:`transition_series`: the same two evaluation routes
-    and the same checks.
-
-    Args:
-        xi: Target state.
-        zeta: Source state.
-        params: Model parameters satisfying the reality conditions.
-        t: Evolution time.
-
-    Returns:
-        A :class:`TransitionResult` with the amplitude, the normalized
-        probability, and the gap between the two evaluation routes.
-
-    Raises:
-        ValueError: If the reality conditions fail, the parameters sit at
-            the exceptional point on the dissipative branch, or a state is
-            null.
-        RuntimeError: If the two evaluation routes disagree.
-    """
-    series = transition_series(xi, zeta, params, np.array([t], dtype=float))
-    return TransitionResult(
-        amplitude=complex(series.amplitudes[0]),
-        probability=float(series.probabilities[0]),
-        route_gap=float(series.route_gaps[0]),
     )
 
 

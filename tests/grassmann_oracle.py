@@ -34,11 +34,6 @@ def exact(table):
     return [(mono, repr(coeff)) for mono, coeff in table.items()]
 
 
-def exact_term(term):
-    """Bit-exact view of one canonicalized (monomial, coefficient) or None."""
-    return None if term is None else (term[0], repr(term[1]))
-
-
 def generators_of(algebra):
     return list(algebra.coordinates()) + list(algebra.momenta())
 
@@ -57,11 +52,10 @@ def word_terms(algebra, max_terms=4, max_degree=5):
     return st.lists(st.tuples(word, coefficients), max_size=max_terms)
 
 
-def canonicalize(generators, coefficient, algebra=None):
+def canonicalize(generators, coefficient, algebra):
     gens = tuple(generators)
-    if algebra is not None:
-        for gen in gens:
-            algebra.validate_generator(gen)
+    for gen in gens:
+        algebra.validate_generator(gen)
     sign = 1
     for p in range(len(gens)):
         for q in range(p + 1, len(gens)):

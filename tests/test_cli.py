@@ -336,14 +336,14 @@ def test_non_finite_flags_are_rejected(capsys, args, key):
     assert err.startswith(f"pseudospin: error: {key} must be finite")
 
 
-@pytest.mark.parametrize("source", ["flag", "realization file"])
+@pytest.mark.parametrize("source", ["flag", "config file"])
 def test_quantize_rejects_non_finite_hbar(tmp_path, capsys, source):
     element = write_element(tmp_path / "e.json", HEISENBERG_ELEMENT)
-    realization = tmp_path / "r.json"
-    realization.write_text(json.dumps({"hbar": math.inf}))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"hbar": math.inf}))
     extra = (
         ["--hbar", "inf"] if source == "flag"
-        else ["--realization", str(realization)]
+        else ["--config", str(config)]
     )
     code, out, err = run(capsys, "quantize-file", "--element", element, *extra)
     assert code == 1
@@ -363,6 +363,34 @@ def test_overflowing_parameters_are_a_typed_error(capsys, args):
     assert code == 1
     assert out == ""
     assert err.startswith("pseudospin: error: parameters overflow the closed form")
+
+
+def test_underflowing_parameters_are_a_typed_error(capsys):
+    code, out, err = run(capsys, "spectrum", "--J", "1e-300", "--B", "1e-300")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("pseudospin: error: parameters underflow the closed form")
+    # A tiny field beside J = 1 splits nothing that can underflow.
+    code, out, _ = run(capsys, "spectrum", "--B", "1e-300")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "deba9daf14aa85c199f4eb3cb5498756622bd91749fa2c33b1d73e47c54c1bae"
+    )
+
+
+def test_regime_flag_and_evolve_agree_off_the_branches(capsys):
+    # Both parts of f_minus lie outside the branch band: spectrum flags the
+    # point as not pseudo-hermitian and evolve asks for --allow-dissipative.
+    args = [
+        "--J", "1", "--B", "1", "--alpha1", "1.000000005", "--alpha2", "-0.999999995",
+    ]
+    code, out, _ = run(capsys, "spectrum", *args)
+    assert code == 0
+    assert parse_csv(out)[0]["pseudo_hermitian"] == "0"
+    code, out, err = run(capsys, "evolve", *args, "--t-steps", "2")
+    assert code == 1
+    assert out == ""
+    assert "--allow-dissipative" in err
 
 
 def test_sweep_nonpositive_field_is_a_typed_error(capsys):
@@ -540,8 +568,7 @@ HEISENBERG_ELEMENT = {
 }
 OUT_FILE_GOLDEN = {
     "quantize_file": (
-        ["quantize-file", "--element", "{element}",
-         "--realization", "{realization}", "--check"],
+        ["quantize-file", "--element", "{element}", "--hbar", "0.5", "--check"],
         "2ac216f82f43bc4b497b43e288cfec80a78f7f1d72b722c1fe7f47ebfe0a622d",
     ),
     "regime_sweep": (SWEEP_STRADDLE, SWEEP_STRADDLE_DIGEST),
@@ -556,10 +583,8 @@ OUT_FILE_GOLDEN = {
 def test_out_file_golden_bytes(tmp_path, capsys, case):
     args, digest = OUT_FILE_GOLDEN[case]
     element = write_element(tmp_path / "heis.json", HEISENBERG_ELEMENT)
-    realization = tmp_path / "realization.json"
-    realization.write_text(json.dumps({"families": [3, 3], "hbar": 0.5}))
     out = tmp_path / "out"
-    args = [arg.format(element=element, realization=realization) for arg in args]
+    args = [arg.format(element=element) for arg in args]
     assert main([*args, "--out", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
@@ -621,11 +646,8 @@ def test_quantize_heisenberg_term_matches_builder(tmp_path, capsys):
             for i in (1, 2, 3)
         ],
     })
-    realization = tmp_path / "realization.json"
-    realization.write_text(json.dumps({"families": [3, 3], "hbar": 0.5}))
     code, out, _ = run(
-        capsys, "quantize-file", "--element", element,
-        "--realization", str(realization), "--check",
+        capsys, "quantize-file", "--element", element, "--hbar", "0.5", "--check",
     )
     assert code == 0
     matrix = np.array(
@@ -634,27 +656,14 @@ def test_quantize_heisenberg_term_matches_builder(tmp_path, capsys):
     assert np.allclose(matrix, build_interaction(exchange * np.eye(3)), atol=1e-14)
 
 
-def test_quantize_realization_mismatch(tmp_path, capsys):
-    element = write_element(tmp_path / "e.json", {
-        "algebra": {"families": [3]},
-        "terms": [{"mono": ["xi1"], "re": 1.0, "im": 0.0}],
-    })
-    realization = tmp_path / "r.json"
-    realization.write_text(json.dumps({"families": [3, 3]}))
-    code, _, err = run(
-        capsys, "quantize-file", "--element", element, "--realization", str(realization)
-    )
-    assert code == 1
-    assert "do not match" in err
-
-
 @pytest.mark.parametrize("hbar", ["x", None, True, [1]])
 def test_quantize_rejects_non_numeric_realization_hbar(tmp_path, capsys, hbar):
+    # The realization's hbar is --hbar, or "hbar" in a config file.
     element = write_element(tmp_path / "e.json", HEISENBERG_ELEMENT)
-    realization = tmp_path / "r.json"
-    realization.write_text(json.dumps({"hbar": hbar}))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"hbar": hbar}))
     code, out, err = run(
-        capsys, "quantize-file", "--element", element, "--realization", str(realization)
+        capsys, "quantize-file", "--element", element, "--config", str(config)
     )
     assert code == 1
     assert out == ""
@@ -776,8 +785,6 @@ _FLAGS = {flag[1]: flag for flag in [
      "verify hermiticity of the output for star-real input"),
     (("--element",), "element", "_StoreAction", None,
      "Grassmann element JSON path"),
-    (("--realization",), "realization", "_StoreAction", None,
-     'realization JSON path ({"families": [...], "hbar": ...})'),
     (("--group",), "group", "_AppendAction",
      ("canon", "clifford", "correspondence", "grassmann", "pseudoherm",
       "quantize", "twospin"),
@@ -798,7 +805,7 @@ FLAG_SURFACE = {
         "j", "b", "alpha1", "alpha2", "format",
         "t_start", "t_end", "t_steps", "xi", "zeta", "allow_dissipative",
     ),
-    "quantize-file": ("hbar", "tol", "element", "realization", "check"),
+    "quantize-file": ("hbar", "tol", "element", "check"),
     "verify": ("seed", "group", "perturb"),
 }
 
@@ -876,17 +883,20 @@ def test_each_subcommand_reads_every_option_it_accepts(tmp_path, capsys, monkeyp
 
 
 # Options each subcommand does not read, with a value that would be valid
-# where the option is read.
+# where the option is read.  "realization" is declared for no subcommand,
+# so it has no _FLAGS entry and is spelled from its key.
 IGNORED_OPTIONS = {
     "spectrum": ("hbar", "seed"),
     "regime-sweep": ("b", "hbar", "tol", "seed"),
     "evolve": ("hbar", "tol", "seed", "paper_units"),
-    "quantize-file": ("j", "b", "alpha1", "alpha2", "seed", "paper_units", "format"),
+    "quantize-file": (
+        "j", "b", "alpha1", "alpha2", "seed", "paper_units", "format", "realization",
+    ),
     "verify": ("j", "b", "alpha1", "alpha2", "hbar", "tol", "paper_units", "format"),
 }
 IGNORED_VALUES = {
     "j": 1.0, "b": 1.0, "alpha1": 0.0, "alpha2": 0.0, "hbar": 1.0, "tol": 1e-9,
-    "seed": 0, "paper_units": True, "format": "csv",
+    "seed": 0, "paper_units": True, "format": "csv", "realization": "realization.json",
 }
 # Arguments that make each subcommand succeed quickly on their own.
 VALID_ARGS = {
@@ -911,7 +921,7 @@ def test_options_a_subcommand_does_not_read_are_rejected(
     args = [subcommand, *(arg.format(element=element) for arg in VALID_ARGS[subcommand])]
     value = IGNORED_VALUES[key]
     if source == "flag":
-        flag = _FLAGS[key][0][0]
+        flag = _FLAGS[key][0][0] if key in _FLAGS else f"--{key}"
         with pytest.raises(SystemExit) as excinfo:
             main([*args, flag] if value is True else [*args, flag, str(value)])
         code, message = excinfo.value.code, "unrecognized arguments"

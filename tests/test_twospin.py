@@ -29,7 +29,6 @@ from pseudospin.twospin import (
     gilbert_fields,
     hermitian_counterpart,
     paper_isomorphism,
-    transition_probability,
     transition_series,
 )
 
@@ -266,6 +265,27 @@ def test_params_just_below_overflow_keep_a_finite_spectrum():
     assert np.isfinite(report.threshold_margin)
 
 
+@pytest.mark.parametrize("f3, g3, exchange", [
+    (1e-300, 1e-300, 1e-300),
+    (1e-300, 1e-300, -1e-160),
+    (1e-160j, 0.0, 0.0),
+    (1e-155, -1e-155, 0.0),
+])
+def test_params_reject_underflowing_closed_form(f3, g3, exchange):
+    with pytest.raises(ValueError, match="underflow the closed form"):
+        TwoSpinParams(f3=f3, g3=g3, exchange=exchange)
+
+
+def test_params_just_above_underflow_keep_the_splitting():
+    # 4 J^2 = 4e-308 is still a normal float, so E1+ = (-J + 2|J|)/4 > 0.
+    report = closed_spectrum(TwoSpinParams(f3=0.0, g3=0.0, exchange=1e-154))
+    assert report.threshold_margin == pytest.approx(4e-308, rel=1e-15)
+    assert report.e1_plus.real > 0.0
+    # Nothing underflows where the splitting is exactly zero or J dominates.
+    for exchange in (0.0, 1.0):
+        TwoSpinParams(f3=1e-300, g3=1e-300, exchange=exchange)
+
+
 # ---------------------------------------------------------------------------
 # spectrum and regime
 
@@ -343,6 +363,46 @@ def test_regime_flips_at_threshold():
     assert not above.pseudo_hermitian
     assert max(abs(v.imag) for v in below.eigenvalues) <= 1e-10
     assert max(abs(v.imag) for v in above.eigenvalues) > 0.0
+
+
+def test_regime_flag_uses_the_branch_gate_band():
+    # Re f_minus = -5e-9 and Im f_minus = 1: Im(4 J^2 + f_minus^2) = -1e-8 is
+    # inside REGIME_TOL * scale^2, but both parts of f_minus are outside
+    # REGIME_TOL * scale, the band of the real-part gate of paper_isomorphism.
+    params = TwoSpinParams(
+        *gilbert_fields(GilbertParams(1.0, 1.000000005, -0.999999995)), exchange=1.0
+    )
+    report = closed_spectrum(params)
+    assert abs((report.threshold_margin - 3.0)) < 1e-12
+    assert not report.pseudo_hermitian
+    with pytest.raises(ValueError, match="reality conditions"):
+        transition_series(np.eye(4)[1], np.eye(4)[2], params, np.array([0.0]))
+
+
+def test_flagged_points_pass_the_branch_gates():
+    # Field differences whose real and imaginary parts both straddle the
+    # band: wherever the flag says pseudo-hermitian, with J != 0 and above
+    # the exceptional-point band, transition_series finds its branch.
+    rng = np.random.default_rng(21)
+    xi, zeta = np.eye(4, dtype=complex)[1:3]
+    checked = 0
+    for _ in range(300):
+        exchange = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 2.0))
+        f_plus = float(rng.uniform(-2.0, 2.0))
+        re, im = 10.0 ** rng.uniform(-12.0, -2.0, size=2) * rng.choice([-1, 1], size=2)
+        params = TwoSpinParams(
+            f3=complex(f_plus + re, im) / 2.0,
+            g3=complex(f_plus - re, -im) / 2.0,
+            exchange=exchange,
+        )
+        report = closed_spectrum(params)
+        scale = 1.0 + abs(params.f3) + abs(params.g3) + 2.0 * abs(exchange)
+        if report.threshold_margin <= twospin.REGIME_TOL * scale**2:
+            continue
+        if report.pseudo_hermitian:
+            transition_series(xi, zeta, params, np.array([0.0, 1.0]))
+            checked += 1
+    assert checked >= 100
 
 
 @pytest.mark.xfail(
@@ -540,10 +600,10 @@ def test_transition_series_matches_pointwise_calls():
         hamiltonian = build_total(params)
         assert series.amplitudes.shape == times.shape
         for k, t in enumerate(times):
-            result = transition_probability(xi, zeta, params, float(t))
-            assert series.amplitudes[k] == result.amplitude
-            assert series.probabilities[k] == result.probability
-            assert series.route_gaps[k] == result.route_gap
+            single = transition_series(xi, zeta, params, times[k : k + 1])
+            assert series.amplitudes[k] == single.amplitudes[0]
+            assert series.probabilities[k] == single.probabilities[0]
+            assert series.route_gaps[k] == single.route_gaps[0]
             evolved = evolve(hamiltonian, float(t), zeta)
             assert series.rho_norms[k] == np.sqrt(eta_inner(evolved, evolved, rho).real)
 
@@ -578,15 +638,15 @@ def test_transition_probability_toy_model():
         xi = rng.normal(size=4) + 1j * rng.normal(size=4)
         zeta = rng.normal(size=4) + 1j * rng.normal(size=4)
         t = float(rng.uniform(-5.0, 5.0))
-        result = transition_probability(xi, zeta, params, t)
-        assert result.route_gap <= 1e-9
-        assert 0.0 <= result.probability <= 1.0 + 1e-12
+        result = transition_series(xi, zeta, params, np.array([t]))
+        assert result.route_gaps[0] <= 1e-9
+        assert 0.0 <= result.probabilities[0] <= 1.0 + 1e-12
     _, rho = paper_isomorphism(params)
     psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-    self_result = transition_probability(psi, psi, params, 0.0)
+    self_result = transition_series(psi, psi, params, np.array([0.0]))
     norm_sq = eta_inner(psi, psi, rho).real
-    assert self_result.amplitude == pytest.approx(norm_sq, abs=1e-10)
-    assert self_result.probability == pytest.approx(1.0, abs=1e-12)
+    assert self_result.amplitudes[0] == pytest.approx(norm_sq, abs=1e-10)
+    assert self_result.probabilities[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_transition_probability_hermitian_branch():
@@ -594,19 +654,19 @@ def test_transition_probability_hermitian_branch():
     rng = np.random.default_rng(11)
     xi = rng.normal(size=4) + 1j * rng.normal(size=4)
     zeta = rng.normal(size=4) + 1j * rng.normal(size=4)
-    result = transition_probability(xi, zeta, params, 3.3)
-    assert result.route_gap <= 1e-12
+    result = transition_series(xi, zeta, params, np.array([3.3]))
+    assert result.route_gaps[0] <= 1e-12
     canonical = np.vdot(xi, evolve(build_total(params), 3.3, zeta))
-    assert result.amplitude == pytest.approx(canonical, abs=1e-10)
+    assert result.amplitudes[0] == pytest.approx(canonical, abs=1e-10)
 
 
 def test_transition_probability_rejections():
     rng = np.random.default_rng(12)
     xi = rng.normal(size=4) + 1j * rng.normal(size=4)
     with pytest.raises(ValueError):
-        transition_probability(xi, xi, toy_params(5.0, 0.5), 1.0)
+        transition_series(xi, xi, toy_params(5.0, 0.5), np.array([1.0]))
     with pytest.raises(ValueError):
-        transition_probability(np.zeros(4), xi, toy_params(1.0, 0.5), 1.0)
+        transition_series(np.zeros(4), xi, toy_params(1.0, 0.5), np.array([1.0]))
 
 
 def test_rho_norm_conserved_along_evolution():
@@ -636,6 +696,21 @@ def test_canonical_limit_alpha_zero_is_exact():
     assert report.counterpart_gaps == (0.0, 0.0, 0.0)
     counterpart = hermitian_counterpart(params)
     assert np.array_equal(counterpart.matrix, build_total(params))
+
+
+def test_canonical_limit_holds_for_negative_coupling():
+    # s carries the sign of J, so u -> I and the counterpart -> the undamped
+    # Hamiltonian for either sign.
+    for exchange in (-1.0, -0.7):
+        flipped = canonical_limit_check(toy_params(1.0, 0.5, exchange), steps=8)
+        reference = canonical_limit_check(toy_params(1.0, 0.5, -exchange), steps=8)
+        assert flipped.passed
+        assert flipped.monotone
+        assert flipped.u_distances == reference.u_distances
+        assert flipped.counterpart_gaps == pytest.approx(reference.counterpart_gaps)
+        undamped = TwoSpinParams(f3=0.8, g3=0.8, exchange=exchange)
+        counterpart = hermitian_counterpart(undamped)
+        assert np.array_equal(counterpart.matrix, build_total(undamped))
 
 
 def test_canonical_limit_toy_model():
