@@ -39,6 +39,7 @@ from pseudospin.grassmann import (
     GrassmannElement,
     canonical_constraints,
     commutation_factor,
+    constraint_reduce,
     dirac_bracket,
     graded_poisson,
     is_plus_real,
@@ -62,7 +63,6 @@ from pseudospin.quantize import (
     PAULI,
     Realization,
     check_relations,
-    constraint_reduce,
     correspondence_check,
     pauli_realization,
     quantize,

@@ -42,7 +42,7 @@ from .formats import (
     vector_from_json,
     write_csv,
 )
-from .grassmann import AlgebraSpec, star_involution
+from .grassmann import constraint_reduce, star_involution
 from .quantize import tensor_realization, quantize
 from .twospin import (
     GilbertParams,
@@ -433,9 +433,11 @@ def cmd_quantize(config: Mapping[str, Any]) -> int:
         element = element_from_json(_load_json(config["element"]))
     except ValueError as exc:
         raise CliError(f"bad element file: {exc}") from exc
+    # The map sends the constraint-reduced element to the matrix, so that
+    # element is the one whose star-reality --check judges.
+    element = constraint_reduce(element)
     hbar = config["hbar"]
-    algebra = AlgebraSpec(element.algebra.family_sizes)
-    matrix = quantize(element, tensor_realization(algebra, hbar=hbar))
+    matrix = quantize(element, tensor_realization(element.algebra, hbar=hbar))
 
     status = 0
     if config["check"]:

@@ -41,6 +41,7 @@ __all__ = [
     "Monomial",
     "canonical_constraints",
     "commutation_factor",
+    "constraint_reduce",
     "dirac_bracket",
     "family_components",
     "graded_poisson",
@@ -54,6 +55,9 @@ __all__ = [
 
 #: Default tolerance for coefficient comparisons.
 COEFF_TOL = 1e-12
+
+#: The i/2 of the constraints pi_i - (i/2) xi_i, which send pi_i -> (i/2) xi_i.
+_HALF_I = 0.5j
 
 _FAMILY_NAMES = (("xi", "pi"), ("chi", "varpi"))
 
@@ -195,8 +199,8 @@ class _Layout:
             ...), the sign of moving that generator to the right (left) end.
         parities: mask -> per-family degree parities.
         monomials: mask -> canonical Generator tuple.
-        reduced: mask -> (coordinate mask, sign, momentum count) after
-            pi_i -> xi_i in place, or None when a coordinate repeats.
+        reduced: mask -> (coordinate-algebra mask, sign, momentum count)
+            after pi_i -> xi_i in place, or None when a coordinate repeats.
     """
 
     def __init__(self, algebra: AlgebraSpec) -> None:
@@ -269,13 +273,13 @@ class _Layout:
         momenta = mask & self.momentum_mask
         moved = 0
         for b in _bits(momenta):
-            gen = self.gens[b]
-            moved |= 1 << (b - self.algebra.family_sizes[gen.family])
+            moved |= 1 << (b - self.algebra.family_sizes[self.gens[b].family])
         coords = mask ^ momenta
         if coords & moved:
             return None
         sign = _product_sign(coords, moved, self.flip)
-        return coords | moved, sign, momenta.bit_count()
+        target = sum(1 << self.merged[b] for b in _bits(coords | moved))
+        return target, sign, momenta.bit_count()
 
 
 def _layout(algebra: AlgebraSpec) -> _Layout:
@@ -659,10 +663,31 @@ def canonical_constraints(algebra: AlgebraSpec) -> tuple[GrassmannElement, ...]:
         raise ValueError("constraints need an algebra with momenta")
     return tuple(
         GrassmannElement.from_terms(
-            algebra, [((coord._replace(momentum=True),), 1.0), ((coord,), -0.5j)]
+            algebra, [((coord._replace(momentum=True),), 1.0), ((coord,), -_HALF_I)]
         )
         for coord in algebra.coordinates()
     )
+
+
+def constraint_reduce(f: GrassmannElement) -> GrassmannElement:
+    """Eliminate momenta through the second-class :func:`canonical_constraints`.
+
+    Substitutes ``pi_i -> (i/2) xi_i`` term by term, landing in the
+    coordinate-only ``AlgebraSpec(f.algebra.family_sizes)``; repeated
+    coordinates annihilate, which is exactly the antisymmetrization the
+    symmetrized operator product would perform.
+    """
+    reduced = _layout(f.algebra).reduced
+    table: dict[int, complex] = {}
+    for mask, coeff in f.by_mask.items():
+        move = reduced[mask]
+        if move is None:
+            continue
+        target, sign, momenta = move
+        for _ in range(momenta):
+            coeff = coeff * _HALF_I
+        _accumulate(table, target, sign * complex(coeff))
+    return GrassmannElement(AlgebraSpec(f.algebra.family_sizes), table)
 
 
 def dirac_bracket(f: GrassmannElement, g: GrassmannElement) -> GrassmannElement:

@@ -4,8 +4,8 @@ Coordinate generators map to scaled Clifford generators, ``sqrt(hbar/2)``
 times a Pauli string, so that anticommutators reproduce the Dirac bracket
 table: same-family pairs close on ``hbar delta_ij`` and cross-family pairs
 commute.  Conjugate momenta are second class and are eliminated before
-mapping (``pi -> (i/2) xi`` inside the Grassmann algebra, where nilpotency
-does the antisymmetrization).  On canonical monomials of distinct
+mapping by :func:`pseudospin.grassmann.constraint_reduce`, so the map only
+sees the coordinate algebra.  On canonical monomials of distinct
 generators the graded symmetrization of the images collapses to the plain
 ordered product, which is what :func:`quantize` evaluates.
 """
@@ -21,11 +21,9 @@ from pseudospin.grassmann import (
     AlgebraSpec,
     Generator,
     GrassmannElement,
-    _accumulate,
     _bits,
-    _layout,
-    _Layout,
     commutation_factor,
+    constraint_reduce,
     dirac_bracket,
     family_components,
 )
@@ -35,7 +33,6 @@ __all__ = [
     "PAULI",
     "Realization",
     "check_relations",
-    "constraint_reduce",
     "correspondence_check",
     "pauli_realization",
     "quantize",
@@ -79,10 +76,9 @@ class Realization:
     hbar: float
     dim: int
     gens: tuple[np.ndarray, ...]
-    # Keyed by the element algebra's layout (masks differ with and without
-    # momenta): monomial mask -> ordered product of its generator images,
-    # filled by quantize on first use.
-    _images: dict[_Layout, dict[int, np.ndarray]] = field(
+    # Coordinate monomial mask (bit i stands for gens[i]) -> ordered product
+    # of its generator images, filled by quantize on first use.
+    _images: dict[int, np.ndarray] = field(
         default_factory=dict, init=False, repr=False
     )
 
@@ -148,7 +144,6 @@ def tensor_realization(algebra: AlgebraSpec, hbar: float = 1.0) -> Realization:
     total_dim = int(np.prod(dims))
     scale = np.sqrt(hbar / 2.0)
     gens: list[np.ndarray] = []
-    coord_algebra = AlgebraSpec(algebra.family_sizes, momenta_attached=False)
     for fam_index, family in enumerate(families):
         below = int(np.prod(dims[:fam_index])) if fam_index else 1
         above = int(np.prod(dims[fam_index + 1 :])) if fam_index + 1 < len(dims) else 1
@@ -156,7 +151,7 @@ def tensor_realization(algebra: AlgebraSpec, hbar: float = 1.0) -> Realization:
             image = np.kron(np.eye(above), np.kron(gamma, np.eye(below)))
             gens.append(scale * image)
     return Realization(
-        algebra=coord_algebra, hbar=float(hbar), dim=total_dim, gens=tuple(gens)
+        AlgebraSpec(algebra.family_sizes), float(hbar), total_dim, tuple(gens)
     )
 
 
@@ -165,37 +160,13 @@ def pauli_realization(hbar: float = 1.0) -> Realization:
     return tensor_realization(AlgebraSpec((3,)), hbar)
 
 
-def _reduced_terms(terms: dict[int, complex], layout: _Layout) -> dict[int, complex]:
-    table: dict[int, complex] = {}
-    reduced = layout.reduced
-    for mask, coeff in terms.items():
-        move = reduced[mask]
-        if move is None:
-            continue
-        target, sign, momenta = move
-        for _ in range(momenta):
-            coeff = coeff * 0.5j
-        _accumulate(table, target, sign * complex(coeff))
-    return table
-
-
-def constraint_reduce(f: GrassmannElement) -> GrassmannElement:
-    """Eliminate momenta through the second-class constraints.
-
-    Substitutes ``pi_i -> (i/2) xi_i`` term by term; repeated coordinates
-    produced by the substitution annihilate, which is exactly the
-    antisymmetrization the symmetrized operator product would perform.
-    """
-    return GrassmannElement(f.algebra, _reduced_terms(f.by_mask, _layout(f.algebra)))
-
-
 def quantize(f: GrassmannElement, realization: Realization) -> OperatorMatrix:
     """Map a Grassmann element to its operator matrix.
 
-    Momenta are constraint-reduced first; each canonical monomial then maps
-    to the ordered product of its generator images and the unit maps to the
-    identity.  Products are kept per realization, so each monomial's image
-    is multiplied out once.
+    Momenta are eliminated first by :func:`constraint_reduce`; each
+    coordinate monomial then maps to the ordered product of its generator
+    images and the unit to the identity.  Products are kept per realization,
+    so each monomial's image is multiplied out once.
 
     Raises:
         ValueError: If the element's family sizes do not match the
@@ -203,14 +174,13 @@ def quantize(f: GrassmannElement, realization: Realization) -> OperatorMatrix:
     """
     if f.algebra.family_sizes != realization.algebra.family_sizes:
         raise ValueError("element and realization have different family sizes")
-    layout = _layout(f.algebra)
-    images = realization._images.setdefault(layout, {})
+    images = realization._images
     out = np.zeros((realization.dim, realization.dim), dtype=complex)
-    for mask, coeff in _reduced_terms(f.by_mask, layout).items():
+    for mask, coeff in constraint_reduce(f).by_mask.items():
         image = images.get(mask)
         if image is None:
             identity = np.eye(realization.dim, dtype=complex)
-            factors = [realization.gens[layout.merged[b]] for b in _bits(mask)]
+            factors = [realization.gens[b] for b in _bits(mask)]
             image = images[mask] = reduce(np.matmul, factors, identity)
             image.setflags(write=False)
         out += coeff * image

@@ -17,13 +17,14 @@ from hypothesis import strategies as st
 from pseudospin.grassmann import (
     AlgebraSpec,
     GrassmannElement,
+    constraint_reduce,
     dirac_bracket,
+    family_components,
 )
 from pseudospin.quantize import (
     PAULI,
     Realization,
     check_relations,
-    constraint_reduce,
     correspondence_check,
     pauli_realization,
     quantize,
@@ -150,9 +151,10 @@ def test_constraint_reduce_known_values():
     assert constraint_reduce(elem(XI[0], PI[0])).terms == {}
     reduced = constraint_reduce(elem(XI[1], PI[0]))
     assert reduced.terms == elem(XI[0], XI[1], c=-0.5j).terms
-    # Coordinates pass through untouched.
+    # Coordinates pass through untouched, into the coordinate-only algebra.
     f = elem(XI[0], CHI[1], c=2.0 - 1.0j)
     assert constraint_reduce(f).terms == f.terms
+    assert constraint_reduce(f).algebra == AlgebraSpec((3, 3))
 
 
 @pytest.mark.parametrize("algebra", oracle.ALGEBRAS, ids=oracle.ALGEBRA_IDS)
@@ -172,6 +174,44 @@ def test_reduce_and_quantize_match_tuple_reference(algebra, data):
     # reads it back.
     assert quantize(f, real).tobytes() == expect
     assert quantize(f, real).tobytes() == expect
+
+
+@pytest.mark.parametrize("algebra", oracle.ALGEBRAS, ids=oracle.ALGEBRA_IDS)
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_constraint_reduce_contract(algebra, data):
+    f = GrassmannElement.from_terms(
+        algebra, data.draw(oracle.word_terms(algebra, max_degree=7))
+    )
+    reduced = constraint_reduce(f)
+    assert reduced.algebra == AlgebraSpec(algebra.family_sizes)
+    # Reducing is idempotent, bit for bit.
+    twice = constraint_reduce(reduced)
+    assert twice.algebra == reduced.algebra
+    assert oracle.exact(twice.by_mask) == oracle.exact(reduced.by_mask)
+    # pi_i -> (i/2) xi_i stays in the family, so family parities survive.
+    for piece in family_components(f).values():
+        piece_reduced = constraint_reduce(piece)
+        if not piece_reduced.is_zero():
+            assert piece_reduced.family_parity == piece.family_parity
+    # quantize reduces first, so it cannot tell f from its reduction.
+    real = tensor_realization(algebra)
+    assert quantize(f, real).tobytes() == quantize(reduced, real).tobytes()
+
+
+def test_one_image_table_per_realization():
+    # The same element written with and without momenta in its algebra has
+    # the same coordinate monomials, so both fill and read one table.
+    real = tensor_realization(AlgebraSpec((3, 3)), hbar=0.5)
+    matrices = []
+    for algebra in (AlgebraSpec((3, 3), momenta_attached=True), AlgebraSpec((3, 3))):
+        xi = [algebra.coordinate(0, i) for i in range(3)]
+        chi = [algebra.coordinate(1, i) for i in range(3)]
+        words = [((), 0.5), ((xi[0], chi[1]), 2.0 - 1.0j), ((xi[2], xi[0], xi[1]), 1.0j),
+                 ((chi[2],), -1.5)]
+        matrices.append(quantize(GrassmannElement.from_terms(algebra, words), real))
+    assert matrices[0].tobytes() == matrices[1].tobytes()
+    assert len(real._images) == len(words)
 
 
 def test_quantize_monomials_and_linearity():
