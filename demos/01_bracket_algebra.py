@@ -15,6 +15,8 @@ from pseudospin import (
     canonical_constraints,
     dirac_bracket,
     graded_poisson,
+    left_derivative,
+    right_derivative,
     star_involution,
 )
 
@@ -40,6 +42,8 @@ print("i xi1 xi2 real?", star_involution(real_combo).terms == real_combo.terms)
 
 print()
 print("== graded Poisson bracket (coordinates vs momenta) ==")
+print("dR(xi1 xi2)/dxi1 =", right_derivative(xi[0] * xi[1], algebra.coordinate(0, 0)))
+print("dL(xi1 xi2)/dxi1 =", left_derivative(xi[0] * xi[1], algebra.coordinate(0, 0)))
 print("{xi1, pi1}     =", graded_poisson(xi[0], pi[0]))
 print("{xi1, pi2}     =", graded_poisson(xi[0], pi[1]))
 print("{xi1 xi2, pi2 pi1} =", graded_poisson(xi[0] * xi[1], pi[1] * pi[0]))

@@ -14,17 +14,14 @@ two-coupled-spin model with damping-like complex fields as the worked example
 
 from pseudospin.canon import (
     ComplexOrthogonal,
-    block_decompose,
     pushforward_field,
     random_orthogonal,
     transform_coefficients,
-    two_spin_field_transform,
     verify_orthogonal,
 )
 from pseudospin.formats import (
     algebra_from_json,
     algebra_to_json,
-    diagnosis_to_json,
     element_from_json,
     element_to_json,
     matrix_from_json,
@@ -42,7 +39,6 @@ from pseudospin.grassmann import (
     constraint_reduce,
     dirac_bracket,
     graded_poisson,
-    is_plus_real,
     left_derivative,
     multiply,
     plus_involution,
@@ -57,7 +53,6 @@ from pseudospin.pseudoherm import (
     is_rho_hermitian,
     metric_from_isomorphism,
     rho_adjoint,
-    verify_rho_preserving,
 )
 from pseudospin.quantize import (
     PAULI,
@@ -66,7 +61,6 @@ from pseudospin.quantize import (
     correspondence_check,
     pauli_realization,
     quantize,
-    similarity_transport,
     tensor_realization,
 )
 from pseudospin.twospin import (
@@ -79,7 +73,6 @@ from pseudospin.twospin import (
     TwoSpinParams,
     build_free,
     build_interaction,
-    build_single_spin,
     build_total,
     canonical_limit_check,
     closed_spectrum,

@@ -3,14 +3,13 @@
 Linear generator maps ``zeta = Lambda xi`` preserve the canonical bracket
 table exactly when ``Lambda Lambda^T = I`` with complex entries, so the
 canonical group is the complex orthogonal group.  This module validates and
-samples such matrices, transports antisymmetric coefficient tables and field
-vectors along them, and splits the block structure used by two commuting
-families.
+samples such matrices and transports antisymmetric coefficient tables and
+field vectors along them.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence, TypeAlias
+from typing import TypeAlias
 
 import numpy as np
 import scipy.linalg
@@ -18,14 +17,11 @@ import scipy.linalg
 from pseudospin.grassmann import GrassmannElement, _accumulate, _bits
 
 __all__ = [
-    "BlockDecomposition",
     "ComplexOrthogonal",
     "FieldVector",
-    "block_decompose",
     "pushforward_field",
     "random_orthogonal",
     "transform_coefficients",
-    "two_spin_field_transform",
     "verify_orthogonal",
 ]
 
@@ -193,85 +189,3 @@ def transform_coefficients(
             if value != 0:
                 _accumulate(table, sum(1 << i for i in target), complex(value))
     return GrassmannElement(algebra, table)
-
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """Corner blocks of a two-family canonical transformation.
-
-    For families of sizes (n1, n2) the matrix splits as
-    ``[[R, R'], [S', S]]``; orthogonality ties the blocks through
-    ``R R^T + R' R'^T = I``, ``S' S'^T + S S^T = I`` and the two mixed
-    products vanishing.
-    """
-
-    r: np.ndarray
-    r_prime: np.ndarray
-    s_prime: np.ndarray
-    s: np.ndarray
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.block([[self.r, self.r_prime], [self.s_prime, self.s]])
-
-
-def block_decompose(
-    lam: ComplexOrthogonal, sizes: tuple[int, int] = (3, 3)
-) -> BlockDecomposition:
-    """Split a transformation into family blocks and check the relations.
-
-    Raises:
-        ValueError: If the sizes do not tile the matrix or any of the four
-            block orthogonality relations is violated beyond ``ORTHO_TOL``.
-    """
-    n1, n2 = sizes
-    if n1 + n2 != lam.n:
-        raise ValueError(f"block sizes {sizes} do not tile dimension {lam.n}")
-    m = lam.entries
-    blocks = BlockDecomposition(
-        r=m[:n1, :n1], r_prime=m[:n1, n1:], s_prime=m[n1:, :n1], s=m[n1:, n1:]
-    )
-    relations = (
-        blocks.r @ blocks.r.T + blocks.r_prime @ blocks.r_prime.T - np.eye(n1),
-        blocks.s_prime @ blocks.s_prime.T + blocks.s @ blocks.s.T - np.eye(n2),
-        blocks.r @ blocks.s_prime.T + blocks.r_prime @ blocks.s.T,
-        blocks.s_prime @ blocks.r.T + blocks.s @ blocks.r_prime.T,
-    )
-    worst = max(np.max(np.abs(rel)) for rel in relations)
-    if worst > ORTHO_TOL:
-        raise ValueError(f"block orthogonality violated by {worst:.3e}")
-    return blocks
-
-
-def two_spin_field_transform(
-    b_field: FieldVector,
-    c_field: FieldVector,
-    exchange: float | np.ndarray,
-    r: ComplexOrthogonal,
-    s: ComplexOrthogonal,
-) -> tuple[FieldVector, FieldVector, np.ndarray]:
-    """Transport the two-spin data (B, C, J) along family-wise rotations.
-
-    Each family rotates with its own complex orthogonal matrix; the fields
-    push forward with their determinant weights and the exchange matrix
-    transports index-wise, ``J' = R J S^T``.
-
-    Args:
-        b_field: Field coupled to the first family.
-        c_field: Field coupled to the second family.
-        exchange: Exchange coupling, a scalar (isotropic) or a 3 x 3 matrix.
-        r: Rotation acting on the first family.
-        s: Rotation acting on the second family.
-
-    Returns:
-        Transported fields and exchange matrix ``(F, G, J')``.
-    """
-    exchange = np.asarray(exchange, dtype=complex)
-    if exchange.ndim == 0:
-        exchange = complex(exchange) * np.eye(3)
-    if exchange.shape != (r.n, s.n):
-        raise ValueError(f"exchange must be scalar or shape ({r.n}, {s.n})")
-    f_field = pushforward_field(b_field, r)
-    g_field = pushforward_field(c_field, s)
-    j_prime = r.entries @ exchange @ s.entries.T
-    return f_field, g_field, j_prime

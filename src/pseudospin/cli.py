@@ -198,15 +198,17 @@ def _typed(key: str, value: Any, default: Any) -> Any:
 
     Numbers take the default's type; a float must be finite.  Paths (a None
     default) are strings or null, and ``format`` and ``group`` must come
-    from their choices.
+    from their choices; ``group`` lists at least one.
     """
     choices = _CHOICES.get(key)
     if key == "group":
         if value is None or (
-            isinstance(value, list) and all(name in choices for name in value)
+            isinstance(value, list)
+            and value
+            and all(name in choices for name in value)
         ):
             return value
-        expected = f"null or a list of names from {list(choices)}"
+        expected = f"null or a non-empty list of names from {list(choices)}"
     elif isinstance(default, bool):
         if isinstance(value, bool):
             return value

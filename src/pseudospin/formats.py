@@ -12,12 +12,13 @@ repeated runs byte-identical across platforms.
 """
 
 import csv
+import sys
 from typing import IO, Any, Iterable, Sequence
 
 import numpy as np
 
 from .grassmann import AlgebraSpec, GrassmannElement
-from .pseudoherm import Diagnosis
+
 
 def complex_to_json(value: complex) -> dict[str, float]:
     """Encode a complex number as a {"re", "im"} pair."""
@@ -29,10 +30,21 @@ def complex_from_json(data: Any) -> complex:
     """Decode a {"re", "im"} pair.
 
     Raises:
-        ValueError: If the object is missing either key or carries extras.
+        ValueError: If the object is missing either key, carries extras, or
+            either part is not a finite JSON number (booleans and strings
+            are not numbers).
     """
     if not isinstance(data, dict) or set(data) != {"re", "im"}:
         raise ValueError(f"expected a {{re, im}} object, got {data!r}")
+    for key in ("re", "im"):
+        part = data[key]
+        # The comparison rejects nan, the infinities and ints beyond float.
+        if (
+            isinstance(part, bool)
+            or not isinstance(part, (int, float))
+            or not abs(part) <= sys.float_info.max
+        ):
+            raise ValueError(f"{key} must be a finite number, got {part!r}")
     return complex(float(data["re"]), float(data["im"]))
 
 
@@ -163,21 +175,9 @@ def element_from_json(data: Any) -> GrassmannElement:
                 raise ValueError(
                     f"monomial {entry['mono']} is not in canonical order"
                 )
-        coefficient = complex(float(entry["re"]), float(entry["im"]))
+        coefficient = complex_from_json({"re": entry["re"], "im": entry["im"]})
         terms.append((tuple(generators), coefficient))
     return GrassmannElement.from_terms(algebra, terms)
-
-
-def diagnosis_to_json(diagnosis: Diagnosis) -> dict[str, Any]:
-    """Encode a pseudo-hermiticity diagnosis; absent metric encodes as null."""
-    return {
-        "spectrum": [complex_to_json(value) for value in diagnosis.spectrum],
-        "real": diagnosis.spectrum_real,
-        "diagonalizable": diagnosis.diagonalizable,
-        "metric": (
-            None if diagnosis.metric is None else matrix_to_json(diagnosis.metric.matrix)
-        ),
-    }
 
 
 def csv_cell(value: Any) -> str:

@@ -45,7 +45,6 @@ __all__ = [
     "dirac_bracket",
     "family_components",
     "graded_poisson",
-    "is_plus_real",
     "left_derivative",
     "multiply",
     "plus_involution",
@@ -542,13 +541,6 @@ def plus_involution(f: GrassmannElement, rho: np.ndarray) -> GrassmannElement:
             acc = multiply(acc, images[layout.merged[b]])
         result = result + acc
     return result
-
-
-def is_plus_real(
-    f: GrassmannElement, rho: np.ndarray, tol: float = COEFF_TOL
-) -> bool:
-    """Whether ``f`` is fixed by the plus involution within ``tol``."""
-    return plus_involution(f, rho).allclose(f, tol)
 
 
 def family_components(

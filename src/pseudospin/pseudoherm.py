@@ -24,7 +24,6 @@ HERMITICITY_TOL = 1e-12
 REALITY_TOL = 1e-9
 COND_CAP = 1e8
 METRIC_RESIDUAL_TOL = 1e-10
-PRESERVATION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -227,27 +226,3 @@ def diagnose(a: OperatorMatrix) -> Diagnosis:
     if not is_rho_hermitian(a, metric, tol=residual_tol):
         return Diagnosis(spectrum, spectrum_real, False, None)
     return Diagnosis(spectrum, spectrum_real, True, metric)
-
-
-def verify_rho_preserving(s: OperatorMatrix, rho: Metric) -> bool:
-    """Check that a transformation preserves the metric, ``s^dag rho s == rho``.
-
-    Metric-preserving maps play the role unitaries play for the canonical
-    product; evolution generated by a metric-hermitian operator passes this
-    check at every time.
-
-    Args:
-        s: Transformation matrix.
-        rho: Metric that should be preserved.
-
-    Returns:
-        True iff ``max |s^dag rho s - rho| <= PRESERVATION_TOL``.
-
-    Raises:
-        ValueError: If dimensions disagree.
-    """
-    s = np.asarray(s, dtype=complex)
-    if s.shape != (rho.dim, rho.dim):
-        raise ValueError("transformation dimension must match the metric")
-    deviation = np.max(np.abs(s.conj().T @ rho.matrix @ s - rho.matrix))
-    return bool(deviation <= PRESERVATION_TOL)

@@ -36,14 +36,12 @@ __all__ = [
     "correspondence_check",
     "pauli_realization",
     "quantize",
-    "similarity_transport",
     "tensor_realization",
 ]
 
 OperatorMatrix: TypeAlias = np.ndarray
 
 RELATION_TOL = 1e-12
-TRANSPORT_COND_CAP = 1e12
 
 PAULI = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -268,29 +266,3 @@ def correspondence_check(
     residual = float(np.abs(commutator - 1j * realization.hbar * bracket).max())
     supported = f.max_degree <= 2 and g.max_degree <= 2
     return CorrespondenceReport(residual, residual <= RELATION_TOL, supported)
-
-
-def similarity_transport(realization: Realization, u: np.ndarray) -> Realization:
-    """Conjugate every generator image by an invertible matrix.
-
-    Products, sums and hence all algebra relations transport verbatim, so
-    the result realizes the same algebra on a different basis.
-
-    Raises:
-        ValueError: If ``u`` has the wrong shape or its condition number
-            exceeds ``TRANSPORT_COND_CAP``.
-    """
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (realization.dim, realization.dim):
-        raise ValueError(f"u must have shape ({realization.dim}, {realization.dim})")
-    cond = np.linalg.cond(u)
-    if not np.isfinite(cond) or cond > TRANSPORT_COND_CAP:
-        raise ValueError(f"transformation is too ill-conditioned (cond={cond:.3e})")
-    uinv = np.linalg.inv(u)
-    gens = tuple(u @ gen @ uinv for gen in realization.gens)
-    return Realization(
-        algebra=realization.algebra,
-        hbar=realization.hbar,
-        dim=realization.dim,
-        gens=gens,
-    )

@@ -1,10 +1,10 @@
 """Two coupled spins with complex effective fields.
 
-Realizes the model layer: builders for single-spin and two-spin Hamiltonians
-with complex z-fields and Heisenberg exchange, the closed-form spectrum and
-its pseudo-hermiticity regime, the Gilbert-damping parameterization of the
-fields, the hermitian counterpart system reached by a positive isomorphism,
-and metric-unitary time evolution with transition amplitudes evaluated both
+Realizes the model layer: builders for two-spin Hamiltonians with complex
+z-fields and Heisenberg exchange, the closed-form spectrum and its
+pseudo-hermiticity regime, the Gilbert-damping parameterization of the fields,
+the hermitian counterpart system reached by a positive isomorphism, and
+metric-unitary time evolution with transition amplitudes evaluated both
 directly and through the counterpart.
 
 Matrices are built exactly as the quantization of the classical model
@@ -228,28 +228,9 @@ def _field_vector(field: np.ndarray) -> np.ndarray:
     return field
 
 
-def _sigma_dot(field: np.ndarray) -> OperatorMatrix:
-    field = _field_vector(field)
-    return field[0] * PAULI[0] + field[1] * PAULI[1] + field[2] * PAULI[2]
-
-
 def _tolerance_scale(params: TwoSpinParams) -> float:
     """Magnitude scale of the model that the regime tolerances multiply."""
     return 1.0 + abs(params.f3) + abs(params.g3) + 2.0 * abs(params.exchange)
-
-
-def build_single_spin(field: np.ndarray, hbar: float = 1.0) -> OperatorMatrix:
-    """Build the 2x2 spin Hamiltonian (hbar/2) sigma . F.
-
-    Args:
-        field: Complex 3-vector F.
-        hbar: Scale of the spin operators.
-
-    Returns:
-        The 2x2 matrix; its eigenvalues are +-(hbar/2) sqrt(F . F), real
-        exactly when the bilinear square F . F is a positive real.
-    """
-    return 0.5 * hbar * _sigma_dot(field)
 
 
 def build_free(f_field: np.ndarray, g_field: np.ndarray) -> OperatorMatrix:

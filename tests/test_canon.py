@@ -5,18 +5,16 @@ import numpy as np
 import pytest
 
 from pseudospin.canon import (
-    block_decompose,
     pushforward_field,
     random_orthogonal,
     transform_coefficients,
-    two_spin_field_transform,
     verify_orthogonal,
 )
 from pseudospin.grassmann import (
     AlgebraSpec,
     GrassmannElement,
-    is_plus_real,
     multiply,
+    plus_involution,
     star_involution,
 )
 
@@ -212,7 +210,8 @@ def test_reality_transport_star_to_plus():
         g = random_element(rng)
         f = g + star_involution(g)
         assert star_involution(f).allclose(f, 1e-12)
-        assert is_plus_real(transform_coefficients(f, lam), rho, 1e-9)
+        moved = transform_coefficients(f, lam)
+        assert plus_involution(moved, rho).allclose(moved, 1e-9)
 
 
 def test_transform_rejects_unsupported_inputs():
@@ -230,44 +229,7 @@ def test_transform_rejects_unsupported_inputs():
 
 
 # ---------------------------------------------------------------------------
-# two-family block structure
-
-
-def test_block_decompose_relations_and_reassembly():
-    r = random_orthogonal(3, seed=21)
-    s = random_orthogonal(3, seed=22)
-    lam6 = verify_orthogonal(
-        np.block(
-            [[r.entries, np.zeros((3, 3))], [np.zeros((3, 3)), s.entries]]
-        )
-    )
-    blocks = block_decompose(lam6)
-    assert np.array_equal(blocks.matrix, lam6.entries)
-    assert np.max(np.abs(blocks.r - r.entries)) == 0.0
-    assert np.max(np.abs(blocks.s - s.entries)) == 0.0
-    # A generic O(6) element also decomposes; relations hold by construction.
-    lam_mixed = random_orthogonal(6, seed=23)
-    mixed = block_decompose(lam_mixed)
-    assert np.array_equal(mixed.matrix, lam_mixed.entries)
-    with pytest.raises(ValueError):
-        block_decompose(lam_mixed, sizes=(2, 3))
-
-
-def test_two_spin_field_transform_components():
-    rng = np.random.default_rng(31)
-    r = random_orthogonal(3, seed=41)
-    s = random_orthogonal(3, seed=42)
-    b = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    c = rng.standard_normal(3)
-    exchange = rng.standard_normal((3, 3))
-    f, g, j_prime = two_spin_field_transform(b, c, exchange, r, s)
-    assert np.allclose(f, pushforward_field(b, r), atol=1e-14)
-    assert np.allclose(g, pushforward_field(c, s), atol=1e-14)
-    assert np.allclose(j_prime, r.entries @ exchange @ s.entries.T, atol=1e-14)
-    _, _, iso = two_spin_field_transform(b, c, 2.0, r, s)
-    assert np.allclose(iso, 2.0 * r.entries @ s.entries.T, atol=1e-14)
-    with pytest.raises(ValueError):
-        two_spin_field_transform(b, c, np.ones((2, 2)), r, s)
+# two-family exchange transport
 
 
 def test_exchange_transport_agrees_with_merged_family_embedding():
@@ -294,7 +256,7 @@ def test_exchange_transport_agrees_with_merged_family_embedding():
         )
     )
     transported = transform_coefficients(element, lam6)
-    _, _, j_prime = two_spin_field_transform(np.zeros(3), np.zeros(3), exchange, r, s)
+    j_prime = r.entries @ exchange @ s.entries.T
     expect = GrassmannElement.from_terms(
         alg6,
         [

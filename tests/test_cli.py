@@ -301,7 +301,11 @@ MISTYPED_CONFIG = {
 
 
 # Appended after the table so that the ids of the cases above stay stable.
-MISTYPED_CONFIG_LATER = [("spectrum", {"tol": "x"}, "tol")]
+MISTYPED_CONFIG_LATER = [
+    ("spectrum", {"tol": "x"}, "tol"),
+    # An empty selection would run no group and pass vacuously.
+    ("verify", {"group": []}, "group"),
+]
 
 
 @pytest.mark.parametrize("subcommand, values, key", [
@@ -738,6 +742,36 @@ def test_quantize_rejects_non_canonical_file(tmp_path, capsys):
     code, _, err = run(capsys, "quantize-file", "--element", element)
     assert code == 1
     assert "canonical order" in err
+
+
+# Coefficients that are not finite JSON numbers, as raw JSON text.
+NON_NUMERIC_PARTS = ["null", '"nan"', "1e400", "true"]
+
+
+@pytest.mark.parametrize(
+    "raw", NON_NUMERIC_PARTS, ids=["null", "string", "overflow", "bool"]
+)
+@pytest.mark.parametrize("subcommand, key, message", [
+    ("quantize-file", "element", "bad element file"),
+    ("evolve", "zeta", "bad state vector file"),
+])
+def test_input_files_reject_non_finite_numbers(
+    tmp_path, capsys, raw, subcommand, key, message
+):
+    pair = f'"re": {raw}, "im": 0.0'
+    if subcommand == "quantize-file":
+        text = f'{{"algebra": {{"families": [3]}}, "terms": [{{"mono": [], {pair}}}]}}'
+        args = []
+    else:
+        entries = ", ".join(['{"re": 1.0, "im": 0.0}'] * 3 + [f"{{{pair}}}"])
+        text = f"[{entries}]"
+        args = TOY
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, out, err = run(capsys, subcommand, *args, f"--{key}", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"pseudospin: error: {message}: re must be a finite number")
 
 
 def test_quantize_requires_element(capsys):

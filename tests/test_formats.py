@@ -21,7 +21,6 @@ from pseudospin.formats import (
     complex_from_json,
     complex_to_json,
     csv_cell,
-    diagnosis_to_json,
     element_from_json,
     element_to_json,
     matrix_from_json,
@@ -31,7 +30,6 @@ from pseudospin.formats import (
     write_csv,
 )
 from pseudospin.grassmann import AlgebraSpec, GrassmannElement
-from pseudospin.pseudoherm import diagnose
 
 ALG = AlgebraSpec((3, 3), momenta_attached=True)
 ALL_GENS = list(ALG.coordinates()) + list(ALG.momenta())
@@ -61,6 +59,7 @@ def element_blob(*terms, families=(3,), momenta=False):
 def test_complex_round_trip():
     assert complex_from_json(complex_to_json(1.5 - 2.25j)) == 1.5 - 2.25j
     assert complex_to_json(3) == {"re": 3.0, "im": 0.0}
+    assert complex_from_json({"re": 3, "im": -1}) == 3 - 1j
 
 
 @pytest.mark.parametrize(
@@ -70,6 +69,22 @@ def test_complex_round_trip():
 def test_complex_rejects_malformed(bad):
     with pytest.raises(ValueError):
         complex_from_json(bad)
+
+
+@pytest.mark.parametrize(
+    "part",
+    [None, True, False, "1.0", "nan", [1.0], {}, math.nan, math.inf, -math.inf,
+     json.loads("1e400"), 10**400],
+)
+def test_coefficients_take_only_finite_json_numbers(part):
+    # Strings, booleans and null are not numbers; nan, the infinities (1e400
+    # parses to inf) and ints beyond float range are not finite.  Element
+    # terms decode their coefficients through the same codec.
+    for pair in ({"re": part, "im": 0.0}, {"re": 0.0, "im": part}):
+        with pytest.raises(ValueError, match="must be a finite number"):
+            complex_from_json(pair)
+        with pytest.raises(ValueError, match="must be a finite number"):
+            element_from_json(element_blob(term([], **pair)))
 
 
 def test_matrix_round_trip():
@@ -267,25 +282,6 @@ def test_element_rejects_bad_tokens(mono, case):
 def test_element_rejects_schema_violations(blob):
     with pytest.raises(ValueError):
         element_from_json(blob)
-
-
-# ---------------------------------------------------------------------------
-# diagnosis reports
-
-
-def test_diagnosis_with_metric():
-    blob = diagnosis_to_json(diagnose(np.diag([1.0, 2.0])))
-    assert blob["real"] is True
-    assert blob["diagonalizable"] is True
-    assert [complex_from_json(v) for v in blob["spectrum"]] == [1.0, 2.0]
-    assert np.allclose(matrix_from_json(blob["metric"]), np.eye(2))
-    assert json.loads(json.dumps(blob)) == blob
-
-
-def test_diagnosis_without_metric():
-    blob = diagnosis_to_json(diagnose(np.array([[0.0, 1.0], [-1.0, 0.0]])))
-    assert blob["real"] is False
-    assert blob["metric"] is None
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 """The package's public surface."""
 
+import ast
+from pathlib import Path
 from types import ModuleType
 
 import pseudospin
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # Every public name of ``pseudospin``, pinned so that adding a second path
 # to the same job, or dropping one, edits this list on purpose.
@@ -11,27 +15,57 @@ PUBLIC_NAMES = [
     "Diagnosis", "GROUPS", "Generator", "GilbertParams", "GrassmannElement",
     "GroupResult", "HermitianCounterpart", "Isomorphism", "Metric", "PAULI",
     "Realization", "RegimeReport", "TransitionSeries", "TwoSpinParams",
-    "algebra_from_json", "algebra_to_json", "block_decompose", "build_free",
-    "build_interaction", "build_single_spin", "build_total",
-    "canonical_constraints", "canonical_limit_check", "check_relations",
-    "closed_spectrum", "commutation_factor", "constraint_reduce",
-    "correspondence_check", "damping_threshold", "diagnose", "diagnosis_to_json",
-    "dirac_bracket", "element_from_json", "element_to_json", "eta_inner",
-    "evolve", "gilbert_fields", "graded_poisson", "hermitian_counterpart",
-    "is_plus_real", "is_rho_hermitian", "left_derivative", "matrix_from_json",
-    "matrix_to_json", "metric_from_isomorphism", "multiply", "paper_isomorphism",
-    "pauli_realization", "plus_involution", "pushforward_field", "quantize",
-    "random_orthogonal", "rho_adjoint", "right_derivative", "run_groups",
-    "similarity_transport", "star_involution", "tensor_realization",
-    "transform_coefficients", "transition_series", "two_spin_field_transform",
-    "vector_from_json", "vector_to_json", "verify_orthogonal",
-    "verify_rho_preserving", "write_csv",
+    "algebra_from_json", "algebra_to_json", "build_free", "build_interaction",
+    "build_total", "canonical_constraints", "canonical_limit_check",
+    "check_relations", "closed_spectrum", "commutation_factor",
+    "constraint_reduce", "correspondence_check", "damping_threshold",
+    "diagnose", "dirac_bracket", "element_from_json", "element_to_json",
+    "eta_inner", "evolve", "gilbert_fields", "graded_poisson",
+    "hermitian_counterpart", "is_rho_hermitian", "left_derivative",
+    "matrix_from_json", "matrix_to_json", "metric_from_isomorphism",
+    "multiply", "paper_isomorphism", "pauli_realization", "plus_involution",
+    "pushforward_field", "quantize", "random_orthogonal", "rho_adjoint",
+    "right_derivative", "run_groups", "star_involution", "tensor_realization",
+    "transform_coefficients", "transition_series", "vector_from_json",
+    "vector_to_json", "verify_orthogonal", "write_csv",
 ]
 
 
-def test_public_names_are_pinned():
-    names = sorted(
+def public_names():
+    return sorted(
         name for name, value in vars(pseudospin).items()
         if not name.startswith("_") and not isinstance(value, ModuleType)
     )
-    assert names == sorted(PUBLIC_NAMES)
+
+
+def referenced_names(path):
+    """Names a module reads, as a bare name or as an attribute.
+
+    Definitions, imports, docstrings, comments and ``__all__`` strings are
+    not reads, so they do not count.
+    """
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
+def test_public_names_are_pinned():
+    assert public_names() == sorted(PUBLIC_NAMES)
+
+
+def test_every_public_name_has_a_caller():
+    callers = [
+        path for path in sorted((ROOT / "src" / "pseudospin").glob("*.py"))
+        if path.name != "__init__.py"
+    ] + sorted((ROOT / "demos").glob("*.py"))
+    reached = set().union(*(referenced_names(path) for path in callers))
+    # A codec pair stays whole: one half in use keeps the other.
+    for name in list(reached):
+        for half, partner in (("_to_json", "_from_json"), ("_from_json", "_to_json")):
+            if name.endswith(half):
+                reached.add(name[: -len(half)] + partner)
+    assert [name for name in public_names() if name not in reached] == []

@@ -17,7 +17,6 @@ from pseudospin.pseudoherm import (
     is_rho_hermitian,
     metric_from_isomorphism,
     rho_adjoint,
-    verify_rho_preserving,
 )
 
 ATOL = 1e-12
@@ -265,13 +264,6 @@ def test_diagnose_similarity_covariance():
 # metric preservation
 
 
-def test_verify_rho_preserving_trivial_cases():
-    rng = np.random.default_rng(11)
-    q = np.linalg.qr(random_matrix(rng, 4))[0]
-    assert verify_rho_preserving(q, Metric.identity(4))
-    assert not verify_rho_preserving(2.0 * np.eye(4), Metric.identity(4))
-
-
 def test_generated_evolution_preserves_diagnosed_metric():
     rng = np.random.default_rng(12)
     r = random_matrix(rng, 4, 0.3)
@@ -281,4 +273,5 @@ def test_generated_evolution_preserves_diagnosed_metric():
     assert report.metric is not None
     for time in (-2.0, -0.5, 0.1, 1.0, 3.0):
         s = expm(1j * time * a)
-        assert verify_rho_preserving(s, report.metric)
+        rho = report.metric.matrix
+        assert np.max(np.abs(s.conj().T @ rho @ s - rho)) <= 1e-10

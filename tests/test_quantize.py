@@ -28,7 +28,6 @@ from pseudospin.quantize import (
     correspondence_check,
     pauli_realization,
     quantize,
-    similarity_transport,
     tensor_realization,
 )
 
@@ -320,27 +319,3 @@ def test_correspondence_flags_high_degree_unsupported():
     cubic = elem(XI[0], XI[1], XI[2])
     report = correspondence_check(cubic, elem(XI[0]), real)
     assert not report.supported
-
-
-def test_similarity_transport_preserves_relations():
-    rng = np.random.default_rng(42)
-    real = tensor_realization(AlgebraSpec((3, 3)), hbar=1.0)
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    u = np.linalg.qr(a)[0] @ np.diag([1.0, 1.0, 1.0, 2.0])
-    moved = similarity_transport(real, u)
-    assert check_relations(moved).passed
-    g = ALG.coordinate(0, 0)
-    assert np.allclose(
-        moved.matrix_for(g),
-        u @ real.matrix_for(g) @ np.linalg.inv(u),
-        atol=1e-12,
-    )
-
-
-def test_similarity_transport_guards():
-    real = tensor_realization(AlgebraSpec((3, 3)), hbar=1.0)
-    with pytest.raises(ValueError):
-        similarity_transport(real, np.eye(3))
-    ill = np.diag([1.0, 1.0, 1.0, 1e-14])
-    with pytest.raises(ValueError):
-        similarity_transport(real, ill)

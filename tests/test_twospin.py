@@ -20,7 +20,6 @@ from pseudospin.twospin import (
     TwoSpinParams,
     build_free,
     build_interaction,
-    build_single_spin,
     build_total,
     canonical_limit_check,
     closed_spectrum,
@@ -58,29 +57,16 @@ def match_multisets(left, right, atol):
 # builders
 
 
-def test_single_spin_builder():
-    h = build_single_spin(np.array([0.0, 0.0, 1.0]), hbar=1.0)
-    assert np.allclose(h, np.diag([0.5, -0.5]), atol=ATOL)
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        field = rng.normal(size=3)
-        values = sorted_eigs(build_single_spin(field, hbar=0.7))
-        radius = 0.35 * np.sqrt(field @ field)
-        assert np.allclose(values, [-radius, radius], atol=1e-10)
-    with pytest.raises(ValueError):
-        build_single_spin(np.ones(4))
-
-
 def test_single_spin_complex_field_regimes():
     # F.F > 0 keeps the spectrum real even for complex F; F.F = 0 collapses
     # both eigenvalues to zero on a defective matrix.
-    near = build_single_spin(np.array([1.0, 0.999j, 0.0]))
+    near = 0.5 * sum(c * sigma for c, sigma in zip([1.0, 0.999j, 0.0], PAULI))
     report = diagnose(near)
     assert report.spectrum_real and report.diagonalizable
     assert np.allclose(
         np.abs(report.spectrum), 0.5 * np.sqrt(1.0 - 0.999**2), atol=1e-10
     )
-    degenerate = build_single_spin(np.array([1.0, 1.0j, 0.0]))
+    degenerate = 0.5 * sum(c * sigma for c, sigma in zip([1.0, 1.0j, 0.0], PAULI))
     report = diagnose(degenerate)
     assert np.allclose(report.spectrum, [0.0, 0.0], atol=1e-10)
     assert not report.diagonalizable
@@ -124,8 +110,8 @@ def test_free_builder_minkowski_sum():
     for _ in range(10):
         f = rng.normal(size=3) + 1j * rng.normal(size=3)
         g = rng.normal(size=3) + 1j * rng.normal(size=3)
-        singles_f = np.linalg.eigvals(build_single_spin(f, hbar=0.5))
-        singles_g = np.linalg.eigvals(build_single_spin(g, hbar=0.5))
+        singles_f = np.linalg.eigvals(0.25 * sum(c * s for c, s in zip(f, PAULI)))
+        singles_g = np.linalg.eigvals(0.25 * sum(c * s for c, s in zip(g, PAULI)))
         sums = [a + b for a in singles_f for b in singles_g]
         match_multisets(sums, np.linalg.eigvals(build_free(f, g)), 1e-9)
 
