@@ -401,28 +401,29 @@ def cmd_evolve(config: Mapping[str, Any]) -> int:
             series = transition_series(xi, zeta, params, times)
         except (ValueError, RuntimeError) as exc:
             raise CliError(str(exc)) from exc
-        rows = [
-            [t, amplitude.real, amplitude.imag, probability, norm]
-            for t, amplitude, probability, norm in zip(
-                times.tolist(),
-                series.amplitudes.tolist(),
-                series.probabilities.tolist(),
-                series.rho_norms.tolist(),
-            )
-        ]
+        amplitudes, probabilities, norms = (
+            series.amplitudes, series.probabilities, series.rho_norms
+        )
+    elif config["allow_dissipative"]:
+        evolved = evolve(build_total(params), times, zeta)
+        amplitudes = np.array([np.vdot(xi, state) for state in evolved])
+        probabilities = np.full(times.size, np.nan)
+        with np.errstate(over="ignore"):  # a norm past the float range reads inf
+            norms = np.array([np.linalg.norm(state) for state in evolved])
     else:
-        if not config["allow_dissipative"]:
-            raise CliError(
-                "parameters violate the pseudo-hermiticity conditions; "
-                "pass --allow-dissipative for canonical-norm output"
-            )
-        rows = []
-        for t, evolved in zip(times.tolist(), evolve(build_total(params), times, zeta)):
-            amplitude = complex(np.vdot(xi, evolved))
-            rows.append([
-                t, amplitude.real, amplitude.imag,
-                float("nan"), float(np.linalg.norm(evolved)),
-            ])
+        raise CliError(
+            "parameters violate the pseudo-hermiticity conditions; "
+            "pass --allow-dissipative for canonical-norm output"
+        )
+    finite = np.isfinite(amplitudes) & np.isfinite(norms)
+    if not finite.all():
+        raise CliError(f"amplitude or norm overflows at t={times[~finite][0]:.6g}")
+    rows = [
+        [t, amplitude.real, amplitude.imag, probability, norm]
+        for t, amplitude, probability, norm in zip(
+            times.tolist(), amplitudes.tolist(), probabilities.tolist(), norms.tolist()
+        )
+    ]
     _emit(config, rows, EVOLVE_COLUMNS)
     return 0
 
@@ -439,7 +440,10 @@ def cmd_quantize(config: Mapping[str, Any]) -> int:
     # element is the one whose star-reality --check judges.
     element = constraint_reduce(element)
     hbar = config["hbar"]
-    matrix = quantize(element, tensor_realization(element.algebra, hbar=hbar))
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix = quantize(element, tensor_realization(element.algebra, hbar=hbar))
+    if not np.isfinite(matrix).all():
+        raise CliError("quantized matrix overflows the floating-point range")
 
     status = 0
     if config["check"]:

@@ -5,7 +5,8 @@ z-fields and Heisenberg exchange, the closed-form spectrum and its
 pseudo-hermiticity regime, the Gilbert-damping parameterization of the fields,
 the hermitian counterpart system reached by a positive isomorphism, and
 metric-unitary time evolution with transition amplitudes evaluated both
-directly and through the counterpart.
+directly and through the counterpart.  Every Hamiltonian here conserves total
+S_z, so time evolution exponentiates its 1+2+1 blocks in closed form.
 
 Matrices are built exactly as the quantization of the classical model
 produces them, carrying an overall 1/4; spectra are reported for those
@@ -24,10 +25,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, TypeAlias
 
 import numpy as np
-from scipy.linalg import expm
 
 from .pseudoherm import (
-    COND_CAP,
     METRIC_RESIDUAL_TOL,
     Metric,
     eta_inner,
@@ -51,6 +50,8 @@ _PAULI_KRON = tuple(
 )
 _I_SIGMA = tuple(np.kron(_IDENTITY2, sigma) for sigma in PAULI)
 _SIGMA_I = tuple(np.kron(sigma, _IDENTITY2) for sigma in PAULI)
+# Total S_z of each basis state; conserving it leaves the 1+2+1 blocks.
+_TOTAL_SZ = np.array([1, 0, 0, -1])
 
 
 @dataclass(frozen=True)
@@ -476,46 +477,49 @@ def evolve(
 ) -> StateVector:
     """Apply exp(-i H t) to a state at one time or along a time grid.
 
-    Uses the eigendecomposition when the eigenvector matrix is well
-    conditioned (exact dissipative decay rates), falling back to
-    scaling-and-squaring near defective points.  The decomposition, its
-    condition number and the eigenbasis coefficients of ``psi0`` are
-    computed once per call, so a whole time grid costs one ``eig``; each
-    time then applies ``vectors @ (exp(-i values t) * coeffs)``, giving
-    the same bits as a separate call at that time.
+    ``H`` must conserve total S_z, as every two-spin Hamiltonian here does,
+    so it splits into 1+2+1 blocks: two diagonal corners, which evolve as
+    phases, and a middle 2x2 block M = tau I + K with tau = tr M / 2.  Then
+    K^2 = w^2 I (Cayley-Hamilton) and exp(-i M t) = exp(-i tau t)
+    (cos(w t) I - i t sinc(w t) K), which is even in w and so analytic
+    through w = 0, the exceptional point.  The work is elementwise over the
+    times, so a grid gives the same bits as one call per time; an overflow
+    comes back as inf or nan, silently.
 
     Args:
-        hamiltonian: Generator matrix.
+        hamiltonian: 4x4 generator that conserves total S_z.
         t: Evolution time, or a 1-D array of times.
-        psi0: Initial state.
+        psi0: Initial 4-component state.
 
     Returns:
-        The evolved state vector, shape ``(dim,)`` for a scalar ``t``;
-        for an array of times, shape ``(len(t), dim)`` with one evolved
-        state per row.
+        The evolved state, shape ``(4,)`` for a scalar ``t``; for an array
+        of times, shape ``(len(t), 4)`` with one evolved state per row.
 
     Raises:
-        ValueError: If shapes disagree or ``t`` has more than one axis.
+        ValueError: If the shapes are not 4x4 and 4, an entry linking
+            different total S_z is nonzero, or ``t`` has more than one axis.
     """
     hamiltonian = np.asarray(hamiltonian, dtype=complex)
     psi0 = np.asarray(psi0, dtype=complex)
-    dim = hamiltonian.shape[0]
-    if hamiltonian.shape != (dim, dim) or psi0.shape != (dim,):
-        raise ValueError("state dimension must match the Hamiltonian")
+    if hamiltonian.shape != (4, 4) or psi0.shape != (4,):
+        raise ValueError("evolve takes a 4x4 Hamiltonian and a 4-component state")
+    if np.any(hamiltonian[_TOTAL_SZ[:, None] != _TOTAL_SZ]):
+        raise ValueError("Hamiltonian must conserve total S_z (1+2+1 blocks)")
     times = np.asarray(t, dtype=float)
     if times.ndim > 1:
         raise ValueError("times must be a scalar or a 1-D array")
-    grid = times.ravel().tolist()
-    evolved = np.empty((len(grid), dim), dtype=complex)
-    values, vectors = np.linalg.eig(hamiltonian)
-    cond = np.linalg.cond(vectors)
-    if np.isfinite(cond) and cond <= COND_CAP:
-        coeffs = np.linalg.solve(vectors, psi0)
-        for k, tk in enumerate(grid):
-            evolved[k] = vectors @ (np.exp(-1j * values * tk) * coeffs)
-    else:
-        for k, tk in enumerate(grid):
-            evolved[k] = expm(-1j * tk * hamiltonian) @ psi0
+    grid = times.reshape(-1, 1)
+    tau = (hamiltonian[1, 1] + hamiltonian[2, 2]) / 2.0
+    k = hamiltonian[1:3, 1:3] - tau * _IDENTITY2
+    w = np.sqrt(k[0, 0] * k[0, 0] + k[0, 1] * k[1, 0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        # t sinc(w t) = sin(w t) / w, which is t itself at w = 0.
+        sin_over_w = np.sin(w * grid) / w if w != 0.0 else grid
+        middle = np.exp(-1j * tau * grid) * (
+            np.cos(w * grid) * psi0[1:3] - 1j * sin_over_w * (k @ psi0[1:3])
+        )
+        corners = np.exp(-1j * hamiltonian[[0, 3], [0, 3]] * grid) * psi0[[0, 3]]
+    evolved = np.column_stack((corners[:, 0], middle, corners[:, 1]))
     return evolved[0] if times.ndim == 0 else evolved
 
 
@@ -529,8 +533,8 @@ def transition_series(
     metric, and canonically in the hermitian counterpart frame after
     mapping both states through the isomorphism; the routes must agree.
     The regime check, the Hamiltonian, the verified isomorphism and the
-    counterpart are built once for the whole grid, and each route's
-    evolution diagonalizes once.
+    counterpart are built once for the whole grid, and each route evolves
+    the whole grid in one closed-form :func:`evolve` call.
 
     Args:
         xi: Target state.
@@ -545,9 +549,10 @@ def transition_series(
 
     Raises:
         ValueError: If the reality conditions fail, the parameters sit at
-            the exceptional point on the dissipative branch, a state is
-            null, or ``times`` is not 1-D.
-        RuntimeError: If the two evaluation routes disagree at any time.
+            the exceptional point on the dissipative branch, a state's
+            deformed norm is not positive and finite, or ``times`` is not 1-D.
+        RuntimeError: If the two evaluation routes disagree, or either is
+            nan, at any time.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
@@ -556,18 +561,14 @@ def transition_series(
     scale = _tolerance_scale(params)
     hamiltonian = build_total(params)
     if abs(report.f_minus.imag) <= REGIME_TOL * scale:
-        u = np.eye(4, dtype=complex)
-        rho = Metric.identity(4)
-        partner = hamiltonian
+        u, rho, partner = np.eye(4, dtype=complex), Metric.identity(4), hamiltonian
     else:
         u, rho = paper_isomorphism(params)
         partner = hermitian_counterpart(params).matrix
-    xi = np.asarray(xi, dtype=complex)
-    zeta = np.asarray(zeta, dtype=complex)
-    norm_xi = eta_inner(xi, xi, rho).real
-    norm_zeta = eta_inner(zeta, zeta, rho).real
-    if norm_xi <= 0.0 or norm_zeta <= 0.0:
-        raise ValueError("states must have positive deformed norm")
+    xi, zeta = np.asarray(xi, dtype=complex), np.asarray(zeta, dtype=complex)
+    norm_xi, norm_zeta = (eta_inner(v, v, rho).real for v in (xi, zeta))
+    if not (norm_xi > 0.0 and norm_zeta > 0.0 and math.isfinite(norm_xi * norm_zeta)):
+        raise ValueError("states must have positive, finite deformed norms")
     evolved = evolve(hamiltonian, times, zeta)
     u_inv = np.linalg.inv(u)
     bra = u_inv @ xi
@@ -578,9 +579,9 @@ def transition_series(
     rho_norms = np.empty(times.size)
     for k in range(times.size):
         amplitude = eta_inner(xi, evolved[k], rho)
-        canonical = complex(np.vdot(bra, partner_evolved[k]))
-        route_gap = abs(amplitude - canonical)
-        if route_gap > ROUTE_TOL * scale * (1.0 + abs(amplitude)):
+        route_gap = abs(amplitude - complex(np.vdot(bra, partner_evolved[k])))
+        # Written so that a nan gap or amplitude fails the gate too.
+        if not route_gap <= ROUTE_TOL * scale * (1.0 + abs(amplitude)):
             raise RuntimeError(
                 f"evaluation routes disagree by {route_gap:.3e} at t={times[k]:.6g}"
             )
@@ -588,12 +589,7 @@ def transition_series(
         probabilities[k] = abs(amplitude) ** 2 / (norm_xi * norm_zeta)
         route_gaps[k] = route_gap
         rho_norms[k] = np.sqrt(eta_inner(evolved[k], evolved[k], rho).real)
-    return TransitionSeries(
-        amplitudes=amplitudes,
-        probabilities=probabilities,
-        route_gaps=route_gaps,
-        rho_norms=rho_norms,
-    )
+    return TransitionSeries(amplitudes, probabilities, route_gaps, rho_norms)
 
 
 def canonical_limit_check(

@@ -508,25 +508,63 @@ def test_evolve_dissipative_reports_canonical_norms(capsys):
     assert norms[-1] > 100.0 * norms[0]
 
 
+# Runs whose results leave the float range: the metric route's phases at
+# t = 1e308, the dissipative growth by t = 1e6, and state files with 1e300
+# entries, whose norms overflow.
+BEYOND = ["--J", "1", "--B", "4", "--alpha1", "1", "--alpha2", "-1"]
+HUGE_STATE = json.dumps([{"re": 1e300, "im": 0.0}] * 4)
+
+
+@pytest.mark.parametrize("args, state", [
+    pytest.param(
+        ["--J", "4", "--B", "1", "--alpha1", "0.5", "--alpha2", "-0.5",
+         "--t-end", "1e308", "--t-steps", "2"], None, id="metric-route-t-end",
+    ),
+    pytest.param(
+        [*BEYOND, "--t-end", "1e6", "--t-steps", "3", "--allow-dissipative"], None,
+        id="dissipative-t-end",
+    ),
+    pytest.param([*TOY, "--t-steps", "2"], "xi", id="huge-xi"),
+    pytest.param([*TOY, "--t-steps", "2", "--format", "json"], "zeta", id="huge-zeta-json"),
+    pytest.param(
+        [*BEYOND, "--t-steps", "2", "--allow-dissipative"], "zeta",
+        id="dissipative-huge-zeta",
+    ),
+])
+def test_evolve_rejects_non_finite_results(tmp_path, capsys, args, state):
+    if state is not None:
+        path = tmp_path / "state.json"
+        path.write_text(HUGE_STATE)
+        args = [*args, f"--{state}", str(path)]
+    code, out, err = run(capsys, "evolve", *args)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("pseudospin: error: ")
+
+
 # SHA-256 of the evolve CSV, pinned so that performance work cannot change
 # output bytes silently.  Recorded with numpy 2.4.6 and its bundled
-# OpenBLAS on x86_64; a different LAPACK build may move last bits.
+# OpenBLAS on x86_64; a different LAPACK build may move last bits.  Recorded
+# for the closed-form propagator, whose error on these grids against a
+# 40-digit reference is bounded in
+# test_twospin.py::test_evolve_matches_40_digit_reference_on_the_golden_grids.
 EVOLVE_GOLDEN = {
     "dissipative": (
         ["--J", "1", "--B", "1.5", "--alpha1", "0.5", "--alpha2", "-0.5",
          "--t-start", "0", "--t-end", "20", "--t-steps", "201"],
-        "977c30c65d84a24c4ab85b09f6ac48668b9a0a648dd2f40b73e3ab6107406425",
+        "7ae716026ad71edaf9c817a4fa1fb5a3de7c82bd882c55f3e23a652878c87cb3",
     ),
     "undamped": (
         ["--J", "0.8", "--B", "1.3", "--alpha1", "0", "--alpha2", "0",
          "--t-start", "0", "--t-end", "20", "--t-steps", "201"],
-        "0dec4b43fcf4d1002822b47e5be2244f4a16db5f4ebf6513f7ee8b9c2651faf4",
+        "e2307ead63711da2caa82080f5ed6e4897a3f1140fac89c3e798d88cc1564589",
     ),
     "beyond_b_max": (
         ["--J", "1", "--B", "4", "--alpha1", "1", "--alpha2", "-1",
          "--t-start", "0", "--t-end", "10", "--t-steps", "101",
          "--allow-dissipative"],
-        "fd6e84e4d0ec8d5aac29b68bc7b9dc3a4b26c11fb4691680e087b30754c30cf8",
+        "152dae1f106d59e2045d7ff4db2695d0048d2f0b87a828756f0bf3a289e13cd9",
     ),
 }
 
@@ -644,6 +682,22 @@ def test_quantize_field_hamiltonian(tmp_path, capsys):
         [[complex(c["re"], c["im"]) for c in row] for row in payload["matrix"]]
     )
     assert np.allclose(matrix, np.diag([0.5, -0.5]), atol=1e-15)
+
+
+@pytest.mark.parametrize("flags", [[], ["--check"]], ids=["plain", "check"])
+def test_quantize_overflow_is_a_typed_error(tmp_path, capsys, flags):
+    # Finite coefficients whose quantized matrix overflows.
+    element = write_element(tmp_path / "big.json", {
+        "algebra": {"families": [3]},
+        "terms": [{"mono": ["xi1", "xi2"], "re": 1e308, "im": 0.0},
+                  {"mono": ["xi2", "xi3"], "re": 1e308, "im": 0.0}],
+    })
+    code, out, err = run(
+        capsys, "quantize-file", "--element", element, "--hbar", "4", *flags
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "pseudospin: error: quantized matrix overflows the floating-point range\n"
 
 
 def test_quantize_unit_element(tmp_path, capsys):

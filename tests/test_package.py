@@ -69,3 +69,34 @@ def test_every_public_name_has_a_caller():
             if name.endswith(half):
                 reached.add(name[: -len(half)] + partner)
     assert [name for name in public_names() if name not in reached] == []
+
+
+def mentioned_names(tree):
+    """Every name an AST binds, imports or reads, docstrings excluded."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.update(node.module.split("."))
+    return names
+
+
+def test_evolution_needs_no_scipy_and_cond_cap_serves_diagnose_alone():
+    package = ROOT / "src" / "pseudospin"
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(package.glob("*.py"))
+    }
+    assert "scipy" not in mentioned_names(trees["twospin.py"])
+    evolve = next(
+        node for node in trees["twospin.py"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "evolve"
+    )
+    assert mentioned_names(evolve).isdisjoint({"eig", "cond", "solve", "expm"})
+    users = [name for name, tree in trees.items() if "COND_CAP" in mentioned_names(tree)]
+    assert users == ["pseudoherm.py"]

@@ -2,13 +2,18 @@
 
 Matrix builders are frozen against hand-expanded entry patterns and against
 the quantization of the classical model; the closed-form spectrum is checked
-against the dense eigensolver over random parameters; regime, isomorphism,
-and evolution behavior are anchored on the exactly solvable toy
+against the dense eigensolver over random parameters; the block propagator
+against ``mpmath.expm`` at 40 digits and ``scipy.linalg.expm``; regime,
+isomorphism, and evolution behavior are anchored on the exactly solvable toy
 parameterization.
 """
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from pseudospin.grassmann import AlgebraSpec, GrassmannElement
 from pseudospin.pseudoherm import Metric, diagnose, eta_inner, is_rho_hermitian
@@ -536,9 +541,15 @@ def test_evolve_basics():
         assert np.max(np.abs(two_step - one_step)) <= 1e-9
     with pytest.raises(ValueError):
         evolve(hamiltonian, 1.0, np.ones(3))
+    with pytest.raises(ValueError, match="4x4"):
+        evolve(np.eye(2), 1.0, np.ones(2))
+    mixing = hamiltonian.copy()
+    mixing[0, 3] = 1e-300
+    with pytest.raises(ValueError, match="total S_z"):
+        evolve(mixing, 1.0, psi)
 
 
-def test_evolve_defective_fallback_and_dissipation():
+def test_evolve_defective_and_dissipation():
     b_max = damping_threshold(1.0, 0.5)
     defective = build_total(toy_params(b_max, 0.5))
     rng = np.random.default_rng(9)
@@ -568,6 +579,89 @@ def test_evolve_time_array_matches_scalar_calls():
     assert evolve(hamiltonian, np.array([]), psi).shape == (0, 4)
     with pytest.raises(ValueError):
         evolve(hamiltonian, np.ones((2, 2)), psi)
+
+
+def mp_evolve(hamiltonian, times, psi):
+    """exp(-i H t) psi by ``mpmath.expm`` at 40 digits on the same float inputs."""
+    with mpmath.workdps(40):
+        h = mpmath.matrix(hamiltonian.tolist())
+        v = mpmath.matrix(psi.tolist())
+        return np.array([
+            [complex(x) for x in mpmath.expm(-1j * mpmath.mpf(t) * h) * v]
+            for t in times.tolist()
+        ])
+
+
+def relative_error(hamiltonian, times, psi):
+    """max |evolve - reference| / max |reference| over the whole grid."""
+    reference = mp_evolve(hamiltonian, times, psi)
+    gap = np.abs(evolve(hamiltonian, times, psi) - reference)
+    return np.max(gap) / np.max(np.abs(reference))
+
+
+# B = B_max (1 - eps) at J = 1, alpha = +-0.5: inside, near and at the
+# exceptional point (eps = 0), and beyond it.
+@pytest.mark.parametrize("eps", [1e-2, 1e-6, 1e-10, 0.0, -1e-2])
+def test_evolve_matches_40_digit_reference_near_the_exceptional_point(eps):
+    rng = np.random.default_rng(17)
+    psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+    hamiltonian = build_total(toy_params(damping_threshold(1.0, 0.5) * (1.0 - eps), 0.5))
+    assert relative_error(hamiltonian, np.linspace(0.0, 20.0, 21), psi) <= 4e-15
+
+
+# The parameters and time grids of the CLI's EVOLVE_GOLDEN cases, every 10th
+# time, from the CLI's default source state.
+@pytest.mark.parametrize("amplitude, alpha, exchange, t_end, steps", [
+    (1.5, 0.5, 1.0, 20.0, 201),
+    (1.3, 0.0, 0.8, 20.0, 201),
+    (4.0, 1.0, 1.0, 10.0, 101),
+], ids=["dissipative", "undamped", "beyond_b_max"])
+def test_evolve_matches_40_digit_reference_on_the_golden_grids(
+    amplitude, alpha, exchange, t_end, steps
+):
+    hamiltonian = build_total(toy_params(amplitude, alpha, exchange))
+    times = np.linspace(0.0, t_end, steps)[::10]
+    psi = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
+    assert relative_error(hamiltonian, times, psi) <= 4e-15
+
+
+entries = st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+gaussian_integers = st.builds(complex, st.integers(-2, 2), st.integers(-2, 2))
+
+
+@st.composite
+def block_hamiltonians(draw):
+    """Complex 4x4 matrices with the 1+2+1 pattern of total S_z."""
+    if draw(st.booleans()):
+        tau, a, b, c = (draw(entries) for _ in range(4))
+    else:
+        # delta = a^2 + b c is exactly 0 in floats: integer a and tau, and b
+        # a power of two times a unit, so c = -a^2 / b is exact.
+        tau, a = draw(gaussian_integers), draw(gaussian_integers)
+        b = draw(st.sampled_from([1, -1, 1j, -1j])) * 2.0 ** draw(st.integers(-1, 1))
+        c = -a * a / b
+        assert a * a + b * c == 0.0
+    hamiltonian = np.zeros((4, 4), dtype=complex)
+    hamiltonian[0, 0], hamiltonian[3, 3] = draw(entries), draw(entries)
+    hamiltonian[1:3, 1:3] = [[tau + a, b], [c, tau - a]]
+    return hamiltonian
+
+
+@settings(deadline=None, max_examples=50)
+@given(
+    block_hamiltonians(),
+    st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4),
+    st.integers(0, 2**32 - 1),
+)
+def test_evolve_matches_scipy_expm_on_block_matrices(hamiltonian, times, seed):
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+    reference = np.array([expm(-1j * t * hamiltonian) @ psi for t in times])
+    scale = np.max(np.abs(reference))
+    evolved = evolve(hamiltonian, np.array(times), psi)
+    assert np.max(np.abs(evolved - reference)) <= 1e-12 * scale
+    single = evolve(hamiltonian, times[0], psi)
+    assert np.max(np.abs(single - reference[0])) <= 1e-12 * scale
 
 
 def test_transition_series_matches_pointwise_calls():
@@ -615,6 +709,16 @@ def test_transition_series_checks_route_at_every_time(monkeypatch):
         transition_series(np.zeros(4), zeta, params, times)
     with pytest.raises(ValueError):
         transition_series(xi, zeta, params, np.ones((2, 2)))
+
+
+def test_transition_series_rejects_non_finite_values():
+    params = toy_params(1.0, 0.5, exchange=4.0)
+    psi = np.ones(4, dtype=complex)
+    with pytest.raises(ValueError, match="finite"):
+        transition_series(1e300 * psi, psi, params, np.array([1.0]))
+    # w t overflows at t = 1e308, so cos(w t) and the route gap are nan.
+    with pytest.raises(RuntimeError, match="disagree by nan"):
+        transition_series(psi, psi, params, np.array([0.0, 1e308]))
 
 
 def test_transition_probability_toy_model():
