@@ -45,8 +45,8 @@ for label, realization in (
     ("two families [3, 3]", tensor_realization(AlgebraSpec((3, 3)))),
     ("uneven families [2, 4]", tensor_realization(AlgebraSpec((2, 4)))),
 ):
-    result = check_relations(realization)
-    print(f"{label}: dim {realization.dim}, max violation {result.max_violation:.2e}")
+    violation = check_relations(realization)
+    print(f"{label}: dim {realization.dim}, max violation {violation:.2e}")
 
 print()
 print("== the field Hamiltonian quantizes onto (hbar/2) sigma.B ==")
@@ -72,7 +72,7 @@ worst = 0.0
 for a, b_ in itertools.combinations(gens[:8], 2):
     f = GrassmannElement.from_generator(momenta, a)
     g = GrassmannElement.from_generator(momenta, b_)
-    worst = max(worst, correspondence_check(f, g, two).residual)
+    worst = max(worst, correspondence_check(f, g, two))
 print("max residual over generator pairs at hbar=0.5:", worst)
 
 print()

@@ -71,8 +71,6 @@ from pseudospin.twospin import (
     RegimeReport,
     TransitionSeries,
     TwoSpinParams,
-    build_free,
-    build_interaction,
     build_total,
     canonical_limit_check,
     closed_spectrum,

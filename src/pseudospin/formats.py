@@ -101,7 +101,8 @@ def algebra_from_json(data: Any) -> AlgebraSpec:
     """Decode an algebra header.
 
     Raises:
-        ValueError: If the families list is malformed or a key is unknown.
+        ValueError: If the families list is malformed (booleans are not
+            sizes) or a key is unknown.
     """
     if not isinstance(data, dict) or "families" not in data:
         raise ValueError("algebra header must carry a families list")
@@ -113,7 +114,10 @@ def algebra_from_json(data: Any) -> AlgebraSpec:
         not isinstance(families, list)
         or not families
         or len(families) > 2
-        or not all(isinstance(n, int) and n > 0 for n in families)
+        or not all(
+            isinstance(n, int) and not isinstance(n, bool) and n > 0
+            for n in families
+        )
     ):
         raise ValueError("families must be a list of one or two positive sizes")
     momenta = data.get("momenta", False)

@@ -133,11 +133,6 @@ class AlgebraSpec:
             for index in range(size):
                 yield Generator(family, True, index)
 
-    def merged_index(self, gen: Generator) -> int:
-        """Position of ``gen`` in the family-major coordinate flattening."""
-        self.validate_generator(gen)
-        return sum(self.family_sizes[: gen.family]) + gen.index
-
     def validate_generator(self, gen: Generator) -> None:
         if not 0 <= gen.family < len(self.family_sizes):
             raise ValueError(f"unknown family {gen.family}")

@@ -31,7 +31,7 @@ class Metric:
     """A hermitian positive-definite matrix defining an inner product.
 
     Attributes:
-        matrix: The metric entries; validated hermitian (to
+        matrix: The metric entries; validated finite, hermitian (to
             ``HERMITICITY_TOL``) and positive-definite on construction, then
             frozen read-only.
         min_eigenvalue: Smallest eigenvalue, reported so callers can judge
@@ -45,6 +45,8 @@ class Metric:
         matrix = np.array(self.matrix, dtype=complex)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("metric must be a square matrix")
+        if not np.all(np.isfinite(matrix)):
+            raise ValueError("metric entries must be finite")
         asymmetry = float(np.max(np.abs(matrix - matrix.conj().T)))
         if asymmetry > HERMITICITY_TOL:
             raise ValueError(f"metric must be hermitian, asymmetry {asymmetry:.3e}")

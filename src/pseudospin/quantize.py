@@ -19,7 +19,6 @@ import numpy as np
 
 from pseudospin.grassmann import (
     AlgebraSpec,
-    Generator,
     GrassmannElement,
     _bits,
     commutation_factor,
@@ -40,8 +39,6 @@ __all__ = [
 ]
 
 OperatorMatrix: TypeAlias = np.ndarray
-
-RELATION_TOL = 1e-12
 
 PAULI = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -96,12 +93,6 @@ class Realization:
             raise ValueError("hbar must be finite and positive")
         for gen in self.gens:
             gen.setflags(write=False)
-
-    def matrix_for(self, gen: Generator) -> np.ndarray:
-        """Image of a coordinate generator."""
-        if gen.momentum:
-            raise ValueError("momenta have no direct image; reduce them first")
-        return self.gens[self.algebra.merged_index(gen)]
 
 
 def _clifford_family(n: int) -> list[np.ndarray]:
@@ -185,75 +176,38 @@ def quantize(f: GrassmannElement, realization: Realization) -> OperatorMatrix:
     return out
 
 
-@dataclass(frozen=True)
-class RelationCheck:
-    """Residual of one generator-pair relation."""
-
-    left: Generator
-    right: Generator
-    residual: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class RelationReport:
-    """Outcome of the full anticommutator sweep."""
-
-    checks: tuple[RelationCheck, ...]
-    max_violation: float
-    passed: bool
-
-
-def check_relations(realization: Realization) -> RelationReport:
-    """Check the quantum algebra over all generator pairs.
+def check_relations(realization: Realization) -> float:
+    """Largest residual of the quantum algebra over all generator pairs.
 
     Same-family pairs must close on ``hbar delta_ij`` under the
-    anticommutator; cross-family pairs must commute.  Each residual must
-    stay within ``RELATION_TOL``.
+    anticommutator; cross-family pairs must commute.
     """
-    algebra = realization.algebra
-    coords = list(algebra.coordinates())
+    pairs = list(zip(realization.algebra.coordinates(), realization.gens))
     identity = np.eye(realization.dim)
-    checks = []
     worst = 0.0
-    for a in coords:
-        for b in coords:
-            qa = realization.matrix_for(a)
-            qb = realization.matrix_for(b)
+    for a, qa in pairs:
+        for b, qb in pairs:
             if a.family == b.family:
                 target = realization.hbar * identity if a == b else 0.0
                 residual = np.max(np.abs(qa @ qb + qb @ qa - target))
             else:
                 residual = np.max(np.abs(qa @ qb - qb @ qa))
-            residual = float(residual)
-            worst = max(worst, residual)
-            checks.append(RelationCheck(a, b, residual, residual <= RELATION_TOL))
-    return RelationReport(tuple(checks), worst, worst <= RELATION_TOL)
-
-
-@dataclass(frozen=True)
-class CorrespondenceReport:
-    """Residual of the bracket-to-commutator correspondence."""
-
-    residual: float
-    passed: bool
-    supported: bool
+            worst = max(worst, float(residual))
+    return worst
 
 
 def correspondence_check(
     f: GrassmannElement, g: GrassmannElement, realization: Realization
-) -> CorrespondenceReport:
-    """Compare ``[Q(f), Q(g)]`` against ``i hbar Q({f, g}_D)``.
+) -> float:
+    """Largest entry of ``[Q(f), Q(g)] - i hbar Q({f, g}_D)``.
 
     The commutator is graded with the same family-wise commutation factor
     as the classical bracket: one sign flip per family in which both
     elements are odd, so cross-family generator pairs use the plain
     commutator and same-family ones the anticommutator.  Mixed elements are
     split into homogeneous components and the commutator extends
-    bilinearly.  The check passes when the residual is within
-    ``RELATION_TOL``.  ``supported`` is True when both elements have degree at
-    most two, the range where the correspondence is exact; the residual is
-    still reported outside it.
+    bilinearly.  The correspondence is exact when both elements have degree
+    at most two; the residual is still reported outside that range.
     """
     bracket = quantize(dirac_bracket(f, g), realization)
     q_f = [(p, quantize(part, realization)) for p, part in family_components(f).items()]
@@ -263,6 +217,4 @@ def correspondence_check(
         for pg, qg in q_g:
             sign = commutation_factor(pf, pg)
             commutator += qf @ qg - sign * qg @ qf
-    residual = float(np.abs(commutator - 1j * realization.hbar * bracket).max())
-    supported = f.max_degree <= 2 and g.max_degree <= 2
-    return CorrespondenceReport(residual, residual <= RELATION_TOL, supported)
+    return float(np.abs(commutator - 1j * realization.hbar * bracket).max())

@@ -1,12 +1,14 @@
 """Two coupled spins with complex effective fields.
 
-Realizes the model layer: builders for two-spin Hamiltonians with complex
-z-fields and Heisenberg exchange, the closed-form spectrum and its
-pseudo-hermiticity regime, the Gilbert-damping parameterization of the fields,
-the hermitian counterpart system reached by a positive isomorphism, and
-metric-unitary time evolution with transition amplitudes evaluated both
-directly and through the counterpart.  Every Hamiltonian here conserves total
-S_z, so time evolution exponentiates its 1+2+1 blocks in closed form.
+Realizes the model layer: one builder for two-spin Hamiltonians with
+z-fields and XXZ exchange (complex fields and isotropic exchange for the
+deformed model, real fields and exchange (s/2, s/2, J) for its hermitian
+counterpart), the closed-form spectrum and its pseudo-hermiticity regime,
+the Gilbert-damping parameterization of the fields, the hermitian
+counterpart system reached by a positive isomorphism, and metric-unitary
+time evolution with transition amplitudes evaluated both directly and
+through the counterpart.  Every Hamiltonian here conserves total S_z, so
+time evolution exponentiates its 1+2+1 blocks in closed form.
 
 Matrices are built exactly as the quantization of the classical model
 produces them, carrying an overall 1/4; spectra are reported for those
@@ -43,13 +45,11 @@ ROUTE_TOL = 1e-9
 _SPLIT_FLOOR = math.sqrt(sys.float_info.min)
 
 _IDENTITY2 = np.eye(2, dtype=complex)
-# Kronecker products of the Pauli matrices, built once: sigma_i (x) sigma_j
-# for the exchange term, and I (x) sigma_i / sigma_i (x) I for the fields.
-_PAULI_KRON = tuple(
-    tuple(np.kron(PAULI[i], PAULI[j]) for j in range(3)) for i in range(3)
-)
-_I_SIGMA = tuple(np.kron(_IDENTITY2, sigma) for sigma in PAULI)
-_SIGMA_I = tuple(np.kron(sigma, _IDENTITY2) for sigma in PAULI)
+# Kronecker products of the Pauli matrices, built once: I (x) sigma_3 and
+# sigma_3 (x) I for the z-fields, sigma_i (x) sigma_i for the exchange.
+_I_SIGMA3 = np.kron(_IDENTITY2, PAULI[2])
+_SIGMA3_I = np.kron(PAULI[2], _IDENTITY2)
+_SIGMA_SIGMA = tuple(np.kron(sigma, sigma) for sigma in PAULI)
 # Total S_z of each basis state; conserving it leaves the 1+2+1 blocks.
 _TOTAL_SZ = np.array([1, 0, 0, -1])
 
@@ -222,65 +222,22 @@ class CanonicalLimitReport:
     passed: bool
 
 
-def _field_vector(field: np.ndarray) -> np.ndarray:
-    field = np.asarray(field, dtype=complex)
-    if field.shape != (3,):
-        raise ValueError("field must be a 3-vector")
-    return field
-
-
 def _tolerance_scale(params: TwoSpinParams) -> float:
     """Magnitude scale of the model that the regime tolerances multiply."""
     return 1.0 + abs(params.f3) + abs(params.g3) + 2.0 * abs(params.exchange)
 
 
-def build_free(f_field: np.ndarray, g_field: np.ndarray) -> OperatorMatrix:
-    """Build the non-interacting two-spin Hamiltonian.
+def _build_sz_conserving(
+    a: complex, b: complex, c: tuple[float, float, float]
+) -> OperatorMatrix:
+    """(1/4)[a I (x) sigma_3 + b sigma_3 (x) I + sum_i c_i sigma_i (x) sigma_i].
 
     The first spin occupies the fast tensor slot and the second the slow
-    one, matching the quantization layer's family order.
-
-    Args:
-        f_field: Complex 3-vector coupled to the first spin.
-        g_field: Complex 3-vector coupled to the second spin.
-
-    Returns:
-        The 4x4 matrix (1/4)[sigma.F (x) I + I (x) sigma.G].
+    one, matching the quantization layer's family order.  Every matrix of
+    this family conserves total S_z.
     """
-    f = _field_vector(f_field)
-    g = _field_vector(g_field)
-    return 0.25 * (
-        (f[0] * _I_SIGMA[0] + f[1] * _I_SIGMA[1] + f[2] * _I_SIGMA[2])
-        + (g[0] * _SIGMA_I[0] + g[1] * _SIGMA_I[1] + g[2] * _SIGMA_I[2])
-    )
-
-
-def build_interaction(exchange: np.ndarray) -> OperatorMatrix:
-    """Build the symmetrized exchange Hamiltonian.
-
-    Args:
-        exchange: Real 3x3 coupling matrix J.
-
-    Returns:
-        The 4x4 matrix (1/8) J_ij (sigma_i (x) sigma_j + sigma_j (x)
-        sigma_i); a scalar multiple of the identity coupling gives the
-        isotropic Heisenberg term (J/4) sum_i sigma_i (x) sigma_i.
-
-    Raises:
-        ValueError: If the coupling is not a real 3x3 matrix.
-    """
-    exchange = np.asarray(exchange)
-    if exchange.shape != (3, 3):
-        raise ValueError("exchange coupling must be a 3x3 matrix")
-    if np.iscomplexobj(exchange) and np.any(exchange.imag != 0.0):
-        raise ValueError("exchange coupling must be real")
-    exchange = exchange.real.astype(float)
-    total = np.zeros((4, 4), dtype=complex)
-    for i in range(3):
-        for j in range(3):
-            if exchange[i, j] != 0.0:
-                total += exchange[i, j] * (_PAULI_KRON[j][i] + _PAULI_KRON[i][j])
-    return total / 8.0
+    exchange = sum(c_i * product for c_i, product in zip(c, _SIGMA_SIGMA))
+    return 0.25 * (a * _I_SIGMA3 + b * _SIGMA3_I) + exchange / 4.0
 
 
 def build_total(params: TwoSpinParams) -> OperatorMatrix:
@@ -290,12 +247,13 @@ def build_total(params: TwoSpinParams) -> OperatorMatrix:
         params: Model parameters.
 
     Returns:
-        The 4x4 matrix (1/4)[f3 sigma_3 (x) I + g3 I (x) sigma_3 +
-        J sum_i sigma_i (x) sigma_i]; diagonal corners (+-f_plus + J)/4,
-        middle block [[-f_minus - J, 2J], [2J, f_minus - J]]/4.
+        The 4x4 matrix (1/4)[f3 I (x) sigma_3 + g3 sigma_3 (x) I +
+        J sum_i sigma_i (x) sigma_i], the first spin on the fast tensor
+        slot; diagonal corners (+-f_plus + J)/4, middle block
+        [[-f_minus - J, 2J], [2J, f_minus - J]]/4.
     """
-    free = 0.25 * (params.f3 * _I_SIGMA[2] + params.g3 * _SIGMA_I[2])
-    return free + build_interaction(params.exchange * np.eye(3))
+    j = params.exchange
+    return _build_sz_conserving(params.f3, params.g3, (j, j, j))
 
 
 def closed_spectrum(params: TwoSpinParams) -> RegimeReport:
@@ -417,9 +375,7 @@ def hermitian_counterpart(params: TwoSpinParams) -> HermitianCounterpart:
     b3 = (report.f_plus.real + report.f_minus.real) / 2.0
     c3 = (report.f_plus.real - report.f_minus.real) / 2.0
     j_tilde = (root / 2.0, root / 2.0, params.exchange)
-    matrix = build_free(
-        np.array([0.0, 0.0, b3]), np.array([0.0, 0.0, c3])
-    ) + build_interaction(np.diag(j_tilde))
+    matrix = _build_sz_conserving(b3, c3, j_tilde)
     return HermitianCounterpart(matrix=matrix, b3=b3, c3=c3, j_tilde=j_tilde)
 
 

@@ -203,8 +203,8 @@ def check_clifford(seed: int = 0, perturb: float = 0.0) -> GroupResult:
     for sizes in ((3,), (3, 3), (5,), (2, 4)):
         worst = 0.0
         for hbar in (0.5, 1.0, 2.0):
-            report = check_relations(tensor_realization(AlgebraSpec(sizes), hbar=hbar))
-            worst = max(worst, report.max_violation)
+            realization = tensor_realization(AlgebraSpec(sizes), hbar=hbar)
+            worst = max(worst, check_relations(realization))
         checks.append(
             CheckResult(f"relations for families {list(sizes)}", worst, 1e-12)
         )
@@ -230,8 +230,7 @@ def check_correspondence(seed: int = 0, perturb: float = 0.0) -> GroupResult:
         for _ in range(400):
             f = monomials[int(rng.integers(0, len(monomials)))]
             g = monomials[int(rng.integers(0, len(monomials)))]
-            report = correspondence_check(f, g, realization)
-            worst = max(worst, report.residual)
+            worst = max(worst, correspondence_check(f, g, realization))
         checks.append(
             CheckResult(f"bracket correspondence at hbar={hbar}", worst, 1e-12)
         )

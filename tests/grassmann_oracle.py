@@ -137,16 +137,21 @@ def star_involution(algebra, f):
     return from_terms(algebra, terms)
 
 
+def merged_index(algebra, gen):
+    """Position of a coordinate in the family-major flattening."""
+    return sum(algebra.family_sizes[: gen.family]) + gen.index
+
+
 def plus_involution(algebra, f, rho):
     rho = np.asarray(rho, dtype=complex)
     images = []
     for gen in algebra.coordinates():
-        col = algebra.merged_index(gen)
+        col = merged_index(algebra, gen)
         images.append(
             from_terms(
                 algebra,
                 [
-                    ((other,), rho[algebra.merged_index(other), col])
+                    ((other,), rho[merged_index(algebra, other), col])
                     for other in algebra.coordinates()
                 ],
             )
@@ -156,7 +161,7 @@ def plus_involution(algebra, f, rho):
         assert not any(gen.momentum for gen in mono)
         acc = from_terms(algebra, [((), np.conj(coeff))])
         for gen in reversed(mono):
-            acc = multiply(acc, images[algebra.merged_index(gen)])
+            acc = multiply(acc, images[merged_index(algebra, gen)])
         result = add(result, acc)
     return result
 
@@ -190,7 +195,7 @@ def quantize(algebra, f, realization):
     out = np.zeros((realization.dim, realization.dim), dtype=complex)
     identity = np.eye(realization.dim, dtype=complex)
     for mono, coeff in reduced.items():
-        factors = [realization.matrix_for(gen) for gen in mono]
+        factors = [realization.gens[merged_index(algebra, gen)] for gen in mono]
         out += coeff * reduce(np.matmul, factors, identity)
     return out
 

@@ -32,7 +32,7 @@ from pseudospin.pseudoherm import eta_inner
 from pseudospin.twospin import (
     GilbertParams,
     TwoSpinParams,
-    build_interaction,
+    build_total,
     damping_threshold,
     gilbert_fields,
     paper_isomorphism,
@@ -729,7 +729,9 @@ def test_quantize_heisenberg_term_matches_builder(tmp_path, capsys):
     matrix = np.array(
         [[complex(c["re"], c["im"]) for c in row] for row in json.loads(out)["matrix"]]
     )
-    assert np.allclose(matrix, build_interaction(exchange * np.eye(3)), atol=1e-14)
+    assert np.allclose(
+        matrix, build_total(TwoSpinParams(0, 0, exchange)), atol=1e-14
+    )
 
 
 @pytest.mark.parametrize("hbar", ["x", None, True, [1]])
@@ -796,6 +798,18 @@ def test_quantize_rejects_non_canonical_file(tmp_path, capsys):
     code, _, err = run(capsys, "quantize-file", "--element", element)
     assert code == 1
     assert "canonical order" in err
+
+
+@pytest.mark.parametrize("families", [[True, 3], [3, True]])
+def test_quantize_rejects_boolean_family_sizes(tmp_path, capsys, families):
+    element = write_element(tmp_path / "bool.json", {
+        "algebra": {"families": families},
+        "terms": [{"mono": [], "re": 1.0, "im": 0.0}],
+    })
+    code, out, err = run(capsys, "quantize-file", "--element", element)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("pseudospin: error: bad element file: families ")
 
 
 # Coefficients that are not finite JSON numbers, as raw JSON text.

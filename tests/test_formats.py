@@ -163,6 +163,9 @@ def test_algebra_to_json_caps_families():
         {"families": [3], "momenta": 1},
         {"families": [3], "extra": True},
         ["families", 3],
+        # JSON true is a Python int; it is no family size.
+        {"families": [True, 3]},
+        {"families": [3, True]},
     ],
 )
 def test_algebra_rejects_malformed(bad):

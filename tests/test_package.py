@@ -15,7 +15,7 @@ PUBLIC_NAMES = [
     "Diagnosis", "GROUPS", "Generator", "GilbertParams", "GrassmannElement",
     "GroupResult", "HermitianCounterpart", "Isomorphism", "Metric", "PAULI",
     "Realization", "RegimeReport", "TransitionSeries", "TwoSpinParams",
-    "algebra_from_json", "algebra_to_json", "build_free", "build_interaction",
+    "algebra_from_json", "algebra_to_json",
     "build_total", "canonical_constraints", "canonical_limit_check",
     "check_relations", "closed_spectrum", "commutation_factor",
     "constraint_reduce", "correspondence_check", "damping_threshold",

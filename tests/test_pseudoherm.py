@@ -51,6 +51,18 @@ def test_metric_validation():
         m.matrix[0, 0] = 2.0
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [np.full((2, 2), np.nan), np.diag([1.0, np.inf]), np.diag([1.0, -np.inf])],
+    ids=["nan", "inf", "-inf"],
+)
+def test_metric_rejects_non_finite_entries(matrix):
+    # NaN compares false against every bound, so the hermiticity and
+    # positivity checks alone would let it through.
+    with pytest.raises(ValueError, match="finite"):
+        Metric(matrix)
+
+
 def test_eta_inner_reduces_to_canonical_product():
     rng = np.random.default_rng(0)
     eta = Metric.identity(4)

@@ -8,6 +8,8 @@ isomorphism, and evolution behavior are anchored on the exactly solvable toy
 parameterization.
 """
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -23,8 +25,6 @@ from pseudospin.twospin import (
     CanonicalLimitReport,
     GilbertParams,
     TwoSpinParams,
-    build_free,
-    build_interaction,
     build_total,
     canonical_limit_check,
     closed_spectrum,
@@ -77,53 +77,9 @@ def test_single_spin_complex_field_regimes():
     assert not report.diagonalizable
 
 
-def test_free_builder_entry_pattern():
-    assert np.allclose(build_free(np.zeros(3), np.zeros(3)), np.zeros((4, 4)))
-    b1, b2, b3 = 0.7, -1.2, 0.4
-    c1, c2, c3 = -0.3, 0.9, 1.1
-    built = build_free(np.array([b1, b2, b3]), np.array([c1, c2, c3]))
-    expect = 0.25 * np.array(
-        [
-            [b3 + c3, b1 - 1j * b2, c1 - 1j * c2, 0],
-            [b1 + 1j * b2, -b3 + c3, 0, c1 - 1j * c2],
-            [c1 + 1j * c2, 0, b3 - c3, b1 - 1j * b2],
-            [0, c1 + 1j * c2, b1 + 1j * b2, -b3 - c3],
-        ]
-    )
-    assert np.allclose(built, expect, atol=ATOL)
-
-
-def test_free_builder_eigenvalues():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        f = rng.normal(size=3)
-        g = rng.normal(size=3)
-        f_sq = f @ f
-        g_sq = g @ g
-        closed = [
-            sign * 0.25 * np.sqrt(f_sq + g_sq + branch * 2.0 * np.sqrt(f_sq * g_sq))
-            for sign in (1.0, -1.0)
-            for branch in (1.0, -1.0)
-        ]
-        match_multisets(closed, sorted_eigs(build_free(f, g)), 1e-10)
-
-
-def test_free_builder_minkowski_sum():
-    # With no exchange the two-spin spectrum is the sum-set of the two
-    # single-spin spectra in the hbar = 1/2 convention.
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        f = rng.normal(size=3) + 1j * rng.normal(size=3)
-        g = rng.normal(size=3) + 1j * rng.normal(size=3)
-        singles_f = np.linalg.eigvals(0.25 * sum(c * s for c, s in zip(f, PAULI)))
-        singles_g = np.linalg.eigvals(0.25 * sum(c * s for c, s in zip(g, PAULI)))
-        sums = [a + b for a in singles_f for b in singles_g]
-        match_multisets(sums, np.linalg.eigvals(build_free(f, g)), 1e-9)
-
-
 def test_interaction_builder_isotropic():
     j = 0.8
-    built = build_interaction(j * np.eye(3))
+    built = build_total(TwoSpinParams(0, 0, j))
     expect = (j / 4.0) * np.array(
         [[1, 0, 0, 0], [0, -1, 2, 0], [0, 2, -1, 0], [0, 0, 0, 1]], dtype=complex
     )
@@ -131,19 +87,7 @@ def test_interaction_builder_isotropic():
     match_multisets(
         [j / 4, j / 4, j / 4, -3 * j / 4], sorted_eigs(built), 1e-12
     )
-    assert np.allclose(build_interaction(np.zeros((3, 3))), np.zeros((4, 4)))
-
-
-def test_interaction_builder_symmetrization_and_validation():
-    rng = np.random.default_rng(3)
-    jmat = rng.normal(size=(3, 3))
-    assert np.allclose(
-        build_interaction(jmat), build_interaction(jmat.T), atol=ATOL
-    )
-    with pytest.raises(ValueError):
-        build_interaction(np.eye(2))
-    with pytest.raises(ValueError):
-        build_interaction(1j * np.eye(3))
+    assert np.allclose(build_total(TwoSpinParams(0, 0, 0)), np.zeros((4, 4)))
 
 
 def test_build_total_bytes_match_kron_construction():
@@ -180,6 +124,86 @@ def test_build_total_bytes_match_kron_construction():
             exchange=parts[4],
         )
         assert build_total(params).tobytes() == kron_total(params).tobytes()
+
+
+def test_hermitian_counterpart_bytes_match_kron_construction():
+    # The counterpart matrix has the same bytes, signed zeros included, as
+    # per-call Kronecker products of its real z-fields and its anisotropic
+    # exchange (s/2, s/2, J), on both branches of the reality conditions.
+    eye = np.eye(2, dtype=complex)
+
+    def sigma_dot(field):
+        return field[0] * PAULI[0] + field[1] * PAULI[1] + field[2] * PAULI[2]
+
+    def kron_counterpart(params):
+        f_plus, f_minus, j = params.f_plus, params.f_minus, params.exchange
+        margin = float((4.0 * j * j + f_minus * f_minus).real)
+        root = math.copysign(float(np.sqrt(max(margin, 0.0))), j)
+        b3 = (f_plus.real + f_minus.real) / 2.0
+        c3 = (f_plus.real - f_minus.real) / 2.0
+        b_dot = sigma_dot(np.array([0.0, 0.0, b3], dtype=complex))
+        c_dot = sigma_dot(np.array([0.0, 0.0, c3], dtype=complex))
+        free = 0.25 * (np.kron(eye, b_dot) + np.kron(c_dot, eye))
+        coupling = np.diag([root / 2.0, root / 2.0, j])
+        exchange = np.zeros((4, 4), dtype=complex)
+        for i in range(3):
+            for k in range(3):
+                if coupling[i, k] != 0.0:
+                    exchange += coupling[i, k] * (
+                        np.kron(PAULI[k], PAULI[i]) + np.kron(PAULI[i], PAULI[k])
+                    )
+        return free + exchange / 8.0
+
+    rng = np.random.default_rng(5)
+    specials = [0.0, -0.0, 1.0, -2.5, 1e-8]
+
+    def draw():
+        if rng.uniform() < 0.5:
+            return float(rng.choice(specials))
+        return float(rng.normal())
+
+    checked = {"dissipative": 0, "undamped": 0}
+    for _ in range(400):
+        branch = "dissipative" if rng.uniform() < 0.5 else "undamped"
+        if branch == "dissipative":
+            f_plus, alpha = draw(), draw()
+            f3 = complex(f_plus / 2.0, alpha / 2.0)
+            g3 = complex(f_plus / 2.0, -alpha / 2.0)
+        else:
+            f3 = complex(draw(), float(rng.choice([0.0, -0.0])))
+            g3 = complex(draw(), float(rng.choice([0.0, -0.0])))
+        params = TwoSpinParams(f3=f3, g3=g3, exchange=draw())
+        if not closed_spectrum(params).pseudo_hermitian:
+            continue
+        matrix = hermitian_counterpart(params).matrix
+        assert matrix.tobytes() == kron_counterpart(params).tobytes(), params
+        checked[branch] += 1
+    assert min(checked.values()) >= 100, checked
+
+
+def test_builders_vanish_off_the_1_2_1_blocks():
+    # evolve accepts only matrices that conserve total S_z; every builder
+    # must give exact zeros on the entries that link different S_z.
+    total_sz = np.array([1, 0, 0, -1])
+    off_block = total_sz[:, None] != total_sz
+    rng = np.random.default_rng(6)
+    for _ in range(100):
+        f_plus, alpha, exchange = rng.normal(size=3)
+        for params in (
+            TwoSpinParams(
+                f3=complex(f_plus, alpha) / 2.0, g3=complex(f_plus, -alpha) / 2.0,
+                exchange=exchange,
+            ),
+            TwoSpinParams(f3=rng.normal(), g3=rng.normal(), exchange=exchange),
+            TwoSpinParams(
+                f3=complex(*rng.normal(size=2)), g3=complex(*rng.normal(size=2)),
+                exchange=exchange,
+            ),
+        ):
+            assert not np.any(build_total(params)[off_block])
+            if closed_spectrum(params).pseudo_hermitian:
+                counterpart = hermitian_counterpart(params).matrix
+                assert not np.any(counterpart[off_block])
 
 
 def test_build_total_block_structure():
