@@ -17,7 +17,6 @@ from pseudospin import (
     check_relations,
     correspondence_check,
     diagnose,
-    pauli_realization,
     pushforward_field,
     quantize,
     random_orthogonal,
@@ -41,7 +40,7 @@ def field_element(algebra, b):
 
 print("== Clifford relations of the realizations ==")
 for label, realization in (
-    ("single family [3] (Pauli)", pauli_realization()),
+    ("single family [3] (Pauli)", tensor_realization(AlgebraSpec((3,)))),
     ("two families [3, 3]", tensor_realization(AlgebraSpec((3, 3)))),
     ("uneven families [2, 4]", tensor_realization(AlgebraSpec((2, 4)))),
 ):

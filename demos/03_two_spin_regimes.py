@@ -11,23 +11,16 @@ plane beyond it.
 import numpy as np
 
 from pseudospin import (
-    GilbertParams,
     TwoSpinParams,
     build_total,
     closed_spectrum,
     damping_threshold,
     diagnose,
-    gilbert_fields,
 )
 
 
-def toy(amplitude, alpha, exchange=1.0):
-    f3, g3 = gilbert_fields(GilbertParams(amplitude, alpha, -alpha))
-    return TwoSpinParams(f3=f3, g3=g3, exchange=exchange)
-
-
 print("== the Hamiltonian at J=1, B=1, alpha=1 ==")
-params = toy(1.0, 1.0)
+params = TwoSpinParams.from_gilbert(1.0, 1.0, -1.0, 1.0)
 print("F3 =", params.f3, " G3 =", params.g3)
 print("F+ =", params.f_plus, " F- =", params.f_minus)
 matrix = build_total(params)
@@ -51,7 +44,7 @@ print(f"B_max = {b_max}")
 header = f"{'B':>6} {'regime':>7} {'margin':>10} {'max |Im E|':>12} {'metric?':>8}"
 print(header)
 for amplitude in (1.0, 2.0, 2.4, 2.5, 2.6, 3.5):
-    p = toy(amplitude, 0.5)
+    p = TwoSpinParams.from_gilbert(amplitude, 0.5, -0.5, 1.0)
     r = closed_spectrum(p)
     result = diagnose(build_total(p))
     max_im = max(abs(v.imag) for v in r.eigenvalues)
@@ -61,7 +54,7 @@ for amplitude in (1.0, 2.0, 2.4, 2.5, 2.6, 3.5):
 
 print()
 print("== the exceptional point itself ==")
-p = toy(b_max, 0.5)
+p = TwoSpinParams.from_gilbert(b_max, 0.5, -0.5, 1.0)
 result = diagnose(build_total(p))
 print("margin:", closed_spectrum(p).threshold_margin)
 print("diagonalizable:", result.diagonalizable,

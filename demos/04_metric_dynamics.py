@@ -12,25 +12,18 @@ the norm blow-up beyond the damping threshold.
 import numpy as np
 
 from pseudospin import (
-    GilbertParams,
     TwoSpinParams,
     build_total,
     canonical_limit_check,
     eta_inner,
     evolve,
-    gilbert_fields,
     hermitian_counterpart,
     paper_isomorphism,
     transition_series,
 )
 
 
-def toy(amplitude, alpha, exchange=1.0):
-    f3, g3 = gilbert_fields(GilbertParams(amplitude, alpha, -alpha))
-    return TwoSpinParams(f3=f3, g3=g3, exchange=exchange)
-
-
-params = toy(1.0, 1.0)
+params = TwoSpinParams.from_gilbert(1.0, 1.0, -1.0, 1.0)
 hamiltonian = build_total(params)
 u, rho = paper_isomorphism(params)
 counterpart = hermitian_counterpart(params)
@@ -75,7 +68,7 @@ print("route gap   =", float(series.route_gaps[0]), " (direct vs counterpart eva
 
 print()
 print("== beyond the threshold the canonical norm blows up ==")
-open_params = toy(4.0, 1.0)
+open_params = TwoSpinParams.from_gilbert(4.0, 1.0, -1.0, 1.0)
 h_open = build_total(open_params)
 basis = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
 for t in (0.0, 5.0, 10.0):

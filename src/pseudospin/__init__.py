@@ -59,13 +59,11 @@ from pseudospin.quantize import (
     Realization,
     check_relations,
     correspondence_check,
-    pauli_realization,
     quantize,
     tensor_realization,
 )
 from pseudospin.twospin import (
     CanonicalLimitReport,
-    GilbertParams,
     HermitianCounterpart,
     Isomorphism,
     RegimeReport,
@@ -76,7 +74,6 @@ from pseudospin.twospin import (
     closed_spectrum,
     damping_threshold,
     evolve,
-    gilbert_fields,
     hermitian_counterpart,
     paper_isomorphism,
     transition_series,

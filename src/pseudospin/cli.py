@@ -45,12 +45,10 @@ from .formats import (
 from .grassmann import constraint_reduce, star_involution
 from .quantize import tensor_realization, quantize
 from .twospin import (
-    GilbertParams,
     TwoSpinParams,
     build_total,
     closed_spectrum,
     evolve,
-    gilbert_fields,
     transition_series,
 )
 from .verify import GROUPS, run_groups
@@ -276,18 +274,9 @@ def make_config(subcommand: str, provided: Mapping[str, Any]) -> dict[str, Any]:
     return v
 
 
-def _params_from(
-    config: Mapping[str, Any], b=None, alphas=None, j=None
-) -> TwoSpinParams:
-    amplitude = config["b"] if b is None else b
-    alpha1, alpha2 = (
-        (config["alpha1"], config["alpha2"]) if alphas is None else alphas
-    )
+def _params_from(b: float, alphas: tuple[float, float], j: float) -> TwoSpinParams:
     try:
-        f3, g3 = gilbert_fields(GilbertParams(amplitude, alpha1, alpha2))
-        return TwoSpinParams(
-            f3=f3, g3=g3, exchange=config["j"] if j is None else j
-        )
+        return TwoSpinParams.from_gilbert(b, *alphas, j)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
@@ -332,7 +321,8 @@ def _regime_row(config: Mapping[str, Any], b, alphas, j, report) -> list:
 
 def cmd_spectrum(config: Mapping[str, Any]) -> int:
     """Closed-form spectrum next to the eigensolver, with max discrepancy."""
-    params = _params_from(config)
+    point = config["b"], (config["alpha1"], config["alpha2"]), config["j"]
+    params = _params_from(*point)
     report = closed_spectrum(params)
     closed = np.array(report.eigenvalues)
     numerical = np.linalg.eigvals(build_total(params))
@@ -341,9 +331,7 @@ def cmd_spectrum(config: Mapping[str, Any]) -> int:
     matched = numerical[col_ind[np.argsort(row_ind)]]
     discrepancy = float(np.max(np.abs(closed - matched)))
 
-    row = _regime_row(
-        config, config["b"], (config["alpha1"], config["alpha2"]), config["j"], report
-    )
+    row = _regime_row(config, *point, report)
     tail = []
     for value in matched:
         tail.extend((float(value.real), float(value.imag)))
@@ -373,7 +361,7 @@ def cmd_regime_sweep(config: Mapping[str, Any]) -> int:
     rows = [
         _regime_row(
             config, b, alphas, j,
-            closed_spectrum(_params_from(config, b=b, alphas=alphas, j=j)),
+            closed_spectrum(_params_from(b, alphas, j)),
         )
         for b in _grid(config, "b") for alphas in alpha_grid for j in j_grid
     ]
@@ -383,7 +371,9 @@ def cmd_regime_sweep(config: Mapping[str, Any]) -> int:
 
 def cmd_evolve(config: Mapping[str, Any]) -> int:
     """Amplitude, probability, and deformed norm over the time grid."""
-    params = _params_from(config)
+    params = _params_from(
+        config["b"], (config["alpha1"], config["alpha2"]), config["j"]
+    )
     report = closed_spectrum(params)
     try:
         xi, zeta = (
@@ -410,6 +400,11 @@ def cmd_evolve(config: Mapping[str, Any]) -> int:
         probabilities = np.full(times.size, np.nan)
         with np.errstate(over="ignore"):  # a norm past the float range reads inf
             norms = np.array([np.linalg.norm(state) for state in evolved])
+        # Where only the squared sum overflows, rescale by the largest entry.
+        with np.errstate(invalid="ignore"):  # inf / inf entries read nan
+            for i in np.flatnonzero(np.isinf(norms)):
+                scale = np.max(np.abs(evolved[i]))
+                norms[i] = scale * np.linalg.norm(evolved[i] / scale)
     else:
         raise CliError(
             "parameters violate the pseudo-hermiticity conditions; "

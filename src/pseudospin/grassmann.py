@@ -28,6 +28,7 @@ enter (``from_terms``, ``from_generator``, ``coefficient``), and the
 Generator-keyed :attr:`GrassmannElement.terms` is a view built on demand.
 """
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple, Sequence, TypeAlias
@@ -101,11 +102,18 @@ class AlgebraSpec:
     momenta_attached: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "family_sizes", tuple(int(n) for n in self.family_sizes)
-        )
-        if not self.family_sizes or any(n < 1 for n in self.family_sizes):
+        # operator.index takes numpy integers and refuses floats; a bool is
+        # an int, so it maps to 0 and is refused with the other non-positives.
+        try:
+            sizes = tuple(
+                0 if isinstance(n, bool) else operator.index(n)
+                for n in self.family_sizes
+            )
+        except TypeError:
+            sizes = ()
+        if not sizes or any(n < 1 for n in sizes):
             raise ValueError("family sizes must be positive integers")
+        object.__setattr__(self, "family_sizes", sizes)
 
     @property
     def total_coordinates(self) -> int:

@@ -33,7 +33,6 @@ __all__ = [
     "Realization",
     "check_relations",
     "correspondence_check",
-    "pauli_realization",
     "quantize",
     "tensor_realization",
 ]
@@ -142,11 +141,6 @@ def tensor_realization(algebra: AlgebraSpec, hbar: float = 1.0) -> Realization:
     return Realization(
         AlgebraSpec(algebra.family_sizes), float(hbar), total_dim, tuple(gens)
     )
-
-
-def pauli_realization(hbar: float = 1.0) -> Realization:
-    """Single spin: three generators imaged as ``sqrt(hbar/2) sigma_i``."""
-    return tensor_realization(AlgebraSpec((3,)), hbar)
 
 
 def quantize(f: GrassmannElement, realization: Realization) -> OperatorMatrix:

@@ -88,6 +88,31 @@ class TwoSpinParams:
         if 0.0 < split < _SPLIT_FLOOR:
             raise ValueError(f"parameters underflow the closed form: {self}")
 
+    @classmethod
+    def from_gilbert(
+        cls, amplitude: float, alpha1: float, alpha2: float, exchange: float
+    ) -> "TwoSpinParams":
+        """The model whose z-fields come from damped precession (Gilbert).
+
+        Args:
+            amplitude: Positive real applied-field amplitude B.
+            alpha1: Damping parameter of the first spin.
+            alpha2: Damping parameter of the second spin.
+            exchange: Real isotropic Heisenberg coupling.
+
+        Returns:
+            The parameters with f3 = (1 + i alpha1) B / (1 + alpha1^2) and
+            g3 = (1 + i alpha2) B / (1 + alpha2^2).
+
+        Raises:
+            ValueError: If B is not positive, or the fields fail validation.
+        """
+        if not amplitude > 0.0:
+            raise ValueError("field amplitude must be positive")
+        f3 = (1.0 + 1j * alpha1) * amplitude / (1.0 + alpha1**2)
+        g3 = (1.0 + 1j * alpha2) * amplitude / (1.0 + alpha2**2)
+        return cls(f3=f3, g3=g3, exchange=exchange)
+
     @property
     def f_plus(self) -> complex:
         """Sum combination of the fields, real in the pseudo-hermitian regime."""
@@ -97,25 +122,6 @@ class TwoSpinParams:
     def f_minus(self) -> complex:
         """Difference combination of the fields, driving the level splitting."""
         return self.f3 - self.g3
-
-
-@dataclass(frozen=True)
-class GilbertParams:
-    """Damped-precession field parameterization.
-
-    Attributes:
-        amplitude: Positive real applied-field amplitude.
-        alpha1: Damping parameter of the first spin.
-        alpha2: Damping parameter of the second spin.
-    """
-
-    amplitude: float
-    alpha1: float
-    alpha2: float
-
-    def __post_init__(self) -> None:
-        if not self.amplitude > 0.0:
-            raise ValueError("field amplitude must be positive")
 
 
 @dataclass(frozen=True)
@@ -295,22 +301,6 @@ def closed_spectrum(params: TwoSpinParams) -> RegimeReport:
         pseudo_hermitian=bool(pseudo),
         threshold_margin=margin,
     )
-
-
-def gilbert_fields(params: GilbertParams) -> tuple[complex, complex]:
-    """Convert a damped-precession parameterization into complex z-fields.
-
-    Args:
-        params: Field amplitude and per-spin damping parameters.
-
-    Returns:
-        The pair (f3, g3) with f3 = (1 + i alpha1) B / (1 + alpha1^2) and
-        g3 = (1 + i alpha2) B / (1 + alpha2^2).
-    """
-    b = params.amplitude
-    f3 = (1.0 + 1j * params.alpha1) * b / (1.0 + params.alpha1**2)
-    g3 = (1.0 + 1j * params.alpha2) * b / (1.0 + params.alpha2**2)
-    return f3, g3
 
 
 def damping_threshold(exchange: float, alpha: float) -> float:

@@ -42,13 +42,11 @@ from .quantize import (
     tensor_realization,
 )
 from .twospin import (
-    GilbertParams,
     TwoSpinParams,
     build_total,
     closed_spectrum,
     damping_threshold,
     evolve,
-    gilbert_fields,
     hermitian_counterpart,
     paper_isomorphism,
 )
@@ -432,10 +430,9 @@ def check_twospin(seed: int = 0, perturb: float = 0.0) -> GroupResult:
     for _ in range(25):
         exchange = float(rng.uniform(0.6, 1.6))
         b_max = damping_threshold(exchange, 0.6)
-        f3, g3 = gilbert_fields(
-            GilbertParams(float(rng.uniform(0.1, 0.9)) * b_max, 0.6, -0.6)
+        params = TwoSpinParams.from_gilbert(
+            float(rng.uniform(0.1, 0.9)) * b_max, 0.6, -0.6, exchange
         )
-        params = TwoSpinParams(f3=f3, g3=g3, exchange=exchange)
         counterpart = hermitian_counterpart(params)
         closed = np.sort(np.linalg.eigvals(build_total(params)).real)
         partner = np.sort(np.linalg.eigvals(counterpart.matrix).real)
@@ -445,8 +442,7 @@ def check_twospin(seed: int = 0, perturb: float = 0.0) -> GroupResult:
         worst = max(worst, float(np.max(np.abs(conjugated - counterpart.matrix))))
     checks.append(CheckResult("counterpart similarity on dissipative branch", worst, 1e-10))
 
-    f3, g3 = gilbert_fields(GilbertParams(1.0, 0.5, -0.5))
-    params = TwoSpinParams(f3=f3, g3=g3, exchange=1.0)
+    params = TwoSpinParams.from_gilbert(1.0, 0.5, -0.5, 1.0)
     _, rho = paper_isomorphism(params)
     hamiltonian = build_total(params)
     psi = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -457,17 +453,12 @@ def check_twospin(seed: int = 0, perturb: float = 0.0) -> GroupResult:
     checks.append(CheckResult("deformed norm conserved over [0, 100]", worst, 1e-9))
 
     b_max = damping_threshold(1.0, 0.5)
-    below = closed_spectrum(_toy(b_max * (1 - 1e-6), 0.5))
-    above = closed_spectrum(_toy(b_max * (1 + 1e-6), 0.5))
+    below = closed_spectrum(TwoSpinParams.from_gilbert(b_max * (1 - 1e-6), 0.5, -0.5, 1.0))
+    above = closed_spectrum(TwoSpinParams.from_gilbert(b_max * (1 + 1e-6), 0.5, -0.5, 1.0))
     flips = float(not (below.pseudo_hermitian and not above.pseudo_hermitian))
     checks.append(CheckResult("threshold flip brackets B_max", flips, 0.0))
 
     return GroupResult("twospin", _inject(checks, perturb))
-
-
-def _toy(amplitude: float, alpha: float, exchange: float = 1.0) -> TwoSpinParams:
-    f3, g3 = gilbert_fields(GilbertParams(amplitude, alpha, -alpha))
-    return TwoSpinParams(f3=f3, g3=g3, exchange=exchange)
 
 
 GROUPS = {

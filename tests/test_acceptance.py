@@ -25,17 +25,14 @@ from pseudospin.pseudoherm import diagnose, eta_inner
 from pseudospin.quantize import (
     check_relations,
     correspondence_check,
-    pauli_realization,
     quantize,
     tensor_realization,
 )
 from pseudospin.twospin import (
-    GilbertParams,
     TwoSpinParams,
     build_total,
     closed_spectrum,
     evolve,
-    gilbert_fields,
     hermitian_counterpart,
     paper_isomorphism,
     transition_series,
@@ -71,14 +68,13 @@ def field_element(b, algebra=None, family=0):
 
 
 def toy_params(amplitude, alpha, exchange=1.0):
-    f3, g3 = gilbert_fields(GilbertParams(amplitude, alpha, -alpha))
-    return TwoSpinParams(f3=f3, g3=g3, exchange=exchange)
+    return TwoSpinParams.from_gilbert(amplitude, alpha, -alpha, exchange)
 
 
 def test_criterion_01_realization_relations():
     worst = 0.0
-    for realization in (pauli_realization(), tensor_realization(AlgebraSpec((3, 3)))):
-        worst = max(worst, check_relations(realization))
+    for sizes in ((3,), (3, 3)):
+        worst = max(worst, check_relations(tensor_realization(AlgebraSpec(sizes))))
     report(
         "01 anticommutation relations",
         worst < 1e-12,

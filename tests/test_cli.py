@@ -30,11 +30,9 @@ from pseudospin.cli import (
 from pseudospin.formats import vector_to_json
 from pseudospin.pseudoherm import eta_inner
 from pseudospin.twospin import (
-    GilbertParams,
     TwoSpinParams,
     build_total,
     damping_threshold,
-    gilbert_fields,
     paper_isomorphism,
 )
 
@@ -54,8 +52,7 @@ def parse_csv(text):
 
 
 def toy_params(amplitude=1.0, alpha=1.0, exchange=1.0):
-    f3, g3 = gilbert_fields(GilbertParams(amplitude, alpha, -alpha))
-    return TwoSpinParams(f3=f3, g3=g3, exchange=exchange)
+    return TwoSpinParams.from_gilbert(amplitude, alpha, -alpha, exchange)
 
 
 # ---------------------------------------------------------------------------
@@ -509,10 +506,16 @@ def test_evolve_dissipative_reports_canonical_norms(capsys):
 
 
 # Runs whose results leave the float range: the metric route's phases at
-# t = 1e308, the dissipative growth by t = 1e6, and state files with 1e300
-# entries, whose norms overflow.
+# t = 1e308, the dissipative growth by t = 1e6 (or by t = 10 from a state of
+# 1e307 entries), and metric-route state files with 1e300 entries, whose
+# squared norms overflow.
 BEYOND = ["--J", "1", "--B", "4", "--alpha1", "1", "--alpha2", "-1"]
-HUGE_STATE = json.dumps([{"re": 1e300, "im": 0.0}] * 4)
+
+
+def huge_state_args(tmp_path, flag, entry):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps([{"re": entry, "im": 0.0}] * 4))
+    return [f"--{flag}", str(path)]
 
 
 @pytest.mark.parametrize("args, state", [
@@ -524,23 +527,32 @@ HUGE_STATE = json.dumps([{"re": 1e300, "im": 0.0}] * 4)
         [*BEYOND, "--t-end", "1e6", "--t-steps", "3", "--allow-dissipative"], None,
         id="dissipative-t-end",
     ),
-    pytest.param([*TOY, "--t-steps", "2"], "xi", id="huge-xi"),
-    pytest.param([*TOY, "--t-steps", "2", "--format", "json"], "zeta", id="huge-zeta-json"),
+    pytest.param([*TOY, "--t-steps", "2"], ("xi", 1e300), id="huge-xi"),
     pytest.param(
-        [*BEYOND, "--t-steps", "2", "--allow-dissipative"], "zeta",
+        [*TOY, "--t-steps", "2", "--format", "json"], ("zeta", 1e300),
+        id="huge-zeta-json",
+    ),
+    pytest.param(
+        [*BEYOND, "--t-steps", "2", "--allow-dissipative"], ("zeta", 1e307),
         id="dissipative-huge-zeta",
     ),
 ])
 def test_evolve_rejects_non_finite_results(tmp_path, capsys, args, state):
     if state is not None:
-        path = tmp_path / "state.json"
-        path.write_text(HUGE_STATE)
-        args = [*args, f"--{state}", str(path)]
+        args = [*args, *huge_state_args(tmp_path, *state)]
     code, out, err = run(capsys, "evolve", *args)
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("pseudospin: error: ")
+
+
+def test_evolve_dissipative_norm_survives_an_overflowing_square(tmp_path, capsys):
+    # Four entries of 1e300: the squared sum overflows, the norm 2e300 does not.
+    args = [*BEYOND, "--t-steps", "1", "--allow-dissipative"]
+    code, out, _ = run(capsys, "evolve", *args, *huge_state_args(tmp_path, "zeta", 1e300))
+    assert code == 0
+    assert out.splitlines()[1] == "0.0,1e+300,0.0,nan,2e+300"
 
 
 # SHA-256 of the evolve CSV, pinned so that performance work cannot change
@@ -852,11 +864,41 @@ def test_quantize_requires_element(capsys):
 # verify
 
 
-def test_verify_default_all_groups_pass(capsys):
-    code, out, _ = run(capsys, "verify")
+# SHA-256 of ``verify --seed S`` stdout and of its ``--out`` summary, pinned
+# like EVOLVE_GOLDEN: the groups reach every layer, so a refactor anywhere
+# below the CLI must leave these bytes alone.  Seed 0 is the default.
+VERIFY_GOLDEN = {
+    0: ("bbf41d0b2d5db011337cc1666aba56d709e6975dd1160ffe7f59d403628f8e4f",
+        "35dbf839f2394d3c50940ef9ae743b719f1c2f2d0ffd58f02809588d5c872dbe"),
+    1: ("321330395814d801a73ebdf8e1223e9d0a5fa69d8bce3300529ae540c5a8c693",
+        "95c7ed686fcfe7f2d10f779af60da2e0d56b8874515a91c5d775220ffb6d541a"),
+    7: ("6da27a0288c0e1a1e3d56a529dba9290344c8bff69ba3fcc09f6c252dd03401a",
+        "f5caef57ef77da1bf840f77da81d740e24b59e79d50255f340c5f2874c72bff7"),
+}
+
+
+def run_verify_digests(tmp_path, capsys, *args):
+    """Run ``verify`` with ``--out``; return its stdout and the two digests."""
+    summary_path = tmp_path / "summary.json"
+    code, out, _ = run(capsys, "verify", *args, "--out", str(summary_path))
     assert code == 0
+    return out, tuple(
+        hashlib.sha256(data).hexdigest()
+        for data in (out.encode("utf-8"), summary_path.read_bytes())
+    )
+
+
+def test_verify_default_all_groups_pass(tmp_path, capsys):
+    out, digests = run_verify_digests(tmp_path, capsys)
     lines = [line for line in out.splitlines() if line.startswith("PASS")]
     assert len(lines) == 7
+    assert digests == VERIFY_GOLDEN[0]
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_verify_golden_bytes(tmp_path, capsys, seed):
+    _, digests = run_verify_digests(tmp_path, capsys, "--seed", str(seed))
+    assert digests == VERIFY_GOLDEN[seed]
 
 
 def test_verify_group_filter(capsys):

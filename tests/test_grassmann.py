@@ -113,6 +113,10 @@ def test_validation_errors():
         multiply(GrassmannElement.unit(ALG), other)
     with pytest.raises(ValueError):
         (elem(XI[0]) + elem(XI[0], XI[1])).parity
+    for sizes in ((2.7, 1), (3, True), (np.True_,)):
+        with pytest.raises(ValueError, match="family sizes"):
+            AlgebraSpec(sizes)
+    assert AlgebraSpec((np.int64(3),)).family_sizes == (3,)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
-"""The package's public surface."""
+"""The package's public surface, and the CI pins of what it depends on."""
 
 import ast
+import re
 from pathlib import Path
 from types import ModuleType
+
+import pytest
 
 import pseudospin
 
@@ -12,7 +15,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # to the same job, or dropping one, edits this list on purpose.
 PUBLIC_NAMES = [
     "AlgebraSpec", "CanonicalLimitReport", "CheckResult", "ComplexOrthogonal",
-    "Diagnosis", "GROUPS", "Generator", "GilbertParams", "GrassmannElement",
+    "Diagnosis", "GROUPS", "Generator", "GrassmannElement",
     "GroupResult", "HermitianCounterpart", "Isomorphism", "Metric", "PAULI",
     "Realization", "RegimeReport", "TransitionSeries", "TwoSpinParams",
     "algebra_from_json", "algebra_to_json",
@@ -20,10 +23,10 @@ PUBLIC_NAMES = [
     "check_relations", "closed_spectrum", "commutation_factor",
     "constraint_reduce", "correspondence_check", "damping_threshold",
     "diagnose", "dirac_bracket", "element_from_json", "element_to_json",
-    "eta_inner", "evolve", "gilbert_fields", "graded_poisson",
+    "eta_inner", "evolve", "graded_poisson",
     "hermitian_counterpart", "is_rho_hermitian", "left_derivative",
     "matrix_from_json", "matrix_to_json", "metric_from_isomorphism",
-    "multiply", "paper_isomorphism", "pauli_realization", "plus_involution",
+    "multiply", "paper_isomorphism", "plus_involution",
     "pushforward_field", "quantize", "random_orthogonal", "rho_adjoint",
     "right_derivative", "run_groups", "star_involution", "tensor_realization",
     "transform_coefficients", "transition_series", "vector_from_json",
@@ -100,3 +103,14 @@ def test_evolution_needs_no_scipy_and_cond_cap_serves_diagnose_alone():
     assert mentioned_names(evolve).isdisjoint({"eig", "cond", "solve", "expm"})
     users = [name for name, tree in trees.items() if "COND_CAP" in mentioned_names(tree)]
     assert users == ["pseudoherm.py"]
+
+
+def test_ci_installs_every_declared_dependency_pinned():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = project["dependencies"] + project["optional-dependencies"]["test"]
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    pinned = {name.lower() for name in re.findall(r"([A-Za-z0-9_.-]+)==[0-9][^\s]*", workflow)}
+    names = [re.match(r"[A-Za-z0-9_.-]+", spec).group(0).lower() for spec in declared]
+    assert "mpmath" in names
+    assert [name for name in names if name not in pinned] == []

@@ -26,7 +26,6 @@ from pseudospin.quantize import (
     Realization,
     check_relations,
     correspondence_check,
-    pauli_realization,
     quantize,
     tensor_realization,
 )
@@ -64,7 +63,7 @@ def test_clifford_relations_across_structures(sizes, dim):
 
 def test_realization_respects_hbar_scale():
     for hbar in (0.5, 1.0, 2.0):
-        real = pauli_realization(hbar=hbar)
+        real = tensor_realization(AlgebraSpec((3,)), hbar)
         for i in range(3):
             assert np.allclose(real.gens[i], np.sqrt(hbar / 2) * PAULI[i], atol=ATOL)
         assert check_relations(real) <= 1e-12
@@ -215,7 +214,7 @@ def test_quantize_monomials_and_linearity():
     unit = quantize(GrassmannElement.unit(ALG), real)
     assert np.allclose(unit, np.eye(4), atol=ATOL)
     with pytest.raises(ValueError):
-        quantize(elem(XI[0]), pauli_realization())
+        quantize(elem(XI[0]), tensor_realization(AlgebraSpec((3,))))
 
 
 def test_quantize_matches_graded_symmetrization():

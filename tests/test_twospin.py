@@ -23,14 +23,12 @@ from pseudospin import twospin
 from pseudospin.quantize import PAULI, quantize, tensor_realization
 from pseudospin.twospin import (
     CanonicalLimitReport,
-    GilbertParams,
     TwoSpinParams,
     build_total,
     canonical_limit_check,
     closed_spectrum,
     damping_threshold,
     evolve,
-    gilbert_fields,
     hermitian_counterpart,
     paper_isomorphism,
     transition_series,
@@ -40,8 +38,7 @@ ATOL = 1e-12
 
 
 def toy_params(amplitude, alpha, exchange=1.0):
-    f3, g3 = gilbert_fields(GilbertParams(amplitude, alpha, -alpha))
-    return TwoSpinParams(f3=f3, g3=g3, exchange=exchange)
+    return TwoSpinParams.from_gilbert(amplitude, alpha, -alpha, exchange)
 
 
 def sorted_eigs(matrix):
@@ -254,10 +251,9 @@ def test_build_total_matches_quantization():
 def test_params_validation():
     with pytest.raises(ValueError):
         TwoSpinParams(f3=1.0, g3=1.0, exchange=1.0 + 0.5j)
-    with pytest.raises(ValueError):
-        GilbertParams(amplitude=0.0, alpha1=0.0, alpha2=0.0)
-    with pytest.raises(ValueError):
-        GilbertParams(amplitude=-1.0, alpha1=0.0, alpha2=0.0)
+    for amplitude in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="field amplitude must be positive"):
+            TwoSpinParams.from_gilbert(amplitude, 0.0, 0.0, 1.0)
 
 
 @pytest.mark.parametrize("f3, g3, exchange", [
@@ -345,19 +341,19 @@ def test_closed_spectrum_decoupled_limit():
     assert report.pseudo_hermitian
 
 
-def test_gilbert_fields_anchors():
-    f3, g3 = gilbert_fields(GilbertParams(1.5, 0.0, 0.0))
-    assert f3 == pytest.approx(1.5) and g3 == pytest.approx(1.5)
-    f3, g3 = gilbert_fields(GilbertParams(1.0, 1.0, -1.0))
-    assert f3 == pytest.approx((1.0 + 1.0j) / 2.0, abs=ATOL)
-    assert g3 == pytest.approx((1.0 - 1.0j) / 2.0, abs=ATOL)
-    assert f3 + g3 == pytest.approx(1.0, abs=ATOL)
-    assert f3 - g3 == pytest.approx(1.0j, abs=ATOL)
+def test_from_gilbert_anchors():
+    params = TwoSpinParams.from_gilbert(1.5, 0.0, 0.0, 1.0)
+    assert params.f3 == pytest.approx(1.5) and params.g3 == pytest.approx(1.5)
+    params = TwoSpinParams.from_gilbert(1.0, 1.0, -1.0, 1.0)
+    assert params.f3 == pytest.approx((1.0 + 1.0j) / 2.0, abs=ATOL)
+    assert params.g3 == pytest.approx((1.0 - 1.0j) / 2.0, abs=ATOL)
+    assert params.f_plus == pytest.approx(1.0, abs=ATOL)
+    assert params.f_minus == pytest.approx(1.0j, abs=ATOL)
     for amplitude, alpha in ((0.8, 0.25), (2.0, 1.5)):
-        f3, g3 = gilbert_fields(GilbertParams(amplitude, alpha, -alpha))
+        params = toy_params(amplitude, alpha)
         f_plus = 2.0 * amplitude / (1.0 + alpha * alpha)
-        assert f3 + g3 == pytest.approx(f_plus, abs=ATOL)
-        assert f3 - g3 == pytest.approx(1j * alpha * f_plus, abs=ATOL)
+        assert params.f_plus == pytest.approx(f_plus, abs=ATOL)
+        assert params.f_minus == pytest.approx(1j * alpha * f_plus, abs=ATOL)
 
 
 def test_damping_threshold_values():
@@ -384,9 +380,7 @@ def test_regime_flag_uses_the_branch_gate_band():
     # Re f_minus = -5e-9 and Im f_minus = 1: Im(4 J^2 + f_minus^2) = -1e-8 is
     # inside REGIME_TOL * scale^2, but both parts of f_minus are outside
     # REGIME_TOL * scale, the band of the real-part gate of paper_isomorphism.
-    params = TwoSpinParams(
-        *gilbert_fields(GilbertParams(1.0, 1.000000005, -0.999999995)), exchange=1.0
-    )
+    params = TwoSpinParams.from_gilbert(1.0, 1.000000005, -0.999999995, 1.0)
     report = closed_spectrum(params)
     assert abs((report.threshold_margin - 3.0)) < 1e-12
     assert not report.pseudo_hermitian
@@ -428,8 +422,7 @@ def test_flagged_points_pass_the_branch_gates():
 def test_regime_flag_is_scale_invariant():
     flags = []
     for scale in (1.0, 1e-8):
-        f3, g3 = gilbert_fields(GilbertParams(scale, 0.5, -0.4))
-        params = TwoSpinParams(f3=f3, g3=g3, exchange=scale)
+        params = TwoSpinParams.from_gilbert(scale, 0.5, -0.4, scale)
         flags.append(closed_spectrum(params).pseudo_hermitian)
     assert flags[0] == flags[1]
 
