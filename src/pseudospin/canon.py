@@ -87,26 +87,23 @@ def verify_orthogonal(matrix: np.ndarray) -> ComplexOrthogonal:
     return ComplexOrthogonal(n=n, entries=entries, det=snapped)
 
 
-def random_orthogonal(
-    n: int, seed: int | None = None, complex_scale: float = 1.0
-) -> ComplexOrthogonal:
+def random_orthogonal(n: int, seed: int | None = None) -> ComplexOrthogonal:
     """Draw a random complex orthogonal matrix.
 
-    The matrix is the exponential of a complex antisymmetric generator whose
-    imaginary part is weighted by ``complex_scale`` (0 gives a real
-    rotation).  The generator norm is capped so the orthogonality residual
-    stays far below :data:`ORTHO_TOL`.  A reflection is applied with
-    probability one half, so both determinant components are sampled.
+    The matrix is the exponential of a complex antisymmetric generator with
+    independent real and imaginary parts.  The generator norm is capped so
+    the orthogonality residual stays far below :data:`ORTHO_TOL`.  A
+    reflection is applied with probability one half, so both determinant
+    components are sampled.
 
     Args:
         n: Dimension.
         seed: Seed for the underlying generator; None draws fresh entropy.
-        complex_scale: Relative weight of the imaginary antisymmetric part.
     """
     rng = np.random.default_rng(seed)
     real = rng.standard_normal((n, n))
     imag = rng.standard_normal((n, n))
-    gen = 0.5 * (real - real.T) + 0.5j * complex_scale * (imag - imag.T)
+    gen = 0.5 * (real - real.T) + 0.5j * (imag - imag.T)
     norm = np.linalg.norm(gen, 2)
     cap = 1.5
     if norm > cap:

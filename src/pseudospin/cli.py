@@ -28,6 +28,7 @@ explicit token ``"nan"``, never as empty fields.
 
 import argparse
 import json
+import re
 import sys
 from collections.abc import Callable, Mapping
 from contextlib import nullcontext
@@ -152,6 +153,11 @@ class CliError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """Parser whose usage errors follow the documented exit-code contract."""
+
+    def __init__(self, **kwargs: Any) -> None:
+        super().__init__(**kwargs)
+        # argparse's own matcher reads "-5e-1" as an option, not a number.
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message: str) -> None:
         self.print_usage(sys.stderr)

@@ -24,7 +24,7 @@ sign of the product ``m_f * m_g`` is the parity of its same-family
 inversions, ``sum(popcount(m_f & hi[b]) for b in bits(m_g))``, where
 ``hi[b]`` masks the bits above b inside b's family; cross-family swaps are
 free.  Generators are validated once, where words of :class:`Generator`
-enter (``from_terms``, ``from_generator``, ``coefficient``), and the
+enter (``from_terms``, ``from_generator``), and the
 Generator-keyed :attr:`GrassmannElement.terms` is a view built on demand.
 """
 
@@ -317,10 +317,8 @@ class GrassmannElement:
         return cls.from_terms(algebra, [((), coefficient)])
 
     @classmethod
-    def from_generator(
-        cls, algebra: AlgebraSpec, gen: Generator, coefficient: complex = 1.0
-    ) -> "GrassmannElement":
-        return cls.from_terms(algebra, [((gen,), coefficient)])
+    def from_generator(cls, algebra: AlgebraSpec, gen: Generator) -> "GrassmannElement":
+        return cls.from_terms(algebra, [((gen,), 1.0)])
 
     @classmethod
     def from_terms(
@@ -343,32 +341,6 @@ class GrassmannElement:
         """Coefficients keyed by canonical Generator tuples (the unit is ())."""
         monomials = _layout(self.algebra).monomials
         return {monomials[mask]: coeff for mask, coeff in self.by_mask.items()}
-
-    def coefficient(self, generators: Sequence[Generator]) -> complex:
-        """Coefficient of a generator word (sign-adjusted if unordered)."""
-        term = _layout(self.algebra).word(generators)
-        if term is None:
-            return 0.0
-        mask, sign = term
-        return complex(sign) * self.by_mask.get(mask, 0.0)
-
-    @property
-    def scalar_part(self) -> complex:
-        return self.by_mask.get(0, 0.0)
-
-    @property
-    def max_degree(self) -> int:
-        return max(map(int.bit_count, self.by_mask), default=0)
-
-    @property
-    def parity(self) -> int:
-        """0 for even, 1 for odd; raises on elements of mixed parity."""
-        parities = {mask.bit_count() & 1 for mask in self.by_mask}
-        if not parities:
-            return 0
-        if len(parities) > 1:
-            raise ValueError("element has no definite parity")
-        return parities.pop()
 
     @property
     def family_parity(self) -> tuple[int, ...]:

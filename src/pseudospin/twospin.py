@@ -105,12 +105,18 @@ class TwoSpinParams:
             g3 = (1 + i alpha2) B / (1 + alpha2^2).
 
         Raises:
-            ValueError: If B is not positive, or the fields fail validation.
+            ValueError: If B is not positive, a damping parameter's square
+                overflows, or the fields fail validation.
         """
         if not amplitude > 0.0:
             raise ValueError("field amplitude must be positive")
-        f3 = (1.0 + 1j * alpha1) * amplitude / (1.0 + alpha1**2)
-        g3 = (1.0 + 1j * alpha2) * amplitude / (1.0 + alpha2**2)
+        try:
+            f3 = (1.0 + 1j * alpha1) * amplitude / (1.0 + alpha1**2)
+            g3 = (1.0 + 1j * alpha2) * amplitude / (1.0 + alpha2**2)
+        except OverflowError:
+            raise ValueError(
+                f"damping overflows its square: alpha1={alpha1}, alpha2={alpha2}"
+            ) from None
         return cls(f3=f3, g3=g3, exchange=exchange)
 
     @property
@@ -129,30 +135,17 @@ class RegimeReport:
     """Closed-form spectrum and pseudo-hermiticity classification.
 
     Attributes:
-        f_plus: Field sum.
-        f_minus: Field difference.
-        e1_plus: Eigenvalue (-J + s)/4 with s = sqrt(4 J^2 + f_minus^2).
-        e1_minus: Eigenvalue (-J - s)/4.
-        e2_plus: Eigenvalue (J + f_plus)/4.
-        e2_minus: Eigenvalue (J - f_plus)/4.
+        eigenvalues: (-J + s)/4, (-J - s)/4, (J + f_plus)/4 and
+            (J - f_plus)/4, in that order, with s = sqrt(4 J^2 + f_minus^2).
         pseudo_hermitian: Whether the reality conditions hold within the
             tolerance band (f_plus real, f_minus^2 real, margin >= 0).
         threshold_margin: Real part of 4 J^2 + f_minus^2; positive inside
             the pseudo-hermitian region, zero at the exceptional point.
     """
 
-    f_plus: complex
-    f_minus: complex
-    e1_plus: complex
-    e1_minus: complex
-    e2_plus: complex
-    e2_minus: complex
+    eigenvalues: tuple[complex, complex, complex, complex]
     pseudo_hermitian: bool
     threshold_margin: float
-
-    @property
-    def eigenvalues(self) -> tuple[complex, complex, complex, complex]:
-        return (self.e1_plus, self.e1_minus, self.e2_plus, self.e2_minus)
 
 
 class Isomorphism(NamedTuple):
@@ -292,12 +285,12 @@ def closed_spectrum(params: TwoSpinParams) -> RegimeReport:
         and margin >= -REGIME_TOL * scale * scale
     )
     return RegimeReport(
-        f_plus=f_plus,
-        f_minus=f_minus,
-        e1_plus=complex((-j + root) / 4.0),
-        e1_minus=complex((-j - root) / 4.0),
-        e2_plus=complex((j + f_plus) / 4.0),
-        e2_minus=complex((j - f_plus) / 4.0),
+        eigenvalues=(
+            complex((-j + root) / 4.0),
+            complex((-j - root) / 4.0),
+            complex((j + f_plus) / 4.0),
+            complex((j - f_plus) / 4.0),
+        ),
         pseudo_hermitian=bool(pseudo),
         threshold_margin=margin,
     )
@@ -333,7 +326,7 @@ def _require_regime(params: TwoSpinParams) -> RegimeReport:
     if not report.pseudo_hermitian:
         raise ValueError(
             "parameters violate the reality conditions "
-            f"(f_plus={report.f_plus}, f_minus^2={report.f_minus**2}, "
+            f"(f_plus={params.f_plus}, f_minus^2={params.f_minus**2}, "
             f"margin={report.threshold_margin})"
         )
     return report
@@ -362,8 +355,8 @@ def hermitian_counterpart(params: TwoSpinParams) -> HermitianCounterpart:
     root = math.copysign(
         float(np.sqrt(max(report.threshold_margin, 0.0))), params.exchange
     )
-    b3 = (report.f_plus.real + report.f_minus.real) / 2.0
-    c3 = (report.f_plus.real - report.f_minus.real) / 2.0
+    b3 = (params.f_plus.real + params.f_minus.real) / 2.0
+    c3 = (params.f_plus.real - params.f_minus.real) / 2.0
     j_tilde = (root / 2.0, root / 2.0, params.exchange)
     matrix = _build_sz_conserving(b3, c3, j_tilde)
     return HermitianCounterpart(matrix=matrix, b3=b3, c3=c3, j_tilde=j_tilde)
@@ -394,10 +387,10 @@ def paper_isomorphism(params: TwoSpinParams) -> Isomorphism:
     """
     report = _require_regime(params)
     scale = _tolerance_scale(params)
-    if abs(report.f_minus.real) > REGIME_TOL * scale:
+    if abs(params.f_minus.real) > REGIME_TOL * scale:
         raise ValueError(
             "isomorphism construction requires a purely imaginary field "
-            f"difference, got f_minus={report.f_minus}"
+            f"difference, got f_minus={params.f_minus}"
         )
     if params.exchange == 0.0:
         raise ValueError("isomorphism construction requires a nonzero coupling")
@@ -407,7 +400,7 @@ def paper_isomorphism(params: TwoSpinParams) -> Isomorphism:
     root = math.copysign(float(np.sqrt(report.threshold_margin)), j)
     u = np.eye(4, dtype=complex)
     u[1, 1] = root / (2.0 * j)
-    u[1, 2] = -report.f_minus / (2.0 * j)
+    u[1, 2] = -params.f_minus / (2.0 * j)
     rho = metric_from_isomorphism(u)
     hamiltonian = build_total(params)
     conjugated = np.linalg.solve(u, hamiltonian @ u)
@@ -503,10 +496,10 @@ def transition_series(
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError("times must be a 1-D array")
-    report = _require_regime(params)
+    _require_regime(params)
     scale = _tolerance_scale(params)
     hamiltonian = build_total(params)
-    if abs(report.f_minus.imag) <= REGIME_TOL * scale:
+    if abs(params.f_minus.imag) <= REGIME_TOL * scale:
         u, rho, partner = np.eye(4, dtype=complex), Metric.identity(4), hamiltonian
     else:
         u, rho = paper_isomorphism(params)
@@ -564,14 +557,14 @@ def canonical_limit_check(
     """
     if steps < 1:
         raise ValueError("at least one step is required")
-    report = _require_regime(params)
+    _require_regime(params)
     scale = _tolerance_scale(params)
-    if abs(report.f_minus.real) > REGIME_TOL * scale:
+    if abs(params.f_minus.real) > REGIME_TOL * scale:
         raise ValueError(
             "canonical limit requires a purely imaginary field difference"
         )
-    f_plus = report.f_plus
-    alpha0 = report.f_minus.imag
+    f_plus = params.f_plus
+    alpha0 = params.f_minus.imag
     limit = build_total(
         TwoSpinParams(f3=f_plus / 2.0, g3=f_plus / 2.0, exchange=params.exchange)
     )

@@ -67,14 +67,6 @@ def canonicalize(generators, coefficient, algebra):
     return tuple(sorted(gens)), sign * complex(coefficient)
 
 
-def coefficient(algebra, f, generators):
-    term = canonicalize(generators, 1.0, algebra)
-    if term is None:
-        return 0.0
-    mono, sign = term
-    return sign * f.get(mono, 0.0)
-
-
 def _accumulate(table, mono, coeff):
     value = table.get(mono, 0.0) + coeff
     if value == 0:

@@ -100,8 +100,6 @@ def test_random_orthogonal_is_seeded_and_orthogonal():
     assert np.array_equal(a.entries, b.entries)
     assert not np.array_equal(a.entries, c.entries)
     assert np.max(np.abs(a.entries @ a.entries.T - np.eye(3))) < 1e-12
-    real = random_orthogonal(4, seed=9, complex_scale=0.0)
-    assert np.max(np.abs(real.entries.imag)) == 0.0
 
 
 def test_random_orthogonal_samples_both_determinants():

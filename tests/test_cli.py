@@ -379,6 +379,33 @@ def test_underflowing_parameters_are_a_typed_error(capsys):
     )
 
 
+@pytest.mark.parametrize("source", ["spectrum", "regime-sweep", "config file"])
+def test_damping_whose_square_overflows_is_a_typed_error(tmp_path, capsys, source):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"alpha1": 1e200}))
+    args = {
+        "spectrum": ["spectrum", "--alpha1", "1e200"],
+        "regime-sweep": ["regime-sweep", "--alpha-steps", "2", "--alpha-end", "1e200"],
+        "config file": ["spectrum", "--config", str(config)],
+    }[source]
+    code, out, err = run(capsys, *args)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("pseudospin: error: damping overflows its square")
+    assert err.count("\n") == 1
+
+
+def test_negative_values_in_exponent_form_parse_as_numbers(capsys):
+    spaced = run(capsys, "spectrum", "--alpha1", "0.5", "--alpha2", "-5e-1")
+    joined = run(capsys, "spectrum", "--alpha1", "0.5", "--alpha2=-0.5")
+    assert spaced == joined and joined[0] == 0 and joined[2] == ""
+    code, out, err = run(
+        capsys, "regime-sweep", "--j-start", "-1e-3", "--j-end", "1e-3", "--j-steps", "2"
+    )
+    assert code == 0 and err == ""
+    assert {row["J"] for row in parse_csv(out)} == {"-0.001", "0.001"}
+
+
 def test_regime_flag_and_evolve_agree_off_the_branches(capsys):
     # Both parts of f_minus lie outside the branch band: spectrum flags the
     # point as not pseudo-hermitian and evolve asks for --allow-dissipative.

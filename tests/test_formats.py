@@ -228,7 +228,7 @@ def test_element_accepts_canonical_mixed_term():
         momenta=True,
     )
     f = element_from_json(blob)
-    assert f.scalar_part == 0.5
+    assert f.by_mask.get(0, 0.0) == 0.5
     assert len(f.terms) == 2
 
 

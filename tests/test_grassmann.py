@@ -94,13 +94,6 @@ def test_canonical_order_is_family_kind_index():
     assert mono == (XI[0], PI[1], CHI[2], VARPI[0])
 
 
-def test_coefficient_lookup_adjusts_sign():
-    f = elem(XI[0], XI[1], c=2.0)
-    assert f.coefficient([XI[1], XI[0]]) == -2.0
-    assert f.coefficient([XI[0], XI[1]]) == 2.0
-    assert f.coefficient([XI[0], XI[2]]) == 0.0
-
-
 def test_validation_errors():
     with pytest.raises(ValueError):
         ALG.coordinate(0, 3)
@@ -111,8 +104,6 @@ def test_validation_errors():
     other = GrassmannElement.unit(AlgebraSpec((3,)))
     with pytest.raises(ValueError):
         multiply(GrassmannElement.unit(ALG), other)
-    with pytest.raises(ValueError):
-        (elem(XI[0]) + elem(XI[0], XI[1])).parity
     for sizes in ((2.7, 1), (3, True), (np.True_,)):
         with pytest.raises(ValueError, match="family sizes"):
             AlgebraSpec(sizes)
@@ -464,7 +455,7 @@ def reference_dirac(f, g, constraints=None):
         for j, phi_j in enumerate(constraints):
             bracket = reference_poisson(phi_i, phi_j)
             assert all(not mono for mono in bracket.terms)
-            matrix[i, j] = bracket.scalar_part
+            matrix[i, j] = bracket.by_mask.get(0, 0.0)
     cinv = np.linalg.inv(matrix)
     result = reference_poisson(f, g)
     left = [reference_poisson(f, phi) for phi in constraints]
@@ -576,8 +567,6 @@ def test_bitmask_core_matches_tuple_reference(algebra, data):
         term = GrassmannElement.from_terms(algebra, [(word, coeff)]).terms
         expect = oracle.from_terms(algebra, [(word, coeff)])
         assert oracle.exact(term) == oracle.exact(expect)
-        expect = oracle.coefficient(algebra, ref_f, word)
-        assert repr(f.coefficient(word)) == repr(expect)
     expect = oracle.multiply(ref_f, ref_g)
     assert oracle.exact(multiply(f, g).terms) == oracle.exact(expect)
     assert oracle.exact((f + g).terms) == oracle.exact(oracle.add(ref_f, ref_g))

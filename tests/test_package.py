@@ -3,7 +3,7 @@
 import ast
 import re
 from pathlib import Path
-from types import ModuleType
+from types import FunctionType, ModuleType
 
 import pytest
 
@@ -60,18 +60,41 @@ def test_public_names_are_pinned():
     assert public_names() == sorted(PUBLIC_NAMES)
 
 
-def test_every_public_name_has_a_caller():
-    callers = [
+def caller_paths():
+    return [
         path for path in sorted((ROOT / "src" / "pseudospin").glob("*.py"))
         if path.name != "__init__.py"
     ] + sorted((ROOT / "demos").glob("*.py"))
-    reached = set().union(*(referenced_names(path) for path in callers))
+
+
+def test_every_public_name_has_a_caller():
+    reached = set().union(*(referenced_names(path) for path in caller_paths()))
     # A codec pair stays whole: one half in use keeps the other.
     for name in list(reached):
         for half, partner in (("_to_json", "_from_json"), ("_from_json", "_to_json")):
             if name.endswith(half):
                 reached.add(name[: -len(half)] + partner)
     assert [name for name in public_names() if name not in reached] == []
+
+
+def test_every_public_method_has_a_caller():
+    # Methods, properties, classmethods and staticmethods of exported classes
+    # must be read as an attribute; dataclass and NamedTuple fields are data.
+    reads = set()
+    for path in caller_paths():
+        reads.update(
+            node.attr for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        )
+    behaviour = (FunctionType, property, classmethod, staticmethod)
+    classes = [getattr(pseudospin, name) for name in public_names()]
+    unread = [
+        f"{cls.__name__}.{name}"
+        for cls in classes if isinstance(cls, type)
+        for name, member in vars(cls).items()
+        if not name.startswith("_") and isinstance(member, behaviour) and name not in reads
+    ]
+    assert unread == []
 
 
 def mentioned_names(tree):
@@ -114,3 +137,11 @@ def test_ci_installs_every_declared_dependency_pinned():
     names = [re.match(r"[A-Za-z0-9_.-]+", spec).group(0).lower() for spec in declared]
     assert "mpmath" in names
     assert [name for name in names if name not in pinned] == []
+
+
+def test_ci_job_is_bounded_and_read_only():
+    # Read as text, as above: the CI image installs no YAML parser.
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    job = workflow.split("\n  tier1:\n", 1)[1].split("\n    steps:\n", 1)[0]
+    assert re.search(r"^    timeout-minutes: 15$", job, re.M)
+    assert re.search(r"^    permissions:\n      contents: read$", job, re.M)

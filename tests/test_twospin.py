@@ -291,7 +291,7 @@ def test_params_just_above_underflow_keep_the_splitting():
     # 4 J^2 = 4e-308 is still a normal float, so E1+ = (-J + 2|J|)/4 > 0.
     report = closed_spectrum(TwoSpinParams(f3=0.0, g3=0.0, exchange=1e-154))
     assert report.threshold_margin == pytest.approx(4e-308, rel=1e-15)
-    assert report.e1_plus.real > 0.0
+    assert report.eigenvalues[0].real > 0.0
     # Nothing underflows where the splitting is exactly zero or J dominates.
     for exchange in (0.0, 1.0):
         TwoSpinParams(f3=1e-300, g3=1e-300, exchange=exchange)
@@ -334,10 +334,10 @@ def test_closed_spectrum_regime_matches_diagnosis():
 
 def test_closed_spectrum_decoupled_limit():
     report = closed_spectrum(TwoSpinParams(f3=0.9, g3=0.9, exchange=0.0))
-    assert report.e1_plus == pytest.approx(0.0, abs=ATOL)
-    assert report.e1_minus == pytest.approx(0.0, abs=ATOL)
-    assert report.e2_plus == pytest.approx(0.45, abs=ATOL)
-    assert report.e2_minus == pytest.approx(-0.45, abs=ATOL)
+    assert report.eigenvalues[0] == pytest.approx(0.0, abs=ATOL)
+    assert report.eigenvalues[1] == pytest.approx(0.0, abs=ATOL)
+    assert report.eigenvalues[2] == pytest.approx(0.45, abs=ATOL)
+    assert report.eigenvalues[3] == pytest.approx(-0.45, abs=ATOL)
     assert report.pseudo_hermitian
 
 
@@ -354,6 +354,13 @@ def test_from_gilbert_anchors():
         f_plus = 2.0 * amplitude / (1.0 + alpha * alpha)
         assert params.f_plus == pytest.approx(f_plus, abs=ATOL)
         assert params.f_minus == pytest.approx(1j * alpha * f_plus, abs=ATOL)
+
+
+@pytest.mark.parametrize("alphas", [(1e155, 0.0), (0.0, -1e155), (1e200, 1e200)])
+def test_from_gilbert_rejects_damping_whose_square_overflows(alphas):
+    # Float ** raises OverflowError where * would return inf.
+    with pytest.raises(ValueError, match="damping overflows its square"):
+        TwoSpinParams.from_gilbert(1.0, *alphas, 1.0)
 
 
 def test_damping_threshold_values():
