@@ -75,6 +75,7 @@ from pseudospin.twospin import (
     damping_threshold,
     evolve,
     hermitian_counterpart,
+    matched_eigenvalues,
     paper_isomorphism,
     transition_series,
 )

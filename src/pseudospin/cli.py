@@ -18,12 +18,12 @@ usage error, 2 verification or agreement failure.
 
 Column layout follows the model layer: sweep rows are ``B, alpha1, alpha2,
 J, ReE1p, ImE1p, ReE1m, ImE1m, ReE2p, ImE2p, ReE2m, ImE2m,
-pseudo_hermitian, threshold_margin``; ``spectrum`` appends the matched
-numerical eigenvalues ``ReN1p .. ImN2m`` and ``max_discrepancy``; evolution
-rows are ``t, re_amp, im_amp, probability, rho_norm``.  ``--paper-units``
-rescales eigenvalue-bearing columns by 4; regime columns are
-scale-invariant and stay untouched.  Missing values are written as the
-explicit token ``"nan"``, never as empty fields.
+pseudo_hermitian, threshold_margin``; ``spectrum`` appends the numerical
+eigenvalues ``ReN1p .. ImN2m``, paired by total-S_z sector, and
+``max_discrepancy``; evolution rows are ``t, re_amp, im_amp, probability,
+rho_norm``.  ``--paper-units`` rescales eigenvalue-bearing columns by 4;
+regime columns are scale-invariant and stay untouched.  Missing values are
+written as the explicit token ``"nan"``, never as empty fields.
 """
 
 import argparse
@@ -35,7 +35,6 @@ from contextlib import nullcontext
 from typing import Any
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .formats import (
     element_from_json,
@@ -50,6 +49,7 @@ from .twospin import (
     build_total,
     closed_spectrum,
     evolve,
+    matched_eigenvalues,
     transition_series,
 )
 from .verify import GROUPS, run_groups
@@ -156,8 +156,10 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, **kwargs: Any) -> None:
         super().__init__(**kwargs)
-        # argparse's own matcher reads "-5e-1" as an option, not a number.
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        # argparse's own matcher reads "-5e-1" or "-inf" as an option, not a number.
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE
+        )
 
     def error(self, message: str) -> None:
         self.print_usage(sys.stderr)
@@ -331,10 +333,7 @@ def cmd_spectrum(config: Mapping[str, Any]) -> int:
     params = _params_from(*point)
     report = closed_spectrum(params)
     closed = np.array(report.eigenvalues)
-    numerical = np.linalg.eigvals(build_total(params))
-    cost = np.abs(closed[:, None] - numerical[None, :])
-    row_ind, col_ind = linear_sum_assignment(cost)
-    matched = numerical[col_ind[np.argsort(row_ind)]]
+    matched = matched_eigenvalues(build_total(params), report.eigenvalues)
     discrepancy = float(np.max(np.abs(closed - matched)))
 
     row = _regime_row(config, *point, report)

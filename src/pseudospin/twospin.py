@@ -411,6 +411,28 @@ def paper_isomorphism(params: TwoSpinParams) -> Isomorphism:
     return Isomorphism(u=u, rho=rho)
 
 
+def _require_sz_conserving(hamiltonian: OperatorMatrix) -> None:
+    if np.any(hamiltonian[_TOTAL_SZ[:, None] != _TOTAL_SZ]):
+        raise ValueError("Hamiltonian must conserve total S_z (1+2+1 blocks)")
+
+
+def matched_eigenvalues(hamiltonian: OperatorMatrix, closed: tuple) -> np.ndarray:
+    """The eigensolver's eigenvalues in ``closed``'s order E1p, E1m, E2p, E2m.
+
+    Each goes by its eigenvector's total-S_z sector: +1 to E2p, -1 to E2m,
+    and the middle pair in whichever order lies closer to (E1p, E1m), the
+    eigensolver's on a tie.  A matrix linking sectors raises ValueError.
+    """
+    _require_sz_conserving(np.asarray(hamiltonian))
+    values, vectors = np.linalg.eig(hamiltonian)
+    sectors = _TOTAL_SZ[np.argmax(np.abs(vectors), axis=0)]
+    minus, first, second, plus = values[np.argsort(sectors, kind="stable")]
+    e1p, e1m = closed[:2]
+    if abs(second - e1p) + abs(first - e1m) < abs(first - e1p) + abs(second - e1m):
+        first, second = second, first
+    return np.array([first, second, plus, minus])
+
+
 def evolve(
     hamiltonian: OperatorMatrix, t: float | np.ndarray, psi0: StateVector
 ) -> StateVector:
@@ -442,8 +464,7 @@ def evolve(
     psi0 = np.asarray(psi0, dtype=complex)
     if hamiltonian.shape != (4, 4) or psi0.shape != (4,):
         raise ValueError("evolve takes a 4x4 Hamiltonian and a 4-component state")
-    if np.any(hamiltonian[_TOTAL_SZ[:, None] != _TOTAL_SZ]):
-        raise ValueError("Hamiltonian must conserve total S_z (1+2+1 blocks)")
+    _require_sz_conserving(hamiltonian)
     times = np.asarray(t, dtype=float)
     if times.ndim > 1:
         raise ValueError("times must be a scalar or a 1-D array")

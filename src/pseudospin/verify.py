@@ -48,6 +48,7 @@ from .twospin import (
     damping_threshold,
     evolve,
     hermitian_counterpart,
+    matched_eigenvalues,
     paper_isomorphism,
 )
 
@@ -404,11 +405,8 @@ def check_twospin(seed: int = 0, perturb: float = 0.0) -> GroupResult:
             g3=complex(rng.normal(), rng.normal()),
             exchange=float(rng.normal()),
         )
-        closed = sorted(
-            closed_spectrum(params).eigenvalues, key=lambda v: (v.real, v.imag)
-        )
-        numerical = np.linalg.eigvals(build_total(params))
-        numerical = list(numerical[np.lexsort((numerical.imag, numerical.real))])
+        closed = closed_spectrum(params).eigenvalues
+        numerical = matched_eigenvalues(build_total(params), closed)
         worst = max(worst, max(abs(a - b) for a, b in zip(closed, numerical)))
     checks.append(CheckResult("closed spectrum matches eigensolver", worst, 1e-10))
 

@@ -372,10 +372,14 @@ def test_underflowing_parameters_are_a_typed_error(capsys):
     assert out == ""
     assert err.startswith("pseudospin: error: parameters underflow the closed form")
     # A tiny field beside J = 1 splits nothing that can underflow.
+    # Three eigenvalues are 0.25 there; they pair by total-S_z sector, so the
+    # middle block's 0.25000000000000006 is ReN1p and a corner's 0.25 ReN2m.
     code, out, _ = run(capsys, "spectrum", "--B", "1e-300")
     assert code == 0
+    row = parse_csv(out)[0]
+    assert (row["ReN1p"], row["ReN2m"]) == ("0.25000000000000006", "0.25")
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-        "deba9daf14aa85c199f4eb3cb5498756622bd91749fa2c33b1d73e47c54c1bae"
+        "3d8ec43b35782016ff599715c7088def992baa5abcfa61f6688927d481c524f3"
     )
 
 
@@ -404,6 +408,25 @@ def test_negative_values_in_exponent_form_parse_as_numbers(capsys):
     )
     assert code == 0 and err == ""
     assert {row["J"] for row in parse_csv(out)} == {"-0.001", "0.001"}
+
+
+def run_or_exit(capsys, *args):
+    """Like ``run``, with an argparse usage error's exit code as the code."""
+    try:
+        code = main(list(args))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("value", ["-inf", "-INF", "-Infinity", "-iNfInItY", "-nan", "-NaN"])
+def test_negative_non_finite_spellings_parse_as_numbers(capsys, value):
+    spaced = run_or_exit(capsys, "spectrum", "--J", value)
+    joined = run_or_exit(capsys, "spectrum", f"--J={value}")
+    assert spaced == joined
+    assert spaced[:2] == (1, "")
+    assert spaced[2].startswith("pseudospin: error: j must be finite")
 
 
 def test_regime_flag_and_evolve_agree_off_the_branches(capsys):
@@ -1178,14 +1201,17 @@ def test_missing_subcommand_exits_one():
 
 def test_import_builds_no_layout_bracket_table_or_image_table():
     # Layouts, bracket tables and image tables are filled on first use, so
-    # importing the CLI (the benchmark's setup_s) builds none of them.
+    # importing the CLI (the benchmark's setup_s) builds none of them; and
+    # spectrum pairs its eigenvalues without scipy's assignment solver.
     code = (
-        "import gc, pseudospin.cli\n"
+        "import gc, sys, pseudospin.cli\n"
         "from pseudospin.grassmann import _canonical_tables, _layout_for\n"
         "from pseudospin.quantize import Realization\n"
         "assert _layout_for.cache_info().currsize == 0\n"
         "assert _canonical_tables.cache_info().currsize == 0\n"
         "assert not [o for o in gc.get_objects() if isinstance(o, Realization)]\n"
+        "assert pseudospin.cli.main(['spectrum']) == 0\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr

@@ -25,7 +25,8 @@ PUBLIC_NAMES = [
     "diagnose", "dirac_bracket", "element_from_json", "element_to_json",
     "eta_inner", "evolve", "graded_poisson",
     "hermitian_counterpart", "is_rho_hermitian", "left_derivative",
-    "matrix_from_json", "matrix_to_json", "metric_from_isomorphism",
+    "matched_eigenvalues", "matrix_from_json", "matrix_to_json",
+    "metric_from_isomorphism",
     "multiply", "paper_isomorphism", "plus_involution",
     "pushforward_field", "quantize", "random_orthogonal", "rho_adjoint",
     "right_derivative", "run_groups", "star_involution", "tensor_realization",
@@ -119,6 +120,9 @@ def test_evolution_needs_no_scipy_and_cond_cap_serves_diagnose_alone():
         for path in sorted(package.glob("*.py"))
     }
     assert "scipy" not in mentioned_names(trees["twospin.py"])
+    # Eigenvalues pair by total-S_z sector, with no general assignment solver.
+    solver = {"optimize", "linear_sum_assignment"}
+    assert [name for name, tree in trees.items() if mentioned_names(tree) & solver] == []
     evolve = next(
         node for node in trees["twospin.py"].body
         if isinstance(node, ast.FunctionDef) and node.name == "evolve"

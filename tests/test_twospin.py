@@ -8,6 +8,7 @@ isomorphism, and evolution behavior are anchored on the exactly solvable toy
 parameterization.
 """
 
+import itertools
 import math
 
 import mpmath
@@ -30,6 +31,7 @@ from pseudospin.twospin import (
     damping_threshold,
     evolve,
     hermitian_counterpart,
+    matched_eigenvalues,
     paper_isomorphism,
     transition_series,
 )
@@ -339,6 +341,75 @@ def test_closed_spectrum_decoupled_limit():
     assert report.eigenvalues[2] == pytest.approx(0.45, abs=ATOL)
     assert report.eigenvalues[3] == pytest.approx(-0.45, abs=ATOL)
     assert report.pseudo_hermitian
+
+
+def matcher_draws():
+    """Seeded parameter sets at scales 1e-6 to 1e6: generic complex fields,
+    and opposite Gilbert damping on either side of the threshold."""
+    rng = np.random.default_rng(16)
+    for draw in range(200):
+        scale = 10.0 ** rng.uniform(-6.0, 6.0)
+        if draw % 2 == 0:
+            yield TwoSpinParams(
+                f3=scale * complex(rng.normal(), rng.normal()),
+                g3=scale * complex(rng.normal(), rng.normal()),
+                exchange=scale * float(rng.normal()),
+            )
+        else:
+            alpha = float(rng.uniform(-2.0, 2.0))
+            yield TwoSpinParams.from_gilbert(
+                scale * float(rng.uniform(0.01, 5.0)), alpha, -alpha,
+                scale * float(rng.uniform(0.1, 2.0)),
+            )
+
+
+def test_matched_eigenvalues_pair_by_total_sz_sector():
+    unique = 0
+    for params in matcher_draws():
+        closed = closed_spectrum(params).eigenvalues
+        hamiltonian = build_total(params)
+        matched = matched_eigenvalues(hamiltonian, closed)
+        # The corners are decoupled: their eigenvalues are the diagonal
+        # entries, bit for bit, and the middle pair is the other two.
+        assert matched[2] == hamiltonian[0, 0] and matched[3] == hamiltonian[3, 3]
+        numerical = np.linalg.eigvals(hamiltonian)
+        rest = list(numerical)
+        rest.remove(hamiltonian[0, 0])
+        rest.remove(hamiltonian[3, 3])
+        assert sorted(rest, key=lambda v: (v.real, v.imag)) == sorted(
+            matched[:2], key=lambda v: (v.real, v.imag)
+        )
+        # Wherever the closest of all 24 orders is unique, it is this one.
+        costs = sorted(
+            (sum(abs(c - numerical[k]) for c, k in zip(closed, order)), order)
+            for order in itertools.permutations(range(4))
+        )
+        if costs[0][0] < costs[1][0]:
+            unique += 1
+            assert np.array_equal(matched, numerical[list(costs[0][1])])
+    assert unique >= 190
+
+
+@pytest.mark.parametrize("amplitude, middle, corner, column", [
+    # Three eigenvalues are 0.25: the middle block's 0.25000000000000006
+    # is E1p, and the -1 corner's 0.25 is E2m.
+    (1e-300, 0.25000000000000006, 0.25, 0),
+    # E1m = E2m = -0.75 in closed form: the middle block's
+    # -0.7500000000000001 is E1m, and the -1 corner's -0.75 is E2m.
+    (2.0, -0.7500000000000001, -0.75, 1),
+])
+def test_matched_eigenvalues_at_cross_sector_ties(amplitude, middle, corner, column):
+    params = TwoSpinParams.from_gilbert(amplitude, 0.0, 0.0, 1.0)
+    matched = matched_eigenvalues(build_total(params), closed_spectrum(params).eigenvalues)
+    assert matched[column] == middle
+    assert matched[3] == corner
+
+
+def test_matched_eigenvalues_reject_a_matrix_linking_sectors():
+    hamiltonian = build_total(toy_params(1.0, 0.5))
+    hamiltonian[0, 3] = 1e-300
+    with pytest.raises(ValueError, match="total S_z"):
+        matched_eigenvalues(hamiltonian, closed_spectrum(toy_params(1.0, 0.5)).eigenvalues)
 
 
 def test_from_gilbert_anchors():
