@@ -189,6 +189,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# Built once per process: each parse_args call starts from a fresh
+# namespace, so calls share no state through the parser.
+_PARSER = _build_parser()
+
+
 def _load_json(path: str) -> Any:
     try:
         with open(path, encoding="utf-8") as handle:
@@ -374,6 +379,20 @@ def cmd_regime_sweep(config: Mapping[str, Any]) -> int:
     return 0
 
 
+def _norms(states: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, summed as ``np.linalg.norm`` sums one state.
+
+    That is the real parts' dot product plus the imaginary parts', so each
+    row has the bits of the call on it alone; ``np.linalg.norm`` with
+    ``axis=1`` sums in another order.
+    """
+    re, im = states.real, states.imag
+    return np.sqrt(
+        np.matmul(re[:, None, :], re[:, :, None])[:, 0, 0]
+        + np.matmul(im[:, None, :], im[:, :, None])[:, 0, 0]
+    )
+
+
 def cmd_evolve(config: Mapping[str, Any]) -> int:
     """Amplitude, probability, and deformed norm over the time grid."""
     params = _params_from(
@@ -401,15 +420,15 @@ def cmd_evolve(config: Mapping[str, Any]) -> int:
         )
     elif config["allow_dissipative"]:
         evolved = evolve(build_total(params), times, zeta)
-        amplitudes = np.array([np.vdot(xi, state) for state in evolved])
         probabilities = np.full(times.size, np.nan)
-        with np.errstate(over="ignore"):  # a norm past the float range reads inf
-            norms = np.array([np.linalg.norm(state) for state in evolved])
-        # Where only the squared sum overflows, rescale by the largest entry.
-        with np.errstate(invalid="ignore"):  # inf / inf entries read nan
-            for i in np.flatnonzero(np.isinf(norms)):
-                scale = np.max(np.abs(evolved[i]))
-                norms[i] = scale * np.linalg.norm(evolved[i] / scale)
+        # A value past the float range reads inf, inf / inf entries nan.
+        with np.errstate(over="ignore", invalid="ignore"):
+            amplitudes = np.matmul(xi.conj(), evolved[:, :, None])[:, 0]
+            norms = _norms(evolved)
+            # Where only the squared sum overflows, rescale by the largest entry.
+            rows = np.flatnonzero(np.isinf(norms))
+            scales = np.max(np.abs(evolved[rows]), axis=1)
+            norms[rows] = scales * _norms(evolved[rows] / scales[:, None])
     else:
         raise CliError(
             "parameters violate the pseudo-hermiticity conditions; "
@@ -521,8 +540,7 @@ _HANDLERS: dict[str, Callable[[Mapping[str, Any]], int]] = {
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     provided = {k: v for k, v in vars(args).items() if k != "subcommand"}
     try:
         config = make_config(args.subcommand, provided)

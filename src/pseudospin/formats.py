@@ -12,12 +12,18 @@ repeated runs byte-identical across platforms.
 """
 
 import csv
+import io
+import itertools
+import re
 import sys
 from typing import IO, Any, Iterable, Sequence
 
 import numpy as np
 
 from .grassmann import AlgebraSpec, GrassmannElement
+
+# The characters that can make the csv module quote a cell.
+_NEEDS_QUOTING = re.compile(r'[,"\r\n]')
 
 
 def complex_to_json(value: complex) -> dict[str, float]:
@@ -185,7 +191,14 @@ def element_from_json(data: Any) -> GrassmannElement:
 
 
 def csv_cell(value: Any) -> str:
-    """Render one CSV cell: shortest round-trip floats, "nan" for NaN."""
+    """Render one CSV cell: shortest round-trip floats, "nan" for NaN.
+
+    A string holding a comma, a quote or a line break goes through the csv
+    module, which quotes it where its dialect needs; any other string is
+    written as it is.
+    """
+    if type(value) is float:
+        return repr(value)
     if isinstance(value, bool):
         return str(int(value))
     if isinstance(value, (int, np.integer)):
@@ -193,8 +206,18 @@ def csv_cell(value: Any) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     if isinstance(value, str):
-        return value
+        if not _NEEDS_QUOTING.search(value):
+            return value
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerow([value])
+        return buffer.getvalue()[:-1]
     raise ValueError(f"unsupported CSV cell type: {type(value)!r}")
+
+
+def _csv_line(row: Sequence[Any]) -> str:
+    line = ",".join(map(csv_cell, row))
+    # The csv module quotes a lone empty cell so the row does not read as blank.
+    return ('""' if not line and len(row) == 1 else line) + "\n"
 
 
 def write_csv(
@@ -202,10 +225,8 @@ def write_csv(
 ) -> None:
     """Write a header and rows with deterministic, platform-stable bytes.
 
-    The caller opens the stream with ``newline=""`` so the explicit ``\\n``
-    terminator survives untranslated.
+    Each row is one ``write`` of its joined cells, the bytes the csv module
+    writes for them with a ``\\n`` line terminator.  The caller opens the
+    stream with ``newline=""`` so that terminator survives untranslated.
     """
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(list(header))
-    for row in rows:
-        writer.writerow([csv_cell(value) for value in row])
+    stream.writelines(map(_csv_line, itertools.chain([header], rows)))

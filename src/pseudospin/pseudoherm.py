@@ -90,28 +90,37 @@ class Diagnosis:
     metric: Metric | None
 
 
-def eta_inner(x: StateVector, y: StateVector, eta: Metric) -> complex:
+def eta_inner(x: StateVector, y: StateVector, eta: Metric) -> complex | np.ndarray:
     """Evaluate the deformed inner product ``<x, eta y>``.
 
     Conjugate-linear in the first argument, linear in the second, matching
-    the canonical product at ``eta = I``.
+    the canonical product at ``eta = I``.  The states may be stacked: the
+    last axis holds the components and the leading axes broadcast, so one
+    call evaluates a whole time series.  Every product is the same
+    matrix-vector and vector-vector kernel, so a stacked entry has the bits
+    of the call on its own pair of states.
 
     Args:
-        x: Bra-side state vector.
-        y: Ket-side state vector.
-        eta: Metric defining the product.
+        x: Bra-side state(s), shape ``(..., n)``.
+        y: Ket-side state(s), shape ``(..., n)``.
+        eta: Metric defining the product, of dimension ``n``.
 
     Returns:
-        The complex scalar ``<x, eta y>``.
+        The complex scalar ``<x, eta y>`` for two 1-D states; otherwise an
+        array of the broadcast leading shape.
 
     Raises:
-        ValueError: If the vector and metric dimensions disagree.
+        ValueError: If a state's last axis does not match the metric
+            dimension.
     """
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
-    if x.shape != (eta.dim,) or y.shape != (eta.dim,):
+    if x.shape[-1:] != (eta.dim,) or y.shape[-1:] != (eta.dim,):
         raise ValueError("state dimensions must match the metric")
-    return complex(np.vdot(x, eta.matrix @ y))
+    product = np.matmul(
+        x.conj()[..., None, :], np.matmul(eta.matrix, y[..., None])
+    )[..., 0, 0]
+    return complex(product) if product.ndim == 0 else product
 
 
 def rho_adjoint(a: OperatorMatrix, rho: Metric) -> OperatorMatrix:

@@ -33,6 +33,7 @@ from pseudospin.twospin import (
     TwoSpinParams,
     build_total,
     damping_threshold,
+    evolve,
     paper_isomorphism,
 )
 
@@ -557,38 +558,41 @@ def test_evolve_dissipative_reports_canonical_norms(capsys):
 
 # Runs whose results leave the float range: the metric route's phases at
 # t = 1e308, the dissipative growth by t = 1e6 (or by t = 10 from a state of
-# 1e307 entries), and metric-route state files with 1e300 entries, whose
-# squared norms overflow.
+# 1e307 entries), a metric-route amplitude between two states of 1e160
+# entries (about 1e320), and a metric-route deformed norm of a state of
+# 1e308 entries (about 2.2e308).
 BEYOND = ["--J", "1", "--B", "4", "--alpha1", "1", "--alpha2", "-1"]
 
 
 def huge_state_args(tmp_path, flag, entry):
-    path = tmp_path / "state.json"
+    path = tmp_path / f"{flag}.json"
     path.write_text(json.dumps([{"re": entry, "im": 0.0}] * 4))
     return [f"--{flag}", str(path)]
 
 
-@pytest.mark.parametrize("args, state", [
+@pytest.mark.parametrize("args, states", [
     pytest.param(
         ["--J", "4", "--B", "1", "--alpha1", "0.5", "--alpha2", "-0.5",
-         "--t-end", "1e308", "--t-steps", "2"], None, id="metric-route-t-end",
+         "--t-end", "1e308", "--t-steps", "2"], (), id="metric-route-t-end",
     ),
     pytest.param(
-        [*BEYOND, "--t-end", "1e6", "--t-steps", "3", "--allow-dissipative"], None,
+        [*BEYOND, "--t-end", "1e6", "--t-steps", "3", "--allow-dissipative"], (),
         id="dissipative-t-end",
     ),
-    pytest.param([*TOY, "--t-steps", "2"], ("xi", 1e300), id="huge-xi"),
     pytest.param(
-        [*TOY, "--t-steps", "2", "--format", "json"], ("zeta", 1e300),
+        [*TOY, "--t-steps", "2"], (("xi", 1e160), ("zeta", 1e160)), id="huge-xi"
+    ),
+    pytest.param(
+        [*TOY, "--t-steps", "1", "--format", "json"], (("zeta", 1e308),),
         id="huge-zeta-json",
     ),
     pytest.param(
-        [*BEYOND, "--t-steps", "2", "--allow-dissipative"], ("zeta", 1e307),
+        [*BEYOND, "--t-steps", "2", "--allow-dissipative"], (("zeta", 1e307),),
         id="dissipative-huge-zeta",
     ),
 ])
-def test_evolve_rejects_non_finite_results(tmp_path, capsys, args, state):
-    if state is not None:
+def test_evolve_rejects_non_finite_results(tmp_path, capsys, args, states):
+    for state in states:
         args = [*args, *huge_state_args(tmp_path, *state)]
     code, out, err = run(capsys, "evolve", *args)
     assert code == 1
@@ -597,12 +601,58 @@ def test_evolve_rejects_non_finite_results(tmp_path, capsys, args, state):
     assert err.startswith("pseudospin: error: ")
 
 
+def test_evolve_dissipative_rows_match_a_per_state_loop(tmp_path, capsys):
+    rng = np.random.default_rng(3)
+    xi, zeta = (rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(2))
+    paths = []
+    for name, state in (("xi", xi), ("zeta", zeta)):
+        paths += [f"--{name}", str(tmp_path / f"{name}.json")]
+        (tmp_path / f"{name}.json").write_text(json.dumps(vector_to_json(state)))
+    code, out, _ = run(
+        capsys, "evolve", *BEYOND, *paths, "--t-end", "10", "--t-steps", "301",
+        "--allow-dissipative",
+    )
+    assert code == 0
+    params = TwoSpinParams.from_gilbert(4.0, 1.0, -1.0, 1.0)
+    evolved = evolve(build_total(params), np.linspace(0.0, 10.0, 301), zeta)
+    # The reference loop: one np.vdot and one np.linalg.norm per state.
+    for row, state in zip(parse_csv(out), evolved, strict=True):
+        amplitude = complex(np.vdot(xi, state))
+        assert (float(row["re_amp"]), float(row["im_amp"])) == (
+            amplitude.real, amplitude.imag
+        )
+        assert float(row["rho_norm"]) == float(np.linalg.norm(state))
+
+
 def test_evolve_dissipative_norm_survives_an_overflowing_square(tmp_path, capsys):
     # Four entries of 1e300: the squared sum overflows, the norm 2e300 does not.
     args = [*BEYOND, "--t-steps", "1", "--allow-dissipative"]
     code, out, _ = run(capsys, "evolve", *args, *huge_state_args(tmp_path, "zeta", 1e300))
     assert code == 0
     assert out.splitlines()[1] == "0.0,1e+300,0.0,nan,2e+300"
+
+
+@pytest.mark.parametrize("flag, entry", [
+    ("zeta", 1e160), ("zeta", 1e300), ("xi", 1e160), ("xi", 1e300),
+])
+def test_evolve_metric_route_survives_an_overflowing_square(
+    tmp_path, capsys, flag, entry
+):
+    # Four equal entries: the squared deformed norm overflows, the amplitude,
+    # the probability and the deformed norm do not.
+    args = [*TOY, "--t-steps", "1"]
+    code, out, _ = run(capsys, "evolve", *args, *huge_state_args(tmp_path, flag, entry))
+    assert code == 0
+    row = {key: float(value) for key, value in parse_csv(out)[0].items()}
+    code, out, _ = run(capsys, "evolve", *args, *huge_state_args(tmp_path, flag, 1.0))
+    assert code == 0
+    unit = {key: float(value) for key, value in parse_csv(out)[0].items()}
+    assert all(math.isfinite(value) for value in row.values())
+    for key in ("re_amp", "im_amp"):
+        assert row[key] == pytest.approx(entry * unit[key], rel=1e-14)
+    assert row["probability"] == pytest.approx(unit["probability"], rel=1e-14)
+    norm_scale = entry if flag == "zeta" else 1.0
+    assert row["rho_norm"] == pytest.approx(norm_scale * unit["rho_norm"], rel=1e-14)
 
 
 # SHA-256 of the evolve CSV, pinned so that performance work cannot change
@@ -956,6 +1006,28 @@ def test_verify_group_filter(capsys):
     assert code == 0
     assert out.splitlines()[0].startswith("PASS clifford")
     assert len(out.splitlines()) == 1
+
+
+def test_repeated_main_calls_share_no_state(capsys):
+    # One parser serves every call in a process; an appended --group list,
+    # a value or a usage error must not carry over to the next call.
+    code, out, _ = run(capsys, "verify", "--group", "clifford", "--group", "canon")
+    assert code == 0
+    assert [line.split()[1] for line in out.splitlines()] == ["clifford", "canon"]
+    code, out, _ = run(capsys, "verify", "--group", "twospin")
+    assert code == 0
+    assert len(out.splitlines()) == 1
+    assert out.startswith("PASS twospin")
+    args = ["spectrum", "--J", "2", "--B", "1.5", "--alpha1", "0.3", "--alpha2", "-0.3"]
+    _, clean, _ = run(capsys, *args)
+    with pytest.raises(SystemExit):
+        main(["spectrum", "--J", "2", "--bogus", "1"])
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        main(["verify", "--group", "nosuch"])
+    capsys.readouterr()
+    assert run(capsys, *args) == (0, clean, "")
+    assert run(capsys, "spectrum") == run(capsys, "spectrum")
 
 
 def test_verify_perturbation_fails_located_group(tmp_path, capsys):

@@ -6,6 +6,7 @@ parser's strictness about canonical order, token names, and schema keys is
 pinned with explicit rejection cases.
 """
 
+import csv
 import io
 import json
 import math
@@ -326,3 +327,38 @@ def test_write_csv_deterministic():
     write_csv(first, ["x", "y"], rows)
     write_csv(second, ["x", "y"], rows)
     assert first.getvalue() == second.getvalue()
+
+
+csv_scalars = st.one_of(
+    st.floats(),  # nan, the infinities and the subnormals included
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+    st.integers(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.text(alphabet=st.sampled_from('ab ,"\r\n\t'), max_size=6),
+    st.text(max_size=4),
+)
+
+
+@given(
+    st.lists(st.text(max_size=4), max_size=4),
+    st.lists(st.lists(csv_scalars, max_size=5), max_size=5),
+)
+def test_write_csv_matches_the_csv_module(header, rows):
+    # The reference is the csv module on the rendered cells; strings go to
+    # it as they are, so it does the quoting.
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([v if isinstance(v, str) else csv_cell(v) for v in row])
+    buffer = io.StringIO()
+    write_csv(buffer, header, rows)
+    assert buffer.getvalue() == expected.getvalue()
+
+
+def test_write_csv_quotes_like_the_csv_module():
+    buffer = io.StringIO()
+    write_csv(buffer, ["a,b", 'say "hi"'], [["x\ny", ""], [""], []])
+    assert buffer.getvalue() == '"a,b","say ""hi"""\n"x\ny",\n""\n\n'

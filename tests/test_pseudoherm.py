@@ -93,6 +93,27 @@ def test_eta_inner_sesquilinear_and_positive():
 def test_eta_inner_dimension_mismatch():
     with pytest.raises(ValueError):
         eta_inner(np.ones(3), np.ones(4), Metric.identity(4))
+    for x, y in ((np.ones((5, 3)), np.ones((5, 4))), (np.ones(4), np.ones((5, 3)))):
+        with pytest.raises(ValueError, match="state dimensions must match the metric"):
+            eta_inner(x, y, Metric.identity(4))
+
+
+def test_eta_inner_stacked_entries_equal_single_calls_bit_for_bit():
+    rng = np.random.default_rng(2)
+    for _ in range(5):
+        eta = random_metric(rng, 4)
+        xs = rng.normal(size=(200, 4)) + 1j * rng.normal(size=(200, 4))
+        ys = rng.normal(size=(200, 4)) + 1j * rng.normal(size=(200, 4))
+        pairs = eta_inner(xs, ys, eta)
+        one_bra = eta_inner(xs[0], ys, eta)
+        norms = eta_inner(ys, ys, eta)
+        assert pairs.shape == one_bra.shape == norms.shape == (200,)
+        for k in range(200):
+            single = eta_inner(xs[k], ys[k], eta)
+            assert type(single) is complex
+            assert complex(pairs[k]) == single
+            assert complex(one_bra[k]) == eta_inner(xs[0], ys[k], eta)
+            assert complex(norms[k]) == eta_inner(ys[k], ys[k], eta)
 
 
 def test_deformed_norm_of_boost_metric():

@@ -773,6 +773,8 @@ def test_transition_series_matches_pointwise_calls():
             else Metric.identity(4)
         )
         hamiltonian = build_total(params)
+        # The reference loop: one np.vdot per product and Python's abs.
+        norm_xi, norm_zeta = (complex(np.vdot(v, rho.matrix @ v)).real for v in (xi, zeta))
         assert series.amplitudes.shape == times.shape
         for k, t in enumerate(times):
             single = transition_series(xi, zeta, params, times[k : k + 1])
@@ -780,7 +782,12 @@ def test_transition_series_matches_pointwise_calls():
             assert series.probabilities[k] == single.probabilities[0]
             assert series.route_gaps[k] == single.route_gaps[0]
             evolved = evolve(hamiltonian, float(t), zeta)
-            assert series.rho_norms[k] == np.sqrt(eta_inner(evolved, evolved, rho).real)
+            amplitude = complex(np.vdot(xi, rho.matrix @ evolved))
+            assert series.amplitudes[k] == amplitude
+            assert series.probabilities[k] == abs(amplitude) ** 2 / (norm_xi * norm_zeta)
+            assert series.rho_norms[k] == np.sqrt(
+                complex(np.vdot(evolved, rho.matrix @ evolved)).real
+            )
 
 
 def test_transition_series_checks_route_at_every_time(monkeypatch):
@@ -800,6 +807,21 @@ def test_transition_series_checks_route_at_every_time(monkeypatch):
         transition_series(xi, zeta, params, times)
     keep = np.arange(times.size) != int(np.argmax(ratios))
     transition_series(xi, zeta, params, times[keep])
+    # With several times failing, the error names the first, not the worst.
+    worst_at = int(np.argmax(ratios))
+    assert worst_at > 0
+    top_earlier = np.max(ratios[:worst_at])
+    below = np.max(ratios[ratios < top_earlier])
+    monkeypatch.setattr(twospin, "ROUTE_TOL", 0.5 * (top_earlier + below))
+    first = int(np.argmax(ratios > twospin.ROUTE_TOL))
+    assert first < worst_at
+    message = (
+        f"evaluation routes disagree by {series.route_gaps[first]:.3e} "
+        f"at t={times[first]:.6g}"
+    )
+    with pytest.raises(RuntimeError) as excinfo:
+        transition_series(xi, zeta, params, times)
+    assert str(excinfo.value) == message
     with pytest.raises(ValueError):
         transition_series(np.zeros(4), zeta, params, times)
     with pytest.raises(ValueError):
@@ -809,11 +831,34 @@ def test_transition_series_checks_route_at_every_time(monkeypatch):
 def test_transition_series_rejects_non_finite_values():
     params = toy_params(1.0, 0.5, exchange=4.0)
     psi = np.ones(4, dtype=complex)
-    with pytest.raises(ValueError, match="finite"):
-        transition_series(1e300 * psi, psi, params, np.array([1.0]))
+    for entry in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            bad = np.full(4, entry, dtype=complex)
+            transition_series(bad, psi, params, np.array([1.0]))
+    # The amplitude between two states of 1e160 entries is about 1e320.
+    with pytest.raises(RuntimeError, match="disagree by nan"):
+        transition_series(1e160 * psi, 1e160 * psi, params, np.array([1.0]))
     # w t overflows at t = 1e308, so cos(w t) and the route gap are nan.
     with pytest.raises(RuntimeError, match="disagree by nan"):
         transition_series(psi, psi, params, np.array([0.0, 1e308]))
+
+
+def test_transition_series_scales_states_whose_squared_norms_overflow():
+    params = toy_params(1.0, 0.5, exchange=4.0)
+    rng = np.random.default_rng(17)
+    xi = rng.normal(size=4) + 1j * rng.normal(size=4)
+    zeta = rng.normal(size=4) + 1j * rng.normal(size=4)
+    times = np.linspace(0.0, 5.0, 6)
+    unit = transition_series(xi, zeta, params, times)
+    for scale_xi, scale_zeta in ((1e300, 1.0), (1.0, 1e160), (1e200, 1e100)):
+        series = transition_series(scale_xi * xi, scale_zeta * zeta, params, times)
+        np.testing.assert_allclose(
+            series.amplitudes, scale_xi * scale_zeta * unit.amplitudes, rtol=1e-13
+        )
+        np.testing.assert_allclose(series.probabilities, unit.probabilities, rtol=1e-13)
+        np.testing.assert_allclose(
+            series.rho_norms, scale_zeta * unit.rho_norms, rtol=1e-13
+        )
 
 
 def test_transition_probability_toy_model():
