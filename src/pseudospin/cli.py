@@ -46,6 +46,7 @@ from .grassmann import constraint_reduce, star_involution
 from .quantize import tensor_realization, quantize
 from .twospin import (
     TwoSpinParams,
+    _euclidean_norms,
     build_total,
     closed_spectrum,
     evolve,
@@ -379,20 +380,6 @@ def cmd_regime_sweep(config: Mapping[str, Any]) -> int:
     return 0
 
 
-def _norms(states: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, summed as ``np.linalg.norm`` sums one state.
-
-    That is the real parts' dot product plus the imaginary parts', so each
-    row has the bits of the call on it alone; ``np.linalg.norm`` with
-    ``axis=1`` sums in another order.
-    """
-    re, im = states.real, states.imag
-    return np.sqrt(
-        np.matmul(re[:, None, :], re[:, :, None])[:, 0, 0]
-        + np.matmul(im[:, None, :], im[:, :, None])[:, 0, 0]
-    )
-
-
 def cmd_evolve(config: Mapping[str, Any]) -> int:
     """Amplitude, probability, and deformed norm over the time grid."""
     params = _params_from(
@@ -424,11 +411,7 @@ def cmd_evolve(config: Mapping[str, Any]) -> int:
         # A value past the float range reads inf, inf / inf entries nan.
         with np.errstate(over="ignore", invalid="ignore"):
             amplitudes = np.matmul(xi.conj(), evolved[:, :, None])[:, 0]
-            norms = _norms(evolved)
-            # Where only the squared sum overflows, rescale by the largest entry.
-            rows = np.flatnonzero(np.isinf(norms))
-            scales = np.max(np.abs(evolved[rows]), axis=1)
-            norms[rows] = scales * _norms(evolved[rows] / scales[:, None])
+            norms = _euclidean_norms(evolved)
     else:
         raise CliError(
             "parameters violate the pseudo-hermiticity conditions; "

@@ -199,7 +199,7 @@ def csv_cell(value: Any) -> str:
     """
     if type(value) is float:
         return repr(value)
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return str(int(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))

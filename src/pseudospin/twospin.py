@@ -483,6 +483,30 @@ def evolve(
     return evolved[0] if times.ndim == 0 else evolved
 
 
+def _unit_rows(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row times 2**-e, e (shape ``(..., 1)``) putting its largest part in [1/2, 1).
+
+    Exact, so a result of the scaled rows scaled back by ``np.ldexp`` keeps
+    its bits unless it leaves the float range.  The parts are scaled apart:
+    a complex array over a subnormal real scale is inf + nan j.
+    """
+    parts = np.ascontiguousarray(states, dtype=complex).view(float)
+    _, exps = np.frexp(np.max(np.abs(parts), axis=-1, keepdims=True))
+    return np.ldexp(parts, -exps).view(complex), exps
+
+
+def _euclidean_norms(states: np.ndarray) -> np.ndarray:
+    """Norm of each row, taken of the row scaled by :func:`_unit_rows`.
+
+    Summed as ``np.linalg.norm`` sums one state, the real parts' dot product
+    plus the imaginary parts' (with ``axis=1`` it sums in another order).
+    """
+    unit, exps = _unit_rows(states)
+    re, im = unit.real, unit.imag
+    squares = (re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0]
+    return np.ldexp(np.sqrt(squares), exps[:, 0])
+
+
 def transition_series(
     xi: StateVector, zeta: StateVector, params: TwoSpinParams, times: np.ndarray
 ) -> TransitionSeries:
@@ -497,9 +521,9 @@ def transition_series(
     the whole grid in one closed-form :func:`evolve` call.  The amplitudes,
     the counterpart amplitudes and the deformed norms are each one stacked
     product over the grid, and one gate then checks the route agreement at
-    every time and reports the first time that fails.  Squared norms that
-    overflow are taken of states scaled by their largest entries, so only
-    a result that itself leaves the float range reads inf or nan.
+    every time and reports the first time that fails.  Norms, probabilities
+    and amplitudes are taken of states scaled exactly by powers of two
+    (:func:`_unit_rows`), so entries from 1e-320 to 1e300 stay in range.
 
     Args:
         xi: Target state.
@@ -515,8 +539,10 @@ def transition_series(
     Raises:
         ValueError: If the reality conditions fail, the parameters sit at
             the exceptional point on the dissipative branch, a state's
-            deformed norm is not positive and finite, or ``times`` is not 1-D.
-        RuntimeError: If the two evaluation routes disagree, or either is
+            deformed norm is not positive and finite, ``times`` is not 1-D,
+            or an amplitude leaves the float range (the message names the
+            first such time).
+        RuntimeError: If the two evaluation routes disagree, or the gap is
             nan, at any time; the message names the first such time.
     """
     times = np.asarray(times, dtype=float)
@@ -530,52 +556,39 @@ def transition_series(
     else:
         u, rho = paper_isomorphism(params)
         partner = hermitian_counterpart(params).matrix
-    xi, zeta = np.asarray(xi, dtype=complex), np.asarray(zeta, dtype=complex)
+    (unit_xi, exp_xi), (unit_zeta, exp_zeta) = _unit_rows(xi), _unit_rows(zeta)
     # Overflow reads inf or nan and fails a check below; no warning needed.
     with np.errstate(over="ignore", invalid="ignore"):
-        norm_xi, norm_zeta = (eta_inner(v, v, rho).real for v in (xi, zeta))
-        # Where the squared norms or their product overflow (to inf, or to
-        # nan through inf - inf), take them of the states scaled by their
-        # largest entries and divide the same scales out of the amplitudes;
-        # otherwise the scales stay 1.
-        scale_xi = scale_zeta = 1.0
-        if not math.isfinite(norm_xi * norm_zeta):
-            scale_xi, scale_zeta = (float(np.max(np.abs(v))) for v in (xi, zeta))
-            norm_xi, norm_zeta = (
-                eta_inner(v / s, v / s, rho).real
-                for v, s in ((xi, scale_xi), (zeta, scale_zeta))
-            )
-        if not (
-            norm_xi > 0.0 and norm_zeta > 0.0 and math.isfinite(norm_xi * norm_zeta)
-        ):
+        norm_xi, norm_zeta = (eta_inner(v, v, rho).real for v in (unit_xi, unit_zeta))
+        if not (0.0 < norm_xi < math.inf and 0.0 < norm_zeta < math.inf):
             raise ValueError("states must have positive, finite deformed norms")
-        evolved = evolve(hamiltonian, times, zeta)
+        evolved = evolve(hamiltonian, times, unit_zeta)
+        unit_amplitudes = eta_inner(unit_xi, evolved, rho)
+        amplitudes = np.ldexp(unit_amplitudes.view(float), exp_xi + exp_zeta).view(complex)
+        if not np.isfinite(amplitudes).all():
+            k = int(np.argmax(~np.isfinite(amplitudes)))
+            raise ValueError(f"amplitude leaves the float range at t={times[k]:.6g}")
         u_inv = np.linalg.inv(u)
         bra = u_inv @ xi
         partner_evolved = evolve(partner, times, u_inv @ zeta)
-        amplitudes = eta_inner(xi, evolved, rho)
         partner_amplitudes = np.matmul(bra.conj(), partner_evolved[:, :, None])[:, 0]
         # Python's abs, not np.abs, whose complex modulus differs in last bits.
-        magnitudes = [abs(a) for a in amplitudes.tolist()]
+        unit_magnitudes = [abs(a) for a in unit_amplitudes.tolist()]
+        magnitudes = np.ldexp(unit_magnitudes, exp_xi + exp_zeta)
         route_gaps = np.array(
             [abs(d) for d in (amplitudes - partner_amplitudes).tolist()]
         )
-        # Written so that a nan gap or amplitude fails the gate too.
-        failing = ~(route_gaps <= ROUTE_TOL * scale * (1.0 + np.array(magnitudes)))
+        # Written so that a nan gap fails the gate too.
+        failing = ~(route_gaps <= ROUTE_TOL * scale * (1.0 + magnitudes))
         if failing.any():
             k = int(np.argmax(failing))
             raise RuntimeError(
                 f"evaluation routes disagree by {route_gaps[k]:.3e} at t={times[k]:.6g}"
             )
-        probabilities = np.array(
-            [(m / scale_xi / scale_zeta) ** 2 for m in magnitudes]
-        ) / (norm_xi * norm_zeta)
-        rho_norms = np.sqrt(eta_inner(evolved, evolved, rho).real)
-        # Where only the squared norm overflows, rescale by the largest entry.
-        rows = np.flatnonzero(~np.isfinite(rho_norms))
-        row_scales = np.max(np.abs(evolved[rows]), axis=1)
-        scaled = evolved[rows] / row_scales[:, None]
-        rho_norms[rows] = row_scales * np.sqrt(eta_inner(scaled, scaled, rho).real)
+        probabilities = np.array([m**2 for m in unit_magnitudes]) / (norm_xi * norm_zeta)
+        # Metric-unitary evolution keeps each row's deformed norm at norm_zeta's
+        # square root, so the rows of the scaled evolution stay scaled.
+        rho_norms = np.ldexp(np.sqrt(eta_inner(evolved, evolved, rho).real), exp_zeta)
     return TransitionSeries(amplitudes, probabilities, route_gaps, rho_norms)
 
 

@@ -625,21 +625,26 @@ def test_evolve_dissipative_rows_match_a_per_state_loop(tmp_path, capsys):
 
 
 def test_evolve_dissipative_norm_survives_an_overflowing_square(tmp_path, capsys):
-    # Four entries of 1e300: the squared sum overflows, the norm 2e300 does not.
+    # Four equal entries: the squared sum overflows (1e300) or underflows
+    # (1e-170, and the subnormal 1e-320), the norm twice the entry does not.
+    # A RuntimeWarning would fail the test (pytest turns warnings into errors).
     args = [*BEYOND, "--t-steps", "1", "--allow-dissipative"]
-    code, out, _ = run(capsys, "evolve", *args, *huge_state_args(tmp_path, "zeta", 1e300))
-    assert code == 0
-    assert out.splitlines()[1] == "0.0,1e+300,0.0,nan,2e+300"
+    for entry in (1e300, 1e-170, 1e-320):
+        zeta = huge_state_args(tmp_path, "zeta", entry)
+        code, out, _ = run(capsys, "evolve", *args, *zeta)
+        assert code == 0
+        assert out.splitlines()[1] == f"0.0,{entry!r},0.0,nan,{2 * entry!r}"
 
 
 @pytest.mark.parametrize("flag, entry", [
     ("zeta", 1e160), ("zeta", 1e300), ("xi", 1e160), ("xi", 1e300),
+    ("zeta", 1e-170), ("zeta", 1e-300), ("xi", 1e-170), ("xi", 1e-300),
 ])
 def test_evolve_metric_route_survives_an_overflowing_square(
     tmp_path, capsys, flag, entry
 ):
-    # Four equal entries: the squared deformed norm overflows, the amplitude,
-    # the probability and the deformed norm do not.
+    # Four equal entries: the squared deformed norm overflows or underflows,
+    # the amplitude, the probability and the deformed norm do not.
     args = [*TOY, "--t-steps", "1"]
     code, out, _ = run(capsys, "evolve", *args, *huge_state_args(tmp_path, flag, entry))
     assert code == 0

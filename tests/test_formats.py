@@ -298,6 +298,8 @@ def test_csv_cell_formats():
     assert csv_cell(float("nan")) == "nan"
     assert csv_cell(True) == "1"
     assert csv_cell(False) == "0"
+    assert csv_cell(np.True_) == "1"
+    assert csv_cell(np.False_) == "0"
     assert csv_cell(7) == "7"
     assert csv_cell(np.float64(0.25)) == "0.25"
     assert csv_cell(np.int64(3)) == "3"

@@ -113,12 +113,16 @@ def mentioned_names(tree):
     return names
 
 
-def test_evolution_needs_no_scipy_and_cond_cap_serves_diagnose_alone():
-    package = ROOT / "src" / "pseudospin"
-    trees = {
+def package_trees():
+    """The AST of every module in the package, by file name."""
+    return {
         path.name: ast.parse(path.read_text(encoding="utf-8"))
-        for path in sorted(package.glob("*.py"))
+        for path in sorted((ROOT / "src" / "pseudospin").glob("*.py"))
     }
+
+
+def test_evolution_needs_no_scipy_and_cond_cap_serves_diagnose_alone():
+    trees = package_trees()
     assert "scipy" not in mentioned_names(trees["twospin.py"])
     # Eigenvalues pair by total-S_z sector, with no general assignment solver.
     solver = {"optimize", "linear_sum_assignment"}
@@ -130,6 +134,20 @@ def test_evolution_needs_no_scipy_and_cond_cap_serves_diagnose_alone():
     assert mentioned_names(evolve).isdisjoint({"eig", "cond", "solve", "expm"})
     users = [name for name, tree in trees.items() if "COND_CAP" in mentioned_names(tree)]
     assert users == ["pseudoherm.py"]
+
+
+def test_one_module_scales_states_into_the_float_range():
+    # Power-of-two scaling is decided in one module; the CLI borrows its helper.
+    trees = package_trees()
+    scalers = [
+        name for name, tree in trees.items()
+        if mentioned_names(tree) & {"frexp", "ldexp"}
+    ]
+    assert scalers == ["twospin.py"]
+    assert not any(
+        isinstance(node, ast.FunctionDef) and node.name == "_norms"
+        for node in ast.walk(trees["cli.py"])
+    )
 
 
 def test_ci_installs_every_declared_dependency_pinned():
