@@ -316,21 +316,16 @@ def _emit(
             write_csv(handle, header, payload)
 
 
-def _scaled(values: list[float], factor: float) -> list[float]:
-    return [factor * value for value in values]
-
-
 def _regime_row(config: Mapping[str, Any], b, alphas, j, report) -> list:
-    energies = []
-    for value in report.eigenvalues:
-        energies.extend((value.real, value.imag))
+    e1p, e1m, e2p, e2m = report.eigenvalues
+    row = [
+        b, alphas[0], alphas[1], j,
+        e1p.real, e1p.imag, e1m.real, e1m.imag, e2p.real, e2p.imag, e2m.real, e2m.imag,
+        report.pseudo_hermitian, report.threshold_margin,
+    ]
     if config["paper_units"]:
-        energies = _scaled(energies, 4.0)
-    return (
-        [b, alphas[0], alphas[1], j]
-        + energies
-        + [report.pseudo_hermitian, report.threshold_margin]
-    )
+        row[4:12] = [4.0 * value for value in row[4:12]]
+    return row
 
 
 def cmd_spectrum(config: Mapping[str, Any]) -> int:
@@ -343,12 +338,9 @@ def cmd_spectrum(config: Mapping[str, Any]) -> int:
     discrepancy = float(np.max(np.abs(closed - matched)))
 
     row = _regime_row(config, *point, report)
-    tail = []
-    for value in matched:
-        tail.extend((float(value.real), float(value.imag)))
-    tail.append(discrepancy)
+    tail = [*matched.view(float).tolist(), discrepancy]
     if config["paper_units"]:
-        tail = _scaled(tail, 4.0)
+        tail = [4.0 * value for value in tail]
     _emit(config, [row + tail], SPECTRUM_COLUMNS)
     return 0 if discrepancy <= config["tol"] else 2
 
@@ -420,12 +412,10 @@ def cmd_evolve(config: Mapping[str, Any]) -> int:
     finite = np.isfinite(amplitudes) & np.isfinite(norms)
     if not finite.all():
         raise CliError(f"amplitude or norm overflows at t={times[~finite][0]:.6g}")
-    rows = [
-        [t, amplitude.real, amplitude.imag, probability, norm]
-        for t, amplitude, probability, norm in zip(
-            times.tolist(), amplitudes.tolist(), probabilities.tolist(), norms.tolist()
-        )
-    ]
+    rows = zip(
+        times.tolist(), amplitudes.real.tolist(), amplitudes.imag.tolist(),
+        probabilities.tolist(), norms.tolist(),
+    )
     _emit(config, rows, EVOLVE_COLUMNS)
     return 0
 

@@ -215,7 +215,8 @@ def csv_cell(value: Any) -> str:
 
 
 def _csv_line(row: Sequence[Any]) -> str:
-    line = ",".join(map(csv_cell, row))
+    # repr for a float is csv_cell's first branch, taken here without the call.
+    line = ",".join([repr(v) if type(v) is float else csv_cell(v) for v in row])
     # The csv module quotes a lone empty cell so the row does not read as blank.
     return ('""' if not line and len(row) == 1 else line) + "\n"
 

@@ -276,9 +276,9 @@ def closed_spectrum(params: TwoSpinParams) -> RegimeReport:
     f_minus = params.f_minus
     j = params.exchange
     discriminant = 4.0 * j * j + f_minus * f_minus
-    root = np.sqrt(complex(discriminant))
+    root = complex(np.sqrt(discriminant))
     scale = _tolerance_scale(params)
-    margin = float(discriminant.real)
+    margin = discriminant.real
     pseudo = (
         abs(f_plus.imag) <= REGIME_TOL * scale
         and min(abs(f_minus.real), abs(f_minus.imag)) <= REGIME_TOL * scale
@@ -286,12 +286,12 @@ def closed_spectrum(params: TwoSpinParams) -> RegimeReport:
     )
     return RegimeReport(
         eigenvalues=(
-            complex((-j + root) / 4.0),
-            complex((-j - root) / 4.0),
-            complex((j + f_plus) / 4.0),
-            complex((j - f_plus) / 4.0),
+            (-j + root) / 4.0,
+            (-j - root) / 4.0,
+            (j + f_plus) / 4.0,
+            (j - f_plus) / 4.0,
         ),
-        pseudo_hermitian=bool(pseudo),
+        pseudo_hermitian=pseudo,
         threshold_margin=margin,
     )
 
@@ -537,7 +537,8 @@ def transition_series(
         and the deformed norm of the evolved source state.
 
     Raises:
-        ValueError: If the reality conditions fail, the parameters sit at
+        ValueError: If a state's shape is not ``(4,)`` (the message names
+            the state), the reality conditions fail, the parameters sit at
             the exceptional point on the dissipative branch, a state's
             deformed norm is not positive and finite, ``times`` is not 1-D,
             or an amplitude leaves the float range (the message names the
@@ -545,6 +546,9 @@ def transition_series(
         RuntimeError: If the two evaluation routes disagree, or the gap is
             nan, at any time; the message names the first such time.
     """
+    for name, state in (("xi", xi), ("zeta", zeta)):
+        if np.shape(state) != (4,):
+            raise ValueError(f"{name} must have shape (4,), got {np.shape(state)}")
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError("times must be a 1-D array")
@@ -572,12 +576,12 @@ def transition_series(
         bra = u_inv @ xi
         partner_evolved = evolve(partner, times, u_inv @ zeta)
         partner_amplitudes = np.matmul(bra.conj(), partner_evolved[:, :, None])[:, 0]
-        # Python's abs, not np.abs, whose complex modulus differs in last bits.
-        unit_magnitudes = [abs(a) for a in unit_amplitudes.tolist()]
+        # np.hypot is C hypot, as Python's complex abs is (np.abs differs in
+        # last bits); m**2 is libm pow (m * m and np.square differ in last bits).
+        unit_magnitudes = np.hypot(unit_amplitudes.real, unit_amplitudes.imag)
         magnitudes = np.ldexp(unit_magnitudes, exp_xi + exp_zeta)
-        route_gaps = np.array(
-            [abs(d) for d in (amplitudes - partner_amplitudes).tolist()]
-        )
+        gaps = amplitudes - partner_amplitudes
+        route_gaps = np.hypot(gaps.real, gaps.imag)
         # Written so that a nan gap fails the gate too.
         failing = ~(route_gaps <= ROUTE_TOL * scale * (1.0 + magnitudes))
         if failing.any():
@@ -585,7 +589,8 @@ def transition_series(
             raise RuntimeError(
                 f"evaluation routes disagree by {route_gaps[k]:.3e} at t={times[k]:.6g}"
             )
-        probabilities = np.array([m**2 for m in unit_magnitudes]) / (norm_xi * norm_zeta)
+        squares = np.array([m**2 for m in unit_magnitudes.tolist()])
+        probabilities = squares / (norm_xi * norm_zeta)
         # Metric-unitary evolution keeps each row's deformed norm at norm_zeta's
         # square root, so the rows of the scaled evolution stay scaled.
         rho_norms = np.ldexp(np.sqrt(eta_inner(evolved, evolved, rho).real), exp_zeta)

@@ -321,6 +321,10 @@ def test_write_csv_exact_bytes():
     buffer = io.StringIO()
     write_csv(buffer, ["t", "value", "flag"], [[0.5, float("nan"), True], [1, 0.1, False]])
     assert buffer.getvalue() == "t,value,flag\n0.5,nan,1\n1,0.1,0\n"
+    # The same table as an iterator of tuples, the shape `evolve` passes.
+    tuples = io.StringIO()
+    write_csv(tuples, ["t", "value", "flag"], iter([(0.5, float("nan"), True), (1, 0.1, False)]))
+    assert tuples.getvalue() == buffer.getvalue()
 
 
 def test_write_csv_deterministic():

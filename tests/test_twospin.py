@@ -826,6 +826,33 @@ def test_transition_series_checks_route_at_every_time(monkeypatch):
         transition_series(np.zeros(4), zeta, params, times)
     with pytest.raises(ValueError):
         transition_series(xi, zeta, params, np.ones((2, 2)))
+    with pytest.raises(ValueError, match=r"^xi must have shape \(4,\), got \(2, 4\)$"):
+        transition_series(np.ones((2, 4)), zeta, params, times)
+    with pytest.raises(ValueError, match=r"^xi must have shape \(4,\), got \(3,\)$"):
+        transition_series(xi[:3], zeta, params, times)
+    with pytest.raises(ValueError, match=r"^zeta must have shape \(4,\), got \(1, 4\)$"):
+        transition_series(xi, zeta[None, :], params, times)
+
+
+def test_hypot_of_parts_is_python_complex_abs():
+    # transition_series takes magnitudes as np.hypot of the parts, which must
+    # give the bits of Python's complex abs (both C hypot); numpy's SIMD
+    # dispatch could break that.  A nan result is compared as nan only: C
+    # hypot keeps a nan part's sign, Python's abs returns its one nan.
+    rng = np.random.default_rng(20)
+    size = 120_000
+    exponents = rng.uniform(-320.0, 300.0, (2, size))
+    parts = rng.choice([-1.0, 1.0], (2, size)) * 10.0**exponents
+    special = rng.random((2, size)) < 0.01
+    parts[special] = rng.choice([np.inf, -np.inf, np.nan, -np.nan, 0.0], special.sum())
+    z = np.empty(size, dtype=complex)
+    z.real, z.imag = parts
+    ours = np.hypot(z.real, z.imag)
+    python = np.array([abs(v) for v in z.tolist()])
+    nan = np.isnan(python)
+    assert 0 < nan.sum() and np.array_equal(nan, np.isnan(ours))
+    assert np.isinf(python).any() and (python[~nan] < 1e-300).any()
+    assert np.array_equal(ours[~nan].view(np.uint64), python[~nan].view(np.uint64))
 
 
 def test_transition_series_rejects_non_finite_values():
