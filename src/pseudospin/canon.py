@@ -2,17 +2,17 @@
 
 Linear generator maps ``zeta = Lambda xi`` preserve the canonical bracket
 table exactly when ``Lambda Lambda^T = I`` with complex entries, so the
-canonical group is the complex orthogonal group.  This module validates and
-samples such matrices and transports antisymmetric coefficient tables and
-field vectors along them.
+canonical group is the complex orthogonal group.  This module validates
+such matrices, samples them as Cayley transforms, and transports
+antisymmetric coefficient tables and field vectors along them.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import TypeAlias
 
 import numpy as np
-import scipy.linalg
 
 from pseudospin.grassmann import GrassmannElement, _accumulate, _bits
 
@@ -90,11 +90,11 @@ def verify_orthogonal(matrix: np.ndarray) -> ComplexOrthogonal:
 def random_orthogonal(n: int, seed: int | None = None) -> ComplexOrthogonal:
     """Draw a random complex orthogonal matrix.
 
-    The matrix is the exponential of a complex antisymmetric generator with
-    independent real and imaginary parts.  The generator norm is capped so
-    the orthogonality residual stays far below :data:`ORTHO_TOL`.  A
-    reflection is applied with probability one half, so both determinant
-    components are sampled.
+    The matrix is the Cayley transform ``(I - A)^-1 (I + A)`` of a complex
+    antisymmetric ``A`` with independent real and imaginary parts, capped at
+    2-norm ``tanh(3/4)`` so that ``||Lambda||_2 <= e^1.5``; it is orthogonal
+    with determinant +1 by construction.  A reflection is applied with
+    probability one half, so both determinant components are sampled.
 
     Args:
         n: Dimension.
@@ -105,10 +105,10 @@ def random_orthogonal(n: int, seed: int | None = None) -> ComplexOrthogonal:
     imag = rng.standard_normal((n, n))
     gen = 0.5 * (real - real.T) + 0.5j * (imag - imag.T)
     norm = np.linalg.norm(gen, 2)
-    cap = 1.5
+    cap = math.tanh(0.75)
     if norm > cap:
         gen *= cap / norm
-    entries = scipy.linalg.expm(gen)
+    entries = np.linalg.solve(np.eye(n) - gen, np.eye(n) + gen)
     if rng.random() < 0.5:
         entries = entries.copy()
         entries[0, :] *= -1.0

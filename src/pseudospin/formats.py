@@ -11,8 +11,6 @@ token "nan" for missing values; rows always end in a bare newline, making
 repeated runs byte-identical across platforms.
 """
 
-import csv
-import io
 import itertools
 import re
 import sys
@@ -22,7 +20,7 @@ import numpy as np
 
 from .grassmann import AlgebraSpec, GrassmannElement
 
-# The characters that can make the csv module quote a cell.
+# The characters that make a cell need quoting.
 _NEEDS_QUOTING = re.compile(r'[,"\r\n]')
 
 
@@ -193,9 +191,9 @@ def element_from_json(data: Any) -> GrassmannElement:
 def csv_cell(value: Any) -> str:
     """Render one CSV cell: shortest round-trip floats, "nan" for NaN.
 
-    A string holding a comma, a quote or a line break goes through the csv
-    module, which quotes it where its dialect needs; any other string is
-    written as it is.
+    A string holding a comma, a quote, a carriage return or a newline is
+    quoted with its quotes doubled, as the csv module's minimal quoting does;
+    any other string is written as it is.
     """
     if type(value) is float:
         return repr(value)
@@ -208,9 +206,7 @@ def csv_cell(value: Any) -> str:
     if isinstance(value, str):
         if not _NEEDS_QUOTING.search(value):
             return value
-        buffer = io.StringIO()
-        csv.writer(buffer, lineterminator="\n").writerow([value])
-        return buffer.getvalue()[:-1]
+        return '"' + value.replace('"', '""') + '"'
     raise ValueError(f"unsupported CSV cell type: {type(value)!r}")
 
 
@@ -227,7 +223,8 @@ def write_csv(
     """Write a header and rows with deterministic, platform-stable bytes.
 
     Each row is one ``write`` of its joined cells, the bytes the csv module
-    writes for them with a ``\\n`` line terminator.  The caller opens the
-    stream with ``newline=""`` so that terminator survives untranslated.
+    writes for them with a ``\\n`` line terminator, except that a cell
+    holding ``\\r`` is quoted too, so it reads back whole.  The caller opens
+    the stream with ``newline=""`` so that terminator survives untranslated.
     """
     stream.writelines(map(_csv_line, itertools.chain([header], rows)))

@@ -100,6 +100,14 @@ def test_random_orthogonal_is_seeded_and_orthogonal():
     assert np.array_equal(a.entries, b.entries)
     assert not np.array_equal(a.entries, c.entries)
     assert np.max(np.abs(a.entries @ a.entries.T - np.eye(3))) < 1e-12
+    # Every dimension the package uses: the generator cap tanh(3/4) keeps the
+    # Cayley transform within the 2-norm e^1.5 and orthogonal to rounding.
+    for n in range(1, 7):
+        for seed in range(50):
+            lam = random_orthogonal(n, seed=seed).entries
+            assert np.array_equal(lam, random_orthogonal(n, seed=seed).entries)
+            assert np.max(np.abs(lam @ lam.T - np.eye(n))) <= 1e-13
+            assert np.linalg.norm(lam, 2) <= np.exp(1.5) * (1.0 + 1e-12)
 
 
 def test_random_orthogonal_samples_both_determinants():

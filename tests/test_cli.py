@@ -36,6 +36,7 @@ from pseudospin.twospin import (
     evolve,
     paper_isomorphism,
 )
+from pseudospin.verify import GROUPS
 
 TOY = ["--J", "1", "--B", "1", "--alpha1", "1", "--alpha2", "-1"]
 
@@ -973,12 +974,12 @@ def test_quantize_requires_element(capsys):
 # like EVOLVE_GOLDEN: the groups reach every layer, so a refactor anywhere
 # below the CLI must leave these bytes alone.  Seed 0 is the default.
 VERIFY_GOLDEN = {
-    0: ("bbf41d0b2d5db011337cc1666aba56d709e6975dd1160ffe7f59d403628f8e4f",
-        "35dbf839f2394d3c50940ef9ae743b719f1c2f2d0ffd58f02809588d5c872dbe"),
-    1: ("321330395814d801a73ebdf8e1223e9d0a5fa69d8bce3300529ae540c5a8c693",
-        "95c7ed686fcfe7f2d10f779af60da2e0d56b8874515a91c5d775220ffb6d541a"),
-    7: ("6da27a0288c0e1a1e3d56a529dba9290344c8bff69ba3fcc09f6c252dd03401a",
-        "f5caef57ef77da1bf840f77da81d740e24b59e79d50255f340c5f2874c72bff7"),
+    0: ("204ed7ec64625df97768f32e1560ef2e0576c07f5c3fe95ba3b2ad3f3b8b5479",
+        "e6f20cbdccb081eaeca6c791f8257be837c31295606d774935475a301242482a"),
+    1: ("9cd8ccc87312348b7a71ffd55bfd508a638cf28e020939d3da347cccd6cbbf76",
+        "29a203e4c74c592f6bf46ab1157a2266721fbe8855ef8483189c9a5716342395"),
+    7: ("41308ecff8fe6bcd7f5275d860f0d367036334a6dce85335be40146402d13c88",
+        "7342f0084623594dbe9ba87a9eb5ea9c5e3c289d173685fc14105c61d25f330f"),
 }
 
 
@@ -1276,22 +1277,38 @@ def test_missing_subcommand_exits_one():
     assert excinfo.value.code == 1
 
 
-def test_import_builds_no_layout_bracket_table_or_image_table():
+def test_import_builds_no_layout_bracket_table_or_image_table(tmp_path):
     # Layouts, bracket tables and image tables are filled on first use, so
     # importing the CLI (the benchmark's setup_s) builds none of them; and
-    # spectrum pairs its eigenvalues without scipy's assignment solver.
+    # with scipy blocked from import, every subcommand and every verify group
+    # still runs: the package needs numpy alone.
+    element = write_element(tmp_path / "hb.json", {
+        "algebra": {"families": [3]},
+        "terms": [{"mono": ["xi1", "xi2"], "re": 0.0, "im": -1.0}],
+    })
+    runs = [
+        ["spectrum"],
+        ["evolve"],
+        ["evolve", *BEYOND, "--t-steps", "3", "--allow-dissipative"],
+        ["regime-sweep"],
+        ["quantize-file", "--element", element, "--check"],
+        ["verify"],
+    ]
     code = (
-        "import gc, sys, pseudospin.cli\n"
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import gc, pseudospin.cli\n"
         "from pseudospin.grassmann import _canonical_tables, _layout_for\n"
         "from pseudospin.quantize import Realization\n"
         "assert _layout_for.cache_info().currsize == 0\n"
         "assert _canonical_tables.cache_info().currsize == 0\n"
         "assert not [o for o in gc.get_objects() if isinstance(o, Realization)]\n"
-        "assert pseudospin.cli.main(['spectrum']) == 0\n"
-        "assert 'scipy.optimize' not in sys.modules\n"
+        f"for args in {runs!r}:\n"
+        "    assert pseudospin.cli.main(args) == 0, args\n"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+    assert result.stdout.count("PASS ") == len(GROUPS)
 
 
 def test_module_entry_point():

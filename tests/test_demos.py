@@ -48,7 +48,7 @@ STDOUT_GOLDEN = {
     "01_bracket_algebra.py":
         "9d3914ad7101f36434a8769762040ee9b8de0840e2b4e6f5f6741e8c3a87c68f",
     "02_quantization_map.py":
-        "d6b61a2c418649cedb762f253921b535d3ecddedd006874ebf1a3eb95da7818b",
+        "1dcf7579db55bb4c69a0f20aff17900aa119af36332f6219a0d2f5ece7f41a5a",
     "03_two_spin_regimes.py":
         "9dbc785062aba2a3e3f79d59dd23892f5c13417fb2172a9b6582a96c0584d26d",
     "04_metric_dynamics.py":

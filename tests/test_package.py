@@ -123,7 +123,8 @@ def package_trees():
 
 def test_evolution_needs_no_scipy_and_cond_cap_serves_diagnose_alone():
     trees = package_trees()
-    assert "scipy" not in mentioned_names(trees["twospin.py"])
+    # No module names scipy: the package needs numpy alone.
+    assert [n for n, t in trees.items() if "scipy" in mentioned_names(t)] == []
     # Eigenvalues pair by total-S_z sector, with no general assignment solver.
     solver = {"optimize", "linear_sum_assignment"}
     assert [name for name, tree in trees.items() if mentioned_names(tree) & solver] == []
@@ -153,12 +154,16 @@ def test_one_module_scales_states_into_the_float_range():
 def test_ci_installs_every_declared_dependency_pinned():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
-    declared = project["dependencies"] + project["optional-dependencies"]["test"]
+    runtime, test = (
+        [re.match(r"[A-Za-z0-9_.-]+", spec).group(0).lower() for spec in specs]
+        for specs in (project["dependencies"], project["optional-dependencies"]["test"])
+    )
     workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
     pinned = {name.lower() for name in re.findall(r"([A-Za-z0-9_.-]+)==[0-9][^\s]*", workflow)}
-    names = [re.match(r"[A-Za-z0-9_.-]+", spec).group(0).lower() for spec in declared]
-    assert "mpmath" in names
-    assert [name for name in names if name not in pinned] == []
+    assert "mpmath" in test
+    # scipy is the tests' independent oracle, not a runtime dependency.
+    assert "scipy" in test and "scipy" not in runtime
+    assert [name for name in runtime + test if name not in pinned] == []
 
 
 def test_ci_job_is_bounded_and_read_only():

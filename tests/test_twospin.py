@@ -797,7 +797,7 @@ def test_transition_series_checks_route_at_every_time(monkeypatch):
     zeta = rng.normal(size=4) + 1j * rng.normal(size=4)
     times = np.linspace(0.0, 30.0, 61)
     series = transition_series(xi, zeta, params, times)
-    scale = 1.0 + abs(params.f3) + abs(params.g3) + 2.0 * abs(params.exchange)
+    scale = twospin._tolerance_scale(params)
     ratios = series.route_gaps / (scale * (1.0 + np.abs(series.amplitudes)))
     worst, runner_up = np.sort(ratios)[-1], np.sort(ratios)[-2]
     assert worst > runner_up
