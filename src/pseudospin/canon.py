@@ -8,6 +8,7 @@ antisymmetric coefficient tables and field vectors along them.
 """
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations
 from typing import TypeAlias
@@ -71,20 +72,27 @@ def verify_orthogonal(matrix: np.ndarray) -> ComplexOrthogonal:
     entries = np.array(matrix, dtype=complex)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ValueError("expected a square matrix")
-    n = entries.shape[0]
-    residual = np.max(np.abs(entries @ entries.T - np.eye(n)))
-    if residual > ORTHO_TOL:
-        raise ValueError(
-            f"orthogonality residual {residual:.3e} exceeds {ORTHO_TOL:.1e}"
-        )
-    det = np.linalg.det(entries)
-    if abs(det - 1.0) <= DET_TOL:
-        snapped = 1.0
-    elif abs(det + 1.0) <= DET_TOL:
-        snapped = -1.0
-    else:
-        raise ValueError(f"determinant {det} is not close to +1 or -1")
-    return ComplexOrthogonal(n=n, entries=entries, det=snapped)
+    return _verified(entries[None])[0]
+
+
+def _verified(stack: np.ndarray) -> list[ComplexOrthogonal]:
+    """:func:`verify_orthogonal` on each matrix of an ``(m, n, n)`` stack."""
+    n = stack.shape[-1]
+    residuals = np.max(np.abs(stack @ stack.mT - np.eye(n)), axis=(-2, -1))
+    out = []
+    for entries, residual, det in zip(stack, residuals, np.linalg.det(stack)):
+        if residual > ORTHO_TOL:
+            raise ValueError(
+                f"orthogonality residual {residual:.3e} exceeds {ORTHO_TOL:.1e}"
+            )
+        if abs(det - 1.0) <= DET_TOL:
+            snapped = 1.0
+        elif abs(det + 1.0) <= DET_TOL:
+            snapped = -1.0
+        else:
+            raise ValueError(f"determinant {det} is not close to +1 or -1")
+        out.append(ComplexOrthogonal(n=n, entries=entries, det=snapped))
+    return out
 
 
 def random_orthogonal(n: int, seed: int | None = None) -> ComplexOrthogonal:
@@ -100,19 +108,21 @@ def random_orthogonal(n: int, seed: int | None = None) -> ComplexOrthogonal:
         n: Dimension.
         seed: Seed for the underlying generator; None draws fresh entropy.
     """
-    rng = np.random.default_rng(seed)
-    real = rng.standard_normal((n, n))
-    imag = rng.standard_normal((n, n))
-    gen = 0.5 * (real - real.T) + 0.5j * (imag - imag.T)
-    norm = np.linalg.norm(gen, 2)
+    return _random_orthogonals(n, [seed])[0]
+
+
+def _random_orthogonals(n: int, seeds: Iterable[int | None]) -> list[ComplexOrthogonal]:
+    """:func:`random_orthogonal` for each seed, with stacked linear algebra."""
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    real, imag = np.moveaxis([rng.standard_normal((2, n, n)) for rng in rngs], 1, 0)
+    gen = 0.5 * (real - real.mT) + 0.5j * (imag - imag.mT)
+    norm = np.linalg.norm(gen, 2, axis=(-2, -1))
     cap = math.tanh(0.75)
-    if norm > cap:
-        gen *= cap / norm
+    over = norm > cap
+    gen[over] *= (cap / norm[over])[:, None, None]
     entries = np.linalg.solve(np.eye(n) - gen, np.eye(n) + gen)
-    if rng.random() < 0.5:
-        entries = entries.copy()
-        entries[0, :] *= -1.0
-    return verify_orthogonal(entries)
+    entries[[rng.random() < 0.5 for rng in rngs], 0, :] *= -1.0
+    return _verified(entries)
 
 
 def pushforward_field(field: FieldVector, lam: ComplexOrthogonal) -> FieldVector:

@@ -189,7 +189,7 @@ def metric_from_isomorphism(u: OperatorMatrix, eta: Metric | None = None) -> Met
     return Metric(0.5 * (rho + rho.conj().T))
 
 
-def diagnose(a: OperatorMatrix) -> Diagnosis:
+def diagnose(a: OperatorMatrix) -> Diagnosis | np.ndarray:
     """Decide whether an operator admits a positive metric, and build one.
 
     The spectrum is computed first; the operator is metric-compatible
@@ -204,36 +204,50 @@ def diagnose(a: OperatorMatrix) -> Diagnosis:
     the condition number is only a proxy, and the residual is the honest
     arbiter.
 
+    The operators may be stacked along leading axes.  Every step runs the
+    same LAPACK routine on each matrix, so a stacked entry has the bits of
+    the call on its own matrix.
+
     Args:
-        a: Operator matrix to classify.
+        a: Operator matrix to classify, shape ``(n, n)`` or ``(..., n, n)``.
 
     Returns:
-        A :class:`Diagnosis`; the metric is present exactly when
-        ``spectrum_real and diagonalizable``.
+        A :class:`Diagnosis` for one matrix; otherwise an object array of
+        the leading shape holding one per matrix.  The metric is present
+        exactly when ``spectrum_real and diagonalizable``.
     """
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError("operator must be a square matrix")
-    values, vectors = np.linalg.eig(a)
+    stack = a.reshape(-1, *a.shape[-2:])
+    values, vectors = np.linalg.eig(stack)
     order = np.lexsort((values.imag, values.real))
-    values = values[order]
-    vectors = vectors[:, order]
-    spectrum = tuple(complex(v) for v in values)
-    spectrum_real = bool(
-        all(abs(v.imag) <= REALITY_TOL * (1.0 + abs(v)) for v in spectrum)
-    )
-    cond = float(np.linalg.cond(vectors))
-    diagonalizable = bool(np.isfinite(cond) and cond <= COND_CAP)
-    if not (spectrum_real and diagonalizable):
-        return Diagnosis(spectrum, spectrum_real, diagonalizable, None)
-    vectors = vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
-    gram = vectors @ vectors.conj().T
-    rho = np.linalg.inv(gram)
+    values = np.take_along_axis(values, order, -1)
+    vectors = np.take_along_axis(vectors, order[:, None, :], -1)
+    magnitudes = np.hypot(values.real, values.imag)
+    spectrum_real = np.all(np.abs(values.imag) <= REALITY_TOL * (1.0 + magnitudes), -1)
+    cond = np.linalg.cond(vectors)
+    diagonalizable = np.isfinite(cond) & (cond <= COND_CAP)
+    ok = np.flatnonzero(spectrum_real & diagonalizable)
+    unit = vectors[ok] / np.linalg.norm(vectors[ok], axis=-2, keepdims=True)
+    rho = np.linalg.inv(unit @ unit.conj().mT)
+    candidates = dict(zip(ok.tolist(), 0.5 * (rho + rho.conj().mT)))
+    reports = np.empty(len(stack), dtype=object)
+    for k, spectrum in enumerate(values.tolist()):
+        real, diag, metric = bool(spectrum_real[k]), bool(diagonalizable[k]), None
+        if real and diag:
+            metric = _verified_metric(stack[k], candidates[k])
+            diag = metric is not None
+        reports[k] = Diagnosis(tuple(spectrum), real, diag, metric)
+    return reports[0] if a.ndim == 2 else reports.reshape(a.shape[:-2])
+
+
+def _verified_metric(a: OperatorMatrix, candidate: OperatorMatrix) -> Metric | None:
+    """The candidate metric of :func:`diagnose`, or None if it is not
+    positive-definite or fails to render ``a`` hermitian."""
     try:
-        metric = Metric(0.5 * (rho + rho.conj().T))
+        metric = Metric(candidate)
     except ValueError:
-        return Diagnosis(spectrum, spectrum_real, False, None)
+        return None
     residual_tol = METRIC_RESIDUAL_TOL * (1.0 + float(np.max(np.abs(a))))
-    if not is_rho_hermitian(a, metric, tol=residual_tol):
-        return Diagnosis(spectrum, spectrum_real, False, None)
-    return Diagnosis(spectrum, spectrum_real, True, metric)
+    return metric if is_rho_hermitian(a, metric, tol=residual_tol) else None

@@ -203,12 +203,26 @@ def correspondence_check(
     bilinearly.  The correspondence is exact when both elements have degree
     at most two; the residual is still reported outside that range.
     """
+    q_f, q_g = (_quantized_components(h, realization) for h in (f, g))
     bracket = quantize(dirac_bracket(f, g), realization)
-    q_f = [(p, quantize(part, realization)) for p, part in family_components(f).items()]
-    q_g = [(p, quantize(part, realization)) for p, part in family_components(g).items()]
-    commutator = np.zeros((realization.dim, realization.dim), dtype=complex)
+    return _bracket_residual(q_f, q_g, bracket, realization.hbar)
+
+
+#: Family-parity components of an element, each with its quantized image.
+_Parts: TypeAlias = list[tuple[tuple[int, ...], OperatorMatrix]]
+
+
+def _quantized_components(f: GrassmannElement, realization: Realization) -> _Parts:
+    """Each family-parity component of ``f`` with its :func:`quantize` image."""
+    return [(p, quantize(part, realization)) for p, part in family_components(f).items()]
+
+
+def _bracket_residual(q_f: _Parts, q_g: _Parts, bracket: OperatorMatrix, hbar: float) -> float:
+    """:func:`correspondence_check`'s residual from the quantized components
+    of ``f`` and ``g`` and the quantized Dirac bracket."""
+    commutator = np.zeros(bracket.shape, dtype=complex)
     for pf, qf in q_f:
         for pg, qg in q_g:
             sign = commutation_factor(pf, pg)
             commutator += qf @ qg - sign * qg @ qf
-    return float(np.abs(commutator - 1j * realization.hbar * bracket).max())
+    return float(np.abs(commutator - 1j * hbar * bracket).max())

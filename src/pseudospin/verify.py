@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canon import (
+    _random_orthogonals,
     pushforward_field,
-    random_orthogonal,
     transform_coefficients,
     verify_orthogonal,
 )
@@ -35,8 +35,9 @@ from .grassmann import (
 from .pseudoherm import Metric, diagnose, eta_inner, metric_from_isomorphism, rho_adjoint
 from .quantize import (
     Realization,
+    _bracket_residual,
+    _quantized_components,
     check_relations,
-    correspondence_check,
     quantize,
     tensor_realization,
 )
@@ -183,10 +184,9 @@ def check_grassmann(seed: int = 0, perturb: float = 0.0) -> GroupResult:
 
     worst = 0.0
     single = AlgebraSpec((3,))
-    for k in range(100):
+    for lam in _random_orthogonals(3, range(seed * 1000, seed * 1000 + 100)):
         g = _random_element(rng, single, max_degree=3)
         f = g + star_involution(g)
-        lam = random_orthogonal(3, seed=seed * 1000 + k)
         rho = lam.entries @ lam.entries.conj().T
         moved = transform_coefficients(f, lam)
         worst = max(worst, _element_diff(plus_involution(moved, rho), moved))
@@ -223,12 +223,15 @@ def check_correspondence(seed: int = 0, perturb: float = 0.0) -> GroupResult:
             )
     checks: list[CheckResult] = []
     for hbar in (0.5, 1.0, 2.0):
+        # correspondence_check's residual, with each monomial quantized once.
         realization = tensor_realization(AlgebraSpec((3, 3)), hbar=hbar)
+        parts = [_quantized_components(m, realization) for m in monomials]
         worst = 0.0
         for _ in range(400):
-            f = monomials[int(rng.integers(0, len(monomials)))]
-            g = monomials[int(rng.integers(0, len(monomials)))]
-            worst = max(worst, correspondence_check(f, g, realization))
+            i = int(rng.integers(0, len(monomials)))
+            j = int(rng.integers(0, len(monomials)))
+            bracket = quantize(dirac_bracket(monomials[i], monomials[j]), realization)
+            worst = max(worst, _bracket_residual(parts[i], parts[j], bracket, hbar))
         checks.append(
             CheckResult(f"bracket correspondence at hbar={hbar}", worst, 1e-12)
         )
@@ -263,8 +266,7 @@ def check_quantize(seed: int = 0, perturb: float = 0.0) -> GroupResult:
     single = AlgebraSpec((3,))
     base = tensor_realization(single, hbar=1.0)
     worst = 0.0
-    for k in range(30):
-        lam = random_orthogonal(3, seed=seed * 500 + k)
+    for lam in _random_orthogonals(3, range(seed * 500, seed * 500 + 30)):
         moved_gens = tuple(
             sum(lam.entries[k_, i] * base.gens[i] for i in range(3)) for k_ in range(3)
         )
@@ -287,23 +289,15 @@ def check_canon(seed: int = 0, perturb: float = 0.0) -> GroupResult:
     rng = np.random.default_rng(seed)
     checks: list[CheckResult] = []
 
-    worst = 0.0
-    dets = set()
-    for k in range(50):
-        lam = random_orthogonal(3, seed=seed * 200 + k)
-        worst = max(
-            worst,
-            float(np.max(np.abs(lam.entries @ lam.entries.T - np.eye(3)))),
-        )
-        dets.add(lam.det)
+    lams = _random_orthogonals(3, range(seed * 200, seed * 200 + 50))
+    entries = np.array([lam.entries for lam in lams])
+    worst = float(np.max(np.abs(entries @ entries.mT - np.eye(3))))
     checks.append(CheckResult("sampled complex orthogonality", worst, 1e-10))
-    checks.append(
-        CheckResult("both determinant components sampled", float(len(dets) != 2), 0.0)
-    )
+    unsampled = float(len({lam.det for lam in lams}) != 2)
+    checks.append(CheckResult("both determinant components sampled", unsampled, 0.0))
 
     worst = 0.0
-    for k in range(200):
-        lam = random_orthogonal(3, seed=seed * 300 + k)
+    for lam in _random_orthogonals(3, range(seed * 300, seed * 300 + 200)):
         field = rng.normal(size=3)
         moved = pushforward_field(field, lam)
         worst = max(worst, abs(complex(moved @ moved) - complex(field @ field)))
@@ -311,9 +305,9 @@ def check_canon(seed: int = 0, perturb: float = 0.0) -> GroupResult:
 
     single = AlgebraSpec((3,))
     worst = 0.0
-    for k in range(30):
-        lam1 = random_orthogonal(3, seed=seed * 400 + k)
-        lam2 = random_orthogonal(3, seed=seed * 400 + k + 7000)
+    firsts = _random_orthogonals(3, range(seed * 400, seed * 400 + 30))
+    seconds = _random_orthogonals(3, range(seed * 400 + 7000, seed * 400 + 7030))
+    for lam1, lam2 in zip(firsts, seconds):
         f = _random_element(rng, single, max_degree=3)
         once = transform_coefficients(transform_coefficients(f, lam1), lam2)
         composed = transform_coefficients(
@@ -325,44 +319,50 @@ def check_canon(seed: int = 0, perturb: float = 0.0) -> GroupResult:
     return GroupResult("canon", _inject(checks, perturb))
 
 
+def _planted_reports(draws):
+    """Conjugate each ``(plant, r)`` draw's plant by ``t = I + r``, with ``r``
+    capped at 2-norm 1/2 so that cond(t) <= 3, and diagnose the results in
+    one stack per dimension; ``(operator, diagnosis)`` pairs in draw order."""
+    out = [None] * len(draws)
+    for dim in {len(plant) for plant, _ in draws}:
+        index = [k for k, (plant, _) in enumerate(draws) if len(plant) == dim]
+        plant, r = map(np.array, zip(*(draws[k] for k in index)))
+        r *= np.minimum(1.0, 0.5 / np.linalg.norm(r, 2, axis=(-2, -1)))[:, None, None]
+        t = np.eye(dim) + r
+        a = t @ plant @ np.linalg.inv(t)
+        for k, operator, report in zip(index, a, diagnose(a)):
+            out[k] = (operator, report)
+    return out
+
+
 def check_pseudoherm(seed: int = 0, perturb: float = 0.0) -> GroupResult:
     """Metric construction, adjoint involution, isometry transport."""
     rng = np.random.default_rng(seed)
     checks: list[CheckResult] = []
 
-    worst = 0.0
-    missing = 0
+    draws = []
     for _ in range(100):
         dim = int(rng.integers(2, 6))
         r = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        r *= min(1.0, 0.5 / np.linalg.norm(r, 2))
-        t = np.eye(dim) + r  # ||r||_2 <= 1/2 keeps cond(t) <= 3.
-        plant = np.diag(0.25 + 0.5 * np.arange(dim))
-        a = t @ plant @ np.linalg.inv(t)
-        report = diagnose(a)
+        draws.append((np.diag(0.25 + 0.5 * np.arange(dim)), r))
+    worst = 0.0
+    missing = 0
+    for a, report in _planted_reports(draws):
         if report.metric is None:
             missing += 1
             continue
-        worst = max(
-            worst,
-            float(
-                np.max(np.abs(report.metric.matrix @ a - a.conj().T @ report.metric.matrix))
-            ),
-        )
+        rho = report.metric.matrix
+        worst = max(worst, float(np.max(np.abs(rho @ a - a.conj().T @ rho))))
     checks.append(CheckResult("planted real spectra yield metrics", float(missing), 0.0))
     checks.append(CheckResult("constructed metric residual", worst, 1e-9))
 
-    found = 0
+    draws = []
     for _ in range(100):
         block = np.array([[0.0, 1.0], [-1.0, 0.0]])
         dim = 2 * int(rng.integers(1, 3))
         plant = np.kron(np.eye(dim // 2), block * (0.5 + rng.uniform()))
-        r = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        r *= min(1.0, 0.5 / np.linalg.norm(r, 2))
-        t = np.eye(dim) + r  # ||r||_2 <= 1/2 keeps cond(t) <= 3.
-        report = diagnose(t @ plant @ np.linalg.inv(t))
-        if report.metric is not None:
-            found += 1
+        draws.append((plant, rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))))
+    found = sum(report.metric is not None for _, report in _planted_reports(draws))
     checks.append(CheckResult("complex plants yield no metric", float(found), 0.0))
 
     worst = 0.0
@@ -409,7 +409,7 @@ def check_twospin(seed: int = 0, perturb: float = 0.0) -> GroupResult:
         worst = max(worst, max(abs(a - b) for a, b in zip(closed, numerical)))
     checks.append(CheckResult("closed spectrum matches eigensolver", worst, 1e-10))
 
-    mismatches = 0
+    flags, operators = [], []
     for _ in range(150):
         params = TwoSpinParams(
             f3=complex(rng.normal(), rng.normal()),
@@ -419,8 +419,10 @@ def check_twospin(seed: int = 0, perturb: float = 0.0) -> GroupResult:
         report = closed_spectrum(params)
         if abs(report.threshold_margin) < 1e-6:
             continue
-        if report.pseudo_hermitian != diagnose(build_total(params)).spectrum_real:
-            mismatches += 1
+        flags.append(report.pseudo_hermitian)
+        operators.append(build_total(params))
+    reports = diagnose(np.reshape(operators, (-1, 4, 4)))
+    mismatches = sum(flag != r.spectrum_real for flag, r in zip(flags, reports))
     checks.append(CheckResult("regime flag matches diagnosis", float(mismatches), 0.0))
 
     worst = 0.0

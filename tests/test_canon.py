@@ -1,10 +1,13 @@
 """Tests for complex orthogonal transformations and transport maps."""
 
+import math
+
 import grassmann_oracle as oracle
 import numpy as np
 import pytest
 
 from pseudospin.canon import (
+    _random_orthogonals,
     pushforward_field,
     random_orthogonal,
     transform_coefficients,
@@ -108,6 +111,27 @@ def test_random_orthogonal_is_seeded_and_orthogonal():
             assert np.array_equal(lam, random_orthogonal(n, seed=seed).entries)
             assert np.max(np.abs(lam @ lam.T - np.eye(n))) <= 1e-13
             assert np.linalg.norm(lam, 2) <= np.exp(1.5) * (1.0 + 1e-12)
+
+
+def test_batched_orthogonal_draws_equal_single_draws_bit_for_bit():
+    for n in range(1, 6):
+        seeds = list(range(40)) + [98765 * 300 + k for k in range(20)]
+        batch = _random_orthogonals(n, seeds)
+        reflected = under_cap = 0
+        for seed, lam in zip(seeds, batch):
+            single = random_orthogonal(n, seed=seed)
+            assert lam.n == single.n == n
+            assert lam.entries.tobytes() == single.entries.tobytes()
+            assert lam.det == single.det
+            assert not lam.entries.flags.writeable
+            reflected += lam.det == -1.0
+            rng = np.random.default_rng(seed)
+            real, imag = rng.standard_normal((2, n, n))
+            gen = 0.5 * (real - real.T) + 0.5j * (imag - imag.T)
+            under_cap += np.linalg.norm(gen, 2) <= math.tanh(0.75)
+        assert 0 < reflected < len(seeds)
+        if n <= 2:
+            assert under_cap > 0
 
 
 def test_random_orthogonal_samples_both_determinants():

@@ -10,6 +10,7 @@ import pytest
 from scipy.linalg import expm
 
 from pseudospin.pseudoherm import (
+    COND_CAP,
     Diagnosis,
     Metric,
     diagnose,
@@ -291,6 +292,43 @@ def test_diagnose_similarity_covariance():
         moved = diagnose(t @ a @ np.linalg.inv(t))
         assert base.spectrum_real == moved.spectrum_real
         assert np.allclose(base.spectrum, moved.spectrum, atol=1e-8)
+
+
+def test_diagnose_stacked_entries_equal_single_calls_bit_for_bit():
+    # One stack of 2x2 operators reaching every branch: a metric, a complex
+    # spectrum, a Jordan block over COND_CAP, and a real spectrum whose
+    # eigenvectors pass COND_CAP but whose candidate metric is rejected.
+    rng = np.random.default_rng(13)
+    named = [
+        np.array([[0.0, 1.0], [-1.0, 0.0]]),
+        np.array([[0.0, 1.0], [0.0, 0.0]]),
+        np.array([[1.0, 1.0], [1e-14, 1.0]]),
+    ]
+    planted = []
+    for _ in range(40):
+        t = np.eye(2) + 0.3 * random_matrix(rng, 2) / 2.0
+        planted.append(t @ np.diag(rng.normal(size=2)) @ np.linalg.inv(t))
+    operators = np.array(named + planted + [random_matrix(rng, 2) for _ in range(40)])
+    stacked = diagnose(operators)
+    assert isinstance(stacked, np.ndarray) and stacked.shape == (83,)
+    assert diagnose(operators.reshape(83, 1, 2, 2)).shape == (83, 1)
+    branches = set()
+    for a, report in zip(operators, stacked):
+        single = diagnose(a)
+        assert type(single) is Diagnosis
+        assert np.array(report.spectrum).tobytes() == np.array(single.spectrum).tobytes()
+        assert (report.spectrum_real, report.diagonalizable) == (
+            single.spectrum_real, single.diagonalizable
+        )
+        assert (report.metric is None) == (single.metric is None)
+        if single.metric is not None:
+            assert report.metric.matrix.tobytes() == single.metric.matrix.tobytes()
+            assert report.metric.min_eigenvalue == single.metric.min_eigenvalue
+        cond = np.linalg.cond(np.linalg.eig(a)[1])
+        branches.add((single.spectrum_real, single.diagonalizable, bool(cond <= COND_CAP)))
+    # metric, complex, Jordan block, rejected candidate metric
+    assert {(True, True, True), (False, True, True), (True, False, False)} <= branches
+    assert (True, False, True) in branches
 
 
 # ---------------------------------------------------------------------------
