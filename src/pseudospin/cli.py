@@ -45,6 +45,7 @@ from .formats import (
 from .grassmann import constraint_reduce, star_involution
 from .quantize import tensor_realization, quantize
 from .twospin import (
+    NoMetricError,
     TwoSpinParams,
     _euclidean_norms,
     build_total,
@@ -373,11 +374,10 @@ def cmd_regime_sweep(config: Mapping[str, Any]) -> int:
 
 
 def cmd_evolve(config: Mapping[str, Any]) -> int:
-    """Amplitude, probability, and deformed norm over the time grid."""
+    """Amplitude, probability, and deformed norm; canonical where no metric exists."""
     params = _params_from(
         config["b"], (config["alpha1"], config["alpha2"]), config["j"]
     )
-    report = closed_spectrum(params)
     try:
         xi, zeta = (
             np.array([0.0, 1.0, 0.0, 0.0], dtype=complex) if config[key] is None
@@ -386,29 +386,25 @@ def cmd_evolve(config: Mapping[str, Any]) -> int:
         )
     except ValueError as exc:
         raise CliError(f"bad state vector file: {exc}") from exc
-    if xi.shape != (4,) or zeta.shape != (4,):
-        raise CliError("state vectors must have four components")
     times = np.linspace(config["t_start"], config["t_end"], config["t_steps"])
-    if report.pseudo_hermitian:
-        try:
-            series = transition_series(xi, zeta, params, times)
-        except (ValueError, RuntimeError) as exc:
-            raise CliError(str(exc)) from exc
+    try:
+        series = transition_series(xi, zeta, params, times)
         amplitudes, probabilities, norms = (
             series.amplitudes, series.probabilities, series.rho_norms
         )
-    elif config["allow_dissipative"]:
+    except NoMetricError as exc:
+        if not config["allow_dissipative"]:
+            raise CliError(
+                f"{exc}; pass --allow-dissipative for canonical-norm output"
+            ) from exc
         evolved = evolve(build_total(params), times, zeta)
         probabilities = np.full(times.size, np.nan)
         # A value past the float range reads inf, inf / inf entries nan.
         with np.errstate(over="ignore", invalid="ignore"):
             amplitudes = np.matmul(xi.conj(), evolved[:, :, None])[:, 0]
             norms = _euclidean_norms(evolved)
-    else:
-        raise CliError(
-            "parameters violate the pseudo-hermiticity conditions; "
-            "pass --allow-dissipative for canonical-norm output"
-        )
+    except (ValueError, RuntimeError) as exc:
+        raise CliError(str(exc)) from exc
     finite = np.isfinite(amplitudes) & np.isfinite(norms)
     if not finite.all():
         raise CliError(f"amplitude or norm overflows at t={times[~finite][0]:.6g}")

@@ -54,6 +54,10 @@ _SIGMA_SIGMA = tuple(np.kron(sigma, sigma) for sigma in PAULI)
 _TOTAL_SZ = np.array([1, 0, 0, -1])
 
 
+class NoMetricError(ValueError):
+    """No positive metric exists: outside the regime or at the exceptional point."""
+
+
 @dataclass(frozen=True)
 class TwoSpinParams:
     """Parameters of the two-spin model with parallel complex z-fields.
@@ -324,7 +328,7 @@ def damping_threshold(exchange: float, alpha: float) -> float:
 def _require_regime(params: TwoSpinParams) -> RegimeReport:
     report = closed_spectrum(params)
     if not report.pseudo_hermitian:
-        raise ValueError(
+        raise NoMetricError(
             "parameters violate the reality conditions "
             f"(f_plus={params.f_plus}, f_minus^2={params.f_minus**2}, "
             f"margin={report.threshold_margin})"
@@ -349,7 +353,7 @@ def hermitian_counterpart(params: TwoSpinParams) -> HermitianCounterpart:
         A :class:`HermitianCounterpart` with the matrix and its fields.
 
     Raises:
-        ValueError: If the reality conditions fail.
+        NoMetricError: If the reality conditions fail.
     """
     report = _require_regime(params)
     root = math.copysign(
@@ -380,9 +384,8 @@ def paper_isomorphism(params: TwoSpinParams) -> Isomorphism:
         An :class:`Isomorphism` pair (u, rho).
 
     Raises:
-        ValueError: If the reality conditions fail, the field difference
-            has a real part, the coupling vanishes, or the parameters sit
-            at the exceptional point.
+        NoMetricError: If the reality conditions fail or at the exceptional point.
+        ValueError: If the field difference has a real part or J vanishes.
         RuntimeError: If a verified postcondition fails numerically.
     """
     report = _require_regime(params)
@@ -395,7 +398,7 @@ def paper_isomorphism(params: TwoSpinParams) -> Isomorphism:
     if params.exchange == 0.0:
         raise ValueError("isomorphism construction requires a nonzero coupling")
     if report.threshold_margin <= REGIME_TOL * scale * scale:
-        raise ValueError("parameters sit at the exceptional point; no metric exists")
+        raise NoMetricError("parameters sit at the exceptional point; no metric exists")
     j = params.exchange
     root = math.copysign(float(np.sqrt(report.threshold_margin)), j)
     u = np.eye(4, dtype=complex)
@@ -537,12 +540,12 @@ def transition_series(
         and the deformed norm of the evolved source state.
 
     Raises:
+        NoMetricError: If the reality conditions fail or at the exceptional
+            point on the dissipative branch; both shapes are checked first.
         ValueError: If a state's shape is not ``(4,)`` (the message names
-            the state), the reality conditions fail, the parameters sit at
-            the exceptional point on the dissipative branch, a state's
-            deformed norm is not positive and finite, ``times`` is not 1-D,
-            or an amplitude leaves the float range (the message names the
-            first such time).
+            the state), a state's deformed norm is not positive and finite,
+            ``times`` is not 1-D, or an amplitude leaves the float range
+            (the message names the first such time).
         RuntimeError: If the two evaluation routes disagree, or the gap is
             nan, at any time; the message names the first such time.
     """

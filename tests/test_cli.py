@@ -7,6 +7,7 @@ spectrum, interaction builder, deformed inner product).
 """
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -18,6 +19,8 @@ from collections.abc import Mapping
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pseudospin import cli
 from pseudospin.cli import (
@@ -30,11 +33,13 @@ from pseudospin.cli import (
 from pseudospin.formats import vector_to_json
 from pseudospin.pseudoherm import eta_inner
 from pseudospin.twospin import (
+    NoMetricError,
     TwoSpinParams,
     build_total,
     damping_threshold,
     evolve,
     paper_isomorphism,
+    transition_series,
 )
 from pseudospin.verify import GROUPS
 
@@ -446,12 +451,6 @@ def test_regime_flag_and_evolve_agree_off_the_branches(capsys):
     assert "--allow-dissipative" in err
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 2: at B = B_max the regime flag says pseudo-hermitian "
-    "while evolve, even with --allow-dissipative, takes the metric route, "
-    "which has no metric at the exceptional point",
-)
 @pytest.mark.parametrize("alpha", ["0.5", "-0.5"])
 def test_evolve_has_a_route_at_the_exceptional_point(capsys, alpha):
     # J = 1, alpha = +-0.5 puts B_max at 2.5 exactly.
@@ -462,6 +461,65 @@ def test_evolve_has_a_route_at_the_exceptional_point(capsys, alpha):
     code, out, _ = run(capsys, "evolve", *args, "--t-steps", "3", "--allow-dissipative")
     assert code == 0
     assert all(row["probability"] == "nan" for row in parse_csv(out))
+
+
+@pytest.mark.parametrize("alpha", ["0.5", "-0.5"])
+def test_evolve_at_the_exceptional_point_asks_for_the_flag(capsys, alpha):
+    # The regime flag is set at B = B_max, but no metric exists there.
+    args = ["--J", "1", "--B", "2.5", "--alpha1", alpha, "--alpha2", f"{-float(alpha)}"]
+    code, out, err = run(capsys, "evolve", *args, "--t-steps", "3")
+    assert (code, out) == (1, "")
+    (line,) = err.splitlines()
+    assert line.startswith("pseudospin: error: ")
+    assert "exceptional point" in line
+    assert "--allow-dissipative" in line
+
+
+def run_quietly(*args):
+    """``main(args)`` with its stdout and stderr captured, for hypothesis tests."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(args))
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def near_the_exceptional_point(draw):
+    """(J, B, alpha): B within a relative 3e-9 of B_max, or on the alpha = 0 axis."""
+    j = draw(st.floats(0.1, 10.0)) * draw(st.sampled_from([1.0, -1.0]))
+    alpha = draw(st.floats(0.05, 20.0)) * draw(st.sampled_from([1.0, -1.0, 0.0]))
+    base = abs(j) if alpha == 0.0 else damping_threshold(abs(j), alpha)
+    return j, base * (1.0 + draw(st.integers(-30, 30)) * 1e-10), alpha
+
+
+@settings(deadline=None, max_examples=40, derandomize=True)
+@example((1.0, 2.5, 0.5))
+@example((1.0, 2.5, -0.5))
+@example((1.0, 2.5 * (1.0 - 1e-8), 0.5))  # a RuntimeError (ROADMAP item 2)
+@example((1.0, 4.0, 1.0))  # well outside the regime
+@given(near_the_exceptional_point())
+def test_evolve_routes_as_transition_series_does(point):
+    j, b, alpha = point
+    args = [
+        "evolve", f"--J={j!r}", f"--B={b!r}", f"--alpha1={alpha!r}",
+        f"--alpha2={-alpha!r}", "--t-steps", "3",
+    ]
+    plain = run_quietly(*args)
+    flagged = run_quietly(*args, "--allow-dissipative")
+    state = np.array([0, 1, 0, 0], dtype=complex)
+    params = TwoSpinParams.from_gilbert(b, alpha, -alpha, j)
+    try:
+        transition_series(state, state, params, np.linspace(0.0, 10.0, 3))
+    except NoMetricError as exc:
+        hint = "; pass --allow-dissipative for canonical-norm output"
+        assert plain == (1, "", f"pseudospin: error: {exc}{hint}\n")
+        assert flagged[0::2] == (0, "")
+        assert all(row["probability"] == "nan" for row in parse_csv(flagged[1]))
+    except (ValueError, RuntimeError) as exc:
+        assert plain == flagged == (1, "", f"pseudospin: error: {exc}\n")
+    else:
+        assert plain[0] == 0
+        assert flagged == plain
 
 
 def test_sweep_nonpositive_field_is_a_typed_error(capsys):
@@ -569,6 +627,19 @@ def huge_state_args(tmp_path, flag, entry):
     path = tmp_path / f"{flag}.json"
     path.write_text(json.dumps([{"re": entry, "im": 0.0}] * 4))
     return [f"--{flag}", str(path)]
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(TOY, id="metric-route"),
+    pytest.param([*BEYOND, "--allow-dissipative"], id="canonical-route"),
+])
+@pytest.mark.parametrize("flag", ["xi", "zeta"])
+def test_evolve_names_a_state_of_the_wrong_shape(tmp_path, capsys, args, flag):
+    path = tmp_path / f"{flag}.json"
+    path.write_text(json.dumps(vector_to_json(np.ones(3))))
+    code, out, err = run(capsys, "evolve", *args, "--t-steps", "3", f"--{flag}", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"pseudospin: error: {flag} must have shape (4,), got (3,)\n"
 
 
 @pytest.mark.parametrize("args, states", [

@@ -24,6 +24,7 @@ from pseudospin import twospin
 from pseudospin.quantize import PAULI, quantize, tensor_realization
 from pseudospin.twospin import (
     CanonicalLimitReport,
+    NoMetricError,
     TwoSpinParams,
     build_total,
     canonical_limit_check,
@@ -612,6 +613,29 @@ def test_paper_isomorphism_rejections():
     b_max = damping_threshold(1.0, 0.5)
     with pytest.raises(ValueError):
         paper_isomorphism(toy_params(b_max, 0.5))  # exceptional point
+
+
+def test_no_metric_error_marks_exactly_the_points_without_a_metric():
+    beyond, at_ep = toy_params(5.0, 0.5), toy_params(damping_threshold(1.0, 0.5), 0.5)
+    state, times = np.array([0, 1, 0, 0], dtype=complex), np.linspace(0.0, 1.0, 3)
+    with pytest.raises(NoMetricError, match="reality conditions"):
+        hermitian_counterpart(beyond)
+    for params, message in ((beyond, "reality conditions"), (at_ep, "exceptional point")):
+        with pytest.raises(NoMetricError, match=message):
+            paper_isomorphism(params)
+        with pytest.raises(NoMetricError, match=message):
+            transition_series(state, state, params, times)
+        # Both shapes are checked before the regime.
+        with pytest.raises(ValueError, match=r"^zeta must have shape") as caught:
+            transition_series(state, state[:3], params, times)
+        assert not isinstance(caught.value, NoMetricError)
+    for params in (
+        TwoSpinParams(f3=1.2, g3=0.4, exchange=1.0),  # real f_minus
+        TwoSpinParams(f3=0.5, g3=0.5, exchange=0.0),  # no coupling
+    ):
+        with pytest.raises(ValueError) as caught:
+            paper_isomorphism(params)
+        assert not isinstance(caught.value, NoMetricError)
 
 
 # ---------------------------------------------------------------------------
