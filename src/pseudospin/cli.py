@@ -101,7 +101,9 @@ _OPTIONS: _Options = {
     "xi": (None, "bra state vector JSON path"),
     "zeta": (None, "ket state vector JSON path"),
     "allow_dissipative": (
-        False, "run outside the pseudo-hermitian regime (canonical norms)"
+        False,
+        "run where no metric exists (outside the regime or at the exceptional"
+        " point) with canonical norms",
     ),
     "element": (None, "Grassmann element JSON path"),
     "check": (False, "verify hermiticity of the output for star-real input"),

@@ -176,17 +176,17 @@ def check_relations(realization: Realization) -> float:
     Same-family pairs must close on ``hbar delta_ij`` under the
     anticommutator; cross-family pairs must commute.
     """
-    pairs = list(zip(realization.algebra.coordinates(), realization.gens))
+    # One generator row at a time: no intermediate outgrows the image stack.
+    gens = np.array(realization.gens)
+    families = np.array([g.family for g in realization.algebra.coordinates()])
     identity = np.eye(realization.dim)
     worst = 0.0
-    for a, qa in pairs:
-        for b, qb in pairs:
-            if a.family == b.family:
-                target = realization.hbar * identity if a == b else 0.0
-                residual = np.max(np.abs(qa @ qb + qb @ qa - target))
-            else:
-                residual = np.max(np.abs(qa @ qb - qb @ qa))
-            worst = max(worst, float(residual))
+    for a, qa in enumerate(gens):
+        left, right = qa @ gens, gens @ qa
+        anti = left + right
+        anti[a] -= realization.hbar * identity
+        residual = np.where((families == families[a])[:, None, None], anti, left - right)
+        worst = max(worst, float(np.abs(residual).max()))
     return worst
 
 
@@ -219,7 +219,11 @@ def _quantized_components(f: GrassmannElement, realization: Realization) -> _Par
 
 def _bracket_residual(q_f: _Parts, q_g: _Parts, bracket: OperatorMatrix, hbar: float) -> float:
     """:func:`correspondence_check`'s residual from the quantized components
-    of ``f`` and ``g`` and the quantized Dirac bracket."""
+    of ``f`` and ``g`` and the quantized Dirac bracket.
+
+    Images and brackets may be ``(..., d, d)`` stacks, each part's stack
+    under one parity; the residual is then the largest over the stack.
+    """
     commutator = np.zeros(bracket.shape, dtype=complex)
     for pf, qf in q_f:
         for pg, qg in q_g:

@@ -415,25 +415,32 @@ def paper_isomorphism(params: TwoSpinParams) -> Isomorphism:
 
 
 def _require_sz_conserving(hamiltonian: OperatorMatrix) -> None:
-    if np.any(hamiltonian[_TOTAL_SZ[:, None] != _TOTAL_SZ]):
+    if np.any(hamiltonian[..., _TOTAL_SZ[:, None] != _TOTAL_SZ]):
         raise ValueError("Hamiltonian must conserve total S_z (1+2+1 blocks)")
 
 
-def matched_eigenvalues(hamiltonian: OperatorMatrix, closed: tuple) -> np.ndarray:
+def matched_eigenvalues(hamiltonian: OperatorMatrix, closed: tuple | np.ndarray) -> np.ndarray:
     """The eigensolver's eigenvalues in ``closed``'s order E1p, E1m, E2p, E2m.
 
     Each goes by its eigenvector's total-S_z sector: +1 to E2p, -1 to E2m,
     and the middle pair in whichever order lies closer to (E1p, E1m), the
-    eigensolver's on a tie.  A matrix linking sectors raises ValueError.
+    eigensolver's on a tie.  Takes ``(..., 4, 4)`` Hamiltonians with
+    ``(..., 4)`` closed-form labels and returns ``(..., 4)``; each entry of
+    a stack has the bits of its own single call.  A stack holding a matrix
+    that links sectors raises ValueError.
     """
     _require_sz_conserving(np.asarray(hamiltonian))
     values, vectors = np.linalg.eig(hamiltonian)
-    sectors = _TOTAL_SZ[np.argmax(np.abs(vectors), axis=0)]
-    minus, first, second, plus = values[np.argsort(sectors, kind="stable")]
-    e1p, e1m = closed[:2]
-    if abs(second - e1p) + abs(first - e1m) < abs(first - e1p) + abs(second - e1m):
-        first, second = second, first
-    return np.array([first, second, plus, minus])
+    sectors = _TOTAL_SZ[np.argmax(np.abs(vectors), axis=-2)]
+    # Sorted by sector (-1, 0, 0, +1), then taken as the middle pair, +1, -1.
+    order = np.argsort(sectors, axis=-1, kind="stable")[..., [1, 2, 3, 0]]
+    matched = np.take_along_axis(values, order, -1)
+    pair, labels = matched[..., :2], np.asarray(closed)[..., :2]
+    # np.hypot, not np.abs: it has the bits of abs() on a numpy complex scalar.
+    d = np.array([pair - labels, pair[..., ::-1] - labels])
+    kept, swapped = np.hypot(d.real, d.imag).sum(-1)
+    matched[..., :2] = np.where((swapped < kept)[..., None], pair[..., ::-1], pair)
+    return matched
 
 
 def evolve(

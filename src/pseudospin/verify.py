@@ -43,6 +43,7 @@ from .quantize import (
 )
 from .twospin import (
     TwoSpinParams,
+    _build_sz_conserving,
     build_total,
     closed_spectrum,
     damping_threshold,
@@ -173,13 +174,14 @@ def check_grassmann(seed: int = 0, perturb: float = 0.0) -> GroupResult:
     worst = 0.0
     gens = list(algebra.coordinates()) + list(algebra.momenta())
     sample = [GrassmannElement.from_generator(algebra, g) for g in gens[:6]]
-    for a in sample:
-        for b in sample:
-            for c in sample:
-                total = GrassmannElement.zero(algebra)
-                for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                    total = total + dirac_bracket(x, dirac_bracket(y, z))
-                worst = max(worst, _element_diff(total, GrassmannElement.zero(algebra)))
+    # Each bracket once: {y, z}_D for every pair, then {x, {y, z}_D}_D.
+    inner = {(y, z): dirac_bracket(sample[y], sample[z]) for y in range(6) for z in range(6)}
+    outer = {(x, *yz): dirac_bracket(sample[x], inner[yz]) for x in range(6) for yz in inner}
+    for a, b, c in outer:
+        total = GrassmannElement.zero(algebra)
+        for xyz in ((a, b, c), (b, c, a), (c, a, b)):
+            total = total + outer[xyz]
+        worst = max(worst, _element_diff(total, GrassmannElement.zero(algebra)))
     checks.append(CheckResult("graded Jacobi identity (Dirac)", worst, 1e-12))
 
     worst = 0.0
@@ -224,14 +226,22 @@ def check_correspondence(seed: int = 0, perturb: float = 0.0) -> GroupResult:
     checks: list[CheckResult] = []
     for hbar in (0.5, 1.0, 2.0):
         # correspondence_check's residual, with each monomial quantized once.
+        # Every monomial is a single family-parity component, so the draws
+        # stack by commutation sign, each stack under its first draw's parities.
         realization = tensor_realization(AlgebraSpec((3, 3)), hbar=hbar)
         parts = [_quantized_components(m, realization) for m in monomials]
-        worst = 0.0
+        stacks: dict[int, tuple] = {}
         for _ in range(400):
             i = int(rng.integers(0, len(monomials)))
             j = int(rng.integers(0, len(monomials)))
             bracket = quantize(dirac_bracket(monomials[i], monomials[j]), realization)
-            worst = max(worst, _bracket_residual(parts[i], parts[j], bracket, hbar))
+            [(pf, qf)], [(pg, qg)] = parts[i], parts[j]
+            sign = commutation_factor(pf, pg)
+            stacks.setdefault(sign, (pf, pg, []))[2].append((qf, qg, bracket))
+        worst = 0.0
+        for pf, pg, draws in stacks.values():
+            qf, qg, brackets = map(np.array, zip(*draws))
+            worst = max(worst, _bracket_residual([(pf, qf)], [(pg, qg)], brackets, hbar))
         checks.append(
             CheckResult(f"bracket correspondence at hbar={hbar}", worst, 1e-12)
         )
@@ -392,36 +402,43 @@ def check_pseudoherm(seed: int = 0, perturb: float = 0.0) -> GroupResult:
     return GroupResult("pseudoherm", _inject(checks, perturb))
 
 
+def _random_params(rng) -> TwoSpinParams:
+    return TwoSpinParams(
+        f3=complex(rng.normal(), rng.normal()),
+        g3=complex(rng.normal(), rng.normal()),
+        exchange=float(rng.normal()),
+    )
+
+
+def _build_totals(draws: list[TwoSpinParams]) -> np.ndarray:
+    """:func:`build_total` of each draw, as one ``(k, 4, 4)`` stack."""
+    f3, g3, j = (
+        np.reshape([getattr(p, name) for p in draws], (-1, 1, 1))
+        for name in ("f3", "g3", "exchange")
+    )
+    return _build_sz_conserving(f3, g3, (j, j, j))
+
+
 def check_twospin(seed: int = 0, perturb: float = 0.0) -> GroupResult:
     """Model spectra, regime equivalence, similarity, metric dynamics."""
     rng = np.random.default_rng(seed)
     checks: list[CheckResult] = []
 
-    worst = 0.0
-    for _ in range(200):
-        params = TwoSpinParams(
-            f3=complex(rng.normal(), rng.normal()),
-            g3=complex(rng.normal(), rng.normal()),
-            exchange=float(rng.normal()),
-        )
-        closed = closed_spectrum(params).eigenvalues
-        numerical = matched_eigenvalues(build_total(params), closed)
-        worst = max(worst, max(abs(a - b) for a, b in zip(closed, numerical)))
+    draws = [_random_params(rng) for _ in range(200)]
+    closed = np.array([closed_spectrum(params).eigenvalues for params in draws])
+    gaps = closed - matched_eigenvalues(_build_totals(draws), closed)
+    worst = float(np.hypot(gaps.real, gaps.imag).max())
     checks.append(CheckResult("closed spectrum matches eigensolver", worst, 1e-10))
 
-    flags, operators = [], []
+    flags, kept = [], []
     for _ in range(150):
-        params = TwoSpinParams(
-            f3=complex(rng.normal(), rng.normal()),
-            g3=complex(rng.normal(), rng.normal()),
-            exchange=float(rng.normal()),
-        )
+        params = _random_params(rng)
         report = closed_spectrum(params)
         if abs(report.threshold_margin) < 1e-6:
             continue
         flags.append(report.pseudo_hermitian)
-        operators.append(build_total(params))
-    reports = diagnose(np.reshape(operators, (-1, 4, 4)))
+        kept.append(params)
+    reports = diagnose(_build_totals(kept))
     mismatches = sum(flag != r.spectrum_real for flag, r in zip(flags, reports))
     checks.append(CheckResult("regime flag matches diagnosis", float(mismatches), 0.0))
 

@@ -1171,7 +1171,8 @@ _FLAGS = {flag[1]: flag for flag in [
     (("--j-steps",), "j_steps", "_StoreAction", None,
      "grid over J; 0 keeps --J fixed"),
     (("--allow-dissipative",), "allow_dissipative", "_StoreTrueAction", None,
-     "run outside the pseudo-hermitian regime (canonical norms)"),
+     "run where no metric exists (outside the regime or at the exceptional"
+     " point) with canonical norms"),
     (("--t-end",), "t_end", "_StoreAction", None, None),
     (("--t-start",), "t_start", "_StoreAction", None, None),
     (("--t-steps",), "t_steps", "_StoreAction", None, None),

@@ -24,6 +24,8 @@ from pseudospin.grassmann import (
 from pseudospin.quantize import (
     PAULI,
     Realization,
+    _bracket_residual,
+    _quantized_components,
     check_relations,
     correspondence_check,
     quantize,
@@ -63,6 +65,63 @@ def test_clifford_relations_across_structures(sizes, dim):
     assert real.dim == dim
     # Same-family pairs anticommute to hbar*delta, cross-family pairs commute.
     assert check_relations(real) <= 1e-15
+
+
+def pairwise_relations(realization):
+    """Reference residual: one anticommutator or commutator per pair."""
+    pairs = list(zip(realization.algebra.coordinates(), realization.gens))
+    identity = np.eye(realization.dim)
+    worst = 0.0
+    for a, qa in pairs:
+        for b, qb in pairs:
+            if a.family == b.family:
+                target = realization.hbar * identity if a == b else 0.0
+                residual = np.max(np.abs(qa @ qb + qb @ qa - target))
+            else:
+                residual = np.max(np.abs(qa @ qb - qb @ qa))
+            worst = max(worst, float(residual))
+    return worst
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["scaled", "mixed"])
+@pytest.mark.parametrize("hbar", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize(
+    "sizes", [(1,), (3,), (5,), (2, 4), (3, 3), (1, 2, 3)], ids=str
+)
+def test_relations_locate_a_faulty_last_generator(sizes, hbar, mixed):
+    # The stacked rows must reduce over the right axes.  Scaling the last
+    # image by 1 + 1e-6 shows on its own diagonal pair; mixing in 1e-6 of
+    # the first image shows on the off-diagonal pairs with the first.
+    base = tensor_realization(AlgebraSpec(sizes), hbar=hbar)
+    last = base.gens[-1] * (1 + 1e-6) if not mixed else base.gens[-1] + 1e-6 * base.gens[0]
+    faulty = Realization(base.algebra, base.hbar, base.dim, base.gens[:-1] + (last,))
+    residual = check_relations(faulty)
+    assert residual == pairwise_relations(faulty)
+    assert residual > 1e-7 * hbar
+
+
+def test_stacked_bracket_residual_locates_a_perturbed_bracket():
+    real = tensor_realization(AlgebraSpec((3, 3)), hbar=2.0)
+    pairs = [(XI[0], XI[0]), (XI[0], XI[1]), (XI[1], XI[2]), (XI[2], XI[0]), (XI[1], XI[1])]
+    parts_f, parts_g, brackets = [], [], []
+    for a, b in pairs:
+        [(pf, qf)] = _quantized_components(elem(a), real)
+        [(pg, qg)] = _quantized_components(elem(b), real)
+        parts_f.append(qf)
+        parts_g.append(qg)
+        brackets.append(quantize(dirac_bracket(elem(a), elem(b)), real))
+    brackets = np.array(brackets)
+    brackets[2, 1, 3] += 1e-3
+    singles = [
+        _bracket_residual([(pf, f)], [(pg, g)], bracket, real.hbar)
+        for f, g, bracket in zip(parts_f, parts_g, brackets)
+    ]
+    stacked = _bracket_residual(
+        [(pf, np.array(parts_f))], [(pg, np.array(parts_g))], brackets, real.hbar
+    )
+    assert max(singles[:2] + singles[3:]) <= 1e-12
+    assert stacked == max(singles) == singles[2]
+    assert stacked == pytest.approx(2e-3, rel=1e-9)
 
 
 def test_realization_respects_hbar_scale():

@@ -406,6 +406,50 @@ def test_matched_eigenvalues_at_cross_sector_ties(amplitude, middle, corner, col
     assert matched[3] == corner
 
 
+# Parameter sets for the stacked matcher: the two cross-sector ties above,
+# integer-valued fields and couplings (ties between sectors are common), and
+# fractions of eighths at scales 1e-6 to 1e6.
+_SMALL = st.integers(-3, 3)
+_EIGHTHS = st.integers(-16, 16).map(lambda k: k / 8.0)
+matcher_params = st.one_of(
+    st.sampled_from([(1e-300, 0.0, 0.0, 1.0), (2.0, 0.0, 0.0, 1.0)]).map(
+        lambda args: TwoSpinParams.from_gilbert(*args)
+    ),
+    st.builds(
+        lambda a, b, c, d, j: TwoSpinParams(complex(a, b), complex(c, d), j),
+        _SMALL, _SMALL, _SMALL, _SMALL, _SMALL,
+    ),
+    st.builds(
+        lambda s, a, b, c, d, j: TwoSpinParams(
+            s * complex(a, b), s * complex(c, d), s * j
+        ),
+        st.integers(-6, 6).map(lambda e: 10.0**e),
+        _EIGHTHS, _EIGHTHS, _EIGHTHS, _EIGHTHS, _EIGHTHS,
+    ),
+)
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(st.lists(matcher_params, min_size=1, max_size=8), st.data())
+def test_stacked_matcher_matches_single_calls(draws, data):
+    hamiltonians = np.array([build_total(p) for p in draws])
+    closed = np.array([closed_spectrum(p).eigenvalues for p in draws])
+    singles = [matched_eigenvalues(h, c) for h, c in zip(hamiltonians, closed)]
+    assert all(single.shape == (4,) for single in singles)
+    stacked = matched_eigenvalues(hamiltonians, closed)
+    assert stacked.shape == (len(draws), 4)
+    assert stacked.tobytes() == np.array(singles).tobytes()
+    # One sector-linking entry anywhere in the stack is refused.
+    k = data.draw(st.integers(0, len(draws) - 1))
+    row, col = data.draw(st.sampled_from(
+        [(r, c) for r in range(4) for c in range(4)
+         if twospin._TOTAL_SZ[r] != twospin._TOTAL_SZ[c]]
+    ))
+    hamiltonians[k, row, col] = 1e-300
+    with pytest.raises(ValueError, match="total S_z"):
+        matched_eigenvalues(hamiltonians, closed)
+
+
 def test_matched_eigenvalues_reject_a_matrix_linking_sectors():
     hamiltonian = build_total(toy_params(1.0, 0.5))
     hamiltonian[0, 3] = 1e-300
