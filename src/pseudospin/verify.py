@@ -103,33 +103,56 @@ def _element_diff(left: GrassmannElement, right: GrassmannElement) -> float:
     )
 
 
-def _random_element(rng, algebra, max_terms=4, max_degree=3):
+def _from_term_runs(algebra, terms, sizes):
+    """One element from each run of ``sizes`` consecutive terms."""
+    ends = np.cumsum(sizes).tolist()
+    return [GrassmannElement.from_terms(algebra, terms[a:b]) for a, b in zip([0, *ends], ends)]
+
+
+def _random_elements(rng, algebra, count, max_terms=4, max_degree=3):
+    """``count`` elements of 1 to ``max_terms`` terms, all drawn as arrays:
+    each term has 0 to ``max_degree`` distinct generators (a row-wise argsort
+    of uniforms, cut to the term's degree) and a coefficient in
+    [-3, 3] + i[-3, 3]."""
     gens = list(algebra.coordinates()) + list(algebra.momenta())
-    terms = []
-    for _ in range(int(rng.integers(1, max_terms + 1))):
-        degree = int(rng.integers(0, max_degree + 1))
-        word = [gens[int(k)] for k in rng.choice(len(gens), size=degree, replace=False)]
-        coefficient = complex(int(rng.integers(-3, 4)), int(rng.integers(-3, 4)))
-        terms.append((tuple(word), coefficient))
-    return GrassmannElement.from_terms(algebra, terms)
+    if max_degree > len(gens):
+        raise ValueError(f"max_degree {max_degree} exceeds the {len(gens)} generators")
+    sizes = rng.integers(1, max_terms + 1, size=count)
+    total = int(sizes.sum())
+    degrees = rng.integers(0, max_degree + 1, size=total).tolist()
+    real, imag = rng.integers(-3, 4, size=(2, total)).tolist()
+    words = np.argsort(rng.random((total, len(gens))), axis=1).tolist()
+    terms = [
+        (tuple(gens[k] for k in word[:degree]), complex(re, im))
+        for word, degree, re, im in zip(words, degrees, real, imag)
+    ]
+    return _from_term_runs(algebra, terms, sizes)
 
 
 def _random_family_homogeneous(rng, algebra, parities):
-    words = []
-    for _ in range(int(rng.integers(1, 3))):
-        word = []
-        for family, parity in enumerate(parities):
-            size = int(parity + 2 * rng.integers(0, 2))
-            pool = [g for g in algebra.coordinates() if g.family == family]
-            pool += [g for g in algebra.momenta() if g.family == family]
-            size = min(size, len(pool))
-            if size % 2 != parity:
-                size -= 1
-            picks = rng.choice(len(pool), size=size, replace=False)
-            word.extend(pool[int(k)] for k in picks)
-        coefficient = complex(int(rng.integers(-3, 4)), int(rng.integers(-3, 4)))
-        words.append((tuple(word), coefficient))
-    return GrassmannElement.from_terms(algebra, words)
+    """One element per row of ``parities`` (shape ``(count, families)``), all
+    drawn as arrays: 1 or 2 terms, each with the row's degree parity in every
+    family and a coefficient in [-3, 3] + i[-3, 3]."""
+    gens = list(algebra.coordinates()) + list(algebra.momenta())
+    pools = [[g for g in gens if g.family == f] for f in range(len(algebra.family_sizes))]
+    sizes = rng.integers(1, 3, size=len(parities))
+    rows = np.repeat(parities, sizes, axis=0)
+    degrees = rows + 2 * rng.integers(0, 2, size=rows.shape)
+    degrees = np.minimum(degrees, [len(pool) for pool in pools])
+    degrees -= degrees % 2 != rows
+    real, imag = rng.integers(-3, 4, size=(2, len(rows))).tolist()
+    picks = [np.argsort(rng.random((len(rows), len(pool))), axis=1).tolist() for pool in pools]
+    terms = []
+    for t, (degree, re, im) in enumerate(zip(degrees.tolist(), real, imag)):
+        word = [pool[k] for pool, pick, d in zip(pools, picks, degree) for k in pick[t][:d]]
+        terms.append((tuple(word), complex(re, im)))
+    return _from_term_runs(algebra, terms, sizes)
+
+
+def _gaussian(rng, *shape):
+    """A block of standard complex normals, both parts drawn in one call."""
+    real, imag = rng.normal(size=(2, *shape))
+    return real + 1j * imag
 
 
 def check_grassmann(seed: int = 0, perturb: float = 0.0) -> GroupResult:
@@ -139,29 +162,23 @@ def check_grassmann(seed: int = 0, perturb: float = 0.0) -> GroupResult:
     checks: list[CheckResult] = []
 
     worst = 0.0
-    for _ in range(40):
-        f = _random_element(rng, algebra)
-        g = _random_element(rng, algebra)
-        h = _random_element(rng, algebra)
+    elements = _random_elements(rng, algebra, 120)
+    for f, g, h in zip(elements[:40], elements[40:80], elements[80:]):
         worst = max(worst, _element_diff((f * g) * h, f * (g * h)))
         worst = max(worst, _element_diff((f + g) * h, f * h + g * h))
     checks.append(CheckResult("product associativity and bilinearity", worst, 1e-12))
 
     coordinate_only = AlgebraSpec((3, 3))
     worst = 0.0
-    for _ in range(40):
-        f = _random_element(rng, algebra)
+    elements = _random_elements(rng, algebra, 40) + _random_elements(rng, coordinate_only, 40)
+    for f, h in zip(elements[:40], elements[40:]):
         worst = max(worst, _element_diff(star_involution(star_involution(f)), f))
-        h = _random_element(rng, coordinate_only)
         worst = max(worst, _element_diff(plus_involution(h, np.eye(6)), star_involution(h)))
     checks.append(CheckResult("star involution and plus at identity", worst, 1e-12))
 
     worst = 0.0
-    for _ in range(30):
-        parities_f = (int(rng.integers(0, 2)), int(rng.integers(0, 2)))
-        parities_g = (int(rng.integers(0, 2)), int(rng.integers(0, 2)))
-        f = _random_family_homogeneous(rng, algebra, parities_f)
-        g = _random_family_homogeneous(rng, algebra, parities_g)
+    elements = _random_family_homogeneous(rng, algebra, rng.integers(0, 2, size=(60, 2)))
+    for f, g in zip(elements[:30], elements[30:]):
         if f.is_zero() or g.is_zero():
             continue
         eps = commutation_factor(f.family_parity, g.family_parity)
@@ -186,8 +203,8 @@ def check_grassmann(seed: int = 0, perturb: float = 0.0) -> GroupResult:
 
     worst = 0.0
     single = AlgebraSpec((3,))
-    for lam in _random_orthogonals(3, range(seed * 1000, seed * 1000 + 100)):
-        g = _random_element(rng, single, max_degree=3)
+    lams = _random_orthogonals(3, range(seed * 1000, seed * 1000 + 100))
+    for lam, g in zip(lams, _random_elements(rng, single, 100)):
         f = g + star_involution(g)
         rho = lam.entries @ lam.entries.conj().T
         moved = transform_coefficients(f, lam)
@@ -231,9 +248,7 @@ def check_correspondence(seed: int = 0, perturb: float = 0.0) -> GroupResult:
         realization = tensor_realization(AlgebraSpec((3, 3)), hbar=hbar)
         parts = [_quantized_components(m, realization) for m in monomials]
         stacks: dict[int, tuple] = {}
-        for _ in range(400):
-            i = int(rng.integers(0, len(monomials)))
-            j = int(rng.integers(0, len(monomials)))
+        for i, j in rng.integers(0, len(monomials), size=(400, 2)).tolist():
             bracket = quantize(dirac_bracket(monomials[i], monomials[j]), realization)
             [(pf, qf)], [(pg, qg)] = parts[i], parts[j]
             sign = commutation_factor(pf, pg)
@@ -256,18 +271,17 @@ def check_quantize(seed: int = 0, perturb: float = 0.0) -> GroupResult:
     checks: list[CheckResult] = []
 
     worst = 0.0
-    for _ in range(50):
-        g = _random_element(rng, algebra, max_degree=6)
+    for g in _random_elements(rng, algebra, 50, max_degree=6):
         f = g + star_involution(g)
         matrix = quantize(f, realization)
         worst = max(worst, float(np.max(np.abs(matrix - matrix.conj().T))))
     checks.append(CheckResult("star-real elements quantize hermitian", worst, 1e-12))
 
     worst = 0.0
-    for _ in range(30):
-        f = _random_element(rng, algebra, max_degree=4)
-        g = _random_element(rng, algebra, max_degree=4)
-        a = complex(int(rng.integers(-3, 4)), int(rng.integers(-3, 4)))
+    elements = _random_elements(rng, algebra, 60, max_degree=4)
+    real, imag = rng.integers(-3, 4, size=(2, 30)).tolist()
+    for f, g, re, im in zip(elements[:30], elements[30:], real, imag):
+        a = complex(re, im)
         combined = quantize(a * f + g, realization)
         split = a * quantize(f, realization) + quantize(g, realization)
         worst = max(worst, float(np.max(np.abs(combined - split))))
@@ -276,14 +290,14 @@ def check_quantize(seed: int = 0, perturb: float = 0.0) -> GroupResult:
     single = AlgebraSpec((3,))
     base = tensor_realization(single, hbar=1.0)
     worst = 0.0
-    for lam in _random_orthogonals(3, range(seed * 500, seed * 500 + 30)):
+    lams = _random_orthogonals(3, range(seed * 500, seed * 500 + 30))
+    for lam, f in zip(lams, _random_elements(rng, single, 30)):
         moved_gens = tuple(
             sum(lam.entries[k_, i] * base.gens[i] for i in range(3)) for k_ in range(3)
         )
         transported = Realization(
             algebra=base.algebra, hbar=base.hbar, dim=base.dim, gens=moved_gens
         )
-        f = _random_element(rng, single, max_degree=3)
         g = transform_coefficients(f, lam)
         worst = max(
             worst,
@@ -307,8 +321,8 @@ def check_canon(seed: int = 0, perturb: float = 0.0) -> GroupResult:
     checks.append(CheckResult("both determinant components sampled", unsampled, 0.0))
 
     worst = 0.0
-    for lam in _random_orthogonals(3, range(seed * 300, seed * 300 + 200)):
-        field = rng.normal(size=3)
+    lams = _random_orthogonals(3, range(seed * 300, seed * 300 + 200))
+    for lam, field in zip(lams, rng.normal(size=(200, 3))):
         moved = pushforward_field(field, lam)
         worst = max(worst, abs(complex(moved @ moved) - complex(field @ field)))
     checks.append(CheckResult("bilinear field square invariance", worst, 1e-10))
@@ -317,8 +331,7 @@ def check_canon(seed: int = 0, perturb: float = 0.0) -> GroupResult:
     worst = 0.0
     firsts = _random_orthogonals(3, range(seed * 400, seed * 400 + 30))
     seconds = _random_orthogonals(3, range(seed * 400 + 7000, seed * 400 + 7030))
-    for lam1, lam2 in zip(firsts, seconds):
-        f = _random_element(rng, single, max_degree=3)
+    for lam1, lam2, f in zip(firsts, seconds, _random_elements(rng, single, 30)):
         once = transform_coefficients(transform_coefficients(f, lam1), lam2)
         composed = transform_coefficients(
             f, verify_orthogonal(lam2.entries @ lam1.entries)
@@ -329,20 +342,18 @@ def check_canon(seed: int = 0, perturb: float = 0.0) -> GroupResult:
     return GroupResult("canon", _inject(checks, perturb))
 
 
-def _planted_reports(draws):
-    """Conjugate each ``(plant, r)`` draw's plant by ``t = I + r``, with ``r``
-    capped at 2-norm 1/2 so that cond(t) <= 3, and diagnose the results in
-    one stack per dimension; ``(operator, diagnosis)`` pairs in draw order."""
-    out = [None] * len(draws)
-    for dim in {len(plant) for plant, _ in draws}:
-        index = [k for k, (plant, _) in enumerate(draws) if len(plant) == dim]
-        plant, r = map(np.array, zip(*(draws[k] for k in index)))
-        r *= np.minimum(1.0, 0.5 / np.linalg.norm(r, 2, axis=(-2, -1)))[:, None, None]
-        t = np.eye(dim) + r
+def _planted_reports(dims, plants, r):
+    """Conjugate draw k's plant by ``t = I + r``, both cut to the leading
+    ``dims[k]`` corner of their blocks (``plants`` broadcasts against ``r``),
+    with ``r`` capped at 2-norm 1/2 so that cond(t) <= 3, and diagnose the
+    results in one stack per dimension; ``(operator, diagnosis)`` pairs."""
+    plants = np.broadcast_to(plants, r.shape)
+    for dim in sorted(set(dims.tolist())):
+        plant, t = plants[dims == dim, :dim, :dim], r[dims == dim, :dim, :dim]
+        t *= np.minimum(1.0, 0.5 / np.linalg.norm(t, 2, axis=(-2, -1)))[:, None, None]
+        t += np.eye(dim)
         a = t @ plant @ np.linalg.inv(t)
-        for k, operator, report in zip(index, a, diagnose(a)):
-            out[k] = (operator, report)
-    return out
+        yield from zip(a, diagnose(a))
 
 
 def check_pseudoherm(seed: int = 0, perturb: float = 0.0) -> GroupResult:
@@ -350,14 +361,11 @@ def check_pseudoherm(seed: int = 0, perturb: float = 0.0) -> GroupResult:
     rng = np.random.default_rng(seed)
     checks: list[CheckResult] = []
 
-    draws = []
-    for _ in range(100):
-        dim = int(rng.integers(2, 6))
-        r = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        draws.append((np.diag(0.25 + 0.5 * np.arange(dim)), r))
+    dims = rng.integers(2, 6, size=100)
+    plants = np.diag(0.25 + 0.5 * np.arange(5))
     worst = 0.0
     missing = 0
-    for a, report in _planted_reports(draws):
+    for a, report in _planted_reports(dims, plants, _gaussian(rng, 100, 5, 5)):
         if report.metric is None:
             missing += 1
             continue
@@ -366,19 +374,16 @@ def check_pseudoherm(seed: int = 0, perturb: float = 0.0) -> GroupResult:
     checks.append(CheckResult("planted real spectra yield metrics", float(missing), 0.0))
     checks.append(CheckResult("constructed metric residual", worst, 1e-9))
 
-    draws = []
-    for _ in range(100):
-        block = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        dim = 2 * int(rng.integers(1, 3))
-        plant = np.kron(np.eye(dim // 2), block * (0.5 + rng.uniform()))
-        draws.append((plant, rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))))
-    found = sum(report.metric is not None for _, report in _planted_reports(draws))
+    dims = 2 * rng.integers(1, 3, size=100)
+    blocks = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
+    plants = (0.5 + rng.uniform(size=100))[:, None, None] * blocks
+    reports = _planted_reports(dims, plants, _gaussian(rng, 100, 4, 4))
+    found = sum(report.metric is not None for _, report in reports)
     checks.append(CheckResult("complex plants yield no metric", float(found), 0.0))
 
     worst = 0.0
-    for _ in range(30):
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        g = 0.5 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    a_draws, g_draws = _gaussian(rng, 2, 30, 4, 4)
+    for a, g in zip(a_draws, 0.5 * g_draws):
         rho = Metric(g @ g.conj().T + np.eye(4))
         worst = max(
             worst, float(np.max(np.abs(rho_adjoint(rho_adjoint(a, rho), rho) - a)))
@@ -386,14 +391,11 @@ def check_pseudoherm(seed: int = 0, perturb: float = 0.0) -> GroupResult:
     checks.append(CheckResult("deformed adjoint involution", worst, 1e-9))
 
     worst = 0.0
-    for _ in range(30):
-        u = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) + 3.0 * np.eye(4)
-        g = 0.5 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    u_draws, g_draws, a_draws = _gaussian(rng, 3, 30, 4, 4)
+    draws = zip(u_draws + 3.0 * np.eye(4), 0.5 * g_draws, a_draws, *_gaussian(rng, 2, 30, 4))
+    for u, g, a, x, y in draws:
         eta = Metric(g @ g.conj().T + np.eye(4))
         rho = metric_from_isomorphism(u, eta)
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        x = rng.normal(size=4) + 1j * rng.normal(size=4)
-        y = rng.normal(size=4) + 1j * rng.normal(size=4)
         lhs = eta_inner(u @ x, (u @ a @ np.linalg.inv(u)) @ (u @ y), rho)
         rhs = eta_inner(x, a @ y, eta)
         worst = max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
@@ -402,12 +404,11 @@ def check_pseudoherm(seed: int = 0, perturb: float = 0.0) -> GroupResult:
     return GroupResult("pseudoherm", _inject(checks, perturb))
 
 
-def _random_params(rng) -> TwoSpinParams:
-    return TwoSpinParams(
-        f3=complex(rng.normal(), rng.normal()),
-        g3=complex(rng.normal(), rng.normal()),
-        exchange=float(rng.normal()),
-    )
+def _random_params(rng, count: int) -> list[TwoSpinParams]:
+    return [
+        TwoSpinParams(f3=complex(f_re, f_im), g3=complex(g_re, g_im), exchange=j)
+        for f_re, f_im, g_re, g_im, j in rng.normal(size=(count, 5)).tolist()
+    ]
 
 
 def _build_totals(draws: list[TwoSpinParams]) -> np.ndarray:
@@ -424,15 +425,14 @@ def check_twospin(seed: int = 0, perturb: float = 0.0) -> GroupResult:
     rng = np.random.default_rng(seed)
     checks: list[CheckResult] = []
 
-    draws = [_random_params(rng) for _ in range(200)]
+    draws = _random_params(rng, 200)
     closed = np.array([closed_spectrum(params).eigenvalues for params in draws])
     gaps = closed - matched_eigenvalues(_build_totals(draws), closed)
     worst = float(np.hypot(gaps.real, gaps.imag).max())
     checks.append(CheckResult("closed spectrum matches eigensolver", worst, 1e-10))
 
     flags, kept = [], []
-    for _ in range(150):
-        params = _random_params(rng)
+    for params in _random_params(rng, 150):
         report = closed_spectrum(params)
         if abs(report.threshold_margin) < 1e-6:
             continue
@@ -443,12 +443,9 @@ def check_twospin(seed: int = 0, perturb: float = 0.0) -> GroupResult:
     checks.append(CheckResult("regime flag matches diagnosis", float(mismatches), 0.0))
 
     worst = 0.0
-    for _ in range(25):
-        exchange = float(rng.uniform(0.6, 1.6))
+    for exchange, fraction in rng.uniform((0.6, 0.1), (1.6, 0.9), size=(25, 2)).tolist():
         b_max = damping_threshold(exchange, 0.6)
-        params = TwoSpinParams.from_gilbert(
-            float(rng.uniform(0.1, 0.9)) * b_max, 0.6, -0.6, exchange
-        )
+        params = TwoSpinParams.from_gilbert(fraction * b_max, 0.6, -0.6, exchange)
         counterpart = hermitian_counterpart(params)
         closed = np.sort(np.linalg.eigvals(build_total(params)).real)
         partner = np.sort(np.linalg.eigvals(counterpart.matrix).real)
@@ -461,7 +458,7 @@ def check_twospin(seed: int = 0, perturb: float = 0.0) -> GroupResult:
     params = TwoSpinParams.from_gilbert(1.0, 0.5, -0.5, 1.0)
     _, rho = paper_isomorphism(params)
     hamiltonian = build_total(params)
-    psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+    psi = _gaussian(rng, 4)
     base = eta_inner(psi, psi, rho).real
     worst = 0.0
     for evolved in evolve(hamiltonian, np.linspace(0.0, 100.0, 101), psi):

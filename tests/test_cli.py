@@ -141,6 +141,20 @@ def test_spectrum_agreement_is_relative_to_scale(capsys):
     assert code == 0
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="at the exceptional point the eigensolver's values move like "
+    "sqrt(eps), beyond the absolute --tol; ROADMAP item 2b bounds the "
+    "agreement by the eigenvalue condition instead",
+)
+def test_spectrum_agrees_at_the_exceptional_point(capsys):
+    code, _, _ = run(
+        capsys, "spectrum", "--J", "1", "--B", "2.5",
+        "--alpha1", "0.5", "--alpha2", "-0.5",
+    )
+    assert code == 0
+
+
 def test_spectrum_rejects_nonpositive_field(capsys):
     code, _, err = run(capsys, "spectrum", "--B", "-1")
     assert code == 1
@@ -1043,17 +1057,21 @@ def test_quantize_requires_element(capsys):
 
 # SHA-256 of ``verify --seed S`` stdout and of its ``--out`` summary, pinned
 # like EVOLVE_GOLDEN: the groups reach every layer, so a refactor anywhere
-# below the CLI must leave these bytes alone.  Seed 0 is the default.
+# below the CLI must leave these bytes alone.  Seed 0 is the default.  The
+# pins were last re-recorded when the groups began drawing their random
+# inputs as arrays: the same laws and sample counts, but the generator's
+# stream is consumed in a different order, so the printed worst violations
+# moved.
 VERIFY_GOLDEN = {
-    0: ("204ed7ec64625df97768f32e1560ef2e0576c07f5c3fe95ba3b2ad3f3b8b5479",
-        "e6f20cbdccb081eaeca6c791f8257be837c31295606d774935475a301242482a"),
-    1: ("9cd8ccc87312348b7a71ffd55bfd508a638cf28e020939d3da347cccd6cbbf76",
-        "29a203e4c74c592f6bf46ab1157a2266721fbe8855ef8483189c9a5716342395"),
-    7: ("41308ecff8fe6bcd7f5275d860f0d367036334a6dce85335be40146402d13c88",
-        "7342f0084623594dbe9ba87a9eb5ea9c5e3c289d173685fc14105c61d25f330f"),
+    0: ("8173e1a5ed8034501abdddc5d54f8e77c5f6b84f68d8882fa0e45eccaccb81bd",
+        "e2a657ee8be63a11096c8b017f727dda81cd2bbeacd93b8a87c66e3d32fd2749"),
+    1: ("9eee22a67f207c2302a7e78f1f2f42fad87afdd9861de64cb282fe8ffb2ed7d7",
+        "8a9b2fae542ad792e2b7af31111ce0d383ffc29e9688778e8dd565809872380a"),
+    7: ("16123d5f27f24f912c75edc523ae3493dc29bd56635ae3153c006ae1dd90bd95",
+        "f50454e58fdb4e3506d2ca5ccc74388ad9f6184a57b61c0ae68c34f1227d521e"),
     # The benchmark draws five-digit seeds, so one is pinned too.
-    98765: ("317cab97afb9d73bf2d589430f4fe0820ae8543d298ed217211213ffd82a3656",
-            "09a4b2c54bc726dfb87861c3c172014a2c884f874ce20934aae06ca27871bd1a"),
+    98765: ("4f39954c49bc7d0fbe9d4ebe26b7395cc7568793664e2a0f137a9221fe93d46c",
+            "6b0e0cf7730e9781f9ba83a1bd0ad6ddde6f1bcae12864de8b4aea14534a1f84"),
 }
 
 
@@ -1079,6 +1097,19 @@ def test_verify_default_all_groups_pass(tmp_path, capsys):
 def test_verify_golden_bytes(tmp_path, capsys, seed):
     _, digests = run_verify_digests(tmp_path, capsys, "--seed", str(seed))
     assert digests == VERIFY_GOLDEN[seed]
+
+
+def test_verify_groups_draw_independently(capsys):
+    # Each group seeds its own generator, so running one group alone must
+    # print the same line it prints inside the full run.
+    code, full, _ = run(capsys, "verify", "--seed", "98765")
+    assert code == 0
+    lines = full.splitlines()
+    assert [line.split()[1] for line in lines] == list(GROUPS)
+    for name, line in zip(GROUPS, lines):
+        code, alone, _ = run(capsys, "verify", "--seed", "98765", "--group", name)
+        assert code == 0
+        assert alone.splitlines() == [line]
 
 
 def test_verify_group_filter(capsys):

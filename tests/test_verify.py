@@ -1,0 +1,93 @@
+"""Tests for the random draws behind the ``verify`` groups.
+
+The groups draw their Grassmann elements as arrays and then build them
+through ``GrassmannElement.from_terms``; these tests record the terms handed
+to ``from_terms`` so the raw draws are checked before equal words merge.
+"""
+
+import numpy as np
+import pytest
+
+from pseudospin import verify
+from pseudospin.grassmann import AlgebraSpec, GrassmannElement
+
+ALGEBRAS = {
+    "(3,)": AlgebraSpec((3,)),
+    "(3, 3)": AlgebraSpec((3, 3)),
+    "(3, 3) with momenta": AlgebraSpec((3, 3), momenta_attached=True),
+}
+
+
+def generators(algebra):
+    return list(algebra.coordinates()) + list(algebra.momenta())
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """Every term list passed to ``GrassmannElement.from_terms``."""
+    calls = []
+    build = GrassmannElement.from_terms
+
+    def record(algebra, terms):
+        calls.append(list(terms))
+        return build(algebra, calls[-1])
+
+    monkeypatch.setattr(GrassmannElement, "from_terms", staticmethod(record))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name, max_degree",
+    [(name, d) for name, a in ALGEBRAS.items() for d in range(len(generators(a)) + 1)],
+)
+@pytest.mark.parametrize("seed", [0, 1, 98765])
+def test_random_elements_draw_law(recorded, name, max_degree, seed):
+    algebra = ALGEBRAS[name]
+    gens = generators(algebra)
+    count, max_terms = 300, 4
+    rng = np.random.default_rng(seed)
+    elements = verify._random_elements(rng, algebra, count, max_terms, max_degree)
+    assert len(elements) == count == len(recorded)
+    assert all(e.algebra == algebra for e in elements)
+    assert {len(terms) for terms in recorded} == set(range(1, max_terms + 1))
+    degrees, drawn = set(), set()
+    for terms in recorded:
+        for word, coefficient in terms:
+            assert len(set(word)) == len(word) <= max_degree
+            assert set(word) <= set(gens)
+            assert isinstance(coefficient, complex)
+            for part in (coefficient.real, coefficient.imag):
+                assert part == int(part) and -3 <= part <= 3
+            degrees.add(len(word))
+            drawn.update(word)
+    assert degrees == set(range(max_degree + 1))
+    if max_degree:
+        assert drawn == set(gens)
+
+
+@pytest.mark.parametrize("name", list(ALGEBRAS))
+def test_random_elements_reject_degree_above_generator_count(name):
+    algebra = ALGEBRAS[name]
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="max_degree"):
+        verify._random_elements(rng, algebra, 5, max_degree=len(generators(algebra)) + 1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 98765])
+def test_random_family_homogeneous_draw_law(recorded, seed):
+    algebra = ALGEBRAS["(3, 3) with momenta"]
+    rng = np.random.default_rng(seed)
+    parities = rng.integers(0, 2, size=(200, 2))
+    elements = verify._random_family_homogeneous(rng, algebra, parities)
+    assert len(elements) == len(parities) == len(recorded)
+    assert {len(terms) for terms in recorded} == {1, 2}
+    sizes = set()
+    for row, terms in zip(parities.tolist(), recorded):
+        for word, coefficient in terms:
+            assert len(set(word)) == len(word)
+            per_family = [sum(g.family == f for g in word) for f in range(2)]
+            assert [n % 2 for n in per_family] == row
+            sizes.update(per_family)
+            for part in (coefficient.real, coefficient.imag):
+                assert part == int(part) and -3 <= part <= 3
+    assert sizes == {0, 1, 2, 3}
