@@ -4,18 +4,18 @@ Linear generator maps ``zeta = Lambda xi`` preserve the canonical bracket
 table exactly when ``Lambda Lambda^T = I`` with complex entries, so the
 canonical group is the complex orthogonal group.  This module validates
 such matrices, samples them as Cayley transforms, and transports
-antisymmetric coefficient tables and field vectors along them.
+antisymmetric coefficient tables (by per-family minors of a block-diagonal
+``Lambda``) and field vectors along them.
 """
 
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import combinations
 from typing import TypeAlias
 
 import numpy as np
 
-from pseudospin.grassmann import GrassmannElement, _accumulate, _bits
+from pseudospin.grassmann import GrassmannElement, _substitute
 
 __all__ = [
     "ComplexOrthogonal",
@@ -56,7 +56,7 @@ class ComplexOrthogonal:
 
 
 def verify_orthogonal(matrix: np.ndarray) -> ComplexOrthogonal:
-    """Validate ``matrix Lambda^T = I`` and wrap the result.
+    """Validate ``Lambda Lambda^T = I`` and wrap the result.
 
     Args:
         matrix: Square complex matrix.
@@ -154,9 +154,9 @@ def transform_coefficients(
 
     For ``zeta = Lambda xi`` the degree-k coefficient table transports with
     k x k minors of ``Lambda``: the new coefficient of the ordered monomial
-    ``zeta_J`` is ``sum_I det(Lambda[J, I]) c_I`` over ordered index tuples.
-    Restricted to single-family algebras, where the map is an algebra
-    automorphism.
+    ``zeta_J`` is ``sum_I det(Lambda[J, I]) c_I`` over ordered index tuples,
+    family by family.  ``Lambda`` must be block-diagonal, so that the map is an algebra
+    automorphism; a cross-family entry raises ``ValueError``.
 
     Args:
         f: Element with coordinate monomials only.
@@ -165,34 +165,4 @@ def transform_coefficients(
     Returns:
         Element over the same algebra holding the transported table.
     """
-    algebra = f.algebra
-    if len(algebra.family_sizes) != 1:
-        raise ValueError("coefficient transport is defined for a single family")
-    n = algebra.family_sizes[0]
-    if lam.n != n:
-        raise ValueError(f"transformation dimension {lam.n} does not match {n}")
-    # In a single family, coordinate xi_i is bit i and momenta lie above bit n.
-    by_degree: dict[int, dict[int, complex]] = {}
-    for mask, coeff in f.by_mask.items():
-        if mask >> n:
-            raise ValueError("coefficient transport acts on coordinate monomials")
-        by_degree.setdefault(mask.bit_count(), {})[mask] = coeff
-    table: dict[int, complex] = {}
-    for degree, sources in by_degree.items():
-        if degree == 0:
-            _accumulate(table, 0, complex(sources[0]))
-            continue
-        targets = list(combinations(range(n), degree))
-        rows = np.array(targets)
-        cols = np.array([list(_bits(mask)) for mask in sources])
-        # minors[t, s] = det(Lambda[targets[t], sources[s]]), one batched call.
-        minors = np.linalg.det(
-            lam.entries[rows[:, None, :, None], cols[None, :, None, :]]
-        )
-        for target, row in zip(targets, minors):
-            value = 0.0 + 0.0j
-            for minor, coeff in zip(row, sources.values()):
-                value += minor * coeff
-            if value != 0:
-                _accumulate(table, sum(1 << i for i in target), complex(value))
-    return GrassmannElement(algebra, table)
+    return _substitute(f, lam.entries)

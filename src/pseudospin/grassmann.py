@@ -30,7 +30,8 @@ Generator-keyed :attr:`GrassmannElement.terms` is a view built on demand.
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import combinations
 from typing import Callable, Iterator, NamedTuple, Sequence, TypeAlias
 
 import numpy as np
@@ -194,6 +195,8 @@ class _Layout:
         family_masks: Per family, the mask of its bits.
         momentum_mask: Mask of every momentum bit.
         merged: Coordinate bit -> family-major coordinate index.
+        cross_family: (N, N) bool, True where merged coordinates i and j
+            lie in different families.
         flip: mask m -> XOR of ``hi[b]`` over the bits b of m, so that
             ``popcount(m_f & flip[m_g])`` has the parity of the inversions
             of ``m_f * m_g``.
@@ -225,6 +228,8 @@ class _Layout:
             1 << b for b, gen in enumerate(self.gens) if gen.momentum
         )
         self.merged = {self.bit[gen]: i for i, gen in enumerate(algebra.coordinates())}
+        families = [self.gens[b].family for b in self.merged]
+        self.cross_family = np.not_equal.outer(families, families)
         self.flip = _MaskMemo(self._flip)
         self.right_splits = _MaskMemo(lambda mask: self._splits(mask, self.hi))
         self.left_splits = _MaskMemo(lambda mask: self._splits(mask, self.lo))
@@ -282,6 +287,15 @@ class _Layout:
         sign = _product_sign(coords, moved, self.flip)
         target = sum(1 << self.merged[b] for b in _bits(coords | moved))
         return target, sign, momenta.bit_count()
+
+
+@lru_cache(maxsize=None)
+def _subsets(layout: _Layout, family: int, k: int) -> tuple[np.ndarray, dict[int, int]]:
+    """A family's k-subsets as rows of merged indices, and their masks -> row."""
+    bits = [b for b in layout.merged if layout.gens[b].family == family]
+    rows = list(combinations(bits, k))
+    index = {sum(1 << b for b in row): t for t, row in enumerate(rows)}
+    return np.array([[layout.merged[b] for b in row] for row in rows]), index
 
 
 def _layout(algebra: AlgebraSpec) -> _Layout:
@@ -489,33 +503,49 @@ def plus_involution(f: GrassmannElement, rho: np.ndarray) -> GrassmannElement:
 
     Args:
         f: Element containing coordinate generators only.
-        rho: Positive matrix of shape (N, N), N the total coordinate count,
-            built from the transformation as Lambda Lambda^dagger.
+        rho: Block-diagonal (N, N) matrix, N the total coordinate count, built
+            as Lambda Lambda^dagger.  A cross-family entry is refused: it would
+            send a generator out of its family and break the algebra relations.
     """
-    algebra = f.algebra
-    layout = _layout(algebra)
-    n = algebra.total_coordinates
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (n, n):
-        raise ValueError(f"rho must have shape ({n}, {n})")
-    bits = {i: b for b, i in layout.merged.items()}
-    images = []
-    for column in rho.T.tolist():
-        image: dict[int, complex] = {}
-        for row, entry in enumerate(column):
-            _accumulate(image, 1 << bits[row], entry)
-        images.append(GrassmannElement(algebra, image))
-    result = GrassmannElement.zero(algebra)
+    return _substitute(star_involution(f), rho)
+
+
+def _substitute(f: GrassmannElement, matrix: np.ndarray) -> GrassmannElement:
+    """Change of generators ``xi_i -> sum_k matrix[k, i] xi_k`` in each family.
+
+    A degree-k part moves with the k x k minors of its family's block M_f
+    (Berezin 1987): ``xi_J`` gets ``sum_I c_I prod_f det(M_f[J_f, I_f])`` over
+    sources I of equal per-family degrees, in insertion order, one batched det
+    per family and degree signature.  A cross-family entry is refused: its
+    images are not family-homogeneous and break the algebra relations.
+    """
+    layout = _layout(f.algebra)
+    matrix = np.asarray(matrix, dtype=complex)
+    cross = layout.cross_family
+    if matrix.shape != cross.shape or np.count_nonzero(matrix[cross]):
+        raise ValueError(f"need a {cross.shape} matrix, block-diagonal over the families")
+    # Sources keyed by their signature: the (family, degree) of each family met.
+    groups: dict[tuple[tuple[int, int], ...], dict[int, complex]] = {}
     for mask, coeff in f.by_mask.items():
         if mask & layout.momentum_mask:
-            raise ValueError("plus involution is defined on coordinate monomials")
-        unit: dict[int, complex] = {}
-        _accumulate(unit, 0, coeff.conjugate())
-        acc = GrassmannElement(algebra, unit)
-        for b in reversed(list(_bits(mask))):
-            acc = multiply(acc, images[layout.merged[b]])
-        result = result + acc
-    return result
+            raise ValueError("a change of generators acts on coordinate monomials")
+        parts = enumerate(mask & fm for fm in layout.family_masks)
+        groups.setdefault(tuple((i, p.bit_count()) for i, p in parts if p), {})[mask] = coeff
+    table: dict[int, complex] = {}
+    for signature, sources in groups.items():
+        # Rows pair each target, first family outermost, with one term per source:
+        # its coefficient times its families' minors, in family order.  On merged
+        # indices, a block-diagonal matrix's in-family minors are its blocks'.
+        rows = [(0, tuple(sources.values()))]
+        for i, k in signature:
+            subsets, index = _subsets(layout, i, k)
+            picks = subsets[[index[m & layout.family_masks[i]] for m in sources]]
+            minors = np.linalg.det(matrix[subsets[:, None, :, None], picks[None, :, None, :]])
+            pairs = list(zip(index, minors.tolist()))
+            rows = [(t + u, tuple(map(operator.mul, a, b))) for t, a in rows for u, b in pairs]
+        for target, terms in rows:
+            _accumulate(table, target, reduce(operator.add, terms, 0j))
+    return GrassmannElement(f.algebra, table)
 
 
 def family_components(

@@ -10,7 +10,8 @@ zeros included), byte-equal matrices.
 """
 
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, product
+from operator import mul
 
 import numpy as np
 from hypothesis import strategies as st
@@ -192,20 +193,41 @@ def quantize(algebra, f, realization):
     return out
 
 
-def transform_coefficients(algebra, f, lam):
-    n = algebra.family_sizes[0]
-    by_degree = {}
+def transform_coefficients(algebra, f, matrix):
+    """Substitution by a block-diagonal matrix: one ``det`` per family minor.
+
+    Sources group by per-family degrees; each term is the coefficient times
+    ``det(M_f[J_f, I_f])`` for each family it spans, in family order.
+    """
+    matrix = np.asarray(matrix, dtype=complex)
+    starts = np.cumsum((0,) + algebra.family_sizes)
+    groups = {}
     for mono, coeff in f.items():
-        by_degree.setdefault(len(mono), {})[tuple(gen.index for gen in mono)] = coeff
+        parts = tuple(
+            tuple(gen.index for gen in mono if gen.family == fam)
+            for fam in range(len(algebra.family_sizes))
+        )
+        groups.setdefault(tuple(map(len, parts)), {})[parts] = coeff
     terms = []
-    for degree, table in by_degree.items():
-        if degree == 0:
-            terms.append(((), table[()]))
+    for degrees, table in groups.items():
+        if not any(degrees):
+            terms.append(((), table[((),) * len(degrees)]))
             continue
-        for target in combinations(range(n), degree):
+        active = [fam for fam, k in enumerate(degrees) if k]
+        blocks = {
+            fam: matrix[starts[fam] : starts[fam + 1], starts[fam] : starts[fam + 1]]
+            for fam in active
+        }
+        choices = [combinations(range(algebra.family_sizes[fam]), degrees[fam]) for fam in active]
+        for target in product(*choices):
             value = 0.0 + 0.0j
             for source, coeff in table.items():
-                value += np.linalg.det(lam.entries[np.ix_(target, source)]) * coeff
+                minors = [
+                    np.linalg.det(blocks[fam][np.ix_(rows, source[fam])])
+                    for fam, rows in zip(active, target)
+                ]
+                value += reduce(mul, minors, coeff)
             if value != 0:
-                terms.append((tuple(algebra.coordinate(0, i) for i in target), value))
+                word = [algebra.coordinate(fam, i) for fam, rows in zip(active, target) for i in rows]
+                terms.append((tuple(word), value))
     return from_terms(algebra, terms)

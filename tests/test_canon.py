@@ -45,31 +45,56 @@ def spin_hamiltonian(field):
     return ham
 
 
-def random_element(rng, max_terms=3):
+def random_element(rng, max_terms=3, algebra=ALG3, max_degree=3):
+    coords = list(algebra.coordinates())
     terms = []
     for _ in range(rng.integers(1, max_terms + 1)):
-        degree = int(rng.integers(0, 4))
-        idx = tuple(sorted(rng.permutation(3)[:degree]))
+        degree = int(rng.integers(0, max_degree + 1))
+        idx = tuple(sorted(rng.permutation(len(coords))[:degree]))
         coeff = complex(rng.standard_normal(), rng.standard_normal())
-        terms.append((tuple(Z[i] for i in idx), coeff))
-    return GrassmannElement.from_terms(ALG3, terms)
+        terms.append((tuple(coords[i] for i in idx), coeff))
+    return GrassmannElement.from_terms(algebra, terms)
 
 
 def substitute(f, lam):
-    """Oracle: literal substitution xi_i -> sum_k Lambda_ki zeta_k."""
+    """Oracle: literal substitution xi_i -> sum_k Lambda_ki zeta_k, with i and
+    k merged family-major coordinate indices, multiplied out term by term."""
+    coords = list(f.algebra.coordinates())
     images = [
         GrassmannElement.from_terms(
-            ALG3, [((Z[k],), lam.entries[k, i]) for k in range(3)]
+            f.algebra, [((z,), lam.entries[k, i]) for k, z in enumerate(coords)]
         )
-        for i in range(3)
+        for i in range(len(coords))
     ]
-    out = GrassmannElement.zero(ALG3)
+    out = GrassmannElement.zero(f.algebra)
     for mono, coeff in f.terms.items():
-        acc = GrassmannElement.unit(ALG3, coeff)
+        acc = GrassmannElement.unit(f.algebra, coeff)
         for gen in mono:
-            acc = multiply(acc, images[gen.index])
+            acc = multiply(acc, images[coords.index(gen)])
         out = out + acc
     return out
+
+
+def block_orthogonal(sizes, seed):
+    """Block-diagonal Lambda of per-family draws, family f seeded ``seed + 100 f``;
+    on one family it is ``random_orthogonal(n, seed)`` itself."""
+    entries = np.zeros((sum(sizes), sum(sizes)), dtype=complex)
+    start = 0
+    for fam, size in enumerate(sizes):
+        block = random_orthogonal(size, seed=seed + 100 * fam).entries
+        entries[start : start + size, start : start + size] = block
+        start += size
+    return verify_orthogonal(entries)
+
+
+def relative_gap(got, expect):
+    """Max coefficient difference over the largest coefficient of ``expect``."""
+    keys = set(got.by_mask) | set(expect.by_mask)
+    gap = max((abs(got.by_mask.get(k, 0) - expect.by_mask.get(k, 0)) for k in keys), default=0.0)
+    return gap / max((abs(c) for c in expect.by_mask.values()), default=1.0)
+
+
+MULTI_FAMILY = [(2, 4), (1, 2, 3), (3, 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -187,22 +212,77 @@ def test_transform_matches_substitution_oracle():
 
 
 @pytest.mark.parametrize(
-    "n, momenta", [(1, False), (2, True), (3, False), (4, True), (6, False)]
+    "alg",
+    [
+        pytest.param(AlgebraSpec((n,), momenta_attached=momenta), id=f"{n}-{momenta}")
+        for n, momenta in [(1, False), (2, True), (3, False), (4, True), (6, False)]
+    ]
+    + [
+        pytest.param(alg, id=alg_id)
+        for alg, alg_id in zip(oracle.ALGEBRAS, oracle.ALGEBRA_IDS)
+        if len(alg.family_sizes) > 1
+    ],
 )
-def test_transform_matches_tuple_reference_exactly(n, momenta):
-    # One batched det call per degree gives the bits of one det call per minor.
+def test_transform_matches_tuple_reference_exactly(alg):
+    # Batched det calls give the bits of one det call per minor, and each
+    # coefficient takes its per-family minors as factors in family order.
+    n = alg.total_coordinates
     rng = np.random.default_rng(16 + n)
-    alg = AlgebraSpec((n,), momenta_attached=momenta)
     coords = list(alg.coordinates())
     for trial in range(40):
-        lam = random_orthogonal(n, seed=3000 + trial)
+        lam = block_orthogonal(alg.family_sizes, 3000 + trial)
         terms = []
         for _ in range(int(rng.integers(1, 6))):
             picks = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
             terms.append(([coords[int(k)] for k in picks], complex(*rng.normal(size=2))))
         f = GrassmannElement.from_terms(alg, terms)
-        expect = oracle.transform_coefficients(alg, oracle.from_terms(alg, terms), lam)
+        ref = oracle.from_terms(alg, terms)
+        expect = oracle.transform_coefficients(alg, ref, lam.entries)
         assert oracle.exact(transform_coefficients(f, lam).terms) == oracle.exact(expect)
+
+
+@pytest.mark.parametrize("sizes", MULTI_FAMILY, ids=str)
+def test_multi_family_transform_matches_substitution_oracle(sizes):
+    alg = AlgebraSpec(sizes)
+    rng = np.random.default_rng(17)
+    dets = set()
+    for trial in range(40):
+        lam = block_orthogonal(sizes, 4000 + trial)
+        dets.add(lam.det)
+        f = random_element(rng, max_terms=4, algebra=alg, max_degree=sum(sizes))
+        assert relative_gap(transform_coefficients(f, lam), substitute(f, lam)) <= 1e-13
+    assert dets == {1.0, -1.0}
+
+
+@pytest.mark.parametrize("sizes", MULTI_FAMILY, ids=str)
+def test_multi_family_reality_transport_star_to_plus(sizes):
+    # Family by family, rho = Lambda Lambda^dagger is block-diagonal too.
+    alg = AlgebraSpec(sizes)
+    rng = np.random.default_rng(18)
+    for trial in range(20):
+        lam = block_orthogonal(sizes, 5000 + trial)
+        rho = lam.entries @ lam.entries.conj().T
+        g = random_element(rng, max_terms=4, algebra=alg, max_degree=4)
+        moved = transform_coefficients(g + star_involution(g), lam)
+        assert relative_gap(plus_involution(moved, rho), moved) <= 1e-12
+
+
+def test_cross_family_changes_of_generators_are_refused():
+    # A generator sent into another family would no longer commute with that
+    # family's generators, so the substitution would break the algebra.  An
+    # orthogonal Lambda cannot mix families through one entry alone, so this
+    # one rotates xi3 into chi1; rho holds a single cross-family entry.
+    alg = AlgebraSpec((3, 3))
+    f = GrassmannElement.from_terms(alg, [((alg.coordinate(0, 2), alg.coordinate(1, 0)), 1.0)])
+    theta = 0.4
+    mixing = np.eye(6, dtype=complex)
+    mixing[2:4, 2:4] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
+    with pytest.raises(ValueError, match="block-diagonal"):
+        transform_coefficients(f, verify_orthogonal(mixing))
+    rho = np.eye(6, dtype=complex)
+    rho[0, 5] = 0.5
+    with pytest.raises(ValueError, match="block-diagonal"):
+        plus_involution(f, rho)
 
 
 def test_transform_is_group_action():
@@ -245,9 +325,11 @@ def test_reality_transport_star_to_plus():
 
 
 def test_transform_rejects_unsupported_inputs():
+    # Multi-family algebras are supported, but (3, 3) has six coordinates, so
+    # a 3 x 3 Lambda is refused for its dimension.
     lam = random_orthogonal(3, seed=2)
     multi = AlgebraSpec((3, 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\(6, 6\)"):
         transform_coefficients(GrassmannElement.unit(multi), lam)
     with_momenta = AlgebraSpec((3,), momenta_attached=True)
     f = GrassmannElement.from_generator(with_momenta, with_momenta.momentum(0, 0))

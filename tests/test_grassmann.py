@@ -586,12 +586,19 @@ def test_bitmask_core_matches_tuple_reference(algebra, data):
 
 @pytest.mark.parametrize("algebra", oracle.ALGEBRAS[::2], ids=oracle.ALGEBRA_IDS[::2])
 def test_plus_involution_matches_tuple_reference(algebra):
+    # rho is block-diagonal, one Gram block per family: a cross-family entry is
+    # refused.  The bits are those of the per-family minors applied to the
+    # star image; the multiply-chain reference checks the values independently.
     rng = np.random.default_rng(7)
     n = algebra.total_coordinates
     coords = list(algebra.coordinates())
     for _ in range(20):
-        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        rho = a @ a.conj().T
+        rho = np.zeros((n, n), dtype=complex)
+        start = 0
+        for size in algebra.family_sizes:
+            a = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+            rho[start : start + size, start : start + size] = a @ a.conj().T
+            start += size
         terms = [
             (
                 [coords[int(k)] for k in rng.choice(n, size=int(rng.integers(0, 4)))],
@@ -600,5 +607,12 @@ def test_plus_involution_matches_tuple_reference(algebra):
             for _ in range(3)
         ]
         f = GrassmannElement.from_terms(algebra, terms)
-        expect = oracle.plus_involution(algebra, oracle.from_terms(algebra, terms), rho)
-        assert oracle.exact(plus_involution(f, rho).terms) == oracle.exact(expect)
+        ref = oracle.from_terms(algebra, terms)
+        got = plus_involution(f, rho).terms
+        starred = oracle.star_involution(algebra, ref)
+        expect = oracle.transform_coefficients(algebra, starred, rho)
+        assert oracle.exact(got) == oracle.exact(expect)
+        chain = oracle.plus_involution(algebra, ref, rho)
+        scale = max((abs(c) for c in chain.values()), default=1.0)
+        gaps = [abs(got.get(m, 0) - chain.get(m, 0)) for m in got.keys() | chain.keys()]
+        assert max(gaps, default=0.0) <= 1e-12 * scale
