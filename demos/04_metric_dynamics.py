@@ -14,7 +14,6 @@ import numpy as np
 from pseudospin import (
     TwoSpinParams,
     build_total,
-    canonical_limit_check,
     eta_inner,
     evolve,
     hermitian_counterpart,
@@ -76,8 +75,21 @@ for t in (0.0, 5.0, 10.0):
 
 print()
 print("== canonical limit: U -> identity as the damping vanishes ==")
-check = canonical_limit_check(params, steps=6)
-print("alphas      :", np.round(check.alphas, 5))
-print("|U - I|     :", [f"{value:.2e}" for value in check.u_distances])
-print("det gaps    :", [f"{value:.2e}" for value in check.det_gaps])
-print("monotone:", check.monotone, " passed:", check.passed)
+# alpha, alpha/2, ... with f_plus fixed: U -> I and H_R -> the undamped H0.
+f_plus, exchange = params.f_plus, params.exchange
+h0 = build_total(TwoSpinParams(f3=f_plus / 2.0, g3=f_plus / 2.0, exchange=exchange))
+alphas = [params.f_minus.imag / 2.0**k for k in range(6)]
+u_distances, det_gaps, counterpart_gaps = [], [], []
+for alpha in alphas:
+    step = TwoSpinParams(f3=(f_plus + 1j * alpha) / 2.0, g3=(f_plus - 1j * alpha) / 2.0,
+                         exchange=exchange)
+    det_h = complex(np.linalg.det(build_total(step)))
+    h_r = hermitian_counterpart(step).matrix
+    det_gaps.append(abs(det_h - complex(np.linalg.det(h_r))) / (1.0 + abs(det_h)))
+    u_distances.append(float(np.max(np.abs(paper_isomorphism(step).u - np.eye(4)))))
+    counterpart_gaps.append(float(np.max(np.abs(h_r - h0))))
+monotone = all(a >= b for gaps in (u_distances, counterpart_gaps) for a, b in zip(gaps, gaps[1:]))
+print("alphas      :", np.round(alphas, 5))
+print("|U - I|     :", [f"{value:.2e}" for value in u_distances])
+print("det gaps    :", [f"{value:.2e}" for value in det_gaps])
+print("monotone:", monotone, " passed:", monotone and max(det_gaps) <= 1e-9)

@@ -63,14 +63,12 @@ from pseudospin.quantize import (
     tensor_realization,
 )
 from pseudospin.twospin import (
-    CanonicalLimitReport,
     HermitianCounterpart,
     Isomorphism,
     RegimeReport,
     TransitionSeries,
     TwoSpinParams,
     build_total,
-    canonical_limit_check,
     closed_spectrum,
     damping_threshold,
     evolve,

@@ -371,12 +371,8 @@ class GrassmannElement:
         return all(c == 0 for c in self.by_mask.values())
 
     def allclose(self, other: "GrassmannElement", tol: float = COEFF_TOL) -> bool:
-        if self.algebra != other.algebra:
-            return False
-        keys = set(self.by_mask) | set(other.by_mask)
-        return all(
-            abs(self.by_mask.get(k, 0.0) - other.by_mask.get(k, 0.0)) <= tol
-            for k in keys
+        return self.algebra == other.algebra and all(
+            abs(c) <= tol for c in (self - other).by_mask.values()
         )
 
     def __add__(self, other: "GrassmannElement") -> "GrassmannElement":

@@ -200,31 +200,6 @@ class TransitionSeries:
     rho_norms: np.ndarray
 
 
-@dataclass(frozen=True)
-class CanonicalLimitReport:
-    """Convergence record along a halving-damping sequence.
-
-    Attributes:
-        alphas: Damping values visited, largest first.
-        det_gaps: Relative determinant gap between the deformed Hamiltonian
-            and its counterpart at each damping value.
-        u_distances: Entrywise distance of the isomorphism from the
-            identity at each damping value.
-        counterpart_gaps: Entrywise distance of the counterpart from the
-            undamped Hamiltonian at each damping value.
-        monotone: Whether both distance sequences are non-increasing.
-        passed: Whether determinants agree throughout and the sequences
-            shrink monotonically toward the undamped system.
-    """
-
-    alphas: tuple[float, ...]
-    det_gaps: tuple[float, ...]
-    u_distances: tuple[float, ...]
-    counterpart_gaps: tuple[float, ...]
-    monotone: bool
-    passed: bool
-
-
 def _tolerance_scale(params: TwoSpinParams) -> float:
     """Magnitude scale of the model that the regime tolerances multiply."""
     return 1.0 + abs(params.f3) + abs(params.g3) + 2.0 * abs(params.exchange)
@@ -605,80 +580,3 @@ def transition_series(
         # square root, so the rows of the scaled evolution stay scaled.
         rho_norms = np.ldexp(np.sqrt(eta_inner(evolved, evolved, rho).real), exp_zeta)
     return TransitionSeries(amplitudes, probabilities, route_gaps, rho_norms)
-
-
-def canonical_limit_check(
-    params: TwoSpinParams, steps: int = 8
-) -> CanonicalLimitReport:
-    """Follow the undamped limit along a halving-damping sequence.
-
-    Starting from the damping alpha = Im f_minus of the given parameters,
-    the sequence alpha, alpha/2, alpha/4, ... is walked with f_plus held
-    fixed.  At each step the deformed Hamiltonian and its hermitian
-    counterpart must share their determinant, and both the isomorphism's
-    distance from the identity and the counterpart's distance from the
-    undamped Hamiltonian must shrink monotonically.
-
-    Args:
-        params: Model parameters with purely imaginary field difference.
-        steps: Number of damping values to visit.
-
-    Returns:
-        A :class:`CanonicalLimitReport`; ``passed`` summarizes the
-        determinant agreement and monotone convergence.
-
-    Raises:
-        ValueError: If the field difference has a real part (the sequence
-            would leave the reality-condition class) or ``steps < 1``.
-    """
-    if steps < 1:
-        raise ValueError("at least one step is required")
-    _require_regime(params)
-    scale = _tolerance_scale(params)
-    if abs(params.f_minus.real) > REGIME_TOL * scale:
-        raise ValueError(
-            "canonical limit requires a purely imaginary field difference"
-        )
-    f_plus = params.f_plus
-    alpha0 = params.f_minus.imag
-    limit = build_total(
-        TwoSpinParams(f3=f_plus / 2.0, g3=f_plus / 2.0, exchange=params.exchange)
-    )
-    alphas: list[float] = []
-    det_gaps: list[float] = []
-    u_distances: list[float] = []
-    counterpart_gaps: list[float] = []
-    for k in range(steps):
-        alpha = alpha0 / (2.0**k)
-        step = TwoSpinParams(
-            f3=(f_plus + 1j * alpha) / 2.0,
-            g3=(f_plus - 1j * alpha) / 2.0,
-            exchange=params.exchange,
-        )
-        hamiltonian = build_total(step)
-        counterpart = hermitian_counterpart(step).matrix
-        det_h = complex(np.linalg.det(hamiltonian))
-        det_r = complex(np.linalg.det(counterpart))
-        det_gaps.append(abs(det_h - det_r) / (1.0 + abs(det_h)))
-        if alpha == 0.0 or params.exchange == 0.0:
-            u = np.eye(4, dtype=complex)
-        else:
-            u = paper_isomorphism(step).u
-        alphas.append(alpha)
-        u_distances.append(float(np.max(np.abs(u - np.eye(4)))))
-        counterpart_gaps.append(float(np.max(np.abs(counterpart - limit))))
-    monotone = all(
-        u_distances[k + 1] <= u_distances[k] + REGIME_TOL
-        and counterpart_gaps[k + 1] <= counterpart_gaps[k] + REGIME_TOL
-        for k in range(steps - 1)
-    )
-    dets_ok = all(gap <= 1e-9 for gap in det_gaps)
-    passed = monotone and dets_ok
-    return CanonicalLimitReport(
-        alphas=tuple(alphas),
-        det_gaps=tuple(det_gaps),
-        u_distances=tuple(u_distances),
-        counterpart_gaps=tuple(counterpart_gaps),
-        monotone=monotone,
-        passed=passed,
-    )

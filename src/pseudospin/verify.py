@@ -95,12 +95,7 @@ def _inject(checks: list[CheckResult], perturb: float) -> tuple[CheckResult, ...
 
 
 def _element_diff(left: GrassmannElement, right: GrassmannElement) -> float:
-    keys = set(left.by_mask) | set(right.by_mask)
-    if not keys:
-        return 0.0
-    return max(
-        abs(left.by_mask.get(key, 0.0) - right.by_mask.get(key, 0.0)) for key in keys
-    )
+    return max(map(abs, (left - right).by_mask.values()), default=0.0)
 
 
 def _from_term_runs(algebra, terms, sizes):

@@ -252,6 +252,10 @@ def test_plus_involution_involutive_for_orthogonal_transport():
     f_pp = plus_involution(plus_involution(f, rho), rho)
     assert f_pp.allclose(f, 1e-12)
     assert not plus_involution(f, np.eye(3)).allclose(f, 1e-12)
+    # A NaN gap is not within any tolerance, whichever side carries it.
+    poisoned = f + GrassmannElement.from_terms(alg, [((z[0],), float("nan"))])
+    assert not poisoned.allclose(f, 1e-12)
+    assert not f.allclose(poisoned, 1e-12)
 
 
 def test_plus_involution_rejects_momenta():

@@ -14,12 +14,12 @@ ROOT = Path(__file__).resolve().parents[1]
 # Every public name of ``pseudospin``, pinned so that adding a second path
 # to the same job, or dropping one, edits this list on purpose.
 PUBLIC_NAMES = [
-    "AlgebraSpec", "CanonicalLimitReport", "CheckResult", "ComplexOrthogonal",
+    "AlgebraSpec", "CheckResult", "ComplexOrthogonal",
     "Diagnosis", "GROUPS", "Generator", "GrassmannElement",
     "GroupResult", "HermitianCounterpart", "Isomorphism", "Metric", "PAULI",
     "Realization", "RegimeReport", "TransitionSeries", "TwoSpinParams",
     "algebra_from_json", "algebra_to_json",
-    "build_total", "canonical_constraints", "canonical_limit_check",
+    "build_total", "canonical_constraints",
     "check_relations", "closed_spectrum", "commutation_factor",
     "constraint_reduce", "correspondence_check", "damping_threshold",
     "diagnose", "dirac_bracket", "element_from_json", "element_to_json",
@@ -164,6 +164,19 @@ def test_ci_installs_every_declared_dependency_pinned():
     # scipy is the tests' independent oracle, not a runtime dependency.
     assert "scipy" in test and "scipy" not in runtime
     assert [name for name in runtime + test if name not in pinned] == []
+
+
+def test_declared_numpy_floor_has_every_array_attribute_the_package_reads():
+    # ndarray.mT arrived in numpy 2.0: an install the floor allows must have it.
+    readers = [name for name, tree in package_trees().items() if "mT" in mentioned_names(tree)]
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    (floor,) = (
+        re.fullmatch(r"numpy\s*>=\s*([0-9.]+)", spec).group(1)
+        for spec in project["dependencies"] if spec.startswith("numpy")
+    )
+    if readers:
+        assert tuple(int(part) for part in floor.split(".")) >= (2, 0), readers
 
 
 def test_ci_job_is_bounded_and_read_only():

@@ -23,11 +23,9 @@ from pseudospin.pseudoherm import Metric, diagnose, eta_inner, is_rho_hermitian
 from pseudospin import twospin
 from pseudospin.quantize import PAULI, quantize, tensor_realization
 from pseudospin.twospin import (
-    CanonicalLimitReport,
     NoMetricError,
     TwoSpinParams,
     build_total,
-    canonical_limit_check,
     closed_spectrum,
     damping_threshold,
     evolve,
@@ -222,9 +220,10 @@ def test_build_total_block_structure():
 
 
 def test_build_total_matches_quantization():
-    # The matrix builders coincide with the quantization of the classical
-    # model: precession terms for both families plus the bilinear coupling,
-    # realized at hbar = 1/2.
+    # The matrix builders coincide, bit for bit, with the quantization of the
+    # classical model: precession terms for both families plus the bilinear
+    # coupling, realized at hbar = 1/2.  Fields are complex, J takes both
+    # signs, and each parameter has its own scale in [1e-8, 1e8].
     levi = np.zeros((3, 3, 3))
     for i, j, k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
         levi[i, j, k] = 1.0
@@ -232,23 +231,28 @@ def test_build_total_matches_quantization():
     alg = AlgebraSpec((3, 3), momenta_attached=True)
     xi = [GrassmannElement.from_generator(alg, alg.coordinate(0, i)) for i in range(3)]
     chi = [GrassmannElement.from_generator(alg, alg.coordinate(1, i)) for i in range(3)]
-    params = TwoSpinParams(f3=0.4 + 0.25j, g3=-0.3 + 0.1j, exchange=0.85)
-    f_vec = (0.0, 0.0, params.f3)
-    g_vec = (0.0, 0.0, params.g3)
-    classical = GrassmannElement.zero(alg)
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                if levi[i, j, k]:
-                    classical = classical + (-0.5j * levi[i, j, k]) * (
-                        f_vec[k] * (xi[i] * xi[j]) + g_vec[k] * (chi[i] * chi[j])
-                    )
-    for i in range(3):
-        classical = classical + params.exchange * (xi[i] * chi[i])
     realization = tensor_realization(AlgebraSpec((3, 3)), hbar=0.5)
-    assert np.allclose(
-        quantize(classical, realization), build_total(params), atol=1e-14
-    )
+    rng = np.random.default_rng(24)
+    scales = 10.0 ** rng.uniform(-8.0, 8.0, size=(200, 3))
+    parts = rng.normal(size=(200, 5))
+    for (f_scale, g_scale, j_scale), (f_re, f_im, g_re, g_im, j_part) in zip(scales, parts):
+        params = TwoSpinParams(
+            f3=f_scale * complex(f_re, f_im), g3=g_scale * complex(g_re, g_im),
+            exchange=j_scale * j_part,
+        )
+        f_vec = (0.0, 0.0, params.f3)
+        g_vec = (0.0, 0.0, params.g3)
+        classical = GrassmannElement.zero(alg)
+        for i in range(3):
+            for j in range(3):
+                for k in range(3):
+                    if levi[i, j, k]:
+                        classical = classical + (-0.5j * levi[i, j, k]) * (
+                            f_vec[k] * (xi[i] * xi[j]) + g_vec[k] * (chi[i] * chi[j])
+                        )
+        for i in range(3):
+            classical = classical + params.exchange * (xi[i] * chi[i])
+        assert np.array_equal(quantize(classical, realization), build_total(params)), params
 
 
 def test_params_validation():
@@ -1015,43 +1019,25 @@ def test_rho_norm_conserved_along_evolution():
 # canonical limit
 
 
-def test_canonical_limit_alpha_zero_is_exact():
-    params = TwoSpinParams(f3=0.8, g3=0.8, exchange=1.0)
-    report = canonical_limit_check(params, steps=3)
-    assert isinstance(report, CanonicalLimitReport)
-    assert report.passed
-    assert report.u_distances == (0.0, 0.0, 0.0)
-    assert report.counterpart_gaps == (0.0, 0.0, 0.0)
-    counterpart = hermitian_counterpart(params)
-    assert np.array_equal(counterpart.matrix, build_total(params))
-
-
-def test_canonical_limit_holds_for_negative_coupling():
-    # s carries the sign of J, so u -> I and the counterpart -> the undamped
-    # Hamiltonian for either sign.
-    for exchange in (-1.0, -0.7):
-        flipped = canonical_limit_check(toy_params(1.0, 0.5, exchange), steps=8)
-        reference = canonical_limit_check(toy_params(1.0, 0.5, -exchange), steps=8)
-        assert flipped.passed
-        assert flipped.monotone
-        assert flipped.u_distances == reference.u_distances
-        assert flipped.counterpart_gaps == pytest.approx(reference.counterpart_gaps)
-        undamped = TwoSpinParams(f3=0.8, g3=0.8, exchange=exchange)
-        counterpart = hermitian_counterpart(undamped)
-        assert np.array_equal(counterpart.matrix, build_total(undamped))
-
-
-def test_canonical_limit_toy_model():
-    report = canonical_limit_check(toy_params(1.0, 0.5), steps=8)
-    assert report.passed
-    assert report.monotone
-    assert all(gap < 1e-12 for gap in report.det_gaps)
-    assert report.u_distances[0] > report.u_distances[-1]
-    assert report.counterpart_gaps[-1] < report.counterpart_gaps[0]
-
-
-def test_canonical_limit_rejections():
-    with pytest.raises(ValueError):
-        canonical_limit_check(TwoSpinParams(f3=1.2, g3=0.4, exchange=1.0))
-    with pytest.raises(ValueError):
-        canonical_limit_check(toy_params(1.0, 0.5), steps=0)
+@pytest.mark.parametrize("exchange", [1.0, -1.0, -0.7])
+def test_undamped_limit(exchange):
+    # s carries the sign of J, so for either sign U -> I and the counterpart
+    # H_R -> the undamped H0 along alpha, alpha/2, ... with f_plus held fixed.
+    f_plus = 1.6
+    undamped = TwoSpinParams(f3=f_plus / 2.0, g3=f_plus / 2.0, exchange=exchange)
+    h0 = build_total(undamped)
+    assert np.array_equal(hermitian_counterpart(undamped).matrix, h0)
+    u_distances, counterpart_gaps = [], []
+    for k in range(8):
+        alpha = 0.8 / 2.0**k
+        step = TwoSpinParams(
+            f3=(f_plus + 1j * alpha) / 2.0, g3=(f_plus - 1j * alpha) / 2.0, exchange=exchange
+        )
+        det_h = np.linalg.det(build_total(step))
+        h_r = hermitian_counterpart(step).matrix
+        assert abs(det_h - np.linalg.det(h_r)) <= 1e-12 * (1.0 + abs(det_h))
+        u_distances.append(np.linalg.norm(paper_isomorphism(step).u - np.eye(4)))
+        counterpart_gaps.append(np.linalg.norm(h_r - h0))
+    for distances in (u_distances, counterpart_gaps):
+        assert all(later <= earlier for earlier, later in zip(distances, distances[1:]))
+        assert distances[-1] * 100.0 < distances[0]
