@@ -1019,14 +1019,20 @@ def test_rho_norm_conserved_along_evolution():
 # canonical limit
 
 
-@pytest.mark.parametrize("exchange", [1.0, -1.0, -0.7])
-def test_undamped_limit(exchange):
-    # s carries the sign of J, so for either sign U -> I and the counterpart
-    # H_R -> the undamped H0 along alpha, alpha/2, ... with f_plus held fixed.
+def test_canonical_limit_alpha_zero_is_exact():
+    # At zero damping the isomorphism is the identity and the counterpart is
+    # the Hamiltonian itself, bit for bit, for either sign of J.
+    for exchange in (1.0, -1.0, -0.7):
+        undamped = TwoSpinParams(f3=0.8, g3=0.8, exchange=exchange)
+        assert np.array_equal(paper_isomorphism(undamped).u, np.eye(4))
+        assert np.array_equal(hermitian_counterpart(undamped).matrix, build_total(undamped))
+
+
+def _assert_undamped_limit(exchange):
+    # Along alpha, alpha/2, ... with f_plus held fixed, H and H_R share their
+    # determinant, and U -> I and H_R -> the undamped H0 monotonically.
     f_plus = 1.6
-    undamped = TwoSpinParams(f3=f_plus / 2.0, g3=f_plus / 2.0, exchange=exchange)
-    h0 = build_total(undamped)
-    assert np.array_equal(hermitian_counterpart(undamped).matrix, h0)
+    h0 = build_total(TwoSpinParams(f3=f_plus / 2.0, g3=f_plus / 2.0, exchange=exchange))
     u_distances, counterpart_gaps = [], []
     for k in range(8):
         alpha = 0.8 / 2.0**k
@@ -1041,3 +1047,14 @@ def test_undamped_limit(exchange):
     for distances in (u_distances, counterpart_gaps):
         assert all(later <= earlier for earlier, later in zip(distances, distances[1:]))
         assert distances[-1] * 100.0 < distances[0]
+
+
+def test_canonical_limit_toy_model():
+    # toy_params(1.0, 0.5): f_plus = 1.6, alpha = 0.8, J = 1.
+    _assert_undamped_limit(1.0)
+
+
+@pytest.mark.parametrize("exchange", [-1.0, -0.7])
+def test_undamped_limit(exchange):
+    # s carries the sign of J, so the limit holds for negative coupling too.
+    _assert_undamped_limit(exchange)
