@@ -130,19 +130,19 @@ def pushforward_field(field: FieldVector, lam: ComplexOrthogonal) -> FieldVector
 
     The transported field is ``det(Lambda) Lambda field``; the determinant
     factor makes the quadratic spin Hamiltonian covariant.  The bilinear
-    square ``F . F`` (no conjugation) is an exact invariant and is verified
-    before returning.
+    square ``F . F`` (no conjugation) is an exact invariant, zero on a null
+    field, and is verified to ``INVARIANT_TOL * |field|^2`` before returning.
 
     Raises:
-        RuntimeError: If the bilinear invariant drifts beyond
-            :data:`INVARIANT_TOL`, signalling numerical degradation.
+        RuntimeError: If the bilinear invariant drifts beyond that bound,
+            signalling numerical degradation.
     """
     b = np.asarray(field, dtype=complex)
     if b.shape != (lam.n,):
         raise ValueError(f"field must have shape ({lam.n},)")
     f = lam.det * lam.entries @ b
     drift = abs(f @ f - b @ b)
-    if drift > INVARIANT_TOL * (1.0 + abs(b @ b)):
+    if drift > INVARIANT_TOL * np.vdot(b, b).real:
         raise RuntimeError(f"bilinear invariant drifted by {drift:.3e}")
     return f
 

@@ -76,7 +76,7 @@ class Diagnosis:
     Attributes:
         spectrum: Eigenvalues sorted by (real, imaginary) part.
         spectrum_real: Whether every eigenvalue satisfies
-            ``|Im| <= REALITY_TOL * (1 + |lambda|)``.
+            ``|Im| <= REALITY_TOL * max|A|``, A the diagnosed operator.
         diagonalizable: Whether the eigenvector matrix is numerically
             invertible (condition number within ``COND_CAP``) and the constructed
             metric verified internally.
@@ -193,12 +193,11 @@ def diagnose(a: OperatorMatrix) -> Diagnosis | np.ndarray:
     """Decide whether an operator admits a positive metric, and build one.
 
     The spectrum is computed first; the operator is metric-compatible
-    exactly when every eigenvalue is real (within
-    ``REALITY_TOL * (1 + |lambda|)``) and the eigenvector matrix ``s`` is
-    numerically invertible (condition number at most ``COND_CAP``).  In that
-    case the eigenvector columns are scaled to unit norm, so the construction
-    is reproducible, and the metric ``(s s^dag)^-1`` is returned after an
-    internal verification that it actually renders the operator hermitian.
+    exactly when every |Im lambda| is within ``REALITY_TOL * max|a|`` and
+    the eigenvector matrix ``s`` is numerically invertible (condition number
+    at most ``COND_CAP``).  Then the columns of ``s`` are scaled to unit
+    norm, so the construction is reproducible, and the metric ``(s s^dag)^-1``
+    is returned once its residual is within ``METRIC_RESIDUAL_TOL * max|a|``.
     A verification failure or a non-positive candidate downgrades the
     ``diagonalizable`` flag instead of raising: near a spectral degeneracy
     the condition number is only a proxy, and the residual is the honest
@@ -224,8 +223,8 @@ def diagnose(a: OperatorMatrix) -> Diagnosis | np.ndarray:
     order = np.lexsort((values.imag, values.real))
     values = np.take_along_axis(values, order, -1)
     vectors = np.take_along_axis(vectors, order[:, None, :], -1)
-    magnitudes = np.hypot(values.real, values.imag)
-    spectrum_real = np.all(np.abs(values.imag) <= REALITY_TOL * (1.0 + magnitudes), -1)
+    scale = np.max(np.abs(stack), axis=(-2, -1))
+    spectrum_real = np.all(np.abs(values.imag) <= REALITY_TOL * scale[:, None], -1)
     cond = np.linalg.cond(vectors)
     diagonalizable = np.isfinite(cond) & (cond <= COND_CAP)
     ok = np.flatnonzero(spectrum_real & diagonalizable)
@@ -249,5 +248,5 @@ def _verified_metric(a: OperatorMatrix, candidate: OperatorMatrix) -> Metric | N
         metric = Metric(candidate)
     except ValueError:
         return None
-    residual_tol = METRIC_RESIDUAL_TOL * (1.0 + float(np.max(np.abs(a))))
+    residual_tol = METRIC_RESIDUAL_TOL * float(np.max(np.abs(a)))
     return metric if is_rho_hermitian(a, metric, tol=residual_tol) else None

@@ -15,10 +15,9 @@ produces them, carrying an overall 1/4; spectra are reported for those
 matrices (callers wanting the bare field-unit eigenvalues multiply by 4).
 The regime is decided from the fields and the coupling, not from the
 matrices, so the prefactor never affects the pseudo-hermitian
-classification.  The tolerance band is relative to the model's magnitude
-but has an absolute floor of 1 (see ``_tolerance_scale``), so the
-classification is scale-invariant only for parameters of order one and
-larger; rescaling small parameters can flip it.
+classification.  Every tolerance band is relative to the model's magnitude
+|f3| + |g3| + 2|J| (``_tolerance_scale``) with no absolute floor, so
+rescaling all parameters by a power of two never changes the classification.
 """
 
 import math
@@ -202,7 +201,7 @@ class TransitionSeries:
 
 def _tolerance_scale(params: TwoSpinParams) -> float:
     """Magnitude scale of the model that the regime tolerances multiply."""
-    return 1.0 + abs(params.f3) + abs(params.g3) + 2.0 * abs(params.exchange)
+    return abs(params.f3) + abs(params.g3) + 2.0 * abs(params.exchange)
 
 
 def _build_sz_conserving(
@@ -568,7 +567,7 @@ def transition_series(
         gaps = amplitudes - partner_amplitudes
         route_gaps = np.hypot(gaps.real, gaps.imag)
         # Written so that a nan gap fails the gate too.
-        failing = ~(route_gaps <= ROUTE_TOL * scale * (1.0 + magnitudes))
+        failing = ~(route_gaps <= ROUTE_TOL * (1.0 + magnitudes))
         if failing.any():
             k = int(np.argmax(failing))
             raise RuntimeError(

@@ -193,6 +193,16 @@ def test_pushforward_preserves_bilinear_square():
         assert abs(f @ f - b @ b) < 1e-12 * (1.0 + abs(b @ b))
 
 
+def test_pushforward_transports_null_fields_at_every_scale():
+    # b . b = 0 on c (1, i, 0); the drift is bounded relative to |b|^2.
+    for seed in range(50):
+        lam = random_orthogonal(3, seed=seed)
+        for c in (1e-12, 1e-6, 1.0, 1e3, 1e6, 1e12):
+            b = c * np.array([1.0, 1j, 0.0])
+            f = pushforward_field(b, lam)
+            assert np.array_equal(f, lam.det * lam.entries @ b)
+
+
 def test_pushforward_shape_check():
     lam = random_orthogonal(3, seed=1)
     with pytest.raises(ValueError):

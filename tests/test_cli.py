@@ -590,6 +590,39 @@ def test_evolve_hermitian_branch_uses_flat_metric(capsys):
     assert all(float(r["rho_norm"]) == pytest.approx(1.0, abs=1e-10) for r in rows)
 
 
+# J = B = 2^-27: every parameter scales exactly, and H with it.
+SMALL = 2.0**-27
+
+
+def test_evolve_rows_do_not_depend_on_the_unit_of_energy(capsys):
+    # Scaling H by s and t by 1/s leaves every amplitude and norm unchanged.
+    rows = {}
+    for s in (1.0, SMALL):
+        code, out, err = run(
+            capsys, "evolve", f"--J={s!r}", f"--B={s!r}", "--alpha1", "0.5",
+            "--alpha2", "-0.5", f"--t-end={10.0 / s!r}", "--t-steps", "5",
+        )
+        assert (code, err) == (0, "")
+        rows[s] = [
+            (r["re_amp"], r["im_amp"], r["probability"], r["rho_norm"])
+            for r in parse_csv(out)
+        ]
+    assert len(rows[SMALL]) == 5
+    assert rows[SMALL] == rows[1.0]
+
+
+def test_spectrum_regime_does_not_depend_on_the_unit_of_energy(capsys):
+    flags = []
+    for s in (1.0, SMALL):
+        code, out, _ = run(
+            capsys, "spectrum", f"--J={s!r}", f"--B={s!r}", "--alpha1", "0.5",
+            "--alpha2", "-0.4",
+        )
+        assert code == 0
+        flags.append(parse_csv(out)[0]["pseudo_hermitian"])
+    assert flags == ["0", "0"]
+
+
 def test_evolve_custom_states(tmp_path, capsys):
     xi = np.array([0.3, 1.0, -0.2j, 0.0])
     zeta = np.array([0.0, 0.5, 1.0, 0.1])

@@ -242,6 +242,20 @@ def test_diagnose_complex_spectrum():
     assert np.allclose(sorted(v.imag for v in report.spectrum), [-1.0, 1.0], atol=1e-12)
 
 
+@pytest.mark.parametrize("c", [1e-12, 1e-6, 1.0, 1e12])
+def test_diagnose_reality_gate_is_relative_to_the_matrix(c):
+    # Eigenvalues +-ic: imaginary at every scale, however small.
+    report = diagnose(c * np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    assert not report.spectrum_real
+    assert report.metric is None
+
+
+def test_diagnose_zero_matrix_is_real():
+    report = diagnose(np.zeros((3, 3)))
+    assert report.spectrum_real and report.diagonalizable
+    assert np.array_equal(report.metric.matrix, np.eye(3))
+
+
 def test_diagnose_jordan_block():
     a = np.array([[0.0, 1.0], [0.0, 0.0]])
     report = diagnose(a)

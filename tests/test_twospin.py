@@ -532,7 +532,7 @@ def test_flagged_points_pass_the_branch_gates():
             exchange=exchange,
         )
         report = closed_spectrum(params)
-        scale = 1.0 + abs(params.f3) + abs(params.g3) + 2.0 * abs(exchange)
+        scale = twospin._tolerance_scale(params)
         if report.threshold_margin <= twospin.REGIME_TOL * scale**2:
             continue
         if report.pseudo_hermitian:
@@ -541,17 +541,32 @@ def test_flagged_points_pass_the_branch_gates():
     assert checked >= 100
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the regime band has an absolute floor of 1, so small parameters "
-    "are classified against an absolute tolerance",
-)
 def test_regime_flag_is_scale_invariant():
     flags = []
     for scale in (1.0, 1e-8):
         params = TwoSpinParams.from_gilbert(scale, 0.5, -0.4, scale)
         flags.append(closed_spectrum(params).pseudo_hermitian)
     assert flags[0] == flags[1]
+    # Complex fields and J of both signs, half of them drawn on the regime
+    # (f_plus real, f_minus real or imaginary).  Scaling by 2^k is exact in
+    # every field, coupling, sum and square the flag reads, so no flag may
+    # change.
+    rng = np.random.default_rng(29)
+    seen = set()
+    for draw in range(2000):
+        f3, g3 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        if draw % 2:
+            f_plus, f_minus = (f3 + g3).real, f3 - g3
+            f_minus = f_minus.real if draw % 4 == 1 else 1j * f_minus.imag
+            f3, g3 = (f_plus + f_minus) / 2.0, (f_plus - f_minus) / 2.0
+        exchange = float(rng.standard_normal())
+        flag = closed_spectrum(TwoSpinParams(f3, g3, exchange)).pseudo_hermitian
+        seen.add(flag)
+        for k in (-40, -20, 20, 40):
+            c = 2.0**k
+            scaled = TwoSpinParams(c * f3, c * g3, c * exchange)
+            assert closed_spectrum(scaled).pseudo_hermitian == flag, (draw, k)
+    assert seen == {True, False}
 
 
 def test_imaginary_parts_grow_beyond_threshold():
@@ -661,6 +676,34 @@ def test_paper_isomorphism_rejections():
     b_max = damping_threshold(1.0, 0.5)
     with pytest.raises(ValueError):
         paper_isomorphism(toy_params(b_max, 0.5))  # exceptional point
+
+
+def test_all_zero_model_needs_no_special_case():
+    # Its band is 0 and it sits on the threshold (margin 0.0).
+    # transition_series takes the identity route (the other route calls
+    # paper_isomorphism, which needs a coupling), and paper_isomorphism
+    # refuses it for the coupling, not for a metric.
+    zero = TwoSpinParams(0.0, 0.0, 0.0)
+    report = closed_spectrum(zero)
+    assert report.pseudo_hermitian
+    assert report.threshold_margin == 0.0
+    xi, zeta = np.array([1, 2, 3, 4], dtype=complex), np.array([1j, 1, 0, 2])
+    series = transition_series(xi, zeta, zero, np.array([0.0, 1.0]))
+    assert np.array_equal(series.route_gaps, [0.0, 0.0])
+    assert np.array_equal(series.amplitudes, np.full(2, np.vdot(xi, zeta)))
+    with pytest.raises(ValueError, match="nonzero coupling") as caught:
+        paper_isomorphism(zero)
+    assert not isinstance(caught.value, NoMetricError)
+
+
+def test_small_hermitian_model_is_far_from_the_exceptional_point():
+    # Zero fields and coupling 1e-8: the margin 4 J^2 is scale^2, a
+    # relative margin of 1, so an isomorphism (the identity) exists.
+    tiny = TwoSpinParams(0.0, 0.0, 1e-8)
+    assert closed_spectrum(tiny).pseudo_hermitian
+    u, rho = paper_isomorphism(tiny)
+    assert np.array_equal(u, np.eye(4))
+    assert np.array_equal(rho.matrix, np.eye(4))
 
 
 def test_no_metric_error_marks_exactly_the_points_without_a_metric():
@@ -869,8 +912,7 @@ def test_transition_series_checks_route_at_every_time(monkeypatch):
     zeta = rng.normal(size=4) + 1j * rng.normal(size=4)
     times = np.linspace(0.0, 30.0, 61)
     series = transition_series(xi, zeta, params, times)
-    scale = twospin._tolerance_scale(params)
-    ratios = series.route_gaps / (scale * (1.0 + np.abs(series.amplitudes)))
+    ratios = series.route_gaps / (1.0 + np.abs(series.amplitudes))
     worst, runner_up = np.sort(ratios)[-1], np.sort(ratios)[-2]
     assert worst > runner_up
     # Only the worst time breaks the tightened tolerance.
