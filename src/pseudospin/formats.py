@@ -195,8 +195,6 @@ def csv_cell(value: Any) -> str:
     quoted with its quotes doubled, as the csv module's minimal quoting does;
     any other string is written as it is.
     """
-    if type(value) is float:
-        return repr(value)
     if isinstance(value, (bool, np.bool_)):
         return str(int(value))
     if isinstance(value, (int, np.integer)):
@@ -211,7 +209,7 @@ def csv_cell(value: Any) -> str:
 
 
 def _csv_line(row: Sequence[Any]) -> str:
-    # repr for a float is csv_cell's first branch, taken here without the call.
+    # A float is written as its repr, as csv_cell writes it, without the call.
     line = ",".join([repr(v) if type(v) is float else csv_cell(v) for v in row])
     # The csv module quotes a lone empty cell so the row does not read as blank.
     return ('""' if not line and len(row) == 1 else line) + "\n"

@@ -1,14 +1,14 @@
 """Two coupled spins with complex effective fields.
 
 Realizes the model layer: one builder for two-spin Hamiltonians with
-z-fields and XXZ exchange (complex fields and isotropic exchange for the
-deformed model, real fields and exchange (s/2, s/2, J) for its hermitian
-counterpart), the closed-form spectrum and its pseudo-hermiticity regime,
-the Gilbert-damping parameterization of the fields, the hermitian
-counterpart system reached by a positive isomorphism, and metric-unitary
-time evolution with transition amplitudes evaluated both directly and
-through the counterpart.  Every Hamiltonian here conserves total S_z, so
-time evolution exponentiates its 1+2+1 blocks in closed form.
+z-fields and XXZ exchange, the closed-form spectrum and its
+pseudo-hermiticity regime, the Gilbert-damping parameterization of the
+fields, one frame (isomorphism, metric and hermitian counterpart) at every
+point of the regime off the exceptional point, the identity on the
+hermitian branch, and metric-unitary time evolution with transition
+amplitudes evaluated both directly and through the counterpart.  Every
+Hamiltonian here conserves total S_z, so time evolution exponentiates its
+1+2+1 blocks in closed form.
 
 Matrices are built exactly as the quantization of the classical model
 produces them, carrying an overall 1/4; spectra are reported for those
@@ -163,11 +163,12 @@ class HermitianCounterpart:
     """Hermitian system with the same block structure as the deformed one.
 
     Attributes:
-        matrix: The 4x4 hermitian Hamiltonian.
+        matrix: The 4x4 hermitian Hamiltonian; on the hermitian branch the
+            model's own matrix, hermitian within the ``REGIME_TOL`` band.
         b3: Real z-field on the first spin.
         c3: Real z-field on the second spin.
-        j_tilde: Anisotropic exchange triple (s/2, s/2, J), s with the sign
-            of J.
+        j_tilde: Exchange triple: (J, J, J) on the hermitian branch,
+            (s/2, s/2, J) on the dissipative one, s with the sign of J.
     """
 
     matrix: OperatorMatrix
@@ -239,9 +240,10 @@ def closed_spectrum(params: TwoSpinParams) -> RegimeReport:
     The reality conditions are: f_plus real, f_minus real or purely
     imaginary (f_minus^2 real), and 4 J^2 + f_minus^2 positive.  Each is
     tested inside a band of relative width ``REGIME_TOL``, the one the
-    branch tests of :func:`paper_isomorphism` and :func:`transition_series`
-    use, so the exact threshold point (margin zero in floats) still
-    classifies as pseudo-hermitian; crossing the threshold flips the flag.
+    branch tests of :func:`paper_isomorphism` and
+    :func:`hermitian_counterpart` use, so the exact threshold point (margin
+    zero in floats) still classifies as pseudo-hermitian; crossing the
+    threshold flips the flag.
 
     Args:
         params: Model parameters.
@@ -311,14 +313,14 @@ def _require_regime(params: TwoSpinParams) -> RegimeReport:
 
 
 def hermitian_counterpart(params: TwoSpinParams) -> HermitianCounterpart:
-    """Build the hermitian system sharing the deformed block structure.
+    """Build the hermitian system the model is similar to.
 
-    The counterpart carries real z-fields b3 = (f_plus + Re f_minus)/2 and
-    c3 = (f_plus - Re f_minus)/2 and the anisotropic exchange
-    (s/2, s/2, J) with s = sqrt(4 J^2 + f_minus^2) taken with the sign of
-    J, so that it tends to the undamped Hamiltonian as the damping
-    vanishes.  On the dissipative branch (f_minus purely imaginary) it is
-    similar to the deformed Hamiltonian and shares its spectrum.
+    On the hermitian branch (|Im f_minus| within the ``REGIME_TOL`` band)
+    it is the model itself, :func:`build_total`'s matrix, hermitian within
+    the band.  On the dissipative branch it carries real z-fields
+    b3 = (f_plus + Re f_minus)/2 and c3 = (f_plus - Re f_minus)/2 and the
+    anisotropic exchange (s/2, s/2, J) with s = sqrt(4 J^2 + f_minus^2)
+    taken with the sign of J.  Either way it shares the model's spectrum.
 
     Args:
         params: Model parameters satisfying the reality conditions.
@@ -330,6 +332,10 @@ def hermitian_counterpart(params: TwoSpinParams) -> HermitianCounterpart:
         NoMetricError: If the reality conditions fail.
     """
     report = _require_regime(params)
+    if abs(params.f_minus.imag) <= REGIME_TOL * _tolerance_scale(params):
+        j = params.exchange
+        b3, c3 = params.f3.real, params.g3.real
+        return HermitianCounterpart(build_total(params), b3, c3, (j, j, j))
     root = math.copysign(
         float(np.sqrt(max(report.threshold_margin, 0.0))), params.exchange
     )
@@ -343,34 +349,29 @@ def hermitian_counterpart(params: TwoSpinParams) -> HermitianCounterpart:
 def paper_isomorphism(params: TwoSpinParams) -> Isomorphism:
     """Construct the explicit isomorphism onto the hermitian counterpart.
 
-    Valid on the dissipative branch (f_minus purely imaginary) away from
-    the exceptional point.  The map differs from the identity only in the
-    middle block [[s/(2J), -f_minus/(2J)], [0, 1]], with s as in
+    On the hermitian branch (|Im f_minus| within the ``REGIME_TOL`` band)
+    the map and the metric are the identity.  On the dissipative branch,
+    away from the exceptional point, the map differs from the identity
+    only in the middle block [[s/(2J), -f_minus/(2J)], [0, 1]], with s as in
     :func:`hermitian_counterpart`, so s/(2J) > 0; the metric is the
     inverse Gram matrix of the map, and both postconditions (the conjugated
     Hamiltonian is hermitian, the metric hermitizes the original) are
     verified before returning.
 
     Args:
-        params: Model parameters on the dissipative branch.
+        params: Model parameters satisfying the reality conditions.
 
     Returns:
         An :class:`Isomorphism` pair (u, rho).
 
     Raises:
         NoMetricError: If the reality conditions fail or at the exceptional point.
-        ValueError: If the field difference has a real part or J vanishes.
         RuntimeError: If a verified postcondition fails numerically.
     """
     report = _require_regime(params)
     scale = _tolerance_scale(params)
-    if abs(params.f_minus.real) > REGIME_TOL * scale:
-        raise ValueError(
-            "isomorphism construction requires a purely imaginary field "
-            f"difference, got f_minus={params.f_minus}"
-        )
-    if params.exchange == 0.0:
-        raise ValueError("isomorphism construction requires a nonzero coupling")
+    if abs(params.f_minus.imag) <= REGIME_TOL * scale:
+        return Isomorphism(np.eye(4, dtype=complex), Metric.identity(4))
     if report.threshold_margin <= REGIME_TOL * scale * scale:
         raise NoMetricError("parameters sit at the exceptional point; no metric exists")
     j = params.exchange
@@ -499,15 +500,16 @@ def transition_series(
     The amplitude is the deformed product of ``xi`` with the evolved
     ``zeta``.  It is evaluated twice at every time: directly with the
     metric, and canonically in the hermitian counterpart frame after
-    mapping both states through the isomorphism; the routes must agree.
-    The regime check, the Hamiltonian, the verified isomorphism and the
-    counterpart are built once for the whole grid, and each route evolves
-    the whole grid in one closed-form :func:`evolve` call.  The amplitudes,
-    the counterpart amplitudes and the deformed norms are each one stacked
-    product over the grid, and one gate then checks the route agreement at
-    every time and reports the first time that fails.  Norms, probabilities
-    and amplitudes are taken of states scaled exactly by powers of two
-    (:func:`_unit_rows`), so entries from 1e-320 to 1e300 stay in range.
+    mapping both states through :func:`paper_isomorphism`'s map onto
+    :func:`hermitian_counterpart`, on either branch; the routes must agree.
+    The frame, the Hamiltonian and the counterpart are built once for the
+    whole grid, and each route evolves the whole grid in one closed-form
+    :func:`evolve` call.  The amplitudes, the counterpart amplitudes and the
+    deformed norms are each one stacked product over the grid, and one gate
+    then checks the route agreement at every time and reports the first time
+    that fails.  Norms, probabilities and amplitudes are taken of states
+    scaled exactly by powers of two (:func:`_unit_rows`), so entries from
+    1e-320 to 1e300 stay in range.
 
     Args:
         xi: Target state.
@@ -521,8 +523,8 @@ def transition_series(
         and the deformed norm of the evolved source state.
 
     Raises:
-        NoMetricError: If the reality conditions fail or at the exceptional
-            point on the dissipative branch; both shapes are checked first.
+        NoMetricError: As :func:`paper_isomorphism` raises it; both shapes
+            are checked first.
         ValueError: If a state's shape is not ``(4,)`` (the message names
             the state), a state's deformed norm is not positive and finite,
             ``times`` is not 1-D, or an amplitude leaves the float range
@@ -536,14 +538,9 @@ def transition_series(
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError("times must be a 1-D array")
-    _require_regime(params)
-    scale = _tolerance_scale(params)
+    u, rho = paper_isomorphism(params)
     hamiltonian = build_total(params)
-    if abs(params.f_minus.imag) <= REGIME_TOL * scale:
-        u, rho, partner = np.eye(4, dtype=complex), Metric.identity(4), hamiltonian
-    else:
-        u, rho = paper_isomorphism(params)
-        partner = hermitian_counterpart(params).matrix
+    partner = hermitian_counterpart(params).matrix
     (unit_xi, exp_xi), (unit_zeta, exp_zeta) = _unit_rows(xi), _unit_rows(zeta)
     # Overflow reads inf or nan and fails a check below; no warning needed.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -44,6 +44,7 @@ from .quantize import (
 from .twospin import (
     TwoSpinParams,
     _build_sz_conserving,
+    _tolerance_scale,
     build_total,
     closed_spectrum,
     damping_threshold,
@@ -429,7 +430,7 @@ def check_twospin(seed: int = 0, perturb: float = 0.0) -> GroupResult:
     flags, kept = [], []
     for params in _random_params(rng, 150):
         report = closed_spectrum(params)
-        if abs(report.threshold_margin) < 1e-6:
+        if abs(report.threshold_margin) < 1e-6 * _tolerance_scale(params) ** 2:
             continue
         flags.append(report.pseudo_hermitian)
         kept.append(params)

@@ -151,6 +151,17 @@ def test_one_module_scales_states_into_the_float_range():
     )
 
 
+def test_transition_series_takes_its_frame_from_paper_isomorphism():
+    # The branch and regime decisions live in paper_isomorphism and
+    # hermitian_counterpart; transition_series only reads their frame.
+    (function,) = (
+        node for node in ast.walk(package_trees()["twospin.py"])
+        if isinstance(node, ast.FunctionDef) and node.name == "transition_series"
+    )
+    forbidden = {"REGIME_TOL", "_tolerance_scale", "_require_regime", "Metric"}
+    assert mentioned_names(function) & forbidden == set()
+
+
 def test_ci_installs_every_declared_dependency_pinned():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]

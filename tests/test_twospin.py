@@ -19,7 +19,13 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from pseudospin.grassmann import AlgebraSpec, GrassmannElement
-from pseudospin.pseudoherm import Metric, diagnose, eta_inner, is_rho_hermitian
+from pseudospin.pseudoherm import (
+    METRIC_RESIDUAL_TOL,
+    Metric,
+    diagnose,
+    eta_inner,
+    is_rho_hermitian,
+)
 from pseudospin import twospin
 from pseudospin.quantize import PAULI, quantize, tensor_realization
 from pseudospin.twospin import (
@@ -125,9 +131,10 @@ def test_build_total_bytes_match_kron_construction():
 
 
 def test_hermitian_counterpart_bytes_match_kron_construction():
-    # The counterpart matrix has the same bytes, signed zeros included, as
-    # per-call Kronecker products of its real z-fields and its anisotropic
-    # exchange (s/2, s/2, J), on both branches of the reality conditions.
+    # On the dissipative branch the counterpart matrix has the same bytes,
+    # signed zeros included, as per-call Kronecker products of its real
+    # z-fields and its anisotropic exchange (s/2, s/2, J).  On the hermitian
+    # branch (|Im f_minus| within the band) it is build_total's matrix.
     eye = np.eye(2, dtype=complex)
 
     def sigma_dot(field):
@@ -160,10 +167,11 @@ def test_hermitian_counterpart_bytes_match_kron_construction():
             return float(rng.choice(specials))
         return float(rng.normal())
 
-    checked = {"dissipative": 0, "undamped": 0}
-    for _ in range(400):
-        branch = "dissipative" if rng.uniform() < 0.5 else "undamped"
-        if branch == "dissipative":
+    # 500 draws: the alpha = +-0 draws land on the hermitian branch, and
+    # each branch needs 100 checked points.
+    checked = {"dissipative": 0, "hermitian": 0}
+    for _ in range(500):
+        if rng.uniform() < 0.5:
             f_plus, alpha = draw(), draw()
             f3 = complex(f_plus / 2.0, alpha / 2.0)
             g3 = complex(f_plus / 2.0, -alpha / 2.0)
@@ -174,7 +182,12 @@ def test_hermitian_counterpart_bytes_match_kron_construction():
         if not closed_spectrum(params).pseudo_hermitian:
             continue
         matrix = hermitian_counterpart(params).matrix
-        assert matrix.tobytes() == kron_counterpart(params).tobytes(), params
+        band = twospin.REGIME_TOL * twospin._tolerance_scale(params)
+        if abs(params.f_minus.imag) <= band:
+            branch, expected = "hermitian", build_total(params)
+        else:
+            branch, expected = "dissipative", kron_counterpart(params)
+        assert matrix.tobytes() == expected.tobytes(), params
         checked[branch] += 1
     assert min(checked.values()) >= 100, checked
 
@@ -506,7 +519,7 @@ def test_regime_flips_at_threshold():
 def test_regime_flag_uses_the_branch_gate_band():
     # Re f_minus = -5e-9 and Im f_minus = 1: Im(4 J^2 + f_minus^2) = -1e-8 is
     # inside REGIME_TOL * scale^2, but both parts of f_minus are outside
-    # REGIME_TOL * scale, the band of the real-part gate of paper_isomorphism.
+    # REGIME_TOL * scale, the band of the branch test of paper_isomorphism.
     params = TwoSpinParams.from_gilbert(1.0, 1.000000005, -0.999999995, 1.0)
     report = closed_spectrum(params)
     assert abs((report.threshold_margin - 3.0)) < 1e-12
@@ -669,20 +682,20 @@ def test_paper_isomorphism_identity_limit():
 def test_paper_isomorphism_rejections():
     with pytest.raises(ValueError):
         paper_isomorphism(toy_params(5.0, 0.5))  # beyond threshold
-    with pytest.raises(ValueError):
-        paper_isomorphism(TwoSpinParams(f3=1.2, g3=0.4, exchange=1.0))  # real f_minus
-    with pytest.raises(ValueError):
-        paper_isomorphism(TwoSpinParams(f3=0.5, g3=0.5, exchange=0.0))  # no coupling
     b_max = damping_threshold(1.0, 0.5)
     with pytest.raises(ValueError):
         paper_isomorphism(toy_params(b_max, 0.5))  # exceptional point
+    # Real f_minus, and no coupling: the hermitian branch, framed by the identity.
+    for params in (TwoSpinParams(1.2, 0.4, 1.0), TwoSpinParams(0.5, 0.5, 0.0)):
+        u, rho = paper_isomorphism(params)
+        assert np.array_equal(u, np.eye(4))
+        assert np.array_equal(rho.matrix, np.eye(4))
 
 
 def test_all_zero_model_needs_no_special_case():
-    # Its band is 0 and it sits on the threshold (margin 0.0).
-    # transition_series takes the identity route (the other route calls
-    # paper_isomorphism, which needs a coupling), and paper_isomorphism
-    # refuses it for the coupling, not for a metric.
+    # Its band is 0 and it sits on the threshold (margin 0.0), on the
+    # hermitian branch: paper_isomorphism frames it by the identity before
+    # its exceptional-point check, and transition_series takes that frame.
     zero = TwoSpinParams(0.0, 0.0, 0.0)
     report = closed_spectrum(zero)
     assert report.pseudo_hermitian
@@ -691,9 +704,9 @@ def test_all_zero_model_needs_no_special_case():
     series = transition_series(xi, zeta, zero, np.array([0.0, 1.0]))
     assert np.array_equal(series.route_gaps, [0.0, 0.0])
     assert np.array_equal(series.amplitudes, np.full(2, np.vdot(xi, zeta)))
-    with pytest.raises(ValueError, match="nonzero coupling") as caught:
-        paper_isomorphism(zero)
-    assert not isinstance(caught.value, NoMetricError)
+    u, rho = paper_isomorphism(zero)
+    assert np.array_equal(u, np.eye(4))
+    assert np.array_equal(rho.matrix, np.eye(4))
 
 
 def test_small_hermitian_model_is_far_from_the_exceptional_point():
@@ -724,9 +737,51 @@ def test_no_metric_error_marks_exactly_the_points_without_a_metric():
         TwoSpinParams(f3=1.2, g3=0.4, exchange=1.0),  # real f_minus
         TwoSpinParams(f3=0.5, g3=0.5, exchange=0.0),  # no coupling
     ):
-        with pytest.raises(ValueError) as caught:
-            paper_isomorphism(params)
-        assert not isinstance(caught.value, NoMetricError)
+        u, rho = paper_isomorphism(params)
+        assert np.array_equal(u, np.eye(4))
+        assert np.array_equal(rho.matrix, np.eye(4))
+
+
+def test_one_frame_covers_the_whole_regime():
+    # Seeded models on both branches, with J > 0, J < 0 and J = 0: f_minus
+    # real (with an imaginary part inside the band on two thirds of them) or
+    # purely imaginary, some at the exceptional point, each scaled by 2^k.
+    # paper_isomorphism refuses exactly the unflagged points and the
+    # exceptional point; everywhere else its frame carries the model onto
+    # hermitian_counterpart, whose eigenvalues are the closed form's.
+    rng = np.random.default_rng(30)
+    checked = {"hermitian": 0, "dissipative": 0, "refused": 0}
+    for _ in range(300):
+        f_plus, diff, j = rng.normal(size=3)
+        j = (j, -abs(j), 0.0)[rng.integers(3)]
+        if rng.uniform() < 0.5:
+            stray = 0.25 * twospin.REGIME_TOL * abs(diff) * rng.choice([0.0, 1.0, -1.0])
+            f_minus = complex(diff, stray)
+        else:
+            f_minus = complex(0.0, 2.0 * j if rng.uniform() < 0.2 else diff)
+        for k in (-20, 0, 20):
+            params = TwoSpinParams(
+                f3=math.ldexp(1.0, k) * (f_plus + f_minus) / 2.0,
+                g3=math.ldexp(1.0, k) * (f_plus - f_minus) / 2.0,
+                exchange=math.ldexp(j, k),
+            )
+            report = closed_spectrum(params)
+            scale = twospin._tolerance_scale(params)
+            hermitian = abs(params.f_minus.imag) <= twospin.REGIME_TOL * scale
+            at_ep = report.threshold_margin <= twospin.REGIME_TOL * scale**2
+            if not report.pseudo_hermitian or (at_ep and not hermitian):
+                with pytest.raises(NoMetricError):
+                    paper_isomorphism(params)
+                checked["refused"] += 1
+                continue
+            u, _ = paper_isomorphism(params)
+            counterpart = hermitian_counterpart(params).matrix
+            conjugated = np.linalg.solve(u, build_total(params) @ u)
+            assert np.max(np.abs(conjugated - counterpart)) <= METRIC_RESIDUAL_TOL * scale
+            gaps = matched_eigenvalues(counterpart, report.eigenvalues) - report.eigenvalues
+            assert np.max(np.abs(gaps)) <= 1e-12 * scale, params
+            checked["hermitian" if hermitian else "dissipative"] += 1
+    assert min(checked.values()) >= 100, checked
 
 
 # ---------------------------------------------------------------------------
