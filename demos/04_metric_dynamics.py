@@ -24,7 +24,7 @@ from pseudospin import (
 
 params = TwoSpinParams.from_gilbert(1.0, 1.0, -1.0, 1.0)
 hamiltonian = build_total(params)
-u, rho = paper_isomorphism(params)
+u, rho, conjugated = paper_isomorphism(params)
 counterpart = hermitian_counterpart(params)
 
 print("== the isomorphism and its metric (J=1, B=1, alpha=1) ==")
@@ -37,7 +37,6 @@ print("middle entry rho[1,1] =", rho.matrix[1, 1].real, " (= 4J^2/(4J^2+F-^2) = 
 
 print()
 print("== conjugation lands on the hermitian counterpart ==")
-conjugated = np.linalg.solve(u, hamiltonian @ u)
 print("max |U^-1 H U - H_R|     =", float(np.max(np.abs(conjugated - counterpart.matrix))))
 print("max |rho H - H^dag rho|  =",
       float(np.max(np.abs(rho.matrix @ hamiltonian - hamiltonian.conj().T @ rho.matrix))))

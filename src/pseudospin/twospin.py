@@ -3,10 +3,10 @@
 Realizes the model layer: one builder for two-spin Hamiltonians with
 z-fields and XXZ exchange, the closed-form spectrum and its
 pseudo-hermiticity regime, the Gilbert-damping parameterization of the
-fields, one frame (isomorphism, metric and hermitian counterpart) at every
-point of the regime off the exceptional point, the identity on the
-hermitian branch, and metric-unitary time evolution with transition
-amplitudes evaluated both directly and through the counterpart.  Every
+fields, one similarity (isomorphism u, metric and partner u^-1 H u) at
+every point of the regime off the exceptional point, the identity on the
+hermitian branch, the closed-form hermitian counterpart, and metric-unitary
+time evolution with transition amplitudes checked in u's frame.  Every
 Hamiltonian here conserves total S_z, so time evolution exponentiates its
 1+2+1 blocks in closed form.
 
@@ -152,10 +152,11 @@ class RegimeReport:
 
 
 class Isomorphism(NamedTuple):
-    """An invertible map to the hermitian counterpart and its metric."""
+    """An invertible map u, its metric rho = (u u^dagger)^-1 and the partner u^-1 H u."""
 
     u: OperatorMatrix
     rho: Metric
+    partner: OperatorMatrix
 
 
 @dataclass(frozen=True)
@@ -189,8 +190,8 @@ class TransitionSeries:
             source state.
         probabilities: Squared amplitude over the deformed norms of both
             states.
-        route_gaps: Absolute difference between the direct metric
-            evaluation and the hermitian-counterpart evaluation.
+        route_gaps: Absolute difference between the metric route and the
+            partner route in u's frame, a rounding check.
         rho_norms: Deformed norm of the evolved source state.
     """
 
@@ -301,7 +302,8 @@ def damping_threshold(exchange: float, alpha: float) -> float:
     return exchange * (alpha * alpha + 1.0) / abs(alpha)
 
 
-def _require_regime(params: TwoSpinParams) -> RegimeReport:
+def _frame_root(params: TwoSpinParams) -> float | None:
+    """Signed s on the dissipative branch, None on the hermitian; else NoMetricError."""
     report = closed_spectrum(params)
     if not report.pseudo_hermitian:
         raise NoMetricError(
@@ -309,11 +311,16 @@ def _require_regime(params: TwoSpinParams) -> RegimeReport:
             f"(f_plus={params.f_plus}, f_minus^2={params.f_minus**2}, "
             f"margin={report.threshold_margin})"
         )
-    return report
+    scale = _tolerance_scale(params)
+    if abs(params.f_minus.imag) <= REGIME_TOL * scale:
+        return None
+    if report.threshold_margin <= REGIME_TOL * scale * scale:
+        raise NoMetricError("parameters sit at the exceptional point; no metric exists")
+    return math.copysign(float(np.sqrt(report.threshold_margin)), params.exchange)
 
 
 def hermitian_counterpart(params: TwoSpinParams) -> HermitianCounterpart:
-    """Build the hermitian system the model is similar to.
+    """Build the hermitian system the model is similar to, in closed form.
 
     On the hermitian branch (|Im f_minus| within the ``REGIME_TOL`` band)
     it is the model itself, :func:`build_total`'s matrix, hermitian within
@@ -329,16 +336,13 @@ def hermitian_counterpart(params: TwoSpinParams) -> HermitianCounterpart:
         A :class:`HermitianCounterpart` with the matrix and its fields.
 
     Raises:
-        NoMetricError: If the reality conditions fail.
+        NoMetricError: If the reality conditions fail or at the exceptional point.
     """
-    report = _require_regime(params)
-    if abs(params.f_minus.imag) <= REGIME_TOL * _tolerance_scale(params):
+    root = _frame_root(params)
+    if root is None:
         j = params.exchange
         b3, c3 = params.f3.real, params.g3.real
         return HermitianCounterpart(build_total(params), b3, c3, (j, j, j))
-    root = math.copysign(
-        float(np.sqrt(max(report.threshold_margin, 0.0))), params.exchange
-    )
     b3 = (params.f_plus.real + params.f_minus.real) / 2.0
     c3 = (params.f_plus.real - params.f_minus.real) / 2.0
     j_tilde = (root / 2.0, root / 2.0, params.exchange)
@@ -347,46 +351,43 @@ def hermitian_counterpart(params: TwoSpinParams) -> HermitianCounterpart:
 
 
 def paper_isomorphism(params: TwoSpinParams) -> Isomorphism:
-    """Construct the explicit isomorphism onto the hermitian counterpart.
+    """Construct the explicit isomorphism onto the hermitian partner u^-1 H u.
 
     On the hermitian branch (|Im f_minus| within the ``REGIME_TOL`` band)
-    the map and the metric are the identity.  On the dissipative branch,
-    away from the exceptional point, the map differs from the identity
-    only in the middle block [[s/(2J), -f_minus/(2J)], [0, 1]], with s as in
-    :func:`hermitian_counterpart`, so s/(2J) > 0; the metric is the
-    inverse Gram matrix of the map, and both postconditions (the conjugated
-    Hamiltonian is hermitian, the metric hermitizes the original) are
-    verified before returning.
+    the map and the metric are the identity, the partner :func:`build_total`'s
+    matrix.  On the dissipative branch, away from the exceptional point, the
+    map differs from the identity only in the middle block
+    [[s/(2J), -f_minus/(2J)], [0, 1]], with s as in
+    :func:`hermitian_counterpart`, so s/(2J) > 0; the metric is the inverse
+    Gram matrix of the map, and both postconditions (the partner is
+    hermitian, the metric hermitizes the original) are verified.
 
     Args:
         params: Model parameters satisfying the reality conditions.
 
     Returns:
-        An :class:`Isomorphism` pair (u, rho).
+        An :class:`Isomorphism` (u, rho, partner).
 
     Raises:
         NoMetricError: If the reality conditions fail or at the exceptional point.
         RuntimeError: If a verified postcondition fails numerically.
     """
-    report = _require_regime(params)
-    scale = _tolerance_scale(params)
-    if abs(params.f_minus.imag) <= REGIME_TOL * scale:
-        return Isomorphism(np.eye(4, dtype=complex), Metric.identity(4))
-    if report.threshold_margin <= REGIME_TOL * scale * scale:
-        raise NoMetricError("parameters sit at the exceptional point; no metric exists")
+    root = _frame_root(params)
+    hamiltonian = build_total(params)
+    if root is None:
+        return Isomorphism(np.eye(4, dtype=complex), Metric.identity(4), hamiltonian)
     j = params.exchange
-    root = math.copysign(float(np.sqrt(report.threshold_margin)), j)
     u = np.eye(4, dtype=complex)
     u[1, 1] = root / (2.0 * j)
     u[1, 2] = -params.f_minus / (2.0 * j)
     rho = metric_from_isomorphism(u)
-    hamiltonian = build_total(params)
-    conjugated = np.linalg.solve(u, hamiltonian @ u)
-    if np.max(np.abs(conjugated - conjugated.conj().T)) > METRIC_RESIDUAL_TOL * scale:
+    partner = np.linalg.solve(u, hamiltonian @ u)
+    tol = METRIC_RESIDUAL_TOL * _tolerance_scale(params)
+    if np.max(np.abs(partner - partner.conj().T)) > tol:
         raise RuntimeError("conjugated Hamiltonian failed the hermiticity check")
-    if not is_rho_hermitian(hamiltonian, rho, tol=METRIC_RESIDUAL_TOL * scale):
+    if not is_rho_hermitian(hamiltonian, rho, tol=tol):
         raise RuntimeError("constructed metric failed to hermitize the Hamiltonian")
-    return Isomorphism(u=u, rho=rho)
+    return Isomorphism(u, rho, partner)
 
 
 def _require_sz_conserving(hamiltonian: OperatorMatrix) -> None:
@@ -498,18 +499,18 @@ def transition_series(
     """Transition amplitudes under metric-unitary evolution along a time grid.
 
     The amplitude is the deformed product of ``xi`` with the evolved
-    ``zeta``.  It is evaluated twice at every time: directly with the
-    metric, and canonically in the hermitian counterpart frame after
-    mapping both states through :func:`paper_isomorphism`'s map onto
-    :func:`hermitian_counterpart`, on either branch; the routes must agree.
-    The frame, the Hamiltonian and the counterpart are built once for the
-    whole grid, and each route evolves the whole grid in one closed-form
-    :func:`evolve` call.  The amplitudes, the counterpart amplitudes and the
-    deformed norms are each one stacked product over the grid, and one gate
-    then checks the route agreement at every time and reports the first time
-    that fails.  Norms, probabilities and amplitudes are taken of states
-    scaled exactly by powers of two (:func:`_unit_rows`), so entries from
-    1e-320 to 1e300 stay in range.
+    ``zeta``.  It is evaluated along two routes at every time: the metric
+    route, with rho = (u u^dagger)^-1, and the partner route, canonical in
+    u's frame, which evolves :func:`paper_isomorphism`'s partner u^-1 H u
+    on both states mapped by u^-1.  One similarity links the routes, so
+    their gap is a rounding check whose size follows cond(rho).  The frame
+    and the Hamiltonian are built once, and each route evolves the whole
+    grid in one closed-form :func:`evolve` call.  The amplitudes of both
+    routes and the deformed norms are each one stacked product over the
+    grid, and one gate checks the route agreement at every time and reports
+    the first time that fails.  Norms, probabilities and amplitudes are
+    taken of states scaled exactly by powers of two (:func:`_unit_rows`), so
+    entries from 1e-320 to 1e300 stay in range.
 
     Args:
         xi: Target state.
@@ -538,9 +539,8 @@ def transition_series(
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError("times must be a 1-D array")
-    u, rho = paper_isomorphism(params)
+    u, rho, partner = paper_isomorphism(params)
     hamiltonian = build_total(params)
-    partner = hermitian_counterpart(params).matrix
     (unit_xi, exp_xi), (unit_zeta, exp_zeta) = _unit_rows(xi), _unit_rows(zeta)
     # Overflow reads inf or nan and fails a check below; no warning needed.
     with np.errstate(over="ignore", invalid="ignore"):

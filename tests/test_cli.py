@@ -563,13 +563,25 @@ def test_evolve_toy_norm_constant(capsys):
     assert all(0.0 <= p <= 1.0 + 1e-12 for p in probabilities)
 
 
+def test_evolve_in_band_point_keeps_its_routes_together(capsys):
+    # Flagged pseudo-hermitian, with Im f_plus and Re f_minus inside the
+    # band: the partner route evolves u^-1 H u, so it tracks the metric
+    # route out to t = 1000.
+    code, out, err = run(
+        capsys, "evolve", "--J", "1", "--B", "1", "--alpha1", "0.5",
+        "--alpha2", "-0.5000000001", "--t-end", "1000", "--t-steps", "101",
+    )
+    assert (code, err) == (0, "")
+    assert len(parse_csv(out)) == 101
+
+
 def test_evolve_time_zero_row(capsys):
     _, out, _ = run(capsys, "evolve", *TOY, "--t-start", "0", "--t-end", "1",
                     "--t-steps", "2")
     row = parse_csv(out)[0]
     # Self-transition of the default basis state at t=0: the amplitude is
     # its squared deformed norm and the normalized probability is one.
-    _, rho = paper_isomorphism(toy_params())
+    rho = paper_isomorphism(toy_params()).rho
     norm_sq = eta_inner(
         np.array([0, 1, 0, 0], dtype=complex), np.array([0, 1, 0, 0], dtype=complex), rho
     ).real
@@ -635,7 +647,7 @@ def test_evolve_custom_states(tmp_path, capsys):
     )
     assert code == 0
     row = parse_csv(out)[0]
-    _, rho = paper_isomorphism(toy_params())
+    rho = paper_isomorphism(toy_params()).rho
     expected = eta_inner(xi, zeta, rho)
     assert float(row["re_amp"]) == pytest.approx(expected.real, abs=1e-12)
     assert float(row["im_amp"]) == pytest.approx(expected.imag, abs=1e-12)

@@ -152,13 +152,15 @@ def test_one_module_scales_states_into_the_float_range():
 
 
 def test_transition_series_takes_its_frame_from_paper_isomorphism():
-    # The branch and regime decisions live in paper_isomorphism and
-    # hermitian_counterpart; transition_series only reads their frame.
+    # The regime, branch and exceptional-point decisions live in _frame_root;
+    # transition_series only reads paper_isomorphism's frame and partner.
     (function,) = (
         node for node in ast.walk(package_trees()["twospin.py"])
         if isinstance(node, ast.FunctionDef) and node.name == "transition_series"
     )
-    forbidden = {"REGIME_TOL", "_tolerance_scale", "_require_regime", "Metric"}
+    forbidden = {
+        "REGIME_TOL", "_tolerance_scale", "_frame_root", "Metric", "hermitian_counterpart",
+    }
     assert mentioned_names(function) & forbidden == set()
 
 

@@ -134,7 +134,8 @@ def test_hermitian_counterpart_bytes_match_kron_construction():
     # On the dissipative branch the counterpart matrix has the same bytes,
     # signed zeros included, as per-call Kronecker products of its real
     # z-fields and its anisotropic exchange (s/2, s/2, J).  On the hermitian
-    # branch (|Im f_minus| within the band) it is build_total's matrix.
+    # branch (|Im f_minus| within the band) it is build_total's matrix.  In
+    # the exceptional-point band, where H is a Jordan block, it raises.
     eye = np.eye(2, dtype=complex)
 
     def sigma_dot(field):
@@ -143,7 +144,7 @@ def test_hermitian_counterpart_bytes_match_kron_construction():
     def kron_counterpart(params):
         f_plus, f_minus, j = params.f_plus, params.f_minus, params.exchange
         margin = float((4.0 * j * j + f_minus * f_minus).real)
-        root = math.copysign(float(np.sqrt(max(margin, 0.0))), j)
+        root = math.copysign(float(np.sqrt(margin)), j)
         b3 = (f_plus.real + f_minus.real) / 2.0
         c3 = (f_plus.real - f_minus.real) / 2.0
         b_dot = sigma_dot(np.array([0.0, 0.0, b3], dtype=complex))
@@ -168,8 +169,9 @@ def test_hermitian_counterpart_bytes_match_kron_construction():
         return float(rng.normal())
 
     # 500 draws: the alpha = +-0 draws land on the hermitian branch, and
-    # each branch needs 100 checked points.
-    checked = {"dissipative": 0, "hermitian": 0}
+    # each branch needs 100 checked points; a few draws sit at the
+    # exceptional point.
+    checked = {"dissipative": 0, "hermitian": 0, "exceptional": 0}
     for _ in range(500):
         if rng.uniform() < 0.5:
             f_plus, alpha = draw(), draw()
@@ -179,17 +181,23 @@ def test_hermitian_counterpart_bytes_match_kron_construction():
             f3 = complex(draw(), float(rng.choice([0.0, -0.0])))
             g3 = complex(draw(), float(rng.choice([0.0, -0.0])))
         params = TwoSpinParams(f3=f3, g3=g3, exchange=draw())
-        if not closed_spectrum(params).pseudo_hermitian:
+        report = closed_spectrum(params)
+        if not report.pseudo_hermitian:
             continue
-        matrix = hermitian_counterpart(params).matrix
-        band = twospin.REGIME_TOL * twospin._tolerance_scale(params)
-        if abs(params.f_minus.imag) <= band:
+        scale = twospin._tolerance_scale(params)
+        if abs(params.f_minus.imag) <= twospin.REGIME_TOL * scale:
             branch, expected = "hermitian", build_total(params)
+        elif report.threshold_margin <= twospin.REGIME_TOL * scale**2:
+            with pytest.raises(NoMetricError, match="exceptional point"):
+                hermitian_counterpart(params)
+            checked["exceptional"] += 1
+            continue
         else:
             branch, expected = "dissipative", kron_counterpart(params)
-        assert matrix.tobytes() == expected.tobytes(), params
+        assert hermitian_counterpart(params).matrix.tobytes() == expected.tobytes(), params
         checked[branch] += 1
-    assert min(checked.values()) >= 100, checked
+    assert min(checked["dissipative"], checked["hermitian"]) >= 100, checked
+    assert checked["exceptional"] > 0, checked
 
 
 def test_builders_vanish_off_the_1_2_1_blocks():
@@ -638,7 +646,7 @@ def test_hermitian_counterpart_preserves_spectrum_dissipative():
 
 def test_paper_isomorphism_toy_anchor():
     params = toy_params(1.0, 1.0)
-    u, rho = paper_isomorphism(params)
+    u, rho, _ = paper_isomorphism(params)
     expect_u = np.eye(4, dtype=complex)
     expect_u[1, 1] = np.sqrt(3.0) / 2.0
     expect_u[1, 2] = -0.5j
@@ -659,9 +667,8 @@ def test_paper_isomorphism_postconditions():
         )
         if not closed_spectrum(params).pseudo_hermitian:
             continue
-        u, rho = paper_isomorphism(params)
+        _, rho, conjugated = paper_isomorphism(params)
         hamiltonian = build_total(params)
-        conjugated = np.linalg.solve(u, hamiltonian @ u)
         assert np.max(np.abs(conjugated - conjugated.conj().T)) <= 1e-10
         assert is_rho_hermitian(hamiltonian, rho, tol=1e-10)
         assert np.allclose(
@@ -673,7 +680,7 @@ def test_paper_isomorphism_identity_limit():
     distances = []
     for k in range(8):
         alpha = 0.5 / 2.0**k
-        u, _ = paper_isomorphism(toy_params(1.0, alpha))
+        u = paper_isomorphism(toy_params(1.0, alpha)).u
         distances.append(np.max(np.abs(u - np.eye(4))))
     assert all(b < a for a, b in zip(distances, distances[1:]))
     assert distances[-1] < 1e-2
@@ -686,10 +693,12 @@ def test_paper_isomorphism_rejections():
     with pytest.raises(ValueError):
         paper_isomorphism(toy_params(b_max, 0.5))  # exceptional point
     # Real f_minus, and no coupling: the hermitian branch, framed by the identity.
+    # Its partner is the model itself, bit for bit.
     for params in (TwoSpinParams(1.2, 0.4, 1.0), TwoSpinParams(0.5, 0.5, 0.0)):
-        u, rho = paper_isomorphism(params)
+        u, rho, partner = paper_isomorphism(params)
         assert np.array_equal(u, np.eye(4))
         assert np.array_equal(rho.matrix, np.eye(4))
+        assert np.array_equal(partner, build_total(params))
 
 
 def test_all_zero_model_needs_no_special_case():
@@ -704,9 +713,10 @@ def test_all_zero_model_needs_no_special_case():
     series = transition_series(xi, zeta, zero, np.array([0.0, 1.0]))
     assert np.array_equal(series.route_gaps, [0.0, 0.0])
     assert np.array_equal(series.amplitudes, np.full(2, np.vdot(xi, zeta)))
-    u, rho = paper_isomorphism(zero)
+    u, rho, partner = paper_isomorphism(zero)
     assert np.array_equal(u, np.eye(4))
     assert np.array_equal(rho.matrix, np.eye(4))
+    assert np.array_equal(partner, build_total(zero))
 
 
 def test_small_hermitian_model_is_far_from_the_exceptional_point():
@@ -714,17 +724,18 @@ def test_small_hermitian_model_is_far_from_the_exceptional_point():
     # relative margin of 1, so an isomorphism (the identity) exists.
     tiny = TwoSpinParams(0.0, 0.0, 1e-8)
     assert closed_spectrum(tiny).pseudo_hermitian
-    u, rho = paper_isomorphism(tiny)
+    u, rho, partner = paper_isomorphism(tiny)
     assert np.array_equal(u, np.eye(4))
     assert np.array_equal(rho.matrix, np.eye(4))
+    assert np.array_equal(partner, build_total(tiny))
 
 
 def test_no_metric_error_marks_exactly_the_points_without_a_metric():
     beyond, at_ep = toy_params(5.0, 0.5), toy_params(damping_threshold(1.0, 0.5), 0.5)
     state, times = np.array([0, 1, 0, 0], dtype=complex), np.linspace(0.0, 1.0, 3)
-    with pytest.raises(NoMetricError, match="reality conditions"):
-        hermitian_counterpart(beyond)
     for params, message in ((beyond, "reality conditions"), (at_ep, "exceptional point")):
+        with pytest.raises(NoMetricError, match=message):
+            hermitian_counterpart(params)
         with pytest.raises(NoMetricError, match=message):
             paper_isomorphism(params)
         with pytest.raises(NoMetricError, match=message):
@@ -737,7 +748,7 @@ def test_no_metric_error_marks_exactly_the_points_without_a_metric():
         TwoSpinParams(f3=1.2, g3=0.4, exchange=1.0),  # real f_minus
         TwoSpinParams(f3=0.5, g3=0.5, exchange=0.0),  # no coupling
     ):
-        u, rho = paper_isomorphism(params)
+        u, rho, _ = paper_isomorphism(params)
         assert np.array_equal(u, np.eye(4))
         assert np.array_equal(rho.matrix, np.eye(4))
 
@@ -746,9 +757,10 @@ def test_one_frame_covers_the_whole_regime():
     # Seeded models on both branches, with J > 0, J < 0 and J = 0: f_minus
     # real (with an imaginary part inside the band on two thirds of them) or
     # purely imaginary, some at the exceptional point, each scaled by 2^k.
-    # paper_isomorphism refuses exactly the unflagged points and the
-    # exceptional point; everywhere else its frame carries the model onto
-    # hermitian_counterpart, whose eigenvalues are the closed form's.
+    # paper_isomorphism and hermitian_counterpart both refuse exactly the
+    # unflagged points and the exceptional point; everywhere else the partner
+    # u^-1 H u matches hermitian_counterpart, whose eigenvalues are the
+    # closed form's.
     rng = np.random.default_rng(30)
     checked = {"hermitian": 0, "dissipative": 0, "refused": 0}
     for _ in range(300):
@@ -772,12 +784,13 @@ def test_one_frame_covers_the_whole_regime():
             if not report.pseudo_hermitian or (at_ep and not hermitian):
                 with pytest.raises(NoMetricError):
                     paper_isomorphism(params)
+                with pytest.raises(NoMetricError):
+                    hermitian_counterpart(params)
                 checked["refused"] += 1
                 continue
-            u, _ = paper_isomorphism(params)
+            partner = paper_isomorphism(params).partner
             counterpart = hermitian_counterpart(params).matrix
-            conjugated = np.linalg.solve(u, build_total(params) @ u)
-            assert np.max(np.abs(conjugated - counterpart)) <= METRIC_RESIDUAL_TOL * scale
+            assert np.max(np.abs(partner - counterpart)) <= METRIC_RESIDUAL_TOL * scale
             gaps = matched_eigenvalues(counterpart, report.eigenvalues) - report.eigenvalues
             assert np.max(np.abs(gaps)) <= 1e-12 * scale, params
             checked["hermitian" if hermitian else "dissipative"] += 1
@@ -1070,7 +1083,7 @@ def test_transition_probability_toy_model():
         result = transition_series(xi, zeta, params, np.array([t]))
         assert result.route_gaps[0] <= 1e-9
         assert 0.0 <= result.probabilities[0] <= 1.0 + 1e-12
-    _, rho = paper_isomorphism(params)
+    rho = paper_isomorphism(params).rho
     psi = rng.normal(size=4) + 1j * rng.normal(size=4)
     self_result = transition_series(psi, psi, params, np.array([0.0]))
     norm_sq = eta_inner(psi, psi, rho).real
@@ -1089,6 +1102,41 @@ def test_transition_probability_hermitian_branch():
     assert result.amplitudes[0] == pytest.approx(canonical, abs=1e-10)
 
 
+def test_routes_agree_on_in_band_dissipative_points():
+    # closed_spectrum forgives Im f_plus and the Re f_minus Im f_minus cross
+    # term of s inside the band; the closed-form counterpart drops them, so
+    # only u^-1 H u is similar to H and keeps the routes together up to
+    # t = 1e3.  The strays stay within a tenth of the band: from about a
+    # fifth on, paper_isomorphism's hermiticity postcondition
+    # (METRIC_RESIDUAL_TOL * scale) refuses the partner.
+    rng = np.random.default_rng(31)
+    times = np.linspace(0.0, 1000.0, 101)
+    for _ in range(20):
+        exchange = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0))
+        f_plus = float(rng.normal())
+        alpha = float(rng.uniform(-1.5, 1.5)) * abs(exchange)  # margin >= 1.75 J^2
+        base = TwoSpinParams(
+            f3=complex(f_plus, alpha) / 2.0, g3=complex(f_plus, -alpha) / 2.0,
+            exchange=exchange,
+        )
+        band = twospin.REGIME_TOL * twospin._tolerance_scale(base)
+        stray_plus, stray_minus = rng.uniform(-0.1, 0.1, size=2) * band
+        f_plus_in_band = complex(f_plus, stray_plus)
+        f_minus_in_band = complex(stray_minus, alpha)
+        params = TwoSpinParams(
+            f3=(f_plus_in_band + f_minus_in_band) / 2.0,
+            g3=(f_plus_in_band - f_minus_in_band) / 2.0,
+            exchange=exchange,
+        )
+        assert closed_spectrum(params).pseudo_hermitian
+        for _ in range(3):
+            xi = rng.normal(size=4) + 1j * rng.normal(size=4)
+            zeta = rng.normal(size=4) + 1j * rng.normal(size=4)
+            series = transition_series(xi, zeta, params, times)
+            gate = twospin.ROUTE_TOL * (1.0 + np.abs(series.amplitudes))
+            assert np.all(series.route_gaps <= gate)
+
+
 def test_transition_probability_rejections():
     rng = np.random.default_rng(12)
     xi = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -1100,7 +1148,7 @@ def test_transition_probability_rejections():
 
 def test_rho_norm_conserved_along_evolution():
     params = toy_params(1.0, 0.5)
-    _, rho = paper_isomorphism(params)
+    rho = paper_isomorphism(params).rho
     hamiltonian = build_total(params)
     rng = np.random.default_rng(13)
     psi = rng.normal(size=4) + 1j * rng.normal(size=4)
