@@ -9,7 +9,6 @@ antisymmetric coefficient tables (by per-family minors of a block-diagonal
 """
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import TypeAlias
 
@@ -108,20 +107,20 @@ def random_orthogonal(n: int, seed: int | None = None) -> ComplexOrthogonal:
         n: Dimension.
         seed: Seed for the underlying generator; None draws fresh entropy.
     """
-    return _random_orthogonals(n, [seed])[0]
+    return _random_orthogonals(np.random.default_rng(seed), n, 1)[0]
 
 
-def _random_orthogonals(n: int, seeds: Iterable[int | None]) -> list[ComplexOrthogonal]:
-    """:func:`random_orthogonal` for each seed, with stacked linear algebra."""
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    real, imag = np.moveaxis([rng.standard_normal((2, n, n)) for rng in rngs], 1, 0)
+def _random_orthogonals(rng: np.random.Generator, n: int, count: int) -> list[ComplexOrthogonal]:
+    """``count`` draws of :func:`random_orthogonal` from one generator, with
+    stacked linear algebra; each ``verify`` group passes its own."""
+    real, imag = np.moveaxis(rng.standard_normal((count, 2, n, n)), 1, 0)
     gen = 0.5 * (real - real.mT) + 0.5j * (imag - imag.mT)
     norm = np.linalg.norm(gen, 2, axis=(-2, -1))
     cap = math.tanh(0.75)
     over = norm > cap
     gen[over] *= (cap / norm[over])[:, None, None]
     entries = np.linalg.solve(np.eye(n) - gen, np.eye(n) + gen)
-    entries[[rng.random() < 0.5 for rng in rngs], 0, :] *= -1.0
+    entries[rng.random(count) < 0.5, 0, :] *= -1.0
     return _verified(entries)
 
 

@@ -283,7 +283,7 @@ def make_config(subcommand: str, provided: Mapping[str, Any]) -> dict[str, Any]:
     for key in ("b_steps", "t_steps"):
         if key in v and v[key] < 1:
             raise CliError(f"{key} must be at least 1")
-    for key in ("alpha_steps", "j_steps"):
+    for key in ("alpha_steps", "j_steps", "seed"):
         if key in v and v[key] < 0:
             raise CliError(f"{key} must be nonnegative")
     if "t_start" in v and not v["t_end"] >= v["t_start"]:

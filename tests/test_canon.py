@@ -138,25 +138,51 @@ def test_random_orthogonal_is_seeded_and_orthogonal():
             assert np.linalg.norm(lam, 2) <= np.exp(1.5) * (1.0 + 1e-12)
 
 
+def cayley_reference(real, imag, reflect):
+    """One matrix of ``_random_orthogonals``, built on its own from its draws."""
+    n = len(real)
+    gen = 0.5 * (real - real.T) + 0.5j * (imag - imag.T)
+    norm = np.linalg.norm(gen, 2)
+    if norm > math.tanh(0.75):
+        gen *= math.tanh(0.75) / norm
+    lam = np.linalg.solve(np.eye(n) - gen, np.eye(n) + gen)
+    if reflect:
+        lam[0, :] *= -1.0
+    return lam, norm <= math.tanh(0.75)
+
+
 def test_batched_orthogonal_draws_equal_single_draws_bit_for_bit():
+    # One call takes all its normals, then all its reflection draws, from the
+    # caller's generator; each matrix equals its own Cayley transform.
     for n in range(1, 6):
-        seeds = list(range(40)) + [98765 * 300 + k for k in range(20)]
-        batch = _random_orthogonals(n, seeds)
-        reflected = under_cap = 0
-        for seed, lam in zip(seeds, batch):
-            single = random_orthogonal(n, seed=seed)
-            assert lam.n == single.n == n
-            assert lam.entries.tobytes() == single.entries.tobytes()
-            assert lam.det == single.det
-            assert not lam.entries.flags.writeable
-            reflected += lam.det == -1.0
+        for seed in (0, 1, 98765):
+            batch = _random_orthogonals(np.random.default_rng(seed), n, 60)
+            rng = np.random.default_rng(seed)
+            normals = rng.standard_normal((60, 2, n, n))
+            reflections = rng.random(60) < 0.5
+            under_cap = 0
+            for lam, (real, imag), reflect in zip(batch, normals, reflections):
+                single, capped = cayley_reference(real, imag, reflect)
+                assert lam.n == n
+                assert lam.entries.tobytes() == single.tobytes()
+                assert lam.det == (-1.0 if reflect else 1.0)
+                assert not lam.entries.flags.writeable
+                under_cap += capped
+            assert len(batch) == 60
+            assert 0 < reflections.sum() < 60
+            if n <= 2:
+                assert under_cap > 0
+
+
+def test_random_orthogonal_keeps_its_per_seed_bits():
+    # random_orthogonal(n, seed) is a batch of one: the normals of shape
+    # (2, n, n), then one reflection draw, from default_rng(seed).
+    for n in range(1, 6):
+        for seed in range(60):
             rng = np.random.default_rng(seed)
             real, imag = rng.standard_normal((2, n, n))
-            gen = 0.5 * (real - real.T) + 0.5j * (imag - imag.T)
-            under_cap += np.linalg.norm(gen, 2) <= math.tanh(0.75)
-        assert 0 < reflected < len(seeds)
-        if n <= 2:
-            assert under_cap > 0
+            expect, _ = cayley_reference(real, imag, rng.random() < 0.5)
+            assert random_orthogonal(n, seed=seed).entries.tobytes() == expect.tobytes()
 
 
 def test_random_orthogonal_samples_both_determinants():

@@ -1103,20 +1103,22 @@ def test_quantize_requires_element(capsys):
 # SHA-256 of ``verify --seed S`` stdout and of its ``--out`` summary, pinned
 # like EVOLVE_GOLDEN: the groups reach every layer, so a refactor anywhere
 # below the CLI must leave these bytes alone.  Seed 0 is the default.  The
-# pins were last re-recorded when ``plus_involution`` began applying its
-# matrix through per-family minors instead of multiplying generator images
-# out: only the grassmann group's "reality transport star to plus" residual
-# moved, by rounding, at every seed; every other violation kept its bits.
+# pins were last re-recorded when the grassmann, quantize and canon groups
+# began drawing their orthogonal matrices from their own generator instead
+# of one generator per matrix: only the checks on those draws moved.  The
+# residuals' last bits come from OpenBLAS's complex kernels and numpy's SIMD
+# dispatch, so these pins hold only on an AVX-512 OpenBLAS kernel with numpy
+# dispatching to AVX2 or wider.
 VERIFY_GOLDEN = {
-    0: ("06d596148a3c65d16bd1b0c24802eec595ece5e6dcd88fad0188058cf0bbeec9",
-        "9408370a37c5463bee1813e3b9bc2c57e79d9365fe669c332d35f21fd7fe8924"),
-    1: ("6fea1cc998f50e3ddcf25d86a1ba977e46ab7ec7ebd9cba4d4030f7a9c9b6de7",
-        "3bfc24bbab7134301d63a654cfce23b456384d5b4fa16682c0af390d5a941592"),
-    7: ("aff512c8e83ea7b0750933ac3354c4ca52f1afc364b889150b10210c08265d40",
-        "96c5fc07fed1ddb3193703a0d6b9719bf8808962b8c2bbef809309ee216458c6"),
+    0: ("8796756918802f82d76689cb2ff84c76ecc999daebdd129fe5bd16d362ef8074",
+        "8942e2cef19927bb51080f296a5445a69dfd8b81648490796c1054a0c72c5d1b"),
+    1: ("0a968b293a94e24d204879a3ab94cd03219f7695ca5eaf50e0dcd08aa234cf19",
+        "e8c6cb9505cfe51b46cb953ae0be7ba6c4e229303e0d7786a62a48ac68cd34f5"),
+    7: ("2c339a36af66c85ed2b53413eef56539c1aaa36a5b980444877371727e5a1555",
+        "53321d6fdd95c5efcdc2293556cb4cc91631d743be3b16166dd97cb51bcf939c"),
     # The benchmark draws five-digit seeds, so one is pinned too.
-    98765: ("ecbccd6a3712ba4c62e3b92e3f122c4ea0f1911dd8c252985fbc419ced5baa41",
-            "94f16bf461283d63ad3cd506421120494cc6fdee84aefd09dc78e2381644a2b7"),
+    98765: ("0f79668d48f590e9c6c3eac4076fb964d9b2d8c5ea06f18342daafd04bb63e47",
+            "cd36a9e933a78358c9da6c45a249fb31bdff0cc6a26eb0f6540ae97344b65783"),
 }
 
 
@@ -1155,6 +1157,18 @@ def test_verify_groups_draw_independently(capsys):
         code, alone, _ = run(capsys, "verify", "--seed", "98765", "--group", name)
         assert code == 0
         assert alone.splitlines() == [line]
+
+
+def test_verify_rejects_negative_seed(tmp_path, capsys):
+    # A flag and a config-file value alike name the option, not numpy's
+    # "expected non-negative integer".
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": -3}))
+    for args in (("--seed", "-1"), ("--config", str(config))):
+        code, out, err = run(capsys, "verify", *args)
+        assert code == 1
+        assert out == ""
+        assert err == "pseudospin: error: seed must be nonnegative\n"
 
 
 def test_verify_group_filter(capsys):

@@ -3,6 +3,7 @@
 The groups draw their Grassmann elements as arrays and then build them
 through ``GrassmannElement.from_terms``; these tests record the terms handed
 to ``from_terms`` so the raw draws are checked before equal words merge.
+The complex orthogonal draws are recorded at ``_random_orthogonals``.
 """
 
 import numpy as np
@@ -91,3 +92,23 @@ def test_random_family_homogeneous_draw_law(recorded, seed):
             for part in (coefficient.real, coefficient.imag):
                 assert part == int(part) and -3 <= part <= 3
     assert sizes == {0, 1, 2, 3}
+
+
+def test_orthogonal_draws_never_repeat_within_or_across_seeds(monkeypatch):
+    # Each group draws its orthogonal matrices from its own generator, so no
+    # matrix may recur in a seed's groups nor in a neighbouring seed's.
+    draws = []
+    sample = verify._random_orthogonals
+
+    def record(*args):
+        lams = sample(*args)
+        draws.extend(lam.entries.tobytes() for lam in lams)
+        return lams
+
+    monkeypatch.setattr(verify, "_random_orthogonals", record)
+    for seed in range(4):
+        results = verify.run_groups(["grassmann", "quantize", "canon"], seed=seed)
+        assert all(result.passed for result in results)
+    assert len(draws) == 4 * (100 + 30 + 50 + 200 + 30 + 30)
+    distinct = len(set(draws))
+    assert distinct == len(draws)
