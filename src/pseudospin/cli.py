@@ -13,8 +13,8 @@ from flags, optionally seeded by a JSON config file (``--config``) whose
 keys are the subcommand's flag names with underscores; an unknown key is
 an input error, and flags given on the command line override file values.
 Numeric output is deterministic: identical configuration and seed produce
-byte-identical CSV/JSON.  Exit codes: 0 success, 1 validation, input or
-usage error, 2 verification or agreement failure.
+byte-identical CSV/JSON.  Exit codes: 0 success, 1 validation, input, output
+or usage error, 2 verification or agreement failure.
 
 Column layout follows the model layer: sweep rows are ``B, alpha1, alpha2,
 J, ReE1p, ImE1p, ReE1m, ImE1m, ReE2p, ImE2p, ReE2m, ImE2m,
@@ -301,22 +301,26 @@ def _params_from(b: float, alphas: tuple[float, float], j: float) -> TwoSpinPara
 def _emit(
     config: Mapping[str, Any], payload: Any, header: list[str] | None = None
 ) -> None:
-    """Write rows under ``header`` per ``--format``, else ``payload`` as JSON."""
+    """Write columns under ``header`` per ``--format``, else ``payload`` as JSON."""
     if header is not None and config["format"] == "json":
         header, payload = None, [
             {key: ("nan" if isinstance(v, float) and np.isnan(v) else v)
              for key, v in zip(header, row)}
-            for row in payload
+            for row in zip(*payload)
         ]
     out = config["out"]
-    with (
-        nullcontext(sys.stdout) if out is None
-        else open(out, "w", encoding="utf-8", newline="")
-    ) as handle:
-        if header is None:
-            handle.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
-        else:
-            write_csv(handle, header, payload)
+    try:
+        with (
+            nullcontext(sys.stdout) if out is None
+            else open(out, "w", encoding="utf-8", newline="")
+        ) as handle:
+            if header is None:
+                handle.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
+            else:
+                write_csv(handle, header, payload)
+    except OSError as exc:
+        name = "standard output" if out is None else out
+        raise CliError(f"cannot write {name}: {exc}") from exc
 
 
 def _regime_row(config: Mapping[str, Any], b, alphas, j, report) -> list:
@@ -344,7 +348,7 @@ def cmd_spectrum(config: Mapping[str, Any]) -> int:
     tail = [*matched.view(float).tolist(), discrepancy]
     if config["paper_units"]:
         tail = [4.0 * value for value in tail]
-    _emit(config, [row + tail], SPECTRUM_COLUMNS)
+    _emit(config, [[value] for value in row + tail], SPECTRUM_COLUMNS)
     return 0 if discrepancy <= config["tol"] else 2
 
 
@@ -371,7 +375,7 @@ def cmd_regime_sweep(config: Mapping[str, Any]) -> int:
         )
         for b in _grid(config, "b") for alphas in alpha_grid for j in j_grid
     ]
-    _emit(config, rows, SWEEP_COLUMNS)
+    _emit(config, list(zip(*rows)), SWEEP_COLUMNS)
     return 0
 
 
@@ -410,11 +414,8 @@ def cmd_evolve(config: Mapping[str, Any]) -> int:
     finite = np.isfinite(amplitudes) & np.isfinite(norms)
     if not finite.all():
         raise CliError(f"amplitude or norm overflows at t={times[~finite][0]:.6g}")
-    rows = zip(
-        times.tolist(), amplitudes.real.tolist(), amplitudes.imag.tolist(),
-        probabilities.tolist(), norms.tolist(),
-    )
-    _emit(config, rows, EVOLVE_COLUMNS)
+    columns = [times, amplitudes.real, amplitudes.imag, probabilities, norms]
+    _emit(config, [column.tolist() for column in columns], EVOLVE_COLUMNS)
     return 0
 
 

@@ -6,15 +6,15 @@ elements serialize as an algebra header plus a list of canonical-order
 monomial terms; the parser rejects non-canonical input instead of silently
 reordering it, so a file is valid exactly when it equals its own round trip.
 
-CSV cells use the shortest round-trip float representation and the explicit
-token "nan" for missing values; rows always end in a bare newline, making
-repeated runs byte-identical across platforms.
+CSV tables are written by column.  Cells use the shortest round-trip float
+representation and the explicit token "nan" for missing values; rows always
+end in a bare newline, making repeated runs byte-identical across platforms.
 """
 
 import itertools
 import re
 import sys
-from typing import IO, Any, Iterable, Sequence
+from typing import IO, Any, Sequence
 
 import numpy as np
 
@@ -208,21 +208,29 @@ def csv_cell(value: Any) -> str:
     raise ValueError(f"unsupported CSV cell type: {type(value)!r}")
 
 
-def _csv_line(row: Sequence[Any]) -> str:
-    # A float is written as its repr, as csv_cell writes it, without the call.
-    line = ",".join([repr(v) if type(v) is float else csv_cell(v) for v in row])
-    # The csv module quotes a lone empty cell so the row does not read as blank.
-    return ('""' if not line and len(row) == 1 else line) + "\n"
-
-
 def write_csv(
-    stream: IO[str], header: Sequence[str], rows: Iterable[Sequence[Any]]
+    stream: IO[str], header: Sequence[str], columns: Sequence[Sequence[Any]]
 ) -> None:
-    """Write a header and rows with deterministic, platform-stable bytes.
+    """Write one column per header name with deterministic, platform-stable bytes.
 
-    Each row is one ``write`` of its joined cells, the bytes the csv module
-    writes for them with a ``\\n`` line terminator, except that a cell
-    holding ``\\r`` is quoted too, so it reads back whole.  The caller opens
-    the stream with ``newline=""`` so that terminator survives untranslated.
+    A column of exact ``float`` cells is rendered in one ``repr`` pass, any other
+    through :func:`csv_cell`.  Lines, written in blocks, hold the bytes the csv
+    module writes for their cells with a ``\\n`` terminator, except that a cell
+    holding ``\\r`` is quoted too, so it reads back whole.  The caller opens the
+    stream with ``newline=""`` so that terminator survives untranslated.
+
+    Raises:
+        ValueError: If the header is empty, or the columns do not match its
+            names one to one or differ in length.
     """
-    stream.writelines(map(_csv_line, itertools.chain([header], rows)))
+    if not header or len(columns) != len(header) or len(set(map(len, columns))) > 1:
+        raise ValueError("expected one column per header name, all of one length")
+    rendered = [map(repr if set(map(type, column)) <= {float} else csv_cell, column)
+                for column in columns]
+    lines = map(",".join, itertools.chain([map(csv_cell, header)], zip(*rendered)))
+    if len(header) == 1:
+        # The csv module quotes a lone empty cell so the line does not read as blank.
+        lines = (line or '""' for line in lines)
+    # One write per block of 256 lines; no line is empty, so an empty block ends.
+    blocks = iter(lambda: "\n".join(itertools.islice(lines, 256)), "")
+    stream.writelines(map("%s\n".__mod__, blocks))

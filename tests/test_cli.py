@@ -825,6 +825,18 @@ def test_evolve_csv_golden_bytes(capsys, case):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# The JSON output of the beyond_b_max case, whose "nan" probability tokens
+# pass through the per-row objects; no BLAS kernel reaches its bytes.
+EVOLVE_JSON_DIGEST = "a5c062ad0f427a33aa3147bcb2a8f389362eda819cb412a6188bd13af7a505a0"
+
+
+def test_evolve_json_golden_bytes(capsys):
+    args, _ = EVOLVE_GOLDEN["beyond_b_max"]
+    code, out, _ = run(capsys, "evolve", *args, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == EVOLVE_JSON_DIGEST
+
+
 # SHA-256 of sweep and spectrum output, pinned like EVOLVE_GOLDEN.  The B
 # range of the first case straddles B_max = 2.5.
 SWEEP_STRADDLE = [
@@ -880,6 +892,10 @@ OUT_FILE_GOLDEN = {
         "2ac216f82f43bc4b497b43e288cfec80a78f7f1d72b722c1fe7f47ebfe0a622d",
     ),
     "regime_sweep": (SWEEP_STRADDLE, SWEEP_STRADDLE_DIGEST),
+    "evolve_beyond_b_max": (
+        ["evolve", *EVOLVE_GOLDEN["beyond_b_max"][0]],
+        EVOLVE_GOLDEN["beyond_b_max"][1],
+    ),
     "verify_clifford": (
         ["verify", "--group", "clifford"],
         "b62ba6cd93d3bbd879021a7bb4394cad33f74cdc3a7f506387f139307a2766b5",
@@ -896,6 +912,25 @@ def test_out_file_golden_bytes(tmp_path, capsys, case):
     assert main([*args, "--out", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# Every subcommand takes --out; these are the arguments each needs besides.
+REQUIRED_ARGS = {
+    "quantize-file": ["--element", "{element}"],
+    "verify": ["--group", "clifford"],
+}
+
+
+@pytest.mark.parametrize("target", ["missing_directory", "directory"])
+@pytest.mark.parametrize("subcommand", sorted(cli._SUBCOMMANDS))
+def test_unwritable_out_is_an_input_error(tmp_path, capsys, subcommand, target):
+    element = write_element(tmp_path / "heis.json", HEISENBERG_ELEMENT)
+    out = tmp_path / "absent" / "out" if target == "missing_directory" else tmp_path
+    args = [arg.format(element=element) for arg in REQUIRED_ARGS.get(subcommand, [])]
+    code, _, err = run(capsys, subcommand, *args, "--out", str(out))
+    assert code == 1
+    assert err.startswith(f"pseudospin: error: cannot write {out}: ")
+    assert err.count("\n") == 1
 
 
 def test_evolve_rejects_reversed_time_range(capsys):

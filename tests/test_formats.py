@@ -319,19 +319,24 @@ def test_csv_cell_nan_token_is_parseable():
 
 def test_write_csv_exact_bytes():
     buffer = io.StringIO()
-    write_csv(buffer, ["t", "value", "flag"], [[0.5, float("nan"), True], [1, 0.1, False]])
+    write_csv(buffer, ["t", "value", "flag"], [[0.5, 1], [float("nan"), 0.1], [True, False]])
     assert buffer.getvalue() == "t,value,flag\n0.5,nan,1\n1,0.1,0\n"
-    # The same table as an iterator of tuples, the shape `evolve` passes.
+    # The same table as tuples, the shape `regime-sweep` passes.
     tuples = io.StringIO()
-    write_csv(tuples, ["t", "value", "flag"], iter([(0.5, float("nan"), True), (1, 0.1, False)]))
+    write_csv(tuples, ["t", "value", "flag"], [(0.5, 1), (float("nan"), 0.1), (True, False)])
     assert tuples.getvalue() == buffer.getvalue()
+    # A float subclass is not a plain float: it is rendered as csv_cell renders it.
+    mixed = io.StringIO()
+    write_csv(mixed, ["x", "y"], [[np.float64(0.25), 0.5], [-0.0, np.float32(0.5)]])
+    assert mixed.getvalue() == "x,y\n0.25,-0.0\n0.5,0.5\n"
 
 
 def test_write_csv_deterministic():
-    rows = [[x, x * x] for x in np.linspace(0.0, 1.0, 7)]
+    xs = list(np.linspace(0.0, 1.0, 7))
+    columns = [xs, [x * x for x in xs]]
     first, second = io.StringIO(), io.StringIO()
-    write_csv(first, ["x", "y"], rows)
-    write_csv(second, ["x", "y"], rows)
+    write_csv(first, ["x", "y"], columns)
+    write_csv(second, ["x", "y"], columns)
     assert first.getvalue() == second.getvalue()
 
 
@@ -345,13 +350,29 @@ csv_scalars = st.one_of(
     st.text(alphabet=st.sampled_from('ab ,"\r\n\t'), max_size=6),
     st.text(max_size=4),
 )
-
-
-@given(
-    st.lists(st.text(max_size=4), max_size=4),
-    st.lists(st.lists(csv_scalars, max_size=5), max_size=5),
+# A column's cells: plain floats only (the one-pass rendering), plain floats
+# mixed with np.float64, or any scalars.
+csv_column_cells = st.sampled_from(
+    [st.floats(), st.one_of(st.floats(), st.floats().map(np.float64)), csv_scalars]
 )
-def test_write_csv_matches_the_csv_module(header, rows):
+
+
+@st.composite
+def csv_tables(draw):
+    header = draw(st.lists(st.text(max_size=4), min_size=1, max_size=4))
+    length = draw(st.integers(0, 5))
+    columns = [
+        draw(st.lists(draw(csv_column_cells), min_size=length, max_size=length))
+        for _ in header
+    ]
+    return header, columns
+
+
+@given(csv_tables())
+def test_write_csv_matches_the_csv_module(table):
+    header, columns = table
+    rows = list(zip(*columns))
+
     def rendered(row):
         return [v if isinstance(v, str) else csv_cell(v) for v in row]
 
@@ -362,29 +383,80 @@ def test_write_csv_matches_the_csv_module(header, rows):
     # are, so it does the quoting.  It leaves a cell holding "\r" unquoted
     # with a "\n" terminator, so rows holding one are left out of it.
     if not holds_cr(header):
-        clean = [row for row in rows if not holds_cr(row)]
+        keep = [k for k, row in enumerate(rows) if not holds_cr(row)]
         expected = io.StringIO()
         writer = csv.writer(expected, lineterminator="\n")
         writer.writerow(header)
-        for row in clean:
-            writer.writerow(rendered(row))
+        for k in keep:
+            writer.writerow(rendered(rows[k]))
         buffer = io.StringIO()
-        write_csv(buffer, header, clean)
+        write_csv(buffer, header, [[column[k] for k in keep] for column in columns])
         assert buffer.getvalue() == expected.getvalue()
     # Every table, "\r" included, reads back cell for cell.
     buffer = io.StringIO()
-    write_csv(buffer, header, rows)
+    write_csv(buffer, header, columns)
     read = list(csv.reader(io.StringIO(buffer.getvalue(), newline="")))
     assert read == [rendered(header), *map(rendered, rows)]
 
 
 def test_write_csv_quotes_like_the_csv_module():
     buffer = io.StringIO()
-    write_csv(buffer, ["a,b", 'say "hi"'], [["x\ny", ""], [""], []])
-    assert buffer.getvalue() == '"a,b","say ""hi"""\n"x\ny",\n""\n\n'
+    write_csv(buffer, ["a,b", 'say "hi"'], [["x\ny", ""], ["", ""]])
+    assert buffer.getvalue() == '"a,b","say ""hi"""\n"x\ny",\n,\n'
     # A carriage return is quoted too, so the cell reads back whole.
     buffer = io.StringIO()
-    write_csv(buffer, ["a", "b"], [["x\ry", 1.0]])
+    write_csv(buffer, ["a", "b"], [["x\ry"], [1.0]])
     assert buffer.getvalue() == 'a,b\n"x\ry",1.0\n'
     read = list(csv.reader(io.StringIO(buffer.getvalue(), newline="")))
     assert read == [["a", "b"], ["x\ry", "1.0"]]
+
+
+def test_write_csv_quotes_a_lone_empty_cell():
+    # A one-column line holding only "" would read as a blank line, so the
+    # csv module writes it quoted; the header line follows the same rule.
+    buffer = io.StringIO()
+    write_csv(buffer, [""], [["", "x", ""]])
+    assert buffer.getvalue() == '""\n""\nx\n""\n'
+    expected = io.StringIO()
+    csv.writer(expected, lineterminator="\n").writerows([[""], [""], ["x"], [""]])
+    assert buffer.getvalue() == expected.getvalue()
+
+
+def test_write_csv_header_only():
+    buffer = io.StringIO()
+    write_csv(buffer, ["a", "b"], [[], ()])
+    assert buffer.getvalue() == "a,b\n"
+
+
+@pytest.mark.parametrize(
+    ("header", "columns"),
+    [
+        (["a", "b"], [[1.0, 2.0]]),
+        (["a"], [[1.0], [2.0]]),
+        ([], []),
+        (["a", "b"], [[1.0], [1.0, 2.0]]),
+        (["a", "b", "c"], [[1.0, 2.0], [1.0, 2.0], ["x"]]),
+    ],
+    ids=["fewer_columns", "more_columns", "no_columns", "unequal_lengths", "short_last"],
+)
+def test_write_csv_rejects_columns_unlike_the_header(header, columns):
+    buffer = io.StringIO()
+    with pytest.raises(ValueError, match="one column per header name"):
+        write_csv(buffer, header, columns)
+    assert buffer.getvalue() == ""
+
+
+@pytest.mark.parametrize("length", [254, 255, 256, 511, 1000])
+def test_write_csv_writes_long_tables_whole(length):
+    # Lines go out in blocks; a table ends at a block boundary or inside one,
+    # and a one-column table of empty cells must not end at its first block.
+    values = [k / 7 for k in range(length)]
+    for header, columns in ((["x", "flag"], [values, [k % 2 == 0 for k in range(length)]]),
+                            ([""], [[""] * length])):
+        buffer = io.StringIO()
+        write_csv(buffer, header, columns)
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([csv_cell(v) for v in row] for row in zip(*columns))
+        assert buffer.getvalue() == expected.getvalue()
