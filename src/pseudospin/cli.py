@@ -47,6 +47,7 @@ from .quantize import tensor_realization, quantize
 from .twospin import (
     NoMetricError,
     TwoSpinParams,
+    _agreement_bounds,
     _euclidean_norms,
     build_total,
     closed_spectrum,
@@ -80,7 +81,7 @@ _OPTIONS: _Options = {
     "alpha1": (0.0, "damping of the first spin"),
     "alpha2": (0.0, "damping of the second spin"),
     "hbar": (1.0, "quantization scale"),
-    "tol": (1e-9, "agreement tolerance"),
+    "tol": (1e-9, "hermiticity tolerance of --check"),
     "seed": (0, "seed for randomized checks"),
     "paper_units": (False, "report eigenvalue columns times 4"),
     "format": ("csv", "output format"),
@@ -118,7 +119,7 @@ _OPTIONS: _Options = {
 _SUBCOMMANDS: dict[str, tuple[str, tuple[str, ...]]] = {
     "spectrum": (
         "closed-form vs numerical eigenvalues for one parameter set",
-        ("j", "b", "alpha1", "alpha2", "tol", "paper_units", "format"),
+        ("j", "b", "alpha1", "alpha2", "paper_units", "format"),
     ),
     "regime-sweep": (
         "pseudo-hermiticity map over a parameter grid",
@@ -336,29 +337,39 @@ def _regime_row(config: Mapping[str, Any], b, alphas, j, report) -> list:
 
 
 def cmd_spectrum(config: Mapping[str, Any]) -> int:
-    """Closed-form spectrum next to the eigensolver, with max discrepancy."""
+    """Closed-form spectrum next to the eigensolver, with max discrepancy.
+
+    Exits 2 unless each eigenvalue's gap is within its bound
+    C eps ||H||_F kappa from ``twospin._agreement_bounds``; no option sets it.
+    """
     point = config["b"], (config["alpha1"], config["alpha2"]), config["j"]
     params = _params_from(*point)
     report = closed_spectrum(params)
-    closed = np.array(report.eigenvalues)
-    matched = matched_eigenvalues(build_total(params), report.eigenvalues)
-    discrepancy = float(np.max(np.abs(closed - matched)))
+    hamiltonian = build_total(params)
+    matched = matched_eigenvalues(hamiltonian, report.eigenvalues)
+    gaps = np.abs(np.array(report.eigenvalues) - matched)
+    discrepancy = float(np.max(gaps))
 
     row = _regime_row(config, *point, report)
     tail = [*matched.view(float).tolist(), discrepancy]
     if config["paper_units"]:
         tail = [4.0 * value for value in tail]
     _emit(config, [[value] for value in row + tail], SPECTRUM_COLUMNS)
-    return 0 if discrepancy <= config["tol"] else 2
+    # Written so that a nan gap fails too.
+    agree = np.all(gaps <= _agreement_bounds(hamiltonian, report.eigenvalues))
+    return 0 if agree else 2
 
 
 def _grid(config: Mapping[str, Any], name: str) -> list[float]:
     """The ``{name}_start .. {name}_end`` grid of ``{name}_steps`` floats."""
-    return [
-        float(x) for x in np.linspace(
-            config[f"{name}_start"], config[f"{name}_end"], config[f"{name}_steps"]
-        )
-    ]
+    steps = config[f"{name}_steps"]
+    try:
+        grid = np.linspace(config[f"{name}_start"], config[f"{name}_end"], steps)
+    except (MemoryError, ValueError) as exc:  # numpy refuses the array's size
+        raise CliError(
+            f"{name}_steps={steps} is more points than numpy can allocate"
+        ) from exc
+    return grid.tolist()
 
 
 def cmd_regime_sweep(config: Mapping[str, Any]) -> int:
@@ -392,7 +403,7 @@ def cmd_evolve(config: Mapping[str, Any]) -> int:
         )
     except ValueError as exc:
         raise CliError(f"bad state vector file: {exc}") from exc
-    times = np.linspace(config["t_start"], config["t_end"], config["t_steps"])
+    times = np.array(_grid(config, "t"))
     try:
         series = transition_series(xi, zeta, params, times)
         amplitudes, probabilities, norms = (

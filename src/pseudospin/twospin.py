@@ -42,6 +42,8 @@ StateVector: TypeAlias = np.ndarray
 REGIME_TOL = 1e-9
 ROUTE_TOL = 1e-9
 _SPLIT_FLOOR = math.sqrt(sys.float_info.min)
+# C of the eigensolver agreement bound C eps ||H||_F kappa: 4n for n = 4.
+_AGREEMENT_FACTOR = 16.0
 
 _IDENTITY2 = np.eye(2, dtype=complex)
 # Kronecker products of the Pauli matrices, built once: I (x) sigma_3 and
@@ -417,6 +419,32 @@ def matched_eigenvalues(hamiltonian: OperatorMatrix, closed: tuple | np.ndarray)
     kept, swapped = np.hypot(d.real, d.imag).sum(-1)
     matched[..., :2] = np.where((swapped < kept)[..., None], pair[..., ::-1], pair)
     return matched
+
+
+def _agreement_bounds(hamiltonian: OperatorMatrix, closed: tuple) -> np.ndarray:
+    """How far the eigensolver may stray from each of ``closed``'s eigenvalues.
+
+    Wilkinson's first-order bound C eps ||H||_F kappa_i with C
+    ``_AGREEMENT_FACTOR``, in ``closed``'s order E1p, E1m, E2p, E2m.  The
+    corners E2p and E2m sit on the diagonal, so kappa = 1.  The middle pair
+    shares the condition of the 2x2 block's traceless part K: with
+    K = [[w, nu], [0, -w]] in Schur form, kappa = sqrt(1 + nu^2 / |E1p - E1m|^2)
+    and nu^2 = ||K||_F^2 - |E1p - E1m|^2 / 2, so a normal block has kappa = 1.
+    kappa is capped at eps^-1/2: at the exceptional point K is a Jordan
+    block, its eigenvalues split like sqrt(eps) (Kato), and the bound is
+    C sqrt(eps) ||H||_F.
+    """
+    eps = sys.float_info.epsilon
+    tau = (hamiltonian[1, 1] + hamiltonian[2, 2]) / 2.0
+    # Frobenius norms by math.hypot, which scales: squares of entries near
+    # 1e-300 would underflow to a zero bound.
+    k_norm = math.hypot(*np.abs(hamiltonian[1:3, 1:3] - tau * _IDENTITY2).flat)
+    gap = abs(closed[0] - closed[1])
+    # 1 + nu^2 / gap^2 = 1/2 + (||K||_F / gap)^2, which rounding may put below 1.
+    ratio = k_norm / gap if gap else (math.inf if k_norm else 0.0)
+    kappa = min(max(1.0, math.hypot(math.sqrt(0.5), ratio)), 1.0 / math.sqrt(eps))
+    bound = _AGREEMENT_FACTOR * eps * math.hypot(*np.abs(hamiltonian).flat)
+    return bound * np.array([kappa, kappa, 1.0, 1.0])
 
 
 def evolve(

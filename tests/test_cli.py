@@ -122,17 +122,21 @@ def test_spectrum_json_format(capsys):
     assert payload[0]["pseudo_hermitian"] is True
 
 
-def test_spectrum_disagreement_exits_two(capsys):
-    code, out, _ = run(capsys, "spectrum", *TOY, "--tol", "1e-20")
+def test_spectrum_disagreement_exits_two(capsys, monkeypatch):
+    # One eigenvalue moved by 1e-6 ||H||_F is far outside the agreement bound.
+    matched_eigenvalues = cli.matched_eigenvalues
+
+    def moved(hamiltonian, closed):
+        matched = matched_eigenvalues(hamiltonian, closed)
+        matched[2] += 1e-6 * np.linalg.norm(hamiltonian)
+        return matched
+
+    monkeypatch.setattr(cli, "matched_eigenvalues", moved)
+    code, out, _ = run(capsys, "spectrum", *TOY)
     assert code == 2
     assert parse_csv(out)  # output is still written
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="--tol bounds the eigensolver discrepancy absolutely, while the "
-    "discrepancy grows with the eigenvalues' magnitude",
-)
 def test_spectrum_agreement_is_relative_to_scale(capsys):
     code, _, _ = run(
         capsys, "spectrum", "--J", "1e7", "--B", "1e7",
@@ -141,17 +145,25 @@ def test_spectrum_agreement_is_relative_to_scale(capsys):
     assert code == 0
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="at the exceptional point the eigensolver's values move like "
-    "sqrt(eps), beyond the absolute --tol; ROADMAP item 2b bounds the "
-    "agreement by the eigenvalue condition instead",
-)
 def test_spectrum_agrees_at_the_exceptional_point(capsys):
+    # The eigenvalues of the Jordan block split like sqrt(eps); the bound
+    # caps the block's condition number at eps^-1/2 to allow for it.
     code, _, _ = run(
         capsys, "spectrum", "--J", "1", "--B", "2.5",
         "--alpha1", "0.5", "--alpha2", "-0.5",
     )
+    assert code == 0
+
+
+@pytest.mark.parametrize("args", [
+    ["--J", "1e150", "--B", "1e150"],  # max_discrepancy 9.1e133
+    # At the exceptional point: max_discrepancy 8.5e-7.
+    ["--J", "100", "--B", "250", "--alpha1", "0.5", "--alpha2", "-0.5"],
+    # ||H||_F near 1e-300 squares to zero, so the bound takes a scaled norm.
+    ["--J", "0", "--B", "1e-300"],
+])
+def test_spectrum_agreement_follows_the_norm_of_h(capsys, args):
+    code, _, _ = run(capsys, "spectrum", *args)
     assert code == 0
 
 
@@ -320,7 +332,7 @@ MISTYPED_CONFIG = {
 
 # Appended after the table so that the ids of the cases above stay stable.
 MISTYPED_CONFIG_LATER = [
-    ("spectrum", {"tol": "x"}, "tol"),
+    ("quantize-file", {"tol": "x"}, "tol"),
     # An empty selection would run no group and pass vacuously.
     ("verify", {"group": []}, "group"),
 ]
@@ -536,6 +548,36 @@ def test_evolve_routes_as_transition_series_does(point):
         assert flagged == plain
 
 
+_ALPHAS = st.floats(-20.0, 20.0)
+_SPECTRUM_POINTS = st.one_of(
+    near_the_exceptional_point().map(lambda point: (*point, -point[2])),
+    # J = 0, and J != 0 with alpha1 != -alpha2 (f_plus complex).
+    st.tuples(st.just(0.0), st.floats(0.1, 10.0), _ALPHAS, _ALPHAS),
+    st.tuples(
+        st.floats(0.1, 10.0) | st.floats(-10.0, -0.1), st.floats(0.1, 10.0),
+        _ALPHAS, _ALPHAS,
+    ),
+)
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@example((1.0, 2.5, 0.5, -0.5), 12.0)  # the exceptional point itself
+@example((0.0, 1.0, 0.0, 0.0), -12.0)  # a normal middle block, kappa = 1
+@given(_SPECTRUM_POINTS, st.floats(-12.0, 12.0))
+def test_spectrum_agrees_at_every_unit_of_energy(point, exponent):
+    # The agreement bound scales with ||H||_F, so rescaling every energy by
+    # c = 10^exponent leaves the exit code at 0.
+    j, b, alpha1, alpha2 = point
+    codes = [
+        run_quietly(
+            "spectrum", f"--J={c * j!r}", f"--B={c * b!r}",
+            f"--alpha1={alpha1!r}", f"--alpha2={alpha2!r}",
+        )[0]
+        for c in (1.0, 10.0**exponent)
+    ]
+    assert codes == [0, 0]
+
+
 def test_sweep_nonpositive_field_is_a_typed_error(capsys):
     code, out, err = run(
         capsys, "regime-sweep", "--b-start", "-1", "--b-end", "1", "--b-steps", "3",
@@ -543,6 +585,22 @@ def test_sweep_nonpositive_field_is_a_typed_error(capsys):
     assert code == 1
     assert out == ""
     assert err == "pseudospin: error: field amplitude must be positive\n"
+
+
+@pytest.mark.parametrize("steps", [10**18, 10**20])
+@pytest.mark.parametrize("subcommand, grid", [
+    ("evolve", "t"), ("regime-sweep", "b"), ("regime-sweep", "alpha"),
+    ("regime-sweep", "j"),
+])
+def test_step_counts_numpy_refuses_are_typed_errors(capsys, subcommand, grid, steps):
+    # numpy refuses these sizes before it touches memory: 10^18 floats do not
+    # fit in the address space and 10^20 is past the largest array size.
+    code, out, err = run(capsys, subcommand, f"--{grid}-steps", str(steps))
+    assert (code, out) == (1, "")
+    assert err == (
+        f"pseudospin: error: {grid}_steps={steps} is more points than numpy"
+        " can allocate\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1282,7 +1340,7 @@ _FLAGS = {flag[1]: flag for flag in [
     (("--paper-units",), "paper_units", "_StoreTrueAction", None,
      "report eigenvalue columns times 4"),
     (("--seed",), "seed", "_StoreAction", None, "seed for randomized checks"),
-    (("--tol",), "tol", "_StoreAction", None, "agreement tolerance"),
+    (("--tol",), "tol", "_StoreAction", None, "hermiticity tolerance of --check"),
     (("-h", "--help"), "help", "_HelpAction", None, "show this help message and exit"),
     (("--alpha-end",), "alpha_end", "_StoreAction", None, None),
     (("--alpha-start",), "alpha_start", "_StoreAction", None, None),
@@ -1317,7 +1375,7 @@ _FLAGS = {flag[1]: flag for flag in [
 _COMMON_FLAGS = ("help", "out", "config")
 # The options each subcommand's handler reads, besides the common flags.
 FLAG_SURFACE = {
-    "spectrum": ("j", "b", "alpha1", "alpha2", "tol", "paper_units", "format"),
+    "spectrum": ("j", "b", "alpha1", "alpha2", "paper_units", "format"),
     "regime-sweep": (
         "j", "alpha1", "alpha2", "paper_units", "format",
         "b_start", "b_end", "b_steps", "alpha_start", "alpha_end", "alpha_steps",
@@ -1408,7 +1466,7 @@ def test_each_subcommand_reads_every_option_it_accepts(tmp_path, capsys, monkeyp
 # where the option is read.  "realization" is declared for no subcommand,
 # so it has no _FLAGS entry and is spelled from its key.
 IGNORED_OPTIONS = {
-    "spectrum": ("hbar", "seed"),
+    "spectrum": ("hbar", "tol", "seed"),
     "regime-sweep": ("b", "hbar", "tol", "seed"),
     "evolve": ("hbar", "tol", "seed", "paper_units"),
     "quantize-file": (

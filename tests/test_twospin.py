@@ -416,6 +416,41 @@ def test_matched_eigenvalues_pair_by_total_sz_sector():
     assert unique >= 190
 
 
+def test_agreement_bounds_take_the_condition_of_the_eigenvectors():
+    # The middle pair's kappa from ||K||_F and the closed-form gap is the
+    # eigenvector condition ||x|| ||y|| / |y^H x| of the middle block; the
+    # corners have kappa = 1.  Both scale ||H||_F times 16 eps.
+    rng = np.random.default_rng(37)
+    for _ in range(200):
+        f3, g3 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        params = TwoSpinParams(f3, g3, float(rng.standard_normal()))
+        hamiltonian = build_total(params)
+        closed = closed_spectrum(params).eigenvalues
+        bounds = twospin._agreement_bounds(hamiltonian, closed)
+        kappa = bounds / (16.0 * np.finfo(float).eps * np.linalg.norm(hamiltonian))
+        right = np.linalg.eig(hamiltonian[1:3, 1:3])[1]
+        left = np.linalg.inv(right).conj().T  # y_i^H x_i = 1
+        condition = np.linalg.norm(right, axis=0) * np.linalg.norm(left, axis=0)
+        assert kappa[:2] == pytest.approx(condition, rel=1e-6)
+        assert kappa[2:] == pytest.approx([1.0, 1.0], rel=1e-12)
+
+
+def test_agreement_bounds_cap_the_condition_at_the_exceptional_point():
+    # A Jordan block: kappa takes its cap eps^-1/2, so the middle bounds are
+    # 16 sqrt(eps) ||H||_F; a diagonal (normal) block keeps kappa = 1.
+    eps = np.finfo(float).eps
+    for params, kappa in (
+        (TwoSpinParams.from_gilbert(2.5, 0.5, -0.5, 1.0), 1.0 / math.sqrt(eps)),
+        (TwoSpinParams(1.0, 0.5, 0.0), 1.0),
+        (TwoSpinParams(1.0, 1.0, 0.0), 1.0),  # K = 0: no gap and no coupling
+    ):
+        hamiltonian = build_total(params)
+        closed = closed_spectrum(params).eigenvalues
+        bounds = twospin._agreement_bounds(hamiltonian, closed)
+        unit = 16.0 * eps * np.linalg.norm(hamiltonian)
+        assert bounds / unit == pytest.approx([kappa, kappa, 1.0, 1.0], rel=1e-12)
+
+
 @pytest.mark.parametrize("amplitude, middle, corner, column", [
     # Three eigenvalues are 0.25: the middle block's 0.25000000000000006
     # is E1p, and the -1 corner's 0.25 is E2m.
@@ -571,7 +606,9 @@ def test_regime_flag_is_scale_invariant():
     # Complex fields and J of both signs, half of them drawn on the regime
     # (f_plus real, f_minus real or imaginary).  Scaling by 2^k is exact in
     # every field, coupling, sum and square the flag reads, so no flag may
-    # change.
+    # change.  Scaling by c = 10^U(-12, 12) rounds each of them, but every
+    # band is relative, so a draw would have to sit within rounding of a
+    # band's edge to flip.
     rng = np.random.default_rng(29)
     seen = set()
     for draw in range(2000):
@@ -583,10 +620,10 @@ def test_regime_flag_is_scale_invariant():
         exchange = float(rng.standard_normal())
         flag = closed_spectrum(TwoSpinParams(f3, g3, exchange)).pseudo_hermitian
         seen.add(flag)
-        for k in (-40, -20, 20, 40):
-            c = 2.0**k
+        powers = 10.0 ** rng.uniform(-12.0, 12.0, 4)
+        for c in (2.0**-40, 2.0**-20, 2.0**20, 2.0**40, *powers):
             scaled = TwoSpinParams(c * f3, c * g3, c * exchange)
-            assert closed_spectrum(scaled).pseudo_hermitian == flag, (draw, k)
+            assert closed_spectrum(scaled).pseudo_hermitian == flag, (draw, c)
     assert seen == {True, False}
 
 
