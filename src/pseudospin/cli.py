@@ -442,8 +442,12 @@ def cmd_quantize(config: Mapping[str, Any]) -> int:
     # element is the one whose star-reality --check judges.
     element = constraint_reduce(element)
     hbar = config["hbar"]
-    with np.errstate(over="ignore", invalid="ignore"):
-        matrix = quantize(element, tensor_realization(element.algebra, hbar=hbar))
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            matrix = quantize(element, tensor_realization(element.algebra, hbar=hbar))
+    except MemoryError as exc:  # numpy refuses the realization's size
+        families = list(element.algebra.family_sizes)
+        raise CliError(f"families {families} need more than numpy can allocate") from exc
     if not np.isfinite(matrix).all():
         raise CliError("quantized matrix overflows the floating-point range")
 

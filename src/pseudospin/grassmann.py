@@ -189,6 +189,7 @@ class _Layout:
     """Bit layout of one algebra (see the module docstring).
 
     Attributes:
+        coordinate_algebra: Where :func:`constraint_reduce` lands.
         gens: Generator at each bit.
         bit: Generator -> bit.
         hi, lo: Per bit, the mask of the higher (lower) bits of its family.
@@ -210,6 +211,7 @@ class _Layout:
 
     def __init__(self, algebra: AlgebraSpec) -> None:
         self.algebra = algebra
+        self.coordinate_algebra = AlgebraSpec(algebra.family_sizes)
         self.gens = tuple(sorted([*algebra.coordinates(), *algebra.momenta()]))
         self.bit = {gen: b for b, gen in enumerate(self.gens)}
         family_masks = [0] * len(algebra.family_sizes)
@@ -666,21 +668,21 @@ def constraint_reduce(f: GrassmannElement) -> GrassmannElement:
     """Eliminate momenta through the second-class :func:`canonical_constraints`.
 
     Substitutes ``pi_i -> (i/2) xi_i`` term by term, landing in the
-    coordinate-only ``AlgebraSpec(f.algebra.family_sizes)``; repeated
-    coordinates annihilate, which is exactly the antisymmetrization the
-    symmetrized operator product would perform.
+    coordinate-only ``AlgebraSpec(f.algebra.family_sizes)`` (one instance
+    per algebra); repeated coordinates annihilate, which is exactly the
+    antisymmetrization the symmetrized operator product would perform.
     """
-    reduced = _layout(f.algebra).reduced
+    layout = _layout(f.algebra)
     table: dict[int, complex] = {}
     for mask, coeff in f.by_mask.items():
-        move = reduced[mask]
+        move = layout.reduced[mask]
         if move is None:
             continue
         target, sign, momenta = move
         for _ in range(momenta):
             coeff = coeff * _HALF_I
         _accumulate(table, target, sign * complex(coeff))
-    return GrassmannElement(AlgebraSpec(f.algebra.family_sizes), table)
+    return GrassmannElement(layout.coordinate_algebra, table)
 
 
 def dirac_bracket(f: GrassmannElement, g: GrassmannElement) -> GrassmannElement:

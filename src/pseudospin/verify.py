@@ -15,6 +15,7 @@ value must produce a located failure) and defaults to zero.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -152,6 +153,33 @@ def _gaussian(rng, *shape):
     return real + 1j * imag
 
 
+@lru_cache(maxsize=None)
+def _realization(sizes: tuple[int, ...], hbar: float) -> Realization:
+    """One realization per process for each of this module's twelve
+    (structure, hbar) pairs, shared with its image table by every seed."""
+    return tensor_realization(AlgebraSpec(sizes), hbar=hbar)
+
+
+@lru_cache(maxsize=None)
+def _correspondence_basis(hbar: float) -> tuple[tuple, Realization, tuple]:
+    """The unit, generators and generator pairs of ``(3, 3)`` with momenta,
+    their realization at ``hbar`` and their read-only quantized components."""
+    algebra = AlgebraSpec((3, 3), momenta_attached=True)
+    gens = list(algebra.coordinates()) + list(algebra.momenta())
+    monomials = [GrassmannElement.unit(algebra)]
+    monomials += [GrassmannElement.from_generator(algebra, g) for g in gens]
+    for a in range(len(gens)):
+        for b in range(a + 1, len(gens)):
+            monomials.append(
+                GrassmannElement.from_terms(algebra, [((gens[a], gens[b]), 1.0)])
+            )
+    realization = _realization((3, 3), hbar)
+    parts = tuple(_quantized_components(m, realization) for m in monomials)
+    for [(_, image)] in parts:  # each monomial is one family-parity component
+        image.setflags(write=False)
+    return tuple(monomials), realization, parts
+
+
 def check_grassmann(seed: int = 0, perturb: float = 0.0) -> GroupResult:
     """Algebra laws: associativity, involutions, bracket structure."""
     rng = np.random.default_rng(seed)
@@ -217,7 +245,7 @@ def check_clifford(seed: int = 0, perturb: float = 0.0) -> GroupResult:
     for sizes in ((3,), (3, 3), (5,), (2, 4)):
         worst = 0.0
         for hbar in (0.5, 1.0, 2.0):
-            realization = tensor_realization(AlgebraSpec(sizes), hbar=hbar)
+            realization = _realization(sizes, hbar)
             worst = max(worst, check_relations(realization))
         checks.append(
             CheckResult(f"relations for families {list(sizes)}", worst, 1e-12)
@@ -228,22 +256,12 @@ def check_clifford(seed: int = 0, perturb: float = 0.0) -> GroupResult:
 def check_correspondence(seed: int = 0, perturb: float = 0.0) -> GroupResult:
     """Sampled bracket correspondence on low-degree monomials."""
     rng = np.random.default_rng(seed)
-    algebra = AlgebraSpec((3, 3), momenta_attached=True)
-    gens = list(algebra.coordinates()) + list(algebra.momenta())
-    monomials = [GrassmannElement.unit(algebra)]
-    monomials += [GrassmannElement.from_generator(algebra, g) for g in gens]
-    for a in range(len(gens)):
-        for b in range(a + 1, len(gens)):
-            monomials.append(
-                GrassmannElement.from_terms(algebra, [((gens[a], gens[b]), 1.0)])
-            )
     checks: list[CheckResult] = []
     for hbar in (0.5, 1.0, 2.0):
         # correspondence_check's residual, with each monomial quantized once.
         # Every monomial is a single family-parity component, so the draws
         # stack by commutation sign, each stack under its first draw's parities.
-        realization = tensor_realization(AlgebraSpec((3, 3)), hbar=hbar)
-        parts = [_quantized_components(m, realization) for m in monomials]
+        monomials, realization, parts = _correspondence_basis(hbar)
         stacks: dict[int, tuple] = {}
         for i, j in rng.integers(0, len(monomials), size=(400, 2)).tolist():
             bracket = quantize(dirac_bracket(monomials[i], monomials[j]), realization)
@@ -263,19 +281,18 @@ def check_correspondence(seed: int = 0, perturb: float = 0.0) -> GroupResult:
 def check_quantize(seed: int = 0, perturb: float = 0.0) -> GroupResult:
     """Hermiticity, linearity, and covariance of the quantization map."""
     rng = np.random.default_rng(seed)
-    algebra = AlgebraSpec((3, 3))
-    realization = tensor_realization(algebra, hbar=1.0)
+    realization = _realization((3, 3), 1.0)
     checks: list[CheckResult] = []
 
     worst = 0.0
-    for g in _random_elements(rng, algebra, 50, max_degree=6):
+    for g in _random_elements(rng, realization.algebra, 50, max_degree=6):
         f = g + star_involution(g)
         matrix = quantize(f, realization)
         worst = max(worst, float(np.max(np.abs(matrix - matrix.conj().T))))
     checks.append(CheckResult("star-real elements quantize hermitian", worst, 1e-12))
 
     worst = 0.0
-    elements = _random_elements(rng, algebra, 60, max_degree=4)
+    elements = _random_elements(rng, realization.algebra, 60, max_degree=4)
     real, imag = rng.integers(-3, 4, size=(2, 30)).tolist()
     for f, g, re, im in zip(elements[:30], elements[30:], real, imag):
         a = complex(re, im)
@@ -284,11 +301,10 @@ def check_quantize(seed: int = 0, perturb: float = 0.0) -> GroupResult:
         worst = max(worst, float(np.max(np.abs(combined - split))))
     checks.append(CheckResult("linearity of the map", worst, 1e-12))
 
-    single = AlgebraSpec((3,))
-    base = tensor_realization(single, hbar=1.0)
+    base = _realization((3,), 1.0)
     worst = 0.0
     lams = _random_orthogonals(rng, 3, 30)
-    for lam, f in zip(lams, _random_elements(rng, single, 30)):
+    for lam, f in zip(lams, _random_elements(rng, base.algebra, 30)):
         moved_gens = tuple(
             sum(lam.entries[k_, i] * base.gens[i] for i in range(3)) for k_ in range(3)
         )

@@ -1041,6 +1041,26 @@ def test_quantize_overflow_is_a_typed_error(tmp_path, capsys, flags):
     assert err == "pseudospin: error: quantized matrix overflows the floating-point range\n"
 
 
+def test_quantize_realization_numpy_refuses_is_a_typed_error(
+    tmp_path, capsys, monkeypatch
+):
+    # A family of 24 needs 24 images of 4096 x 4096; the refusal is faked so
+    # that nothing large is allocated.
+    element = write_element(tmp_path / "wide.json", {
+        "algebra": {"families": [24]},
+        "terms": [{"mono": [], "re": 1.0, "im": 0.0}],
+    })
+
+    def refuse(algebra, hbar):
+        raise MemoryError("Unable to allocate 6.00 GiB")
+
+    monkeypatch.setattr(cli, "tensor_realization", refuse)
+    code, out, err = run(capsys, "quantize-file", "--element", element)
+    assert code == 1
+    assert out == ""
+    assert err == "pseudospin: error: families [24] need more than numpy can allocate\n"
+
+
 def test_quantize_unit_element(tmp_path, capsys):
     element = write_element(tmp_path / "unit.json", {
         "algebra": {"families": [3]},

@@ -18,6 +18,7 @@ from pseudospin.grassmann import (
     GrassmannElement,
     canonical_constraints,
     commutation_factor,
+    constraint_reduce,
     dirac_bracket,
     family_components,
     graded_poisson,
@@ -422,6 +423,20 @@ def test_dirac_with_explicit_constraints_matches_default():
     f = elem(XI[0], XI[1])
     g = elem(PI[1])
     assert reference_dirac(f, g, phis).terms == dirac_bracket(f, g).terms
+
+
+@pytest.mark.parametrize("sizes", [(3,), (3, 3), (2, 4)])
+@pytest.mark.parametrize("momenta", [False, True])
+def test_constraint_reduce_lands_in_one_coordinate_algebra(sizes, momenta):
+    algebra = AlgebraSpec(sizes, momenta_attached=momenta)
+    gens = list(algebra.coordinates()) + list(algebra.momenta())
+    first = constraint_reduce(GrassmannElement.unit(algebra)).algebra
+    assert first == AlgebraSpec(sizes)
+    assert not first.momenta_attached
+    # Equal specs built apart share one layout, hence one coordinate algebra.
+    for gen in gens:
+        element = GrassmannElement.from_generator(AlgebraSpec(sizes, momenta), gen)
+        assert constraint_reduce(element).algebra is first
 
 
 # ---------------------------------------------------------------------------

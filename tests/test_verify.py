@@ -3,7 +3,10 @@
 The groups draw their Grassmann elements as arrays and then build them
 through ``GrassmannElement.from_terms``; these tests record the terms handed
 to ``from_terms`` so the raw draws are checked before equal words merge.
-The complex orthogonal draws are recorded at ``_random_orthogonals``.
+The complex orthogonal draws are recorded at ``_random_orthogonals``.  The
+last tests check that the groups' cached realizations and correspondence
+basis equal fresh builds, cannot be written to, and leave every result the
+same whether a group runs cold or after other seeds.
 """
 
 import numpy as np
@@ -11,6 +14,7 @@ import pytest
 
 from pseudospin import verify
 from pseudospin.grassmann import AlgebraSpec, GrassmannElement
+from pseudospin.quantize import tensor_realization
 
 ALGEBRAS = {
     "(3,)": AlgebraSpec((3,)),
@@ -112,3 +116,63 @@ def test_orthogonal_draws_never_repeat_within_or_across_seeds(monkeypatch):
     assert len(draws) == 4 * (100 + 30 + 50 + 200 + 30 + 30)
     distinct = len(set(draws))
     assert distinct == len(draws)
+
+
+# Every (structure, hbar) pair a group realizes.
+REALIZATION_KEYS = [
+    (sizes, hbar) for sizes in ((3,), (3, 3), (5,), (2, 4)) for hbar in (0.5, 1.0, 2.0)
+]
+
+
+def clear_caches():
+    verify._realization.cache_clear()
+    verify._correspondence_basis.cache_clear()
+
+
+def test_cached_realizations_match_fresh_builds():
+    clear_caches()
+    for sizes, hbar in REALIZATION_KEYS:
+        cached = verify._realization(sizes, hbar)
+        assert verify._realization(sizes, hbar) is cached
+        fresh = tensor_realization(AlgebraSpec(sizes), hbar=hbar)
+        assert (cached.algebra, cached.hbar, cached.dim) == (
+            fresh.algebra, fresh.hbar, fresh.dim
+        )
+        assert [g.tobytes() for g in cached.gens] == [g.tobytes() for g in fresh.gens]
+    assert verify._realization.cache_info().currsize == len(REALIZATION_KEYS)
+
+
+@pytest.mark.parametrize("hbar", [0.5, 1.0, 2.0])
+def test_cached_basis_is_read_only(hbar):
+    monomials, realization, parts = verify._correspondence_basis(hbar)
+    assert realization is verify._realization((3, 3), hbar)
+    assert len(monomials) == len(parts) == 79
+    images = [image for components in parts for _, image in components]
+    assert len(images) == 79
+    for image in images + list(realization.gens):
+        with pytest.raises(ValueError, match="read-only"):
+            image[0, 0] = 1.0
+
+
+def fingerprint(result):
+    """A group result's labels, limits and violations, bit for bit."""
+    return result.name, [
+        (c.label, c.violation.hex(), c.limit.hex()) for c in result.checks
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 98765])
+def test_groups_do_not_depend_on_cache_state(seed):
+    cold = []
+    for name in verify.GROUPS:
+        clear_caches()
+        cold.append(fingerprint(verify.run_groups([name], seed=seed)[0]))
+    verify.run_groups(seed=seed + 1)
+    warm = [fingerprint(result) for result in verify.run_groups(seed=seed)]
+    assert warm == cold
+
+
+def test_perturbation_fails_every_group_with_warm_caches():
+    assert all(result.passed for result in verify.run_groups(seed=3))
+    for result in verify.run_groups(seed=3, perturb=1.0):
+        assert result.failures == (result.checks[0],)
