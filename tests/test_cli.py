@@ -32,6 +32,7 @@ from pseudospin.cli import (
 )
 from pseudospin.formats import vector_to_json
 from pseudospin.pseudoherm import eta_inner
+from pseudospin.quantize import Realization
 from pseudospin.twospin import (
     NoMetricError,
     TwoSpinParams,
@@ -332,7 +333,6 @@ MISTYPED_CONFIG = {
 
 # Appended after the table so that the ids of the cases above stay stable.
 MISTYPED_CONFIG_LATER = [
-    ("quantize-file", {"tol": "x"}, "tol"),
     # An empty selection would run no group and pass vacuously.
     ("verify", {"group": []}, "group"),
 ]
@@ -1110,6 +1110,43 @@ def test_quantize_rejects_non_numeric_realization_hbar(tmp_path, capsys, hbar):
     assert "hbar" in err
 
 
+@pytest.mark.parametrize("hbar", ["1e4", "1e6"])
+def test_quantize_check_passes_a_nearly_real_input_at_large_hbar(tmp_path, capsys, hbar):
+    # (4e-13 - 1i) xi1 xi2 is star-real within COEFF_TOL, and its matrix is
+    # Q(f*)^dagger exactly; an absolute gate on |Q - Q^dagger|, which grows
+    # with hbar, failed it.
+    element = write_element(tmp_path / "e.json", {
+        "algebra": {"families": [3]},
+        "terms": [{"mono": ["xi1", "xi2"], "re": 4e-13, "im": -1.0}],
+    })
+    code, out, err = run(
+        capsys, "quantize-file", "--element", element, "--hbar", hbar, "--check"
+    )
+    assert (code, err) == (0, "")
+    assert run(capsys, "quantize-file", "--element", element, "--hbar", hbar)[1] == out
+
+
+def test_quantize_check_fails_a_broken_realization(tmp_path, capsys, monkeypatch):
+    # A first generator image off by a complex factor is no longer hermitian,
+    # so Q(f)^dagger and Q(f*) part for a star-real f that contains it.
+    element = write_element(tmp_path / "heis.json", HEISENBERG_ELEMENT)
+    realize = cli.tensor_realization
+
+    def broken(algebra, hbar):
+        real = realize(algebra, hbar=hbar)
+        gens = (real.gens[0] * (1 + 1e-3j), *real.gens[1:])
+        return Realization(real.algebra, real.hbar, real.dim, gens)
+
+    monkeypatch.setattr(cli, "tensor_realization", broken)
+    code, out, err = run(capsys, "quantize-file", "--element", element, "--check")
+    assert code == 2
+    (line,) = err.splitlines()
+    assert line.startswith("FAIL hermiticity: star-real input, defect ")
+    # The matrix is still written, from the broken realization.
+    assert json.loads(out)["dim"] == 4
+    assert run(capsys, "quantize-file", "--element", element)[1] == out
+
+
 def test_quantize_check_notes_non_real_input(tmp_path, capsys):
     element = write_element(tmp_path / "e.json", {
         "algebra": {"families": [3]},
@@ -1123,6 +1160,9 @@ def test_quantize_check_notes_non_real_input(tmp_path, capsys):
 # One-family elements with momenta: (families, mono, coefficient, the matrix
 # of the reduced element at hbar = 1, whether that element is star-real).
 MOMENTUM_ELEMENTS = {
+    # Star-real to 2e-16 of its largest coefficient, the scale --check
+    # judges star-reality at.
+    "unit_1e6": ([1], [], 1e6 + 1e-10j, [[1e6 + 1e-10j]], True),
     # pi1 -> 0.5j xi1, which is not star-real.
     "pi1": ([1], ["pi1"], 1.0, [[0.5j * math.sqrt(0.5)]], False),
     # 1j pi1 -> -0.5 xi1, star-real and hermitian.
@@ -1360,7 +1400,6 @@ _FLAGS = {flag[1]: flag for flag in [
     (("--paper-units",), "paper_units", "_StoreTrueAction", None,
      "report eigenvalue columns times 4"),
     (("--seed",), "seed", "_StoreAction", None, "seed for randomized checks"),
-    (("--tol",), "tol", "_StoreAction", None, "hermiticity tolerance of --check"),
     (("-h", "--help"), "help", "_HelpAction", None, "show this help message and exit"),
     (("--alpha-end",), "alpha_end", "_StoreAction", None, None),
     (("--alpha-start",), "alpha_start", "_StoreAction", None, None),
@@ -1405,7 +1444,7 @@ FLAG_SURFACE = {
         "j", "b", "alpha1", "alpha2", "format",
         "t_start", "t_end", "t_steps", "xi", "zeta", "allow_dissipative",
     ),
-    "quantize-file": ("hbar", "tol", "element", "check"),
+    "quantize-file": ("hbar", "element", "check"),
     "verify": ("seed", "group", "perturb"),
 }
 
@@ -1490,7 +1529,8 @@ IGNORED_OPTIONS = {
     "regime-sweep": ("b", "hbar", "tol", "seed"),
     "evolve": ("hbar", "tol", "seed", "paper_units"),
     "quantize-file": (
-        "j", "b", "alpha1", "alpha2", "seed", "paper_units", "format", "realization",
+        "j", "b", "alpha1", "alpha2", "tol", "seed", "paper_units", "format",
+        "realization",
     ),
     "verify": ("j", "b", "alpha1", "alpha2", "hbar", "tol", "paper_units", "format"),
 }

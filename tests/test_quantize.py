@@ -20,6 +20,7 @@ from pseudospin.grassmann import (
     constraint_reduce,
     dirac_bracket,
     family_components,
+    star_involution,
 )
 from pseudospin.quantize import (
     PAULI,
@@ -302,6 +303,34 @@ def test_quantize_matches_graded_symmetrization():
             acc += sign * term
         acc /= math.factorial(len(word))
         assert np.allclose(direct, acc, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "sizes", [(1,), (3,), (3, 3), (5,), (2, 4), (1, 2, 3), (4, 4), (6,)], ids=str
+)
+def test_adjoint_is_the_image_of_the_star_exactly(sizes):
+    # Q(f*) = Q(f)^dagger bit for bit: each monomial's image is a product of
+    # hermitian generator images, and Q(f*) repeats every operation of Q(f)
+    # on conjugate bits.  quantize-file --check relies on this equality.
+    rng = np.random.default_rng(sum(sizes) * 10 + len(sizes))
+    algebra = AlgebraSpec(sizes, momenta_attached=True)
+    # Each term takes xi_i, pi_i or neither for each i, in shuffled order,
+    # so that no term vanishes under pi_i -> (i/2) xi_i.
+    pairs = list(zip(algebra.coordinates(), algebra.momenta()))
+    for hbar in (1e-6, 0.5, 1.0, 3.0, 7.3, 1e4):
+        real = tensor_realization(algebra, hbar=hbar)
+        for _ in range(20):
+            count = rng.integers(1, 13)
+            picks = rng.integers(0, 3, size=(count, len(pairs)))
+            # Coefficients over 300 decades, within one element too.
+            scales = 10.0 ** rng.uniform(-150, 150, size=count)
+            coefficients = (rng.normal(size=count) + 1j * rng.normal(size=count)) * scales
+            terms = [
+                ([pairs[i][pick[i] - 1] for i in rng.permutation(len(pairs)) if pick[i]], c)
+                for pick, c in zip(picks, coefficients.tolist())
+            ]
+            f = constraint_reduce(GrassmannElement.from_terms(algebra, terms))
+            assert np.array_equal(quantize(f, real).conj().T, quantize(star_involution(f), real))
 
 
 def _permutation_color_sign(word, perm):
