@@ -106,7 +106,7 @@ _OPTIONS: _Options = {
         " point) with canonical norms",
     ),
     "element": (None, "Grassmann element JSON path"),
-    "check": (False, "verify hermiticity of the output for star-real input"),
+    "check": (False, "check Q(f)^dagger = Q(f*) exactly for star-real input"),
     "group": (None, "restrict to this group (repeatable)"),
     "perturb": (0.0, "fault-injection bias; nonzero must produce a failure"),
     "out": (None, "output path (default stdout)"),

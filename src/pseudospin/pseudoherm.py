@@ -12,6 +12,7 @@ All functions are pure and operate on plain numpy arrays plus the validated
 parameter sweeps without shared state.
 """
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import TypeAlias
 
@@ -32,8 +33,8 @@ class Metric:
 
     Attributes:
         matrix: The metric entries; validated finite, hermitian (to
-            ``HERMITICITY_TOL``) and positive-definite on construction, then
-            frozen read-only.
+            ``HERMITICITY_TOL * max|M|``) and positive-definite on
+            construction, then frozen read-only.
         min_eigenvalue: Smallest eigenvalue, reported so callers can judge
             how close the metric sits to the boundary of positivity.
     """
@@ -48,7 +49,7 @@ class Metric:
         if not np.all(np.isfinite(matrix)):
             raise ValueError("metric entries must be finite")
         asymmetry = float(np.max(np.abs(matrix - matrix.conj().T)))
-        if asymmetry > HERMITICITY_TOL:
+        if asymmetry > HERMITICITY_TOL * float(np.max(np.abs(matrix))):
             raise ValueError(f"metric must be hermitian, asymmetry {asymmetry:.3e}")
         smallest = float(np.linalg.eigvalsh(matrix)[0])
         if smallest <= 0.0:
@@ -152,8 +153,12 @@ def is_rho_hermitian(
     a = np.asarray(a, dtype=complex)
     if a.shape != (rho.dim, rho.dim):
         raise ValueError("operator dimension must match the metric")
-    residual = np.max(np.abs(rho.matrix @ a - a.conj().T @ rho.matrix))
-    return bool(residual <= tol)
+    return bool(_rho_residuals(a, rho.matrix) <= tol)
+
+
+def _rho_residuals(a: OperatorMatrix, rho: np.ndarray) -> np.ndarray:
+    """max|rho a - a^dag rho| of each pair in ``(..., n, n)`` stacks."""
+    return np.max(np.abs(rho @ a - a.conj().mT @ rho), axis=(-2, -1))
 
 
 def metric_from_isomorphism(u: OperatorMatrix, eta: Metric | None = None) -> Metric:
@@ -177,15 +182,13 @@ def metric_from_isomorphism(u: OperatorMatrix, eta: Metric | None = None) -> Met
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError("isomorphism must be a square matrix")
-    if eta is None:
-        eta = Metric.identity(u.shape[0])
-    if eta.dim != u.shape[0]:
+    if eta is not None and eta.dim != u.shape[0]:
         raise ValueError("isomorphism dimension must match the metric")
     try:
         u_inv = np.linalg.inv(u)
     except np.linalg.LinAlgError as exc:
         raise ValueError("isomorphism must be invertible") from exc
-    rho = u_inv.conj().T @ eta.matrix @ u_inv
+    rho = u_inv.conj().T @ (np.eye(len(u), dtype=complex) if eta is None else eta.matrix) @ u_inv
     return Metric(0.5 * (rho + rho.conj().T))
 
 
@@ -203,9 +206,9 @@ def diagnose(a: OperatorMatrix) -> Diagnosis | np.ndarray:
     the condition number is only a proxy, and the residual is the honest
     arbiter.
 
-    The operators may be stacked along leading axes.  Every step runs the
-    same LAPACK routine on each matrix, so a stacked entry has the bits of
-    the call on its own matrix.
+    The operators may be stacked along leading axes.  Every step, the
+    residual gate included, runs the same LAPACK or BLAS routine on each
+    matrix, so a stacked entry has the bits of the call on its own matrix.
 
     Args:
         a: Operator matrix to classify, shape ``(n, n)`` or ``(..., n, n)``.
@@ -230,23 +233,15 @@ def diagnose(a: OperatorMatrix) -> Diagnosis | np.ndarray:
     ok = np.flatnonzero(spectrum_real & diagonalizable)
     unit = vectors[ok] / np.linalg.norm(vectors[ok], axis=-2, keepdims=True)
     rho = np.linalg.inv(unit @ unit.conj().mT)
-    candidates = dict(zip(ok.tolist(), 0.5 * (rho + rho.conj().mT)))
+    rho = 0.5 * (rho + rho.conj().mT)
+    hermitized = _rho_residuals(stack[ok], rho) <= METRIC_RESIDUAL_TOL * scale[ok]
+    metrics = {}
+    for k, candidate in zip(ok[hermitized].tolist(), rho[hermitized]):
+        with suppress(ValueError):
+            metrics[k] = Metric(candidate)
     reports = np.empty(len(stack), dtype=object)
     for k, spectrum in enumerate(values.tolist()):
-        real, diag, metric = bool(spectrum_real[k]), bool(diagonalizable[k]), None
-        if real and diag:
-            metric = _verified_metric(stack[k], candidates[k])
-            diag = metric is not None
+        real, metric = bool(spectrum_real[k]), metrics.get(k)
+        diag = bool(diagonalizable[k]) and (metric is not None or not real)
         reports[k] = Diagnosis(tuple(spectrum), real, diag, metric)
     return reports[0] if a.ndim == 2 else reports.reshape(a.shape[:-2])
-
-
-def _verified_metric(a: OperatorMatrix, candidate: OperatorMatrix) -> Metric | None:
-    """The candidate metric of :func:`diagnose`, or None if it is not
-    positive-definite or fails to render ``a`` hermitian."""
-    try:
-        metric = Metric(candidate)
-    except ValueError:
-        return None
-    residual_tol = METRIC_RESIDUAL_TOL * float(np.max(np.abs(a)))
-    return metric if is_rho_hermitian(a, metric, tol=residual_tol) else None

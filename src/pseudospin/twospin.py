@@ -387,7 +387,7 @@ def paper_isomorphism(params: TwoSpinParams) -> Isomorphism:
     tol = METRIC_RESIDUAL_TOL * _tolerance_scale(params)
     if np.max(np.abs(partner - partner.conj().T)) > tol:
         raise RuntimeError("conjugated Hamiltonian failed the hermiticity check")
-    if not is_rho_hermitian(hamiltonian, rho, tol=tol):
+    if not is_rho_hermitian(hamiltonian, rho, tol=tol * float(np.max(np.abs(rho.matrix)))):
         raise RuntimeError("constructed metric failed to hermitize the Hamiltonian")
     return Isomorphism(u, rho, partner)
 

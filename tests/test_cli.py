@@ -501,6 +501,23 @@ def test_evolve_at_the_exceptional_point_asks_for_the_flag(capsys, alpha):
     assert "--allow-dissipative" in line
 
 
+def test_evolve_near_the_exceptional_point_gates_the_metric_by_its_size(capsys):
+    # B = 2.5(1 - 1e-8): cond(rho) is 2e8 and max|rho| 5e7.  The metric's
+    # rounding residual grows with max|rho|, so its gate must too.
+    # B = 2.5(1 - 4e-11) sits inside the exceptional-point band.
+    args = ["--J", "1", "--alpha1", "0.5", "--alpha2", "-0.5", "--t-end", "100"]
+    code, out, err = run(capsys, "evolve", "--B", "2.499999975", *args)
+    assert (code, err) == (0, "")
+    norms = [float(row["rho_norm"]) for row in parse_csv(out)]
+    assert max(norms) - min(norms) <= 1e-9 * norms[0]
+    code, out, err = run(capsys, "evolve", "--B", "2.4999999999", *args)
+    assert (code, out) == (1, "")
+    assert err == (
+        "pseudospin: error: parameters sit at the exceptional point; no metric"
+        " exists; pass --allow-dissipative for canonical-norm output\n"
+    )
+
+
 def run_quietly(*args):
     """``main(args)`` with its stdout and stderr captured, for hypothesis tests."""
     out, err = io.StringIO(), io.StringIO()
@@ -521,7 +538,7 @@ def near_the_exceptional_point(draw):
 @settings(deadline=None, max_examples=40, derandomize=True)
 @example((1.0, 2.5, 0.5))
 @example((1.0, 2.5, -0.5))
-@example((1.0, 2.5 * (1.0 - 1e-8), 0.5))  # a RuntimeError (ROADMAP item 2)
+@example((1.0, 2.5 * (1.0 - 1e-8), 0.5))  # cond(rho) = 2e8
 @example((1.0, 4.0, 1.0))  # well outside the regime
 @given(near_the_exceptional_point())
 def test_evolve_routes_as_transition_series_does(point):
@@ -1421,7 +1438,7 @@ _FLAGS = {flag[1]: flag for flag in [
     (("--xi",), "xi", "_StoreAction", None, "bra state vector JSON path"),
     (("--zeta",), "zeta", "_StoreAction", None, "ket state vector JSON path"),
     (("--check",), "check", "_StoreTrueAction", None,
-     "verify hermiticity of the output for star-real input"),
+     "check Q(f)^dagger = Q(f*) exactly for star-real input"),
     (("--element",), "element", "_StoreAction", None,
      "Grassmann element JSON path"),
     (("--group",), "group", "_AppendAction",

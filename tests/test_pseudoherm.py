@@ -13,6 +13,7 @@ from pseudospin.pseudoherm import (
     COND_CAP,
     Diagnosis,
     Metric,
+    _rho_residuals,
     diagnose,
     eta_inner,
     is_rho_hermitian,
@@ -62,6 +63,23 @@ def test_metric_rejects_non_finite_entries(matrix):
     # positivity checks alone would let it through.
     with pytest.raises(ValueError, match="finite"):
         Metric(matrix)
+
+
+@pytest.mark.parametrize(
+    "entry, asymmetry, accepted",
+    [(1e6, 1e-9, True), (1e-6, 1e-13, False)],
+    ids=["large-entries", "small-entries"],
+)
+def test_metric_hermiticity_gate_is_relative_to_its_entries(entry, asymmetry, accepted):
+    # The bound is HERMITICITY_TOL * max|M|: an asymmetry is judged against
+    # the entries it sits in, not against a fixed 1e-12.
+    matrix = entry * np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex)
+    matrix[0, 1] += asymmetry
+    if accepted:
+        assert Metric(matrix).min_eigenvalue > 0.0
+    else:
+        with pytest.raises(ValueError, match="hermitian"):
+            Metric(matrix)
 
 
 def test_eta_inner_reduces_to_canonical_product():
@@ -157,6 +175,14 @@ def test_is_rho_hermitian_matches_definition():
     assert is_rho_hermitian(candidate, rho, tol=1e-10)
     assert not is_rho_hermitian(candidate + 0.1 * 1j * np.eye(3), rho, tol=1e-10)
     assert np.allclose(rho_adjoint(candidate, rho), candidate, atol=1e-10)
+    # The residual of a stack has, entry by entry, the bits of its own pair.
+    for dim in (2, 3, 4, 5):
+        a = rng.normal(size=(50, dim, dim)) + 1j * rng.normal(size=(50, dim, dim))
+        r = rng.normal(size=(50, dim, dim)) + 1j * rng.normal(size=(50, dim, dim))
+        stacked = _rho_residuals(a, r)
+        assert stacked.shape == (50,)
+        for k in range(50):
+            assert stacked[k].tobytes() == _rho_residuals(a[k], r[k]).tobytes()
 
 
 def test_rho_adjoint_dimension_mismatch():
