@@ -9,10 +9,10 @@ exists and, when it does, builds one explicitly from the eigenvectors.
 
 All functions are pure and operate on plain numpy arrays plus the validated
 :class:`Metric` / :class:`Diagnosis` value types, so they can be mapped over
-parameter sweeps without shared state.
+parameter sweeps without shared state.  All but ``is_rho_hermitian`` take
+``(..., n, n)`` stacks, as ``Metric`` does, each entry with its own call's bits.
 """
 
-from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import TypeAlias
 
@@ -31,34 +31,37 @@ METRIC_RESIDUAL_TOL = 1e-10
 class Metric:
     """A hermitian positive-definite matrix defining an inner product.
 
+    A ``(..., n, n)`` stack is checked in one pass, the first failing entry
+    named; ``metric[k]``, entry k of a one-axis stack, is not checked again.
+
     Attributes:
         matrix: The metric entries; validated finite, hermitian (to
             ``HERMITICITY_TOL * max|M|``) and positive-definite on
             construction, then frozen read-only.
-        min_eigenvalue: Smallest eigenvalue, reported so callers can judge
-            how close the metric sits to the boundary of positivity.
+        min_eigenvalue: Smallest eigenvalue (a read-only array for a stack),
+            so callers can judge how close the metric sits to positivity's edge.
     """
 
     matrix: OperatorMatrix
-    min_eigenvalue: float = field(init=False, default=0.0)
+    min_eigenvalue: float | np.ndarray = field(init=False, default=0.0)
 
     def __post_init__(self) -> None:
         matrix = np.array(self.matrix, dtype=complex)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        if matrix.ndim < 2 or matrix.shape[-2] != matrix.shape[-1]:
             raise ValueError("metric must be a square matrix")
-        if not np.all(np.isfinite(matrix)):
-            raise ValueError("metric entries must be finite")
-        asymmetry = float(np.max(np.abs(matrix - matrix.conj().T)))
-        if asymmetry > HERMITICITY_TOL * float(np.max(np.abs(matrix))):
-            raise ValueError(f"metric must be hermitian, asymmetry {asymmetry:.3e}")
-        smallest = float(np.linalg.eigvalsh(matrix)[0])
-        if smallest <= 0.0:
-            raise ValueError(
-                f"metric must be positive-definite, smallest eigenvalue {smallest:.3e}"
-            )
+        low, failures = _metric_failures(matrix)
+        for k, failure in enumerate(failures):
+            if failure:
+                raise ValueError(failure + ("" if matrix.ndim == 2 else f" at stack entry {k}"))
         matrix.setflags(write=False)
+        low.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "min_eigenvalue", smallest)
+        object.__setattr__(self, "min_eigenvalue", low if low.ndim else float(low))
+
+    def __getitem__(self, k: int) -> "Metric":
+        entry = object.__new__(Metric)  # a view into this checked stack
+        vars(entry).update(matrix=self.matrix[k], min_eigenvalue=float(self.min_eigenvalue[k]))
+        return entry
 
     @classmethod
     def identity(cls, dim: int) -> "Metric":
@@ -67,7 +70,25 @@ class Metric:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
+
+
+def _metric_failures(matrix: np.ndarray) -> tuple[np.ndarray, list[str | None]]:
+    """Each stack entry's smallest eigenvalue and first failed check, or None."""
+    stack = matrix.reshape(-1, *matrix.shape[-2:])
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    # eigvalsh raises on a non-finite entry, which fails as non-finite instead
+    stack = stack if finite.all() else np.where(finite[:, None, None], stack, 0.0)
+    skew = np.abs(stack - stack.conj().mT).max(axis=(-2, -1))
+    cap = HERMITICITY_TOL * np.abs(stack).max(axis=(-2, -1))
+    low = np.linalg.eigvalsh(stack)[:, 0]
+    return low.reshape(matrix.shape[:-2]), [
+        "metric entries must be finite" if not ok
+        else f"metric must be hermitian, asymmetry {s:.3e}" if s > c
+        else f"metric must be positive-definite, smallest eigenvalue {e:.3e}" if e <= 0.0
+        else None
+        for ok, s, c, e in zip(finite.tolist(), skew.tolist(), cap.tolist(), low.tolist())
+    ]
 
 
 @dataclass(frozen=True)
@@ -131,19 +152,19 @@ def rho_adjoint(a: OperatorMatrix, rho: Metric) -> OperatorMatrix:
     own deformed adjoint is hermitian for the metric product.
 
     Args:
-        a: Operator matrix.
-        rho: Metric defining the product.
+        a: Operator matrix, or a ``(..., n, n)`` stack.
+        rho: Metric defining the product, or a stack broadcasting with ``a``.
 
     Returns:
-        The matrix of the deformed adjoint.
+        The matrix (or stack) of the deformed adjoint.
 
     Raises:
         ValueError: If the operator dimension does not match the metric.
     """
     a = np.asarray(a, dtype=complex)
-    if a.shape != (rho.dim, rho.dim):
+    if a.shape[-2:] != (rho.dim, rho.dim):
         raise ValueError("operator dimension must match the metric")
-    return np.linalg.solve(rho.matrix, a.conj().T @ rho.matrix)
+    return np.linalg.solve(rho.matrix, a.conj().mT @ rho.matrix)
 
 
 def is_rho_hermitian(
@@ -169,27 +190,28 @@ def metric_from_isomorphism(u: OperatorMatrix, eta: Metric | None = None) -> Met
     ``(u^dag)^-1 eta u^-1``; with ``eta = I`` this is ``(u u^dag)^-1``.
 
     Args:
-        u: Invertible isomorphism matrix.
-        eta: Metric on the partner side; identity when omitted.
+        u: Invertible isomorphism matrix, or a ``(..., n, n)`` stack.
+        eta: Metric on the partner side, or a stack; identity when omitted.
 
     Returns:
-        The pulled-back metric, validated hermitian positive-definite.
+        The pulled-back metric (or stack), validated hermitian positive-definite.
 
     Raises:
         ValueError: If ``u`` is not square, is singular, or its dimension
             does not match ``eta``.
     """
     u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+    if u.ndim < 2 or u.shape[-2] != u.shape[-1]:
         raise ValueError("isomorphism must be a square matrix")
-    if eta is not None and eta.dim != u.shape[0]:
+    if eta is not None and eta.dim != u.shape[-1]:
         raise ValueError("isomorphism dimension must match the metric")
     try:
         u_inv = np.linalg.inv(u)
     except np.linalg.LinAlgError as exc:
         raise ValueError("isomorphism must be invertible") from exc
-    rho = u_inv.conj().T @ (np.eye(len(u), dtype=complex) if eta is None else eta.matrix) @ u_inv
-    return Metric(0.5 * (rho + rho.conj().T))
+    eta = np.eye(u.shape[-1], dtype=complex) if eta is None else eta.matrix
+    rho = u_inv.conj().mT @ eta @ u_inv
+    return Metric(0.5 * (rho + rho.conj().mT))
 
 
 def diagnose(a: OperatorMatrix) -> Diagnosis | np.ndarray:
@@ -207,8 +229,8 @@ def diagnose(a: OperatorMatrix) -> Diagnosis | np.ndarray:
     arbiter.
 
     The operators may be stacked along leading axes.  Every step, the
-    residual gate included, runs the same LAPACK or BLAS routine on each
-    matrix, so a stacked entry has the bits of the call on its own matrix.
+    residual gate and ``Metric`` check included, runs the same LAPACK or BLAS
+    routine on each matrix, so a stacked entry has the bits of its own call.
 
     Args:
         a: Operator matrix to classify, shape ``(n, n)`` or ``(..., n, n)``.
@@ -235,10 +257,13 @@ def diagnose(a: OperatorMatrix) -> Diagnosis | np.ndarray:
     rho = np.linalg.inv(unit @ unit.conj().mT)
     rho = 0.5 * (rho + rho.conj().mT)
     hermitized = _rho_residuals(stack[ok], rho) <= METRIC_RESIDUAL_TOL * scale[ok]
-    metrics = {}
-    for k, candidate in zip(ok[hermitized].tolist(), rho[hermitized]):
-        with suppress(ValueError):
-            metrics[k] = Metric(candidate)
+    keep, candidates = ok[hermitized], rho[hermitized]
+    try:
+        checked = Metric(candidates)
+    except ValueError:  # a candidate failed Metric's checks: only it gets none
+        passing = [failure is None for failure in _metric_failures(candidates)[1]]
+        keep, checked = keep[passing], Metric(candidates[passing])
+    metrics = {k: checked[j] for j, k in enumerate(keep.tolist())}
     reports = np.empty(len(stack), dtype=object)
     for k, spectrum in enumerate(values.tolist()):
         real, metric = bool(spectrum_real[k]), metrics.get(k)

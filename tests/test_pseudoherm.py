@@ -37,7 +37,7 @@ def random_metric(rng, dim):
 # Metric and inner product
 
 
-def test_metric_validation():
+def test_metric_validation(monkeypatch):
     with pytest.raises(ValueError):
         Metric(np.zeros((2, 3)))
     with pytest.raises(ValueError):
@@ -51,6 +51,39 @@ def test_metric_validation():
     assert m.min_eigenvalue == pytest.approx(1.0)
     with pytest.raises(ValueError):
         m.matrix[0, 0] = 2.0
+    # A stack is checked in one eigvalsh call, and each entry gets the bits
+    # of its own call; metric[k] is a read-only view, not checked again.
+    rng = np.random.default_rng(1)
+    g = rng.normal(size=(20, 4, 4)) + 1j * rng.normal(size=(20, 4, 4))
+    matrices = g @ g.conj().mT + 0.1 * np.eye(4)
+    singles = [Metric(matrix) for matrix in matrices]
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    stack = Metric(matrices)
+    entries = [stack[k] for k in range(20)]
+    assert len(calls) == 1
+    assert stack.dim == 4 and stack.min_eigenvalue.shape == (20,)
+    for single, entry in zip(singles, entries):
+        assert type(entry.min_eigenvalue) is float
+        assert entry.min_eigenvalue.hex() == single.min_eigenvalue.hex()
+        assert entry.matrix.tobytes() == single.matrix.tobytes()
+        assert np.shares_memory(entry.matrix, stack.matrix)
+        with pytest.raises(ValueError, match="read-only"):
+            entry.matrix[0, 0] = 2.0
+    # One failing entry refuses the stack with its check's message, naming it.
+    skewed = matrices[7].copy()
+    skewed[0, 1] += 1e-3
+    failing = {"finite": np.full((4, 4), np.nan), "hermitian": skewed,
+               "positive-definite": np.diag([1.0, 1.0, -1.0, 1.0])}
+    for check, entry in failing.items():
+        broken = matrices.copy()
+        broken[7] = entry
+        with pytest.raises(ValueError, match=f"{check}.* at stack entry 7$"):
+            Metric(broken)
+        with pytest.raises(ValueError, match=check) as single:
+            Metric(entry)
+        assert "stack entry" not in str(single.value)
 
 
 @pytest.mark.parametrize(
@@ -163,6 +196,15 @@ def test_rho_adjoint_is_involutive():
         rho = random_metric(rng, 4)
         a = random_matrix(rng, 4)
         assert np.allclose(rho_adjoint(rho_adjoint(a, rho), rho), a, atol=1e-9)
+    # Stacked operators, against a stack of metrics or one metric: each
+    # entry has the bits of its own call.
+    g = 0.5 * (rng.normal(size=(20, 4, 4)) + 1j * rng.normal(size=(20, 4, 4)))
+    rhos = Metric(g @ g.conj().mT + np.eye(4))
+    a = rng.normal(size=(20, 4, 4)) + 1j * rng.normal(size=(20, 4, 4))
+    paired, shared = rho_adjoint(a, rhos), rho_adjoint(a, rhos[0])
+    for k in range(20):
+        assert paired[k].tobytes() == rho_adjoint(a[k], rhos[k]).tobytes()
+        assert shared[k].tobytes() == rho_adjoint(a[k], rhos[0]).tobytes()
 
 
 def test_is_rho_hermitian_matches_definition():
@@ -202,6 +244,18 @@ def test_metric_from_isomorphism_trivial_cases():
     moved = metric_from_isomorphism(q, eta)
     assert moved.min_eigenvalue > 0.0
     assert np.allclose(moved.matrix, q @ eta.matrix @ q.conj().T, atol=1e-10)
+    # Stacked isomorphisms, with no eta, a stack of etas or one eta: each
+    # entry has the bits of its own call.
+    us = rng.normal(size=(20, 4, 4)) + 1j * rng.normal(size=(20, 4, 4)) + 3.0 * np.eye(4)
+    g = 0.5 * (rng.normal(size=(20, 4, 4)) + 1j * rng.normal(size=(20, 4, 4)))
+    etas = Metric(g @ g.conj().mT + np.eye(4))
+    cases = ((None, lambda k: None), (etas, etas.__getitem__), (etas[0], lambda k: etas[0]))
+    for eta, eta_of in cases:
+        stacked = metric_from_isomorphism(us, eta)
+        for k in range(20):
+            single = metric_from_isomorphism(us[k], eta_of(k))
+            assert stacked[k].matrix.tobytes() == single.matrix.tobytes()
+            assert stacked[k].min_eigenvalue.hex() == single.min_eigenvalue.hex()
 
 
 def test_metric_from_isomorphism_rejects_singular():
@@ -211,6 +265,10 @@ def test_metric_from_isomorphism_rejects_singular():
         metric_from_isomorphism(np.ones((2, 3)))
     with pytest.raises(ValueError):
         metric_from_isomorphism(np.eye(3), Metric.identity(4))
+    with pytest.raises(ValueError, match="invertible"):
+        metric_from_isomorphism(np.array([np.eye(2), np.diag([1.0, 0.0])]))
+    with pytest.raises(ValueError, match="square"):
+        metric_from_isomorphism(np.ones(2))
 
 
 def test_isometry_transport_of_matrix_elements():
@@ -334,7 +392,7 @@ def test_diagnose_similarity_covariance():
         assert np.allclose(base.spectrum, moved.spectrum, atol=1e-8)
 
 
-def test_diagnose_stacked_entries_equal_single_calls_bit_for_bit():
+def test_diagnose_stacked_entries_equal_single_calls_bit_for_bit(monkeypatch):
     # One stack of 2x2 operators reaching every branch: a metric, a complex
     # spectrum, a Jordan block over COND_CAP, and a real spectrum whose
     # eigenvectors pass COND_CAP but whose candidate metric is rejected.
@@ -369,6 +427,29 @@ def test_diagnose_stacked_entries_equal_single_calls_bit_for_bit():
     # metric, complex, Jordan block, rejected candidate metric
     assert {(True, True, True), (False, True, True), (True, False, False)} <= branches
     assert (True, False, True) in branches
+    # A candidate that passes the residual gate but fails Metric's check
+    # (here an eigvalsh made to report it non-positive) gets no metric and
+    # is not diagonalizable; the other candidates of its stack keep theirs.
+    k = next(k for k, report in enumerate(stacked) if report.metric is not None)
+    refused = stacked[k].metric.matrix
+    eigvalsh = np.linalg.eigvalsh
+
+    def refuse(m):
+        values = eigvalsh(m)
+        values[(m == refused).all(axis=(-2, -1))] = -1.0
+        return values
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    rerun = diagnose(operators)
+    for report in (rerun[k], diagnose(operators[k])):
+        assert (report.spectrum_real, report.diagonalizable) == (True, False)
+        assert report.metric is None
+    for j, report in enumerate(rerun):
+        if j != k:
+            assert report.diagonalizable == stacked[j].diagonalizable
+            assert (report.metric is None) == (stacked[j].metric is None)
+            if report.metric is not None:
+                assert report.metric.matrix.tobytes() == stacked[j].metric.matrix.tobytes()
 
 
 # ---------------------------------------------------------------------------

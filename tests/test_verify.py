@@ -6,7 +6,8 @@ to ``from_terms`` so the raw draws are checked before equal words merge.
 The complex orthogonal draws are recorded at ``_random_orthogonals``.  The
 last tests check that the groups' cached realizations and correspondence
 basis equal fresh builds, cannot be written to, and leave every result the
-same whether a group runs cold or after other seeds.
+same whether a group runs cold or after other seeds, and that the
+``pseudoherm`` group checks its metrics one stack at a time.
 """
 
 import numpy as np
@@ -127,6 +128,8 @@ REALIZATION_KEYS = [
 def clear_caches():
     verify._realization.cache_clear()
     verify._correspondence_basis.cache_clear()
+    verify._relations_residual.cache_clear()
+    verify._dirac_jacobi.cache_clear()
 
 
 def test_cached_realizations_match_fresh_builds():
@@ -173,6 +176,26 @@ def test_groups_do_not_depend_on_cache_state(seed):
 
 
 def test_perturbation_fails_every_group_with_warm_caches():
-    assert all(result.passed for result in verify.run_groups(seed=3))
+    unperturbed = verify.run_groups(seed=3)
+    assert all(result.passed for result in unperturbed)
     for result in verify.run_groups(seed=3, perturb=1.0):
         assert result.failures == (result.checks[0],)
+    # The perturbation biases a copy: the cached residuals stay as they were.
+    after = [fingerprint(result) for result in verify.run_groups(seed=3)]
+    assert after == [fingerprint(result) for result in unperturbed]
+
+
+def test_pseudoherm_checks_each_metric_stack_once(monkeypatch):
+    # One eigvalsh per stack of metrics, not one per metric: each of the
+    # four planted-real and two complex-plant dimensions is one diagnose
+    # call, then the adjoint draws and the isometry's eta and pull-back.
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    assert verify.check_pseudoherm(seed=0).passed
+    assert len(shapes) <= 9, shapes
