@@ -42,7 +42,7 @@ from .formats import (
     vector_from_json,
     write_csv,
 )
-from .grassmann import COEFF_TOL, constraint_reduce, star_involution
+from .grassmann import constraint_reduce, star_involution
 from .quantize import tensor_realization, quantize
 from .twospin import (
     NoMetricError,
@@ -108,7 +108,6 @@ _OPTIONS: _Options = {
     "element": (None, "Grassmann element JSON path"),
     "check": (False, "check Q(f)^dagger = Q(f*) exactly for star-real input"),
     "group": (None, "restrict to this group (repeatable)"),
-    "perturb": (0.0, "fault-injection bias; nonzero must produce a failure"),
     "out": (None, "output path (default stdout)"),
     "config": (None, "JSON config file; flags override it"),
 }
@@ -135,7 +134,7 @@ _SUBCOMMANDS: dict[str, tuple[str, tuple[str, ...]]] = {
         "quantize a Grassmann element read from JSON",
         ("hbar", "element", "check"),
     ),
-    "verify": ("run the seeded invariant suites", ("seed", "group", "perturb")),
+    "verify": ("run the seeded invariant suites", ("seed", "group")),
 }
 
 
@@ -452,8 +451,7 @@ def cmd_quantize(config: Mapping[str, Any]) -> int:
     status = 0
     if config["check"]:
         star = star_involution(element)
-        scale = max(map(abs, element.by_mask.values()), default=0.0)
-        if not star.allclose(element, tol=COEFF_TOL * scale):
+        if not star.allclose(element):
             print("note: input is not star-real; no hermiticity claim", file=sys.stderr)
         else:
             # Q(f*) takes the conjugate of each operation Q(f) takes, on the
@@ -477,7 +475,7 @@ def cmd_verify(config: Mapping[str, Any]) -> int:
     """Run invariant groups; print one line per group, JSON summary on request."""
     names = config["group"]
     try:
-        results = run_groups(names, seed=config["seed"], perturb=config["perturb"])
+        results = run_groups(names, seed=config["seed"])
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     for result in results:

@@ -54,7 +54,7 @@ __all__ = [
     "star_involution",
 ]
 
-#: Default tolerance for coefficient comparisons.
+#: Relative tolerance of :meth:`GrassmannElement.allclose`.
 COEFF_TOL = 1e-12
 
 #: The i/2 of the constraints pi_i - (i/2) xi_i, which send pi_i -> (i/2) xi_i.
@@ -329,8 +329,8 @@ class GrassmannElement:
         return cls(algebra, {})
 
     @classmethod
-    def unit(cls, algebra: AlgebraSpec, coefficient: complex = 1.0) -> "GrassmannElement":
-        return cls.from_terms(algebra, [((), coefficient)])
+    def unit(cls, algebra: AlgebraSpec) -> "GrassmannElement":
+        return cls.from_terms(algebra, [((), 1.0)])
 
     @classmethod
     def from_generator(cls, algebra: AlgebraSpec, gen: Generator) -> "GrassmannElement":
@@ -372,10 +372,12 @@ class GrassmannElement:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.by_mask.values())
 
-    def allclose(self, other: "GrassmannElement", tol: float = COEFF_TOL) -> bool:
-        return self.algebra == other.algebra and all(
-            abs(c) <= tol for c in (self - other).by_mask.values()
-        )
+    def allclose(self, other: "GrassmannElement") -> bool:
+        """Each coefficient gap within ``COEFF_TOL`` times either element's max |c|."""
+        if self.algebra != other.algebra:
+            return False
+        scale = max(map(abs, [*self.by_mask.values(), *other.by_mask.values()]), default=0.0)
+        return all(abs(c) <= COEFF_TOL * scale for c in (self - other).by_mask.values())
 
     def __add__(self, other: "GrassmannElement") -> "GrassmannElement":
         _check_same_algebra(self, other)

@@ -9,8 +9,8 @@ exists and, when it does, builds one explicitly from the eigenvectors.
 
 All functions are pure and operate on plain numpy arrays plus the validated
 :class:`Metric` / :class:`Diagnosis` value types, so they can be mapped over
-parameter sweeps without shared state.  All but ``is_rho_hermitian`` take
-``(..., n, n)`` stacks, as ``Metric`` does, each entry with its own call's bits.
+parameter sweeps without shared state.  All take ``(..., n, n)`` stacks, as
+``Metric`` does, each entry with its own call's bits.
 """
 
 from dataclasses import dataclass, field
@@ -27,7 +27,7 @@ COND_CAP = 1e8
 METRIC_RESIDUAL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Metric:
     """A hermitian positive-definite matrix defining an inner product.
 
@@ -169,12 +169,14 @@ def rho_adjoint(a: OperatorMatrix, rho: Metric) -> OperatorMatrix:
 
 def is_rho_hermitian(
     a: OperatorMatrix, rho: Metric, tol: float = METRIC_RESIDUAL_TOL
-) -> bool:
-    """Check ``rho a == a^dag rho`` entrywise within ``tol``."""
+) -> bool | np.ndarray:
+    """Check ``rho a == a^dag rho`` entrywise within ``tol``: a bool for one
+    pair, else one verdict per entry of the broadcast stacks."""
     a = np.asarray(a, dtype=complex)
-    if a.shape != (rho.dim, rho.dim):
+    if a.shape[-2:] != (rho.dim, rho.dim):
         raise ValueError("operator dimension must match the metric")
-    return bool(_rho_residuals(a, rho.matrix) <= tol)
+    verdict = _rho_residuals(a, rho.matrix) <= tol
+    return bool(verdict) if verdict.ndim == 0 else verdict
 
 
 def _rho_residuals(a: OperatorMatrix, rho: np.ndarray) -> np.ndarray:

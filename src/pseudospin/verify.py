@@ -10,10 +10,6 @@ claims independently, with their own code and full sample counts; they do
 not call these groups.  Two draw nothing from the seed and print the same
 violation at every seed: the ``clifford`` relations and ``grassmann``'s
 "graded Jacobi identity (Dirac)".  Each is computed once per process.
-
-The ``perturb`` knob biases each group's first measured residual by a known
-amount.  It exists purely to exercise the failure-reporting path (a nonzero
-value must produce a located failure) and defaults to zero.
 """
 
 from dataclasses import dataclass
@@ -97,13 +93,6 @@ class GroupResult:
     @property
     def failures(self) -> tuple[CheckResult, ...]:
         return tuple(check for check in self.checks if not check.passed)
-
-
-def _inject(checks: list[CheckResult], perturb: float) -> tuple[CheckResult, ...]:
-    if perturb and checks:
-        first = checks[0]
-        checks[0] = CheckResult(first.label, first.violation + abs(perturb), first.limit)
-    return tuple(checks)
 
 
 def _element_diff(left: GrassmannElement, right: GrassmannElement) -> float:
@@ -206,7 +195,7 @@ def _dirac_jacobi(algebra: AlgebraSpec) -> float:
     return worst
 
 
-def check_grassmann(seed: int = 0, perturb: float = 0.0) -> GroupResult:
+def check_grassmann(seed: int = 0) -> GroupResult:
     """Algebra laws: associativity, involutions, bracket structure."""
     rng = np.random.default_rng(seed)
     algebra = AlgebraSpec((3, 3), momenta_attached=True)
@@ -251,7 +240,7 @@ def check_grassmann(seed: int = 0, perturb: float = 0.0) -> GroupResult:
         worst = max(worst, _element_diff(plus_involution(moved, rho), moved))
     checks.append(CheckResult("reality transport star to plus", worst, 1e-9))
 
-    return GroupResult("grassmann", _inject(checks, perturb))
+    return GroupResult("grassmann", tuple(checks))
 
 
 @lru_cache(maxsize=None)
@@ -260,16 +249,16 @@ def _relations_residual(sizes: tuple[int, ...]) -> float:
     return max(check_relations(_realization(sizes, hbar)) for hbar in (0.5, 1.0, 2.0))
 
 
-def check_clifford(seed: int = 0, perturb: float = 0.0) -> GroupResult:
+def check_clifford(seed: int = 0) -> GroupResult:
     """Anticommutation relations across structures and scales."""
     checks = [
         CheckResult(f"relations for families {list(sizes)}", _relations_residual(sizes), 1e-12)
         for sizes in ((3,), (3, 3), (5,), (2, 4))
     ]
-    return GroupResult("clifford", _inject(checks, perturb))
+    return GroupResult("clifford", tuple(checks))
 
 
-def check_correspondence(seed: int = 0, perturb: float = 0.0) -> GroupResult:
+def check_correspondence(seed: int = 0) -> GroupResult:
     """Sampled bracket correspondence on low-degree monomials."""
     rng = np.random.default_rng(seed)
     checks: list[CheckResult] = []
@@ -291,10 +280,10 @@ def check_correspondence(seed: int = 0, perturb: float = 0.0) -> GroupResult:
         checks.append(
             CheckResult(f"bracket correspondence at hbar={hbar}", worst, 1e-12)
         )
-    return GroupResult("correspondence", _inject(checks, perturb))
+    return GroupResult("correspondence", tuple(checks))
 
 
-def check_quantize(seed: int = 0, perturb: float = 0.0) -> GroupResult:
+def check_quantize(seed: int = 0) -> GroupResult:
     """Hermiticity, linearity, and covariance of the quantization map."""
     rng = np.random.default_rng(seed)
     realization = _realization((3, 3), 1.0)
@@ -334,10 +323,10 @@ def check_quantize(seed: int = 0, perturb: float = 0.0) -> GroupResult:
         )
     checks.append(CheckResult("covariance under transported realization", worst, 1e-10))
 
-    return GroupResult("quantize", _inject(checks, perturb))
+    return GroupResult("quantize", tuple(checks))
 
 
-def check_canon(seed: int = 0, perturb: float = 0.0) -> GroupResult:
+def check_canon(seed: int = 0) -> GroupResult:
     """Orthogonal sampling, field transport, and coefficient transport."""
     rng = np.random.default_rng(seed)
     checks: list[CheckResult] = []
@@ -368,7 +357,7 @@ def check_canon(seed: int = 0, perturb: float = 0.0) -> GroupResult:
         worst = max(worst, _element_diff(once, composed))
     checks.append(CheckResult("coefficient transport group action", worst, 1e-10))
 
-    return GroupResult("canon", _inject(checks, perturb))
+    return GroupResult("canon", tuple(checks))
 
 
 def _planted_reports(dims, plants, r):
@@ -385,7 +374,7 @@ def _planted_reports(dims, plants, r):
         yield a, diagnose(a)
 
 
-def check_pseudoherm(seed: int = 0, perturb: float = 0.0) -> GroupResult:
+def check_pseudoherm(seed: int = 0) -> GroupResult:
     """Metric construction, adjoint involution, isometry transport."""
     rng = np.random.default_rng(seed)
     checks: list[CheckResult] = []
@@ -426,7 +415,7 @@ def check_pseudoherm(seed: int = 0, perturb: float = 0.0) -> GroupResult:
     worst = max(abs(l - r) / (1.0 + abs(r)) for l, r in zip(lhs.tolist(), rhs.tolist()))
     checks.append(CheckResult("isometry transport of matrix elements", worst, 1e-8))
 
-    return GroupResult("pseudoherm", _inject(checks, perturb))
+    return GroupResult("pseudoherm", tuple(checks))
 
 
 def _random_params(rng, count: int) -> list[TwoSpinParams]:
@@ -445,7 +434,7 @@ def _build_totals(draws: list[TwoSpinParams]) -> np.ndarray:
     return _build_sz_conserving(f3, g3, (j, j, j))
 
 
-def check_twospin(seed: int = 0, perturb: float = 0.0) -> GroupResult:
+def check_twospin(seed: int = 0) -> GroupResult:
     """Model spectra, regime equivalence, similarity, metric dynamics."""
     rng = np.random.default_rng(seed)
     checks: list[CheckResult] = []
@@ -494,7 +483,7 @@ def check_twospin(seed: int = 0, perturb: float = 0.0) -> GroupResult:
     flips = float(not (below.pseudo_hermitian and not above.pseudo_hermitian))
     checks.append(CheckResult("threshold flip brackets B_max", flips, 0.0))
 
-    return GroupResult("twospin", _inject(checks, perturb))
+    return GroupResult("twospin", tuple(checks))
 
 
 GROUPS = {
@@ -508,15 +497,12 @@ GROUPS = {
 }
 
 
-def run_groups(
-    names: list[str] | None = None, seed: int = 0, perturb: float = 0.0
-) -> list[GroupResult]:
+def run_groups(names: list[str] | None = None, seed: int = 0) -> list[GroupResult]:
     """Run the named invariant groups (all of them by default) in order.
 
     Args:
         names: Group names from :data:`GROUPS`; None runs every group.
         seed: Base seed for all random draws.
-        perturb: Fault-injection bias added to each group's first check.
 
     Returns:
         One :class:`GroupResult` per group, in registry order.
@@ -528,4 +514,4 @@ def run_groups(
     unknown = [name for name in selected if name not in GROUPS]
     if unknown:
         raise ValueError(f"unknown verification groups: {unknown}")
-    return [GROUPS[name](seed=seed, perturb=perturb) for name in selected]
+    return [GROUPS[name](seed=seed) for name in selected]

@@ -39,6 +39,12 @@ def generators_of(algebra):
     return list(algebra.coordinates()) + list(algebra.momenta())
 
 
+def close_within(f, g, tol):
+    """Whether two elements share an algebra and every coefficient gap of
+    ``f - g`` is at most ``tol``, an absolute bound (a NaN gap never is)."""
+    return f.algebra == g.algebra and all(abs(c) <= tol for c in (f - g).by_mask.values())
+
+
 # Finite coefficients, with signed zeros forced into some of them.
 _parts = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0]),

@@ -13,9 +13,11 @@ import hashlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 from collections.abc import Mapping
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,7 +44,7 @@ from pseudospin.twospin import (
     paper_isomorphism,
     transition_series,
 )
-from pseudospin.verify import GROUPS
+from pseudospin.verify import GROUPS, CheckResult, GroupResult
 
 TOY = ["--J", "1", "--B", "1", "--alpha1", "1", "--alpha2", "-1"]
 
@@ -1371,18 +1373,27 @@ def test_repeated_main_calls_share_no_state(capsys):
 
 
 @pytest.mark.parametrize("group", list(GROUPS))
-def test_verify_perturbation_fails_located_group(tmp_path, capsys, group):
+def test_verify_perturbation_fails_located_group(tmp_path, capsys, monkeypatch, group):
+    # The registry is perturbed: the group is replaced by one whose check fails.
+    def failing(seed=0):
+        return GroupResult(group, (CheckResult("planted check", 1.0, 0.0),))
+
+    monkeypatch.setitem(GROUPS, group, failing)
+    other = "canon" if group == "clifford" else "clifford"
     summary_path = tmp_path / "summary.json"
     code, out, _ = run(
-        capsys, "verify", "--group", group, "--perturb", "1e-3",
-        "--out", str(summary_path),
+        capsys, "verify", "--group", group, "--group", other, "--out", str(summary_path),
     )
     assert code == 2
-    assert out.startswith(f"FAIL {group}")
+    failure, passed = out.splitlines()
+    assert failure == f"FAIL {group}: planted check violation 1.000e+00 exceeds 0.000e+00"
+    assert passed.startswith(f"PASS {other}")
     summary = json.loads(summary_path.read_text())
     assert summary["passed"] is False
-    assert summary["groups"][0]["name"] == group
-    assert any(not check["passed"] for check in summary["groups"][0]["checks"])
+    assert [group["passed"] for group in summary["groups"]] == [False, True]
+    assert summary["groups"][0]["checks"] == [
+        {"label": "planted check", "violation": 1.0, "limit": 0.0, "passed": False}
+    ]
 
 
 def test_verify_summary_json(tmp_path, capsys):
@@ -1445,8 +1456,6 @@ _FLAGS = {flag[1]: flag for flag in [
      ("canon", "clifford", "correspondence", "grassmann", "pseudoherm",
       "quantize", "twospin"),
      "restrict to this group (repeatable)"),
-    (("--perturb",), "perturb", "_StoreAction", None,
-     "fault-injection bias; nonzero must produce a failure"),
 ]}
 _COMMON_FLAGS = ("help", "out", "config")
 # The options each subcommand's handler reads, besides the common flags.
@@ -1462,7 +1471,7 @@ FLAG_SURFACE = {
         "t_start", "t_end", "t_steps", "xi", "zeta", "allow_dissipative",
     ),
     "quantize-file": ("hbar", "element", "check"),
-    "verify": ("seed", "group", "perturb"),
+    "verify": ("seed", "group"),
 }
 
 
@@ -1484,6 +1493,18 @@ def test_flag_surface_is_pinned():
             for a in subparsers[name]._actions
         )
         assert surface == sorted(_FLAGS[key] for key in keys + _COMMON_FLAGS), name
+
+
+def test_readme_flag_table_matches_the_parsers():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    rows = dict(re.findall(r"^\| `([\w-]+)` \| (.*) \|$", section, re.MULTILINE))
+    subparsers = _subparsers()
+    assert list(rows) == list(subparsers)
+    for name, flags in rows.items():
+        accepted = {flag for a in subparsers[name]._actions for flag in a.option_strings}
+        expected = accepted - {"-h", "--help", "--out", "--config"}
+        assert set(re.findall(r"--[\w-]+", flags)) == expected, name
 
 
 class _ReadRecorder(Mapping):
@@ -1539,8 +1560,8 @@ def test_each_subcommand_reads_every_option_it_accepts(tmp_path, capsys, monkeyp
 
 
 # Options each subcommand does not read, with a value that would be valid
-# where the option is read.  "realization" is declared for no subcommand,
-# so it has no _FLAGS entry and is spelled from its key.
+# where the option is read.  "tol", "perturb" and "realization" are declared
+# for no subcommand, so they have no _FLAGS entry and are spelled from their key.
 IGNORED_OPTIONS = {
     "spectrum": ("hbar", "tol", "seed"),
     "regime-sweep": ("b", "hbar", "tol", "seed"),
@@ -1549,11 +1570,14 @@ IGNORED_OPTIONS = {
         "j", "b", "alpha1", "alpha2", "tol", "seed", "paper_units", "format",
         "realization",
     ),
-    "verify": ("j", "b", "alpha1", "alpha2", "hbar", "tol", "paper_units", "format"),
+    "verify": (
+        "j", "b", "alpha1", "alpha2", "hbar", "tol", "perturb", "paper_units", "format",
+    ),
 }
 IGNORED_VALUES = {
     "j": 1.0, "b": 1.0, "alpha1": 0.0, "alpha2": 0.0, "hbar": 1.0, "tol": 1e-9,
     "seed": 0, "paper_units": True, "format": "csv", "realization": "realization.json",
+    "perturb": 1.0,
 }
 # Arguments that make each subcommand succeed quickly on their own.
 VALID_ARGS = {

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pseudospin.grassmann import (
+    COEFF_TOL,
     AlgebraSpec,
     Generator,
     GrassmannElement,
@@ -251,12 +252,27 @@ def test_plus_involution_involutive_for_orthogonal_transport():
         alg, [((z[0], z[1]), 1 + 2j), ((z[1], z[2]), 0.5 - 1j), ((z[0],), 3.0)]
     )
     f_pp = plus_involution(plus_involution(f, rho), rho)
-    assert f_pp.allclose(f, 1e-12)
-    assert not plus_involution(f, np.eye(3)).allclose(f, 1e-12)
+    assert oracle.close_within(f_pp, f, 1e-12)
+    assert not oracle.close_within(plus_involution(f, np.eye(3)), f, 1e-12)
+
+
+@pytest.mark.parametrize("c", [2.0**-600, 1.0, 2.0**600], ids=["2^-600", "1", "2^600"])
+def test_allclose_is_relative_to_the_largest_coefficient(c):
+    f = elem(XI[0], XI[1], c=3 - 4j) + elem(CHI[0], c=0.5)  # max |c| = 5
+    near = f + elem(XI[2], c=COEFF_TOL / 2 * 5)
+    far = f + elem(XI[2], c=2 * COEFF_TOL * 5)
+    for g, close in [(f, True), (near, True), (far, False)]:
+        assert f.allclose(g) is (c * f).allclose(c * g) is close
+        assert g.allclose(f) is (c * g).allclose(c * f) is close
     # A NaN gap is not within any tolerance, whichever side carries it.
-    poisoned = f + GrassmannElement.from_terms(alg, [((z[0],), float("nan"))])
-    assert not poisoned.allclose(f, 1e-12)
-    assert not f.allclose(poisoned, 1e-12)
+    poisoned = f + elem(XI[2], c=float("nan"))
+    assert not (c * f).allclose(c * poisoned)
+    assert not (c * poisoned).allclose(c * f)
+    zero = GrassmannElement.zero(ALG)
+    assert zero.allclose(zero)
+    assert not zero.allclose(c * far - c * f)
+    other = GrassmannElement.from_terms(AlgebraSpec((3, 3)), [((XI[0], XI[1]), 3 - 4j)])
+    assert not (c * f).allclose(c * other)
 
 
 def test_plus_involution_rejects_momenta():
@@ -538,8 +554,8 @@ def test_table_brackets_match_reference_with_float_coefficients(algebra):
         g = random_mixed_element(rng, algebra)
         scale = sum(map(abs, f.terms.values())) * sum(map(abs, g.terms.values()))
         tol = 64 * eps * max(scale, 1.0)
-        assert graded_poisson(f, g).allclose(reference_poisson(f, g), tol)
-        assert dirac_bracket(f, g).allclose(reference_dirac(f, g), tol)
+        assert oracle.close_within(graded_poisson(f, g), reference_poisson(f, g), tol)
+        assert oracle.close_within(dirac_bracket(f, g), reference_dirac(f, g), tol)
 
 
 @settings(deadline=None, max_examples=30)
@@ -562,7 +578,7 @@ def test_dirac_unchanged_by_recombined_constraints(f, g):
         sum((mix[i, j] * phi for j, phi in enumerate(phis)), GrassmannElement.zero(ALG))
         for i in range(6)
     ]
-    assert reference_dirac(f, g, recombined).allclose(dirac_bracket(f, g), 1e-12)
+    assert oracle.close_within(reference_dirac(f, g, recombined), dirac_bracket(f, g), 1e-12)
 
 
 # ---------------------------------------------------------------------------

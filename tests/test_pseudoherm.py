@@ -51,6 +51,11 @@ def test_metric_validation(monkeypatch):
     assert m.min_eigenvalue == pytest.approx(1.0)
     with pytest.raises(ValueError):
         m.matrix[0, 0] = 2.0
+    # A metric compares by identity, as its matrix has no one truth value;
+    # so does a diagnosis that carries one.
+    assert m == m
+    assert Metric.identity(2) != Metric.identity(2)
+    assert diagnose(np.diag([1.0, 2.0])) != diagnose(np.diag([1.0, 2.0]))
     # A stack is checked in one eigvalsh call, and each entry gets the bits
     # of its own call; metric[k] is a read-only view, not checked again.
     rng = np.random.default_rng(1)
@@ -217,6 +222,14 @@ def test_is_rho_hermitian_matches_definition():
     assert is_rho_hermitian(candidate, rho, tol=1e-10)
     assert not is_rho_hermitian(candidate + 0.1 * 1j * np.eye(3), rho, tol=1e-10)
     assert np.allclose(rho_adjoint(candidate, rho), candidate, atol=1e-10)
+    # Stacks give one verdict per entry, that of the entry's own pair.
+    doubled = Metric(np.array([np.eye(2), 2 * np.eye(2)]))
+    assert is_rho_hermitian(np.eye(2), doubled).tolist() == [True, True]
+    rhos = Metric(np.array([rho.matrix, np.eye(3), rho.matrix]))
+    ops = np.array([candidate, candidate, candidate + 0.1j * np.eye(3)])
+    verdicts = is_rho_hermitian(ops, rhos, tol=1e-10)
+    assert verdicts.tolist() == [True, False, False]
+    assert verdicts.tolist() == [is_rho_hermitian(ops[k], rhos[k], tol=1e-10) for k in range(3)]
     # The residual of a stack has, entry by entry, the bits of its own pair.
     for dim in (2, 3, 4, 5):
         a = rng.normal(size=(50, dim, dim)) + 1j * rng.normal(size=(50, dim, dim))
