@@ -5,12 +5,13 @@ table exactly when ``Lambda Lambda^T = I`` with complex entries, so the
 canonical group is the complex orthogonal group.  This module validates
 such matrices, samples them as Cayley transforms, and transports
 antisymmetric coefficient tables (by per-family minors of a block-diagonal
-``Lambda``) and field vectors along them.
+``Lambda``) and field vectors along them, one or a stack at a time: each
+stacked entry has the bits of its own call.
 """
 
 import math
 from dataclasses import dataclass
-from typing import TypeAlias
+from typing import Sequence, TypeAlias
 
 import numpy as np
 
@@ -54,44 +55,46 @@ class ComplexOrthogonal:
         self.entries.setflags(write=False)
 
 
-def verify_orthogonal(matrix: np.ndarray) -> ComplexOrthogonal:
+def verify_orthogonal(matrix: np.ndarray) -> ComplexOrthogonal | list[ComplexOrthogonal]:
     """Validate ``Lambda Lambda^T = I`` and wrap the result.
 
     Args:
-        matrix: Square complex matrix.
+        matrix: Square complex matrix, or an ``(m, n, n)`` stack of them.
 
     Returns:
-        The validated matrix with its determinant snapped to +1 or -1.
+        The validated matrix with its determinant snapped to +1 or -1, or the
+        list of them for a stack.
 
     Raises:
-        ValueError: If the matrix is not square, the residual exceeds
-            ``ORTHO_TOL``, or the determinant is not within ``DET_TOL`` of
-            +1 or -1.
+        ValueError: If the matrix is not square or not finite, the residual
+            exceeds ``ORTHO_TOL``, or the determinant is not within
+            ``DET_TOL`` of +1 or -1; for a stack, naming the first such entry.
     """
-    entries = np.array(matrix, dtype=complex)
-    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-        raise ValueError("expected a square matrix")
-    return _verified(entries[None])[0]
-
-
-def _verified(stack: np.ndarray) -> list[ComplexOrthogonal]:
-    """:func:`verify_orthogonal` on each matrix of an ``(m, n, n)`` stack."""
-    n = stack.shape[-1]
-    residuals = np.max(np.abs(stack @ stack.mT - np.eye(n)), axis=(-2, -1))
+    stack = np.array(matrix, dtype=complex)
+    if stack.ndim not in (2, 3) or stack.shape[-1] != stack.shape[-2]:
+        raise ValueError("expected a square matrix or a stack of them")
+    n, single = stack.shape[-1], stack.ndim == 2
+    stack = stack.reshape(-1, n, n)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    with np.errstate(invalid="ignore", over="ignore"):  # refused below, by name
+        residuals = np.max(np.abs(stack @ stack.mT - np.eye(n)), axis=(1, 2))
+        dets = np.linalg.det(stack)
     out = []
-    for entries, residual, det in zip(stack, residuals, np.linalg.det(stack)):
-        if residual > ORTHO_TOL:
-            raise ValueError(
-                f"orthogonality residual {residual:.3e} exceeds {ORTHO_TOL:.1e}"
-            )
+    for k, (entries, ok, residual, det) in enumerate(zip(stack, finite, residuals, dets)):
+        at = "" if single else f" at stack entry {k}"
+        if not ok:
+            raise ValueError("matrix is not finite" + at)
+        # Written so that a nan residual fails too.
+        if not residual <= ORTHO_TOL:
+            raise ValueError(f"orthogonality residual {residual:.3e} exceeds {ORTHO_TOL:.1e}" + at)
         if abs(det - 1.0) <= DET_TOL:
             snapped = 1.0
         elif abs(det + 1.0) <= DET_TOL:
             snapped = -1.0
         else:
-            raise ValueError(f"determinant {det} is not close to +1 or -1")
+            raise ValueError(f"determinant {det} is not close to +1 or -1" + at)
         out.append(ComplexOrthogonal(n=n, entries=entries, det=snapped))
-    return out
+    return out[0] if single else out
 
 
 def random_orthogonal(n: int, seed: int | None = None) -> ComplexOrthogonal:
@@ -121,34 +124,48 @@ def _random_orthogonals(rng: np.random.Generator, n: int, count: int) -> list[Co
     gen[over] *= (cap / norm[over])[:, None, None]
     entries = np.linalg.solve(np.eye(n) - gen, np.eye(n) + gen)
     entries[rng.random(count) < 0.5, 0, :] *= -1.0
-    return _verified(entries)
+    return verify_orthogonal(entries)
 
 
-def pushforward_field(field: FieldVector, lam: ComplexOrthogonal) -> FieldVector:
+def pushforward_field(
+    field: FieldVector, lam: ComplexOrthogonal | Sequence[ComplexOrthogonal]
+) -> FieldVector:
     """Transport a field vector along a canonical transformation.
 
     The transported field is ``det(Lambda) Lambda field``; the determinant
     factor makes the quadratic spin Hamiltonian covariant.  The bilinear
     square ``F . F`` (no conjugation) is an exact invariant, zero on a null
     field, and is verified to ``INVARIANT_TOL * |field|^2`` before returning.
+    An ``(m, n)`` array of fields moves with m transformations, each row with
+    its own call's bits.
 
     Raises:
+        ValueError: If a field is not finite or its shape does not match.
         RuntimeError: If the bilinear invariant drifts beyond that bound,
-            signalling numerical degradation.
+            signalling numerical degradation, or overflows.
     """
+    if isinstance(lam, ComplexOrthogonal):
+        return pushforward_field(np.asarray(field)[None], [lam])[0]
     b = np.asarray(field, dtype=complex)
-    if b.shape != (lam.n,):
-        raise ValueError(f"field must have shape ({lam.n},)")
-    f = lam.det * lam.entries @ b
-    drift = abs(f @ f - b @ b)
-    if drift > INVARIANT_TOL * np.vdot(b, b).real:
-        raise RuntimeError(f"bilinear invariant drifted by {drift:.3e}")
+    if b.ndim != 2 or len(b) != len(lam) or any(m.n != b.shape[1] for m in lam):
+        raise ValueError(f"need one field per transformation, of its size; got {b.shape}")
+    for k in np.flatnonzero(~np.isfinite(b).all(axis=1))[:1].tolist():
+        raise ValueError(f"field is not finite at stack entry {k}")
+    scaled = np.reshape([m.det * m.entries for m in lam], b.shape + b.shape[1:])
+    with np.errstate(invalid="ignore", over="ignore"):  # an overflow fails the gate
+        f = (scaled @ b[..., None])[..., 0]
+        drift = np.abs(f[:, None] @ f[..., None] - b[:, None] @ b[..., None])[:, 0, 0]
+        bound = INVARIANT_TOL * (b.conj()[:, None] @ b[..., None])[:, 0, 0].real
+    # Written so that a nan drift, or an overflowed bound, fails too.
+    for k in np.flatnonzero(~(drift <= bound) | np.isinf(bound))[:1].tolist():
+        raise RuntimeError(f"bilinear invariant drifted by {drift[k]:.3e} at stack entry {k}")
     return f
 
 
 def transform_coefficients(
-    f: GrassmannElement, lam: ComplexOrthogonal
-) -> GrassmannElement:
+    f: GrassmannElement | Sequence[GrassmannElement],
+    lam: ComplexOrthogonal | Sequence[ComplexOrthogonal],
+) -> GrassmannElement | list[GrassmannElement]:
     """Re-express an element in the transformed generator basis.
 
     For ``zeta = Lambda xi`` the degree-k coefficient table transports with
@@ -158,10 +175,12 @@ def transform_coefficients(
     automorphism; a cross-family entry raises ``ValueError``.
 
     Args:
-        f: Element with coordinate monomials only.
-        lam: Transformation with matching dimension.
+        f: Element with coordinate monomials only, or a sequence of them.
+        lam: Transformation with matching dimension, or one per element.
 
     Returns:
-        Element over the same algebra holding the transported table.
+        Element over the same algebra holding the transported table, or a
+        list of them, each with its own call's bits.
     """
-    return _substitute(f, lam.entries)
+    one = isinstance(lam, ComplexOrthogonal)
+    return _substitute(f, lam.entries if one else [m.entries for m in lam])

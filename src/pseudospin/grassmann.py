@@ -31,7 +31,7 @@ Generator-keyed :attr:`GrassmannElement.terms` is a view built on demand.
 import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Callable, Iterator, NamedTuple, Sequence, TypeAlias
 
 import numpy as np
@@ -204,6 +204,7 @@ class _Layout:
         right_splits, left_splits: mask -> ((bit, mask without it, sign),
             ...), the sign of moving that generator to the right (left) end.
         parities: mask -> per-family degree parities.
+        signatures: mask -> (family, degree) of each family the monomial meets.
         monomials: mask -> canonical Generator tuple.
         reduced: mask -> (coordinate-algebra mask, sign, momentum count)
             after pi_i -> xi_i in place, or None when a coordinate repeats.
@@ -236,6 +237,8 @@ class _Layout:
         self.right_splits = _MaskMemo(lambda mask: self._splits(mask, self.hi))
         self.left_splits = _MaskMemo(lambda mask: self._splits(mask, self.lo))
         self.parities = _MaskMemo(self._parities)
+        self.signatures = _MaskMemo(lambda mask: tuple(
+            (i, (mask & fm).bit_count()) for i, fm in enumerate(self.family_masks) if mask & fm))
         self.monomials = _MaskMemo(
             lambda mask: tuple(self.gens[b] for b in _bits(mask))
         )
@@ -494,7 +497,9 @@ def star_involution(f: GrassmannElement) -> GrassmannElement:
     return GrassmannElement(f.algebra, table)
 
 
-def plus_involution(f: GrassmannElement, rho: np.ndarray) -> GrassmannElement:
+def plus_involution(
+    f: GrassmannElement | Sequence[GrassmannElement], rho: np.ndarray
+) -> GrassmannElement | list[GrassmannElement]:
     """Involution adapted to transformed generators.
 
     Each coordinate generator maps to ``sum_k rho[k, i] zeta_k`` (merged
@@ -502,50 +507,72 @@ def plus_involution(f: GrassmannElement, rho: np.ndarray) -> GrassmannElement:
     With ``rho`` the identity this reduces to :func:`star_involution`.
 
     Args:
-        f: Element containing coordinate generators only.
+        f: Element containing coordinate generators only, or a sequence.
         rho: Block-diagonal (N, N) matrix, N the total coordinate count, built
-            as Lambda Lambda^dagger.  A cross-family entry is refused: it would
-            send a generator out of its family and break the algebra relations.
+            as Lambda Lambda^dagger, or an (m, N, N) stack, one per element.  A
+            cross-family entry is refused: it would send a generator out of its
+            family and break the algebra relations.
     """
-    return _substitute(star_involution(f), rho)
+    one = isinstance(f, GrassmannElement)
+    return _substitute(star_involution(f) if one else [*map(star_involution, f)], rho)
 
 
-def _substitute(f: GrassmannElement, matrix: np.ndarray) -> GrassmannElement:
+def _substitute(f, matrix):
     """Change of generators ``xi_i -> sum_k matrix[k, i] xi_k`` in each family.
 
     A degree-k part moves with the k x k minors of its family's block M_f
     (Berezin 1987): ``xi_J`` gets ``sum_I c_I prod_f det(M_f[J_f, I_f])`` over
-    sources I of equal per-family degrees, in insertion order, one batched det
-    per family and degree signature.  A cross-family entry is refused: its
-    images are not family-homogeneous and break the algebra relations.
+    sources I of equal per-family degrees, in insertion order.  Elements of one
+    algebra move with an (m, N, N) stack in one batched det per family and
+    degree, each with its own call's bits.  A cross-family or non-finite entry
+    is refused by stack entry: its images break the algebra relations.
     """
-    layout = _layout(f.algebra)
-    matrix = np.asarray(matrix, dtype=complex)
-    cross = layout.cross_family
-    if matrix.shape != cross.shape or np.count_nonzero(matrix[cross]):
-        raise ValueError(f"need a {cross.shape} matrix, block-diagonal over the families")
-    # Sources keyed by their signature: the (family, degree) of each family met.
-    groups: dict[tuple[tuple[int, int], ...], dict[int, complex]] = {}
-    for mask, coeff in f.by_mask.items():
-        if mask & layout.momentum_mask:
-            raise ValueError("a change of generators acts on coordinate monomials")
-        parts = enumerate(mask & fm for fm in layout.family_masks)
-        groups.setdefault(tuple((i, p.bit_count()) for i, p in parts if p), {})[mask] = coeff
-    table: dict[int, complex] = {}
-    for signature, sources in groups.items():
+    if isinstance(f, GrassmannElement):
+        return _substitute([f], np.asarray(matrix)[None])[0]
+    if not f:
+        return []
+    layout = _layout(f[0].algebra)
+    stack, cross = np.asarray(matrix, dtype=complex), layout.cross_family
+    if stack.shape != (len(f), *cross.shape):
+        raise ValueError(f"need {len(f)} matrices of shape {cross.shape}, got {stack.shape}")
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    for k in np.flatnonzero(~finite | stack[:, cross].any(axis=1))[:1].tolist():
+        failure = "block-diagonal over the families" if finite[k] else "finite"
+        raise ValueError(f"matrix is not {failure} at stack entry {k}")
+    # Sources keyed by their signature, the (family, degree) of each family met;
+    # each (family, degree) gathers its (entry, source subset) picks in stack order.
+    jobs, picks = [], {}
+    for e, g in enumerate(f):
+        _check_same_algebra(f[0], g)
+        groups: dict[tuple[tuple[int, int], ...], dict[int, complex]] = {}
+        for mask, coeff in g.by_mask.items():
+            if mask & layout.momentum_mask:
+                raise ValueError("a change of generators acts on coordinate monomials")
+            groups.setdefault(layout.signatures[mask], {})[mask] = coeff
+        for signature, sources in groups.items():
+            jobs.append((e, signature, sources))
+            for i, k in signature:
+                index, fm = _subsets(layout, i, k)[1], layout.family_masks[i]
+                picks.setdefault((i, k), []).extend((e, index[m & fm]) for m in sources)
+    # On merged indices, a block-diagonal matrix's in-family minors are its blocks'.
+    columns = {}
+    for (i, k), pairs in picks.items():
+        subsets = _subsets(layout, i, k)[0]
+        e, rows = np.array(pairs).T
+        minors = stack[e[:, None, None, None], subsets[:, :, None], subsets[rows][:, None, None]]
+        columns[i, k] = iter(np.linalg.det(minors).tolist())
+    tables: list[dict[int, complex]] = [{} for _ in f]
+    for e, signature, sources in jobs:
         # Rows pair each target, first family outermost, with one term per source:
-        # its coefficient times its families' minors, in family order.  On merged
-        # indices, a block-diagonal matrix's in-family minors are its blocks'.
+        # its coefficient times its families' minors, in family order, taken back
+        # from each (family, degree) in the order its picks were gathered.
         rows = [(0, tuple(sources.values()))]
         for i, k in signature:
-            subsets, index = _subsets(layout, i, k)
-            picks = subsets[[index[m & layout.family_masks[i]] for m in sources]]
-            minors = np.linalg.det(matrix[subsets[:, None, :, None], picks[None, :, None, :]])
-            pairs = list(zip(index, minors.tolist()))
+            pairs = list(zip(_subsets(layout, i, k)[1], zip(*islice(columns[i, k], len(sources)))))
             rows = [(t + u, tuple(map(operator.mul, a, b))) for t, a in rows for u, b in pairs]
         for target, terms in rows:
-            _accumulate(table, target, reduce(operator.add, terms, 0j))
-    return GrassmannElement(f.algebra, table)
+            _accumulate(tables[e], target, reduce(operator.add, terms, 0j))
+    return [GrassmannElement(g.algebra, table) for g, table in zip(f, tables)]
 
 
 def family_components(

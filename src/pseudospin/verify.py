@@ -211,9 +211,10 @@ def check_grassmann(seed: int = 0) -> GroupResult:
     coordinate_only = AlgebraSpec((3, 3))
     worst = 0.0
     elements = _random_elements(rng, algebra, 40) + _random_elements(rng, coordinate_only, 40)
-    for f, h in zip(elements[:40], elements[40:]):
+    plus = plus_involution(elements[40:], np.broadcast_to(np.eye(6), (40, 6, 6)))
+    for f, h, h_plus in zip(elements[:40], elements[40:], plus):
         worst = max(worst, _element_diff(star_involution(star_involution(f)), f))
-        worst = max(worst, _element_diff(plus_involution(h, np.eye(6)), star_involution(h)))
+        worst = max(worst, _element_diff(h_plus, star_involution(h)))
     checks.append(CheckResult("star involution and plus at identity", worst, 1e-12))
 
     worst = 0.0
@@ -230,14 +231,11 @@ def check_grassmann(seed: int = 0) -> GroupResult:
 
     checks.append(CheckResult("graded Jacobi identity (Dirac)", _dirac_jacobi(algebra), 1e-12))
 
-    worst = 0.0
-    single = AlgebraSpec((3,))
     lams = _random_orthogonals(rng, 3, 100)
-    for lam, g in zip(lams, _random_elements(rng, single, 100)):
-        f = g + star_involution(g)
-        rho = lam.entries @ lam.entries.conj().T
-        moved = transform_coefficients(f, lam)
-        worst = max(worst, _element_diff(plus_involution(moved, rho), moved))
+    reals = [g + star_involution(g) for g in _random_elements(rng, AlgebraSpec((3,)), 100)]
+    moved = transform_coefficients(reals, lams)
+    rho = np.array([lam.entries @ lam.entries.conj().T for lam in lams])
+    worst = max(0.0, *map(_element_diff, plus_involution(moved, rho), moved))
     checks.append(CheckResult("reality transport star to plus", worst, 1e-9))
 
     return GroupResult("grassmann", tuple(checks))
@@ -309,14 +307,14 @@ def check_quantize(seed: int = 0) -> GroupResult:
     base = _realization((3,), 1.0)
     worst = 0.0
     lams = _random_orthogonals(rng, 3, 30)
-    for lam, f in zip(lams, _random_elements(rng, base.algebra, 30)):
+    elements = _random_elements(rng, base.algebra, 30)
+    for lam, f, g in zip(lams, elements, transform_coefficients(elements, lams)):
         moved_gens = tuple(
             sum(lam.entries[k_, i] * base.gens[i] for i in range(3)) for k_ in range(3)
         )
         transported = Realization(
             algebra=base.algebra, hbar=base.hbar, dim=base.dim, gens=moved_gens
         )
-        g = transform_coefficients(f, lam)
         worst = max(
             worst,
             float(np.max(np.abs(quantize(g, transported) - quantize(f, base)))),
@@ -338,23 +336,19 @@ def check_canon(seed: int = 0) -> GroupResult:
     unsampled = float(len({lam.det for lam in lams}) != 2)
     checks.append(CheckResult("both determinant components sampled", unsampled, 0.0))
 
-    worst = 0.0
     lams = _random_orthogonals(rng, 3, 200)
-    for lam, field in zip(lams, rng.normal(size=(200, 3))):
-        moved = pushforward_field(field, lam)
-        worst = max(worst, abs(complex(moved @ moved) - complex(field @ field)))
+    fields = rng.normal(size=(200, 3))
+    moved = pushforward_field(fields, lams)
+    worst = max(abs(complex(m @ m) - complex(b @ b)) for m, b in zip(moved, fields))
     checks.append(CheckResult("bilinear field square invariance", worst, 1e-10))
 
-    single = AlgebraSpec((3,))
-    worst = 0.0
     firsts = _random_orthogonals(rng, 3, 30)
     seconds = _random_orthogonals(rng, 3, 30)
-    for lam1, lam2, f in zip(firsts, seconds, _random_elements(rng, single, 30)):
-        once = transform_coefficients(transform_coefficients(f, lam1), lam2)
-        composed = transform_coefficients(
-            f, verify_orthogonal(lam2.entries @ lam1.entries)
-        )
-        worst = max(worst, _element_diff(once, composed))
+    elements = _random_elements(rng, AlgebraSpec((3,)), 30)
+    once = transform_coefficients(transform_coefficients(elements, firsts), seconds)
+    products = np.array([b.entries for b in seconds]) @ np.array([a.entries for a in firsts])
+    composed = transform_coefficients(elements, verify_orthogonal(products))
+    worst = max(0.0, *map(_element_diff, once, composed))
     checks.append(CheckResult("coefficient transport group action", worst, 1e-10))
 
     return GroupResult("canon", tuple(checks))

@@ -414,3 +414,107 @@ def test_exchange_transport_agrees_with_merged_family_embedding():
         ],
     )
     assert oracle.close_within(transported, expect, 1e-10)
+
+
+# ---------------------------------------------------------------------------
+# stacked transport: each entry keeps the bits of its own call
+
+STACK_STRUCTURES = [(3,), (3, 3), (2, 4), (1, 2, 3)]
+
+
+def hex_table(element):
+    """Coefficients as (mask, real hex, imag hex), in ``by_mask`` order."""
+    return [(m, c.real.hex(), c.imag.hex()) for m, c in element.by_mask.items()]
+
+
+def stack_draws(sizes, seed, count=12):
+    """Elements of mixed degree, the zero element and the unit first, each
+    with a block-diagonal orthogonal matrix; entries 1 and 3 are identities."""
+    alg = AlgebraSpec(sizes)
+    n = alg.total_coordinates
+    rng = np.random.default_rng(seed)
+    elements = [GrassmannElement.zero(alg), GrassmannElement.unit(alg)]
+    elements += [random_element(rng, 5, alg, n) for _ in range(count - 2)]
+    lams = [block_orthogonal(sizes, seed + t) for t in range(count)]
+    lams[1] = lams[3] = verify_orthogonal(np.eye(n))
+    return elements, lams
+
+
+@pytest.mark.parametrize("seed", [9000, 9100, 9200])
+@pytest.mark.parametrize("sizes", STACK_STRUCTURES, ids=str)
+def test_stacked_transports_match_single_calls_bit_for_bit(sizes, seed):
+    elements, lams = stack_draws(sizes, seed)
+    rhos = np.array([lam.entries @ lam.entries.conj().T for lam in lams])
+    stacked = transform_coefficients(elements, lams)
+    single = [transform_coefficients(f, lam) for f, lam in zip(elements, lams)]
+    assert list(map(hex_table, stacked)) == list(map(hex_table, single))
+    stacked = plus_involution(elements, rhos)
+    single = [plus_involution(f, rho) for f, rho in zip(elements, rhos)]
+    assert list(map(hex_table, stacked)) == list(map(hex_table, single))
+    assert stacked[0].by_mask == {} and stacked[1].by_mask == {0: 1.0}
+
+
+def test_stacked_pushforward_and_validation_match_single_calls_bit_for_bit():
+    lams = _random_orthogonals(np.random.default_rng(5), 3, 40)
+    rng = np.random.default_rng(6)
+    fields = rng.normal(size=(40, 3)) + 1j * rng.normal(size=(40, 3))
+    fields[0], fields[1] = 0.0, [1.0, 1j, 0.0]  # the zero field and a null field
+    stacked = pushforward_field(fields, lams)
+    single = np.array([pushforward_field(b, lam) for b, lam in zip(fields, lams)])
+    assert np.array_equal(stacked.view(np.uint64), single.view(np.uint64))
+    entries = np.array([lam.entries for lam in lams])
+    checked = verify_orthogonal(entries)
+    assert [lam.det for lam in checked] == [verify_orthogonal(m).det for m in entries]
+
+
+def test_empty_stacks_transport_to_empty_stacks():
+    assert transform_coefficients([], []) == []
+    assert plus_involution([], np.zeros((0, 6, 6))) == []
+    assert pushforward_field(np.zeros((0, 3)), []).shape == (0, 3)
+    assert verify_orthogonal(np.zeros((0, 3, 3))) == []
+
+
+def test_stacked_transports_refuse_an_entry_by_name():
+    elements, lams = stack_draws((3, 3), 77, count=5)
+    rhos = np.array([lam.entries for lam in lams])
+    crossed = rhos.copy()
+    crossed[3, 0, 5] = 0.5
+    with pytest.raises(ValueError, match="not block-diagonal over the families at stack entry 3"):
+        plus_involution(elements, crossed)
+    poisoned = rhos.copy()
+    poisoned[2, 1, 1] = np.inf
+    poisoned[3, 0, 5] = 0.5
+    with pytest.raises(ValueError, match="matrix is not finite at stack entry 2"):
+        plus_involution(elements, poisoned)
+    with pytest.raises(ValueError, match="matrix is not finite at stack entry 2"):
+        verify_orthogonal(poisoned)
+    with pytest.raises(ValueError, match="residual .* at stack entry 5"):
+        verify_orthogonal(np.concatenate([rhos, 1.001 * rhos[:1]]))
+    with pytest.raises(ValueError, match="need 5 matrices"):
+        transform_coefficients(elements, lams[:4])
+    other = GrassmannElement.unit(AlgebraSpec((2, 4)))  # six coordinates too
+    with pytest.raises(ValueError, match="different algebras"):
+        transform_coefficients([*elements[:4], other], lams)
+    fields = np.ones((5, 3))
+    fields[4, 2] = np.nan
+    with pytest.raises(ValueError, match="field is not finite at stack entry 4"):
+        pushforward_field(fields, _random_orthogonals(np.random.default_rng(1), 3, 5))
+
+
+def test_non_finite_inputs_are_refused_by_name():
+    lam = random_orthogonal(3, seed=1)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="not finite"):
+            pushforward_field(np.array([bad, 0.0, 0.0]), lam)
+        with pytest.raises(ValueError, match="matrix is not finite"):
+            verify_orthogonal(np.diag([bad, 1.0, 1.0]))
+        with pytest.raises(ValueError, match="matrix is not finite at stack entry 0"):
+            plus_involution(GrassmannElement.from_generator(ALG3, Z[0]), np.full((3, 3), bad))
+
+
+def test_pushforward_refuses_an_overflowing_field():
+    # F . F overflows: the invariant cannot be checked, so the field is refused.
+    lam = random_orthogonal(3, seed=1)
+    with pytest.raises(RuntimeError, match="bilinear invariant"):
+        pushforward_field(np.array([1e200, 1e200, 0.0]), lam)
+    assert np.all(np.isfinite(pushforward_field(np.array([1e150, 1e150j, 0.0]), lam)))
