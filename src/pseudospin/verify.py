@@ -14,6 +14,7 @@ violation at every seed: the ``clifford`` relations and ``grassmann``'s
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -42,8 +43,6 @@ from .pseudoherm import (
 )
 from .quantize import (
     Realization,
-    _bracket_residual,
-    _quantized_components,
     check_relations,
     quantize,
     tensor_realization,
@@ -159,23 +158,23 @@ def _realization(sizes: tuple[int, ...], hbar: float) -> Realization:
 
 
 @lru_cache(maxsize=None)
-def _correspondence_basis(hbar: float) -> tuple[tuple, Realization, tuple]:
+def _correspondence_basis(hbar: float) -> tuple[tuple, Realization, np.ndarray, np.ndarray]:
     """The unit, generators and generator pairs of ``(3, 3)`` with momenta,
-    their realization at ``hbar`` and their read-only quantized components."""
+    their realization at ``hbar``, their ``(79, d, d)`` quantized images and
+    the ``(79, 79)`` commutation factors of their family parities, both
+    read-only."""
     algebra = AlgebraSpec((3, 3), momenta_attached=True)
-    gens = list(algebra.coordinates()) + list(algebra.momenta())
-    monomials = [GrassmannElement.unit(algebra)]
-    monomials += [GrassmannElement.from_generator(algebra, g) for g in gens]
-    for a in range(len(gens)):
-        for b in range(a + 1, len(gens)):
-            monomials.append(
-                GrassmannElement.from_terms(algebra, [((gens[a], gens[b]), 1.0)])
-            )
+    gens = [*algebra.coordinates(), *algebra.momenta()]
+    words = [(g,) for g in gens] + list(combinations(gens, 2))
+    unit = GrassmannElement.unit(algebra)
+    monomials = (unit, *(GrassmannElement.from_terms(algebra, [(w, 1.0)]) for w in words))
     realization = _realization((3, 3), hbar)
-    parts = tuple(_quantized_components(m, realization) for m in monomials)
-    for [(_, image)] in parts:  # each monomial is one family-parity component
-        image.setflags(write=False)
-    return tuple(monomials), realization, parts
+    images = np.array([quantize(m, realization) for m in monomials])
+    parities = [m.family_parity for m in monomials]
+    signs = np.array([[commutation_factor(p, q) for q in parities] for p in parities])
+    for table in (images, signs):
+        table.setflags(write=False)
+    return monomials, realization, images, signs
 
 
 @lru_cache(maxsize=None)
@@ -261,20 +260,17 @@ def check_correspondence(seed: int = 0) -> GroupResult:
     rng = np.random.default_rng(seed)
     checks: list[CheckResult] = []
     for hbar in (0.5, 1.0, 2.0):
-        # correspondence_check's residual, with each monomial quantized once.
-        # Every monomial is a single family-parity component, so the draws
-        # stack by commutation sign, each stack under its first draw's parities.
-        monomials, realization, parts = _correspondence_basis(hbar)
-        stacks: dict[int, tuple] = {}
-        for i, j in rng.integers(0, len(monomials), size=(400, 2)).tolist():
-            bracket = quantize(dirac_bracket(monomials[i], monomials[j]), realization)
-            [(pf, qf)], [(pg, qg)] = parts[i], parts[j]
-            sign = commutation_factor(pf, pg)
-            stacks.setdefault(sign, (pf, pg, []))[2].append((qf, qg, bracket))
-        worst = 0.0
-        for pf, pg, draws in stacks.values():
-            qf, qg, brackets = map(np.array, zip(*draws))
-            worst = max(worst, _bracket_residual([(pf, qf)], [(pg, qg)], brackets, hbar))
+        # correspondence_check's residual over all 400 draws at once: each
+        # monomial is a single family-parity component, quantized once.
+        monomials, realization, images, signs = _correspondence_basis(hbar)
+        i, j = rng.integers(0, len(monomials), size=(400, 2)).T
+        brackets = np.array([
+            quantize(dirac_bracket(monomials[a], monomials[b]), realization)
+            for a, b in zip(i.tolist(), j.tolist())
+        ])
+        qf, qg = images[i], images[j]
+        commutators = qf @ qg - signs[i, j, None, None] * qg @ qf
+        worst = float(np.abs(commutators - 1j * hbar * brackets).max())
         checks.append(
             CheckResult(f"bracket correspondence at hbar={hbar}", worst, 1e-12)
         )

@@ -18,15 +18,12 @@ from pseudospin.grassmann import (
     AlgebraSpec,
     GrassmannElement,
     constraint_reduce,
-    dirac_bracket,
     family_components,
     star_involution,
 )
 from pseudospin.quantize import (
     PAULI,
     Realization,
-    _bracket_residual,
-    _quantized_components,
     check_relations,
     correspondence_check,
     quantize,
@@ -99,30 +96,6 @@ def test_relations_locate_a_faulty_last_generator(sizes, hbar, mixed):
     residual = check_relations(faulty)
     assert residual == pairwise_relations(faulty)
     assert residual > 1e-7 * hbar
-
-
-def test_stacked_bracket_residual_locates_a_perturbed_bracket():
-    real = tensor_realization(AlgebraSpec((3, 3)), hbar=2.0)
-    pairs = [(XI[0], XI[0]), (XI[0], XI[1]), (XI[1], XI[2]), (XI[2], XI[0]), (XI[1], XI[1])]
-    parts_f, parts_g, brackets = [], [], []
-    for a, b in pairs:
-        [(pf, qf)] = _quantized_components(elem(a), real)
-        [(pg, qg)] = _quantized_components(elem(b), real)
-        parts_f.append(qf)
-        parts_g.append(qg)
-        brackets.append(quantize(dirac_bracket(elem(a), elem(b)), real))
-    brackets = np.array(brackets)
-    brackets[2, 1, 3] += 1e-3
-    singles = [
-        _bracket_residual([(pf, f)], [(pg, g)], bracket, real.hbar)
-        for f, g, bracket in zip(parts_f, parts_g, brackets)
-    ]
-    stacked = _bracket_residual(
-        [(pf, np.array(parts_f))], [(pg, np.array(parts_g))], brackets, real.hbar
-    )
-    assert max(singles[:2] + singles[3:]) <= 1e-12
-    assert stacked == max(singles) == singles[2]
-    assert stacked == pytest.approx(2e-3, rel=1e-9)
 
 
 def test_realization_respects_hbar_scale():

@@ -5,9 +5,11 @@ through ``GrassmannElement.from_terms``; these tests record the terms handed
 to ``from_terms`` so the raw draws are checked before equal words merge.
 The complex orthogonal draws are recorded at ``_random_orthogonals``.  The
 last tests check that the groups' cached realizations and correspondence
-basis equal fresh builds, cannot be written to, and leave every result the
-same whether a group runs cold or after other seeds, and that the
-``pseudoherm`` group checks its metrics one stack at a time.
+basis equal fresh builds and cannot be written to, that the correspondence
+group's stacked residual is the largest single-pair ``correspondence_check``,
+that every result is the same whether a group runs cold or after other
+seeds, and that the ``pseudoherm`` group checks its metrics one stack at a
+time.
 """
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 
 from pseudospin import verify
 from pseudospin.grassmann import AlgebraSpec, GrassmannElement
-from pseudospin.quantize import tensor_realization
+from pseudospin.quantize import correspondence_check, tensor_realization
 
 ALGEBRAS = {
     "(3,)": AlgebraSpec((3,)),
@@ -147,14 +149,27 @@ def test_cached_realizations_match_fresh_builds():
 
 @pytest.mark.parametrize("hbar", [0.5, 1.0, 2.0])
 def test_cached_basis_is_read_only(hbar):
-    monomials, realization, parts = verify._correspondence_basis(hbar)
+    monomials, realization, images, signs = verify._correspondence_basis(hbar)
     assert realization is verify._realization((3, 3), hbar)
-    assert len(monomials) == len(parts) == 79
-    images = [image for components in parts for _, image in components]
-    assert len(images) == 79
-    for image in images + list(realization.gens):
+    assert len(monomials) == len(images) == len(signs) == 79
+    for table in (images, signs, *realization.gens):
         with pytest.raises(ValueError, match="read-only"):
-            image[0, 0] = 1.0
+            table[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("seed", [0, 98765])
+def test_correspondence_violation_is_the_largest_single_pair_check(seed):
+    # The group takes each hbar's 400 drawn pairs in one stack; its violation
+    # must be the largest correspondence_check over the same pairs, bit for bit.
+    rng = np.random.default_rng(seed)
+    result = verify.check_correspondence(seed)
+    for hbar, check in zip((0.5, 1.0, 2.0), result.checks, strict=True):
+        monomials, realization, _, _ = verify._correspondence_basis(hbar)
+        pairs = rng.integers(0, len(monomials), size=(400, 2)).tolist()
+        worst = max(
+            correspondence_check(monomials[i], monomials[j], realization) for i, j in pairs
+        )
+        assert check.violation.hex() == worst.hex()
 
 
 def fingerprint(result):
