@@ -27,6 +27,7 @@ written as the explicit token ``"nan"``, never as empty fields.
 """
 
 import argparse
+import itertools
 import json
 import re
 import sys
@@ -41,6 +42,7 @@ from .formats import (
     matrix_to_json,
     vector_from_json,
     write_csv,
+    write_json,
 )
 from .grassmann import constraint_reduce, star_involution
 from .quantize import tensor_realization, quantize
@@ -299,12 +301,6 @@ def _emit(
     config: Mapping[str, Any], payload: Any, header: list[str] | None = None
 ) -> None:
     """Write columns under ``header`` per ``--format``, else ``payload`` as JSON."""
-    if header is not None and config["format"] == "json":
-        header, payload = None, [
-            {key: ("nan" if isinstance(v, float) and np.isnan(v) else v)
-             for key, v in zip(header, row)}
-            for row in zip(*payload)
-        ]
     out = config["out"]
     try:
         with (
@@ -314,22 +310,20 @@ def _emit(
             if header is None:
                 handle.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
             else:
-                write_csv(handle, header, payload)
+                write = write_json if config["format"] == "json" else write_csv
+                write(handle, header, payload)
     except OSError as exc:
         name = "standard output" if out is None else out
         raise CliError(f"cannot write {name}: {exc}") from exc
 
 
-def _regime_row(config: Mapping[str, Any], b, alphas, j, report) -> list:
+def _report_cells(config: Mapping[str, Any], report) -> list:
+    """A report's cells under ``SWEEP_COLUMNS[4:]``, ReE1p to threshold_margin."""
     e1p, e1m, e2p, e2m = report.eigenvalues
-    row = [
-        b, alphas[0], alphas[1], j,
-        e1p.real, e1p.imag, e1m.real, e1m.imag, e2p.real, e2p.imag, e2m.real, e2m.imag,
-        report.pseudo_hermitian, report.threshold_margin,
-    ]
+    cells = [e1p.real, e1p.imag, e1m.real, e1m.imag, e2p.real, e2p.imag, e2m.real, e2m.imag]
     if config["paper_units"]:
-        row[4:12] = [4.0 * value for value in row[4:12]]
-    return row
+        cells = [4.0 * value for value in cells]
+    return [*cells, report.pseudo_hermitian, report.threshold_margin]
 
 
 def cmd_spectrum(config: Mapping[str, Any]) -> int:
@@ -338,15 +332,15 @@ def cmd_spectrum(config: Mapping[str, Any]) -> int:
     Exits 2 unless each eigenvalue's gap is within its bound
     C eps ||H||_F kappa from ``twospin._agreement_bounds``; no option sets it.
     """
-    point = config["b"], (config["alpha1"], config["alpha2"]), config["j"]
-    params = _params_from(*point)
+    params = _params_from(config["b"], (config["alpha1"], config["alpha2"]), config["j"])
     report = closed_spectrum(params)
     hamiltonian = build_total(params)
     matched = matched_eigenvalues(hamiltonian, report.eigenvalues)
     gaps = np.abs(np.array(report.eigenvalues) - matched)
     discrepancy = float(np.max(gaps))
 
-    row = _regime_row(config, *point, report)
+    row = [config[key] for key in ("b", "alpha1", "alpha2", "j")]
+    row += _report_cells(config, report)
     tail = [*matched.view(float).tolist(), discrepancy]
     if config["paper_units"]:
         tail = [4.0 * value for value in tail]
@@ -369,20 +363,24 @@ def _grid(config: Mapping[str, Any], name: str) -> list[float]:
 
 
 def cmd_regime_sweep(config: Mapping[str, Any]) -> int:
-    """Regime map over the requested grid, rows in grid order."""
+    """Regime map over the requested grid, rows in grid order, built by column."""
     if config["alpha_steps"] >= 1:
         alpha_grid = [(a, -a) for a in _grid(config, "alpha")]
     else:
         alpha_grid = [(config["alpha1"], config["alpha2"])]
     j_grid = _grid(config, "j") if config["j_steps"] >= 1 else [config["j"]]
-    rows = [
-        _regime_row(
-            config, b, alphas, j,
-            closed_spectrum(_params_from(b, alphas, j)),
-        )
-        for b in _grid(config, "b") for alphas in alpha_grid for j in j_grid
+    b_grid = _grid(config, "b")
+    cells = []  # each point's cells under SWEEP_COLUMNS[4:], point after point
+    for point in itertools.product(b_grid, alpha_grid, j_grid):
+        cells += _report_cells(config, closed_spectrum(_params_from(*point)))
+    columns = [
+        [b for b in b_grid for _ in range(len(alpha_grid) * len(j_grid))],
+        *([pair[k] for _ in b_grid for pair in alpha_grid for _ in j_grid] for k in (0, 1)),
+        j_grid * (len(b_grid) * len(alpha_grid)),
+        *(cells[k::10] for k in range(10)),  # the ten of SWEEP_COLUMNS[4:]
     ]
-    _emit(config, list(zip(*rows)), SWEEP_COLUMNS)
+    del cells  # not held through the write
+    _emit(config, columns, SWEEP_COLUMNS)
     return 0
 
 

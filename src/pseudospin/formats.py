@@ -6,15 +6,18 @@ elements serialize as an algebra header plus a list of canonical-order
 monomial terms; the parser rejects non-canonical input instead of silently
 reordering it, so a file is valid exactly when it equals its own round trip.
 
-CSV tables are written by column.  Cells use the shortest round-trip float
-representation and the explicit token "nan" for missing values; rows always
-end in a bare newline, making repeated runs byte-identical across platforms.
+Tables come as one column per header name and go out as CSV or, a row at a
+time, as JSON.  Cells use the shortest round-trip float representation and
+"nan" for missing values; CSV rows end in a bare newline, so repeated runs
+are byte-identical across platforms.
 """
 
 import itertools
+import json
+import math
 import re
 import sys
-from typing import IO, Any, Sequence
+from typing import IO, Any, Iterator, Sequence
 
 import numpy as np
 
@@ -196,7 +199,7 @@ def csv_cell(value: Any) -> str:
     any other string is written as it is.
     """
     if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
+        return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
@@ -208,29 +211,67 @@ def csv_cell(value: Any) -> str:
     raise ValueError(f"unsupported CSV cell type: {type(value)!r}")
 
 
+def _check_table(header: Sequence[str], columns: Sequence[Sequence[Any]]) -> None:
+    if not header or len(columns) != len(header) or len(set(map(len, columns))) > 1:
+        raise ValueError("expected one column per header name, all of one length")
+
+
+def _rendered(column: Sequence[Any]) -> Iterator[str]:
+    """Each cell's text: one ``repr`` per distinct value of an all-float column."""
+    if not set(map(type, column)) <= {float}:
+        return map(csv_cell, column)
+    distinct = set(column)  # each nan object is its own member
+    # 0.0 and -0.0 are one member but two texts, so a zero takes a repr per cell.
+    if len(distinct) == len(column) or 0.0 in distinct:
+        return map(repr, column)
+    text = dict(zip(distinct, map(repr, distinct)))
+    return map(text.__getitem__, column)
+
+
 def write_csv(
     stream: IO[str], header: Sequence[str], columns: Sequence[Sequence[Any]]
 ) -> None:
     """Write one column per header name with deterministic, platform-stable bytes.
 
-    A column of exact ``float`` cells is rendered in one ``repr`` pass, any other
-    through :func:`csv_cell`.  Lines, written in blocks, hold the bytes the csv
-    module writes for their cells with a ``\\n`` terminator, except that a cell
-    holding ``\\r`` is quoted too, so it reads back whole.  The caller opens the
-    stream with ``newline=""`` so that terminator survives untranslated.
+    The header, then each block of 256 lines, is rendered and written in one
+    go; in a block a column of exact ``float`` cells takes one ``repr`` per
+    distinct value (:func:`_rendered`), any other :func:`csv_cell` per cell.  Lines hold the bytes the csv module
+    writes for their cells with a ``\\n`` terminator, except that a cell holding
+    ``\\r`` is quoted too, so it reads back whole.  The caller opens the stream
+    with ``newline=""`` so that terminator survives untranslated.
 
     Raises:
         ValueError: If the header is empty, or the columns do not match its
             names one to one or differ in length.
     """
-    if not header or len(columns) != len(header) or len(set(map(len, columns))) > 1:
-        raise ValueError("expected one column per header name, all of one length")
-    rendered = [map(repr if set(map(type, column)) <= {float} else csv_cell, column)
-                for column in columns]
-    lines = map(",".join, itertools.chain([map(csv_cell, header)], zip(*rendered)))
-    if len(header) == 1:
-        # The csv module quotes a lone empty cell so the line does not read as blank.
-        lines = (line or '""' for line in lines)
-    # One write per block of 256 lines; no line is empty, so an empty block ends.
-    blocks = iter(lambda: "\n".join(itertools.islice(lines, 256)), "")
-    stream.writelines(map("%s\n".__mod__, blocks))
+    _check_table(header, columns)
+    # One write per block, whose texts are all the rendering holds at a time.
+    blocks = itertools.chain([[map(csv_cell, header)]], (
+        zip(*(_rendered(column[start : start + 256]) for column in columns))
+        for start in range(0, len(columns[0]), 256)
+    ))
+    for rows in blocks:
+        lines = map(",".join, rows)
+        if len(header) == 1:
+            # The csv module quotes a lone empty cell so the line does not read as blank.
+            lines = (line or '""' for line in lines)
+        stream.write("\n".join(lines) + "\n")
+
+
+def write_json(
+    stream: IO[str], header: Sequence[str], columns: Sequence[Sequence[Any]]
+) -> None:
+    """Write ``json.dumps(rows, indent=2) + "\\n"``, one row object at a time.
+
+    Rows are keyed by the header names and hold scalars; a float nan cell is
+    written as "nan".  Raises ValueError on a table :func:`write_csv` refuses,
+    or on an infinite cell.
+    """
+    _check_table(header, columns)
+    # The C encoder, with indent=2's layout of a flat object as its separator.
+    encode = json.JSONEncoder(separators=(",\n    ", ": "), allow_nan=False).encode
+    for start, row in zip(itertools.chain(["[\n"], itertools.repeat(",\n")), zip(*columns)):
+        cells = {key: "nan" if isinstance(cell, float) and math.isnan(cell) else cell
+                 for key, cell in zip(header, row)}
+        stream.write(start + "  {\n    " + encode(cells)[1:-1] + "\n  }")
+    stream.write("\n]\n" if len(columns[0]) else "[]\n")

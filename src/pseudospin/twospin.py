@@ -74,11 +74,13 @@ class TwoSpinParams:
     exchange: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "f3", complex(self.f3))
-        object.__setattr__(self, "g3", complex(self.g3))
+        if type(self.f3) is not complex or type(self.g3) is not complex:
+            object.__setattr__(self, "f3", complex(self.f3))
+            object.__setattr__(self, "g3", complex(self.g3))
         if isinstance(self.exchange, complex):
             raise ValueError("exchange coupling must be real")
-        object.__setattr__(self, "exchange", float(self.exchange))
+        if type(self.exchange) is not float:
+            object.__setattr__(self, "exchange", float(self.exchange))
         # A finite squared scale bounds |4 J^2 + f_minus^2| and rules out NaN;
         # float ** and complex abs raise OverflowError where * would give inf.
         try:
@@ -259,6 +261,8 @@ def closed_spectrum(params: TwoSpinParams) -> RegimeReport:
     f_minus = params.f_minus
     j = params.exchange
     discriminant = 4.0 * j * j + f_minus * f_minus
+    # Not cmath.sqrt: it differs from numpy's complex sqrt in the last bit,
+    # at 1j among others, and the pinned spectra carry numpy's bits.
     root = complex(np.sqrt(discriminant))
     scale = _tolerance_scale(params)
     margin = discriminant.real

@@ -13,9 +13,11 @@ import hashlib
 import io
 import json
 import math
+import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from collections.abc import Mapping
 from pathlib import Path
 
@@ -39,6 +41,7 @@ from pseudospin.twospin import (
     NoMetricError,
     TwoSpinParams,
     build_total,
+    closed_spectrum,
     damping_threshold,
     evolve,
     paper_isomorphism,
@@ -248,6 +251,91 @@ def test_sweep_deterministic_bytes(tmp_path, capsys):
     assert main(args + ["--out", str(second)]) == 0
     capsys.readouterr()
     assert first.read_bytes() == second.read_bytes()
+
+
+def seeded_sweep(seed):
+    """A ``regime-sweep`` argument list and its grids, drawn from ``seed``.
+
+    J is positive, negative or zero by ``seed % 3``; B runs from 1e-9 to
+    1e12; alpha is a fixed pair or a grid, J a grid on every fifth seed, and
+    the output is CSV or JSON, in field or paper units.
+    """
+    rng = random.Random(seed)
+    j = (1.0, -1.0, 0.0)[seed % 3] * 10 ** rng.uniform(-3, 3)
+    b_start = 10 ** rng.uniform(-9, 11)
+    b_grid = (b_start, b_start * 10 ** rng.uniform(0, 1), rng.randint(1, 12))
+    args = ["regime-sweep", "--b-start", repr(b_grid[0]), "--b-end", repr(b_grid[1]),
+            "--b-steps", str(b_grid[2]), "--J", repr(j)]
+    if seed // 3 % 2:
+        alpha_grid = (rng.uniform(-2, 2), rng.uniform(-2, 2), rng.randint(1, 4))
+        args += ["--alpha-start", repr(alpha_grid[0]), "--alpha-end", repr(alpha_grid[1]),
+                 "--alpha-steps", str(alpha_grid[2])]
+        alphas = [(a, -a) for a in np.linspace(*alpha_grid).tolist()]
+    else:
+        alphas = [(rng.uniform(-2, 2), rng.uniform(-2, 2))]
+        args += ["--alpha1", repr(alphas[0][0]), "--alpha2", repr(alphas[0][1])]
+    js = [j]
+    if seed % 5 == 4:
+        j_grid = (j, j * rng.uniform(0.5, 2), rng.randint(2, 3))
+        args += ["--j-start", repr(j_grid[0]), "--j-end", repr(j_grid[1]),
+                 "--j-steps", str(j_grid[2])]
+        js = np.linspace(*j_grid).tolist()
+    fmt, paper_units = ("csv", "json")[seed // 6 % 2], seed // 12 % 2 == 1
+    args += ["--format", fmt] + ["--paper-units"] * paper_units
+    return args, np.linspace(*b_grid).tolist(), alphas, js, fmt, paper_units
+
+
+def sweep_reference(b_grid, alphas, js, fmt, paper_units):
+    """The sweep's bytes: one closed_spectrum per point, csv or json writes them."""
+    rows = []
+    for b in b_grid:
+        for alpha1, alpha2 in alphas:
+            for j in js:
+                report = closed_spectrum(TwoSpinParams.from_gilbert(b, alpha1, alpha2, j))
+                parts = [x for e in report.eigenvalues for x in (e.real, e.imag)]
+                if paper_units:
+                    parts = [4.0 * x for x in parts]
+                rows.append([b, alpha1, alpha2, j, *parts,
+                             report.pseudo_hermitian, report.threshold_margin])
+    if fmt == "json":
+        return json.dumps([dict(zip(SWEEP_COLUMNS, row)) for row in rows], indent=2) + "\n"
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(SWEEP_COLUMNS)
+    writer.writerows([int(x) if isinstance(x, bool) else x for x in row] for row in rows)
+    return text.getvalue()
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_sweep_bytes_match_a_point_by_point_reference(capsys, seed):
+    args, *grids = seeded_sweep(seed)
+    code, out, err = run(capsys, *args)
+    assert (code, err) == (0, "")
+    assert out == sweep_reference(*grids)
+
+
+def test_json_sweep_peak_memory_stays_near_the_csv_sweeps(tmp_path, capsys, monkeypatch):
+    # 10^4 points straddling B_max = 2.5.  Memory is traced from the moment
+    # the columns are handed to the writer, so it counts what writing holds
+    # beside them: a JSON table written row by row holds no more than a CSV
+    # one written in blocks.
+    args = ["regime-sweep", "--J", "1", "--alpha1", "0.5", "--alpha2", "-0.5",
+            "--b-start", "1", "--b-end", "4", "--b-steps", "10000"]
+    emit, peaks = cli._emit, {}
+
+    def traced_emit(config, payload, header=None):
+        tracemalloc.start()
+        try:
+            emit(config, payload, header)
+            peaks[config["format"]] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(cli, "_emit", traced_emit)
+    for fmt in ("csv", "json"):
+        assert main(args + ["--format", fmt, "--out", str(tmp_path / fmt)]) == 0
+    assert capsys.readouterr().out == ""
+    assert peaks["json"] <= 1.5 * peaks["csv"], peaks
 
 
 def test_sweep_config_file_merges_under_flags(tmp_path, capsys):

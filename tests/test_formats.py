@@ -29,6 +29,7 @@ from pseudospin.formats import (
     vector_from_json,
     vector_to_json,
     write_csv,
+    write_json,
 )
 from pseudospin.grassmann import AlgebraSpec, GrassmannElement
 
@@ -350,17 +351,29 @@ csv_scalars = st.one_of(
     st.text(alphabet=st.sampled_from('ab ,"\r\n\t'), max_size=6),
     st.text(max_size=4),
 )
-# A column's cells: plain floats only (the one-pass rendering), plain floats
-# mixed with np.float64, or any scalars.
-csv_column_cells = st.sampled_from(
-    [st.floats(), st.one_of(st.floats(), st.floats().map(np.float64)), csv_scalars]
+# A small pool of plain floats, so that cells repeat: both zeros, nan, the
+# infinities, the smallest subnormal and a few normals.  The nans and zeros
+# are drawn as fresh objects too, since a set holds equal objects once.
+repeating_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
+                     0.1, -2.5, 1.2345678901234567, 1e300]),
+    st.sampled_from(["nan", "-nan", "0.0", "-0.0"]).map(float),
 )
+# A column's cells: plain floats only (rendered one repr per distinct value),
+# plain floats from the small pool, plain floats mixed with np.float64, or
+# any scalars.
+csv_column_cells = st.sampled_from([
+    st.floats(),
+    repeating_floats,
+    st.one_of(repeating_floats, st.floats().map(np.float64)),
+    csv_scalars,
+])
 
 
 @st.composite
 def csv_tables(draw):
     header = draw(st.lists(st.text(max_size=4), min_size=1, max_size=4))
-    length = draw(st.integers(0, 5))
+    length = draw(st.integers(0, 40))
     columns = [
         draw(st.lists(draw(csv_column_cells), min_size=length, max_size=length))
         for _ in header
@@ -460,3 +473,69 @@ def test_write_csv_writes_long_tables_whole(length):
         writer.writerow(header)
         writer.writerows([csv_cell(v) for v in row] for row in zip(*columns))
         assert buffer.getvalue() == expected.getvalue()
+
+
+def test_write_csv_repeated_floats_keep_their_signs():
+    # 0.0 == -0.0 and a set holds one of them, yet each keeps its sign; every
+    # nan, whatever its sign or object, reads nan.
+    column = [0.0, -0.0, 2.5, -0.0, 2.5, float("nan"), float("-nan"), 0.0]
+    buffer = io.StringIO()
+    write_csv(buffer, ["x"], [column])
+    assert buffer.getvalue() == "x\n0.0\n-0.0\n2.5\n-0.0\n2.5\nnan\nnan\n0.0\n"
+    buffer = io.StringIO()
+    write_csv(buffer, ["x", "y"], [[0.1] * 3, [-0.0] * 3])
+    assert buffer.getvalue() == "x,y\n0.1,-0.0\n0.1,-0.0\n0.1,-0.0\n"
+
+
+json_cells = st.one_of(
+    st.floats(allow_infinity=False),  # nan included: written as "nan"
+    repeating_floats.filter(lambda x: not math.isinf(x)),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def json_tables(draw):
+    header = draw(st.lists(st.text(max_size=4), min_size=1, max_size=4))
+    length = draw(st.integers(0, 6))
+    columns = [draw(st.lists(json_cells, min_size=length, max_size=length))
+               for _ in header]
+    return header, columns
+
+
+@given(json_tables())
+def test_write_json_matches_json_dumps(table):
+    header, columns = table
+    rows = [
+        {key: "nan" if isinstance(v, float) and math.isnan(v) else v
+         for key, v in zip(header, row)}
+        for row in zip(*columns)
+    ]
+    buffer = io.StringIO()
+    write_json(buffer, header, columns)
+    assert buffer.getvalue() == json.dumps(rows, indent=2) + "\n"
+
+
+def test_write_json_exact_bytes():
+    buffer = io.StringIO()
+    write_json(buffer, ["t", "ok"], [[0.5, float("nan")], [True, False]])
+    assert buffer.getvalue() == (
+        '[\n  {\n    "t": 0.5,\n    "ok": true\n  },\n'
+        '  {\n    "t": "nan",\n    "ok": false\n  }\n]\n'
+    )
+    empty = io.StringIO()
+    write_json(empty, ["t"], [[]])
+    assert empty.getvalue() == "[]\n"
+
+
+@pytest.mark.parametrize(
+    ("header", "columns"),
+    [([], []), (["a", "b"], [[1.0]]), (["a", "b"], [[1.0], [1.0, 2.0]]), (["a"], [[math.inf]])],
+    ids=["no_columns", "fewer_columns", "unequal_lengths", "infinite_cell"],
+)
+def test_write_json_rejects_what_json_cannot_hold(header, columns):
+    with pytest.raises(ValueError):
+        write_json(io.StringIO(), header, columns)
