@@ -26,11 +26,11 @@ __all__ = [
     "verify_orthogonal",
 ]
 
-#: Max-norm tolerance on Lambda Lambda^T - I.
+#: Max-norm tolerance on Lambda Lambda^T - I, per unit of ||Lambda||_1 ||Lambda||_inf.
 ORTHO_TOL = 1e-10
-#: Tolerance for snapping the determinant to +1 or -1.
+#: Tolerance for snapping the determinant to +1 or -1, on the same scale.
 DET_TOL = 1e-8
-#: Tolerance for the bilinear invariant of pushed-forward fields.
+#: Tolerance for the bilinear invariant F . F, per unit of the moved field's |F|^2.
 INVARIANT_TOL = 1e-10
 
 #: Complex 3-vector of classical field components.
@@ -62,38 +62,39 @@ def verify_orthogonal(matrix: np.ndarray) -> ComplexOrthogonal | list[ComplexOrt
         matrix: Square complex matrix, or an ``(m, n, n)`` stack of them.
 
     Returns:
-        The validated matrix with its determinant snapped to +1 or -1, or the
-        list of them for a stack.
+        The validated matrix with its determinant snapped to the sign of
+        det Re(Lambda), or the list of them for a stack.
 
     Raises:
         ValueError: If the matrix is not square or not finite, the residual
-            exceeds ``ORTHO_TOL``, or the determinant is not within
-            ``DET_TOL`` of +1 or -1; for a stack, naming the first such entry.
+            exceeds ``ORTHO_TOL * s`` (``s = ||Lambda||_1 ||Lambda||_inf``, at
+            least cond_2 of an orthogonal Lambda), or the determinant is not
+            within ``DET_TOL * s`` of that sign; for a stack, naming the first.
     """
     stack = np.array(matrix, dtype=complex)
     if stack.ndim not in (2, 3) or stack.shape[-1] != stack.shape[-2]:
         raise ValueError("expected a square matrix or a stack of them")
     n, single = stack.shape[-1], stack.ndim == 2
     stack = stack.reshape(-1, n, n)
-    finite = np.isfinite(stack).all(axis=(1, 2))
-    with np.errstate(invalid="ignore", over="ignore"):  # refused below, by name
+    for k in np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))[:1].tolist():
+        raise ValueError("matrix is not finite" + ("" if single else f" at stack entry {k}"))
+    with np.errstate(invalid="ignore", over="ignore"):  # an overflow fails the gates
         residuals = np.max(np.abs(stack @ stack.mT - np.eye(n)), axis=(1, 2))
         dets = np.linalg.det(stack)
+        # Lambda = R exp(iX) (R real orthogonal, X real antisymmetric), so Re Lambda =
+        # R cos X with cos X >= I has the sign of det Lambda even where that rounds to 0.
+        signs = np.where(np.linalg.det(stack.real) < 0, -1.0, 1.0).tolist()
+        scales = np.linalg.matrix_norm(stack, ord=1) * np.linalg.matrix_norm(stack, ord=np.inf)
     out = []
-    for k, (entries, ok, residual, det) in enumerate(zip(stack, finite, residuals, dets)):
+    for k, (m, residual, det, sign, s) in enumerate(zip(stack, residuals, dets, signs, scales)):
         at = "" if single else f" at stack entry {k}"
-        if not ok:
-            raise ValueError("matrix is not finite" + at)
-        # Written so that a nan residual fails too.
-        if not residual <= ORTHO_TOL:
-            raise ValueError(f"orthogonality residual {residual:.3e} exceeds {ORTHO_TOL:.1e}" + at)
-        if abs(det - 1.0) <= DET_TOL:
-            snapped = 1.0
-        elif abs(det + 1.0) <= DET_TOL:
-            snapped = -1.0
-        else:
+        limit = ORTHO_TOL * s
+        # Written so that a nan residual, or an overflowed scale, fails too.
+        if not residual <= limit < math.inf:
+            raise ValueError(f"orthogonality residual {residual:.3e} exceeds {limit:.1e}" + at)
+        if not abs(det - sign) <= DET_TOL * s:
             raise ValueError(f"determinant {det} is not close to +1 or -1" + at)
-        out.append(ComplexOrthogonal(n=n, entries=entries, det=snapped))
+        out.append(ComplexOrthogonal(n=n, entries=m, det=sign))
     return out[0] if single else out
 
 
@@ -135,7 +136,7 @@ def pushforward_field(
     The transported field is ``det(Lambda) Lambda field``; the determinant
     factor makes the quadratic spin Hamiltonian covariant.  The bilinear
     square ``F . F`` (no conjugation) is an exact invariant, zero on a null
-    field, and is verified to ``INVARIANT_TOL * |field|^2`` before returning.
+    field, and is verified to ``INVARIANT_TOL * |Lambda field|^2`` before returning.
     An ``(m, n)`` array of fields moves with m transformations, each row with
     its own call's bits.
 
@@ -155,7 +156,7 @@ def pushforward_field(
     with np.errstate(invalid="ignore", over="ignore"):  # an overflow fails the gate
         f = (scaled @ b[..., None])[..., 0]
         drift = np.abs(f[:, None] @ f[..., None] - b[:, None] @ b[..., None])[:, 0, 0]
-        bound = INVARIANT_TOL * (b.conj()[:, None] @ b[..., None])[:, 0, 0].real
+        bound = INVARIANT_TOL * (f.conj()[:, None] @ f[..., None])[:, 0, 0].real
     # Written so that a nan drift, or an overflowed bound, fails too.
     for k in np.flatnonzero(~(drift <= bound) | np.isinf(bound))[:1].tolist():
         raise RuntimeError(f"bilinear invariant drifted by {drift[k]:.3e} at stack entry {k}")

@@ -7,9 +7,9 @@ included, from one generator seeded by the caller, and reports the worst
 measured violation against the documented limit.  The groups back the
 command-line ``verify`` subcommand.  The acceptance tests re-derive the same
 claims independently, with their own code and full sample counts; they do
-not call these groups.  Two draw nothing from the seed and print the same
-violation at every seed: the ``clifford`` relations and ``grassmann``'s
-"graded Jacobi identity (Dirac)".  Each is computed once per process.
+not call these groups.  Computed once per process, three print the same
+violations at every seed: the ``clifford`` relations, ``correspondence`` over
+all basis pairs and ``grassmann``'s "graded Jacobi identity (Dirac)".
 """
 
 from dataclasses import dataclass
@@ -158,23 +158,34 @@ def _realization(sizes: tuple[int, ...], hbar: float) -> Realization:
 
 
 @lru_cache(maxsize=None)
-def _correspondence_basis(hbar: float) -> tuple[tuple, Realization, np.ndarray, np.ndarray]:
-    """The unit, generators and generator pairs of ``(3, 3)`` with momenta,
-    their realization at ``hbar``, their ``(79, d, d)`` quantized images and
-    the ``(79, 79)`` commutation factors of their family parities, both
-    read-only."""
+def _correspondence_residuals() -> tuple[float, float, float]:
+    """Seed-free: the worst :func:`correspondence_check` residual at hbar 0.5,
+    1 and 2 over all pairs of the unit, generators and generator pairs of
+    ``(3, 3)`` with momenta, one row at a time.  By graded antisymmetry a pair
+    and its reverse have one residual, so row a starts at element a."""
     algebra = AlgebraSpec((3, 3), momenta_attached=True)
     gens = [*algebra.coordinates(), *algebra.momenta()]
     words = [(g,) for g in gens] + list(combinations(gens, 2))
-    unit = GrassmannElement.unit(algebra)
-    monomials = (unit, *(GrassmannElement.from_terms(algebra, [(w, 1.0)]) for w in words))
-    realization = _realization((3, 3), hbar)
-    images = np.array([quantize(m, realization) for m in monomials])
-    parities = [m.family_parity for m in monomials]
-    signs = np.array([[commutation_factor(p, q) for q in parities] for p in parities])
-    for table in (images, signs):
-        table.setflags(write=False)
-    return monomials, realization, images, signs
+    basis = [GrassmannElement.unit(algebra)]
+    basis += [GrassmannElement.from_terms(algebra, [(w, 1.0)]) for w in words]
+    realizations = [_realization((3, 3), hbar) for hbar in (0.5, 1.0, 2.0)]
+    images = np.array([[quantize(m, r) for r in realizations] for m in basis])
+    parities = [m.family_parity for m in basis]
+    brackets = {}  # i hbar Q({f, g}_D) at each hbar, once per distinct bracket
+    worst = np.zeros(3)
+    for a, f in enumerate(basis):
+        row = []
+        for g in basis[a:]:
+            bracket = dirac_bracket(f, g)
+            terms = tuple(bracket.by_mask.items())
+            if terms not in brackets:
+                brackets[terms] = [1j * r.hbar * quantize(bracket, r) for r in realizations]
+            row.append(brackets[terms])
+        signs = [commutation_factor(parities[a], p) for p in parities[a:]]
+        qf, qg = images[a], images[a:]
+        residuals = np.abs(qf @ qg - np.reshape(signs, (-1, 1, 1, 1)) * qg @ qf - np.array(row))
+        worst = np.maximum(worst, residuals.max(axis=(0, 2, 3)))
+    return tuple(worst.tolist())
 
 
 @lru_cache(maxsize=None)
@@ -256,24 +267,11 @@ def check_clifford(seed: int = 0) -> GroupResult:
 
 
 def check_correspondence(seed: int = 0) -> GroupResult:
-    """Sampled bracket correspondence on low-degree monomials."""
-    rng = np.random.default_rng(seed)
-    checks: list[CheckResult] = []
-    for hbar in (0.5, 1.0, 2.0):
-        # correspondence_check's residual over all 400 draws at once: each
-        # monomial is a single family-parity component, quantized once.
-        monomials, realization, images, signs = _correspondence_basis(hbar)
-        i, j = rng.integers(0, len(monomials), size=(400, 2)).T
-        brackets = np.array([
-            quantize(dirac_bracket(monomials[a], monomials[b]), realization)
-            for a, b in zip(i.tolist(), j.tolist())
-        ])
-        qf, qg = images[i], images[j]
-        commutators = qf @ qg - signs[i, j, None, None] * qg @ qf
-        worst = float(np.abs(commutators - 1j * hbar * brackets).max())
-        checks.append(
-            CheckResult(f"bracket correspondence at hbar={hbar}", worst, 1e-12)
-        )
+    """Bracket correspondence on every pair of low-degree monomials."""
+    checks = [
+        CheckResult(f"bracket correspondence at hbar={hbar}", worst, 1e-12)
+        for hbar, worst in zip((0.5, 1.0, 2.0), _correspondence_residuals())
+    ]
     return GroupResult("correspondence", tuple(checks))
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pseudospin.canon import (
+    ComplexOrthogonal,
     _random_orthogonals,
     pushforward_field,
     random_orthogonal,
@@ -194,20 +195,45 @@ def test_random_orthogonal_samples_both_determinants():
 # field pushforward
 
 
+def boost(theta):
+    """The complex boost, orthogonal for every theta with ||.||_2^2 = e^(2 theta)."""
+    c, s = math.cosh(theta), math.sinh(theta)
+    return np.array([[c, -1j * s, 0.0], [1j * s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
 def test_pushforward_complex_boost_anchor():
-    theta = 1.0
-    lam = verify_orthogonal(
-        np.array(
-            [
-                [np.cosh(theta), -1j * np.sinh(theta), 0.0],
-                [1j * np.sinh(theta), np.cosh(theta), 0.0],
-                [0.0, 0.0, 1.0],
-            ]
-        )
-    )
+    lam = verify_orthogonal(boost(1.0))
     field = pushforward_field(np.array([1.0, 0.0, 0.0]), lam)
     expect = np.array([np.cosh(1.0), 1j * np.sinh(1.0), 0.0])
     assert np.max(np.abs(field - expect)) < 1e-14
+
+
+@pytest.mark.parametrize("theta", [7.0, 8.0, 10.0, 20.0])
+def test_large_boosts_are_judged_by_their_own_scale(theta):
+    # Rounding in Lambda Lambda^T and det grows with ||Lambda||^2 and F . F's
+    # with |F|^2; absolute gates refused theta = 8 and 22 of these fields at 7.
+    reflected = boost(theta) * [[-1.0], [1.0], [1.0]]
+    lam, mirror = verify_orthogonal(np.array([boost(theta), reflected]))
+    assert (lam.det, mirror.det) == (1.0, -1.0)
+    fields = np.random.default_rng(0).normal(size=(100, 3))
+    moved = pushforward_field(fields, [lam] * 100)
+    gap = np.abs(moved - fields @ lam.entries.T).max()
+    assert gap <= 1e-15 * np.abs(lam.entries).max() * np.abs(fields).max()
+
+
+def test_gates_still_refuse_what_is_not_orthogonal():
+    with pytest.raises(ValueError, match=r"^orthogonality residual 1\.000e-06 exceeds 1\.0e-10$"):
+        verify_orthogonal(np.eye(3) + 1e-6 * np.outer([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]))
+    with pytest.raises(ValueError, match="residual .* at stack entry 1"):
+        verify_orthogonal(np.array([boost(1.0), boost(1.0) * (1.0 + 1e-6)]))
+    with pytest.raises(ValueError, match="residual inf"):
+        verify_orthogonal(1e200 * np.eye(3))
+    with pytest.raises(ValueError, match="^matrix is not finite at stack entry 1$"):
+        verify_orthogonal(np.array([boost(20.0), np.diag([np.inf, 1.0, 1.0])]))
+    # A matrix that skipped validation: F . F drifts by 2e-6 |F|^2.
+    forged = ComplexOrthogonal(n=3, entries=np.diag([1.0, 1.0, 1.0 + 1e-6]), det=1.0)
+    with pytest.raises(RuntimeError, match="bilinear invariant drifted"):
+        pushforward_field(np.array([0.0, 0.0, 1.0]), forged)
 
 
 def test_pushforward_preserves_bilinear_square():
@@ -220,7 +246,7 @@ def test_pushforward_preserves_bilinear_square():
 
 
 def test_pushforward_transports_null_fields_at_every_scale():
-    # b . b = 0 on c (1, i, 0); the drift is bounded relative to |b|^2.
+    # b . b = 0 on c (1, i, 0); the drift is bounded relative to |F|^2.
     for seed in range(50):
         lam = random_orthogonal(3, seed=seed)
         for c in (1e-12, 1e-6, 1.0, 1e3, 1e6, 1e12):

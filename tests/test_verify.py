@@ -4,13 +4,15 @@ The groups draw their Grassmann elements as arrays and then build them
 through ``GrassmannElement.from_terms``; these tests record the terms handed
 to ``from_terms`` so the raw draws are checked before equal words merge.
 The complex orthogonal draws are recorded at ``_random_orthogonals``.  The
-last tests check that the groups' cached realizations and correspondence
-basis equal fresh builds and cannot be written to, that the correspondence
-group's stacked residual is the largest single-pair ``correspondence_check``,
-that every result is the same whether a group runs cold or after other
-seeds, and that the ``pseudoherm`` group checks its metrics one stack at a
-time.
+last tests check that the groups' cached realizations equal fresh builds and
+cannot be written to, that the correspondence group's violation is the
+largest ``correspondence_check`` over all ordered pairs of its basis, computed
+once per process whatever the seed, that every result is the same whether a
+group runs cold or after other seeds, and that the ``pseudoherm`` group
+checks its metrics one stack at a time.
 """
+
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -129,7 +131,7 @@ REALIZATION_KEYS = [
 
 def clear_caches():
     verify._realization.cache_clear()
-    verify._correspondence_basis.cache_clear()
+    verify._correspondence_residuals.cache_clear()
     verify._relations_residual.cache_clear()
     verify._dirac_jacobi.cache_clear()
 
@@ -144,32 +146,38 @@ def test_cached_realizations_match_fresh_builds():
             fresh.algebra, fresh.hbar, fresh.dim
         )
         assert [g.tobytes() for g in cached.gens] == [g.tobytes() for g in fresh.gens]
+        for gen in cached.gens:
+            with pytest.raises(ValueError, match="read-only"):
+                gen[0, 0] = 1.0
     assert verify._realization.cache_info().currsize == len(REALIZATION_KEYS)
 
 
-@pytest.mark.parametrize("hbar", [0.5, 1.0, 2.0])
-def test_cached_basis_is_read_only(hbar):
-    monomials, realization, images, signs = verify._correspondence_basis(hbar)
-    assert realization is verify._realization((3, 3), hbar)
-    assert len(monomials) == len(images) == len(signs) == 79
-    for table in (images, signs, *realization.gens):
-        with pytest.raises(ValueError, match="read-only"):
-            table[0, 0] = 1.0
+@pytest.fixture(scope="module")
+def all_pair_residuals():
+    """correspondence_check over all 79^2 ordered pairs of the unit, generators
+    and generator pairs of (3, 3) with momenta, at each hbar (about 0.5 s)."""
+    algebra = AlgebraSpec((3, 3), momenta_attached=True)
+    gens = generators(algebra)
+    words = [()] + [(g,) for g in gens] + list(combinations(gens, 2))
+    basis = [GrassmannElement.from_terms(algebra, [(w, 1.0)]) for w in words]
+    return {
+        hbar: [[correspondence_check(f, g, realization) for g in basis] for f in basis]
+        for hbar in (0.5, 1.0, 2.0)
+        for realization in [tensor_realization(AlgebraSpec((3, 3)), hbar=hbar)]
+    }
 
 
 @pytest.mark.parametrize("seed", [0, 98765])
-def test_correspondence_violation_is_the_largest_single_pair_check(seed):
-    # The group takes each hbar's 400 drawn pairs in one stack; its violation
-    # must be the largest correspondence_check over the same pairs, bit for bit.
-    rng = np.random.default_rng(seed)
+def test_correspondence_violation_is_the_largest_single_pair_check(seed, all_pair_residuals):
+    # The group visits unordered pairs only: graded antisymmetry must give a
+    # pair and its reverse the same residual, bit for bit.
     result = verify.check_correspondence(seed)
-    for hbar, check in zip((0.5, 1.0, 2.0), result.checks, strict=True):
-        monomials, realization, _, _ = verify._correspondence_basis(hbar)
-        pairs = rng.integers(0, len(monomials), size=(400, 2)).tolist()
-        worst = max(
-            correspondence_check(monomials[i], monomials[j], realization) for i, j in pairs
-        )
-        assert check.violation.hex() == worst.hex()
+    for (hbar, table), check in zip(all_pair_residuals.items(), result.checks, strict=True):
+        assert check.label == f"bracket correspondence at hbar={hbar}"
+        assert [[r.hex() for r in row] for row in table] == [
+            [r.hex() for r in column] for column in zip(*table)
+        ]
+        assert check.violation.hex() == max(map(max, table)).hex()
 
 
 def fingerprint(result):
@@ -177,6 +185,14 @@ def fingerprint(result):
     return result.name, [
         (c.label, c.violation.hex(), c.limit.hex()) for c in result.checks
     ]
+
+
+def test_correspondence_group_is_computed_once_for_every_seed():
+    verify._correspondence_residuals.cache_clear()
+    results = [fingerprint(verify.check_correspondence(seed)) for seed in (0, 1, 98765)]
+    assert results[0] == results[1] == results[2]
+    info = verify._correspondence_residuals.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 @pytest.mark.parametrize("seed", [0, 98765])
