@@ -62,14 +62,15 @@ def verify_orthogonal(matrix: np.ndarray) -> ComplexOrthogonal | list[ComplexOrt
         matrix: Square complex matrix, or an ``(m, n, n)`` stack of them.
 
     Returns:
-        The validated matrix with its determinant snapped to the sign of
-        det Re(Lambda), or the list of them for a stack.
+        The validated matrix with its determinant snapped to +1 or -1, or the
+        list of them for a stack.
 
     Raises:
-        ValueError: If the matrix is not square or not finite, the residual
-            exceeds ``ORTHO_TOL * s`` (``s = ||Lambda||_1 ||Lambda||_inf``, at
-            least cond_2 of an orthogonal Lambda), or the determinant is not
-            within ``DET_TOL * s`` of that sign; for a stack, naming the first.
+        ValueError: If the matrix is not square or not finite, its
+            ``s = ||Lambda||_1 ||Lambda||_inf`` (at least cond_2 of an
+            orthogonal Lambda) overflows or reaches ``1 / (n ORTHO_TOL)``, the
+            residual exceeds ``ORTHO_TOL * s``, or the determinant is not
+            within ``DET_TOL * s`` of +1 or -1; for a stack, naming the first.
     """
     stack = np.array(matrix, dtype=complex)
     if stack.ndim not in (2, 3) or stack.shape[-1] != stack.shape[-2]:
@@ -78,19 +79,21 @@ def verify_orthogonal(matrix: np.ndarray) -> ComplexOrthogonal | list[ComplexOrt
     stack = stack.reshape(-1, n, n)
     for k in np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))[:1].tolist():
         raise ValueError("matrix is not finite" + ("" if single else f" at stack entry {k}"))
-    with np.errstate(invalid="ignore", over="ignore"):  # an overflow fails the gates
+    with np.errstate(invalid="ignore", over="ignore"):  # an overflow is refused below
         residuals = np.max(np.abs(stack @ stack.mT - np.eye(n)), axis=(1, 2))
         dets = np.linalg.det(stack)
-        # Lambda = R exp(iX) (R real orthogonal, X real antisymmetric), so Re Lambda =
-        # R cos X with cos X >= I has the sign of det Lambda even where that rounds to 0.
-        signs = np.where(np.linalg.det(stack.real) < 0, -1.0, 1.0).tolist()
+        signs = np.where(dets.real < 0, -1.0, 1.0).tolist()
         scales = np.linalg.matrix_norm(stack, ord=1) * np.linalg.matrix_norm(stack, ord=np.inf)
     out = []
     for k, (m, residual, det, sign, s) in enumerate(zip(stack, residuals, dets, signs, scales)):
         at = "" if single else f" at stack entry {k}"
         limit = ORTHO_TOL * s
-        # Written so that a nan residual, or an overflowed scale, fails too.
-        if not residual <= limit < math.inf:
+        if not math.isfinite(s):
+            raise ValueError("matrix norm overflows" + at)
+        # Past n * limit = 1 a passing residual no longer keeps Lambda Lambda^T invertible.
+        if not n * limit < 1.0:
+            raise ValueError(f"condition bound {s:.3e} exceeds {1 / (n * ORTHO_TOL):.1e}" + at)
+        if not residual <= limit:
             raise ValueError(f"orthogonality residual {residual:.3e} exceeds {limit:.1e}" + at)
         if not abs(det - sign) <= DET_TOL * s:
             raise ValueError(f"determinant {det} is not close to +1 or -1" + at)

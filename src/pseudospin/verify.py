@@ -173,17 +173,14 @@ def _correspondence_residuals() -> tuple[float, float, float]:
     parities = [m.family_parity for m in basis]
     brackets = {}  # i hbar Q({f, g}_D) at each hbar, once per distinct bracket
     worst = np.zeros(3)
-    for a, f in enumerate(basis):
-        row = []
-        for g in basis[a:]:
-            bracket = dirac_bracket(f, g)
-            terms = tuple(bracket.by_mask.items())
-            if terms not in brackets:
-                brackets[terms] = [1j * r.hbar * quantize(bracket, r) for r in realizations]
-            row.append(brackets[terms])
-        signs = [commutation_factor(parities[a], p) for p in parities[a:]]
-        qf, qg = images[a], images[a:]
-        residuals = np.abs(qf @ qg - np.reshape(signs, (-1, 1, 1, 1)) * qg @ qf - np.array(row))
+    for a, (f, qf, p) in enumerate(zip(basis, images, parities)):
+        row = [dirac_bracket(f, g) for g in basis[a:]]
+        keys = [tuple(bracket.by_mask.items()) for bracket in row]
+        fresh = {key: bracket for key, bracket in zip(keys, row) if key not in brackets}
+        brackets |= {k: [1j * r.hbar * quantize(b, r) for r in realizations] for k, b in fresh.items()}
+        signs = np.reshape([commutation_factor(p, q) for q in parities[a:]], (-1, 1, 1, 1))
+        commutators = qf @ images[a:] - signs * images[a:] @ qf
+        residuals = np.abs(commutators - np.array([brackets[key] for key in keys]))
         worst = np.maximum(worst, residuals.max(axis=(0, 2, 3)))
     return tuple(worst.tolist())
 

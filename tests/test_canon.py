@@ -208,10 +208,11 @@ def test_pushforward_complex_boost_anchor():
     assert np.max(np.abs(field - expect)) < 1e-14
 
 
-@pytest.mark.parametrize("theta", [7.0, 8.0, 10.0, 20.0])
+@pytest.mark.parametrize("theta", [7.0, 8.0, 10.0])
 def test_large_boosts_are_judged_by_their_own_scale(theta):
     # Rounding in Lambda Lambda^T and det grows with ||Lambda||^2 and F . F's
     # with |F|^2; absolute gates refused theta = 8 and 22 of these fields at 7.
+    # The gates resolve up to s = e^(2 theta) = 1 / (3 ORTHO_TOL), theta ~ 10.98.
     reflected = boost(theta) * [[-1.0], [1.0], [1.0]]
     lam, mirror = verify_orthogonal(np.array([boost(theta), reflected]))
     assert (lam.det, mirror.det) == (1.0, -1.0)
@@ -226,10 +227,18 @@ def test_gates_still_refuse_what_is_not_orthogonal():
         verify_orthogonal(np.eye(3) + 1e-6 * np.outer([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]))
     with pytest.raises(ValueError, match="residual .* at stack entry 1"):
         verify_orthogonal(np.array([boost(1.0), boost(1.0) * (1.0 + 1e-6)]))
-    with pytest.raises(ValueError, match="residual inf"):
+    with pytest.raises(ValueError, match=r"^orthogonality residual 3\.000e\+00 exceeds 1\.9e-01$"):
+        verify_orthogonal(2.0 * boost(10.0))
+    # Past the bound a residual within ORTHO_TOL * s could hide Lambda Lambda^T = 0 or 4 I.
+    rank_one = np.zeros((3, 3), dtype=complex)
+    rank_one[0, :2] = 1e5, 1e5j  # Lambda Lambda^T = 0
+    for far in (boost(11.0), rank_one, 2.0 * boost(12.0)):
+        with pytest.raises(ValueError, match=r"^condition bound .* exceeds 3\.3e\+09$"):
+            verify_orthogonal(far)
+    with pytest.raises(ValueError, match="^matrix norm overflows$"):
         verify_orthogonal(1e200 * np.eye(3))
     with pytest.raises(ValueError, match="^matrix is not finite at stack entry 1$"):
-        verify_orthogonal(np.array([boost(20.0), np.diag([np.inf, 1.0, 1.0])]))
+        verify_orthogonal(np.array([boost(10.0), np.diag([np.inf, 1.0, 1.0])]))
     # A matrix that skipped validation: F . F drifts by 2e-6 |F|^2.
     forged = ComplexOrthogonal(n=3, entries=np.diag([1.0, 1.0, 1.0 + 1e-6]), det=1.0)
     with pytest.raises(RuntimeError, match="bilinear invariant drifted"):
