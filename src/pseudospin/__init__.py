@@ -17,7 +17,6 @@ from pseudospin.canon import (
     pushforward_field,
     random_orthogonal,
     transform_coefficients,
-    verify_orthogonal,
 )
 from pseudospin.formats import (
     algebra_from_json,

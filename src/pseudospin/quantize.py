@@ -57,19 +57,17 @@ class Realization:
     Attributes:
         algebra: Coordinate-only algebra the images represent.
         hbar: Scale entering the anticommutation relations.
-        dim: Dimension of the representation space.
-        gens: Generator images in family-major order, read-only.
+        gens: A copy of the generator images in family-major order, one
+            read-only ``(N, dim, dim)`` stack.
 
     Raises:
-        ValueError: If the image count differs from the algebra's
-            coordinate count, an image is not ``dim x dim``, or ``hbar`` is
-            not finite and positive.
+        ValueError: If ``hbar`` is not finite and positive, or the images
+            are not one square image per coordinate of the algebra.
     """
 
     algebra: AlgebraSpec
     hbar: float
-    dim: int
-    gens: tuple[np.ndarray, ...]
+    gens: np.ndarray
     # Coordinate monomial mask (bit i stands for gens[i]) -> ordered product
     # of its generator images, filled by quantize on first use.
     _images: dict[int, np.ndarray] = field(
@@ -77,21 +75,23 @@ class Realization:
     )
 
     def __post_init__(self) -> None:
-        if len(self.gens) != self.algebra.total_coordinates:
-            raise ValueError(
-                f"expected {self.algebra.total_coordinates} generator images,"
-                f" got {len(self.gens)}"
-            )
-        for gen in self.gens:
-            if np.shape(gen) != (self.dim, self.dim):
-                raise ValueError(
-                    f"generator image of shape {np.shape(gen)} does not match"
-                    f" dim {self.dim}"
-                )
         if not (math.isfinite(self.hbar) and self.hbar > 0):
             raise ValueError("hbar must be finite and positive")
-        for gen in self.gens:
-            gen.setflags(write=False)
+        count = self.algebra.total_coordinates
+        shapes = sorted({np.shape(gen) for gen in self.gens})
+        square = len(shapes) == 1 and len(shapes[0]) == 2 and shapes[0][0] == shapes[0][1]
+        if not (square and len(self.gens) == count):
+            raise ValueError(
+                f"expected {count} square generator images of one shape,"
+                f" got {len(self.gens)} of shapes {shapes}"
+            )
+        gens = np.array(self.gens, dtype=complex)
+        gens.setflags(write=False)
+        object.__setattr__(self, "gens", gens)
+
+    @property
+    def dim(self) -> int:
+        return self.gens.shape[-1]
 
 
 def _clifford_family(n: int) -> list[np.ndarray]:
@@ -125,11 +125,10 @@ def tensor_realization(algebra: AlgebraSpec, hbar: float = 1.0) -> Realization:
             here and handled by constraint reduction during quantization).
         hbar: Anticommutator scale.
     """
-    if hbar <= 0:
-        raise ValueError("hbar must be positive")
+    if not (math.isfinite(hbar) and hbar > 0):  # before inf * 0 in the images
+        raise ValueError("hbar must be finite and positive")
     families = [_clifford_family(n) for n in algebra.family_sizes]
     dims = [fam[0].shape[0] for fam in families]
-    total_dim = int(np.prod(dims))
     scale = np.sqrt(hbar / 2.0)
     gens: list[np.ndarray] = []
     for fam_index, family in enumerate(families):
@@ -138,9 +137,7 @@ def tensor_realization(algebra: AlgebraSpec, hbar: float = 1.0) -> Realization:
         for gamma in family:
             image = np.kron(np.eye(above), np.kron(gamma, np.eye(below)))
             gens.append(scale * image)
-    return Realization(
-        AlgebraSpec(algebra.family_sizes), float(hbar), total_dim, tuple(gens)
-    )
+    return Realization(AlgebraSpec(algebra.family_sizes), float(hbar), gens)
 
 
 def quantize(f: GrassmannElement, realization: Realization) -> OperatorMatrix:
@@ -177,7 +174,7 @@ def check_relations(realization: Realization) -> float:
     anticommutator; cross-family pairs must commute.
     """
     # One generator row at a time: no intermediate outgrows the image stack.
-    gens = np.array(realization.gens)
+    gens = realization.gens
     families = np.array([g.family for g in realization.algebra.coordinates()])
     identity = np.eye(realization.dim)
     worst = 0.0

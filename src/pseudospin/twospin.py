@@ -163,7 +163,7 @@ class Isomorphism(NamedTuple):
     partner: OperatorMatrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermitianCounterpart:
     """Hermitian system with the same block structure as the deformed one.
 
@@ -182,7 +182,7 @@ class HermitianCounterpart:
     j_tilde: tuple[float, float, float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransitionSeries:
     """Transition amplitudes over a time grid for one parameter set.
 

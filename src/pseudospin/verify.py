@@ -19,10 +19,10 @@ from itertools import combinations
 import numpy as np
 
 from .canon import (
+    ComplexOrthogonal,
     _random_orthogonals,
     pushforward_field,
     transform_coefficients,
-    verify_orthogonal,
 )
 from .grassmann import (
     AlgebraSpec,
@@ -241,7 +241,7 @@ def check_grassmann(seed: int = 0) -> GroupResult:
     lams = _random_orthogonals(rng, 3, 100)
     reals = [g + star_involution(g) for g in _random_elements(rng, AlgebraSpec((3,)), 100)]
     moved = transform_coefficients(reals, lams)
-    rho = np.array([lam.entries @ lam.entries.conj().T for lam in lams])
+    rho = lams.entries @ lams.entries.conj().mT
     worst = max(0.0, *map(_element_diff, plus_involution(moved, rho), moved))
     checks.append(CheckResult("reality transport star to plus", worst, 1e-9))
 
@@ -299,13 +299,9 @@ def check_quantize(seed: int = 0) -> GroupResult:
     worst = 0.0
     lams = _random_orthogonals(rng, 3, 30)
     elements = _random_elements(rng, base.algebra, 30)
-    for lam, f, g in zip(lams, elements, transform_coefficients(elements, lams)):
-        moved_gens = tuple(
-            sum(lam.entries[k_, i] * base.gens[i] for i in range(3)) for k_ in range(3)
-        )
-        transported = Realization(
-            algebra=base.algebra, hbar=base.hbar, dim=base.dim, gens=moved_gens
-        )
+    for lam, f, g in zip(lams.entries, elements, transform_coefficients(elements, lams)):
+        moved_gens = [sum(lam[k_, i] * base.gens[i] for i in range(3)) for k_ in range(3)]
+        transported = Realization(base.algebra, base.hbar, moved_gens)
         worst = max(
             worst,
             float(np.max(np.abs(quantize(g, transported) - quantize(f, base)))),
@@ -321,10 +317,9 @@ def check_canon(seed: int = 0) -> GroupResult:
     checks: list[CheckResult] = []
 
     lams = _random_orthogonals(rng, 3, 50)
-    entries = np.array([lam.entries for lam in lams])
-    worst = float(np.max(np.abs(entries @ entries.mT - np.eye(3))))
+    worst = float(np.max(np.abs(lams.entries @ lams.entries.mT - np.eye(3))))
     checks.append(CheckResult("sampled complex orthogonality", worst, 1e-10))
-    unsampled = float(len({lam.det for lam in lams}) != 2)
+    unsampled = float(len(set(lams.det.tolist())) != 2)
     checks.append(CheckResult("both determinant components sampled", unsampled, 0.0))
 
     lams = _random_orthogonals(rng, 3, 200)
@@ -337,8 +332,8 @@ def check_canon(seed: int = 0) -> GroupResult:
     seconds = _random_orthogonals(rng, 3, 30)
     elements = _random_elements(rng, AlgebraSpec((3,)), 30)
     once = transform_coefficients(transform_coefficients(elements, firsts), seconds)
-    products = np.array([b.entries for b in seconds]) @ np.array([a.entries for a in firsts])
-    composed = transform_coefficients(elements, verify_orthogonal(products))
+    products = ComplexOrthogonal(seconds.entries @ firsts.entries)
+    composed = transform_coefficients(elements, products)
     worst = max(0.0, *map(_element_diff, once, composed))
     checks.append(CheckResult("coefficient transport group action", worst, 1e-10))
 

@@ -12,7 +12,6 @@ from pseudospin.canon import (
     pushforward_field,
     random_orthogonal,
     transform_coefficients,
-    verify_orthogonal,
 )
 from pseudospin.grassmann import (
     AlgebraSpec,
@@ -85,7 +84,7 @@ def block_orthogonal(sizes, seed):
         block = random_orthogonal(size, seed=seed + 100 * fam).entries
         entries[start : start + size, start : start + size] = block
         start += size
-    return verify_orthogonal(entries)
+    return ComplexOrthogonal(entries)
 
 
 def relative_gap(got, expect):
@@ -102,7 +101,7 @@ MULTI_FAMILY = [(2, 4), (1, 2, 3), (3, 3)]
 # validation and sampling
 
 
-def test_verify_orthogonal_accepts_rotation_and_reflection():
+def test_complex_orthogonal_accepts_rotation_and_reflection():
     theta = 0.3
     rot = np.array(
         [
@@ -111,15 +110,32 @@ def test_verify_orthogonal_accepts_rotation_and_reflection():
             [0.0, 0.0, 1.0],
         ]
     )
-    assert verify_orthogonal(rot).det == 1.0
-    assert verify_orthogonal(np.diag([-1.0, 1.0, 1.0])).det == -1.0
+    assert ComplexOrthogonal(rot).det == 1.0
+    assert ComplexOrthogonal(np.diag([-1.0, 1.0, 1.0])).det == -1.0
+    stack = ComplexOrthogonal(np.array([rot, np.diag([-1.0, 1.0, 1.0])]))
+    assert stack.det.tolist() == [1.0, -1.0] and not stack.det.flags.writeable
 
 
-def test_verify_orthogonal_rejects_bad_input():
+def test_complex_orthogonal_rejects_bad_input():
+    for shape in ((2, 3), (3,), (2, 2, 3), (1, 1, 3, 3)):
+        with pytest.raises(ValueError, match="^expected a square matrix or a stack of them$"):
+            ComplexOrthogonal(np.ones(shape))
     with pytest.raises(ValueError):
-        verify_orthogonal(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        verify_orthogonal(np.eye(3) * 1.001)
+        ComplexOrthogonal(np.eye(3) * 1.001)
+    with pytest.raises(TypeError, match="det"):
+        ComplexOrthogonal(np.eye(3), det=-1.0)
+
+
+def test_complex_orthogonal_copies_its_input():
+    # The caller's array stays writable, and a later write does not reach the
+    # validated copy, single or stacked.
+    for matrix in (np.eye(3), np.array([np.eye(3), np.diag([-1.0, 1.0, 1.0])])):
+        lam = ComplexOrthogonal(matrix)
+        matrix[..., 0, 1] = 5.0
+        assert matrix.flags.writeable and not lam.entries.flags.writeable
+        assert np.all(lam.entries[..., 0, 1] == 0.0)
+        with pytest.raises(ValueError, match="read-only"):
+            lam.entries[..., 0, 0] = 2.0
 
 
 def test_random_orthogonal_is_seeded_and_orthogonal():
@@ -162,14 +178,12 @@ def test_batched_orthogonal_draws_equal_single_draws_bit_for_bit():
             normals = rng.standard_normal((60, 2, n, n))
             reflections = rng.random(60) < 0.5
             under_cap = 0
-            for lam, (real, imag), reflect in zip(batch, normals, reflections):
+            assert batch.entries.shape == (60, n, n) and not batch.entries.flags.writeable
+            assert batch.det.tolist() == np.where(reflections, -1.0, 1.0).tolist()
+            for lam, (real, imag), reflect in zip(batch.entries, normals, reflections):
                 single, capped = cayley_reference(real, imag, reflect)
-                assert lam.n == n
-                assert lam.entries.tobytes() == single.tobytes()
-                assert lam.det == (-1.0 if reflect else 1.0)
-                assert not lam.entries.flags.writeable
+                assert lam.tobytes() == single.tobytes()
                 under_cap += capped
-            assert len(batch) == 60
             assert 0 < reflections.sum() < 60
             if n <= 2:
                 assert under_cap > 0
@@ -202,7 +216,7 @@ def boost(theta):
 
 
 def test_pushforward_complex_boost_anchor():
-    lam = verify_orthogonal(boost(1.0))
+    lam = ComplexOrthogonal(boost(1.0))
     field = pushforward_field(np.array([1.0, 0.0, 0.0]), lam)
     expect = np.array([np.cosh(1.0), 1j * np.sinh(1.0), 0.0])
     assert np.max(np.abs(field - expect)) < 1e-14
@@ -214,35 +228,56 @@ def test_large_boosts_are_judged_by_their_own_scale(theta):
     # with |F|^2; absolute gates refused theta = 8 and 22 of these fields at 7.
     # The gates resolve up to s = e^(2 theta) = 1 / (3 ORTHO_TOL), theta ~ 10.98.
     reflected = boost(theta) * [[-1.0], [1.0], [1.0]]
-    lam, mirror = verify_orthogonal(np.array([boost(theta), reflected]))
-    assert (lam.det, mirror.det) == (1.0, -1.0)
+    assert ComplexOrthogonal(np.array([boost(theta), reflected])).det.tolist() == [1.0, -1.0]
+    lam = ComplexOrthogonal(np.broadcast_to(boost(theta), (100, 3, 3)))
     fields = np.random.default_rng(0).normal(size=(100, 3))
-    moved = pushforward_field(fields, [lam] * 100)
-    gap = np.abs(moved - fields @ lam.entries.T).max()
-    assert gap <= 1e-15 * np.abs(lam.entries).max() * np.abs(fields).max()
+    moved = pushforward_field(fields, lam)
+    gap = np.abs(moved - fields @ boost(theta).T).max()
+    assert gap <= 1e-15 * np.abs(boost(theta)).max() * np.abs(fields).max()
 
 
 def test_gates_still_refuse_what_is_not_orthogonal():
     with pytest.raises(ValueError, match=r"^orthogonality residual 1\.000e-06 exceeds 1\.0e-10$"):
-        verify_orthogonal(np.eye(3) + 1e-6 * np.outer([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]))
+        ComplexOrthogonal(np.eye(3) + 1e-6 * np.outer([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]))
     with pytest.raises(ValueError, match="residual .* at stack entry 1"):
-        verify_orthogonal(np.array([boost(1.0), boost(1.0) * (1.0 + 1e-6)]))
+        ComplexOrthogonal(np.array([boost(1.0), boost(1.0) * (1.0 + 1e-6)]))
     with pytest.raises(ValueError, match=r"^orthogonality residual 3\.000e\+00 exceeds 1\.9e-01$"):
-        verify_orthogonal(2.0 * boost(10.0))
+        ComplexOrthogonal(2.0 * boost(10.0))
     # Past the bound a residual within ORTHO_TOL * s could hide Lambda Lambda^T = 0 or 4 I.
     rank_one = np.zeros((3, 3), dtype=complex)
     rank_one[0, :2] = 1e5, 1e5j  # Lambda Lambda^T = 0
     for far in (boost(11.0), rank_one, 2.0 * boost(12.0)):
         with pytest.raises(ValueError, match=r"^condition bound .* exceeds 3\.3e\+09$"):
-            verify_orthogonal(far)
+            ComplexOrthogonal(far)
     with pytest.raises(ValueError, match="^matrix norm overflows$"):
-        verify_orthogonal(1e200 * np.eye(3))
+        ComplexOrthogonal(1e200 * np.eye(3))
     with pytest.raises(ValueError, match="^matrix is not finite at stack entry 1$"):
-        verify_orthogonal(np.array([boost(10.0), np.diag([np.inf, 1.0, 1.0])]))
+        ComplexOrthogonal(np.array([boost(10.0), np.diag([np.inf, 1.0, 1.0])]))
     # A matrix that skipped validation: F . F drifts by 2e-6 |F|^2.
-    forged = ComplexOrthogonal(n=3, entries=np.diag([1.0, 1.0, 1.0 + 1e-6]), det=1.0)
+    forged = object.__new__(ComplexOrthogonal)
+    vars(forged).update(entries=np.diag([1.0, 1.0, 1.0 + 1e-6]), det=1.0)
     with pytest.raises(RuntimeError, match="bilinear invariant drifted"):
         pushforward_field(np.array([0.0, 0.0, 1.0]), forged)
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        (
+            np.eye(3) + 1e-6 * np.eye(3)[::-1],
+            r"orthogonality residual 2\.000e-06 exceeds 1\.0e-10",
+        ),
+        (boost(11.0), r"condition bound .* exceeds 3\.3e\+09"),
+        (1e200 * np.eye(3), "matrix norm overflows"),
+        (np.diag([np.nan, 1.0, 1.0]), "matrix is not finite"),
+    ],
+    ids=["residual", "condition bound", "overflow", "non-finite"],
+)
+def test_each_refusal_is_made_single_and_stacked(matrix, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ComplexOrthogonal(matrix)
+    with pytest.raises(ValueError, match=f"^{message} at stack entry 2$"):
+        ComplexOrthogonal(np.array([np.eye(3), boost(1.0), matrix, 2.0 * matrix]))
 
 
 def test_pushforward_preserves_bilinear_square():
@@ -349,7 +384,7 @@ def test_cross_family_changes_of_generators_are_refused():
     mixing = np.eye(6, dtype=complex)
     mixing[2:4, 2:4] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
     with pytest.raises(ValueError, match="block-diagonal"):
-        transform_coefficients(f, verify_orthogonal(mixing))
+        transform_coefficients(f, ComplexOrthogonal(mixing))
     rho = np.eye(6, dtype=complex)
     rho[0, 5] = 0.5
     with pytest.raises(ValueError, match="block-diagonal"):
@@ -361,7 +396,7 @@ def test_transform_is_group_action():
     f = random_element(rng)
     first = random_orthogonal(3, seed=61)
     second = random_orthogonal(3, seed=62)
-    composed = verify_orthogonal(second.entries @ first.entries)
+    composed = ComplexOrthogonal(second.entries @ first.entries)
     step_wise = transform_coefficients(transform_coefficients(f, first), second)
     assert oracle.close_within(step_wise, transform_coefficients(f, composed), 1e-10)
 
@@ -433,7 +468,7 @@ def test_exchange_transport_agrees_with_merged_family_embedding():
             for j in range(3)
         ],
     )
-    lam6 = verify_orthogonal(
+    lam6 = ComplexOrthogonal(
         np.block(
             [[r.entries, np.zeros((3, 3))], [np.zeros((3, 3)), s.entries]]
         )
@@ -470,18 +505,19 @@ def stack_draws(sizes, seed, count=12):
     rng = np.random.default_rng(seed)
     elements = [GrassmannElement.zero(alg), GrassmannElement.unit(alg)]
     elements += [random_element(rng, 5, alg, n) for _ in range(count - 2)]
-    lams = [block_orthogonal(sizes, seed + t) for t in range(count)]
-    lams[1] = lams[3] = verify_orthogonal(np.eye(n))
-    return elements, lams
+    entries = [block_orthogonal(sizes, seed + t).entries for t in range(count)]
+    entries[1] = entries[3] = np.eye(n)
+    return elements, ComplexOrthogonal(np.array(entries))
 
 
 @pytest.mark.parametrize("seed", [9000, 9100, 9200])
 @pytest.mark.parametrize("sizes", STACK_STRUCTURES, ids=str)
 def test_stacked_transports_match_single_calls_bit_for_bit(sizes, seed):
     elements, lams = stack_draws(sizes, seed)
-    rhos = np.array([lam.entries @ lam.entries.conj().T for lam in lams])
+    rhos = lams.entries @ lams.entries.conj().mT
     stacked = transform_coefficients(elements, lams)
-    single = [transform_coefficients(f, lam) for f, lam in zip(elements, lams)]
+    singles = map(ComplexOrthogonal, lams.entries)
+    single = [transform_coefficients(f, lam) for f, lam in zip(elements, singles)]
     assert list(map(hex_table, stacked)) == list(map(hex_table, single))
     stacked = plus_involution(elements, rhos)
     single = [plus_involution(f, rho) for f, rho in zip(elements, rhos)]
@@ -494,24 +530,24 @@ def test_stacked_pushforward_and_validation_match_single_calls_bit_for_bit():
     rng = np.random.default_rng(6)
     fields = rng.normal(size=(40, 3)) + 1j * rng.normal(size=(40, 3))
     fields[0], fields[1] = 0.0, [1.0, 1j, 0.0]  # the zero field and a null field
+    singles = [ComplexOrthogonal(m) for m in lams.entries]
     stacked = pushforward_field(fields, lams)
-    single = np.array([pushforward_field(b, lam) for b, lam in zip(fields, lams)])
+    single = np.array([pushforward_field(b, lam) for b, lam in zip(fields, singles)])
     assert np.array_equal(stacked.view(np.uint64), single.view(np.uint64))
-    entries = np.array([lam.entries for lam in lams])
-    checked = verify_orthogonal(entries)
-    assert [lam.det for lam in checked] == [verify_orthogonal(m).det for m in entries]
+    assert lams.det.tolist() == [lam.det for lam in singles]
 
 
 def test_empty_stacks_transport_to_empty_stacks():
-    assert transform_coefficients([], []) == []
+    empty = ComplexOrthogonal(np.zeros((0, 3, 3)))
+    assert (empty.entries.shape, empty.det.shape) == ((0, 3, 3), (0,))
+    assert transform_coefficients([], empty) == []
     assert plus_involution([], np.zeros((0, 6, 6))) == []
-    assert pushforward_field(np.zeros((0, 3)), []).shape == (0, 3)
-    assert verify_orthogonal(np.zeros((0, 3, 3))) == []
+    assert pushforward_field(np.zeros((0, 3)), empty).shape == (0, 3)
 
 
 def test_stacked_transports_refuse_an_entry_by_name():
     elements, lams = stack_draws((3, 3), 77, count=5)
-    rhos = np.array([lam.entries for lam in lams])
+    rhos = lams.entries
     crossed = rhos.copy()
     crossed[3, 0, 5] = 0.5
     with pytest.raises(ValueError, match="not block-diagonal over the families at stack entry 3"):
@@ -522,14 +558,16 @@ def test_stacked_transports_refuse_an_entry_by_name():
     with pytest.raises(ValueError, match="matrix is not finite at stack entry 2"):
         plus_involution(elements, poisoned)
     with pytest.raises(ValueError, match="matrix is not finite at stack entry 2"):
-        verify_orthogonal(poisoned)
+        ComplexOrthogonal(poisoned)
     with pytest.raises(ValueError, match="residual .* at stack entry 5"):
-        verify_orthogonal(np.concatenate([rhos, 1.001 * rhos[:1]]))
+        ComplexOrthogonal(np.concatenate([rhos, 1.001 * rhos[:1]]))
     with pytest.raises(ValueError, match="need 5 matrices"):
-        transform_coefficients(elements, lams[:4])
+        transform_coefficients(elements, ComplexOrthogonal(rhos[:4]))
     other = GrassmannElement.unit(AlgebraSpec((2, 4)))  # six coordinates too
     with pytest.raises(ValueError, match="different algebras"):
         transform_coefficients([*elements[:4], other], lams)
+    with pytest.raises(ValueError, match=r"of its size; got \(5, 3\)"):
+        pushforward_field(np.ones((5, 3)), random_orthogonal(3, seed=1))
     fields = np.ones((5, 3))
     fields[4, 2] = np.nan
     with pytest.raises(ValueError, match="field is not finite at stack entry 4"):
@@ -542,7 +580,7 @@ def test_non_finite_inputs_are_refused_by_name():
         with pytest.raises(ValueError, match="not finite"):
             pushforward_field(np.array([bad, 0.0, 0.0]), lam)
         with pytest.raises(ValueError, match="matrix is not finite"):
-            verify_orthogonal(np.diag([bad, 1.0, 1.0]))
+            ComplexOrthogonal(np.diag([bad, 1.0, 1.0]))
         with pytest.raises(ValueError, match="matrix is not finite at stack entry 0"):
             plus_involution(GrassmannElement.from_generator(ALG3, Z[0]), np.full((3, 3), bad))
 

@@ -1246,7 +1246,7 @@ def test_quantize_check_fails_a_broken_realization(tmp_path, capsys, monkeypatch
     def broken(algebra, hbar):
         real = realize(algebra, hbar=hbar)
         gens = (real.gens[0] * (1 + 1e-3j), *real.gens[1:])
-        return Realization(real.algebra, real.hbar, real.dim, gens)
+        return Realization(real.algebra, real.hbar, gens)
 
     monkeypatch.setattr(cli, "tensor_realization", broken)
     code, out, err = run(capsys, "quantize-file", "--element", element, "--check")

@@ -1,10 +1,12 @@
 """The package's public surface, and the CI pins of what it depends on."""
 
 import ast
+import dataclasses
 import re
 from pathlib import Path
 from types import FunctionType, ModuleType
 
+import numpy as np
 import pytest
 
 import pseudospin
@@ -31,7 +33,7 @@ PUBLIC_NAMES = [
     "pushforward_field", "quantize", "random_orthogonal", "rho_adjoint",
     "right_derivative", "run_groups", "star_involution", "tensor_realization",
     "transform_coefficients", "transition_series", "vector_from_json",
-    "vector_to_json", "verify_orthogonal", "write_csv",
+    "vector_to_json", "write_csv",
 ]
 
 
@@ -76,6 +78,38 @@ def test_every_public_name_has_a_caller():
             if name.endswith(half):
                 reached.add(name[: -len(half)] + partner)
     assert [name for name in public_names() if name not in reached] == []
+
+
+# A build of each exported dataclass that holds an array, whose generated
+# __eq__ and __hash__ would raise on it.
+ARRAY_HOLDERS = {
+    "ComplexOrthogonal": lambda: pseudospin.random_orthogonal(3, seed=1),
+    "HermitianCounterpart": lambda: pseudospin.hermitian_counterpart(
+        pseudospin.TwoSpinParams(0.5, 0.25, 1.0)
+    ),
+    "Metric": lambda: pseudospin.Metric(np.eye(2)),
+    "Realization": lambda: pseudospin.tensor_realization(pseudospin.AlgebraSpec((3,))),
+    "TransitionSeries": lambda: pseudospin.transition_series(
+        np.eye(4)[1], np.eye(4)[2], pseudospin.TwoSpinParams(0.5, 0.25, 1.0), np.zeros(1)
+    ),
+}
+
+
+def test_every_array_holding_dataclass_is_listed():
+    holders = [
+        name for name in public_names()
+        if dataclasses.is_dataclass(cls := getattr(pseudospin, name))
+        and any("ndarray" in str(f.type) for f in dataclasses.fields(cls))
+    ]
+    assert holders == sorted(ARRAY_HOLDERS)
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_HOLDERS))
+def test_array_holding_dataclasses_compare_and_hash_by_identity(name):
+    first, second = ARRAY_HOLDERS[name](), ARRAY_HOLDERS[name]()
+    assert type(first) is getattr(pseudospin, name)
+    assert first == first and (first == second) is False
+    assert hash(first) == hash(first) and len({first, second}) == 2
 
 
 def test_every_public_method_has_a_caller():

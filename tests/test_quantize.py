@@ -92,7 +92,7 @@ def test_relations_locate_a_faulty_last_generator(sizes, hbar, mixed):
     # the first image shows on the off-diagonal pairs with the first.
     base = tensor_realization(AlgebraSpec(sizes), hbar=hbar)
     last = base.gens[-1] * (1 + 1e-6) if not mixed else base.gens[-1] + 1e-6 * base.gens[0]
-    faulty = Realization(base.algebra, base.hbar, base.dim, base.gens[:-1] + (last,))
+    faulty = Realization(base.algebra, base.hbar, [*base.gens[:-1], last])
     residual = check_relations(faulty)
     assert residual == pairwise_relations(faulty)
     assert residual > 1e-7 * hbar
@@ -137,30 +137,47 @@ def test_two_family_slot_assignment():
 
 
 def test_realization_validation():
-    with pytest.raises(ValueError):
-        tensor_realization(AlgebraSpec((3,)), hbar=0.0)
-    with pytest.raises(ValueError):
-        tensor_realization(AlgebraSpec((3,)), hbar=-1.0)
+    # Refused before any image is built: inf * 0 in the Kronecker images
+    # would warn, and nan would fill them.
+    for hbar in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="^hbar must be finite and positive$"):
+            tensor_realization(AlgebraSpec((3,)), hbar=hbar)
 
 
 @pytest.mark.parametrize(
     "bad, match",
     [
-        (dict(gens=(np.eye(2, dtype=complex),)), "expected 3 generator images, got 1"),
-        (dict(dim=4), "does not match dim 4"),
+        (dict(gens=(np.eye(2),)), r"expected 3 square .*, got 1 of shapes \[\(2, 2\)\]$"),
+        (dict(gens=(*PAULI[:2], np.eye(4))), r"got 3 of shapes \[\(2, 2\), \(4, 4\)\]$"),
+        (dict(gens=np.ones((3, 2, 3))), r"got 3 of shapes \[\(2, 3\)\]$"),
+        (dict(gens=np.ones((4, 2, 2))), r"expected 3 square .*, got 4 of shapes \[\(2, 2\)\]$"),
         (dict(hbar=-1.0), "hbar"),
         (dict(hbar=0.0), "hbar"),
         (dict(hbar=math.nan), "hbar"),
         (dict(hbar=math.inf), "hbar"),
     ],
-    ids=["image count", "image shape", "negative", "zero", "nan", "inf"],
+    ids=["image count", "image shape", "non-square", "too many", "negative", "zero", "nan", "inf"],
 )
 def test_realization_validates_on_construction(bad, match):
-    paulis = tuple(np.array(p) for p in PAULI)
-    fields = dict(algebra=AlgebraSpec((3,)), hbar=1.0, dim=2, gens=paulis)
+    fields = dict(algebra=AlgebraSpec((3,)), hbar=1.0, gens=PAULI)
     Realization(**fields)
     with pytest.raises(ValueError, match=match):
         Realization(**{**fields, **bad})
+
+
+def test_realization_holds_a_frozen_copy_of_its_images():
+    # One read-only (N, dim, dim) stack, dim read off it; the caller's
+    # images stay writable and a later write does not reach the copy.
+    paulis = [np.array(p) for p in PAULI]
+    real = Realization(AlgebraSpec((3,)), 1.0, paulis)
+    paulis[0][0, 0] = 7.0
+    assert paulis[0].flags.writeable and not real.gens.flags.writeable
+    assert real.gens.shape == (3, 2, 2) and real.dim == 2
+    assert np.array_equal(real.gens, PAULI)
+    with pytest.raises(ValueError, match="read-only"):
+        real.gens[0, 0, 0] = 1.0
+    with pytest.raises(TypeError, match="dim"):
+        Realization(AlgebraSpec((3,)), 1.0, PAULI, dim=2)
 
 
 def test_realizations_compare_and_hash_by_identity():

@@ -111,7 +111,7 @@ def test_orthogonal_draws_never_repeat_within_or_across_seeds(monkeypatch):
 
     def record(*args):
         lams = sample(*args)
-        draws.extend(lam.entries.tobytes() for lam in lams)
+        draws.extend(entry.tobytes() for entry in lams.entries)
         return lams
 
     monkeypatch.setattr(verify, "_random_orthogonals", record)
@@ -145,10 +145,9 @@ def test_cached_realizations_match_fresh_builds():
         assert (cached.algebra, cached.hbar, cached.dim) == (
             fresh.algebra, fresh.hbar, fresh.dim
         )
-        assert [g.tobytes() for g in cached.gens] == [g.tobytes() for g in fresh.gens]
-        for gen in cached.gens:
-            with pytest.raises(ValueError, match="read-only"):
-                gen[0, 0] = 1.0
+        assert cached.gens.tobytes() == fresh.gens.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            cached.gens[0, 0, 0] = 1.0
     assert verify._realization.cache_info().currsize == len(REALIZATION_KEYS)
 
 
