@@ -27,6 +27,7 @@ written as the explicit token ``"nan"``, never as empty fields.
 """
 
 import argparse
+import dataclasses
 import itertools
 import json
 import re
@@ -486,29 +487,11 @@ def cmd_verify(config: Mapping[str, Any]) -> int:
                     f"FAIL {result.name}: {check.label} "
                     f"violation {check.violation:.3e} exceeds {check.limit:.3e}"
                 )
-    summary = {
-        "seed": config["seed"],
-        "passed": all(r.passed for r in results),
-        "groups": [
-            {
-                "name": r.name,
-                "passed": r.passed,
-                "checks": [
-                    {
-                        "label": c.label,
-                        "violation": c.violation,
-                        "limit": c.limit,
-                        "passed": c.passed,
-                    }
-                    for c in r.checks
-                ],
-            }
-            for r in results
-        ],
-    }
+    passed = all(r.passed for r in results)
     if config["out"] is not None:
-        _emit(config, summary)
-    return 0 if summary["passed"] else 2
+        groups = [dataclasses.asdict(r) for r in results]
+        _emit(config, {"seed": config["seed"], "passed": passed, "groups": groups})
+    return 0 if passed else 2
 
 
 _HANDLERS: dict[str, Callable[[Mapping[str, Any]], int]] = {

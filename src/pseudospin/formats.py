@@ -2,9 +2,12 @@
 
 JSON carries complex numbers as {"re": ..., "im": ...} objects so files stay
 language-neutral; matrices are arrays of rows of those pairs.  Grassmann
-elements serialize as an algebra header plus a list of canonical-order
-monomial terms; the parser rejects non-canonical input instead of silently
-reordering it, so a file is valid exactly when it equals its own round trip.
+elements serialize as an algebra header plus monomial terms in canonical
+order.  The parser rejects a term whose generators repeat or are out of
+canonical order, but reads the terms as a sum: they may come in any order,
+a repeated monomial's coefficients add up and an exactly zero sum is dropped.
+So an encoded element decodes to itself, and an accepted file's round trip
+is the same element in canonical form.
 
 Tables come as one column per header name and go out as CSV or, a row at a
 time, as JSON.  Cells use the shortest round-trip float representation and
@@ -135,16 +138,10 @@ def algebra_from_json(data: Any) -> AlgebraSpec:
 
 def element_to_json(element: GrassmannElement) -> dict[str, Any]:
     """Encode a Grassmann element with terms in canonical order."""
-    terms = []
-    for monomial in sorted(element.terms):
-        coefficient = complex(element.terms[monomial])
-        terms.append(
-            {
-                "mono": [generator.name for generator in monomial],
-                "re": float(coefficient.real),
-                "im": float(coefficient.imag),
-            }
-        )
+    terms = [
+        {"mono": [generator.name for generator in monomial], **complex_to_json(coefficient)}
+        for monomial, coefficient in sorted(element.terms.items())
+    ]
     return {"algebra": algebra_to_json(element.algebra), "terms": terms}
 
 

@@ -529,10 +529,13 @@ def _substitute(f, matrix):
     """
     if isinstance(f, GrassmannElement):
         return _substitute([f], np.asarray(matrix)[None])[0]
+    stack = np.asarray(matrix, dtype=complex)
     if not f:
+        if stack.ndim != 3 or len(stack):
+            raise ValueError(f"need 0 matrices, got shape {stack.shape}")
         return []
     layout = _layout(f[0].algebra)
-    stack, cross = np.asarray(matrix, dtype=complex), layout.cross_family
+    cross = layout.cross_family
     if stack.shape != (len(f), *cross.shape):
         raise ValueError(f"need {len(f)} matrices of shape {cross.shape}, got {stack.shape}")
     finite = np.isfinite(stack).all(axis=(1, 2))

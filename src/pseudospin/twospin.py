@@ -156,11 +156,19 @@ class RegimeReport:
 
 
 class Isomorphism(NamedTuple):
-    """An invertible map u, its metric rho = (u u^dagger)^-1 and the partner u^-1 H u."""
+    """An invertible map u, its metric rho = (u u^dagger)^-1 and the partner u^-1 H u.
+
+    Instances compare and hash by identity, as ``Metric`` does: a tuple's
+    element-wise comparison would raise on the arrays.
+    """
 
     u: OperatorMatrix
     rho: Metric
     partner: OperatorMatrix
+
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True, eq=False)

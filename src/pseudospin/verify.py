@@ -12,7 +12,7 @@ violations at every seed: the ``clifford`` relations, ``correspondence`` over
 all basis pairs and ``grassmann``'s "graded Jacobi identity (Dirac)".
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 
@@ -68,14 +68,12 @@ class CheckResult:
     label: str
     violation: float
     limit: float
+    passed: bool = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "violation", float(self.violation))
         object.__setattr__(self, "limit", float(self.limit))
-
-    @property
-    def passed(self) -> bool:
-        return self.violation <= self.limit
+        object.__setattr__(self, "passed", self.violation <= self.limit)
 
 
 @dataclass(frozen=True)
@@ -83,11 +81,11 @@ class GroupResult:
     """Outcome of one invariant group."""
 
     name: str
+    passed: bool = field(init=False)
     checks: tuple[CheckResult, ...]
 
-    @property
-    def passed(self) -> bool:
-        return all(check.passed for check in self.checks)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "passed", all(check.passed for check in self.checks))
 
     @property
     def failures(self) -> tuple[CheckResult, ...]:

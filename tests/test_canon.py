@@ -543,6 +543,14 @@ def test_empty_stacks_transport_to_empty_stacks():
     assert transform_coefficients([], empty) == []
     assert plus_involution([], np.zeros((0, 6, 6))) == []
     assert pushforward_field(np.zeros((0, 3)), empty).shape == (0, 3)
+    # An empty sequence takes only an empty stack, as an empty field array does.
+    five = ComplexOrthogonal(np.stack([np.eye(3)] * 5))
+    with pytest.raises(ValueError, match=r"need 0 matrices, got shape \(5, 3, 3\)"):
+        transform_coefficients([], five)
+    with pytest.raises(ValueError):
+        plus_involution([], "junk")
+    with pytest.raises(ValueError, match=r"of its size; got \(0, 3\)"):
+        pushforward_field(np.zeros((0, 3)), five)
 
 
 def test_stacked_transports_refuse_an_entry_by_name():

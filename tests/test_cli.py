@@ -9,6 +9,7 @@ spectrum, interaction builder, deformed inner product).
 import argparse
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -1480,6 +1481,23 @@ def test_verify_perturbation_fails_located_group(tmp_path, capsys, monkeypatch, 
     assert summary["groups"][0]["checks"] == [
         {"label": "planted check", "violation": 1.0, "limit": 0.0, "passed": False}
     ]
+    # The key order at every level is the result dataclasses' field order.
+    assert list(summary) == ["seed", "passed", "groups"]
+    assert [list(group) for group in summary["groups"]] == [["name", "passed", "checks"]] * 2
+    assert {
+        tuple(check) for group in summary["groups"] for check in group["checks"]
+    } == {("label", "violation", "limit", "passed")}
+
+
+def test_verify_nan_violation_fails_its_check_and_group(capsys, monkeypatch):
+    planted = GroupResult("clifford", (CheckResult("planted check", math.nan, 0.0),))
+    record = dataclasses.asdict(planted)
+    assert record["passed"] is False
+    assert record["checks"][0]["passed"] is False
+    monkeypatch.setitem(GROUPS, "clifford", lambda seed=0: planted)
+    assert run(capsys, "verify", "--group", "clifford") == (
+        2, "FAIL clifford: planted check violation nan exceeds 0.000e+00\n", ""
+    )
 
 
 def test_verify_summary_json(tmp_path, capsys):

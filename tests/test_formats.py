@@ -198,6 +198,27 @@ def test_element_round_trip_survives_json_text():
     assert element_from_json(json.loads(text)).terms == f.terms
 
 
+@pytest.mark.parametrize(
+    "terms, canonical",
+    [
+        ([term(["xi1"], 1.0, 2.0), term(["xi1"], 2.0, -1.0)], [term(["xi1"], 3.0, 1.0)]),
+        ([term(["xi1"], 0.0), term([], 0.5)], [term([], 0.5)]),
+        ([term(["xi1"], 1.0, 2.0), term(["xi1"], -1.0, -2.0)], []),
+        ([term(["xi2"]), term(["xi1"], 2.0)], [term(["xi1"], 2.0), term(["xi2"])]),
+    ],
+    ids=["repeated monomial summed", "zero term dropped", "cancelling terms dropped",
+         "terms re-sorted"],
+)
+def test_accepted_element_files_round_trip_to_canonical_form(terms, canonical):
+    # The parser reads the terms as a sum, so these files are accepted although
+    # none equals its own round trip; that round trip is a fixed point.
+    blob = element_blob(*terms)
+    round_trip = element_to_json(element_from_json(blob))
+    assert round_trip != blob
+    assert round_trip == element_blob(*canonical)
+    assert element_to_json(element_from_json(round_trip)) == round_trip
+
+
 def test_element_token_names():
     blob = element_to_json(
         GrassmannElement.from_terms(

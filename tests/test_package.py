@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import pkgutil
 import re
 from pathlib import Path
 from types import FunctionType, ModuleType
@@ -80,11 +81,14 @@ def test_every_public_name_has_a_caller():
     assert [name for name in public_names() if name not in reached] == []
 
 
-# A build of each exported dataclass that holds an array, whose generated
-# __eq__ and __hash__ would raise on it.
+# A build of each exported dataclass or NamedTuple that holds an array, whose
+# generated (or tuple's) __eq__ and __hash__ would raise on it.
 ARRAY_HOLDERS = {
     "ComplexOrthogonal": lambda: pseudospin.random_orthogonal(3, seed=1),
     "HermitianCounterpart": lambda: pseudospin.hermitian_counterpart(
+        pseudospin.TwoSpinParams(0.5, 0.25, 1.0)
+    ),
+    "Isomorphism": lambda: pseudospin.paper_isomorphism(
         pseudospin.TwoSpinParams(0.5, 0.25, 1.0)
     ),
     "Metric": lambda: pseudospin.Metric(np.eye(2)),
@@ -95,11 +99,19 @@ ARRAY_HOLDERS = {
 }
 
 
+def field_types(value):
+    """The declared field types of a dataclass or a NamedTuple class, else none."""
+    if dataclasses.is_dataclass(value):
+        return [f.type for f in dataclasses.fields(value)]
+    if isinstance(value, type) and issubclass(value, tuple) and hasattr(value, "_fields"):
+        return list(value.__annotations__.values())
+    return []
+
+
 def test_every_array_holding_dataclass_is_listed():
     holders = [
         name for name in public_names()
-        if dataclasses.is_dataclass(cls := getattr(pseudospin, name))
-        and any("ndarray" in str(f.type) for f in dataclasses.fields(cls))
+        if any("ndarray" in str(t) for t in field_types(getattr(pseudospin, name)))
     ]
     assert holders == sorted(ARRAY_HOLDERS)
 
@@ -211,6 +223,17 @@ def test_ci_installs_every_declared_dependency_pinned():
     # scipy is the tests' independent oracle, not a runtime dependency.
     assert "scipy" in test and "scipy" not in runtime
     assert [name for name in runtime + test if name not in pinned] == []
+
+
+def test_console_script_and_package_list_resolve():
+    # CI imports the package from src/ and never installs it, so what an
+    # install would read from pyproject.toml is resolved here instead.
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    setuptools = pytest.importorskip("setuptools")
+    config = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    assert callable(pkgutil.resolve_name(config["project"]["scripts"]["pseudospin"]))
+    assert config["tool"]["setuptools"]["packages"]["find"] == {"where": ["src"]}
+    assert setuptools.find_packages(str(ROOT / "src")) == ["pseudospin"]
 
 
 def test_declared_numpy_floor_has_every_array_attribute_the_package_reads():
