@@ -40,6 +40,7 @@ import numpy as np
 
 from .formats import (
     element_from_json,
+    json_fields,
     matrix_to_json,
     vector_from_json,
     write_csv,
@@ -489,7 +490,7 @@ def cmd_verify(config: Mapping[str, Any]) -> int:
                 )
     passed = all(r.passed for r in results)
     if config["out"] is not None:
-        groups = [dataclasses.asdict(r) for r in results]
+        groups = [dataclasses.asdict(r, dict_factory=json_fields) for r in results]
         _emit(config, {"seed": config["seed"], "passed": passed, "groups": groups})
     return 0 if passed else 2
 

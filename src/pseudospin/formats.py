@@ -12,7 +12,8 @@ is the same element in canonical form.
 Tables come as one column per header name and go out as CSV or, a row at a
 time, as JSON.  Cells use the shortest round-trip float representation and
 "nan" for missing values; CSV rows end in a bare newline, so repeated runs
-are byte-identical across platforms.
+are byte-identical across platforms.  A JSON record built from dataclasses
+spells a non-finite float "nan", "inf" or "-inf".
 """
 
 import itertools
@@ -20,7 +21,7 @@ import json
 import math
 import re
 import sys
-from typing import IO, Any, Iterator, Sequence
+from typing import IO, Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -56,6 +57,11 @@ def complex_from_json(data: Any) -> complex:
         ):
             raise ValueError(f"{key} must be a finite number, got {part!r}")
     return complex(float(data["re"]), float(data["im"]))
+
+
+def json_fields(pairs: Iterable[tuple[str, Any]]) -> dict[str, Any]:
+    """``dataclasses.asdict``'s dict with a non-finite float spelled "nan", "inf" or "-inf"."""
+    return {k: repr(v) if isinstance(v, float) and not math.isfinite(v) else v for k, v in pairs}
 
 
 def matrix_to_json(matrix: np.ndarray) -> list[list[dict[str, float]]]:

@@ -22,6 +22,7 @@ rescaling all parameters by a power of two never changes the classification.
 
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple, TypeAlias
 
@@ -53,6 +54,8 @@ _SIGMA3_I = np.kron(PAULI[2], _IDENTITY2)
 _SIGMA_SIGMA = tuple(np.kron(sigma, sigma) for sigma in PAULI)
 # Total S_z of each basis state; conserving it leaves the 1+2+1 blocks.
 _TOTAL_SZ = np.array([1, 0, 0, -1])
+# The metric the partner u^-1 H u is hermitian for.
+_CANONICAL = Metric.identity(4)
 
 
 class NoMetricError(ValueError):
@@ -231,20 +234,27 @@ def _build_sz_conserving(
     return 0.25 * (a * _I_SIGMA3 + b * _SIGMA3_I) + exchange / 4.0
 
 
-def build_total(params: TwoSpinParams) -> OperatorMatrix:
+def build_total(params: TwoSpinParams | Sequence[TwoSpinParams]) -> OperatorMatrix:
     """Build the full two-spin Hamiltonian with z-fields and exchange.
 
     Args:
-        params: Model parameters.
+        params: Model parameters, or a sequence of them.
 
     Returns:
         The 4x4 matrix (1/4)[f3 I (x) sigma_3 + g3 sigma_3 (x) I +
         J sum_i sigma_i (x) sigma_i], the first spin on the fast tensor
         slot; diagonal corners (+-f_plus + J)/4, middle block
-        [[-f_minus - J, 2J], [2J, f_minus - J]]/4.
+        [[-f_minus - J, 2J], [2J, f_minus - J]]/4.  A sequence gives a
+        ``(k, 4, 4)`` stack, each entry with the bits of its own call.
     """
-    j = params.exchange
-    return _build_sz_conserving(params.f3, params.g3, (j, j, j))
+    single = isinstance(params, TwoSpinParams)
+    draws = [params] if single else list(params)
+    f3, g3, j = (
+        np.array([getattr(p, name) for p in draws]).reshape(-1, 1, 1)
+        for name in ("f3", "g3", "exchange")
+    )
+    total = _build_sz_conserving(f3, g3, (j, j, j))
+    return total[0] if single else total
 
 
 def closed_spectrum(params: TwoSpinParams) -> RegimeReport:
@@ -316,20 +326,20 @@ def damping_threshold(exchange: float, alpha: float) -> float:
     return exchange * (alpha * alpha + 1.0) / abs(alpha)
 
 
-def _frame_root(params: TwoSpinParams) -> float | None:
-    """Signed s on the dissipative branch, None on the hermitian; else NoMetricError."""
+def _frame_root(params: TwoSpinParams, at: str = "") -> float | None:
+    """Signed s on the dissipative branch, None on the hermitian; else NoMetricError + ``at``."""
     report = closed_spectrum(params)
     if not report.pseudo_hermitian:
         raise NoMetricError(
             "parameters violate the reality conditions "
             f"(f_plus={params.f_plus}, f_minus^2={params.f_minus**2}, "
-            f"margin={report.threshold_margin})"
+            f"margin={report.threshold_margin}){at}"
         )
     scale = _tolerance_scale(params)
     if abs(params.f_minus.imag) <= REGIME_TOL * scale:
         return None
     if report.threshold_margin <= REGIME_TOL * scale * scale:
-        raise NoMetricError("parameters sit at the exceptional point; no metric exists")
+        raise NoMetricError(f"parameters sit at the exceptional point; no metric exists{at}")
     return math.copysign(float(np.sqrt(report.threshold_margin)), params.exchange)
 
 
@@ -364,7 +374,7 @@ def hermitian_counterpart(params: TwoSpinParams) -> HermitianCounterpart:
     return HermitianCounterpart(matrix=matrix, b3=b3, c3=c3, j_tilde=j_tilde)
 
 
-def paper_isomorphism(params: TwoSpinParams) -> Isomorphism:
+def paper_isomorphism(params: TwoSpinParams | Sequence[TwoSpinParams]) -> Isomorphism:
     """Construct the explicit isomorphism onto the hermitian partner u^-1 H u.
 
     On the hermitian branch (|Im f_minus| within the ``REGIME_TOL`` band)
@@ -376,8 +386,12 @@ def paper_isomorphism(params: TwoSpinParams) -> Isomorphism:
     Gram matrix of the map, and both postconditions (the partner is
     hermitian, the metric hermitizes the original) are verified.
 
+    A sequence gives ``(k, 4, 4)`` stacks and a ``Metric`` stack, each entry
+    with the bits of its own call; an error names the first failing entry.
+
     Args:
-        params: Model parameters satisfying the reality conditions.
+        params: Model parameters satisfying the reality conditions, or a
+            sequence of them.
 
     Returns:
         An :class:`Isomorphism` (u, rho, partner).
@@ -386,22 +400,30 @@ def paper_isomorphism(params: TwoSpinParams) -> Isomorphism:
         NoMetricError: If the reality conditions fail or at the exceptional point.
         RuntimeError: If a verified postcondition fails numerically.
     """
-    root = _frame_root(params)
-    hamiltonian = build_total(params)
-    if root is None:
-        return Isomorphism(np.eye(4, dtype=complex), Metric.identity(4), hamiltonian)
-    j = params.exchange
-    u = np.eye(4, dtype=complex)
-    u[1, 1] = root / (2.0 * j)
-    u[1, 2] = -params.f_minus / (2.0 * j)
-    rho = metric_from_isomorphism(u)
-    partner = np.linalg.solve(u, hamiltonian @ u)
-    tol = METRIC_RESIDUAL_TOL * _tolerance_scale(params)
-    if np.max(np.abs(partner - partner.conj().T)) > tol:
-        raise RuntimeError("conjugated Hamiltonian failed the hermiticity check")
-    if not is_rho_hermitian(hamiltonian, rho, tol=tol * float(np.max(np.abs(rho.matrix)))):
-        raise RuntimeError("constructed metric failed to hermitize the Hamiltonian")
-    return Isomorphism(u, rho, partner)
+    single = isinstance(params, TwoSpinParams)
+    draws = [params] if single else list(params)
+    at = [""] if single else [f" at stack entry {k}" for k in range(len(draws))]
+    roots = [_frame_root(p, where) for p, where in zip(draws, at)]
+    hamiltonian = build_total(draws)
+    dissipative = np.array([root is not None for root in roots])
+    u = np.tile(np.eye(4, dtype=complex), (len(draws), 1, 1))
+    for k in np.flatnonzero(dissipative).tolist():
+        two_j = 2.0 * draws[k].exchange
+        u[k, 1, 1:3] = roots[k] / two_j, -draws[k].f_minus / two_j
+    # The identity entries come out as the identity, bit for bit; their
+    # partner is the model itself, which a solve would not keep bit for bit.
+    rho = metric_from_isomorphism(u[0] if single else u, _CANONICAL)
+    solved = np.linalg.solve(u, hamiltonian @ u)
+    partner = np.where(dissipative[:, None, None], solved, hamiltonian)
+    tol = METRIC_RESIDUAL_TOL * np.array([_tolerance_scale(p) for p in draws])
+    asymmetry = np.abs(partner - partner.conj().mT).max(axis=(-2, -1))
+    hermitized = is_rho_hermitian(hamiltonian, rho, tol * np.abs(rho.matrix).max(axis=(-2, -1)))
+    for k in np.flatnonzero(dissipative).tolist():
+        if asymmetry[k] > tol[k]:
+            raise RuntimeError("conjugated Hamiltonian failed the hermiticity check" + at[k])
+        if not hermitized[k]:
+            raise RuntimeError("constructed metric failed to hermitize the Hamiltonian" + at[k])
+    return Isomorphism(u[0], rho, partner[0]) if single else Isomorphism(u, rho, partner)
 
 
 def _require_sz_conserving(hamiltonian: OperatorMatrix) -> None:

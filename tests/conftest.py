@@ -1,4 +1,10 @@
-"""Name the kernels a test run computes on at the head of its log.
+"""Fix the hypothesis draws and name the kernels a test run computes on.
+
+Every ``@given`` test runs under the ``tier1`` profile unless another is
+named: derandomized, with no example database and no deadline, so two runs
+of one tree draw the same examples.  The ``explore`` profile draws fresh
+examples from the seed ``--hypothesis-seed`` gives (CI runs it with
+``-m hypothesis --hypothesis-profile=explore`` and prints the seed).
 
 The digests marked ``kernel_pin`` hold only on the kernels their markers
 name, so every log starts with the OpenBLAS kernel numpy's bundled build
@@ -10,6 +16,11 @@ import ctypes
 from pathlib import Path
 
 import numpy as np
+from hypothesis import settings
+
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.register_profile("explore", database=None, deadline=None)
+settings.load_profile("tier1")
 
 
 def _openblas_kernel() -> str:

@@ -24,6 +24,7 @@ from pseudospin.formats import (
     csv_cell,
     element_from_json,
     element_to_json,
+    json_fields,
     matrix_from_json,
     matrix_to_json,
     vector_from_json,
@@ -560,3 +561,15 @@ def test_write_json_exact_bytes():
 def test_write_json_rejects_what_json_cannot_hold(header, columns):
     with pytest.raises(ValueError):
         write_json(io.StringIO(), header, columns)
+
+
+def test_json_fields_spells_non_finite_floats_as_write_json_does():
+    pairs = [("nan", math.nan), ("inf", math.inf), ("ninf", -math.inf), ("zero", -0.0),
+             ("big", 1e308), ("n", 3), ("ok", True), ("label", "nan")]
+    assert json.dumps(json_fields(pairs), allow_nan=False) == (
+        '{"nan": "nan", "inf": "inf", "ninf": "-inf", "zero": -0.0, '
+        '"big": 1e+308, "n": 3, "ok": true, "label": "nan"}'
+    )
+    buffer = io.StringIO()
+    write_json(buffer, ["t"], [[math.nan]])
+    assert json.loads(buffer.getvalue()) == [json_fields([("t", math.nan)])]

@@ -134,13 +134,11 @@ def test_known_four_generator_product():
     assert lhs.terms == elem(XI[0], XI[1], CHI[0], CHI[1], c=-1.0).terms
 
 
-@settings(deadline=None)
 @given(elements, elements, elements)
 def test_multiply_associative(f, g, h):
     assert multiply(multiply(f, g), h).terms == multiply(f, multiply(g, h)).terms
 
 
-@settings(deadline=None)
 @given(elements, elements, elements)
 def test_multiply_distributive(f, g, h):
     lhs = multiply(f, g + h)
@@ -148,7 +146,6 @@ def test_multiply_distributive(f, g, h):
     assert lhs.terms == rhs.terms
 
 
-@settings(deadline=None)
 @given(words, words)
 def test_monomials_commute_family_wise(word_a, word_b):
     # Swapping two monomials costs one sign per same-family generator pair.
@@ -188,7 +185,6 @@ def test_left_derivative_known_values():
     assert left_derivative(g, XI[1]).terms == elem(CHI[0], XI[0], c=-1.0).terms
 
 
-@settings(deadline=None)
 @given(elements)
 def test_right_derivative_nilpotent(f):
     d1 = right_derivative(f, XI[0])
@@ -211,13 +207,11 @@ def test_star_sign_table():
     assert star_involution(f).terms == elem(XI[0], XI[1], CHI[0], CHI[1], c=2 - 1j).terms
 
 
-@settings(deadline=None)
 @given(elements)
 def test_star_is_involutive(f):
     assert star_involution(star_involution(f)).terms == f.terms
 
 
-@settings(deadline=None)
 @given(elements, elements)
 def test_star_reverses_products(f, g):
     lhs = star_involution(multiply(f, g))
@@ -318,7 +312,6 @@ def test_poisson_known_composites():
     ).terms
 
 
-@settings(deadline=None)
 @given(
     family_homogeneous(1, 0),
     family_homogeneous(0, 1),
@@ -332,7 +325,6 @@ def test_poisson_color_antisymmetry(f01, g10, h11):
         assert lhs.terms == rhs.terms
 
 
-@settings(deadline=None)
 @given(elements, elements, elements)
 def test_poisson_bilinear(f, g, h):
     lhs = graded_poisson(f + g, h)
@@ -343,7 +335,6 @@ def test_poisson_bilinear(f, g, h):
     assert lhs.terms == rhs.terms
 
 
-@settings(deadline=None)
 @given(family_homogeneous(1, 0), family_homogeneous(0, 1), elements)
 def test_poisson_color_leibniz(f, g, h):
     eps = commutation_factor(f.family_parity, g.family_parity)
@@ -532,7 +523,7 @@ def random_mixed_element(rng, algebra):
 
 
 @pytest.mark.parametrize("algebra", ORACLE_ALGEBRAS, ids=ORACLE_IDS)
-@settings(deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(data=st.data())
 def test_table_brackets_match_reference_exactly(algebra, data):
     # Gaussian-integer coefficients keep every float operation exact, so the
@@ -558,14 +549,14 @@ def test_table_brackets_match_reference_with_float_coefficients(algebra):
         assert oracle.close_within(dirac_bracket(f, g), reference_dirac(f, g), tol)
 
 
-@settings(deadline=None, max_examples=30)
+@settings(max_examples=30)
 @given(elements, elements)
 def test_dirac_unchanged_by_rescaled_constraints(f, g):
     doubled = [2 * phi for phi in canonical_constraints(ALG)]
     assert reference_dirac(f, g, doubled).terms == dirac_bracket(f, g).terms
 
 
-@settings(deadline=None, max_examples=30)
+@settings(max_examples=30)
 @given(elements, elements)
 def test_dirac_unchanged_by_recombined_constraints(f, g):
     # phi'_i = M_ij phi_j spans the same constraint surface, so A C^-1 B and
@@ -587,7 +578,7 @@ def test_dirac_unchanged_by_recombined_constraints(f, g):
 
 
 @pytest.mark.parametrize("algebra", oracle.ALGEBRAS, ids=oracle.ALGEBRA_IDS)
-@settings(deadline=None, max_examples=40)
+@settings(max_examples=40)
 @given(data=st.data())
 def test_bitmask_core_matches_tuple_reference(algebra, data):
     terms_f = data.draw(oracle.word_terms(algebra))

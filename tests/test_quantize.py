@@ -201,7 +201,7 @@ def test_constraint_reduce_known_values():
 
 
 @pytest.mark.parametrize("algebra", oracle.ALGEBRAS, ids=oracle.ALGEBRA_IDS)
-@settings(deadline=None, max_examples=40)
+@settings(max_examples=40)
 @given(data=st.data())
 def test_reduce_and_quantize_match_tuple_reference(algebra, data):
     terms = data.draw(oracle.word_terms(algebra, max_degree=7))
@@ -220,7 +220,7 @@ def test_reduce_and_quantize_match_tuple_reference(algebra, data):
 
 
 @pytest.mark.parametrize("algebra", oracle.ALGEBRAS, ids=oracle.ALGEBRA_IDS)
-@settings(deadline=None, max_examples=40)
+@settings(max_examples=40)
 @given(data=st.data())
 def test_constraint_reduce_contract(algebra, data):
     f = GrassmannElement.from_terms(

@@ -489,7 +489,7 @@ matcher_params = st.one_of(
 )
 
 
-@settings(deadline=None, max_examples=60, derandomize=True)
+@settings(max_examples=60)
 @given(st.lists(matcher_params, min_size=1, max_size=8), st.data())
 def test_stacked_matcher_matches_single_calls(draws, data):
     hamiltonians = np.array([build_total(p) for p in draws])
@@ -834,6 +834,99 @@ def test_one_frame_covers_the_whole_regime():
     assert min(checked.values()) >= 100, checked
 
 
+def mixed_draws(seed, count):
+    """Seeded draws and their kinds: on the hermitian branch (real fields,
+    either sign of J or none), on the dissipative one (alpha2 = -alpha1) and
+    on the dissipative one with Im f_plus inside the band
+    (alpha2 = -alpha1 (1 + 1e-11))."""
+    rng = np.random.default_rng(seed)
+    names = ["hermitian", "dissipative", "in-band"]
+    kinds = rng.choice(names, size=count).tolist()
+    draws = []
+    for kind in kinds:
+        j = float(rng.uniform(0.3, 2.0))
+        if kind == "hermitian":
+            f3, g3 = rng.normal(size=2).tolist()
+            draws.append(TwoSpinParams(f3, g3, j * float(rng.choice([-1.0, 0.0, 1.0]))))
+            continue
+        alpha = float(rng.uniform(0.1, 1.0))
+        amplitude = float(rng.uniform(0.05, 0.99)) * damping_threshold(j, alpha)
+        alpha2 = -alpha * (1.0 if kind == "dissipative" else 1.0 + 1e-11)
+        draws.append(TwoSpinParams.from_gilbert(amplitude, alpha, alpha2, j))
+    assert min(map(kinds.count, names)) >= count // 5, kinds
+    return draws, kinds
+
+
+def test_stacked_calls_match_single_calls_bit_for_bit():
+    draws, kinds = mixed_draws(32, 120)
+    totals = build_total(draws)
+    stack = paper_isomorphism(draws)
+    shape = (len(draws), 4, 4)
+    assert totals.shape == stack.u.shape == stack.partner.shape == stack.rho.matrix.shape == shape
+    identity = Metric.identity(4)
+    for k, (params, kind) in enumerate(zip(draws, kinds)):
+        single = paper_isomorphism(params)
+        assert totals[k].tobytes() == build_total(params).tobytes()
+        assert stack.u[k].tobytes() == single.u.tobytes()
+        assert stack.rho.matrix[k].tobytes() == single.rho.matrix.tobytes()
+        assert stack.rho.min_eigenvalue[k].hex() == single.rho.min_eigenvalue.hex()
+        assert stack.partner[k].tobytes() == single.partner.tobytes()
+        if kind == "hermitian":
+            # The identity frame and metric, and the model itself as partner.
+            assert single.u.tobytes() == identity.matrix.tobytes()
+            assert single.rho.matrix.tobytes() == identity.matrix.tobytes()
+            assert single.rho.min_eigenvalue == identity.min_eigenvalue
+            assert single.partner.tobytes() == build_total(params).tobytes()
+
+
+def test_single_calls_return_one_matrix_and_one_metric():
+    for params in (toy_params(1.0, 0.5), TwoSpinParams(1.2, 0.4, 1.0)):
+        assert build_total(params).shape == (4, 4)
+        u, rho, partner = paper_isomorphism(params)
+        assert u.shape == partner.shape == rho.matrix.shape == (4, 4)
+        assert type(rho) is Metric and type(rho.min_eigenvalue) is float
+    stack = paper_isomorphism([toy_params(1.0, 0.5)])
+    assert stack.u.shape == (1, 4, 4) and stack.rho.min_eigenvalue.shape == (1,)
+    assert build_total([]).shape == (0, 4, 4)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (toy_params(5.0, 0.5), "reality conditions"),
+        (toy_params(damping_threshold(1.0, 0.5), 0.5), "exceptional point"),
+    ],
+    ids=["outside", "exceptional_point"],
+)
+def test_stacked_isomorphism_names_the_entry_without_a_metric(bad, message):
+    good = [toy_params(1.0, 0.5), TwoSpinParams(1.2, 0.4, 1.0)]
+    with pytest.raises(NoMetricError, match=message) as single:
+        paper_isomorphism(bad)
+    with pytest.raises(NoMetricError) as stacked:
+        paper_isomorphism([*good, bad, bad])
+    assert str(stacked.value) == f"{single.value} at stack entry 2"
+
+
+def test_stacked_gates_name_the_first_failing_dissipative_entry(monkeypatch):
+    # A negative bound fails the partner gate wherever it runs: not on the
+    # hermitian branch, where H is hermitian only within the wider regime band.
+    hermitian, dissipative = TwoSpinParams(1.2, 0.4, 1.0), toy_params(1.0, 0.5)
+    monkeypatch.setattr(twospin, "METRIC_RESIDUAL_TOL", -1.0)
+    paper_isomorphism([hermitian, hermitian])
+    partner_failure = "conjugated Hamiltonian failed the hermiticity check"
+    with pytest.raises(RuntimeError, match=f"^{partner_failure}$"):
+        paper_isomorphism(dissipative)
+    with pytest.raises(RuntimeError, match=f"^{partner_failure} at stack entry 1$"):
+        paper_isomorphism([hermitian, dissipative, dissipative])
+    monkeypatch.undo()
+    monkeypatch.setattr(twospin, "is_rho_hermitian", lambda a, rho, tol: np.zeros(len(a), bool))
+    metric_failure = "constructed metric failed to hermitize the Hamiltonian"
+    with pytest.raises(RuntimeError, match=f"^{metric_failure}$"):
+        paper_isomorphism(dissipative)
+    with pytest.raises(RuntimeError, match=f"^{metric_failure} at stack entry 2$"):
+        paper_isomorphism([hermitian, hermitian, dissipative])
+
+
 # ---------------------------------------------------------------------------
 # dynamics
 
@@ -962,7 +1055,7 @@ def block_hamiltonians(draw):
     return hamiltonian
 
 
-@settings(deadline=None, max_examples=50)
+@settings(max_examples=50)
 @given(
     block_hamiltonians(),
     st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4),

@@ -8,8 +8,9 @@ last tests check that the groups' cached realizations equal fresh builds and
 cannot be written to, that the correspondence group's violation is the
 largest ``correspondence_check`` over all ordered pairs of its basis, computed
 once per process whatever the seed, that every result is the same whether a
-group runs cold or after other seeds, and that the ``pseudoherm`` group
-checks its metrics one stack at a time.
+group runs cold or after other seeds, that the ``pseudoherm`` group
+checks its metrics one stack at a time, and that the ``twospin`` group's
+stacked similarity check measures what one call per draw measures.
 """
 
 from itertools import combinations
@@ -20,6 +21,13 @@ import pytest
 from pseudospin import verify
 from pseudospin.grassmann import AlgebraSpec, GrassmannElement
 from pseudospin.quantize import correspondence_check, tensor_realization
+from pseudospin.twospin import (
+    TwoSpinParams,
+    build_total,
+    damping_threshold,
+    hermitian_counterpart,
+    paper_isomorphism,
+)
 
 ALGEBRAS = {
     "(3,)": AlgebraSpec((3,)),
@@ -219,3 +227,29 @@ def test_pseudoherm_checks_each_metric_stack_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     assert verify.check_pseudoherm(seed=0).passed
     assert len(shapes) <= 9, shapes
+
+
+def similarity_violation_per_draw(seed):
+    """The twospin group's "counterpart similarity on dissipative branch"
+    check with one call per draw, after the group's first two draws."""
+    rng = np.random.default_rng(seed)
+    verify._random_params(rng, 200)
+    verify._random_params(rng, 150)
+    worst = 0.0
+    for exchange, fraction in rng.uniform((0.6, 0.1), (1.6, 0.9), size=(25, 2)).tolist():
+        b_max = damping_threshold(exchange, 0.6)
+        params = TwoSpinParams.from_gilbert(fraction * b_max, 0.6, -0.6, exchange)
+        counterpart = hermitian_counterpart(params)
+        closed = np.sort(np.linalg.eigvals(build_total(params)).real)
+        partner = np.sort(np.linalg.eigvals(counterpart.matrix).real)
+        worst = max(worst, float(np.max(np.abs(closed - partner))))
+        similar = paper_isomorphism(params).partner
+        worst = max(worst, float(np.max(np.abs(similar - counterpart.matrix))))
+    return worst
+
+
+def test_stacked_similarity_check_matches_one_call_per_draw():
+    for seed in range(60):
+        checks = {check.label: check for check in verify.check_twospin(seed).checks}
+        stacked = checks["counterpart similarity on dissipative branch"].violation
+        assert stacked.hex() == similarity_violation_per_draw(seed).hex(), seed
