@@ -1,17 +1,16 @@
 """Complex orthogonal canonical transformations and their transport maps.
 
-Linear generator maps ``zeta = Lambda xi`` preserve the canonical bracket
-table exactly when ``Lambda Lambda^T = I`` with complex entries, so the
-canonical group is the complex orthogonal group.  ``ComplexOrthogonal``
-validates such a matrix, or an ``(m, n, n)`` stack of them, when it is
-built, as ``Metric`` does.  This module samples them as Cayley transforms
-and transports antisymmetric coefficient tables (by per-family minors of a
-block-diagonal ``Lambda``) and field vectors along them, one or a stack at
-a time: each stacked entry has the bits of its own call.
+Generator maps ``zeta = Lambda xi`` keep the canonical bracket table exactly
+when ``Lambda Lambda^T = I``.  By Cartan-Dieudonne such a Lambda is a product
+of at most n reflections ``R_v = I - 2 v v^T / (v^T v)`` (Lounesto, *Clifford
+Algebras and Spinors*, 2001), and ``ComplexOrthogonal`` holds those vectors.
+Coefficient tables (by per-family minors of a block-diagonal Lambda) and
+fields move one or a stack at a time, each entry with its own call's bits.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence, TypeAlias
 
 import numpy as np
@@ -26,10 +25,10 @@ __all__ = [
     "transform_coefficients",
 ]
 
-#: Max-norm tolerance on Lambda Lambda^T - I, per unit of ||Lambda||_1 ||Lambda||_inf.
-ORTHO_TOL = 1e-10
-#: Tolerance for snapping the determinant to +1 or -1, on the same scale.
-DET_TOL = 1e-8
+#: Largest |v|^2 / |v^T v| of a reflection vector: the computed v^T v carries a
+#: relative error up to n eps |v|^2 / |v^T v| (Higham 2002, section 3.1), which
+#: the cap keeps below n / 256.  The boost at theta = 30 has cosh 30 ~ 5.3e12.
+FACTOR_CAP = 1.0 / (256 * np.finfo(float).eps)
 #: Tolerance for the bilinear invariant F . F, per unit of the moved field's |F|^2.
 INVARIANT_TOL = 1e-10
 
@@ -39,88 +38,89 @@ FieldVector: TypeAlias = np.ndarray
 
 @dataclass(frozen=True, eq=False)
 class ComplexOrthogonal:
-    """Validated complex orthogonal matrix, or an ``(m, n, n)`` stack of them.
+    """The product ``R_{v_k} ... R_{v_1}`` of complex reflections, or a stack.
 
-    The stack is checked in one pass, the first failing entry named.
-    Instances compare and hash by identity, as ``Metric`` does.
+    Factor j is applied j-th, and an all-zero vector is an absent factor, so
+    products of different lengths share one array and composition is
+    concatenation along the factor axis.  The stack is checked in one pass,
+    the first failing entry named.  Instances compare and hash by identity.
 
     Attributes:
-        entries: A copy of the matrix (or stack), frozen read-only.
-        det: Determinant snapped to +1.0 or -1.0 (a read-only array for a
+        vectors: The ``(k, n)`` vectors (or ``(m, k, n)`` stack), copied read-only.
+        det: ``(-1)^k`` over the nonzero vectors (a read-only array for a
             stack); computed, not passed.
+        entries: The matrix (or ``(m, n, n)`` stack), multiplied out one
+            reflection at a time when first read; read-only.
 
     Raises:
-        ValueError: If the matrix is not square or not finite, its
-            ``s = ||Lambda||_1 ||Lambda||_inf`` (at least cond_2 of an
-            orthogonal Lambda) overflows or reaches ``1 / (n ORTHO_TOL)``, the
-            residual exceeds ``ORTHO_TOL * s``, or the determinant is not
-            within ``DET_TOL * s`` of +1 or -1.
+        ValueError: If the array is not ``(k, n)`` or ``(m, k, n)``, or a
+            vector is not finite or nonzero with ``|v|^2 / |v^T v|`` (inf at
+            ``v^T v = 0``) above ``FACTOR_CAP``.
     """
 
-    entries: np.ndarray
+    vectors: np.ndarray
     det: float | np.ndarray = field(init=False, default=1.0)
 
     def __post_init__(self) -> None:
-        entries = np.array(self.entries, dtype=complex)
-        if entries.ndim not in (2, 3) or entries.shape[-1] != entries.shape[-2]:
-            raise ValueError("expected a square matrix or a stack of them")
-        n, single = entries.shape[-1], entries.ndim == 2
-        stack = entries.reshape(-1, n, n)
-        for k in np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))[:1].tolist():
-            raise ValueError("matrix is not finite" + ("" if single else f" at stack entry {k}"))
-        with np.errstate(invalid="ignore", over="ignore"):  # an overflow is refused below
-            residuals = np.max(np.abs(stack @ stack.mT - np.eye(n)), axis=(1, 2))
-            dets = np.linalg.det(stack)
-            signs = np.where(dets.real < 0, -1.0, 1.0)
-            scales = np.linalg.matrix_norm(stack, ord=1) * np.linalg.matrix_norm(stack, ord=np.inf)
-        for k, (residual, det, sign, s) in enumerate(zip(residuals, dets, signs, scales)):
+        vectors = np.array(self.vectors, dtype=complex)
+        if vectors.ndim not in (2, 3):
+            raise ValueError("expected (k, n) reflection vectors or an (m, k, n) stack of them")
+        single = vectors.ndim == 2
+        stack = vectors[None] if single else vectors
+        finite, present = np.isfinite(stack).all(axis=-1), (stack != 0).any(axis=-1)
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):  # refused below
+            squares = np.sum(stack * stack, axis=-1)
+            ratios = np.sum(stack.real**2 + stack.imag**2, axis=-1) / np.abs(squares)
+        for k, j in np.argwhere(~finite | present & ~(ratios <= FACTOR_CAP))[:1].tolist():
+            problem = (
+                "is not finite" if not finite[k, j]
+                else "has v^T v = 0" if squares[k, j] == 0
+                else f"has |v|^2/|v^T v| = {ratios[k, j]:.3e} over {FACTOR_CAP:.1e}"
+            )
             at = "" if single else f" at stack entry {k}"
-            limit = ORTHO_TOL * s
-            if not math.isfinite(s):
-                raise ValueError("matrix norm overflows" + at)
-            # Past n * limit = 1 a passing residual no longer keeps Lambda Lambda^T invertible.
-            if not n * limit < 1.0:
-                raise ValueError(f"condition bound {s:.3e} exceeds {1 / (n * ORTHO_TOL):.1e}" + at)
-            if not residual <= limit:
-                raise ValueError(f"orthogonality residual {residual:.3e} exceeds {limit:.1e}" + at)
-            if not abs(det - sign) <= DET_TOL * s:
-                raise ValueError(f"determinant {det} is not close to +1 or -1" + at)
-        entries.setflags(write=False)
+            raise ValueError(f"reflection vector {j} {problem}" + at)
+        signs = np.where(present.sum(axis=-1) % 2, -1.0, 1.0)
+        vectors.setflags(write=False)
         signs.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "det", float(signs[0]) if single else signs)
 
+    @cached_property
+    def entries(self) -> np.ndarray:
+        *shape, k, n = self.vectors.shape
+        stack = self.vectors.reshape(math.prod(shape), k, n)
+        entries = np.tile(np.eye(n, dtype=complex), (len(stack), 1, 1))
+        for v in np.moveaxis(stack, 1, 0):
+            v = v[on := (v != 0).any(axis=-1)]
+            scale = (2.0 / np.sum(v * v, axis=-1))[:, None, None]
+            entries[on] = (np.eye(n) - v[:, :, None] * v[:, None, :] * scale) @ entries[on]
+        entries = entries.reshape(*shape, n, n)
+        entries.setflags(write=False)
+        return entries
 
-def random_orthogonal(n: int, seed: int | None = None) -> ComplexOrthogonal:
-    """Draw a random complex orthogonal matrix.
 
-    The matrix is the Cayley transform ``(I - A)^-1 (I + A)`` of a complex
-    antisymmetric ``A`` with independent real and imaginary parts, capped at
-    2-norm ``tanh(3/4)`` so that ``||Lambda||_2 <= e^1.5``; it is orthogonal
-    with determinant +1 by construction.  A reflection is applied with
-    probability one half, so both determinant components are sampled.
+def random_orthogonal(
+    n: int, seed: int | np.random.Generator | None = None, count: int | None = None
+) -> ComplexOrthogonal:
+    """Draw a random complex orthogonal transformation, or a stack of ``count``.
+
+    Each draw has 1 to n reflections, uniformly many, so both determinants
+    are sampled.  Each vector ``x + i y`` has standard normal parts, ``y``
+    scaled to ``|y|^2 <= |x|^2 / 8`` so that ``|v|^2 / |v^T v| <= 9 / 7``.
+    All factor counts are drawn, then all ``x``, then all ``y``.
 
     Args:
         n: Dimension.
-        seed: Seed for the underlying generator; None draws fresh entropy.
+        seed: Seed or generator for the draws; None draws fresh entropy.
+        count: Number of draws, returned as one stack; None draws one.
     """
-    return _random_orthogonals(np.random.default_rng(seed), n, None)
-
-
-def _random_orthogonals(rng: np.random.Generator, n: int, count: int | None) -> ComplexOrthogonal:
-    """A stack of ``count`` draws of :func:`random_orthogonal` from one
-    generator, with stacked linear algebra, or one matrix, drawn as a stack of
-    one, for None; each ``verify`` group passes its own generator."""
-    size = 1 if count is None else count
-    real, imag = np.moveaxis(rng.standard_normal((size, 2, n, n)), 1, 0)
-    gen = 0.5 * (real - real.mT) + 0.5j * (imag - imag.mT)
-    norm = np.linalg.norm(gen, 2, axis=(-2, -1))
-    cap = math.tanh(0.75)
-    over = norm > cap
-    gen[over] *= (cap / norm[over])[:, None, None]
-    entries = np.linalg.solve(np.eye(n) - gen, np.eye(n) + gen)
-    entries[rng.random(size) < 0.5, 0, :] *= -1.0
-    return ComplexOrthogonal(entries[0] if count is None else entries)
+    rng = np.random.default_rng(seed)
+    factors = rng.integers(1, n + 1, size=1 if count is None else count)
+    real, imag = rng.standard_normal((2, len(factors), n, n))
+    norms = np.sqrt(np.sum(real**2, axis=-1) / (8.0 * np.sum(imag**2, axis=-1)))
+    vectors = real + 1j * imag * np.minimum(1.0, norms)[..., None]
+    vectors[np.arange(n) >= factors[:, None]] = 0.0
+    return ComplexOrthogonal(vectors[0] if count is None else vectors)
 
 
 def pushforward_field(field: FieldVector, lam: ComplexOrthogonal) -> FieldVector:

@@ -20,8 +20,8 @@ import numpy as np
 
 from .canon import (
     ComplexOrthogonal,
-    _random_orthogonals,
     pushforward_field,
+    random_orthogonal,
     transform_coefficients,
 )
 from .grassmann import (
@@ -235,7 +235,7 @@ def check_grassmann(seed: int = 0) -> GroupResult:
 
     checks.append(CheckResult("graded Jacobi identity (Dirac)", _dirac_jacobi(algebra), 1e-12))
 
-    lams = _random_orthogonals(rng, 3, 100)
+    lams = random_orthogonal(3, rng, 100)
     reals = [g + star_involution(g) for g in _random_elements(rng, AlgebraSpec((3,)), 100)]
     moved = transform_coefficients(reals, lams)
     rho = lams.entries @ lams.entries.conj().mT
@@ -294,7 +294,7 @@ def check_quantize(seed: int = 0) -> GroupResult:
 
     base = _realization((3,), 1.0)
     worst = 0.0
-    lams = _random_orthogonals(rng, 3, 30)
+    lams = random_orthogonal(3, rng, 30)
     elements = _random_elements(rng, base.algebra, 30)
     for lam, f, g in zip(lams.entries, elements, transform_coefficients(elements, lams)):
         moved_gens = [sum(lam[k_, i] * base.gens[i] for i in range(3)) for k_ in range(3)]
@@ -313,23 +313,23 @@ def check_canon(seed: int = 0) -> GroupResult:
     rng = np.random.default_rng(seed)
     checks: list[CheckResult] = []
 
-    lams = _random_orthogonals(rng, 3, 50)
+    lams = random_orthogonal(3, rng, 50)
     worst = float(np.max(np.abs(lams.entries @ lams.entries.mT - np.eye(3))))
     checks.append(CheckResult("sampled complex orthogonality", worst, 1e-10))
     unsampled = float(len(set(lams.det.tolist())) != 2)
     checks.append(CheckResult("both determinant components sampled", unsampled, 0.0))
 
-    lams = _random_orthogonals(rng, 3, 200)
+    lams = random_orthogonal(3, rng, 200)
     fields = rng.normal(size=(200, 3))
     moved = pushforward_field(fields, lams)
     worst = max(abs(complex(m @ m) - complex(b @ b)) for m, b in zip(moved, fields))
     checks.append(CheckResult("bilinear field square invariance", worst, 1e-10))
 
-    firsts = _random_orthogonals(rng, 3, 30)
-    seconds = _random_orthogonals(rng, 3, 30)
+    firsts = random_orthogonal(3, rng, 30)
+    seconds = random_orthogonal(3, rng, 30)
     elements = _random_elements(rng, AlgebraSpec((3,)), 30)
     once = transform_coefficients(transform_coefficients(elements, firsts), seconds)
-    products = ComplexOrthogonal(seconds.entries @ firsts.entries)
+    products = ComplexOrthogonal(np.concatenate([firsts.vectors, seconds.vectors], axis=1))
     composed = transform_coefficients(elements, products)
     worst = max(0.0, *map(_element_diff, once, composed))
     checks.append(CheckResult("coefficient transport group action", worst, 1e-10))

@@ -1374,19 +1374,20 @@ def test_quantize_requires_element(capsys):
 # SHA-256 of ``verify --seed S`` stdout and of its ``--out`` summary, pinned
 # like EVOLVE_GOLDEN: the groups reach every layer, so a refactor anywhere
 # below the CLI must leave these bytes alone.  Seed 0 is the default.  The
-# pins were last re-recorded when the grassmann, quantize and canon groups
-# began drawing their orthogonal matrices from their own generator instead
-# of one generator per matrix: only the checks on those draws moved.
+# pins were last re-recorded when the orthogonal draws became products of
+# reflections: only the checks on those draws moved (grassmann's reality
+# transport, canon's orthogonality, field square and group action, and
+# quantize's covariance).
 VERIFY_GOLDEN = {
-    0: ("95cb08133f39c4fe672dd4d06e821f581241c386328bdb5043cc926b4cc207c0",
-        "5f80429e28b24ae9556060930e5960ab4382a4824a877484d501868c4dba5685"),
-    1: ("b6c9af508ba6997c44d90d65fb841616f337107ef90f299bb16b996a700ca054",
-        "22281d7fdd786a84b3802e49a9f0d2a540986e4813d8a9f1bedf291b7a12917d"),
-    7: ("9c8ecd99adf1bf82350f03cba339aea9aa8f2e0b7915dc6ecc0a7a748021e0b6",
-        "238e249ae575b90b897a2fcb9e0893625f707ac12312cb6a89b00156a059ebaf"),
+    0: ("d21ba2e82c9831d7357552e7d4804d77f8d3e33cf19b8b3693d697e4910515e8",
+        "f511fda2b7b83755bcae3c8cd50f612a1ea340ec743d93c80e49eaa2d7e8e07d"),
+    1: ("259e24e23111009df756b637ae22bde1662fb6d21c962502bce35a3869ba4823",
+        "9202a7edbaea30168ab0d10d2f91abfc0dcb61fe03c34109e2b8096f6af4e419"),
+    7: ("9c150de476032d8cdd1ef361dd42559a69f37203a19484fc3e06317a123e230d",
+        "4bcf655e6c13baff76b93913e21bd124f8ffab126f314e79761293c3eeefd6b6"),
     # The benchmark draws five-digit seeds, so one is pinned too.
-    98765: ("f69cd9cd5e6bfe5983a479d8f2fb5ff88ec4e4b02d360ea7a33b4f36a99739b4",
-            "e7b83e8f71489632dcd3c8ad54f7c767c09c39c2db3c9c6eaa53500e297ba0e8"),
+    98765: ("2d15a2604f44117b1692b2a6591e3e383d867d6a5fa124a58949d942e5a2d817",
+            "0817ea52023439bddd2c2ba33a42091f3084e89aad305c18243a3bf450b58ce8"),
 }
 
 

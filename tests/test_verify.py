@@ -3,7 +3,7 @@
 The groups draw their Grassmann elements as arrays and then build them
 through ``GrassmannElement.from_terms``; these tests record the terms handed
 to ``from_terms`` so the raw draws are checked before equal words merge.
-The complex orthogonal draws are recorded at ``_random_orthogonals``.  The
+The complex orthogonal draws are recorded at ``random_orthogonal``.  The
 last tests check that the groups' cached realizations equal fresh builds and
 cannot be written to, that the correspondence group's violation is the
 largest ``correspondence_check`` over all ordered pairs of its basis, computed
@@ -115,14 +115,14 @@ def test_orthogonal_draws_never_repeat_within_or_across_seeds(monkeypatch):
     # Each group draws its orthogonal matrices from its own generator, so no
     # matrix may recur in a seed's groups nor in a neighbouring seed's.
     draws = []
-    sample = verify._random_orthogonals
+    sample = verify.random_orthogonal
 
     def record(*args):
         lams = sample(*args)
         draws.extend(entry.tobytes() for entry in lams.entries)
         return lams
 
-    monkeypatch.setattr(verify, "_random_orthogonals", record)
+    monkeypatch.setattr(verify, "random_orthogonal", record)
     for seed in range(4):
         results = verify.run_groups(["grassmann", "quantize", "canon"], seed=seed)
         assert all(result.passed for result in results)
