@@ -63,11 +63,6 @@ class Metric:
         vars(entry).update(matrix=self.matrix[k], min_eigenvalue=float(self.min_eigenvalue[k]))
         return entry
 
-    @classmethod
-    def identity(cls, dim: int) -> "Metric":
-        """Return the canonical metric of the given dimension."""
-        return cls(np.eye(dim, dtype=complex))
-
     @property
     def dim(self) -> int:
         return self.matrix.shape[-1]

@@ -11,8 +11,8 @@ ordered product, which is what :func:`quantize` evaluates.
 """
 
 import math
-from dataclasses import dataclass, field
-from functools import reduce
+from collections.abc import Sequence
+from dataclasses import dataclass
 from typing import TypeAlias
 
 import numpy as np
@@ -20,7 +20,6 @@ import numpy as np
 from pseudospin.grassmann import (
     AlgebraSpec,
     GrassmannElement,
-    _bits,
     commutation_factor,
     constraint_reduce,
     dirac_bracket,
@@ -52,7 +51,7 @@ for _sigma in PAULI:
 class Realization:
     """Matrix images of the coordinate generators.
 
-    Instances compare and hash by identity: each holds its own image table.
+    Instances compare and hash by identity, since they hold arrays.
 
     Attributes:
         algebra: Coordinate-only algebra the images represent.
@@ -62,17 +61,12 @@ class Realization:
 
     Raises:
         ValueError: If ``hbar`` is not finite and positive, or the images
-            are not one square image per coordinate of the algebra.
+            are not one finite square image per coordinate of the algebra.
     """
 
     algebra: AlgebraSpec
     hbar: float
     gens: np.ndarray
-    # Coordinate monomial mask (bit i stands for gens[i]) -> ordered product
-    # of its generator images, filled by quantize on first use.
-    _images: dict[int, np.ndarray] = field(
-        default_factory=dict, init=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.hbar) and self.hbar > 0):
@@ -86,6 +80,8 @@ class Realization:
                 f" got {len(self.gens)} of shapes {shapes}"
             )
         gens = np.array(self.gens, dtype=complex)
+        if not np.isfinite(gens).all():
+            raise ValueError("generator images must be finite")
         gens.setflags(write=False)
         object.__setattr__(self, "gens", gens)
 
@@ -140,31 +136,45 @@ def tensor_realization(algebra: AlgebraSpec, hbar: float = 1.0) -> Realization:
     return Realization(AlgebraSpec(algebra.family_sizes), float(hbar), gens)
 
 
-def quantize(f: GrassmannElement, realization: Realization) -> OperatorMatrix:
-    """Map a Grassmann element to its operator matrix.
+def _image(images: dict[int, np.ndarray], mask: int, gens: np.ndarray) -> np.ndarray:
+    """The ordered product of ``mask``'s generator images (bit i is ``gens[i]``),
+    kept in ``images`` as its prefix's image times its highest generator's."""
+    image = images.get(mask)
+    if image is None:
+        top = mask.bit_length() - 1
+        image = images[mask] = _image(images, mask ^ (1 << top), gens) @ gens[top]
+    return image
+
+
+def quantize(
+    f: GrassmannElement | Sequence[GrassmannElement], realization: Realization
+) -> OperatorMatrix:
+    """Map a Grassmann element, or a sequence of them, to operator matrices.
 
     Momenta are eliminated first by :func:`constraint_reduce`; each
     coordinate monomial then maps to the ordered product of its generator
-    images and the unit to the identity.  Products are kept per realization,
-    so each monomial's image is multiplied out once.
+    images and the unit to the identity.  Each call builds every distinct
+    monomial image once, and keeps none: its prefix's image (up from the
+    identity) times its highest generator's image, the left fold's bits.
+
+    Returns:
+        The ``(dim, dim)`` matrix, or for a sequence an ``(m, dim, dim)``
+        stack, each entry with the bits of its own call.
 
     Raises:
-        ValueError: If the element's family sizes do not match the
+        ValueError: If an element's family sizes do not match the
             realization.
     """
-    if f.algebra.family_sizes != realization.algebra.family_sizes:
+    single = isinstance(f, GrassmannElement)
+    elements = [f] if single else list(f)
+    if any(g.algebra.family_sizes != realization.algebra.family_sizes for g in elements):
         raise ValueError("element and realization have different family sizes")
-    images = realization._images
-    out = np.zeros((realization.dim, realization.dim), dtype=complex)
-    for mask, coeff in constraint_reduce(f).by_mask.items():
-        image = images.get(mask)
-        if image is None:
-            identity = np.eye(realization.dim, dtype=complex)
-            factors = [realization.gens[b] for b in _bits(mask)]
-            image = images[mask] = reduce(np.matmul, factors, identity)
-            image.setflags(write=False)
-        out += coeff * image
-    return out
+    images = {0: np.eye(realization.dim, dtype=complex)}
+    out = np.zeros((len(elements), realization.dim, realization.dim), dtype=complex)
+    for entry, g in zip(out, elements):
+        for mask, coeff in constraint_reduce(g).by_mask.items():
+            entry += coeff * _image(images, mask, realization.gens)
+    return out[0] if single else out
 
 
 def check_relations(realization: Realization) -> float:
@@ -177,14 +187,15 @@ def check_relations(realization: Realization) -> float:
     gens = realization.gens
     families = np.array([g.family for g in realization.algebra.coordinates()])
     identity = np.eye(realization.dim)
-    worst = 0.0
+    worst = []
     for a, qa in enumerate(gens):
         left, right = qa @ gens, gens @ qa
         anti = left + right
         anti[a] -= realization.hbar * identity
         residual = np.where((families == families[a])[:, None, None], anti, left - right)
-        worst = max(worst, float(np.abs(residual).max()))
-    return worst
+        worst.append(np.abs(residual).max())
+    # np.max keeps a nan residual, which a Python max fold could drop.
+    return float(np.max(worst, initial=0.0))
 
 
 def correspondence_check(
@@ -200,13 +211,11 @@ def correspondence_check(
     bilinearly.  The correspondence is exact when both elements have degree
     at most two; the residual is still reported outside that range.
     """
-    q_f, q_g = (
-        [(p, quantize(part, realization)) for p, part in family_components(h).items()]
-        for h in (f, g)
-    )
-    bracket = quantize(dirac_bracket(f, g), realization)
+    parts_f, parts_g = family_components(f), family_components(g)
+    images = quantize([*parts_f.values(), *parts_g.values(), dirac_bracket(f, g)], realization)
+    bracket = images[-1]
     commutator = np.zeros(bracket.shape, dtype=complex)
-    for pf, qf in q_f:
-        for pg, qg in q_g:
+    for pf, qf in zip(parts_f, images):
+        for pg, qg in zip(parts_g, images[len(parts_f) :]):
             commutator += qf @ qg - commutation_factor(pf, pg) * qg @ qf
     return float(np.abs(commutator - 1j * realization.hbar * bracket).max())

@@ -54,8 +54,6 @@ _SIGMA3_I = np.kron(PAULI[2], _IDENTITY2)
 _SIGMA_SIGMA = tuple(np.kron(sigma, sigma) for sigma in PAULI)
 # Total S_z of each basis state; conserving it leaves the 1+2+1 blocks.
 _TOTAL_SZ = np.array([1, 0, 0, -1])
-# The metric the partner u^-1 H u is hermitian for.
-_CANONICAL = Metric.identity(4)
 
 
 class NoMetricError(ValueError):
@@ -412,7 +410,7 @@ def paper_isomorphism(params: TwoSpinParams | Sequence[TwoSpinParams]) -> Isomor
         u[k, 1, 1:3] = roots[k] / two_j, -draws[k].f_minus / two_j
     # The identity entries come out as the identity, bit for bit; their
     # partner is the model itself, which a solve would not keep bit for bit.
-    rho = metric_from_isomorphism(u[0] if single else u, _CANONICAL)
+    rho = metric_from_isomorphism(u[0] if single else u)
     solved = np.linalg.solve(u, hamiltonian @ u)
     partner = np.where(dissipative[:, None, None], solved, hamiltonian)
     tol = METRIC_RESIDUAL_TOL * np.array([_tolerance_scale(p) for p in draws])

@@ -91,8 +91,14 @@ class GroupResult:
         return tuple(check for check in self.checks if not check.passed)
 
 
+def _worst(values) -> float:
+    """The largest of ``values``, or 0.0 for none.  np.max keeps a nan,
+    which a Python max fold could drop: ``max(0.0, nan)`` is 0.0."""
+    return float(np.max(np.fromiter(values, float), initial=0.0))
+
+
 def _element_diff(left: GrassmannElement, right: GrassmannElement) -> float:
-    return max(map(abs, (left - right).by_mask.values()), default=0.0)
+    return _worst(map(abs, (left - right).by_mask.values()))
 
 
 def _from_term_runs(algebra, terms, sizes):
@@ -150,7 +156,7 @@ def _gaussian(rng, *shape):
 @lru_cache(maxsize=None)
 def _realization(sizes: tuple[int, ...], hbar: float) -> Realization:
     """One realization per process for each of this module's twelve
-    (structure, hbar) pairs, shared with its image table by every seed."""
+    (structure, hbar) pairs, shared by every seed."""
     return tensor_realization(AlgebraSpec(sizes), hbar=hbar)
 
 
@@ -166,7 +172,7 @@ def _correspondence_residuals() -> tuple[float, float, float]:
     basis = [GrassmannElement.unit(algebra)]
     basis += [GrassmannElement.from_terms(algebra, [(w, 1.0)]) for w in words]
     realizations = [_realization((3, 3), hbar) for hbar in (0.5, 1.0, 2.0)]
-    images = np.array([[quantize(m, r) for r in realizations] for m in basis])
+    images = np.stack([quantize(basis, r) for r in realizations], axis=1)
     parities = [m.family_parity for m in basis]
     brackets = {}  # i hbar Q({f, g}_D) at each hbar, once per distinct bracket
     worst = np.zeros(3)
@@ -174,7 +180,8 @@ def _correspondence_residuals() -> tuple[float, float, float]:
         row = [dirac_bracket(f, g) for g in basis[a:]]
         keys = [tuple(bracket.by_mask.items()) for bracket in row]
         fresh = {key: bracket for key, bracket in zip(keys, row) if key not in brackets}
-        brackets |= {k: [1j * r.hbar * quantize(b, r) for r in realizations] for k, b in fresh.items()}
+        stacks = [1j * r.hbar * quantize(list(fresh.values()), r) for r in realizations]
+        brackets |= {k: [stack[i] for stack in stacks] for i, k in enumerate(fresh)}
         signs = np.reshape([commutation_factor(p, q) for q in parities[a:]], (-1, 1, 1, 1))
         commutators = qf @ images[a:] - signs * images[a:] @ qf
         residuals = np.abs(commutators - np.array([brackets[key] for key in keys]))
@@ -185,18 +192,16 @@ def _correspondence_residuals() -> tuple[float, float, float]:
 @lru_cache(maxsize=None)
 def _dirac_jacobi(algebra: AlgebraSpec) -> float:
     """Seed-free: the Dirac bracket's Jacobi residual on six generators."""
-    worst = 0.0
     gens = list(algebra.coordinates()) + list(algebra.momenta())
     sample = [GrassmannElement.from_generator(algebra, g) for g in gens[:6]]
     # Each bracket once: {y, z}_D for every pair, then {x, {y, z}_D}_D.
     inner = {(y, z): dirac_bracket(sample[y], sample[z]) for y in range(6) for z in range(6)}
     outer = {(x, *yz): dirac_bracket(sample[x], inner[yz]) for x in range(6) for yz in inner}
-    for a, b, c in outer:
-        total = GrassmannElement.zero(algebra)
-        for xyz in ((a, b, c), (b, c, a), (c, a, b)):
-            total = total + outer[xyz]
-        worst = max(worst, _element_diff(total, GrassmannElement.zero(algebra)))
-    return worst
+    zero = GrassmannElement.zero(algebra)
+    return _worst(
+        _element_diff(zero + outer[a, b, c] + outer[b, c, a] + outer[c, a, b], zero)
+        for a, b, c in outer
+    )
 
 
 def check_grassmann(seed: int = 0) -> GroupResult:
@@ -205,33 +210,30 @@ def check_grassmann(seed: int = 0) -> GroupResult:
     algebra = AlgebraSpec((3, 3), momenta_attached=True)
     checks: list[CheckResult] = []
 
-    worst = 0.0
+    worst = []
     elements = _random_elements(rng, algebra, 120)
     for f, g, h in zip(elements[:40], elements[40:80], elements[80:]):
-        worst = max(worst, _element_diff((f * g) * h, f * (g * h)))
-        worst = max(worst, _element_diff((f + g) * h, f * h + g * h))
-    checks.append(CheckResult("product associativity and bilinearity", worst, 1e-12))
+        worst.append(_element_diff((f * g) * h, f * (g * h)))
+        worst.append(_element_diff((f + g) * h, f * h + g * h))
+    checks.append(CheckResult("product associativity and bilinearity", _worst(worst), 1e-12))
 
     coordinate_only = AlgebraSpec((3, 3))
-    worst = 0.0
+    worst = []
     elements = _random_elements(rng, algebra, 40) + _random_elements(rng, coordinate_only, 40)
     plus = plus_involution(elements[40:], np.broadcast_to(np.eye(6), (40, 6, 6)))
     for f, h, h_plus in zip(elements[:40], elements[40:], plus):
-        worst = max(worst, _element_diff(star_involution(star_involution(f)), f))
-        worst = max(worst, _element_diff(h_plus, star_involution(h)))
-    checks.append(CheckResult("star involution and plus at identity", worst, 1e-12))
+        worst.append(_element_diff(star_involution(star_involution(f)), f))
+        worst.append(_element_diff(h_plus, star_involution(h)))
+    checks.append(CheckResult("star involution and plus at identity", _worst(worst), 1e-12))
 
-    worst = 0.0
+    worst = []
     elements = _random_family_homogeneous(rng, algebra, rng.integers(0, 2, size=(60, 2)))
     for f, g in zip(elements[:30], elements[30:]):
         if f.is_zero() or g.is_zero():
             continue
         eps = commutation_factor(f.family_parity, g.family_parity)
-        worst = max(
-            worst,
-            _element_diff(graded_poisson(f, g), -eps * graded_poisson(g, f)),
-        )
-    checks.append(CheckResult("bracket color antisymmetry", worst, 1e-12))
+        worst.append(_element_diff(graded_poisson(f, g), -eps * graded_poisson(g, f)))
+    checks.append(CheckResult("bracket color antisymmetry", _worst(worst), 1e-12))
 
     checks.append(CheckResult("graded Jacobi identity (Dirac)", _dirac_jacobi(algebra), 1e-12))
 
@@ -239,7 +241,7 @@ def check_grassmann(seed: int = 0) -> GroupResult:
     reals = [g + star_involution(g) for g in _random_elements(rng, AlgebraSpec((3,)), 100)]
     moved = transform_coefficients(reals, lams)
     rho = lams.entries @ lams.entries.conj().mT
-    worst = max(0.0, *map(_element_diff, plus_involution(moved, rho), moved))
+    worst = _worst(map(_element_diff, plus_involution(moved, rho), moved))
     checks.append(CheckResult("reality transport star to plus", worst, 1e-9))
 
     return GroupResult("grassmann", tuple(checks))
@@ -248,7 +250,7 @@ def check_grassmann(seed: int = 0) -> GroupResult:
 @lru_cache(maxsize=None)
 def _relations_residual(sizes: tuple[int, ...]) -> float:
     """Seed-free: the worst :func:`check_relations` residual over three hbar."""
-    return max(check_relations(_realization(sizes, hbar)) for hbar in (0.5, 1.0, 2.0))
+    return _worst(check_relations(_realization(sizes, hbar)) for hbar in (0.5, 1.0, 2.0))
 
 
 def check_clifford(seed: int = 0) -> GroupResult:
@@ -275,35 +277,31 @@ def check_quantize(seed: int = 0) -> GroupResult:
     realization = _realization((3, 3), 1.0)
     checks: list[CheckResult] = []
 
-    worst = 0.0
-    for g in _random_elements(rng, realization.algebra, 50, max_degree=6):
-        f = g + star_involution(g)
-        matrix = quantize(f, realization)
-        worst = max(worst, float(np.max(np.abs(matrix - matrix.conj().T))))
+    elements = _random_elements(rng, realization.algebra, 50, max_degree=6)
+    matrices = quantize([g + star_involution(g) for g in elements], realization)
+    worst = float(np.max(np.abs(matrices - matrices.conj().mT)))
     checks.append(CheckResult("star-real elements quantize hermitian", worst, 1e-12))
 
-    worst = 0.0
     elements = _random_elements(rng, realization.algebra, 60, max_degree=4)
-    real, imag = rng.integers(-3, 4, size=(2, 30)).tolist()
-    for f, g, re, im in zip(elements[:30], elements[30:], real, imag):
-        a = complex(re, im)
-        combined = quantize(a * f + g, realization)
-        split = a * quantize(f, realization) + quantize(g, realization)
-        worst = max(worst, float(np.max(np.abs(combined - split))))
+    coeffs = [complex(re, im) for re, im in zip(*rng.integers(-3, 4, size=(2, 30)).tolist())]
+    combined = [a * f + g for a, f, g in zip(coeffs, elements[:30], elements[30:])]
+    images = quantize(combined + elements, realization)
+    worst = _worst(
+        np.abs(q - (a * qf + qg)).max()
+        for a, q, qf, qg in zip(coeffs, images[:30], images[30:60], images[60:])
+    )
     checks.append(CheckResult("linearity of the map", worst, 1e-12))
 
     base = _realization((3,), 1.0)
-    worst = 0.0
     lams = random_orthogonal(3, rng, 30)
     elements = _random_elements(rng, base.algebra, 30)
-    for lam, f, g in zip(lams.entries, elements, transform_coefficients(elements, lams)):
+    moved = transform_coefficients(elements, lams)
+    worst = []
+    for lam, g, qf in zip(lams.entries, moved, quantize(elements, base)):
         moved_gens = [sum(lam[k_, i] * base.gens[i] for i in range(3)) for k_ in range(3)]
         transported = Realization(base.algebra, base.hbar, moved_gens)
-        worst = max(
-            worst,
-            float(np.max(np.abs(quantize(g, transported) - quantize(f, base)))),
-        )
-    checks.append(CheckResult("covariance under transported realization", worst, 1e-10))
+        worst.append(np.abs(quantize(g, transported) - qf).max())
+    checks.append(CheckResult("covariance under transported realization", _worst(worst), 1e-10))
 
     return GroupResult("quantize", tuple(checks))
 
@@ -322,7 +320,7 @@ def check_canon(seed: int = 0) -> GroupResult:
     lams = random_orthogonal(3, rng, 200)
     fields = rng.normal(size=(200, 3))
     moved = pushforward_field(fields, lams)
-    worst = max(abs(complex(m @ m) - complex(b @ b)) for m, b in zip(moved, fields))
+    worst = _worst(abs(complex(m @ m) - complex(b @ b)) for m, b in zip(moved, fields))
     checks.append(CheckResult("bilinear field square invariance", worst, 1e-10))
 
     firsts = random_orthogonal(3, rng, 30)
@@ -331,7 +329,7 @@ def check_canon(seed: int = 0) -> GroupResult:
     once = transform_coefficients(transform_coefficients(elements, firsts), seconds)
     products = ComplexOrthogonal(np.concatenate([firsts.vectors, seconds.vectors], axis=1))
     composed = transform_coefficients(elements, products)
-    worst = max(0.0, *map(_element_diff, once, composed))
+    worst = _worst(map(_element_diff, once, composed))
     checks.append(CheckResult("coefficient transport group action", worst, 1e-10))
 
     return GroupResult("canon", tuple(checks))
@@ -358,15 +356,15 @@ def check_pseudoherm(seed: int = 0) -> GroupResult:
 
     dims = rng.integers(2, 6, size=100)
     plants = np.diag(0.25 + 0.5 * np.arange(5))
-    worst = 0.0
+    worst = []
     missing = 0
     for a, reports in _planted_reports(dims, plants, _gaussian(rng, 100, 5, 5)):
         found = np.array([report.metric is not None for report in reports])
         missing += int(np.count_nonzero(~found))
         rho = np.reshape([report.metric.matrix for report in reports[found]], a[found].shape)
-        worst = max(worst, float(np.max(_rho_residuals(a[found], rho), initial=0.0)))
+        worst.append(np.max(_rho_residuals(a[found], rho), initial=0.0))
     checks.append(CheckResult("planted real spectra yield metrics", float(missing), 0.0))
-    checks.append(CheckResult("constructed metric residual", worst, 1e-9))
+    checks.append(CheckResult("constructed metric residual", _worst(worst), 1e-9))
 
     dims = 2 * rng.integers(1, 3, size=100)
     blocks = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
@@ -389,7 +387,7 @@ def check_pseudoherm(seed: int = 0) -> GroupResult:
     lhs = eta_inner((u @ x)[..., 0], (u @ a @ np.linalg.inv(u) @ (u @ y))[..., 0], rho)
     rhs = eta_inner(x[..., 0], (a @ y)[..., 0], eta)
     # Python's complex abs is C hypot; np.abs differs in the last bit.
-    worst = max(abs(l - r) / (1.0 + abs(r)) for l, r in zip(lhs.tolist(), rhs.tolist()))
+    worst = _worst(abs(l - r) / (1.0 + abs(r)) for l, r in zip(lhs.tolist(), rhs.tolist()))
     checks.append(CheckResult("isometry transport of matrix elements", worst, 1e-8))
 
     return GroupResult("pseudoherm", tuple(checks))

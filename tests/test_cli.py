@@ -27,7 +27,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pseudospin import cli
+from pseudospin import cli, verify
 from pseudospin.cli import (
     EVOLVE_COLUMNS,
     SPECTRUM_COLUMNS,
@@ -1531,6 +1531,25 @@ def test_verify_out_spells_non_finite_violations(tmp_path, capsys, monkeypatch):
     assert summary["passed"] is False
 
 
+def test_verify_out_reports_a_nan_planted_among_finite_matrices(tmp_path, capsys, monkeypatch):
+    # One nan entry in the first matrix of each stacked quantize call fails
+    # every quantize check, spelled "nan", where a Python max fold would drop it.
+    quantize = verify.quantize
+
+    def planted(*args):
+        matrices = quantize(*args)
+        matrices.flat[:1] = math.nan
+        return matrices
+
+    monkeypatch.setattr(verify, "quantize", planted)
+    summary_path = tmp_path / "summary.json"
+    code, out, err = run(capsys, "verify", "--group", "quantize", "--out", str(summary_path))
+    assert (code, err) == (2, "")
+    assert out.count("FAIL quantize: ") == 3 and "violation nan exceeds" in out
+    checks = json.loads(summary_path.read_text())["groups"][0]["checks"]
+    assert [check["violation"] for check in checks] == ["nan"] * 3
+
+
 def test_verify_summary_json(tmp_path, capsys):
     summary_path = tmp_path / "summary.json"
     code, _, _ = run(
@@ -1773,7 +1792,8 @@ def test_missing_subcommand_exits_one():
 
 
 def test_import_builds_no_layout_bracket_table_or_image_table(tmp_path):
-    # Layouts, bracket tables and image tables are filled on first use, so
+    # Layouts and bracket tables are filled on first use, and realizations,
+    # whose images each quantize call multiplies out, are built on demand, so
     # importing the CLI (the benchmark's setup_s) builds none of them; and
     # with scipy blocked from import, every subcommand and every verify group
     # still runs: the package needs numpy alone.

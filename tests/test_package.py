@@ -167,6 +167,30 @@ def package_trees():
     }
 
 
+# Every private name one module of the package imports from another, pinned
+# so that a new cross-module private import edits this list on purpose.
+PRIVATE_IMPORTS = [
+    "canon imports grassmann._substitute",
+    "cli imports twospin._agreement_bounds",
+    "cli imports twospin._euclidean_norms",
+    "verify imports pseudoherm._rho_residuals",
+    "verify imports twospin._tolerance_scale",
+]
+
+
+def test_cross_module_private_imports_are_pinned():
+    found = [
+        f"{name.removesuffix('.py')} imports {node.module.rsplit('.', 1)[-1]}.{alias.name}"
+        for name, tree in package_trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").startswith("pseudospin."))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert sorted(found) == PRIVATE_IMPORTS
+
+
 def test_evolution_needs_no_scipy_and_cond_cap_serves_diagnose_alone():
     trees = package_trees()
     # No module names scipy: the package needs numpy alone.

@@ -46,7 +46,7 @@ def test_metric_validation(monkeypatch):
         Metric(np.diag([1.0, -2.0]))
     with pytest.raises(ValueError):
         Metric(np.diag([1.0, 0.0]))
-    m = Metric.identity(3)
+    m = Metric(np.eye(3))
     assert m.dim == 3
     assert m.min_eigenvalue == pytest.approx(1.0)
     with pytest.raises(ValueError):
@@ -54,7 +54,7 @@ def test_metric_validation(monkeypatch):
     # A metric compares by identity, as its matrix has no one truth value;
     # so does a diagnosis that carries one.
     assert m == m
-    assert Metric.identity(2) != Metric.identity(2)
+    assert Metric(np.eye(2)) != Metric(np.eye(2))
     assert diagnose(np.diag([1.0, 2.0])) != diagnose(np.diag([1.0, 2.0]))
     # A stack is checked in one eigvalsh call, and each entry gets the bits
     # of its own call; metric[k] is a read-only view, not checked again.
@@ -122,7 +122,7 @@ def test_metric_hermiticity_gate_is_relative_to_its_entries(entry, asymmetry, ac
 
 def test_eta_inner_reduces_to_canonical_product():
     rng = np.random.default_rng(0)
-    eta = Metric.identity(4)
+    eta = Metric(np.eye(4))
     for _ in range(20):
         x = random_matrix(rng, 4)[0]
         y = random_matrix(rng, 4)[0]
@@ -149,10 +149,10 @@ def test_eta_inner_sesquilinear_and_positive():
 
 def test_eta_inner_dimension_mismatch():
     with pytest.raises(ValueError):
-        eta_inner(np.ones(3), np.ones(4), Metric.identity(4))
+        eta_inner(np.ones(3), np.ones(4), Metric(np.eye(4)))
     for x, y in ((np.ones((5, 3)), np.ones((5, 4))), (np.ones(4), np.ones((5, 3)))):
         with pytest.raises(ValueError, match="state dimensions must match the metric"):
-            eta_inner(x, y, Metric.identity(4))
+            eta_inner(x, y, Metric(np.eye(4)))
 
 
 def test_eta_inner_stacked_entries_equal_single_calls_bit_for_bit():
@@ -192,7 +192,7 @@ def test_deformed_norm_of_boost_metric():
 def test_rho_adjoint_identity_metric_is_dagger():
     rng = np.random.default_rng(2)
     a = random_matrix(rng, 4)
-    assert np.allclose(rho_adjoint(a, Metric.identity(4)), a.conj().T, atol=ATOL)
+    assert np.allclose(rho_adjoint(a, Metric(np.eye(4))), a.conj().T, atol=ATOL)
 
 
 def test_rho_adjoint_is_involutive():
@@ -242,7 +242,7 @@ def test_is_rho_hermitian_matches_definition():
 
 def test_rho_adjoint_dimension_mismatch():
     with pytest.raises(ValueError):
-        rho_adjoint(np.eye(3), Metric.identity(4))
+        rho_adjoint(np.eye(3), Metric(np.eye(4)))
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +277,7 @@ def test_metric_from_isomorphism_rejects_singular():
     with pytest.raises(ValueError):
         metric_from_isomorphism(np.ones((2, 3)))
     with pytest.raises(ValueError):
-        metric_from_isomorphism(np.eye(3), Metric.identity(4))
+        metric_from_isomorphism(np.eye(3), Metric(np.eye(4)))
     with pytest.raises(ValueError, match="invertible"):
         metric_from_isomorphism(np.array([np.eye(2), np.diag([1.0, 0.0])]))
     with pytest.raises(ValueError, match="square"):

@@ -7,6 +7,7 @@ with the Dirac bracket is swept over every low-degree monomial pair.
 
 import itertools
 import math
+from functools import reduce
 
 import grassmann_oracle as oracle
 import numpy as np
@@ -24,6 +25,7 @@ from pseudospin.grassmann import (
 from pseudospin.quantize import (
     PAULI,
     Realization,
+    _image,
     check_relations,
     correspondence_check,
     quantize,
@@ -98,6 +100,16 @@ def test_relations_locate_a_faulty_last_generator(sizes, hbar, mixed):
     assert residual > 1e-7 * hbar
 
 
+@pytest.mark.parametrize("sizes", [(3,), (3, 3), (2, 4)], ids=str)
+def test_relations_of_an_overflowing_realization_are_not_finite(sizes):
+    # Images scaled by 1e200 multiply out to inf, and inf - inf is nan: the
+    # fold over generator rows must keep it rather than report 0.0.
+    base = tensor_realization(AlgebraSpec(sizes))
+    huge = Realization(base.algebra, base.hbar, base.gens * 1e200)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not math.isfinite(check_relations(huge))
+
+
 def test_realization_respects_hbar_scale():
     for hbar in (0.5, 1.0, 2.0):
         real = tensor_realization(AlgebraSpec((3,)), hbar)
@@ -151,12 +163,16 @@ def test_realization_validation():
         (dict(gens=(*PAULI[:2], np.eye(4))), r"got 3 of shapes \[\(2, 2\), \(4, 4\)\]$"),
         (dict(gens=np.ones((3, 2, 3))), r"got 3 of shapes \[\(2, 3\)\]$"),
         (dict(gens=np.ones((4, 2, 2))), r"expected 3 square .*, got 4 of shapes \[\(2, 2\)\]$"),
+        (dict(gens=(*PAULI[:2], np.full((2, 2), math.nan))), "^generator images must be finite$"),
         (dict(hbar=-1.0), "hbar"),
         (dict(hbar=0.0), "hbar"),
         (dict(hbar=math.nan), "hbar"),
         (dict(hbar=math.inf), "hbar"),
     ],
-    ids=["image count", "image shape", "non-square", "too many", "negative", "zero", "nan", "inf"],
+    ids=[
+        "image count", "image shape", "non-square", "too many", "non-finite image",
+        "negative", "zero", "nan", "inf",
+    ],
 )
 def test_realization_validates_on_construction(bad, match):
     fields = dict(algebra=AlgebraSpec((3,)), hbar=1.0, gens=PAULI)
@@ -181,7 +197,7 @@ def test_realization_holds_a_frozen_copy_of_its_images():
 
 
 def test_realizations_compare_and_hash_by_identity():
-    # Each realization owns its image table, so two built alike stay distinct.
+    # Realizations hold arrays, so two built alike stay distinct.
     first = tensor_realization(AlgebraSpec((3,)))
     second = tensor_realization(AlgebraSpec((3,)))
     assert (first == second) is False
@@ -213,8 +229,8 @@ def test_reduce_and_quantize_match_tuple_reference(algebra, data):
     )
     real = tensor_realization(algebra, hbar=hbar)
     expect = oracle.quantize(algebra, ref_f, real).tobytes()
-    # Twice: the first call fills the realization's image table, the second
-    # reads it back.
+    # Twice: each call builds its images afresh, so the second call repeats
+    # the first's bits.
     assert quantize(f, real).tobytes() == expect
     assert quantize(f, real).tobytes() == expect
 
@@ -242,19 +258,67 @@ def test_constraint_reduce_contract(algebra, data):
     assert quantize(f, real).tobytes() == quantize(reduced, real).tobytes()
 
 
-def test_one_image_table_per_realization():
+def test_one_image_table_per_call():
     # The same element written with and without momenta in its algebra has
-    # the same coordinate monomials, so both fill and read one table.
+    # the same coordinate monomials, so one stacked call maps both alike, to
+    # the bits of a call on either alone.
     real = tensor_realization(AlgebraSpec((3, 3)), hbar=0.5)
-    matrices = []
+    elements = []
     for algebra in (AlgebraSpec((3, 3), momenta_attached=True), AlgebraSpec((3, 3))):
         xi = [algebra.coordinate(0, i) for i in range(3)]
         chi = [algebra.coordinate(1, i) for i in range(3)]
         words = [((), 0.5), ((xi[0], chi[1]), 2.0 - 1.0j), ((xi[2], xi[0], xi[1]), 1.0j),
                  ((chi[2],), -1.5)]
-        matrices.append(quantize(GrassmannElement.from_terms(algebra, words), real))
-    assert matrices[0].tobytes() == matrices[1].tobytes()
-    assert len(real._images) == len(words)
+        elements.append(GrassmannElement.from_terms(algebra, words))
+    stack = quantize(elements, real)
+    assert stack.shape == (2, 4, 4)
+    assert stack[0].tobytes() == stack[1].tobytes() == quantize(elements[0], real).tobytes()
+
+
+@pytest.mark.parametrize("algebra", oracle.ALGEBRAS, ids=oracle.ALGEBRA_IDS)
+@settings(max_examples=20)
+@given(data=st.data())
+def test_stacked_quantize_matches_one_call_per_element(algebra, data):
+    # Elements written with and without momenta share one realization.
+    twin = AlgebraSpec(algebra.family_sizes, momenta_attached=not algebra.momenta_attached)
+    elements = [
+        GrassmannElement.from_terms(alg, data.draw(oracle.word_terms(alg)))
+        for alg in data.draw(st.lists(st.sampled_from([algebra, twin]), max_size=6))
+    ]
+    real = tensor_realization(algebra, hbar=data.draw(st.sampled_from([0.5, 1.0, 2.0])))
+    stack = quantize(elements, real)
+    assert stack.shape == (len(elements), real.dim, real.dim)
+    assert [entry.tobytes() for entry in stack] == [quantize(f, real).tobytes() for f in elements]
+    assert quantize([], real).shape == (0, real.dim, real.dim)
+    # One element of another family structure, anywhere, refuses the call.
+    stranger = GrassmannElement.unit(AlgebraSpec((*algebra.family_sizes, 1)))
+    at = data.draw(st.integers(0, len(elements)))
+    with pytest.raises(ValueError, match="different family sizes"):
+        quantize([*elements[:at], stranger, *elements[at:]], real)
+
+
+@pytest.mark.parametrize("sizes", [(12,), (6, 6)], ids=str)
+def test_prefix_built_images_match_the_left_fold(sizes):
+    # Each monomial's image is its prefix's image times one generator image,
+    # which is the left fold from the identity bit for bit, on every monomial
+    # of degree <= 3 (one stacked call, so the prefixes are shared).  The
+    # images themselves are compared too: a one-generator image taken as the
+    # generator's own array would keep its -0.0 entries, which identity @ g
+    # does not, though adding into the zero matrix erases the difference.
+    algebra = AlgebraSpec(sizes)
+    real = tensor_realization(algebra, hbar=0.5)
+    gens = list(algebra.coordinates())
+    words = [w for k in range(4) for w in itertools.combinations(range(len(gens)), k)]
+    monomials = [elem(*(gens[i] for i in w), algebra=algebra) for w in words]
+    identity = np.eye(real.dim, dtype=complex)
+    images = {0: identity}
+    for word, f, matrix in zip(words, monomials, quantize(monomials, real), strict=True):
+        fold = reduce(np.matmul, [real.gens[i] for i in word], identity)
+        (mask,) = f.by_mask
+        assert _image(images, mask, real.gens).tobytes() == fold.tobytes(), word
+        expect = np.zeros_like(identity)
+        expect += 1.0 * fold
+        assert matrix.tobytes() == expect.tobytes(), word
 
 
 def test_quantize_monomials_and_linearity():

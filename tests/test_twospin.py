@@ -863,7 +863,7 @@ def test_stacked_calls_match_single_calls_bit_for_bit():
     stack = paper_isomorphism(draws)
     shape = (len(draws), 4, 4)
     assert totals.shape == stack.u.shape == stack.partner.shape == stack.rho.matrix.shape == shape
-    identity = Metric.identity(4)
+    identity = Metric(np.eye(4))
     for k, (params, kind) in enumerate(zip(draws, kinds)):
         single = paper_isomorphism(params)
         assert totals[k].tobytes() == build_total(params).tobytes()
@@ -1083,7 +1083,7 @@ def test_transition_series_matches_pointwise_calls():
         rho = (
             paper_isomorphism(params).rho
             if params is not undamped
-            else Metric.identity(4)
+            else Metric(np.eye(4))
         )
         hamiltonian = build_total(params)
         # The reference loop: one np.vdot per product and Python's abs.

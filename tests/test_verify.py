@@ -9,10 +9,12 @@ cannot be written to, that the correspondence group's violation is the
 largest ``correspondence_check`` over all ordered pairs of its basis, computed
 once per process whatever the seed, that every result is the same whether a
 group runs cold or after other seeds, that the ``pseudoherm`` group
-checks its metrics one stack at a time, and that the ``twospin`` group's
-stacked similarity check measures what one call per draw measures.
+checks its metrics one stack at a time, that the ``twospin`` group's
+stacked similarity check measures what one call per draw measures, and that
+a nan planted in any measured value fails its check.
 """
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -253,3 +255,74 @@ def test_stacked_similarity_check_matches_one_call_per_draw():
         checks = {check.label: check for check in verify.check_twospin(seed).checks}
         stacked = checks["counterpart similarity on dissipative branch"].violation
         assert stacked.hex() == similarity_violation_per_draw(seed).hex(), seed
+
+
+def plant_nan(value):
+    """``value`` with a nan in its first coefficient, entry or list item."""
+    if isinstance(value, GrassmannElement):
+        return value + GrassmannElement.from_terms(value.algebra, [((), math.nan)])
+    if isinstance(value, list):
+        return [plant_nan(value[0]), *value[1:]]
+    value = np.array(value)
+    value.flat[:1] = math.nan
+    return value
+
+
+@pytest.fixture
+def fresh_caches():
+    """Seed-free results computed from planted values must not outlive the test."""
+    clear_caches()
+    yield
+    clear_caches()
+
+
+# (group, the name in verify whose every result gets a nan, the checks that fail)
+PLANTS = [
+    ("grassmann", "_random_elements", [
+        "product associativity and bilinearity",
+        "star involution and plus at identity",
+        "reality transport star to plus",
+    ]),
+    ("grassmann", "graded_poisson", ["bracket color antisymmetry"]),
+    ("grassmann", "dirac_bracket", ["graded Jacobi identity (Dirac)"]),
+    ("canon", "pushforward_field", ["bilinear field square invariance"]),
+    ("canon", "transform_coefficients", ["coefficient transport group action"]),
+    ("correspondence", "quantize", [
+        f"bracket correspondence at hbar={hbar}" for hbar in (0.5, 1.0, 2.0)
+    ]),
+    ("quantize", "quantize", [
+        "star-real elements quantize hermitian",
+        "linearity of the map",
+        "covariance under transported realization",
+    ]),
+    ("pseudoherm", "_rho_residuals", ["constructed metric residual"]),
+    ("pseudoherm", "eta_inner", ["isometry transport of matrix elements"]),
+    ("twospin", "evolve", ["deformed norm conserved over [0, 100]"]),
+]
+
+
+@pytest.mark.parametrize("group, name, labels", PLANTS, ids=[f"{g}-{n}" for g, n, _ in PLANTS])
+def test_a_planted_nan_fails_its_checks(monkeypatch, fresh_caches, group, name, labels):
+    # Each planted value sits among finite ones, where a Python max fold,
+    # max(0.0, nan) == 0.0, would drop it and pass.
+    original = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda *args: plant_nan(original(*args)))
+    failures = verify.GROUPS[group](seed=0).failures
+    assert [check.label for check in failures] == labels
+    assert all(math.isnan(check.violation) for check in failures)
+
+
+def test_an_overflowing_realization_fails_the_clifford_group(monkeypatch, fresh_caches):
+    # Images scaled by 1e200 at hbar = 1 alone: their products overflow and
+    # inf - inf is nan, which the fold over the three hbar must keep.
+    build = verify.tensor_realization
+
+    def overflowing(algebra, hbar):
+        real = build(algebra, hbar=hbar)
+        return real if hbar != 1.0 else verify.Realization(real.algebra, hbar, real.gens * 1e200)
+
+    monkeypatch.setattr(verify, "tensor_realization", overflowing)
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = verify.check_clifford(seed=0)
+    assert len(result.failures) == 4
+    assert all(not math.isfinite(check.violation) for check in result.failures)
