@@ -11,9 +11,9 @@ is the same element in canonical form.
 
 Tables come as one column per header name and go out as CSV or, a row at a
 time, as JSON.  Cells use the shortest round-trip float representation and
-"nan" for missing values; CSV rows end in a bare newline, so repeated runs
-are byte-identical across platforms.  A JSON record built from dataclasses
-spells a non-finite float "nan", "inf" or "-inf".
+spell a non-finite float "nan", "inf" or "-inf", as a JSON record built from
+dataclasses does (:func:`json_fields`); CSV rows end in a bare newline, so
+repeated runs are byte-identical across platforms.
 """
 
 import itertools
@@ -266,15 +266,14 @@ def write_json(
 ) -> None:
     """Write ``json.dumps(rows, indent=2) + "\\n"``, one row object at a time.
 
-    Rows are keyed by the header names and hold scalars; a float nan cell is
-    written as "nan".  Raises ValueError on a table :func:`write_csv` refuses,
-    or on an infinite cell.
+    Rows are keyed by the header names and hold scalars; a non-finite float
+    cell is spelled "nan", "inf" or "-inf", as :func:`json_fields` spells a
+    record's.  Raises ValueError on a table :func:`write_csv` refuses.
     """
     _check_table(header, columns)
     # The C encoder, with indent=2's layout of a flat object as its separator.
     encode = json.JSONEncoder(separators=(",\n    ", ": "), allow_nan=False).encode
     for start, row in zip(itertools.chain(["[\n"], itertools.repeat(",\n")), zip(*columns)):
-        cells = {key: "nan" if isinstance(cell, float) and math.isnan(cell) else cell
-                 for key, cell in zip(header, row)}
+        cells = json_fields(zip(header, row))
         stream.write(start + "  {\n    " + encode(cells)[1:-1] + "\n  }")
     stream.write("\n]\n" if len(columns[0]) else "[]\n")

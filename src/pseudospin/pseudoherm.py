@@ -9,8 +9,8 @@ exists and, when it does, builds one explicitly from the eigenvectors.
 
 All functions are pure and operate on plain numpy arrays plus the validated
 :class:`Metric` / :class:`Diagnosis` value types, so they can be mapped over
-parameter sweeps without shared state.  All take ``(..., n, n)`` stacks, as
-``Metric`` does, each entry with its own call's bits.
+parameter sweeps without shared state.  Each takes ``(..., n, n)`` stacks and
+returns one result of stacked arrays, each entry with its own call's bits.
 """
 
 from dataclasses import dataclass, field
@@ -31,8 +31,7 @@ METRIC_RESIDUAL_TOL = 1e-10
 class Metric:
     """A hermitian positive-definite matrix defining an inner product.
 
-    A ``(..., n, n)`` stack is checked in one pass, the first failing entry
-    named; ``metric[k]``, entry k of a one-axis stack, is not checked again.
+    A ``(..., n, n)`` stack is checked in one pass, the first failing entry named.
 
     Attributes:
         matrix: The metric entries; validated finite, hermitian (to
@@ -58,11 +57,6 @@ class Metric:
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "min_eigenvalue", low if low.ndim else float(low))
 
-    def __getitem__(self, k: int) -> "Metric":
-        entry = object.__new__(Metric)  # a view into this checked stack
-        vars(entry).update(matrix=self.matrix[k], min_eigenvalue=float(self.min_eigenvalue[k]))
-        return entry
-
     @property
     def dim(self) -> int:
         return self.matrix.shape[-1]
@@ -86,24 +80,26 @@ def _metric_failures(matrix: np.ndarray) -> tuple[np.ndarray, list[str | None]]:
     ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Diagnosis:
     """Outcome of a pseudo-hermiticity diagnosis.
 
     Attributes:
-        spectrum: Eigenvalues sorted by (real, imaginary) part.
+        spectrum: Eigenvalues sorted by (real, imaginary) part; rows of an
+            ``(..., n)`` array for a stack, whose flags are ``(...)`` arrays.
         spectrum_real: Whether every eigenvalue satisfies
             ``|Im| <= REALITY_TOL * max|A|``, A the diagnosed operator.
         diagonalizable: Whether the eigenvector matrix is numerically
             invertible (condition number within ``COND_CAP``) and the constructed
             metric verified internally.
         metric: A metric rendering the operator hermitian; present exactly
-            when ``spectrum_real and diagonalizable``.
+            when ``spectrum_real and diagonalizable``.  For a stack, one
+            ``(k, n, n)`` stack of those entries' metrics, in C order.
     """
 
-    spectrum: tuple[complex, ...]
-    spectrum_real: bool
-    diagonalizable: bool
+    spectrum: tuple[complex, ...] | np.ndarray
+    spectrum_real: bool | np.ndarray
+    diagonalizable: bool | np.ndarray
     metric: Metric | None
 
 
@@ -211,7 +207,7 @@ def metric_from_isomorphism(u: OperatorMatrix, eta: Metric | None = None) -> Met
     return Metric(0.5 * (rho + rho.conj().mT))
 
 
-def diagnose(a: OperatorMatrix) -> Diagnosis | np.ndarray:
+def diagnose(a: OperatorMatrix) -> Diagnosis:
     """Decide whether an operator admits a positive metric, and build one.
 
     The spectrum is computed first; the operator is metric-compatible
@@ -233,14 +229,20 @@ def diagnose(a: OperatorMatrix) -> Diagnosis | np.ndarray:
         a: Operator matrix to classify, shape ``(n, n)`` or ``(..., n, n)``.
 
     Returns:
-        A :class:`Diagnosis` for one matrix; otherwise an object array of
-        the leading shape holding one per matrix.  The metric is present
-        exactly when ``spectrum_real and diagonalizable``.
+        One :class:`Diagnosis`: of scalars and a ``Metric`` or None for one
+        matrix, of stacked arrays and one ``Metric`` stack for a stack.
+
+    Raises:
+        ValueError: If ``a`` is not a non-empty square matrix or stack, or
+            holds a non-finite entry (its stack entry named).
     """
     a = np.asarray(a, dtype=complex)
-    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1] or not a.shape[-1]:
         raise ValueError("operator must be a square matrix")
     stack = a.reshape(-1, *a.shape[-2:])
+    for k in np.flatnonzero(~np.isfinite(stack).all(axis=(-2, -1)))[:1].tolist():
+        at = "" if a.ndim == 2 else f" at stack entry {k}"
+        raise ValueError("operator entries must be finite" + at)
     values, vectors = np.linalg.eig(stack)
     order = np.lexsort((values.imag, values.real))
     values = np.take_along_axis(values, order, -1)
@@ -260,10 +262,10 @@ def diagnose(a: OperatorMatrix) -> Diagnosis | np.ndarray:
     except ValueError:  # a candidate failed Metric's checks: only it gets none
         passing = [failure is None for failure in _metric_failures(candidates)[1]]
         keep, checked = keep[passing], Metric(candidates[passing])
-    metrics = {k: checked[j] for j, k in enumerate(keep.tolist())}
-    reports = np.empty(len(stack), dtype=object)
-    for k, spectrum in enumerate(values.tolist()):
-        real, metric = bool(spectrum_real[k]), metrics.get(k)
-        diag = bool(diagonalizable[k]) and (metric is not None or not real)
-        reports[k] = Diagnosis(tuple(spectrum), real, diag, metric)
-    return reports[0] if a.ndim == 2 else reports.reshape(a.shape[:-2])
+    diagonalizable[ok] = False  # a real spectrum without a metric is not diagonalizable
+    diagonalizable[keep] = True
+    flags = spectrum_real.reshape(a.shape[:-2]), diagonalizable.reshape(a.shape[:-2])
+    if a.ndim > 2:
+        return Diagnosis(values.reshape(a.shape[:-1]), *flags, checked)
+    metric = Metric(checked.matrix[0]) if len(keep) else None
+    return Diagnosis(tuple(values[0].tolist()), *map(bool, flags), metric)

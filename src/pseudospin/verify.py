@@ -339,7 +339,7 @@ def _planted_reports(dims, plants, r):
     """Conjugate draw k's plant by ``t = I + r``, both cut to the leading
     ``dims[k]`` corner of their blocks (``plants`` broadcasts against ``r``),
     with ``r`` capped at 2-norm 1/2 so that cond(t) <= 3, and diagnose the
-    results in one stack per dimension: ``(operators, diagnoses)`` stacks."""
+    results in one stack per dimension: ``(operators, diagnosis)`` pairs."""
     plants = np.broadcast_to(plants, r.shape)
     for dim in sorted(set(dims.tolist())):
         plant, t = plants[dims == dim, :dim, :dim], r[dims == dim, :dim, :dim]
@@ -358,11 +358,10 @@ def check_pseudoherm(seed: int = 0) -> GroupResult:
     plants = np.diag(0.25 + 0.5 * np.arange(5))
     worst = []
     missing = 0
-    for a, reports in _planted_reports(dims, plants, _gaussian(rng, 100, 5, 5)):
-        found = np.array([report.metric is not None for report in reports])
+    for a, d in _planted_reports(dims, plants, _gaussian(rng, 100, 5, 5)):
+        found = d.spectrum_real & d.diagonalizable
         missing += int(np.count_nonzero(~found))
-        rho = np.reshape([report.metric.matrix for report in reports[found]], a[found].shape)
-        worst.append(np.max(_rho_residuals(a[found], rho), initial=0.0))
+        worst.append(np.max(_rho_residuals(a[found], d.metric.matrix), initial=0.0))
     checks.append(CheckResult("planted real spectra yield metrics", float(missing), 0.0))
     checks.append(CheckResult("constructed metric residual", _worst(worst), 1e-9))
 
@@ -370,7 +369,7 @@ def check_pseudoherm(seed: int = 0) -> GroupResult:
     blocks = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
     plants = (0.5 + rng.uniform(size=100))[:, None, None] * blocks
     reports = _planted_reports(dims, plants, _gaussian(rng, 100, 4, 4))
-    found = sum(report.metric is not None for _, stack in reports for report in stack)
+    found = sum(len(d.metric.matrix) for _, d in reports)
     checks.append(CheckResult("complex plants yield no metric", float(found), 0.0))
 
     a, g = _gaussian(rng, 2, 30, 4, 4)
@@ -418,8 +417,7 @@ def check_twospin(seed: int = 0) -> GroupResult:
             continue
         flags.append(report.pseudo_hermitian)
         kept.append(params)
-    reports = diagnose(build_total(kept))
-    mismatches = sum(flag != r.spectrum_real for flag, r in zip(flags, reports))
+    mismatches = np.count_nonzero(diagnose(build_total(kept)).spectrum_real != flags)
     checks.append(CheckResult("regime flag matches diagnosis", float(mismatches), 0.0))
 
     draws = [

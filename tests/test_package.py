@@ -85,6 +85,7 @@ def test_every_public_name_has_a_caller():
 # generated (or tuple's) __eq__ and __hash__ would raise on it.
 ARRAY_HOLDERS = {
     "ComplexOrthogonal": lambda: pseudospin.random_orthogonal(3, seed=1),
+    "Diagnosis": lambda: pseudospin.diagnose(np.eye(2)),
     "HermitianCounterpart": lambda: pseudospin.hermitian_counterpart(
         pseudospin.TwoSpinParams(0.5, 0.25, 1.0)
     ),
@@ -122,6 +123,52 @@ def test_array_holding_dataclasses_compare_and_hash_by_identity(name):
     assert type(first) is getattr(pseudospin, name)
     assert first == first and (first == second) is False
     assert hash(first) == hash(first) and len({first, second}) == 2
+
+
+def held_arrays(value):
+    """The arrays a result is, or holds in its dataclass or tuple fields."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from held_arrays(getattr(value, f.name))
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from held_arrays(item)
+
+
+def test_stacked_calls_return_no_object_arrays():
+    # A stacked call returns one result of stacked arrays, never an array of
+    # per-entry objects; and no module builds an object past its checks.
+    rng = np.random.default_rng(2)
+    algebra = pseudospin.AlgebraSpec((3,))
+    xi = list(algebra.coordinates())
+    elements = [pseudospin.GrassmannElement.from_generator(algebra, gen) for gen in xi]
+    draws = [pseudospin.TwoSpinParams(0.5, 0.25, 1.0 + k) for k in range(3)]
+    hamiltonians = pseudospin.build_total(draws)
+    closed = np.array([pseudospin.closed_spectrum(p).eigenvalues for p in draws])
+    g = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+    metrics = pseudospin.Metric(g @ g.conj().mT + np.eye(4))
+    lam = pseudospin.random_orthogonal(3, 1, 3)
+    results = {
+        "quantize": pseudospin.quantize(elements, pseudospin.tensor_realization(algebra)),
+        "build_total": hamiltonians,
+        "paper_isomorphism": pseudospin.paper_isomorphism(draws),
+        "matched_eigenvalues": pseudospin.matched_eigenvalues(hamiltonians, closed),
+        "diagnose": pseudospin.diagnose(hamiltonians),
+        "random_orthogonal": lam,
+        "Metric": metrics,
+        "metric_from_isomorphism": pseudospin.metric_from_isomorphism(g + 3.0 * np.eye(4)),
+        "pushforward_field": pseudospin.pushforward_field(rng.normal(size=(3, 3)), lam),
+        "eta_inner": pseudospin.eta_inner(g[:, 0], g[:, 1], metrics),
+        "rho_adjoint": pseudospin.rho_adjoint(g, metrics),
+        "is_rho_hermitian": pseudospin.is_rho_hermitian(g, metrics),
+    }
+    held = {name: [a.dtype for a in held_arrays(result)] for name, result in results.items()}
+    assert [name for name, dtypes in held.items() if not dtypes] == []
+    assert [name for name, dtypes in held.items() if np.dtype(object) in dtypes] == []
+    readers = [name for name, tree in package_trees().items() if "__new__" in mentioned_names(tree)]
+    assert readers == []
 
 
 def test_every_public_method_has_a_caller():

@@ -52,12 +52,12 @@ def test_metric_validation(monkeypatch):
     with pytest.raises(ValueError):
         m.matrix[0, 0] = 2.0
     # A metric compares by identity, as its matrix has no one truth value;
-    # so does a diagnosis that carries one.
+    # so does a diagnosis, whose fields may be arrays.
     assert m == m
     assert Metric(np.eye(2)) != Metric(np.eye(2))
     assert diagnose(np.diag([1.0, 2.0])) != diagnose(np.diag([1.0, 2.0]))
     # A stack is checked in one eigvalsh call, and each entry gets the bits
-    # of its own call; metric[k] is a read-only view, not checked again.
+    # of its own call.
     rng = np.random.default_rng(1)
     g = rng.normal(size=(20, 4, 4)) + 1j * rng.normal(size=(20, 4, 4))
     matrices = g @ g.conj().mT + 0.1 * np.eye(4)
@@ -66,16 +66,13 @@ def test_metric_validation(monkeypatch):
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
     stack = Metric(matrices)
-    entries = [stack[k] for k in range(20)]
     assert len(calls) == 1
     assert stack.dim == 4 and stack.min_eigenvalue.shape == (20,)
-    for single, entry in zip(singles, entries):
-        assert type(entry.min_eigenvalue) is float
-        assert entry.min_eigenvalue.hex() == single.min_eigenvalue.hex()
-        assert entry.matrix.tobytes() == single.matrix.tobytes()
-        assert np.shares_memory(entry.matrix, stack.matrix)
-        with pytest.raises(ValueError, match="read-only"):
-            entry.matrix[0, 0] = 2.0
+    for k, single in enumerate(singles):
+        assert stack.min_eigenvalue[k].hex() == single.min_eigenvalue.hex()
+        assert stack.matrix[k].tobytes() == single.matrix.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        stack.matrix[0, 0, 0] = 2.0
     # One failing entry refuses the stack with its check's message, naming it.
     skewed = matrices[7].copy()
     skewed[0, 1] += 1e-3
@@ -206,10 +203,11 @@ def test_rho_adjoint_is_involutive():
     g = 0.5 * (rng.normal(size=(20, 4, 4)) + 1j * rng.normal(size=(20, 4, 4)))
     rhos = Metric(g @ g.conj().mT + np.eye(4))
     a = rng.normal(size=(20, 4, 4)) + 1j * rng.normal(size=(20, 4, 4))
-    paired, shared = rho_adjoint(a, rhos), rho_adjoint(a, rhos[0])
+    first = Metric(rhos.matrix[0])
+    paired, shared = rho_adjoint(a, rhos), rho_adjoint(a, first)
     for k in range(20):
-        assert paired[k].tobytes() == rho_adjoint(a[k], rhos[k]).tobytes()
-        assert shared[k].tobytes() == rho_adjoint(a[k], rhos[0]).tobytes()
+        assert paired[k].tobytes() == rho_adjoint(a[k], Metric(rhos.matrix[k])).tobytes()
+        assert shared[k].tobytes() == rho_adjoint(a[k], first).tobytes()
 
 
 def test_is_rho_hermitian_matches_definition():
@@ -229,7 +227,9 @@ def test_is_rho_hermitian_matches_definition():
     ops = np.array([candidate, candidate, candidate + 0.1j * np.eye(3)])
     verdicts = is_rho_hermitian(ops, rhos, tol=1e-10)
     assert verdicts.tolist() == [True, False, False]
-    assert verdicts.tolist() == [is_rho_hermitian(ops[k], rhos[k], tol=1e-10) for k in range(3)]
+    assert verdicts.tolist() == [
+        is_rho_hermitian(ops[k], Metric(rhos.matrix[k]), tol=1e-10) for k in range(3)
+    ]
     # The residual of a stack has, entry by entry, the bits of its own pair.
     for dim in (2, 3, 4, 5):
         a = rng.normal(size=(50, dim, dim)) + 1j * rng.normal(size=(50, dim, dim))
@@ -262,13 +262,15 @@ def test_metric_from_isomorphism_trivial_cases():
     us = rng.normal(size=(20, 4, 4)) + 1j * rng.normal(size=(20, 4, 4)) + 3.0 * np.eye(4)
     g = 0.5 * (rng.normal(size=(20, 4, 4)) + 1j * rng.normal(size=(20, 4, 4)))
     etas = Metric(g @ g.conj().mT + np.eye(4))
-    cases = ((None, lambda k: None), (etas, etas.__getitem__), (etas[0], lambda k: etas[0]))
+    first = Metric(etas.matrix[0])
+    cases = ((None, lambda k: None), (etas, lambda k: Metric(etas.matrix[k])),
+             (first, lambda k: first))
     for eta, eta_of in cases:
         stacked = metric_from_isomorphism(us, eta)
         for k in range(20):
             single = metric_from_isomorphism(us[k], eta_of(k))
-            assert stacked[k].matrix.tobytes() == single.matrix.tobytes()
-            assert stacked[k].min_eigenvalue.hex() == single.min_eigenvalue.hex()
+            assert stacked.matrix[k].tobytes() == single.matrix.tobytes()
+            assert stacked.min_eigenvalue[k].hex() == single.min_eigenvalue.hex()
 
 
 def test_metric_from_isomorphism_rejects_singular():
@@ -351,6 +353,13 @@ def test_diagnose_zero_matrix_is_real():
     report = diagnose(np.zeros((3, 3)))
     assert report.spectrum_real and report.diagonalizable
     assert np.array_equal(report.metric.matrix, np.eye(3))
+    # A non-finite or empty operator is refused by name, not by numpy.
+    with pytest.raises(ValueError, match="^operator entries must be finite$"):
+        diagnose(np.diag([1.0, np.inf]))
+    with pytest.raises(ValueError, match="^operator entries must be finite at stack entry 1$"):
+        diagnose(np.stack([np.eye(2), [[np.nan, 0.0], [0.0, 1.0]]]))
+    with pytest.raises(ValueError, match="square"):
+        diagnose(np.zeros((0, 0)))
 
 
 def test_diagnose_jordan_block():
@@ -421,20 +430,29 @@ def test_diagnose_stacked_entries_equal_single_calls_bit_for_bit(monkeypatch):
         planted.append(t @ np.diag(rng.normal(size=2)) @ np.linalg.inv(t))
     operators = np.array(named + planted + [random_matrix(rng, 2) for _ in range(40)])
     stacked = diagnose(operators)
-    assert isinstance(stacked, np.ndarray) and stacked.shape == (83,)
-    assert diagnose(operators.reshape(83, 1, 2, 2)).shape == (83, 1)
+    assert type(stacked) is Diagnosis
+    assert stacked.spectrum.shape == (83, 2)
+    assert stacked.spectrum_real.shape == stacked.diagonalizable.shape == (83,)
+    found = stacked.spectrum_real & stacked.diagonalizable
+    assert stacked.metric.matrix.shape == (np.count_nonzero(found), 2, 2)
+    shaped = diagnose(operators.reshape(83, 1, 2, 2))
+    assert shaped.spectrum.shape == (83, 1, 2) and shaped.diagonalizable.shape == (83, 1)
+    assert shaped.metric.matrix.tobytes() == stacked.metric.matrix.tobytes()
+    # No entry of the stack has a metric: an empty metric stack.
+    assert diagnose(operators[:1]).metric.matrix.shape == (0, 2, 2)
+    row = np.cumsum(found) - 1  # the metric row of each found entry
     branches = set()
-    for a, report in zip(operators, stacked):
+    for k, a in enumerate(operators):
         single = diagnose(a)
-        assert type(single) is Diagnosis
-        assert np.array(report.spectrum).tobytes() == np.array(single.spectrum).tobytes()
-        assert (report.spectrum_real, report.diagonalizable) == (
+        assert type(single) is Diagnosis and type(single.spectrum) is tuple
+        assert stacked.spectrum[k].tobytes() == np.array(single.spectrum).tobytes()
+        assert (stacked.spectrum_real[k], stacked.diagonalizable[k]) == (
             single.spectrum_real, single.diagonalizable
         )
-        assert (report.metric is None) == (single.metric is None)
+        assert found[k] == (single.metric is not None)
         if single.metric is not None:
-            assert report.metric.matrix.tobytes() == single.metric.matrix.tobytes()
-            assert report.metric.min_eigenvalue == single.metric.min_eigenvalue
+            assert stacked.metric.matrix[row[k]].tobytes() == single.metric.matrix.tobytes()
+            assert stacked.metric.min_eigenvalue[row[k]].hex() == single.metric.min_eigenvalue.hex()
         cond = np.linalg.cond(np.linalg.eig(a)[1])
         branches.add((single.spectrum_real, single.diagonalizable, bool(cond <= COND_CAP)))
     # metric, complex, Jordan block, rejected candidate metric
@@ -443,8 +461,8 @@ def test_diagnose_stacked_entries_equal_single_calls_bit_for_bit(monkeypatch):
     # A candidate that passes the residual gate but fails Metric's check
     # (here an eigvalsh made to report it non-positive) gets no metric and
     # is not diagonalizable; the other candidates of its stack keep theirs.
-    k = next(k for k, report in enumerate(stacked) if report.metric is not None)
-    refused = stacked[k].metric.matrix
+    k = int(np.flatnonzero(found)[0])
+    refused = stacked.metric.matrix[0]
     eigvalsh = np.linalg.eigvalsh
 
     def refuse(m):
@@ -453,16 +471,12 @@ def test_diagnose_stacked_entries_equal_single_calls_bit_for_bit(monkeypatch):
         return values
 
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-    rerun = diagnose(operators)
-    for report in (rerun[k], diagnose(operators[k])):
-        assert (report.spectrum_real, report.diagonalizable) == (True, False)
-        assert report.metric is None
-    for j, report in enumerate(rerun):
-        if j != k:
-            assert report.diagonalizable == stacked[j].diagonalizable
-            assert (report.metric is None) == (stacked[j].metric is None)
-            if report.metric is not None:
-                assert report.metric.matrix.tobytes() == stacked[j].metric.matrix.tobytes()
+    rerun, single = diagnose(operators), diagnose(operators[k])
+    assert (single.spectrum_real, single.diagonalizable, single.metric) == (True, False, None)
+    assert (rerun.spectrum_real[k], rerun.diagonalizable[k]) == (True, False)
+    others = np.arange(83) != k
+    assert rerun.diagonalizable[others].tolist() == stacked.diagonalizable[others].tolist()
+    assert rerun.metric.matrix.tobytes() == stacked.metric.matrix[1:].tobytes()
 
 
 # ---------------------------------------------------------------------------
