@@ -30,6 +30,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import math
 import re
 import sys
 from collections.abc import Callable, Mapping
@@ -355,6 +356,8 @@ def cmd_spectrum(config: Mapping[str, Any]) -> int:
 def _grid(config: Mapping[str, Any], name: str) -> list[float]:
     """The ``{name}_start .. {name}_end`` grid of ``{name}_steps`` floats."""
     steps = config[f"{name}_steps"]
+    if not math.isfinite(config[f"{name}_end"] - config[f"{name}_start"]):
+        raise CliError(f"{name}_end - {name}_start overflows the float range")
     try:
         grid = np.linspace(config[f"{name}_start"], config[f"{name}_end"], steps)
     except (MemoryError, ValueError) as exc:  # numpy refuses the array's size

@@ -10,9 +10,11 @@ time evolution with transition amplitudes checked in u's frame.  Every
 Hamiltonian here conserves total S_z, so time evolution exponentiates its
 1+2+1 blocks in closed form.
 
-Matrices are built exactly as the quantization of the classical model
-produces them, carrying an overall 1/4; spectra are reported for those
-matrices (callers wanting the bare field-unit eigenvalues multiply by 4).
+Matrices are the quantization Q(H_cl) at hbar = 1/2 of the pseudoclassical
+model H_cl = -i f3 xi1 xi2 - i g3 chi1 chi2 + J sum_i xi_i chi_i, taken from
+:mod:`pseudospin.quantize`, which alone knows the realization; they carry an
+overall 1/4, and spectra are reported for those matrices (callers wanting the
+bare field-unit eigenvalues multiply by 4).
 The regime is decided from the fields and the coupling, not from the
 matrices, so the prefactor never affects the pseudo-hermitian
 classification.  Every tolerance band is relative to the model's magnitude
@@ -20,6 +22,7 @@ classification.  Every tolerance band is relative to the model's magnitude
 rescaling all parameters by a power of two never changes the classification.
 """
 
+import functools
 import math
 import sys
 from collections.abc import Sequence
@@ -28,6 +31,7 @@ from typing import NamedTuple, TypeAlias
 
 import numpy as np
 
+from .grassmann import AlgebraSpec, GrassmannElement
 from .pseudoherm import (
     METRIC_RESIDUAL_TOL,
     Metric,
@@ -35,7 +39,7 @@ from .pseudoherm import (
     is_rho_hermitian,
     metric_from_isomorphism,
 )
-from .quantize import PAULI
+from .quantize import quantize, tensor_realization
 
 OperatorMatrix: TypeAlias = np.ndarray
 StateVector: TypeAlias = np.ndarray
@@ -47,11 +51,6 @@ _SPLIT_FLOOR = math.sqrt(sys.float_info.min)
 _AGREEMENT_FACTOR = 16.0
 
 _IDENTITY2 = np.eye(2, dtype=complex)
-# Kronecker products of the Pauli matrices, built once: I (x) sigma_3 and
-# sigma_3 (x) I for the z-fields, sigma_i (x) sigma_i for the exchange.
-_I_SIGMA3 = np.kron(_IDENTITY2, PAULI[2])
-_SIGMA3_I = np.kron(PAULI[2], _IDENTITY2)
-_SIGMA_SIGMA = tuple(np.kron(sigma, sigma) for sigma in PAULI)
 # Total S_z of each basis state; conserving it leaves the 1+2+1 blocks.
 _TOTAL_SZ = np.array([1, 0, 0, -1])
 
@@ -219,21 +218,43 @@ def _tolerance_scale(params: TwoSpinParams) -> float:
     return abs(params.f3) + abs(params.g3) + 2.0 * abs(params.exchange)
 
 
-def _build_sz_conserving(
-    a: complex, b: complex, c: tuple[float, float, float]
-) -> OperatorMatrix:
-    """(1/4)[a I (x) sigma_3 + b sigma_3 (x) I + sum_i c_i sigma_i (x) sigma_i].
+@functools.cache
+def _images() -> np.ndarray:
+    """Q at hbar = 2 of -i xi1 xi2, -i chi1 chi2 and xi_i chi_i, one read-only stack.
 
-    The first spin occupies the fast tensor slot and the second the slow
-    one, matching the quantization layer's family order.  Every matrix of
-    this family conserves total S_z.
+    These are the five terms of H_cl = -i a xi1 xi2 - i b chi1 chi2 +
+    sum_i c_i xi_i chi_i, xi the first spin and chi the second; at hbar = 2
+    each image is a unit Pauli string.  Built on first use, so importing the
+    package builds no realization.
     """
-    exchange = sum(c_i * product for c_i, product in zip(c, _SIGMA_SIGMA))
-    return 0.25 * (a * _I_SIGMA3 + b * _SIGMA3_I) + exchange / 4.0
+    algebra = AlgebraSpec((3, 3))
+    xi, chi = ([algebra.coordinate(family, i) for i in range(3)] for family in (0, 1))
+    words = [((xi[0], xi[1]), -1j), ((chi[0], chi[1]), -1j)]
+    words += [((x, c), 1.0) for x, c in zip(xi, chi)]
+    terms = [GrassmannElement.from_terms(algebra, [word]) for word in words]
+    images = quantize(terms, tensor_realization(algebra, hbar=2.0))
+    images.setflags(write=False)
+    return images
+
+
+def _quantized(coefficients: np.ndarray | list[tuple]) -> OperatorMatrix:
+    """Q at hbar = 1/2 of the H_cl of each ``(a, b, c1, c2, c3)`` row, a ``(k, 4, 4)`` stack,
+    its quarter taken after each part's sum (see :func:`build_total`)."""
+    a, b, c1, c2, c3 = np.array(coefficients, dtype=complex).reshape(-1, 5).T[..., None, None]
+    z1, z2, x1, x2, x3 = _images()
+    return 0.25 * (a * z1 + b * z2) + (c1 * x1 + c2 * x2 + c3 * x3) / 4.0
 
 
 def build_total(params: TwoSpinParams | Sequence[TwoSpinParams]) -> OperatorMatrix:
     """Build the full two-spin Hamiltonian with z-fields and exchange.
+
+    H = Q(H_cl) at hbar = 1/2 for the pseudoclassical model
+    H_cl = -i f3 xi1 xi2 - i g3 chi1 chi2 + J sum_i xi_i chi_i.  At
+    hbar = 1/2 every term carries 1/4; it is applied to the hbar = 2 images
+    once after the field sum and once after the exchange sum, as
+    :func:`closed_spectrum` applies it, and not term by term as
+    ``quantize(H_cl)`` would: at subnormal fields the per-term quarters
+    round apart from the closed form.
 
     Args:
         params: Model parameters, or a sequence of them.
@@ -247,11 +268,7 @@ def build_total(params: TwoSpinParams | Sequence[TwoSpinParams]) -> OperatorMatr
     """
     single = isinstance(params, TwoSpinParams)
     draws = [params] if single else list(params)
-    f3, g3, j = (
-        np.array([getattr(p, name) for p in draws]).reshape(-1, 1, 1)
-        for name in ("f3", "g3", "exchange")
-    )
-    total = _build_sz_conserving(f3, g3, (j, j, j))
+    total = _quantized([(p.f3, p.g3, *(p.exchange,) * 3) for p in draws])
     return total[0] if single else total
 
 
@@ -341,7 +358,7 @@ def _frame_root(params: TwoSpinParams, at: str = "") -> float | None:
     return math.copysign(float(np.sqrt(report.threshold_margin)), params.exchange)
 
 
-def hermitian_counterpart(params: TwoSpinParams) -> HermitianCounterpart:
+def hermitian_counterpart(params: TwoSpinParams | Sequence[TwoSpinParams]) -> HermitianCounterpart:
     """Build the hermitian system the model is similar to, in closed form.
 
     On the hermitian branch (|Im f_minus| within the ``REGIME_TOL`` band)
@@ -350,9 +367,17 @@ def hermitian_counterpart(params: TwoSpinParams) -> HermitianCounterpart:
     b3 = (f_plus + Re f_minus)/2 and c3 = (f_plus - Re f_minus)/2 and the
     anisotropic exchange (s/2, s/2, J) with s = sqrt(4 J^2 + f_minus^2)
     taken with the sign of J.  Either way it shares the model's spectrum.
+    Its matrix is K = Q(K_cl) at hbar = 1/2 for K_cl = -i b3 xi1 xi2 -
+    i c3 chi1 chi2 + sum_i J~_i xi_i chi_i, its quarter taken after each
+    part's sum for the reason :func:`build_total` gives.
+
+    A sequence gives one :class:`HermitianCounterpart` of a ``(k, 4, 4)``
+    matrix, ``(k,)`` fields and a ``(k, 3)`` exchange, each entry with the
+    bits of its own call; an error names the first failing entry.
 
     Args:
-        params: Model parameters satisfying the reality conditions.
+        params: Model parameters satisfying the reality conditions, or a
+            sequence of them.
 
     Returns:
         A :class:`HermitianCounterpart` with the matrix and its fields.
@@ -360,16 +385,23 @@ def hermitian_counterpart(params: TwoSpinParams) -> HermitianCounterpart:
     Raises:
         NoMetricError: If the reality conditions fail or at the exceptional point.
     """
-    root = _frame_root(params)
-    if root is None:
-        j = params.exchange
-        b3, c3 = params.f3.real, params.g3.real
-        return HermitianCounterpart(build_total(params), b3, c3, (j, j, j))
-    b3 = (params.f_plus.real + params.f_minus.real) / 2.0
-    c3 = (params.f_plus.real - params.f_minus.real) / 2.0
-    j_tilde = (root / 2.0, root / 2.0, params.exchange)
-    matrix = _build_sz_conserving(b3, c3, j_tilde)
-    return HermitianCounterpart(matrix=matrix, b3=b3, c3=c3, j_tilde=j_tilde)
+    single = isinstance(params, TwoSpinParams)
+    draws = [params] if single else list(params)
+    at = [""] if single else [f" at stack entry {k}" for k in range(len(draws))]
+    coefficients = np.zeros((len(draws), 5), dtype=complex)
+    for k, (p, where) in enumerate(zip(draws, at)):
+        root = _frame_root(p, where)
+        if root is None:
+            coefficients[k] = p.f3, p.g3, *(p.exchange,) * 3
+        else:
+            f_plus, f_minus = p.f_plus.real, p.f_minus.real
+            b3, c3 = (f_plus + f_minus) / 2.0, (f_plus - f_minus) / 2.0
+            coefficients[k] = b3, c3, root / 2.0, root / 2.0, p.exchange
+    matrix, fields = _quantized(coefficients), coefficients.real
+    if single:
+        b3, c3, *j_tilde = fields[0].tolist()
+        return HermitianCounterpart(matrix[0], b3, c3, tuple(j_tilde))
+    return HermitianCounterpart(matrix, fields[:, 0], fields[:, 1], fields[:, 2:])
 
 
 def paper_isomorphism(params: TwoSpinParams | Sequence[TwoSpinParams]) -> Isomorphism:

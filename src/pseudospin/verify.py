@@ -424,7 +424,7 @@ def check_twospin(seed: int = 0) -> GroupResult:
         TwoSpinParams.from_gilbert(fraction * damping_threshold(j, 0.6), 0.6, -0.6, j)
         for j, fraction in rng.uniform((0.6, 0.1), (1.6, 0.9), size=(25, 2)).tolist()
     ]
-    counterparts = np.array([hermitian_counterpart(params).matrix for params in draws])
+    counterparts = hermitian_counterpart(draws).matrix
     closed = np.sort(np.linalg.eigvals(build_total(draws)).real)
     partner = np.sort(np.linalg.eigvals(counterparts).real)
     similar = paper_isomorphism(draws).partner

@@ -490,6 +490,32 @@ def test_overflowing_parameters_are_a_typed_error(capsys, args):
     assert err.startswith("pseudospin: error: parameters overflow the closed form")
 
 
+@pytest.mark.parametrize("steps", ["1", "3"])
+@pytest.mark.parametrize("command, name", [
+    ("evolve", "t"), ("regime-sweep", "b"), ("regime-sweep", "alpha"), ("regime-sweep", "j"),
+])
+def test_a_grid_whose_span_overflows_is_a_typed_error(capsys, command, name, steps):
+    # 1e308 - (-1e308) is inf: the grid is refused before numpy spaces it,
+    # which would warn and fill it with nan.
+    code, out, err = run(
+        capsys, command, f"--{name}-steps", steps,
+        f"--{name}-start", "-1e308", f"--{name}-end", "1e308",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        f"pseudospin: error: {name}_end - {name}_start overflows the float range"
+    ]
+
+
+def test_a_subnormal_field_keeps_the_closed_form_bits(capsys):
+    # B/4 rounds once, in the matrix as in the closed form; a quarter per
+    # quantized term would put N2p at 2e-323 against E2p's 1.5e-323 (exit 2).
+    code, out, err = run(capsys, "spectrum", "--J", "0", "--B", "3e-323")
+    assert (code, err) == (0, "")
+    assert parse_csv(out)[0]["ReN2p"] == parse_csv(out)[0]["ReE2p"] == "1.5e-323"
+
+
 def test_underflowing_parameters_are_a_typed_error(capsys):
     code, out, err = run(capsys, "spectrum", "--J", "1e-300", "--B", "1e-300")
     assert code == 1

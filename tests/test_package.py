@@ -154,6 +154,7 @@ def test_stacked_calls_return_no_object_arrays():
         "quantize": pseudospin.quantize(elements, pseudospin.tensor_realization(algebra)),
         "build_total": hamiltonians,
         "paper_isomorphism": pseudospin.paper_isomorphism(draws),
+        "hermitian_counterpart": pseudospin.hermitian_counterpart(draws),
         "matched_eigenvalues": pseudospin.matched_eigenvalues(hamiltonians, closed),
         "diagnose": pseudospin.diagnose(hamiltonians),
         "random_orthogonal": lam,
@@ -266,6 +267,14 @@ def test_one_module_scales_states_into_the_float_range():
         isinstance(node, ast.FunctionDef) and node.name == "_norms"
         for node in ast.walk(trees["cli.py"])
     )
+
+
+def test_only_quantize_knows_the_realization():
+    # The two-spin matrices come from the quantized images of the classical
+    # model's terms: twospin holds no Pauli table and no Kronecker product.
+    assert mentioned_names(package_trees()["twospin.py"]) & {"PAULI", "kron"} == set()
+    images = pseudospin.twospin._images()
+    assert images.shape == (5, 4, 4) and not images.flags.writeable
 
 
 def test_transition_series_takes_its_frame_from_paper_isomorphism():

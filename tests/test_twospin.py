@@ -244,7 +244,10 @@ def test_build_total_matches_quantization():
     # The matrix builders coincide, bit for bit, with the quantization of the
     # classical model: precession terms for both families plus the bilinear
     # coupling, realized at hbar = 1/2.  Fields are complex, J takes both
-    # signs, and each parameter has its own scale in [1e-8, 1e8].
+    # signs, and each parameter has its own scale in [1e-8, 1e8].  Only
+    # normal-range inputs: quantize rounds a quarter per term, which at
+    # subnormal fields rounds apart from build_total's quarter per part's sum
+    # (the kron-reference tests below pin those bits).
     levi = np.zeros((3, 3, 3))
     for i, j, k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
         levi[i, j, k] = 1.0
@@ -274,6 +277,77 @@ def test_build_total_matches_quantization():
         for i in range(3):
             classical = classical + params.exchange * (xi[i] * chi[i])
         assert np.array_equal(quantize(classical, realization), build_total(params)), params
+
+
+def kron_reference(a, b, c):
+    """(1/4)[a I (x) sigma_3 + b sigma_3 (x) I + sum_i c_i sigma_i (x) sigma_i].
+
+    Kronecker tables of the Pauli matrices, the first spin on the fast
+    tensor slot, each part summed before its quarter is taken: the bytes
+    the builders must keep.
+    """
+    eye = np.eye(2, dtype=complex)
+    z1, z2 = np.kron(eye, PAULI[2]), np.kron(PAULI[2], eye)
+    exchange = sum(c_i * np.kron(sigma, sigma) for c_i, sigma in zip(c, PAULI))
+    return 0.25 * (a * z1 + b * z2) + exchange / 4.0
+
+
+def assert_kron_reference_bytes(params):
+    """build_total's bytes, and hermitian_counterpart's where it exists, are
+    the reference's; returns the counterpart's branch, or None without one."""
+    j = params.exchange
+    model = kron_reference(params.f3, params.g3, (j, j, j))
+    assert build_total(params).tobytes() == model.tobytes(), params
+    try:
+        counterpart = hermitian_counterpart(params)
+    except NoMetricError:
+        return None
+    if abs(params.f_minus.imag) <= twospin.REGIME_TOL * twospin._tolerance_scale(params):
+        branch, expected = "hermitian", model
+    else:
+        branch = "dissipative"
+        expected = kron_reference(counterpart.b3, counterpart.c3, counterpart.j_tilde)
+    assert counterpart.matrix.tobytes() == expected.tobytes(), params
+    return branch
+
+
+def test_builders_keep_the_kron_reference_bytes_on_the_signed_zero_grid():
+    # Every sign and zero class of each of Re f3, Im f3, Re g3, Im g3 and J:
+    # the images' signed zeros must leave none in the built matrices.  No
+    # grid point is dissipative: where Im f_plus is zero, Im f_minus is 0 or
+    # +-2, at or past the exceptional point for |J| <= 1.
+    values = [0.0, -0.0, 1.0, -1.0, 0.5]
+    branches = []
+    for f_re, f_im, g_re, g_im, j in itertools.product(values, repeat=5):
+        params = TwoSpinParams(complex(f_re, f_im), complex(g_re, g_im), j)
+        branches.append(assert_kron_reference_bytes(params))
+    assert len(branches) == 3125 and branches.count("hermitian") == 500
+
+
+def test_builders_keep_the_kron_reference_bytes_at_subnormal_fields():
+    # The quarter is taken after each part's sum: a quarter per term, as
+    # quantize takes it, rounds apart from this at subnormal fields.  With
+    # J = +-0 the fields are equal, since a subnormal f_minus would underflow
+    # the closed form.
+    rng = np.random.default_rng(51)
+    for k in range(600):
+        f3, g3 = (complex(*x) for x in 5e-324 * rng.integers(-(2**20), 2**20, size=(2, 2)))
+        j = [0.0, -0.0, float(rng.normal())][k % 3]
+        assert_kron_reference_bytes(TwoSpinParams(f3, f3 if k % 3 < 2 else g3, j))
+
+
+def test_builders_keep_the_kron_reference_bytes_on_in_band_counterparts():
+    # f_minus real (hermitian branch) or imaginary inside |2J| (dissipative),
+    # each parameter on its own scale.
+    rng = np.random.default_rng(52)
+    branches = []
+    for k in range(400):
+        j, f_plus, f_minus = rng.normal(size=3) * 10.0 ** rng.uniform(-5.0, 5.0, size=3)
+        if k % 2:
+            f_minus = 2j * abs(j) * rng.uniform(-0.999, 0.999)
+        params = TwoSpinParams((f_plus + f_minus) / 2.0, (f_plus - f_minus) / 2.0, j)
+        branches.append(assert_kron_reference_bytes(params))
+    assert min(map(branches.count, ["hermitian", "dissipative"])) >= 150, branches
 
 
 def test_params_validation():
@@ -863,10 +937,17 @@ def test_stacked_calls_match_single_calls_bit_for_bit():
     stack = paper_isomorphism(draws)
     shape = (len(draws), 4, 4)
     assert totals.shape == stack.u.shape == stack.partner.shape == stack.rho.matrix.shape == shape
+    counterparts = hermitian_counterpart(draws)
+    assert counterparts.matrix.shape == shape and counterparts.j_tilde.shape == (len(draws), 3)
+    assert counterparts.b3.shape == counterparts.c3.shape == (len(draws),)
     identity = Metric(np.eye(4))
     for k, (params, kind) in enumerate(zip(draws, kinds)):
         single = paper_isomorphism(params)
         assert totals[k].tobytes() == build_total(params).tobytes()
+        one = hermitian_counterpart(params)
+        assert counterparts.matrix[k].tobytes() == one.matrix.tobytes()
+        fields = [counterparts.b3[k], counterparts.c3[k], *counterparts.j_tilde[k]]
+        assert np.array(fields).tobytes() == np.array([one.b3, one.c3, *one.j_tilde]).tobytes()
         assert stack.u[k].tobytes() == single.u.tobytes()
         assert stack.rho.matrix[k].tobytes() == single.rho.matrix.tobytes()
         assert stack.rho.min_eigenvalue[k].hex() == single.rho.min_eigenvalue.hex()
@@ -888,6 +969,11 @@ def test_single_calls_return_one_matrix_and_one_metric():
     stack = paper_isomorphism([toy_params(1.0, 0.5)])
     assert stack.u.shape == (1, 4, 4) and stack.rho.min_eigenvalue.shape == (1,)
     assert build_total([]).shape == (0, 4, 4)
+    counterpart = hermitian_counterpart(toy_params(1.0, 0.5))
+    assert counterpart.matrix.shape == (4, 4) and type(counterpart.j_tilde) is tuple
+    assert {type(x) for x in (counterpart.b3, counterpart.c3, *counterpart.j_tilde)} == {float}
+    empty = hermitian_counterpart([])
+    assert empty.matrix.shape == (0, 4, 4) and empty.j_tilde.shape == (0, 3)
 
 
 @pytest.mark.parametrize(
@@ -904,6 +990,23 @@ def test_stacked_isomorphism_names_the_entry_without_a_metric(bad, message):
         paper_isomorphism(bad)
     with pytest.raises(NoMetricError) as stacked:
         paper_isomorphism([*good, bad, bad])
+    assert str(stacked.value) == f"{single.value} at stack entry 2"
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (toy_params(5.0, 0.5), "reality conditions"),
+        (toy_params(damping_threshold(1.0, 0.5), 0.5), "exceptional point"),
+    ],
+    ids=["outside", "exceptional_point"],
+)
+def test_stacked_counterpart_names_the_entry_without_a_metric(bad, message):
+    good = [toy_params(1.0, 0.5), TwoSpinParams(1.2, 0.4, 1.0)]
+    with pytest.raises(NoMetricError, match=message) as single:
+        hermitian_counterpart(bad)
+    with pytest.raises(NoMetricError) as stacked:
+        hermitian_counterpart([*good, bad, bad])
     assert str(stacked.value) == f"{single.value} at stack entry 2"
 
 
