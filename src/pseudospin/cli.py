@@ -322,11 +322,14 @@ def _emit(
 
 def _report_cells(config: Mapping[str, Any], report) -> list:
     """A report's cells under ``SWEEP_COLUMNS[4:]``, ReE1p to threshold_margin."""
-    e1p, e1m, e2p, e2m = report.eigenvalues
-    cells = [e1p.real, e1p.imag, e1m.real, e1m.imag, e2p.real, e2p.imag, e2m.real, e2m.imag]
+    (e1p, e1m, e2p, e2m), flag, margin = report
+    cells = [
+        e1p.real, e1p.imag, e1m.real, e1m.imag, e2p.real, e2p.imag, e2m.real, e2m.imag,
+        flag, margin,
+    ]
     if config["paper_units"]:
-        cells = [4.0 * value for value in cells]
-    return [*cells, report.pseudo_hermitian, report.threshold_margin]
+        cells[:8] = [4.0 * value for value in cells[:8]]
+    return cells
 
 
 def cmd_spectrum(config: Mapping[str, Any]) -> int:
@@ -376,11 +379,20 @@ def cmd_regime_sweep(config: Mapping[str, Any]) -> int:
     j_grid = _grid(config, "j") if config["j_steps"] >= 1 else [config["j"]]
     b_grid = _grid(config, "b")
     cells = []  # each point's cells under SWEEP_COLUMNS[4:], point after point
-    for point in itertools.product(b_grid, alpha_grid, j_grid):
-        cells += _report_cells(config, closed_spectrum(_params_from(*point)))
+    try:  # one frame for the grid, not one per point
+        for b, (alpha1, alpha2), j in itertools.product(b_grid, alpha_grid, j_grid):
+            params = TwoSpinParams.from_gilbert(b, alpha1, alpha2, j)
+            cells += _report_cells(config, closed_spectrum(params))
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+    # Each B is repeated over the alpha x J points under it, as cells[k::10] reads.
+    per_b = len(alpha_grid) * len(j_grid)
+    b_column = [0.0] * (len(b_grid) * per_b)
+    for k in range(per_b):
+        b_column[k::per_b] = b_grid
     columns = [
-        [b for b in b_grid for _ in range(len(alpha_grid) * len(j_grid))],
-        *([pair[k] for _ in b_grid for pair in alpha_grid for _ in j_grid] for k in (0, 1)),
+        b_column,
+        *([pair[k] for pair in alpha_grid for _ in j_grid] * len(b_grid) for k in (0, 1)),
         j_grid * (len(b_grid) * len(alpha_grid)),
         *(cells[k::10] for k in range(10)),  # the ten of SWEEP_COLUMNS[4:]
     ]

@@ -29,6 +29,8 @@ from .grassmann import AlgebraSpec, GrassmannElement
 
 # The characters that make a cell need quoting.
 _NEEDS_QUOTING = re.compile(r'[,"\r\n]')
+# The text of a bool cell, as csv_cell writes it.
+_BOOL_TEXT = {False: "0", True: "1"}
 
 
 def complex_to_json(value: complex) -> dict[str, float]:
@@ -220,8 +222,12 @@ def _check_table(header: Sequence[str], columns: Sequence[Sequence[Any]]) -> Non
 
 
 def _rendered(column: Sequence[Any]) -> Iterator[str]:
-    """Each cell's text: one ``repr`` per distinct value of an all-float column."""
-    if not set(map(type, column)) <= {float}:
+    """Each cell's text: one ``repr`` per distinct value of an all-float column,
+    a lookup per cell of an all-bool one, else :func:`csv_cell` per cell."""
+    types = set(map(type, column))
+    if types == {bool}:
+        return map(_BOOL_TEXT.__getitem__, column)
+    if not types <= {float}:
         return map(csv_cell, column)
     distinct = set(column)  # each nan object is its own member
     # 0.0 and -0.0 are one member but two texts, so a zero takes a repr per cell.
@@ -238,7 +244,8 @@ def write_csv(
 
     The header, then each block of 256 lines, is rendered and written in one
     go; in a block a column of exact ``float`` cells takes one ``repr`` per
-    distinct value (:func:`_rendered`), any other :func:`csv_cell` per cell.  Lines hold the bytes the csv module
+    distinct value, one of exact ``bool`` cells a lookup per cell
+    (:func:`_rendered`), any other :func:`csv_cell` per cell.  Lines hold the bytes the csv module
     writes for their cells with a ``\\n`` terminator, except that a cell holding
     ``\\r`` is quoted too, so it reads back whole.  The caller opens the stream
     with ``newline=""`` so that terminator survives untranslated.

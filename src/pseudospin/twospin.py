@@ -74,13 +74,17 @@ class TwoSpinParams:
     exchange: float
 
     def __post_init__(self) -> None:
-        if type(self.f3) is not complex or type(self.g3) is not complex:
-            object.__setattr__(self, "f3", complex(self.f3))
-            object.__setattr__(self, "g3", complex(self.g3))
-        if isinstance(self.exchange, complex):
+        f3, g3, j = self.f3, self.g3, self.exchange
+        if type(f3) is not complex or type(g3) is not complex:
+            f3, g3 = complex(f3), complex(g3)
+            object.__setattr__(self, "f3", f3)
+            object.__setattr__(self, "g3", g3)
+        # numpy's complex64 and clongdouble are not subclasses of complex.
+        if isinstance(j, (complex, np.complexfloating)):
             raise ValueError("exchange coupling must be real")
-        if type(self.exchange) is not float:
-            object.__setattr__(self, "exchange", float(self.exchange))
+        if type(j) is not float:
+            j = float(j)
+            object.__setattr__(self, "exchange", j)
         # A finite squared scale bounds |4 J^2 + f_minus^2| and rules out NaN;
         # float ** and complex abs raise OverflowError where * would give inf.
         try:
@@ -91,7 +95,7 @@ class TwoSpinParams:
             raise ValueError(f"parameters overflow the closed form: {self}")
         # A nonzero splitting this small squares to a subnormal or zero, and
         # 4 J^2 + f_minus^2 would read as the exceptional point.
-        split = max(2.0 * abs(self.exchange), abs(self.f_minus))
+        split = max(2.0 * abs(j), abs(f3 - g3))
         if 0.0 < split < _SPLIT_FLOOR:
             raise ValueError(f"parameters underflow the closed form: {self}")
 
@@ -124,7 +128,7 @@ class TwoSpinParams:
             raise ValueError(
                 f"damping overflows its square: alpha1={alpha1}, alpha2={alpha2}"
             ) from None
-        return cls(f3=f3, g3=g3, exchange=exchange)
+        return cls(f3, g3, exchange)
 
     @property
     def f_plus(self) -> complex:
@@ -137,9 +141,12 @@ class TwoSpinParams:
         return self.f3 - self.g3
 
 
-@dataclass(frozen=True)
-class RegimeReport:
+class RegimeReport(NamedTuple):
     """Closed-form spectrum and pseudo-hermiticity classification.
+
+    A small value read by attribute, as :class:`Isomorphism` is; being a
+    tuple, it also unpacks and compares as ``(eigenvalues, pseudo_hermitian,
+    threshold_margin)``.
 
     Attributes:
         eigenvalues: (-J + s)/4, (-J - s)/4, (J + f_plus)/4 and
@@ -281,7 +288,9 @@ def closed_spectrum(params: TwoSpinParams) -> RegimeReport:
     branch tests of :func:`paper_isomorphism` and
     :func:`hermitian_counterpart` use, so the exact threshold point (margin
     zero in floats) still classifies as pseudo-hermitian; crossing the
-    threshold flips the flag.
+    threshold flips the flag.  This runs once per ``regime-sweep`` grid
+    point, so it reads each field once, forms f_plus and f_minus as the
+    properties do, and builds its report positionally.
 
     Args:
         params: Model parameters.
@@ -290,9 +299,9 @@ def closed_spectrum(params: TwoSpinParams) -> RegimeReport:
         A :class:`RegimeReport` with all four eigenvalues of the built
         matrix and the classification.
     """
-    f_plus = params.f_plus
-    f_minus = params.f_minus
-    j = params.exchange
+    f3, g3, j = params.f3, params.g3, params.exchange
+    f_plus = f3 + g3
+    f_minus = f3 - g3
     discriminant = 4.0 * j * j + f_minus * f_minus
     # Not cmath.sqrt: it differs from numpy's complex sqrt in the last bit,
     # at 1j among others, and the pinned spectra carry numpy's bits.
@@ -305,14 +314,9 @@ def closed_spectrum(params: TwoSpinParams) -> RegimeReport:
         and margin >= -REGIME_TOL * scale * scale
     )
     return RegimeReport(
-        eigenvalues=(
-            (-j + root) / 4.0,
-            (-j - root) / 4.0,
-            (j + f_plus) / 4.0,
-            (j - f_plus) / 4.0,
-        ),
-        pseudo_hermitian=pseudo,
-        threshold_margin=margin,
+        ((-j + root) / 4.0, (-j - root) / 4.0, (j + f_plus) / 4.0, (j - f_plus) / 4.0),
+        pseudo,
+        margin,
     )
 
 

@@ -382,12 +382,14 @@ repeating_floats = st.one_of(
     st.sampled_from(["nan", "-nan", "0.0", "-0.0"]).map(float),
 )
 # A column's cells: plain floats only (rendered one repr per distinct value),
-# plain floats from the small pool, plain floats mixed with np.float64, or
-# any scalars.
+# plain floats from the small pool, plain floats mixed with np.float64, plain
+# bools only (rendered by lookup), bools mixed with np.bool_, or any scalars.
 csv_column_cells = st.sampled_from([
     st.floats(),
     repeating_floats,
     st.one_of(repeating_floats, st.floats().map(np.float64)),
+    st.booleans(),
+    st.one_of(st.booleans(), st.booleans().map(np.bool_)),
     csv_scalars,
 ])
 

@@ -350,6 +350,85 @@ def test_builders_keep_the_kron_reference_bytes_on_in_band_counterparts():
     assert min(map(branches.count, ["hermitian", "dissipative"])) >= 150, branches
 
 
+def closed_form_reference(params):
+    """closed_spectrum's arithmetic as written when its report was a keyword-built
+    dataclass: the eigenvalues, flag and margin whose bits it must keep."""
+    f_plus = params.f_plus
+    f_minus = params.f_minus
+    j = params.exchange
+    discriminant = 4.0 * j * j + f_minus * f_minus
+    root = complex(np.sqrt(discriminant))
+    scale = twospin._tolerance_scale(params)
+    margin = discriminant.real
+    pseudo = (
+        abs(f_plus.imag) <= twospin.REGIME_TOL * scale
+        and min(abs(f_minus.real), abs(f_minus.imag)) <= twospin.REGIME_TOL * scale
+        and margin >= -twospin.REGIME_TOL * scale * scale
+    )
+    eigenvalues = ((-j + root) / 4.0, (-j - root) / 4.0, (j + f_plus) / 4.0, (j - f_plus) / 4.0)
+    return eigenvalues, pseudo, margin
+
+
+def assert_closed_form_reference_bits(draws):
+    """closed_spectrum of every draw the constructor accepts keeps the
+    reference's bytes; returns how many were accepted."""
+    accepted = 0
+    for f3, g3, j in draws:
+        try:
+            params = TwoSpinParams(f3, g3, j)
+        except ValueError:
+            continue
+        accepted += 1
+        report = closed_spectrum(params)
+        eigenvalues, pseudo, margin = closed_form_reference(params)
+        assert np.array(report.eigenvalues).tobytes() == np.array(eigenvalues).tobytes(), params
+        assert report.pseudo_hermitian is pseudo, params
+        assert np.float64(report.threshold_margin).tobytes() == np.float64(margin).tobytes(), params
+    return accepted
+
+
+def test_closed_spectrum_keeps_the_reference_bits_on_the_signed_zero_grid():
+    # Signed zeros tell f3 - g3 from g3 - f3, and a quarter taken by complex
+    # division from one taken by multiplication.
+    values = [0.0, -0.0, 1.0, -1.0, 0.5]
+    grid = [
+        (complex(f_re, f_im), complex(g_re, g_im), j)
+        for f_re, f_im, g_re, g_im, j in itertools.product(values, repeat=5)
+    ]
+    assert assert_closed_form_reference_bits(grid) == 3125
+
+
+def test_closed_spectrum_keeps_the_reference_bits_across_scales():
+    rng = np.random.default_rng(53)
+    draws = []
+    for _ in range(2000):
+        f_re, f_im, g_re, g_im, j = rng.normal(size=5) * 10.0 ** rng.uniform(-150.0, 150.0)
+        draws.append((complex(f_re, f_im), complex(g_re, g_im), j))
+    assert assert_closed_form_reference_bits(draws) == 2000
+
+
+def test_closed_spectrum_keeps_the_reference_bits_at_subnormal_fields():
+    # With J = +-0 a subnormal f_minus underflows the closed form, so the
+    # constructor refuses most of those draws; equal fields pass.
+    rng = np.random.default_rng(54)
+    draws = []
+    for k in range(900):
+        f3, g3 = (complex(*x) for x in 5e-324 * rng.integers(-(2**20), 2**20, size=(2, 2)))
+        j = [0.0, -0.0, float(rng.normal())][k % 3]
+        draws.append((f3, f3 if k % 6 < 2 else g3, j))
+    assert assert_closed_form_reference_bits(draws) >= 600
+
+
+@pytest.mark.parametrize("exchange", [
+    1 + 0j, np.complex64(1 + 2j), np.complex128(1 + 2j), np.clongdouble(1 + 2j),
+])
+def test_params_refuse_a_complex_exchange_of_any_width(exchange):
+    # complex64 and clongdouble are not subclasses of complex; float() would
+    # drop their imaginary part with a ComplexWarning.
+    with pytest.raises(ValueError, match="exchange coupling must be real"):
+        TwoSpinParams(1.0, 0.5, exchange)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         TwoSpinParams(f3=1.0, g3=1.0, exchange=1.0 + 0.5j)
