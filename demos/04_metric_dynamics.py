@@ -16,7 +16,6 @@ from pseudospin import (
     build_total,
     eta_inner,
     evolve,
-    hermitian_counterpart,
     paper_isomorphism,
     transition_series,
 )
@@ -24,8 +23,9 @@ from pseudospin import (
 
 params = TwoSpinParams.from_gilbert(1.0, 1.0, -1.0, 1.0)
 hamiltonian = build_total(params)
-u, rho, conjugated = paper_isomorphism(params)
-counterpart = hermitian_counterpart(params)
+frame = paper_isomorphism(params)
+u, rho = frame.u, frame.rho
+conjugated = np.linalg.solve(u, hamiltonian @ u)
 
 print("== the isomorphism and its metric (J=1, B=1, alpha=1) ==")
 print("U =")
@@ -37,11 +37,11 @@ print("middle entry rho[1,1] =", rho.matrix[1, 1].real, " (= 4J^2/(4J^2+F-^2) = 
 
 print()
 print("== conjugation lands on the hermitian counterpart ==")
-print("max |U^-1 H U - H_R|     =", float(np.max(np.abs(conjugated - counterpart.matrix))))
+print("max |U^-1 H U - H_R|     =", float(np.max(np.abs(conjugated - frame.partner))))
 print("max |rho H - H^dag rho|  =",
       float(np.max(np.abs(rho.matrix @ hamiltonian - hamiltonian.conj().T @ rho.matrix))))
-print("counterpart fields: B3 =", counterpart.b3, " C3 =", counterpart.c3,
-      " J~ =", np.round(counterpart.j_tilde, 6))
+print("counterpart fields: B3 =", frame.b3, " C3 =", frame.c3,
+      " J~ =", np.round(frame.j_tilde, 6))
 
 print()
 print("== deformed norm is conserved, canonical norm is not ==")
@@ -83,9 +83,10 @@ for alpha in alphas:
     step = TwoSpinParams(f3=(f_plus + 1j * alpha) / 2.0, g3=(f_plus - 1j * alpha) / 2.0,
                          exchange=exchange)
     det_h = complex(np.linalg.det(build_total(step)))
-    h_r = hermitian_counterpart(step).matrix
+    step_frame = paper_isomorphism(step)
+    h_r = step_frame.partner
     det_gaps.append(abs(det_h - complex(np.linalg.det(h_r))) / (1.0 + abs(det_h)))
-    u_distances.append(float(np.max(np.abs(paper_isomorphism(step).u - np.eye(4)))))
+    u_distances.append(float(np.max(np.abs(step_frame.u - np.eye(4)))))
     counterpart_gaps.append(float(np.max(np.abs(h_r - h0))))
 monotone = all(a >= b for gaps in (u_distances, counterpart_gaps) for a, b in zip(gaps, gaps[1:]))
 print("alphas      :", np.round(alphas, 5))

@@ -62,7 +62,6 @@ from pseudospin.quantize import (
     tensor_realization,
 )
 from pseudospin.twospin import (
-    HermitianCounterpart,
     Isomorphism,
     RegimeReport,
     TransitionSeries,
@@ -71,7 +70,6 @@ from pseudospin.twospin import (
     closed_spectrum,
     damping_threshold,
     evolve,
-    hermitian_counterpart,
     matched_eigenvalues,
     paper_isomorphism,
     transition_series,

@@ -3,12 +3,12 @@
 Realizes the model layer: one builder for two-spin Hamiltonians with
 z-fields and XXZ exchange, the closed-form spectrum and its
 pseudo-hermiticity regime, the Gilbert-damping parameterization of the
-fields, one similarity (isomorphism u, metric and partner u^-1 H u) at
-every point of the regime off the exceptional point, the identity on the
-hermitian branch, the closed-form hermitian counterpart, and metric-unitary
-time evolution with transition amplitudes checked in u's frame.  Every
-Hamiltonian here conserves total S_z, so time evolution exponentiates its
-1+2+1 blocks in closed form.
+fields, one similarity (isomorphism u, metric and the closed-form
+hermitian partner K, checked by H u = u K) at every point of the regime off
+the exceptional point, the identity on the hermitian branch, and
+metric-unitary time evolution with transition amplitudes checked in u's
+frame.  Every Hamiltonian here conserves total S_z, so time evolution
+exponentiates its 1+2+1 blocks in closed form.
 
 Matrices are the quantization Q(H_cl) at hbar = 1/2 of the pseudoclassical
 model H_cl = -i f3 xi1 xi2 - i g3 chi1 chi2 + J sum_i xi_i chi_i, taken from
@@ -144,9 +144,8 @@ class TwoSpinParams:
 class RegimeReport(NamedTuple):
     """Closed-form spectrum and pseudo-hermiticity classification.
 
-    A small value read by attribute, as :class:`Isomorphism` is; being a
-    tuple, it also unpacks and compares as ``(eigenvalues, pseudo_hermitian,
-    threshold_margin)``.
+    A small value read by attribute; being a tuple, it also unpacks and
+    compares as ``(eigenvalues, pseudo_hermitian, threshold_margin)``.
 
     Attributes:
         eigenvalues: (-J + s)/4, (-J - s)/4, (J + f_plus)/4 and
@@ -162,39 +161,32 @@ class RegimeReport(NamedTuple):
     threshold_margin: float
 
 
-class Isomorphism(NamedTuple):
-    """An invertible map u, its metric rho = (u u^dagger)^-1 and the partner u^-1 H u.
-
-    Instances compare and hash by identity, as ``Metric`` does: a tuple's
-    element-wise comparison would raise on the arrays.
-    """
-
-    u: OperatorMatrix
-    rho: Metric
-    partner: OperatorMatrix
-
-    __eq__ = object.__eq__
-    __ne__ = object.__ne__
-    __hash__ = object.__hash__
-
-
 @dataclass(frozen=True, eq=False)
-class HermitianCounterpart:
-    """Hermitian system with the same block structure as the deformed one.
+class Isomorphism:
+    """A map u onto the hermitian partner K, with its metric and K's fields.
+
+    H u = u K, and rho = (u u^dagger)^-1 makes H hermitian.  Read by
+    attribute; a stacked call holds ``(k, 4, 4)`` stacks, a ``Metric`` stack,
+    ``(k,)`` fields and a ``(k, 3)`` exchange.
 
     Attributes:
-        matrix: The 4x4 hermitian Hamiltonian; on the hermitian branch the
-            model's own matrix, hermitian within the ``REGIME_TOL`` band.
+        u: The map; the identity on the hermitian branch.
+        rho: The metric (u u^dagger)^-1.
+        partner: K, the 4x4 hermitian Hamiltonian of the fields below; on the
+            hermitian branch the model's own matrix, hermitian within the
+            ``REGIME_TOL`` band.
         b3: Real z-field on the first spin.
         c3: Real z-field on the second spin.
         j_tilde: Exchange triple: (J, J, J) on the hermitian branch,
             (s/2, s/2, J) on the dissipative one, s with the sign of J.
     """
 
-    matrix: OperatorMatrix
-    b3: float
-    c3: float
-    j_tilde: tuple[float, float, float]
+    u: OperatorMatrix
+    rho: Metric
+    partner: OperatorMatrix
+    b3: float | np.ndarray
+    c3: float | np.ndarray
+    j_tilde: tuple[float, float, float] | np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,12 +277,11 @@ def closed_spectrum(params: TwoSpinParams) -> RegimeReport:
     The reality conditions are: f_plus real, f_minus real or purely
     imaginary (f_minus^2 real), and 4 J^2 + f_minus^2 positive.  Each is
     tested inside a band of relative width ``REGIME_TOL``, the one the
-    branch tests of :func:`paper_isomorphism` and
-    :func:`hermitian_counterpart` use, so the exact threshold point (margin
-    zero in floats) still classifies as pseudo-hermitian; crossing the
-    threshold flips the flag.  This runs once per ``regime-sweep`` grid
-    point, so it reads each field once, forms f_plus and f_minus as the
-    properties do, and builds its report positionally.
+    branch tests of :func:`paper_isomorphism` use, so the exact threshold
+    point (margin zero in floats) still classifies as pseudo-hermitian;
+    crossing the threshold flips the flag.  This runs once per
+    ``regime-sweep`` grid point, so it reads each field once, forms f_plus
+    and f_minus as the properties do, and builds its report positionally.
 
     Args:
         params: Model parameters.
@@ -362,73 +353,52 @@ def _frame_root(params: TwoSpinParams, at: str = "") -> float | None:
     return math.copysign(float(np.sqrt(report.threshold_margin)), params.exchange)
 
 
-def hermitian_counterpart(params: TwoSpinParams | Sequence[TwoSpinParams]) -> HermitianCounterpart:
-    """Build the hermitian system the model is similar to, in closed form.
-
-    On the hermitian branch (|Im f_minus| within the ``REGIME_TOL`` band)
-    it is the model itself, :func:`build_total`'s matrix, hermitian within
-    the band.  On the dissipative branch it carries real z-fields
-    b3 = (f_plus + Re f_minus)/2 and c3 = (f_plus - Re f_minus)/2 and the
-    anisotropic exchange (s/2, s/2, J) with s = sqrt(4 J^2 + f_minus^2)
-    taken with the sign of J.  Either way it shares the model's spectrum.
-    Its matrix is K = Q(K_cl) at hbar = 1/2 for K_cl = -i b3 xi1 xi2 -
-    i c3 chi1 chi2 + sum_i J~_i xi_i chi_i, its quarter taken after each
-    part's sum for the reason :func:`build_total` gives.
-
-    A sequence gives one :class:`HermitianCounterpart` of a ``(k, 4, 4)``
-    matrix, ``(k,)`` fields and a ``(k, 3)`` exchange, each entry with the
-    bits of its own call; an error names the first failing entry.
-
-    Args:
-        params: Model parameters satisfying the reality conditions, or a
-            sequence of them.
-
-    Returns:
-        A :class:`HermitianCounterpart` with the matrix and its fields.
-
-    Raises:
-        NoMetricError: If the reality conditions fail or at the exceptional point.
-    """
-    single = isinstance(params, TwoSpinParams)
-    draws = [params] if single else list(params)
-    at = [""] if single else [f" at stack entry {k}" for k in range(len(draws))]
-    coefficients = np.zeros((len(draws), 5), dtype=complex)
-    for k, (p, where) in enumerate(zip(draws, at)):
-        root = _frame_root(p, where)
-        if root is None:
-            coefficients[k] = p.f3, p.g3, *(p.exchange,) * 3
-        else:
-            f_plus, f_minus = p.f_plus.real, p.f_minus.real
-            b3, c3 = (f_plus + f_minus) / 2.0, (f_plus - f_minus) / 2.0
-            coefficients[k] = b3, c3, root / 2.0, root / 2.0, p.exchange
-    matrix, fields = _quantized(coefficients), coefficients.real
-    if single:
-        b3, c3, *j_tilde = fields[0].tolist()
-        return HermitianCounterpart(matrix[0], b3, c3, tuple(j_tilde))
-    return HermitianCounterpart(matrix, fields[:, 0], fields[:, 1], fields[:, 2:])
+def _intertwining(
+    draws: list[TwoSpinParams], hamiltonian: OperatorMatrix, u: OperatorMatrix,
+    partner: OperatorMatrix,
+) -> tuple[np.ndarray, np.ndarray]:
+    """max|H u - u K| of each entry and its bound (see :func:`paper_isomorphism`)."""
+    dropped = np.array([abs(p.f_plus.imag) + abs(p.f_minus.real) for p in draws])
+    rounding = 8.0 * sys.float_info.epsilon * np.abs(hamiltonian).max(axis=(-2, -1))
+    residual = np.abs(hamiltonian @ u - u @ partner).max(axis=(-2, -1))
+    return residual, (rounding + 0.75 * dropped) * np.abs(u).max(axis=(-2, -1))
 
 
 def paper_isomorphism(params: TwoSpinParams | Sequence[TwoSpinParams]) -> Isomorphism:
-    """Construct the explicit isomorphism onto the hermitian partner u^-1 H u.
+    """Construct the map u onto the hermitian partner K, in closed form.
 
     On the hermitian branch (|Im f_minus| within the ``REGIME_TOL`` band)
-    the map and the metric are the identity, the partner :func:`build_total`'s
-    matrix.  On the dissipative branch, away from the exceptional point, the
-    map differs from the identity only in the middle block
-    [[s/(2J), -f_minus/(2J)], [0, 1]], with s as in
-    :func:`hermitian_counterpart`, so s/(2J) > 0; the metric is the inverse
-    Gram matrix of the map, and both postconditions (the partner is
-    hermitian, the metric hermitizes the original) are verified.
+    the map and the metric are the identity and K is the model itself,
+    :func:`build_total`'s matrix.  On the dissipative branch, away from the
+    exceptional point, K has real z-fields b3 = (f_plus + Re f_minus)/2 and
+    c3 = (f_plus - Re f_minus)/2 and the anisotropic exchange (s/2, s/2, J),
+    with s = sqrt(4 J^2 + f_minus^2) taken with the sign of J; it is
+    Q(K_cl) at hbar = 1/2 for K_cl = -i b3 xi1 xi2 - i c3 chi1 chi2 +
+    sum_i J~_i xi_i chi_i, its quarter taken after each part's sum for the
+    reason :func:`build_total` gives.  The map differs from the identity
+    only in the middle block [[s/(2J), -f_minus/(2J)], [0, 1]], so
+    s/(2J) > 0, and the metric is its inverse Gram matrix.
 
-    A sequence gives ``(k, 4, 4)`` stacks and a ``Metric`` stack, each entry
-    with the bits of its own call; an error names the first failing entry.
+    Two postconditions are verified on the dissipative branch.  The metric
+    must hermitize H, to ``METRIC_RESIDUAL_TOL * scale * max|rho|``.  And u
+    must intertwine H with K: max|H u - u K| <= (c eps max|H| +
+    (3/4)(|Im f_plus| + |Re f_minus|)) max|u| with c = 8.  In exact
+    arithmetic H u - u K is +-i Im f_plus / 4 on the corners and
+    (Re f_minus / 4) [[s/(2J), (Re f_minus + 3i Im f_minus)/(2J)], [0, -1]]
+    on the middle block, the in-band parts that K drops on purpose; since
+    |f_minus|/(2|J|) <= max|u|, no entry exceeds the second term.  The
+    first bounds the rounding: over 2e4 draws on the exact branch it
+    stayed below 2 eps max|H| max|u|, a quarter of c.
+
+    A sequence gives one :class:`Isomorphism` of stacks, each entry with
+    the bits of its own call; an error names the first failing entry.
 
     Args:
         params: Model parameters satisfying the reality conditions, or a
             sequence of them.
 
     Returns:
-        An :class:`Isomorphism` (u, rho, partner).
+        An :class:`Isomorphism` (u, rho, partner K, b3, c3, j_tilde).
 
     Raises:
         NoMetricError: If the reality conditions fail or at the exceptional point.
@@ -437,27 +407,35 @@ def paper_isomorphism(params: TwoSpinParams | Sequence[TwoSpinParams]) -> Isomor
     single = isinstance(params, TwoSpinParams)
     draws = [params] if single else list(params)
     at = [""] if single else [f" at stack entry {k}" for k in range(len(draws))]
-    roots = [_frame_root(p, where) for p, where in zip(draws, at)]
-    hamiltonian = build_total(draws)
-    dissipative = np.array([root is not None for root in roots])
+    coefficients = np.zeros((len(draws), 5), dtype=complex)
     u = np.tile(np.eye(4, dtype=complex), (len(draws), 1, 1))
-    for k in np.flatnonzero(dissipative).tolist():
-        two_j = 2.0 * draws[k].exchange
-        u[k, 1, 1:3] = roots[k] / two_j, -draws[k].f_minus / two_j
-    # The identity entries come out as the identity, bit for bit; their
-    # partner is the model itself, which a solve would not keep bit for bit.
+    dissipative = []
+    for k, (p, where) in enumerate(zip(draws, at)):
+        root = _frame_root(p, where)
+        if root is None:
+            coefficients[k] = p.f3, p.g3, *(p.exchange,) * 3
+            continue
+        f_plus, f_minus, two_j = p.f_plus.real, p.f_minus, 2.0 * p.exchange
+        b3, c3 = (f_plus + f_minus.real) / 2.0, (f_plus - f_minus.real) / 2.0
+        coefficients[k] = b3, c3, root / 2.0, root / 2.0, p.exchange
+        u[k, 1, 1:3] = root / two_j, -f_minus / two_j
+        dissipative.append(k)
+    hamiltonian, partner = build_total(draws), _quantized(coefficients)
     rho = metric_from_isomorphism(u[0] if single else u)
-    solved = np.linalg.solve(u, hamiltonian @ u)
-    partner = np.where(dissipative[:, None, None], solved, hamiltonian)
+    residual, bound = _intertwining(draws, hamiltonian, u, partner)
     tol = METRIC_RESIDUAL_TOL * np.array([_tolerance_scale(p) for p in draws])
-    asymmetry = np.abs(partner - partner.conj().mT).max(axis=(-2, -1))
     hermitized = is_rho_hermitian(hamiltonian, rho, tol * np.abs(rho.matrix).max(axis=(-2, -1)))
-    for k in np.flatnonzero(dissipative).tolist():
-        if asymmetry[k] > tol[k]:
-            raise RuntimeError("conjugated Hamiltonian failed the hermiticity check" + at[k])
+    for k in dissipative:
+        # Written so that a nan residual fails too.
+        if not residual[k] <= bound[k]:
+            raise RuntimeError("partner failed the intertwining check H u = u K" + at[k])
         if not hermitized[k]:
             raise RuntimeError("constructed metric failed to hermitize the Hamiltonian" + at[k])
-    return Isomorphism(u[0], rho, partner[0]) if single else Isomorphism(u, rho, partner)
+    fields = coefficients.real
+    if single:
+        b3, c3, *j_tilde = fields[0].tolist()
+        return Isomorphism(u[0], rho, partner[0], b3, c3, tuple(j_tilde))
+    return Isomorphism(u, rho, partner, fields[:, 0], fields[:, 1], fields[:, 2:])
 
 
 def _require_sz_conserving(hamiltonian: OperatorMatrix) -> None:
@@ -597,8 +575,8 @@ def transition_series(
     The amplitude is the deformed product of ``xi`` with the evolved
     ``zeta``.  It is evaluated along two routes at every time: the metric
     route, with rho = (u u^dagger)^-1, and the partner route, canonical in
-    u's frame, which evolves :func:`paper_isomorphism`'s partner u^-1 H u
-    on both states mapped by u^-1.  One similarity links the routes, so
+    u's frame, which evolves u^-1 H u for :func:`paper_isomorphism`'s u on
+    both states mapped by u^-1.  One similarity links the routes, so
     their gap is a rounding check whose size follows cond(rho).  The frame
     and the Hamiltonian are built once, and each route evolves the whole
     grid in one closed-form :func:`evolve` call.  The amplitudes of both
@@ -635,8 +613,15 @@ def transition_series(
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError("times must be a 1-D array")
-    u, rho, partner = paper_isomorphism(params)
-    hamiltonian = build_total(params)
+    frame = paper_isomorphism(params)
+    u, rho, hamiltonian = frame.u, frame.rho, build_total(params)
+    # Not K: off the exact band K drops Im f_plus and Re f_minus, and the
+    # routes would part by t times that.  u is the identity on the
+    # hermitian branch, where H is its own partner.
+    if np.array_equal(u, np.eye(4)):
+        partner = hamiltonian
+    else:
+        partner = np.linalg.solve(u, hamiltonian @ u)
     (unit_xi, exp_xi), (unit_zeta, exp_zeta) = _unit_rows(xi), _unit_rows(zeta)
     # Overflow reads inf or nan and fails a check below; no warning needed.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -49,12 +49,12 @@ from .quantize import (
 )
 from .twospin import (
     TwoSpinParams,
+    _intertwining,
     _tolerance_scale,
     build_total,
     closed_spectrum,
     damping_threshold,
     evolve,
-    hermitian_counterpart,
     matched_eigenvalues,
     paper_isomorphism,
 )
@@ -164,8 +164,9 @@ def _realization(sizes: tuple[int, ...], hbar: float) -> Realization:
 def _correspondence_residuals() -> tuple[float, float, float]:
     """Seed-free: the worst :func:`correspondence_check` residual at hbar 0.5,
     1 and 2 over all pairs of the unit, generators and generator pairs of
-    ``(3, 3)`` with momenta, one row at a time.  By graded antisymmetry a pair
-    and its reverse have one residual, so row a starts at element a."""
+    ``(3, 3)`` with momenta.  By graded antisymmetry a pair and its reverse
+    have one residual, so row a starts at element a.  Each distinct bracket
+    is quantized once per hbar, in one stack, and each row gathers its own."""
     algebra = AlgebraSpec((3, 3), momenta_attached=True)
     gens = [*algebra.coordinates(), *algebra.momenta()]
     words = [(g,) for g in gens] + list(combinations(gens, 2))
@@ -174,17 +175,23 @@ def _correspondence_residuals() -> tuple[float, float, float]:
     realizations = [_realization((3, 3), hbar) for hbar in (0.5, 1.0, 2.0)]
     images = np.stack([quantize(basis, r) for r in realizations], axis=1)
     parities = [m.family_parity for m in basis]
-    brackets = {}  # i hbar Q({f, g}_D) at each hbar, once per distinct bracket
-    worst = np.zeros(3)
-    for a, (f, qf, p) in enumerate(zip(basis, images, parities)):
+    index = {}  # each distinct bracket's position in ``distinct``
+    distinct, rows = [], []
+    for a, f in enumerate(basis):
         row = [dirac_bracket(f, g) for g in basis[a:]]
         keys = [tuple(bracket.by_mask.items()) for bracket in row]
-        fresh = {key: bracket for key, bracket in zip(keys, row) if key not in brackets}
-        stacks = [1j * r.hbar * quantize(list(fresh.values()), r) for r in realizations]
-        brackets |= {k: [stack[i] for stack in stacks] for i, k in enumerate(fresh)}
+        for key, bracket in zip(keys, row):
+            if key not in index:
+                index[key] = len(distinct)
+                distinct.append(bracket)
+        rows.append([index[key] for key in keys])
+    # i hbar Q({f, g}_D) at each hbar: shape (len(distinct), 3, n, n).
+    brackets = np.stack([1j * r.hbar * quantize(distinct, r) for r in realizations], axis=1)
+    worst = np.zeros(3)
+    for a, (qf, p, row) in enumerate(zip(images, parities, rows)):
         signs = np.reshape([commutation_factor(p, q) for q in parities[a:]], (-1, 1, 1, 1))
         commutators = qf @ images[a:] - signs * images[a:] @ qf
-        residuals = np.abs(commutators - np.array([brackets[key] for key in keys]))
+        residuals = np.abs(commutators - brackets[row])
         worst = np.maximum(worst, residuals.max(axis=(0, 2, 3)))
     return tuple(worst.tolist())
 
@@ -424,13 +431,12 @@ def check_twospin(seed: int = 0) -> GroupResult:
         TwoSpinParams.from_gilbert(fraction * damping_threshold(j, 0.6), 0.6, -0.6, j)
         for j, fraction in rng.uniform((0.6, 0.1), (1.6, 0.9), size=(25, 2)).tolist()
     ]
-    counterparts = hermitian_counterpart(draws).matrix
-    closed = np.sort(np.linalg.eigvals(build_total(draws)).real)
-    partner = np.sort(np.linalg.eigvals(counterparts).real)
-    similar = paper_isomorphism(draws).partner
-    # np.max propagates a nan gap, where a Python max fold could drop it.
-    worst = float(np.max([np.abs(closed - partner).max(), np.abs(similar - counterparts).max()]))
-    checks.append(CheckResult("counterpart similarity on dissipative branch", worst, 1e-10))
+    frame = paper_isomorphism(draws)
+    residual, bound = _intertwining(draws, build_total(draws), frame.u, frame.partner)
+    # max|H u - u K| over its bound; np.max propagates a nan, where a Python
+    # max fold could drop it.
+    worst = float(np.max(residual / bound))
+    checks.append(CheckResult("counterpart similarity on dissipative branch", worst, 1.0))
 
     params = TwoSpinParams.from_gilbert(1.0, 0.5, -0.5, 1.0)
     rho = paper_isomorphism(params).rho

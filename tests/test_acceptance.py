@@ -33,7 +33,6 @@ from pseudospin.twospin import (
     build_total,
     closed_spectrum,
     evolve,
-    hermitian_counterpart,
     paper_isomorphism,
     transition_series,
 )
@@ -210,8 +209,9 @@ def test_criterion_07_damping_threshold():
 def test_criterion_08_isomorphism_and_metric():
     params = toy_params(1.0, 1.0)
     hamiltonian = build_total(params)
-    _, rho, conjugated = paper_isomorphism(params)
-    counterpart = hermitian_counterpart(params).matrix
+    frame = paper_isomorphism(params)
+    rho, counterpart = frame.rho, frame.partner
+    conjugated = np.linalg.solve(frame.u, hamiltonian @ frame.u)
 
     hermitian_gap = float(np.max(np.abs(conjugated - conjugated.conj().T)))
     counterpart_gap = float(np.max(np.abs(conjugated - counterpart)))

@@ -1400,20 +1400,19 @@ def test_quantize_requires_element(capsys):
 # SHA-256 of ``verify --seed S`` stdout and of its ``--out`` summary, pinned
 # like EVOLVE_GOLDEN: the groups reach every layer, so a refactor anywhere
 # below the CLI must leave these bytes alone.  Seed 0 is the default.  The
-# pins were last re-recorded when the orthogonal draws became products of
-# reflections: only the checks on those draws moved (grassmann's reality
-# transport, canon's orthogonality, field square and group action, and
-# quantize's covariance).
+# pins were last re-recorded when twospin's "counterpart similarity on
+# dissipative branch" became max|H u - u K| over its bound (limit 1): only
+# that check and the twospin line's worst violation moved.
 VERIFY_GOLDEN = {
-    0: ("d21ba2e82c9831d7357552e7d4804d77f8d3e33cf19b8b3693d697e4910515e8",
-        "f511fda2b7b83755bcae3c8cd50f612a1ea340ec743d93c80e49eaa2d7e8e07d"),
-    1: ("259e24e23111009df756b637ae22bde1662fb6d21c962502bce35a3869ba4823",
-        "9202a7edbaea30168ab0d10d2f91abfc0dcb61fe03c34109e2b8096f6af4e419"),
-    7: ("9c150de476032d8cdd1ef361dd42559a69f37203a19484fc3e06317a123e230d",
-        "4bcf655e6c13baff76b93913e21bd124f8ffab126f314e79761293c3eeefd6b6"),
+    0: ("69426a625c7ec1811e26e9fdd3149433458278fe1af1081f7ef38edaca4a9749",
+        "176e2ebddb64eb3a925c0bebc72bd7a21b91ecb77a6d2de655759d5cc0989a57"),
+    1: ("ef2abd0a2672241838713892b33a554f01609a620bdff272c60d54e64897c618",
+        "c8887eb6a582ef7b546c97df78ac731224ecedffe27ce1f1fc7de132fa7ac734"),
+    7: ("39add9447fb7939a9c54d64e0082959cb057be87532ea784fd5e8ca4d35e1a35",
+        "ccf41cf438c66cbc457087b5be6cf392d4783de5fd7c316587ba63ed3c1184f1"),
     # The benchmark draws five-digit seeds, so one is pinned too.
-    98765: ("2d15a2604f44117b1692b2a6591e3e383d867d6a5fa124a58949d942e5a2d817",
-            "0817ea52023439bddd2c2ba33a42091f3084e89aad305c18243a3bf450b58ce8"),
+    98765: ("9cf394bd8944ab9a8a587836b2cbcbeb08302a0a54cd0fa916e10e27f9568e05",
+            "6357f9cf71cd40c4d7bde4bc4d109ca7044a24b6e5d8e5520ece1d0d286a285c"),
 }
 
 

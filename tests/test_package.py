@@ -19,7 +19,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PUBLIC_NAMES = [
     "AlgebraSpec", "CheckResult", "ComplexOrthogonal",
     "Diagnosis", "GROUPS", "Generator", "GrassmannElement",
-    "GroupResult", "HermitianCounterpart", "Isomorphism", "Metric", "PAULI",
+    "GroupResult", "Isomorphism", "Metric", "PAULI",
     "Realization", "RegimeReport", "TransitionSeries", "TwoSpinParams",
     "algebra_from_json", "algebra_to_json",
     "build_total", "canonical_constraints",
@@ -27,7 +27,7 @@ PUBLIC_NAMES = [
     "constraint_reduce", "correspondence_check", "damping_threshold",
     "diagnose", "dirac_bracket", "element_from_json", "element_to_json",
     "eta_inner", "evolve", "graded_poisson",
-    "hermitian_counterpart", "is_rho_hermitian", "left_derivative",
+    "is_rho_hermitian", "left_derivative",
     "matched_eigenvalues", "matrix_from_json", "matrix_to_json",
     "metric_from_isomorphism",
     "multiply", "paper_isomorphism", "plus_involution",
@@ -86,9 +86,6 @@ def test_every_public_name_has_a_caller():
 ARRAY_HOLDERS = {
     "ComplexOrthogonal": lambda: pseudospin.random_orthogonal(3, seed=1),
     "Diagnosis": lambda: pseudospin.diagnose(np.eye(2)),
-    "HermitianCounterpart": lambda: pseudospin.hermitian_counterpart(
-        pseudospin.TwoSpinParams(0.5, 0.25, 1.0)
-    ),
     "Isomorphism": lambda: pseudospin.paper_isomorphism(
         pseudospin.TwoSpinParams(0.5, 0.25, 1.0)
     ),
@@ -154,7 +151,6 @@ def test_stacked_calls_return_no_object_arrays():
         "quantize": pseudospin.quantize(elements, pseudospin.tensor_realization(algebra)),
         "build_total": hamiltonians,
         "paper_isomorphism": pseudospin.paper_isomorphism(draws),
-        "hermitian_counterpart": pseudospin.hermitian_counterpart(draws),
         "matched_eigenvalues": pseudospin.matched_eigenvalues(hamiltonians, closed),
         "diagnose": pseudospin.diagnose(hamiltonians),
         "random_orthogonal": lam,
@@ -222,6 +218,7 @@ PRIVATE_IMPORTS = [
     "cli imports twospin._agreement_bounds",
     "cli imports twospin._euclidean_norms",
     "verify imports pseudoherm._rho_residuals",
+    "verify imports twospin._intertwining",
     "verify imports twospin._tolerance_scale",
 ]
 
@@ -279,13 +276,13 @@ def test_only_quantize_knows_the_realization():
 
 def test_transition_series_takes_its_frame_from_paper_isomorphism():
     # The regime, branch and exceptional-point decisions live in _frame_root;
-    # transition_series only reads paper_isomorphism's frame and partner.
+    # transition_series only reads paper_isomorphism's frame.
     (function,) = (
         node for node in ast.walk(package_trees()["twospin.py"])
         if isinstance(node, ast.FunctionDef) and node.name == "transition_series"
     )
     forbidden = {
-        "REGIME_TOL", "_tolerance_scale", "_frame_root", "Metric", "hermitian_counterpart",
+        "REGIME_TOL", "_tolerance_scale", "_frame_root", "Metric",
     }
     assert mentioned_names(function) & forbidden == set()
 

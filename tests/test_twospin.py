@@ -25,6 +25,7 @@ from pseudospin.pseudoherm import (
     diagnose,
     eta_inner,
     is_rho_hermitian,
+    metric_from_isomorphism,
 )
 from pseudospin import twospin
 from pseudospin.quantize import PAULI, quantize, tensor_realization
@@ -35,7 +36,6 @@ from pseudospin.twospin import (
     closed_spectrum,
     damping_threshold,
     evolve,
-    hermitian_counterpart,
     matched_eigenvalues,
     paper_isomorphism,
     transition_series,
@@ -131,7 +131,7 @@ def test_build_total_bytes_match_kron_construction():
 
 
 def test_hermitian_counterpart_bytes_match_kron_construction():
-    # On the dissipative branch the counterpart matrix has the same bytes,
+    # On the dissipative branch the partner K has the same bytes,
     # signed zeros included, as per-call Kronecker products of its real
     # z-fields and its anisotropic exchange (s/2, s/2, J).  On the hermitian
     # branch (|Im f_minus| within the band) it is build_total's matrix.  In
@@ -189,12 +189,12 @@ def test_hermitian_counterpart_bytes_match_kron_construction():
             branch, expected = "hermitian", build_total(params)
         elif report.threshold_margin <= twospin.REGIME_TOL * scale**2:
             with pytest.raises(NoMetricError, match="exceptional point"):
-                hermitian_counterpart(params)
+                paper_isomorphism(params)
             checked["exceptional"] += 1
             continue
         else:
             branch, expected = "dissipative", kron_counterpart(params)
-        assert hermitian_counterpart(params).matrix.tobytes() == expected.tobytes(), params
+        assert paper_isomorphism(params).partner.tobytes() == expected.tobytes(), params
         checked[branch] += 1
     assert min(checked["dissipative"], checked["hermitian"]) >= 100, checked
     assert checked["exceptional"] > 0, checked
@@ -221,8 +221,8 @@ def test_builders_vanish_off_the_1_2_1_blocks():
         ):
             assert not np.any(build_total(params)[off_block])
             if closed_spectrum(params).pseudo_hermitian:
-                counterpart = hermitian_counterpart(params).matrix
-                assert not np.any(counterpart[off_block])
+                partner = paper_isomorphism(params).partner
+                assert not np.any(partner[off_block])
 
 
 def test_build_total_block_structure():
@@ -293,21 +293,21 @@ def kron_reference(a, b, c):
 
 
 def assert_kron_reference_bytes(params):
-    """build_total's bytes, and hermitian_counterpart's where it exists, are
-    the reference's; returns the counterpart's branch, or None without one."""
+    """build_total's bytes, and the partner K's where it exists, are the
+    reference's; returns the partner's branch, or None without one."""
     j = params.exchange
     model = kron_reference(params.f3, params.g3, (j, j, j))
     assert build_total(params).tobytes() == model.tobytes(), params
     try:
-        counterpart = hermitian_counterpart(params)
+        frame = paper_isomorphism(params)
     except NoMetricError:
         return None
     if abs(params.f_minus.imag) <= twospin.REGIME_TOL * twospin._tolerance_scale(params):
         branch, expected = "hermitian", model
     else:
         branch = "dissipative"
-        expected = kron_reference(counterpart.b3, counterpart.c3, counterpart.j_tilde)
-    assert counterpart.matrix.tobytes() == expected.tobytes(), params
+        expected = kron_reference(frame.b3, frame.c3, frame.j_tilde)
+    assert frame.partner.tobytes() == expected.tobytes(), params
     return branch
 
 
@@ -795,24 +795,24 @@ def test_imaginary_parts_grow_beyond_threshold():
 
 
 def test_hermitian_counterpart_toy_anchor():
-    counterpart = hermitian_counterpart(toy_params(1.0, 1.0))
+    counterpart = paper_isomorphism(toy_params(1.0, 1.0))
     assert counterpart.b3 == pytest.approx(0.5, abs=ATOL)
     assert counterpart.c3 == pytest.approx(0.5, abs=ATOL)
     root3 = np.sqrt(3.0)
     assert counterpart.j_tilde[0] == pytest.approx(root3 / 2.0, abs=ATOL)
     assert counterpart.j_tilde[1] == pytest.approx(root3 / 2.0, abs=ATOL)
     assert counterpart.j_tilde[2] == pytest.approx(1.0, abs=ATOL)
-    matrix = counterpart.matrix
+    matrix = counterpart.partner
     assert np.max(np.abs(matrix - matrix.conj().T)) <= ATOL
 
 
 def test_hermitian_counterpart_limits_and_errors():
     params = TwoSpinParams(f3=0.7, g3=0.7, exchange=0.9)
-    counterpart = hermitian_counterpart(params)
-    assert np.allclose(counterpart.matrix, build_total(params), atol=ATOL)
+    counterpart = paper_isomorphism(params)
+    assert np.allclose(counterpart.partner, build_total(params), atol=ATOL)
     assert counterpart.j_tilde == pytest.approx((0.9, 0.9, 0.9))
     with pytest.raises(ValueError):
-        hermitian_counterpart(toy_params(5.0, 0.5))
+        paper_isomorphism(toy_params(5.0, 0.5))
 
 
 def test_hermitian_counterpart_preserves_spectrum_dissipative():
@@ -823,20 +823,21 @@ def test_hermitian_counterpart_preserves_spectrum_dissipative():
         params = toy_params(amplitude, alpha, exchange=float(rng.uniform(0.5, 2.0)))
         if not closed_spectrum(params).pseudo_hermitian:
             continue
-        counterpart = hermitian_counterpart(params)
+        counterpart = paper_isomorphism(params).partner
         match_multisets(
-            np.linalg.eigvals(counterpart.matrix),
+            np.linalg.eigvals(counterpart),
             np.linalg.eigvals(build_total(params)),
             1e-10,
         )
-        assert np.linalg.det(counterpart.matrix) == pytest.approx(
+        assert np.linalg.det(counterpart) == pytest.approx(
             np.linalg.det(build_total(params)), abs=1e-12
         )
 
 
 def test_paper_isomorphism_toy_anchor():
     params = toy_params(1.0, 1.0)
-    u, rho, _ = paper_isomorphism(params)
+    frame = paper_isomorphism(params)
+    u, rho = frame.u, frame.rho
     expect_u = np.eye(4, dtype=complex)
     expect_u[1, 1] = np.sqrt(3.0) / 2.0
     expect_u[1, 2] = -0.5j
@@ -857,12 +858,13 @@ def test_paper_isomorphism_postconditions():
         )
         if not closed_spectrum(params).pseudo_hermitian:
             continue
-        _, rho, conjugated = paper_isomorphism(params)
+        frame = paper_isomorphism(params)
         hamiltonian = build_total(params)
-        assert np.max(np.abs(conjugated - conjugated.conj().T)) <= 1e-10
-        assert is_rho_hermitian(hamiltonian, rho, tol=1e-10)
+        partner = frame.partner
+        assert np.max(np.abs(partner - partner.conj().T)) <= 1e-10
+        assert is_rho_hermitian(hamiltonian, frame.rho, tol=1e-10)
         assert np.allclose(
-            conjugated, hermitian_counterpart(params).matrix, atol=1e-10
+            np.linalg.solve(frame.u, hamiltonian @ frame.u), partner, atol=1e-10
         )
 
 
@@ -885,10 +887,10 @@ def test_paper_isomorphism_rejections():
     # Real f_minus, and no coupling: the hermitian branch, framed by the identity.
     # Its partner is the model itself, bit for bit.
     for params in (TwoSpinParams(1.2, 0.4, 1.0), TwoSpinParams(0.5, 0.5, 0.0)):
-        u, rho, partner = paper_isomorphism(params)
-        assert np.array_equal(u, np.eye(4))
-        assert np.array_equal(rho.matrix, np.eye(4))
-        assert np.array_equal(partner, build_total(params))
+        frame = paper_isomorphism(params)
+        assert np.array_equal(frame.u, np.eye(4))
+        assert np.array_equal(frame.rho.matrix, np.eye(4))
+        assert np.array_equal(frame.partner, build_total(params))
 
 
 def test_all_zero_model_needs_no_special_case():
@@ -903,10 +905,10 @@ def test_all_zero_model_needs_no_special_case():
     series = transition_series(xi, zeta, zero, np.array([0.0, 1.0]))
     assert np.array_equal(series.route_gaps, [0.0, 0.0])
     assert np.array_equal(series.amplitudes, np.full(2, np.vdot(xi, zeta)))
-    u, rho, partner = paper_isomorphism(zero)
-    assert np.array_equal(u, np.eye(4))
-    assert np.array_equal(rho.matrix, np.eye(4))
-    assert np.array_equal(partner, build_total(zero))
+    frame = paper_isomorphism(zero)
+    assert np.array_equal(frame.u, np.eye(4))
+    assert np.array_equal(frame.rho.matrix, np.eye(4))
+    assert np.array_equal(frame.partner, build_total(zero))
 
 
 def test_small_hermitian_model_is_far_from_the_exceptional_point():
@@ -914,18 +916,16 @@ def test_small_hermitian_model_is_far_from_the_exceptional_point():
     # relative margin of 1, so an isomorphism (the identity) exists.
     tiny = TwoSpinParams(0.0, 0.0, 1e-8)
     assert closed_spectrum(tiny).pseudo_hermitian
-    u, rho, partner = paper_isomorphism(tiny)
-    assert np.array_equal(u, np.eye(4))
-    assert np.array_equal(rho.matrix, np.eye(4))
-    assert np.array_equal(partner, build_total(tiny))
+    frame = paper_isomorphism(tiny)
+    assert np.array_equal(frame.u, np.eye(4))
+    assert np.array_equal(frame.rho.matrix, np.eye(4))
+    assert np.array_equal(frame.partner, build_total(tiny))
 
 
 def test_no_metric_error_marks_exactly_the_points_without_a_metric():
     beyond, at_ep = toy_params(5.0, 0.5), toy_params(damping_threshold(1.0, 0.5), 0.5)
     state, times = np.array([0, 1, 0, 0], dtype=complex), np.linspace(0.0, 1.0, 3)
     for params, message in ((beyond, "reality conditions"), (at_ep, "exceptional point")):
-        with pytest.raises(NoMetricError, match=message):
-            hermitian_counterpart(params)
         with pytest.raises(NoMetricError, match=message):
             paper_isomorphism(params)
         with pytest.raises(NoMetricError, match=message):
@@ -938,19 +938,18 @@ def test_no_metric_error_marks_exactly_the_points_without_a_metric():
         TwoSpinParams(f3=1.2, g3=0.4, exchange=1.0),  # real f_minus
         TwoSpinParams(f3=0.5, g3=0.5, exchange=0.0),  # no coupling
     ):
-        u, rho, _ = paper_isomorphism(params)
-        assert np.array_equal(u, np.eye(4))
-        assert np.array_equal(rho.matrix, np.eye(4))
+        frame = paper_isomorphism(params)
+        assert np.array_equal(frame.u, np.eye(4))
+        assert np.array_equal(frame.rho.matrix, np.eye(4))
 
 
 def test_one_frame_covers_the_whole_regime():
     # Seeded models on both branches, with J > 0, J < 0 and J = 0: f_minus
     # real (with an imaginary part inside the band on two thirds of them) or
     # purely imaginary, some at the exceptional point, each scaled by 2^k.
-    # paper_isomorphism and hermitian_counterpart both refuse exactly the
-    # unflagged points and the exceptional point; everywhere else the partner
-    # u^-1 H u matches hermitian_counterpart, whose eigenvalues are the
-    # closed form's.
+    # paper_isomorphism refuses exactly the unflagged points and the
+    # exceptional point; everywhere else u^-1 H u matches its partner K,
+    # whose eigenvalues are the closed form's.
     rng = np.random.default_rng(30)
     checked = {"hermitian": 0, "dissipative": 0, "refused": 0}
     for _ in range(300):
@@ -974,14 +973,12 @@ def test_one_frame_covers_the_whole_regime():
             if not report.pseudo_hermitian or (at_ep and not hermitian):
                 with pytest.raises(NoMetricError):
                     paper_isomorphism(params)
-                with pytest.raises(NoMetricError):
-                    hermitian_counterpart(params)
                 checked["refused"] += 1
                 continue
-            partner = paper_isomorphism(params).partner
-            counterpart = hermitian_counterpart(params).matrix
-            assert np.max(np.abs(partner - counterpart)) <= METRIC_RESIDUAL_TOL * scale
-            gaps = matched_eigenvalues(counterpart, report.eigenvalues) - report.eigenvalues
+            frame = paper_isomorphism(params)
+            conjugated = np.linalg.solve(frame.u, build_total(params) @ frame.u)
+            assert np.max(np.abs(conjugated - frame.partner)) <= METRIC_RESIDUAL_TOL * scale
+            gaps = matched_eigenvalues(frame.partner, report.eigenvalues) - report.eigenvalues
             assert np.max(np.abs(gaps)) <= 1e-12 * scale, params
             checked["hermitian" if hermitian else "dissipative"] += 1
     assert min(checked.values()) >= 100, checked
@@ -1016,17 +1013,15 @@ def test_stacked_calls_match_single_calls_bit_for_bit():
     stack = paper_isomorphism(draws)
     shape = (len(draws), 4, 4)
     assert totals.shape == stack.u.shape == stack.partner.shape == stack.rho.matrix.shape == shape
-    counterparts = hermitian_counterpart(draws)
-    assert counterparts.matrix.shape == shape and counterparts.j_tilde.shape == (len(draws), 3)
-    assert counterparts.b3.shape == counterparts.c3.shape == (len(draws),)
+    assert stack.b3.shape == stack.c3.shape == (len(draws),)
+    assert stack.j_tilde.shape == (len(draws), 3)
     identity = Metric(np.eye(4))
     for k, (params, kind) in enumerate(zip(draws, kinds)):
         single = paper_isomorphism(params)
         assert totals[k].tobytes() == build_total(params).tobytes()
-        one = hermitian_counterpart(params)
-        assert counterparts.matrix[k].tobytes() == one.matrix.tobytes()
-        fields = [counterparts.b3[k], counterparts.c3[k], *counterparts.j_tilde[k]]
-        assert np.array(fields).tobytes() == np.array([one.b3, one.c3, *one.j_tilde]).tobytes()
+        fields = [stack.b3[k], stack.c3[k], *stack.j_tilde[k]]
+        single_fields = [single.b3, single.c3, *single.j_tilde]
+        assert np.array(fields).tobytes() == np.array(single_fields).tobytes()
         assert stack.u[k].tobytes() == single.u.tobytes()
         assert stack.rho.matrix[k].tobytes() == single.rho.matrix.tobytes()
         assert stack.rho.min_eigenvalue[k].hex() == single.rho.min_eigenvalue.hex()
@@ -1042,17 +1037,16 @@ def test_stacked_calls_match_single_calls_bit_for_bit():
 def test_single_calls_return_one_matrix_and_one_metric():
     for params in (toy_params(1.0, 0.5), TwoSpinParams(1.2, 0.4, 1.0)):
         assert build_total(params).shape == (4, 4)
-        u, rho, partner = paper_isomorphism(params)
-        assert u.shape == partner.shape == rho.matrix.shape == (4, 4)
-        assert type(rho) is Metric and type(rho.min_eigenvalue) is float
+        frame = paper_isomorphism(params)
+        assert frame.u.shape == frame.partner.shape == frame.rho.matrix.shape == (4, 4)
+        assert type(frame.rho) is Metric and type(frame.rho.min_eigenvalue) is float
+        assert type(frame.j_tilde) is tuple
+        assert {type(x) for x in (frame.b3, frame.c3, *frame.j_tilde)} == {float}
     stack = paper_isomorphism([toy_params(1.0, 0.5)])
     assert stack.u.shape == (1, 4, 4) and stack.rho.min_eigenvalue.shape == (1,)
     assert build_total([]).shape == (0, 4, 4)
-    counterpart = hermitian_counterpart(toy_params(1.0, 0.5))
-    assert counterpart.matrix.shape == (4, 4) and type(counterpart.j_tilde) is tuple
-    assert {type(x) for x in (counterpart.b3, counterpart.c3, *counterpart.j_tilde)} == {float}
-    empty = hermitian_counterpart([])
-    assert empty.matrix.shape == (0, 4, 4) and empty.j_tilde.shape == (0, 3)
+    empty = paper_isomorphism([])
+    assert empty.partner.shape == (0, 4, 4) and empty.j_tilde.shape == (0, 3)
 
 
 @pytest.mark.parametrize(
@@ -1072,41 +1066,89 @@ def test_stacked_isomorphism_names_the_entry_without_a_metric(bad, message):
     assert str(stacked.value) == f"{single.value} at stack entry 2"
 
 
-@pytest.mark.parametrize(
-    "bad, message",
-    [
-        (toy_params(5.0, 0.5), "reality conditions"),
-        (toy_params(damping_threshold(1.0, 0.5), 0.5), "exceptional point"),
-    ],
-    ids=["outside", "exceptional_point"],
-)
-def test_stacked_counterpart_names_the_entry_without_a_metric(bad, message):
-    good = [toy_params(1.0, 0.5), TwoSpinParams(1.2, 0.4, 1.0)]
-    with pytest.raises(NoMetricError, match=message) as single:
-        hermitian_counterpart(bad)
-    with pytest.raises(NoMetricError) as stacked:
-        hermitian_counterpart([*good, bad, bad])
-    assert str(stacked.value) == f"{single.value} at stack entry 2"
-
-
 def test_stacked_gates_name_the_first_failing_dissipative_entry(monkeypatch):
-    # A negative bound fails the partner gate wherever it runs: not on the
-    # hermitian branch, where H is hermitian only within the wider regime band.
+    # Each mutation fails a gate wherever it runs: not on the hermitian
+    # branch, where H is its own partner and hermitian only within the wider
+    # regime band.  The first two break the frame, so the intertwining check
+    # H u = u K must catch them; a negative bound fails the metric gate.
     hermitian, dissipative = TwoSpinParams(1.2, 0.4, 1.0), toy_params(1.0, 0.5)
-    monkeypatch.setattr(twospin, "METRIC_RESIDUAL_TOL", -1.0)
-    paper_isomorphism([hermitian, hermitian])
-    partner_failure = "conjugated Hamiltonian failed the hermiticity check"
-    with pytest.raises(RuntimeError, match=f"^{partner_failure}$"):
-        paper_isomorphism(dissipative)
-    with pytest.raises(RuntimeError, match=f"^{partner_failure} at stack entry 1$"):
-        paper_isomorphism([hermitian, dissipative, dissipative])
-    monkeypatch.undo()
-    monkeypatch.setattr(twospin, "is_rho_hermitian", lambda a, rho, tol: np.zeros(len(a), bool))
-    metric_failure = "constructed metric failed to hermitize the Hamiltonian"
-    with pytest.raises(RuntimeError, match=f"^{metric_failure}$"):
-        paper_isomorphism(dissipative)
-    with pytest.raises(RuntimeError, match=f"^{metric_failure} at stack entry 2$"):
-        paper_isomorphism([hermitian, hermitian, dissipative])
+    metric_from_isomorphism, quantized = twospin.metric_from_isomorphism, twospin._quantized
+
+    def skewed_frame(u):
+        # u's middle entry s/(2J) scaled by 1 + 1e-6, before any gate reads u.
+        u[..., 1, 1] *= 1.0 + 1e-6
+        return metric_from_isomorphism(u)
+
+    def swapped_exchange(coefficients):
+        # K built with the exchange (J, s/2, s/2), not (s/2, s/2, J); the
+        # model's (J, J, J) is unchanged.
+        return quantized(np.asarray(coefficients)[..., [0, 1, 4, 3, 2]])
+
+    intertwining = "partner failed the intertwining check H u = u K"
+    metric = "constructed metric failed to hermitize the Hamiltonian"
+    mutations = [
+        ("metric_from_isomorphism", skewed_frame, intertwining),
+        ("_quantized", swapped_exchange, intertwining),
+        ("METRIC_RESIDUAL_TOL", -1.0, metric),
+    ]
+    for name, mutant, message in mutations:
+        with monkeypatch.context() as patch:
+            patch.setattr(twospin, name, mutant)
+            paper_isomorphism([hermitian, hermitian])
+            with pytest.raises(RuntimeError, match=f"^{message}$"):
+                paper_isomorphism(dissipative)
+            with pytest.raises(RuntimeError, match=f"^{message} at stack entry 1$"):
+                paper_isomorphism([hermitian, dissipative, dissipative])
+
+
+def asymmetry_gates_accept(params):
+    """Whether paper_isomorphism accepted a dissipative point when it solved
+    for u^-1 H u: that partner's asymmetry within METRIC_RESIDUAL_TOL * scale,
+    then the metric gate, which is unchanged."""
+    root = math.copysign(float(np.sqrt(closed_spectrum(params).threshold_margin)), params.exchange)
+    two_j = 2.0 * params.exchange
+    u = np.eye(4, dtype=complex)
+    u[1, 1:3] = root / two_j, -params.f_minus / two_j
+    hamiltonian = build_total(params)
+    partner = np.linalg.solve(u, hamiltonian @ u)
+    tol = METRIC_RESIDUAL_TOL * twospin._tolerance_scale(params)
+    rho = metric_from_isomorphism(u)
+    return bool(
+        np.abs(partner - partner.conj().T).max() <= tol
+        and is_rho_hermitian(hamiltonian, rho, tol * np.abs(rho.matrix).max())
+    )
+
+
+def test_no_near_band_point_the_asymmetry_gate_accepted_is_refused():
+    # alpha2 = -alpha1 (1 + eps) with |eps| = 10^U(-13, -8), Re f_minus moved
+    # by up to 1e-9 and J of both signs: flagged points whose Im f_plus and
+    # Re f_minus reach across the band.  The intertwining bound takes both
+    # in, so every point the asymmetry gate accepted is still accepted, and
+    # the metric gate is the only one that refuses.
+    rng = np.random.default_rng(56)
+    verdicts = {(True, True): 0, (False, True): 0, (False, False): 0}
+    for _ in range(2100):
+        j = float(rng.uniform(0.5, 2.0))
+        alpha = float(rng.uniform(0.1, 1.5) * rng.choice([-1.0, 1.0]))
+        amplitude = float(rng.uniform(0.05, 0.999)) * damping_threshold(j, alpha)
+        eps = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-13.0, -8.0))
+        sign = float(rng.choice([-1.0, 1.0]))
+        base = TwoSpinParams.from_gilbert(amplitude, alpha, -alpha * (1.0 + eps), sign * j)
+        shift = float(rng.uniform(-1e-9, 1e-9))
+        params = TwoSpinParams(base.f3 + shift / 2.0, base.g3 - shift / 2.0, base.exchange)
+        if not closed_spectrum(params).pseudo_hermitian:
+            continue
+        try:
+            paper_isomorphism(params)
+            accepted = True
+        except RuntimeError as refusal:
+            assert str(refusal) == "constructed metric failed to hermitize the Hamiltonian"
+            accepted = False
+        old = asymmetry_gates_accept(params)
+        assert accepted or not old, params
+        verdicts[old, accepted] += 1
+    assert sum(verdicts.values()) >= 2000, verdicts
+    assert min(verdicts.values()) >= 100, verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -1416,11 +1458,11 @@ def test_transition_probability_hermitian_branch():
 
 def test_routes_agree_on_in_band_dissipative_points():
     # closed_spectrum forgives Im f_plus and the Re f_minus Im f_minus cross
-    # term of s inside the band; the closed-form counterpart drops them, so
+    # term of s inside the band; the closed-form partner K drops them, so
     # only u^-1 H u is similar to H and keeps the routes together up to
     # t = 1e3.  The strays stay within a tenth of the band: from about a
-    # fifth on, paper_isomorphism's hermiticity postcondition
-    # (METRIC_RESIDUAL_TOL * scale) refuses the partner.
+    # fifth on, paper_isomorphism's metric postcondition
+    # (METRIC_RESIDUAL_TOL * scale * max|rho|) refuses the frame.
     rng = np.random.default_rng(31)
     times = np.linspace(0.0, 1000.0, 101)
     for _ in range(20):
@@ -1482,7 +1524,7 @@ def test_canonical_limit_alpha_zero_is_exact():
     for exchange in (1.0, -1.0, -0.7):
         undamped = TwoSpinParams(f3=0.8, g3=0.8, exchange=exchange)
         assert np.array_equal(paper_isomorphism(undamped).u, np.eye(4))
-        assert np.array_equal(hermitian_counterpart(undamped).matrix, build_total(undamped))
+        assert np.array_equal(paper_isomorphism(undamped).partner, build_total(undamped))
 
 
 def _assert_undamped_limit(exchange):
@@ -1497,7 +1539,7 @@ def _assert_undamped_limit(exchange):
             f3=(f_plus + 1j * alpha) / 2.0, g3=(f_plus - 1j * alpha) / 2.0, exchange=exchange
         )
         det_h = np.linalg.det(build_total(step))
-        h_r = hermitian_counterpart(step).matrix
+        h_r = paper_isomorphism(step).partner
         assert abs(det_h - np.linalg.det(h_r)) <= 1e-12 * (1.0 + abs(det_h))
         u_distances.append(np.linalg.norm(paper_isomorphism(step).u - np.eye(4)))
         counterpart_gaps.append(np.linalg.norm(h_r - h0))
