@@ -49,9 +49,9 @@ from pseudospin.pseudoherm import (
     Metric,
     diagnose,
     eta_inner,
-    is_rho_hermitian,
     metric_from_isomorphism,
     rho_adjoint,
+    rho_residuals,
 )
 from pseudospin.quantize import (
     PAULI,

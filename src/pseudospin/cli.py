@@ -13,8 +13,10 @@ from flags, optionally seeded by a JSON config file (``--config``) whose
 keys are the subcommand's flag names with underscores; an unknown key is
 an input error, and flags given on the command line override file values.
 Numeric output is deterministic: identical configuration and seed produce
-byte-identical CSV/JSON.  Exit codes: 0 success, 1 validation, input, output
-or usage error, 2 verification or agreement failure.
+byte-identical CSV/JSON.  Exit codes: 0 success; 1 validation, input, output
+or usage error, or a run-time gate of ``evolve`` that raises RuntimeError
+(the evaluation routes disagree, or the frame fails its intertwining or
+metric check); 2 verification or agreement failure.
 
 Column layout follows the model layer: sweep rows are ``B, alpha1, alpha2,
 J, ReE1p, ImE1p, ReE1m, ImE1m, ReE2p, ImE2p, ReE2m, ImE2m,

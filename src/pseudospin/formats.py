@@ -12,14 +12,15 @@ is the same element in canonical form.
 Tables come as one column per header name and go out as CSV or, a row at a
 time, as JSON.  Cells use the shortest round-trip float representation and
 spell a non-finite float "nan", "inf" or "-inf", as a JSON record built from
-dataclasses does (:func:`json_fields`); CSV rows end in a bare newline, so
-repeated runs are byte-identical across platforms.
+dataclasses does (:func:`json_fields`).  A CSV table holds float or bool
+columns under identifier headers, the tables the command line writes, so no
+cell needs quoting; its rows end in a bare newline, so repeated runs are
+byte-identical across platforms.
 """
 
 import itertools
 import json
 import math
-import re
 import sys
 from typing import IO, Any, Iterable, Iterator, Sequence
 
@@ -27,9 +28,7 @@ import numpy as np
 
 from .grassmann import AlgebraSpec, GrassmannElement
 
-# The characters that make a cell need quoting.
-_NEEDS_QUOTING = re.compile(r'[,"\r\n]')
-# The text of a bool cell, as csv_cell writes it.
+# The text of a bool cell.
 _BOOL_TEXT = {False: "0", True: "1"}
 
 
@@ -196,39 +195,16 @@ def element_from_json(data: Any) -> GrassmannElement:
     return GrassmannElement.from_terms(algebra, terms)
 
 
-def csv_cell(value: Any) -> str:
-    """Render one CSV cell: shortest round-trip floats, "nan" for NaN.
-
-    A string holding a comma, a quote, a carriage return or a newline is
-    quoted with its quotes doubled, as the csv module's minimal quoting does;
-    any other string is written as it is.
-    """
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, str):
-        if not _NEEDS_QUOTING.search(value):
-            return value
-        return '"' + value.replace('"', '""') + '"'
-    raise ValueError(f"unsupported CSV cell type: {type(value)!r}")
-
-
 def _check_table(header: Sequence[str], columns: Sequence[Sequence[Any]]) -> None:
     if not header or len(columns) != len(header) or len(set(map(len, columns))) > 1:
         raise ValueError("expected one column per header name, all of one length")
 
 
-def _rendered(column: Sequence[Any]) -> Iterator[str]:
-    """Each cell's text: one ``repr`` per distinct value of an all-float column,
-    a lookup per cell of an all-bool one, else :func:`csv_cell` per cell."""
-    types = set(map(type, column))
-    if types == {bool}:
+def _rendered(column: Sequence[Any], kind: set[type]) -> Iterator[str]:
+    """Each cell's text: a lookup per cell of a column of ``kind`` {bool},
+    else one ``repr`` per distinct value of the float column."""
+    if kind == {bool}:
         return map(_BOOL_TEXT.__getitem__, column)
-    if not types <= {float}:
-        return map(csv_cell, column)
     distinct = set(column)  # each nan object is its own member
     # 0.0 and -0.0 are one member but two texts, so a zero takes a repr per cell.
     if len(distinct) == len(column) or 0.0 in distinct:
@@ -242,30 +218,32 @@ def write_csv(
 ) -> None:
     """Write one column per header name with deterministic, platform-stable bytes.
 
-    The header, then each block of 256 lines, is rendered and written in one
-    go; in a block a column of exact ``float`` cells takes one ``repr`` per
-    distinct value, one of exact ``bool`` cells a lookup per cell
-    (:func:`_rendered`), any other :func:`csv_cell` per cell.  Lines hold the bytes the csv module
-    writes for their cells with a ``\\n`` terminator, except that a cell holding
-    ``\\r`` is quoted too, so it reads back whole.  The caller opens the stream
-    with ``newline=""`` so that terminator survives untranslated.
+    Each column holds only exact ``float`` cells or only exact ``bool`` ones,
+    under an identifier header name, so no cell needs quoting and each line
+    holds the bytes the csv module writes for it with a ``\\n`` terminator.
+    The header, then each block of 256 lines, is rendered (:func:`_rendered`)
+    and written in one go.  The caller opens the stream with ``newline=""``
+    so that terminator survives untranslated.
 
     Raises:
-        ValueError: If the header is empty, or the columns do not match its
-            names one to one or differ in length.
+        ValueError: Before anything is written, if the header is empty or
+            holds a non-identifier, the columns do not match its names one
+            to one or differ in length, or a column holds anything else.
     """
     _check_table(header, columns)
+    kinds = [set(map(type, column)) for column in columns]
+    for name, kind in zip(header, kinds):
+        if not (isinstance(name, str) and name.isidentifier()):
+            raise ValueError(f"header name {name!r} is not an identifier")
+        if not (kind <= {float} or kind == {bool}):
+            raise ValueError(f"column {name} must hold only floats or only bools")
     # One write per block, whose texts are all the rendering holds at a time.
-    blocks = itertools.chain([[map(csv_cell, header)]], (
-        zip(*(_rendered(column[start : start + 256]) for column in columns))
+    blocks = itertools.chain([[header]], (
+        zip(*(_rendered(cells[start : start + 256], kind) for cells, kind in zip(columns, kinds)))
         for start in range(0, len(columns[0]), 256)
     ))
     for rows in blocks:
-        lines = map(",".join, rows)
-        if len(header) == 1:
-            # The csv module quotes a lone empty cell so the line does not read as blank.
-            lines = (line or '""' for line in lines)
-        stream.write("\n".join(lines) + "\n")
+        stream.write("\n".join(map(",".join, rows)) + "\n")
 
 
 def write_json(
@@ -275,7 +253,8 @@ def write_json(
 
     Rows are keyed by the header names and hold scalars; a non-finite float
     cell is spelled "nan", "inf" or "-inf", as :func:`json_fields` spells a
-    record's.  Raises ValueError on a table :func:`write_csv` refuses.
+    record's.  Raises ValueError if the header is empty, or the columns do
+    not match its names one to one or differ in length.
     """
     _check_table(header, columns)
     # The C encoder, with indent=2's layout of a flat object as its separator.

@@ -405,9 +405,6 @@ class GrassmannElement:
     def __rmul__(self, other):
         return self._scaled(other)
 
-    def __truediv__(self, other):
-        return self._scaled(1.0 / complex(other))
-
     def _scaled(self, factor: complex) -> "GrassmannElement":
         factor = complex(factor)
         if factor == 0:

@@ -158,20 +158,10 @@ def rho_adjoint(a: OperatorMatrix, rho: Metric) -> OperatorMatrix:
     return np.linalg.solve(rho.matrix, a.conj().mT @ rho.matrix)
 
 
-def is_rho_hermitian(
-    a: OperatorMatrix, rho: Metric, tol: float = METRIC_RESIDUAL_TOL
-) -> bool | np.ndarray:
-    """Check ``rho a == a^dag rho`` entrywise within ``tol``: a bool for one
-    pair, else one verdict per entry of the broadcast stacks."""
-    a = np.asarray(a, dtype=complex)
-    if a.shape[-2:] != (rho.dim, rho.dim):
-        raise ValueError("operator dimension must match the metric")
-    verdict = _rho_residuals(a, rho.matrix) <= tol
-    return bool(verdict) if verdict.ndim == 0 else verdict
-
-
-def _rho_residuals(a: OperatorMatrix, rho: np.ndarray) -> np.ndarray:
-    """max|rho a - a^dag rho| of each pair in ``(..., n, n)`` stacks."""
+def rho_residuals(a: OperatorMatrix, rho: np.ndarray) -> np.ndarray:
+    """max|rho a - a^dag rho| of each pair in ``(..., n, n)`` arrays; zero
+    exactly when ``a`` is hermitian for the metric ``rho``, and the caller
+    judges how near zero is near enough."""
     return np.max(np.abs(rho @ a - a.conj().mT @ rho), axis=(-2, -1))
 
 
@@ -255,7 +245,7 @@ def diagnose(a: OperatorMatrix) -> Diagnosis:
     unit = vectors[ok] / np.linalg.norm(vectors[ok], axis=-2, keepdims=True)
     rho = np.linalg.inv(unit @ unit.conj().mT)
     rho = 0.5 * (rho + rho.conj().mT)
-    hermitized = _rho_residuals(stack[ok], rho) <= METRIC_RESIDUAL_TOL * scale[ok]
+    hermitized = rho_residuals(stack[ok], rho) <= METRIC_RESIDUAL_TOL * scale[ok]
     keep, candidates = ok[hermitized], rho[hermitized]
     try:
         checked = Metric(candidates)

@@ -36,8 +36,8 @@ from .pseudoherm import (
     METRIC_RESIDUAL_TOL,
     Metric,
     eta_inner,
-    is_rho_hermitian,
     metric_from_isomorphism,
+    rho_residuals,
 )
 from .quantize import quantize, tensor_realization
 
@@ -336,7 +336,7 @@ def damping_threshold(exchange: float, alpha: float) -> float:
     return exchange * (alpha * alpha + 1.0) / abs(alpha)
 
 
-def _frame_root(params: TwoSpinParams, at: str = "") -> float | None:
+def _frame_root(params: TwoSpinParams, at: str) -> float | None:
     """Signed s on the dissipative branch, None on the hermitian; else NoMetricError + ``at``."""
     report = closed_spectrum(params)
     if not report.pseudo_hermitian:
@@ -424,7 +424,7 @@ def paper_isomorphism(params: TwoSpinParams | Sequence[TwoSpinParams]) -> Isomor
     rho = metric_from_isomorphism(u[0] if single else u)
     residual, bound = _intertwining(draws, hamiltonian, u, partner)
     tol = METRIC_RESIDUAL_TOL * np.array([_tolerance_scale(p) for p in draws])
-    hermitized = is_rho_hermitian(hamiltonian, rho, tol * np.abs(rho.matrix).max(axis=(-2, -1)))
+    hermitized = rho_residuals(hamiltonian, rho.matrix) <= tol * np.abs(rho.matrix).max((-2, -1))
     for k in dissipative:
         # Written so that a nan residual fails too.
         if not residual[k] <= bound[k]:

@@ -35,11 +35,11 @@ from .grassmann import (
 )
 from .pseudoherm import (
     Metric,
-    _rho_residuals,
     diagnose,
     eta_inner,
     metric_from_isomorphism,
     rho_adjoint,
+    rho_residuals,
 )
 from .quantize import (
     Realization,
@@ -107,15 +107,15 @@ def _from_term_runs(algebra, terms, sizes):
     return [GrassmannElement.from_terms(algebra, terms[a:b]) for a, b in zip([0, *ends], ends)]
 
 
-def _random_elements(rng, algebra, count, max_terms=4, max_degree=3):
-    """``count`` elements of 1 to ``max_terms`` terms, all drawn as arrays:
+def _random_elements(rng, algebra, count, max_degree=3):
+    """``count`` elements of 1 to 4 terms, all drawn as arrays:
     each term has 0 to ``max_degree`` distinct generators (a row-wise argsort
     of uniforms, cut to the term's degree) and a coefficient in
     [-3, 3] + i[-3, 3]."""
     gens = list(algebra.coordinates()) + list(algebra.momenta())
     if max_degree > len(gens):
         raise ValueError(f"max_degree {max_degree} exceeds the {len(gens)} generators")
-    sizes = rng.integers(1, max_terms + 1, size=count)
+    sizes = rng.integers(1, 5, size=count)
     total = int(sizes.sum())
     degrees = rng.integers(0, max_degree + 1, size=total).tolist()
     real, imag = rng.integers(-3, 4, size=(2, total)).tolist()
@@ -368,7 +368,7 @@ def check_pseudoherm(seed: int = 0) -> GroupResult:
     for a, d in _planted_reports(dims, plants, _gaussian(rng, 100, 5, 5)):
         found = d.spectrum_real & d.diagonalizable
         missing += int(np.count_nonzero(~found))
-        worst.append(np.max(_rho_residuals(a[found], d.metric.matrix), initial=0.0))
+        worst.append(np.max(rho_residuals(a[found], d.metric.matrix), initial=0.0))
     checks.append(CheckResult("planted real spectra yield metrics", float(missing), 0.0))
     checks.append(CheckResult("constructed metric residual", _worst(worst), 1e-9))
 

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -27,12 +28,12 @@ PUBLIC_NAMES = [
     "constraint_reduce", "correspondence_check", "damping_threshold",
     "diagnose", "dirac_bracket", "element_from_json", "element_to_json",
     "eta_inner", "evolve", "graded_poisson",
-    "is_rho_hermitian", "left_derivative",
+    "left_derivative",
     "matched_eigenvalues", "matrix_from_json", "matrix_to_json",
     "metric_from_isomorphism",
     "multiply", "paper_isomorphism", "plus_involution",
     "pushforward_field", "quantize", "random_orthogonal", "rho_adjoint",
-    "right_derivative", "run_groups", "star_involution", "tensor_realization",
+    "rho_residuals", "right_derivative", "run_groups", "star_involution", "tensor_realization",
     "transform_coefficients", "transition_series", "vector_from_json",
     "vector_to_json", "write_csv",
 ]
@@ -79,6 +80,24 @@ def test_every_public_name_has_a_caller():
             if name.endswith(half):
                 reached.add(name[: -len(half)] + partner)
     assert [name for name in public_names() if name not in reached] == []
+
+
+def test_no_public_callable_takes_a_tolerance():
+    # Every bound is a module constant applied where it is used, and a check
+    # that returns a residual leaves judging it to its caller; so no public
+    # function, class or method takes a tolerance or cap argument.
+    exported = [getattr(pseudospin, name) for name in public_names()]
+    methods = [
+        member for cls in exported if isinstance(cls, type)
+        for name, member in vars(cls).items()
+        if not name.startswith("_") and isinstance(member, FunctionType)
+    ]
+    knobs = {"tol", "atol", "rtol", "cap"}
+    takers = [
+        f.__qualname__ for f in [*exported, *methods]
+        if callable(f) and knobs & set(inspect.signature(f).parameters)
+    ]
+    assert takers == []
 
 
 # A build of each exported dataclass or NamedTuple that holds an array, whose
@@ -159,7 +178,7 @@ def test_stacked_calls_return_no_object_arrays():
         "pushforward_field": pseudospin.pushforward_field(rng.normal(size=(3, 3)), lam),
         "eta_inner": pseudospin.eta_inner(g[:, 0], g[:, 1], metrics),
         "rho_adjoint": pseudospin.rho_adjoint(g, metrics),
-        "is_rho_hermitian": pseudospin.is_rho_hermitian(g, metrics),
+        "rho_residuals": pseudospin.rho_residuals(g, metrics.matrix),
     }
     held = {name: [a.dtype for a in held_arrays(result)] for name, result in results.items()}
     assert [name for name, dtypes in held.items() if not dtypes] == []
@@ -217,7 +236,6 @@ PRIVATE_IMPORTS = [
     "canon imports grassmann._substitute",
     "cli imports twospin._agreement_bounds",
     "cli imports twospin._euclidean_norms",
-    "verify imports pseudoherm._rho_residuals",
     "verify imports twospin._intertwining",
     "verify imports twospin._tolerance_scale",
 ]

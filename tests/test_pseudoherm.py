@@ -13,12 +13,11 @@ from pseudospin.pseudoherm import (
     COND_CAP,
     Diagnosis,
     Metric,
-    _rho_residuals,
     diagnose,
     eta_inner,
-    is_rho_hermitian,
     metric_from_isomorphism,
     rho_adjoint,
+    rho_residuals,
 )
 
 ATOL = 1e-12
@@ -210,34 +209,30 @@ def test_rho_adjoint_is_involutive():
         assert shared[k].tobytes() == rho_adjoint(a[k], first).tobytes()
 
 
-def test_is_rho_hermitian_matches_definition():
+def test_rho_residuals_match_definition():
     rng = np.random.default_rng(4)
     rho = random_metric(rng, 3)
     h = random_matrix(rng, 3)
     h = h + h.conj().T
     # rho^-1 h is rho-hermitian by construction: rho (rho^-1 h) = h.
     candidate = np.linalg.solve(rho.matrix, h)
-    assert is_rho_hermitian(candidate, rho, tol=1e-10)
-    assert not is_rho_hermitian(candidate + 0.1 * 1j * np.eye(3), rho, tol=1e-10)
+    assert rho_residuals(candidate, rho.matrix) <= 1e-10
+    assert rho_residuals(candidate + 0.1 * 1j * np.eye(3), rho.matrix) > 1e-10
     assert np.allclose(rho_adjoint(candidate, rho), candidate, atol=1e-10)
-    # Stacks give one verdict per entry, that of the entry's own pair.
-    doubled = Metric(np.array([np.eye(2), 2 * np.eye(2)]))
-    assert is_rho_hermitian(np.eye(2), doubled).tolist() == [True, True]
-    rhos = Metric(np.array([rho.matrix, np.eye(3), rho.matrix]))
+    # Stacks give one residual per entry, that of the entry's own pair.
+    doubled = np.array([np.eye(2), 2 * np.eye(2)])
+    assert rho_residuals(np.eye(2), doubled).tolist() == [0.0, 0.0]
+    rhos = np.array([rho.matrix, np.eye(3), rho.matrix])
     ops = np.array([candidate, candidate, candidate + 0.1j * np.eye(3)])
-    verdicts = is_rho_hermitian(ops, rhos, tol=1e-10)
-    assert verdicts.tolist() == [True, False, False]
-    assert verdicts.tolist() == [
-        is_rho_hermitian(ops[k], Metric(rhos.matrix[k]), tol=1e-10) for k in range(3)
-    ]
+    assert (rho_residuals(ops, rhos) <= 1e-10).tolist() == [True, False, False]
     # The residual of a stack has, entry by entry, the bits of its own pair.
     for dim in (2, 3, 4, 5):
         a = rng.normal(size=(50, dim, dim)) + 1j * rng.normal(size=(50, dim, dim))
         r = rng.normal(size=(50, dim, dim)) + 1j * rng.normal(size=(50, dim, dim))
-        stacked = _rho_residuals(a, r)
+        stacked = rho_residuals(a, r)
         assert stacked.shape == (50,)
         for k in range(50):
-            assert stacked[k].tobytes() == _rho_residuals(a[k], r[k]).tobytes()
+            assert stacked[k].tobytes() == rho_residuals(a[k], r[k]).tobytes()
 
 
 def test_rho_adjoint_dimension_mismatch():
@@ -317,7 +312,7 @@ def test_diagnose_hermitian_matrix():
     # Distinct eigenvalues give an orthonormal eigenbasis, so the metric is
     # the identity up to roundoff.
     assert np.allclose(report.metric.matrix, np.eye(4), atol=1e-9)
-    assert is_rho_hermitian(a, report.metric, tol=1e-9)
+    assert rho_residuals(a, report.metric.matrix) <= 1e-9
 
 
 def test_diagnose_epsilon_ladder():

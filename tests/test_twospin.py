@@ -24,8 +24,8 @@ from pseudospin.pseudoherm import (
     Metric,
     diagnose,
     eta_inner,
-    is_rho_hermitian,
     metric_from_isomorphism,
+    rho_residuals,
 )
 from pseudospin import twospin
 from pseudospin.quantize import PAULI, quantize, tensor_realization
@@ -130,7 +130,7 @@ def test_build_total_bytes_match_kron_construction():
         assert build_total(params).tobytes() == kron_total(params).tobytes()
 
 
-def test_hermitian_counterpart_bytes_match_kron_construction():
+def test_paper_isomorphism_partner_bytes_match_kron_construction():
     # On the dissipative branch the partner K has the same bytes,
     # signed zeros included, as per-call Kronecker products of its real
     # z-fields and its anisotropic exchange (s/2, s/2, J).  On the hermitian
@@ -791,10 +791,10 @@ def test_imaginary_parts_grow_beyond_threshold():
 
 
 # ---------------------------------------------------------------------------
-# counterpart and isomorphism
+# paper_isomorphism: the partner K and the map u
 
 
-def test_hermitian_counterpart_toy_anchor():
+def test_paper_isomorphism_partner_toy_anchor():
     counterpart = paper_isomorphism(toy_params(1.0, 1.0))
     assert counterpart.b3 == pytest.approx(0.5, abs=ATOL)
     assert counterpart.c3 == pytest.approx(0.5, abs=ATOL)
@@ -806,7 +806,7 @@ def test_hermitian_counterpart_toy_anchor():
     assert np.max(np.abs(matrix - matrix.conj().T)) <= ATOL
 
 
-def test_hermitian_counterpart_limits_and_errors():
+def test_paper_isomorphism_partner_limits_and_errors():
     params = TwoSpinParams(f3=0.7, g3=0.7, exchange=0.9)
     counterpart = paper_isomorphism(params)
     assert np.allclose(counterpart.partner, build_total(params), atol=ATOL)
@@ -815,7 +815,7 @@ def test_hermitian_counterpart_limits_and_errors():
         paper_isomorphism(toy_params(5.0, 0.5))
 
 
-def test_hermitian_counterpart_preserves_spectrum_dissipative():
+def test_paper_isomorphism_partner_preserves_spectrum_dissipative():
     rng = np.random.default_rng(6)
     for _ in range(20):
         amplitude = float(rng.uniform(0.2, 2.2))
@@ -862,7 +862,7 @@ def test_paper_isomorphism_postconditions():
         hamiltonian = build_total(params)
         partner = frame.partner
         assert np.max(np.abs(partner - partner.conj().T)) <= 1e-10
-        assert is_rho_hermitian(hamiltonian, frame.rho, tol=1e-10)
+        assert rho_residuals(hamiltonian, frame.rho.matrix) <= 1e-10
         assert np.allclose(
             np.linalg.solve(frame.u, hamiltonian @ frame.u), partner, atol=1e-10
         )
@@ -1115,7 +1115,7 @@ def asymmetry_gates_accept(params):
     rho = metric_from_isomorphism(u)
     return bool(
         np.abs(partner - partner.conj().T).max() <= tol
-        and is_rho_hermitian(hamiltonian, rho, tol * np.abs(rho.matrix).max())
+        and rho_residuals(hamiltonian, rho.matrix) <= tol * np.abs(rho.matrix).max()
     )
 
 

@@ -65,7 +65,7 @@ def test_random_elements_draw_law(recorded, name, max_degree, seed):
     gens = generators(algebra)
     count, max_terms = 300, 4
     rng = np.random.default_rng(seed)
-    elements = verify._random_elements(rng, algebra, count, max_terms, max_degree)
+    elements = verify._random_elements(rng, algebra, count, max_degree)
     assert len(elements) == count == len(recorded)
     assert all(e.algebra == algebra for e in elements)
     assert {len(terms) for terms in recorded} == set(range(1, max_terms + 1))
@@ -295,7 +295,7 @@ PLANTS = [
         "linearity of the map",
         "covariance under transported realization",
     ]),
-    ("pseudoherm", "_rho_residuals", ["constructed metric residual"]),
+    ("pseudoherm", "rho_residuals", ["constructed metric residual"]),
     ("pseudoherm", "eta_inner", ["isometry transport of matrix elements"]),
     ("twospin", "_intertwining", ["counterpart similarity on dissipative branch"]),
     ("twospin", "evolve", ["deformed norm conserved over [0, 100]"]),
