@@ -33,9 +33,9 @@ PUBLIC_NAMES = [
     "metric_from_isomorphism",
     "multiply", "paper_isomorphism", "plus_involution",
     "pushforward_field", "quantize", "random_orthogonal", "rho_adjoint",
-    "rho_residuals", "right_derivative", "run_groups", "star_involution", "tensor_realization",
-    "transform_coefficients", "transition_series", "vector_from_json",
-    "vector_to_json", "write_csv",
+    "rho_residuals", "right_derivative", "run_groups", "star_involution",
+    "tensor_realization", "transform_coefficients", "transition_series",
+    "vector_from_json", "vector_to_json", "write_csv",
 ]
 
 
