@@ -19,14 +19,9 @@ from pseudospin.canon import (
     transform_coefficients,
 )
 from pseudospin.formats import (
-    algebra_from_json,
-    algebra_to_json,
     element_from_json,
-    element_to_json,
-    matrix_from_json,
     matrix_to_json,
     vector_from_json,
-    vector_to_json,
     write_csv,
 )
 from pseudospin.grassmann import (

@@ -14,9 +14,12 @@ keys are the subcommand's flag names with underscores; an unknown key is
 an input error, and flags given on the command line override file values.
 Numeric output is deterministic: identical configuration and seed produce
 byte-identical CSV/JSON.  Exit codes: 0 success; 1 validation, input, output
-or usage error, or a run-time gate of ``evolve`` that raises RuntimeError
-(the evaluation routes disagree, or the frame fails its intertwining or
-metric check); 2 verification or agreement failure.
+or usage error, or a run-time gate that raises RuntimeError (in ``evolve``
+the evaluation routes disagree or the frame fails its intertwining or metric
+check; in a ``verify`` group a library check trips before the group reports);
+2 verification or agreement failure.  Every exit-1 error but a usage error,
+a library ValueError or RuntimeError included, is one ``pseudospin: error:``
+line.
 
 Column layout follows the model layer: sweep rows are ``B, alpha1, alpha2,
 J, ReE1p, ImE1p, ReE1m, ImE1m, ReE2p, ImE2p, ReE2m, ImE2m,
@@ -295,13 +298,6 @@ def make_config(subcommand: str, provided: Mapping[str, Any]) -> dict[str, Any]:
     return v
 
 
-def _params_from(b: float, alphas: tuple[float, float], j: float) -> TwoSpinParams:
-    try:
-        return TwoSpinParams.from_gilbert(b, *alphas, j)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-
-
 def _emit(
     config: Mapping[str, Any], payload: Any, header: list[str] | None = None
 ) -> None:
@@ -340,14 +336,14 @@ def cmd_spectrum(config: Mapping[str, Any]) -> int:
     Exits 2 unless each eigenvalue's gap is within its bound
     C eps ||H||_F kappa from ``twospin._agreement_bounds``; no option sets it.
     """
-    params = _params_from(config["b"], (config["alpha1"], config["alpha2"]), config["j"])
+    row = [config[key] for key in ("b", "alpha1", "alpha2", "j")]
+    params = TwoSpinParams.from_gilbert(*row)
     report = closed_spectrum(params)
     hamiltonian = build_total(params)
     matched = matched_eigenvalues(hamiltonian, report.eigenvalues)
     gaps = np.abs(np.array(report.eigenvalues) - matched)
     discrepancy = float(np.max(gaps))
 
-    row = [config[key] for key in ("b", "alpha1", "alpha2", "j")]
     row += _report_cells(config, report)
     tail = [*matched.view(float).tolist(), discrepancy]
     if config["paper_units"]:
@@ -381,12 +377,9 @@ def cmd_regime_sweep(config: Mapping[str, Any]) -> int:
     j_grid = _grid(config, "j") if config["j_steps"] >= 1 else [config["j"]]
     b_grid = _grid(config, "b")
     cells = []  # each point's cells under SWEEP_COLUMNS[4:], point after point
-    try:  # one frame for the grid, not one per point
-        for b, (alpha1, alpha2), j in itertools.product(b_grid, alpha_grid, j_grid):
-            params = TwoSpinParams.from_gilbert(b, alpha1, alpha2, j)
-            cells += _report_cells(config, closed_spectrum(params))
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    for b, (alpha1, alpha2), j in itertools.product(b_grid, alpha_grid, j_grid):
+        params = TwoSpinParams.from_gilbert(b, alpha1, alpha2, j)
+        cells += _report_cells(config, closed_spectrum(params))
     # Each B is repeated over the alpha x J points under it, as cells[k::10] reads.
     per_b = len(alpha_grid) * len(j_grid)
     b_column = [0.0] * (len(b_grid) * per_b)
@@ -405,8 +398,8 @@ def cmd_regime_sweep(config: Mapping[str, Any]) -> int:
 
 def cmd_evolve(config: Mapping[str, Any]) -> int:
     """Amplitude, probability, and deformed norm; canonical where no metric exists."""
-    params = _params_from(
-        config["b"], (config["alpha1"], config["alpha2"]), config["j"]
+    params = TwoSpinParams.from_gilbert(
+        config["b"], config["alpha1"], config["alpha2"], config["j"]
     )
     try:
         xi, zeta = (
@@ -433,8 +426,6 @@ def cmd_evolve(config: Mapping[str, Any]) -> int:
         with np.errstate(over="ignore", invalid="ignore"):
             amplitudes = np.matmul(xi.conj(), evolved[:, :, None])[:, 0]
             norms = _euclidean_norms(evolved)
-    except (ValueError, RuntimeError) as exc:
-        raise CliError(str(exc)) from exc
     finite = np.isfinite(amplitudes) & np.isfinite(norms)
     if not finite.all():
         raise CliError(f"amplitude or norm overflows at t={times[~finite][0]:.6g}")
@@ -490,11 +481,7 @@ def cmd_quantize(config: Mapping[str, Any]) -> int:
 
 def cmd_verify(config: Mapping[str, Any]) -> int:
     """Run invariant groups; print one line per group, JSON summary on request."""
-    names = config["group"]
-    try:
-        results = run_groups(names, seed=config["seed"])
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    results = run_groups(config["group"], seed=config["seed"])
     for result in results:
         if result.passed:
             worst = max((c.violation for c in result.checks), default=0.0)
@@ -528,7 +515,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = make_config(args.subcommand, provided)
         return _HANDLERS[args.subcommand](config)
-    except CliError as exc:
+    # The library raises ValueError on bad input and RuntimeError at a tripped
+    # gate; any other exception is a bug and keeps its traceback.
+    except (CliError, ValueError, RuntimeError) as exc:
         print(f"pseudospin: error: {exc}", file=sys.stderr)
         return 1
 

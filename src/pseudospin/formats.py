@@ -1,13 +1,14 @@
-"""Serialization of algebra elements, matrices, and reports.
+"""The files the command line reads and writes: elements, states, matrices, tables.
 
 JSON carries complex numbers as {"re": ..., "im": ...} objects so files stay
-language-neutral; matrices are arrays of rows of those pairs.  Grassmann
-elements serialize as an algebra header plus monomial terms in canonical
-order.  The parser rejects a term whose generators repeat or are out of
-canonical order, but reads the terms as a sum: they may come in any order,
-a repeated monomial's coefficients add up and an exactly zero sum is dropped.
-So an encoded element decodes to itself, and an accepted file's round trip
-is the same element in canonical form.
+language-neutral; a state vector is a list of those pairs and a matrix an
+array of rows of them.  Two readers take input, a Grassmann element (an
+algebra header plus monomial terms) and a state vector; one writer puts out
+a matrix.  The element parser rejects a term whose generators repeat or are
+out of canonical order, but reads the terms as a sum: they may come in any
+order, a repeated monomial's coefficients add up and an exactly zero sum is
+dropped.  So files that differ only in term order, split coefficients or
+zero terms decode to one element.
 
 Tables come as one column per header name and go out as CSV or, a row at a
 time, as JSON.  Cells use the shortest round-trip float representation and
@@ -73,30 +74,6 @@ def matrix_to_json(matrix: np.ndarray) -> list[list[dict[str, float]]]:
     return [[complex_to_json(value) for value in row] for row in matrix]
 
 
-def matrix_from_json(data: Any) -> np.ndarray:
-    """Decode an array-of-rows matrix.
-
-    Raises:
-        ValueError: If rows are ragged or entries malformed.
-    """
-    if not isinstance(data, list) or not data:
-        raise ValueError("expected a non-empty array of rows")
-    rows = []
-    for row in data:
-        if not isinstance(row, list) or len(row) != len(data[0]) or not row:
-            raise ValueError("matrix rows must be non-empty and equally long")
-        rows.append([complex_from_json(value) for value in row])
-    return np.array(rows, dtype=complex)
-
-
-def vector_to_json(vector: np.ndarray) -> list[dict[str, float]]:
-    """Encode a complex vector as a list of {"re", "im"} pairs."""
-    vector = np.asarray(vector, dtype=complex)
-    if vector.ndim != 1:
-        raise ValueError("expected a one-dimensional vector")
-    return [complex_to_json(value) for value in vector]
-
-
 def vector_from_json(data: Any) -> np.ndarray:
     """Decode a list of {"re", "im"} pairs into a vector."""
     if not isinstance(data, list) or not data:
@@ -104,17 +81,7 @@ def vector_from_json(data: Any) -> np.ndarray:
     return np.array([complex_from_json(value) for value in data], dtype=complex)
 
 
-def algebra_to_json(algebra: AlgebraSpec) -> dict[str, Any]:
-    """Encode an algebra header; the momenta key appears only when carried."""
-    if len(algebra.family_sizes) > 2:
-        raise ValueError("serialization supports at most two generator families")
-    header: dict[str, Any] = {"families": list(algebra.family_sizes)}
-    if algebra.momenta_attached:
-        header["momenta"] = True
-    return header
-
-
-def algebra_from_json(data: Any) -> AlgebraSpec:
+def _algebra_from_json(data: Any) -> AlgebraSpec:
     """Decode an algebra header.
 
     Raises:
@@ -143,15 +110,6 @@ def algebra_from_json(data: Any) -> AlgebraSpec:
     return AlgebraSpec(tuple(families), momenta_attached=momenta)
 
 
-def element_to_json(element: GrassmannElement) -> dict[str, Any]:
-    """Encode a Grassmann element with terms in canonical order."""
-    terms = [
-        {"mono": [generator.name for generator in monomial], **complex_to_json(coefficient)}
-        for monomial, coefficient in sorted(element.terms.items())
-    ]
-    return {"algebra": algebra_to_json(element.algebra), "terms": terms}
-
-
 def element_from_json(data: Any) -> GrassmannElement:
     """Decode a Grassmann element.
 
@@ -165,7 +123,7 @@ def element_from_json(data: Any) -> GrassmannElement:
     """
     if not isinstance(data, dict) or set(data) != {"algebra", "terms"}:
         raise ValueError("element must carry exactly the keys algebra and terms")
-    algebra = algebra_from_json(data["algebra"])
+    algebra = _algebra_from_json(data["algebra"])
     if not isinstance(data["terms"], list):
         raise ValueError("terms must be a list")
     generators_of = sorted([*algebra.coordinates(), *algebra.momenta()])

@@ -7,7 +7,10 @@ included, from one generator seeded by the caller, and reports the worst
 measured violation against the documented limit.  The groups back the
 command-line ``verify`` subcommand.  The acceptance tests re-derive the same
 claims independently, with their own code and full sample counts; they do
-not call these groups.  Computed once per process, three print the same
+not call these groups.  A run-time gate of the library that raises inside a
+group, such as :func:`~pseudospin.twospin.paper_isomorphism`'s intertwining
+check, ends the run: the command line prints it as one error line with exit
+1, not as a FAIL line.  Computed once per process, three print the same
 violations at every seed: the ``clifford`` relations, ``correspondence`` over
 all basis pairs and ``grassmann``'s "graded Jacobi identity (Dirac)".
 """

@@ -27,7 +27,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pseudospin import cli, verify
+from pseudospin import canon, cli, twospin, verify
 from pseudospin.cli import (
     EVOLVE_COLUMNS,
     SPECTRUM_COLUMNS,
@@ -35,7 +35,6 @@ from pseudospin.cli import (
     _build_parser,
     main,
 )
-from pseudospin.formats import vector_to_json
 from pseudospin.pseudoherm import eta_inner
 from pseudospin.quantize import Realization
 from pseudospin.twospin import (
@@ -67,6 +66,11 @@ def parse_csv(text):
 
 def toy_params(amplitude=1.0, alpha=1.0, exchange=1.0):
     return TwoSpinParams.from_gilbert(amplitude, alpha, -alpha, exchange)
+
+
+def state_text(vector):
+    """A state vector file: the JSON list of its entries' {"re", "im"} pairs."""
+    return json.dumps([{"re": z.real, "im": z.imag} for z in np.asarray(vector, complex).tolist()])
 
 
 # ---------------------------------------------------------------------------
@@ -837,8 +841,8 @@ def test_evolve_custom_states(tmp_path, capsys):
     xi = np.array([0.3, 1.0, -0.2j, 0.0])
     zeta = np.array([0.0, 0.5, 1.0, 0.1])
     xi_path, zeta_path = tmp_path / "xi.json", tmp_path / "zeta.json"
-    xi_path.write_text(json.dumps(vector_to_json(xi)))
-    zeta_path.write_text(json.dumps(vector_to_json(zeta)))
+    xi_path.write_text(state_text(xi))
+    zeta_path.write_text(state_text(zeta))
     code, out, _ = run(
         capsys, "evolve", *TOY, "--xi", str(xi_path), "--zeta", str(zeta_path),
         "--t-start", "0", "--t-end", "1", "--t-steps", "2",
@@ -893,7 +897,7 @@ def huge_state_args(tmp_path, flag, entry):
 @pytest.mark.parametrize("flag", ["xi", "zeta"])
 def test_evolve_names_a_state_of_the_wrong_shape(tmp_path, capsys, args, flag):
     path = tmp_path / f"{flag}.json"
-    path.write_text(json.dumps(vector_to_json(np.ones(3))))
+    path.write_text(state_text(np.ones(3)))
     code, out, err = run(capsys, "evolve", *args, "--t-steps", "3", f"--{flag}", str(path))
     assert (code, out) == (1, "")
     assert err == f"pseudospin: error: {flag} must have shape (4,), got (3,)\n"
@@ -936,7 +940,7 @@ def test_evolve_dissipative_rows_match_a_per_state_loop(tmp_path, capsys):
     paths = []
     for name, state in (("xi", xi), ("zeta", zeta)):
         paths += [f"--{name}", str(tmp_path / f"{name}.json")]
-        (tmp_path / f"{name}.json").write_text(json.dumps(vector_to_json(state)))
+        (tmp_path / f"{name}.json").write_text(state_text(state))
     code, out, _ = run(
         capsys, "evolve", *BEYOND, *paths, "--t-end", "10", "--t-steps", "301",
         "--allow-dissipative",
@@ -1573,6 +1577,44 @@ def test_verify_out_reports_a_nan_planted_among_finite_matrices(tmp_path, capsys
     assert out.count("FAIL quantize: ") == 3 and "violation nan exceeds" in out
     checks = json.loads(summary_path.read_text())["groups"][0]["checks"]
     assert [check["violation"] for check in checks] == ["nan"] * 3
+
+
+@pytest.mark.parametrize("group, message", [
+    pytest.param(
+        "twospin", "partner failed the intertwining check H u = u K at stack entry 0",
+        id="twospin",
+    ),
+    # The drift is the first draw's rounding.
+    pytest.param(
+        "canon", "bilinear invariant drifted by 9.177e-16 at stack entry 0", id="canon",
+        marks=pytest.mark.kernel_pin("OpenBLAS SkylakeX, numpy dispatching to AVX2 or wider"),
+    ),
+])
+def test_verify_gate_tripped_inside_a_group_is_one_error_line(capsys, monkeypatch, group, message):
+    # A library gate that raises inside a group ends the run as an input
+    # error does: exit 1, nothing on stdout and one stderr line, no traceback.
+    if group == "twospin":
+        intertwining = twospin._intertwining
+
+        def tightened(*args):
+            residual, bound = intertwining(*args)
+            return residual, bound * 1e-3
+
+        monkeypatch.setattr(twospin, "_intertwining", tightened)
+    else:
+        monkeypatch.setattr(canon, "INVARIANT_TOL", 0.0)
+    assert run(capsys, "verify", "--group", group) == (1, "", f"pseudospin: error: {message}\n")
+
+
+def test_an_exception_main_does_not_map_keeps_its_traceback(monkeypatch):
+    # main maps CliError, ValueError and RuntimeError to exit 1 and nothing
+    # broader: a TypeError is a bug and propagates.
+    def broken(names, seed):
+        raise TypeError("planted")
+
+    monkeypatch.setattr(cli, "run_groups", broken)
+    with pytest.raises(TypeError, match="planted"):
+        main(["verify"])
 
 
 def test_verify_summary_json(tmp_path, capsys):

@@ -22,20 +22,19 @@ PUBLIC_NAMES = [
     "Diagnosis", "GROUPS", "Generator", "GrassmannElement",
     "GroupResult", "Isomorphism", "Metric", "PAULI",
     "Realization", "RegimeReport", "TransitionSeries", "TwoSpinParams",
-    "algebra_from_json", "algebra_to_json",
     "build_total", "canonical_constraints",
     "check_relations", "closed_spectrum", "commutation_factor",
     "constraint_reduce", "correspondence_check", "damping_threshold",
-    "diagnose", "dirac_bracket", "element_from_json", "element_to_json",
+    "diagnose", "dirac_bracket", "element_from_json",
     "eta_inner", "evolve", "graded_poisson",
     "left_derivative",
-    "matched_eigenvalues", "matrix_from_json", "matrix_to_json",
+    "matched_eigenvalues", "matrix_to_json",
     "metric_from_isomorphism",
     "multiply", "paper_isomorphism", "plus_involution",
     "pushforward_field", "quantize", "random_orthogonal", "rho_adjoint",
     "rho_residuals", "right_derivative", "run_groups", "star_involution",
     "tensor_realization", "transform_coefficients", "transition_series",
-    "vector_from_json", "vector_to_json", "write_csv",
+    "vector_from_json", "write_csv",
 ]
 
 
@@ -74,11 +73,6 @@ def caller_paths():
 
 def test_every_public_name_has_a_caller():
     reached = set().union(*(referenced_names(path) for path in caller_paths()))
-    # A codec pair stays whole: one half in use keeps the other.
-    for name in list(reached):
-        for half, partner in (("_to_json", "_from_json"), ("_from_json", "_to_json")):
-            if name.endswith(half):
-                reached.add(name[: -len(half)] + partner)
     assert [name for name in public_names() if name not in reached] == []
 
 
